@@ -1,8 +1,42 @@
 #include "experiment.hpp"
 
+#include <fstream>
+#include <thread>
+
 #include "net/simd_dispatch.hpp"
 
 namespace vpm::bench {
+
+namespace {
+
+#if defined(__clang__)
+constexpr const char* kCompiler = __VERSION__;  // "Clang x.y.z ..."
+#else
+constexpr const char* kCompiler = "g++ " __VERSION__;
+#endif
+
+/// The first "model name" in /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t value = line.find_first_not_of(" \t", line.find(':') + 1);
+    return value == std::string::npos ? "unknown" : line.substr(value);
+  }
+  return "unknown";
+}
+
+/// `s` as a JSON string literal (quotes and backslashes escaped).
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
+}
+
+}  // namespace
 
 XDomainScenario make_x_scenario(const XDomainConfig& cfg) {
   XDomainScenario s;
@@ -110,6 +144,12 @@ bool JsonExportReporter::write(const std::string& bench_name,
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"simd_tier\": \"%s\",\n",
                bench_name.c_str(),
                net::simd::tier_name(net::simd::active_tier()));
+  std::fprintf(f,
+               "  \"host\": {\"cores\": %u, \"cpu_model\": %s, "
+               "\"compiler\": %s},\n",
+               std::thread::hardware_concurrency(),
+               json_string(cpu_model()).c_str(),
+               json_string(kCompiler).c_str());
   std::fprintf(f, "  \"results\": [");
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const Row& r = rows_[i];

@@ -117,6 +117,7 @@ inline void rule(int width) {
 //   {
 //     "bench": "fastpath",
 //     "simd_tier": "avx2",
+//     "host": {"cores": 4, "cpu_model": "...", "compiler": "g++ 12.2.0"},
 //     "results": [
 //       {"name": "BM_CacheObservePathSweep/100000",
 //        "ns_per_packet": 139.2, "mpps": 7.18, "hashes_per_packet": 1.0},

@@ -1,6 +1,6 @@
 // Scaling curve of the sharded multi-core collector.
 //
-// Two complementary measurements:
+// Three complementary measurements:
 //
 //   * BM_ShardedObserve — the threaded end-to-end path (producer routes
 //     into SPSC queues, one worker per shard applies batches).  Aggregate
@@ -56,10 +56,10 @@ collector::ShardedCollector::Config sharded_config(std::size_t shards) {
 // End-to-end threaded ingest: route + enqueue on this thread, N workers
 // consume.  One iteration = one full trace replay, quiesced via
 // wait_idle() so every enqueued packet has been applied.
-void sharded_observe_body(benchmark::State& state,
-                          collector::ShardedCollector::Config cfg) {
+void BM_ShardedObserve(benchmark::State& state) {
   const trace::MultiPathTrace& multi = shared_trace();
-  collector::ShardedCollector sharded(std::move(cfg), multi.paths);
+  collector::ShardedCollector sharded(
+      sharded_config(static_cast<std::size_t>(state.range(0))), multi.paths);
   sharded.start(/*producer_count=*/1);
 
   constexpr std::size_t kSlice = 4096;
@@ -81,7 +81,6 @@ void sharded_observe_body(benchmark::State& state,
       const std::size_t n = std::min(kSlice, packets.size() - i);
       sharded.feed(0, packets.subspan(i, n), times.subspan(i, n));
     }
-    sharded.flush(0);
     sharded.wait_idle();
 
     state.PauseTiming();
@@ -94,40 +93,8 @@ void sharded_observe_body(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(multi.packets.size()));
   state.counters["shards"] = static_cast<double>(sharded.shard_count());
-  state.counters["queue_cap"] = static_cast<double>(sharded.queue_capacity());
-  // How many workers actually landed on a pinned CPU (-1 = not pinned).
-  double pinned = 0;
-  for (const int c : sharded.worker_cpus()) {
-    if (c >= 0) pinned += 1;
-  }
-  state.counters["pinned_workers"] = pinned;
-}
-
-/// Baseline placement: fixed-depth queues, unpinned workers,
-/// constructor-thread allocation (the historical configuration).
-void BM_ShardedObserve(benchmark::State& state) {
-  sharded_observe_body(
-      state, sharded_config(static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_ShardedObserve)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-/// All placement levers on: pinned workers, L2-auto queue depth, NUMA
-/// first-touch shard construction, producer-side handoff coalescing.
-/// Compare against BM_ShardedObserve at equal shard counts; on a host with
-/// fewer cores than shards pinning just stacks workers onto the granted
-/// CPUs, so expect parity there, not a win (the counters record how many
-/// workers pinned).
-void BM_ShardedObservePlaced(benchmark::State& state) {
-  collector::ShardedCollector::Config cfg =
-      sharded_config(static_cast<std::size_t>(state.range(0)));
-  cfg.queue_capacity = 0;  // L2 auto-size
-  cfg.handoff_batch_packets = 1024;
-  cfg.placement.pin_workers = true;
-  cfg.placement.numa_first_touch = true;
-  sharded_observe_body(state, std::move(cfg));
-}
-BENCHMARK(BM_ShardedObservePlaced)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Per-shard stage cost: the busiest shard's cache observing its own slice.

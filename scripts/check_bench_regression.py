@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Bench-regression guard: fresh BENCH_fastpath.json vs the committed baseline.
+"""Bench-regression guard: a fresh BENCH_<name>.json vs the committed baseline.
 
+Both files must carry the same "bench" name (fastpath, sharded, ...).
 Compares the ns/packet of every benchmark present in BOTH files (by exact
-name) and fails when a fresh number exceeds the baseline by more than the
-tolerance band.  The default tolerance is deliberately wide (+50%): CI
-runners and the dev container are shared hosts with double-digit-percent
-run-to-run noise, so the guard is a collapse detector (an accidental
-O(n) in the sweep, a dropped SIMD tier, a debug build), not a
-microregression tribunal.  Tighten it with --tolerance or
-VPM_BENCH_TOLERANCE where the hardware is quiet.
+name) whose name starts with --filter, and fails when a fresh number
+exceeds the baseline by more than the tolerance band.  The default
+tolerance is deliberately wide (+50%): CI runners and the dev container
+are shared hosts with double-digit-percent run-to-run noise, so the guard
+is a collapse detector (an accidental O(n) in the sweep, a dropped SIMD
+tier, a debug build), not a microregression tribunal.  Tighten it with
+--tolerance or VPM_BENCH_TOLERANCE where the hardware is quiet.
 
 Exit codes: 0 ok / skipped, 1 regression, 2 bad invocation.
 """
@@ -23,9 +24,9 @@ import sys
 def load(path: str):
     with open(path, encoding="utf-8") as f:
         d = json.load(f)
-    if d.get("bench") != "fastpath" or not isinstance(d.get("results"), list):
-        sys.exit(f"error: {path} is not a BENCH_fastpath.json (bench="
-                 f"{d.get('bench')!r})")
+    if not isinstance(d.get("bench"), str) or not isinstance(
+            d.get("results"), list):
+        sys.exit(f"error: {path} is not a BENCH_*.json record")
     return d
 
 
@@ -54,8 +55,13 @@ def main() -> int:
             print(f"skip: {what} file {path} not found")
             return 0
 
-    base = {r["name"]: r["ns_per_packet"] for r in load(args.baseline)["results"]}
-    fresh = {r["name"]: r["ns_per_packet"] for r in load(args.fresh)["results"]}
+    baseline, latest = load(args.baseline), load(args.fresh)
+    if baseline["bench"] != latest["bench"]:
+        print(f"error: baseline is bench {baseline['bench']!r} but fresh is "
+              f"{latest['bench']!r}", file=sys.stderr)
+        return 2
+    base = {r["name"]: r["ns_per_packet"] for r in baseline["results"]}
+    fresh = {r["name"]: r["ns_per_packet"] for r in latest["results"]}
 
     names = [n for n in base if n.startswith(args.filter) and n in fresh]
     if not names:

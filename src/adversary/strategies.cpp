@@ -6,12 +6,29 @@
 
 namespace vpm::adversary {
 
+namespace {
+
+/// Append a lie's record with its time clamped monotone.  A competent liar
+/// publishes a WELL-FORMED receipt: fabricated times interleaved with real
+/// ones can step backwards, and the wire codec rejects non-monotone sample
+/// times outright — a self-incriminating lie not modelled here.  Counts
+/// (and hence the aggregate-side detection) are unchanged.
+void push_monotone(core::SampleReceipt& lie, core::SampleRecord r) {
+  if (!lie.samples.empty()) r.time = std::max(r.time, lie.samples.back().time);
+  lie.samples.push_back(r);
+}
+
+}  // namespace
+
 core::SampleReceipt hide_loss_samples(const core::SampleReceipt& truthful_egress,
                                       const core::SampleReceipt& own_ingress,
                                       net::Duration fake_delay) {
   // Rebuild the egress receipt in ingress order: every packet the domain
   // sampled on entry is claimed to have left; truly observed egress
   // records keep their real times, dropped ones get fabricated times.
+  // Marker flags come from the ingress records, so the lie's sampling
+  // rounds are the ingress ones and still end with a marker (time-keyed
+  // markers fire at different packets at egress once packets are gone).
   std::unordered_map<net::PacketDigest, const core::SampleRecord*> egress_by_id;
   egress_by_id.reserve(truthful_egress.samples.size() * 2);
   for (const core::SampleRecord& r : truthful_egress.samples) {
@@ -25,15 +42,13 @@ core::SampleReceipt hide_loss_samples(const core::SampleReceipt& truthful_egress
   lie.samples.reserve(own_ingress.samples.size());
   for (const core::SampleRecord& in : own_ingress.samples) {
     const auto it = egress_by_id.find(in.pkt_id);
-    if (it != egress_by_id.end()) {
-      lie.samples.push_back(*it->second);
-    } else {
-      lie.samples.push_back(core::SampleRecord{
-          .pkt_id = in.pkt_id,
-          .time = in.time + fake_delay,
-          .is_marker = in.is_marker,
-      });
-    }
+    push_monotone(lie, core::SampleRecord{
+                           .pkt_id = in.pkt_id,
+                           .time = it != egress_by_id.end()
+                                       ? it->second->time
+                                       : in.time + fake_delay,
+                           .is_marker = in.is_marker,
+                       });
   }
   return lie;
 }
@@ -82,19 +97,19 @@ core::SampleReceipt cover_neighbor_samples(
   cover.sample_threshold = own_truthful_ingress.sample_threshold;
   cover.marker_threshold = own_truthful_ingress.marker_threshold;
   cover.samples.reserve(neighbors_published_egress.samples.size());
+  // Packets N really received keep their real times; the rest pretend to
+  // have arrived at the neighbour's claimed egress time plus the nominal
+  // link delay.  Marker flags follow the claims, whose rounds the cover
+  // mirrors record for record.
   for (const core::SampleRecord& claimed : neighbors_published_egress.samples) {
     const auto it = own_by_id.find(claimed.pkt_id);
-    if (it != own_by_id.end()) {
-      cover.samples.push_back(*it->second);
-    } else {
-      // Pretend the packet arrived: the neighbour's claimed egress time
-      // plus the nominal link delay.
-      cover.samples.push_back(core::SampleRecord{
-          .pkt_id = claimed.pkt_id,
-          .time = claimed.time + link_delay,
-          .is_marker = claimed.is_marker,
-      });
-    }
+    push_monotone(cover, core::SampleRecord{
+                             .pkt_id = claimed.pkt_id,
+                             .time = it != own_by_id.end()
+                                         ? it->second->time
+                                         : claimed.time + link_delay,
+                             .is_marker = claimed.is_marker,
+                         });
   }
   return cover;
 }

@@ -29,6 +29,8 @@ namespace vpm::adversary {
 /// sample records for every packet the domain sampled at ingress but not
 /// at egress, with a plausible fake traversal delay.  Markers included:
 /// the liar must fake those too, or their absence is immediately caught.
+/// The result is encodable: one record per ingress record, marker flags
+/// copied from ingress, times clamped monotone.
 [[nodiscard]] core::SampleReceipt hide_loss_samples(
     const core::SampleReceipt& truthful_egress,
     const core::SampleReceipt& own_ingress, net::Duration fake_delay);
@@ -51,7 +53,9 @@ namespace vpm::adversary {
 /// by fabricating *ingress* records for packets it never received (copied
 /// from X's published egress receipt, plus link delay).  N's problem — the
 /// packets now have to disappear somewhere inside N or be pushed onto the
-/// next link — is exactly what the liar-exposure cascade detects.
+/// next link — is exactly what the liar-exposure cascade detects.  The
+/// result is encodable: one record per claim, marker flags copied from the
+/// claims, times clamped monotone.
 [[nodiscard]] core::SampleReceipt cover_neighbor_samples(
     const core::SampleReceipt& own_truthful_ingress,
     const core::SampleReceipt& neighbors_published_egress,

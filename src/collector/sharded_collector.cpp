@@ -7,14 +7,12 @@ namespace vpm::collector {
 
 ShardedCollector::ShardedCollector(Config cfg,
                                    std::span<const net::PrefixPair> paths)
-    : cache_cfg_(cfg.cache),
-      placement_(cfg.placement),
-      queue_capacity_(resolve_queue_capacity(
-          cfg.queue_capacity,
-          cfg.handoff_batch_packets != 0 ? cfg.handoff_batch_packets : 64)),
-      handoff_batch_(cfg.handoff_batch_packets) {
+    : queue_capacity_(cfg.queue_capacity) {
   if (cfg.shard_count == 0) {
     throw std::invalid_argument("ShardedCollector: zero shards");
+  }
+  if (cfg.queue_capacity == 0) {
+    throw std::invalid_argument("ShardedCollector: zero queue capacity");
   }
   if (paths.empty()) {
     throw std::invalid_argument("ShardedCollector: no paths");
@@ -46,32 +44,11 @@ ShardedCollector::ShardedCollector(Config cfg,
     shard_paths[s].push_back(paths[i]);
     shards_[s].global_index.push_back(i);
   }
-  if (placement_.numa_first_touch) {
-    // Defer construction: each shard's cache is first touched by the
-    // thread that first applies work to it (the pinned worker after
-    // start(); see ensure_shard_cache).  Validate the per-shard tables
-    // now, though — construction errors must not move to a worker thread.
-    for (std::size_t s = 0; s < cfg.shard_count; ++s) {
-      if (shard_paths[s].empty()) continue;
-      (void)MonitoringCache(cfg.cache, shard_paths[s]);
-    }
-    deferred_paths_ = std::move(shard_paths);
-    return;
-  }
   for (std::size_t s = 0; s < cfg.shard_count; ++s) {
     if (shard_paths[s].empty()) continue;  // cache stays null
     shards_[s].cache =
         std::make_unique<MonitoringCache>(cfg.cache, shard_paths[s]);
   }
-}
-
-void ShardedCollector::ensure_shard_cache(std::size_t shard_index) {
-  Shard& shard = shards_[shard_index];
-  if (shard.cache || shard.global_index.empty()) return;
-  shard.cache = std::make_unique<MonitoringCache>(
-      cache_cfg_, deferred_paths_[shard_index]);
-  // Free the construction copy: the classifier owns its own table now.
-  deferred_paths_[shard_index] = {};
 }
 
 ShardedCollector::~ShardedCollector() { stop(); }
@@ -86,11 +63,10 @@ std::size_t ShardedCollector::observe(const net::Packet& p,
   }
   const std::size_t s = shard_of(p.header);
   Shard& shard = shards_[s];
-  if (shard.global_index.empty()) {
+  if (!shard.cache) {
     ++shard.unknown;
     return PathClassifier::npos;
   }
-  ensure_shard_cache(s);
   const std::size_t local = shard.cache->observe(p, when);
   if (local == PathClassifier::npos) return PathClassifier::npos;
   return shard.global_index[local];
@@ -112,14 +88,10 @@ void ShardedCollector::apply_batch(std::size_t shard_index,
                                    std::span<const net::Packet> packets,
                                    std::span<const net::Timestamp> when) {
   Shard& shard = shards_[shard_index];
-  if (shard.global_index.empty()) {
+  if (!shard.cache) {
     shard.unknown += packets.size();
     return;
   }
-  // First batch in numa_first_touch mode: the applying thread (the pinned
-  // worker, in threaded mode) constructs the cache, so its slot table and
-  // arenas are first touched on the core/node that will run them.
-  ensure_shard_cache(shard_index);
   shard.cache->observe_batch(packets, when);
 }
 
@@ -177,25 +149,11 @@ void ShardedCollector::start(std::size_t producer_count) {
       per_shard.push_back(std::make_unique<SpscQueue<Batch>>(queue_capacity_));
     }
   }
-  if (handoff_batch_ != 0) {
-    pending_.clear();
-    pending_.resize(producer_count);
-    for (auto& per_shard : pending_) per_shard.resize(shards_.size());
-  }
-  worker_cpus_.assign(shards_.size(), -1);
   running_ = true;
   workers_.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     workers_.emplace_back([this, s] { worker_loop(s); });
   }
-}
-
-void ShardedCollector::push_batch(std::size_t producer, std::size_t shard,
-                                  Batch&& b) {
-  // Count before the push: a worker may consume the batch immediately,
-  // and processed must never be observed above pushed.
-  pushed_batches_.fetch_add(1, std::memory_order_relaxed);
-  queues_[producer][shard]->push(std::move(b));
 }
 
 void ShardedCollector::feed(std::size_t producer,
@@ -207,20 +165,7 @@ void ShardedCollector::feed(std::size_t producer,
   if (!when.empty() && packets.size() != when.size()) {
     throw std::invalid_argument("feed: packet/timestamp mismatch");
   }
-  (void)queues_.at(producer);  // validate the producer index
-  if (handoff_batch_ != 0) {
-    // Coalescing handoff: accumulate routed packets per shard and enqueue
-    // only full chunks, so many small feed() calls cost one queue hop per
-    // CHUNK instead of one per (call, shard).
-    std::vector<Batch>& pending = pending_[producer];
-    route_into_staging(packets, when, pending);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (pending[s].packets.size() < handoff_batch_) continue;
-      push_batch(producer, s, std::move(pending[s]));
-      pending[s] = Batch{};
-    }
-    return;
-  }
+  auto& queues = queues_.at(producer);  // validates the producer index
   // The batches are moved into the queues (the worker frees them), so a
   // reusable staging pool would need a buffer-return channel; instead
   // pre-size each shard's vectors once to skip the push_back regrowth.
@@ -233,7 +178,10 @@ void ShardedCollector::feed(std::size_t producer,
   route_into_staging(packets, when, staging);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (staging[s].packets.empty()) continue;
-    push_batch(producer, s, std::move(staging[s]));
+    // Count before the push: a worker may consume the batch immediately,
+    // and processed must never be observed above pushed.
+    pushed_batches_.fetch_add(1, std::memory_order_relaxed);
+    queues[s]->push(std::move(staging[s]));
   }
 }
 
@@ -246,13 +194,7 @@ void ShardedCollector::flush(std::size_t producer) {
   if (!running_) {
     throw std::logic_error("ShardedCollector: flush before start");
   }
-  if (handoff_batch_ == 0) return;
-  std::vector<Batch>& pending = pending_.at(producer);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (pending[s].packets.empty()) continue;
-    push_batch(producer, s, std::move(pending[s]));
-    pending[s] = Batch{};
-  }
+  (void)queues_.at(producer);  // validate the producer index, as feed() does
 }
 
 void ShardedCollector::wait_idle() const {
@@ -263,15 +205,6 @@ void ShardedCollector::wait_idle() const {
 }
 
 void ShardedCollector::worker_loop(std::size_t shard_index) {
-  if (placement_.pin_workers) {
-    worker_cpus_[shard_index] = pin_current_thread(shard_index);
-  } else {
-    worker_cpus_[shard_index] = current_cpu();
-  }
-  // First-touch the shard's state from the (possibly just-pinned) worker
-  // before consuming, so construction cost doesn't land on the first
-  // batch's latency.
-  if (placement_.numa_first_touch) ensure_shard_cache(shard_index);
   std::vector<SpscQueue<Batch>*> inputs;
   inputs.reserve(queues_.size());
   for (auto& per_shard : queues_) inputs.push_back(per_shard[shard_index].get());
@@ -301,11 +234,6 @@ void ShardedCollector::worker_loop(std::size_t shard_index) {
 
 void ShardedCollector::stop() {
   if (!running_) return;
-  // Enqueue any coalesced remainders first — the caller has synchronized
-  // with every producer (stop()'s contract), so the pending accumulators
-  // are quiescent here and a close must not strand their packets.
-  for (std::size_t p = 0; p < pending_.size(); ++p) flush(p);
-  pending_.clear();
   for (auto& per_shard : queues_) {
     for (auto& q : per_shard) q->close();
   }
@@ -313,13 +241,6 @@ void ShardedCollector::stop() {
   workers_.clear();
   queues_.clear();
   running_ = false;
-}
-
-std::vector<int> ShardedCollector::worker_cpus() const {
-  if (running_) {
-    throw std::logic_error("ShardedCollector: worker_cpus while workers run");
-  }
-  return worker_cpus_;
 }
 
 // --- control plane --------------------------------------------------------
@@ -343,10 +264,6 @@ core::StreamingDrainMerge ShardedCollector::drain_stream(bool flush_open) {
   }
   std::vector<core::DrainSource> sources;
   sources.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    // A deferred (never-touched) cache still owes empty per-path drains.
-    ensure_shard_cache(s);
-  }
   for (Shard& shard : shards_) {
     if (!shard.cache) continue;  // unknown-only shard: nothing to stream
     // Each source walks its shard's paths in (ascending) local order,
@@ -398,7 +315,6 @@ LifecycleReport ShardedCollector::run_lifecycle(net::Timestamp now,
         "ShardedCollector: run_lifecycle while workers run");
   }
   LifecycleReport report;
-  for (std::size_t s = 0; s < shards_.size(); ++s) ensure_shard_cache(s);
   // Per-path eviction in ascending GLOBAL order (the drain-order
   // contract), interleaving across shards.
   for (std::size_t g = 0; g < path_location_.size(); ++g) {

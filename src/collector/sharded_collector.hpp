@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "collector/monitoring_cache.hpp"
-#include "collector/placement.hpp"
 #include "collector/spsc_queue.hpp"
 #include "core/receipt_merge.hpp"
 #include "net/packet.hpp"
@@ -58,26 +57,17 @@ class ShardedCollector {
     MonitoringCache::Config cache;
     std::size_t shard_count = 1;
     /// Bounded batches per (producer, shard) queue; producers spin-wait
-    /// (backpressure) when a queue fills.  0 = auto-size from the per-core
-    /// L2 (see placement.hpp resolve_queue_capacity).
+    /// (backpressure) when a queue fills.
     std::size_t queue_capacity = 256;
-    /// Producer-side handoff coalescing: when nonzero, feed() accumulates
-    /// routed packets per (producer, shard) and enqueues only once a
-    /// shard's pending slice reaches this many packets — small feed()
-    /// calls stop costing one queue hop per shard each.  Producers must
-    /// call flush() before wait_idle(); stop() flushes any remainder.
-    /// 0 = enqueue every feed() immediately (the historical behavior).
-    std::size_t handoff_batch_packets = 0;
-    /// Worker pinning and NUMA first-touch knobs (see placement.hpp).
-    PlacementConfig placement;
   };
 
   /// Partitions `paths` across shards by key hash and builds one
   /// MonitoringCache per non-empty shard.  Path indices reported by
   /// observe()/drain() are GLOBAL indices into `paths`, matching what a
   /// single MonitoringCache over the same span would report.  Throws
-  /// std::invalid_argument on zero shards, empty/mixed-length/duplicate
-  /// paths (same validation as MonitoringCache).
+  /// std::invalid_argument on zero shards, a zero queue capacity, and
+  /// empty/mixed-length/duplicate paths (same validation as
+  /// MonitoringCache).
   ShardedCollector(Config cfg, std::span<const net::PrefixPair> paths);
   ~ShardedCollector();
 
@@ -137,8 +127,7 @@ class ShardedCollector {
   /// feed() concurrently, each with a distinct producer index.
   void start(std::size_t producer_count = 1);
 
-  /// Route `packets` and enqueue one batch per destination shard (or, with
-  /// handoff_batch_packets set, accumulate and enqueue full chunks).  Safe
+  /// Route `packets` and enqueue one batch per destination shard.  Safe
   /// to call concurrently from different producer indices; a producer
   /// index must not be used by two threads at once (the queues are SPSC).
   /// Blocks (spin/yield) on full queues — bounded-memory backpressure.
@@ -146,15 +135,15 @@ class ShardedCollector {
             std::span<const net::Timestamp> when);
   void feed(std::size_t producer, std::span<const net::Packet> packets);
 
-  /// Enqueue this producer's coalesced remainders (no-op when
-  /// handoff_batch_packets == 0 or nothing is pending).  Same threading
-  /// contract as feed(): one thread per producer index.
+  /// End of a producer's feed sequence.  feed() enqueues every batch before
+  /// returning, so nothing is held back; this only checks its arguments
+  /// the way feed() does (std::logic_error before start(),
+  /// std::out_of_range on a producer index start() did not create).
   void flush(std::size_t producer);
 
   /// Block until every enqueued batch has been consumed and applied.
   /// (Quiescence barrier for benchmarks and periodic control-plane work;
-  /// callers must not feed concurrently while waiting.)  Coalesced
-  /// not-yet-enqueued packets are invisible here: producers flush() first.
+  /// callers must not feed concurrently while waiting.)
   void wait_idle() const;
 
   /// Close all queues, let workers drain them, and join.  Idempotent.
@@ -212,14 +201,6 @@ class ShardedCollector {
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
   }
-  /// The resolved per-(producer, shard) queue depth (after L2 auto-size).
-  [[nodiscard]] std::size_t queue_capacity() const noexcept {
-    return queue_capacity_;
-  }
-  /// CPU each shard worker reported running on after the last start()
-  /// (post-pinning when placement.pin_workers; -1 = unknown/never
-  /// started).  Throws std::logic_error while workers run.
-  [[nodiscard]] std::vector<int> worker_cpus() const;
   [[nodiscard]] std::size_t path_count() const noexcept {
     return path_location_.size();
   }
@@ -233,8 +214,7 @@ class ShardedCollector {
   /// Total packets that matched no path, across all shards.  Throws
   /// std::logic_error while workers run.
   [[nodiscard]] std::uint64_t unknown_path_packets() const;
-  /// The shard's cache, or nullptr for a shard that owns no paths (or, in
-  /// numa_first_touch mode, one whose cache has not been built yet).  The
+  /// The shard's cache, or nullptr for a shard that owns no paths.  The
   /// returned cache is worker-owned state: do not read it while workers
   /// run.
   [[nodiscard]] const MonitoringCache* shard_cache(std::size_t shard) const {
@@ -249,8 +229,8 @@ class ShardedCollector {
   };
 
   struct Shard {
-    /// Null when no path hashes to this shard; unknown traffic routed
-    /// here is still counted.
+    /// Null exactly when no path hashes to this shard; unknown traffic
+    /// routed here is still counted.
     std::unique_ptr<MonitoringCache> cache;
     /// Shard-local path index -> global path index (ascending).
     std::vector<std::size_t> global_index;
@@ -277,26 +257,13 @@ class ShardedCollector {
   void apply_batch(std::size_t shard_index,
                    std::span<const net::Packet> packets,
                    std::span<const net::Timestamp> when);
-  /// Build the shard's cache from its deferred path subset if it hasn't
-  /// been built yet (numa_first_touch defers construction to the thread
-  /// that first applies work — the pinned worker in threaded mode).  Each
-  /// shard's cache is only ever ensured by the thread currently owning
-  /// that shard (its worker, or the control plane while stopped).
-  void ensure_shard_cache(std::size_t shard_index);
-  void push_batch(std::size_t producer, std::size_t shard, Batch&& b);
   void worker_loop(std::size_t shard);
 
   std::uint32_t src_mask_ = 0;
   std::uint32_t dst_mask_ = 0;
   std::vector<Shard> shards_;
   std::vector<PathLocation> path_location_;  ///< by global path index
-  MonitoringCache::Config cache_cfg_;
-  PlacementConfig placement_;
   std::size_t queue_capacity_ = 256;
-  std::size_t handoff_batch_ = 0;
-  /// Per-shard path subsets awaiting first-touch construction (cleared as
-  /// each shard's cache is built; empty when numa_first_touch is off).
-  std::vector<std::vector<net::PrefixPair>> deferred_paths_;
   /// Reused by synchronous observe_batch (steady state never allocates).
   std::vector<Batch> sync_staging_;
 
@@ -304,12 +271,6 @@ class ShardedCollector {
   // queues_[producer][shard]; each queue is SPSC: producer thread
   // `producer` pushes, worker thread `shard` pops.
   std::vector<std::vector<std::unique_ptr<SpscQueue<Batch>>>> queues_;
-  /// pending_[producer][shard]: handoff-coalescing accumulators, each
-  /// owned by its producer thread between feed() and flush().
-  std::vector<std::vector<Batch>> pending_;
-  /// CPU each worker reported after pinning (workers write their own slot
-  /// at startup; read only after join — see worker_cpus()).
-  std::vector<int> worker_cpus_;
   std::vector<std::thread> workers_;
   bool running_ = false;
   alignas(64) std::atomic<std::uint64_t> pushed_batches_{0};

@@ -467,19 +467,6 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
     }
     return nullptr;
   };
-  // A competent liar publishes a WELL-FORMED receipt: fabricated times
-  // interleaved with real ones (hide-loss under variable delay) can step
-  // backwards, and the wire codec rejects non-monotone sample times
-  // outright — a self-incriminating lie the engine does not model.  Clamp
-  // the published stream monotone; counts (and hence the aggregate-side
-  // detection) are unchanged.
-  const auto clamp_monotone = [](core::SampleReceipt& r) {
-    for (std::size_t i = 1; i < r.samples.size(); ++i) {
-      if (r.samples[i].time < r.samples[i - 1].time) {
-        r.samples[i].time = r.samples[i - 1].time;
-      }
-    }
-  };
   // Transform hop positions in ascending order, so a cover-up reads the
   // upstream liar's already-transformed (published) stream.
   const auto apply_adversaries = [&](std::vector<Stream>& streams) {
@@ -493,7 +480,6 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
             if (ingress == nullptr) break;
             g.drain.samples = adversary::hide_loss_samples(
                 g.drain.samples, ingress->samples, cfg.fake_delay);
-            clamp_monotone(g.drain.samples);
             g.drain.aggregates = adversary::hide_loss_aggregates(
                 g.drain.aggregates, ingress->aggregates);
             break;
@@ -508,7 +494,6 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
             if (upstream == nullptr) break;
             g.drain.samples = adversary::cover_neighbor_samples(
                 g.drain.samples, upstream->samples, cfg.link_delay);
-            clamp_monotone(g.drain.samples);
             g.drain.aggregates = adversary::cover_neighbor_aggregates(
                 g.drain.aggregates, upstream->aggregates, cfg.link_delay);
             break;

@@ -154,19 +154,26 @@ TEST(ScenarioEngine, HonestBaselineFile) {
   EXPECT_TRUE(test::loss_tracks_truth(out, "X", 1e-9));
 }
 
+// The lie files also run with time-keyed markers, which fire at different
+// packets on either side of a lossy domain: the published lies must still
+// encode (every sampling round ends with a marker).
 TEST(ScenarioEngine, HideLossFile) {
-  const ScenarioOutcome out =
-      run_scenario(parse_scenario(load_scenario_file("hide_loss.conf")));
-  EXPECT_TRUE(test::only_implicates(out, "X", "N"));
-  EXPECT_LE(out.estimated_loss("X"), 1e-9) << "repro: " << out.repro;
-  EXPECT_GT(out.true_loss("X"), 0.0) << "repro: " << out.repro;
+  for (const char* extra : {"", "\nmarker_rate=0.001 marker_max_age_us=5000"}) {
+    const ScenarioOutcome out = run_scenario(
+        parse_scenario(load_scenario_file("hide_loss.conf") + extra));
+    EXPECT_TRUE(test::only_implicates(out, "X", "N"));
+    EXPECT_LE(out.estimated_loss("X"), 1e-9) << "repro: " << out.repro;
+    EXPECT_GT(out.true_loss("X"), 0.0) << "repro: " << out.repro;
+  }
 }
 
 TEST(ScenarioEngine, CollusionCongestionFile) {
-  const ScenarioOutcome out = run_scenario(
-      parse_scenario(load_scenario_file("collusion_congestion.conf")));
-  EXPECT_TRUE(test::blame_displaced(out, "X", "N", 1e-9));
-  EXPECT_GT(out.true_loss("X"), 0.0) << "repro: " << out.repro;
+  for (const char* extra : {"", "\nmarker_rate=0.001 marker_max_age_us=2000"}) {
+    const ScenarioOutcome out = run_scenario(parse_scenario(
+        load_scenario_file("collusion_congestion.conf") + extra));
+    EXPECT_TRUE(test::blame_displaced(out, "X", "N", 1e-9));
+    EXPECT_GT(out.true_loss("X"), 0.0) << "repro: " << out.repro;
+  }
 }
 
 TEST(ScenarioEngine, FaultyWireChurnFile) {

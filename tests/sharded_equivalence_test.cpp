@@ -14,7 +14,9 @@
 // SPSC-queue threaded with 1..3 producers).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "collector/monitoring_cache.hpp"
@@ -125,6 +127,10 @@ TEST(ShardedCollector, Validation) {
   EXPECT_THROW(
       collector::ShardedCollector(sharded_config(0), one),
       std::invalid_argument);
+  collector::ShardedCollector::Config no_queue = sharded_config(2);
+  no_queue.queue_capacity = 0;
+  EXPECT_THROW(collector::ShardedCollector(no_queue, one),
+               std::invalid_argument);
   EXPECT_THROW(collector::ShardedCollector(sharded_config(2),
                                            std::vector<net::PrefixPair>{}),
                std::invalid_argument);
@@ -145,9 +151,12 @@ TEST(ShardedCollector, ControlPlaneGuardsWhileRunning) {
   const std::vector<net::PrefixPair> one = {trace::default_prefix_pair()};
   collector::ShardedCollector sharded(sharded_config(2), one);
   EXPECT_THROW(sharded.feed(0, {}), std::logic_error);  // not started
+  EXPECT_THROW(sharded.flush(0), std::logic_error);
 
   sharded.start(1);
   EXPECT_TRUE(sharded.running());
+  EXPECT_THROW(sharded.feed(1, {}), std::out_of_range);  // one producer
+  EXPECT_THROW(sharded.flush(1), std::out_of_range);
   net::Packet p;
   EXPECT_THROW(sharded.observe(p, net::Timestamp{}), std::logic_error);
   EXPECT_THROW(sharded.observe_batch({}), std::logic_error);
@@ -183,6 +192,104 @@ TEST(ShardedCollector, PipelineElementFeedsShards) {
     }
   }
   EXPECT_EQ(counted, multi.packets.size());
+}
+
+// ------------------------------------------------------------------------
+// Handoff, flush and drain contracts of the threaded collector: where
+// batches cross a queue and how small they are must never change what a
+// shard applies or drains.
+
+trace::MultiPathTrace placement_workload() {
+  trace::MultiPathConfig mcfg;
+  mcfg.path_count = 48;
+  mcfg.total_packets_per_second = 60'000;
+  mcfg.duration = net::seconds(1);
+  mcfg.seed = 77;
+  return trace::generate_multi_path(mcfg);
+}
+
+TEST(ShardedPlacement, AllKnobsOnReceiptsUnchangedThreaded) {
+  const auto multi = placement_workload();
+
+  // Reference: monolithic cache over the same paths.
+  collector::MonitoringCache mono(sharded_config(1).cache, multi.paths);
+  mono.observe_batch(multi.packets);
+
+  collector::ShardedCollector::Config cfg = sharded_config(4);
+  cfg.queue_capacity = 4;  // tiny queues: producers hit backpressure
+  collector::ShardedCollector sharded(cfg, multi.paths);
+
+  sharded.start(/*producer_count=*/1);
+  // Feed in slices of a few packets each, so every shard sees thousands
+  // of tiny batches instead of a few full ones.
+  const std::size_t kSlice = 37;
+  for (std::size_t at = 0; at < multi.packets.size(); at += kSlice) {
+    const std::size_t n = std::min(kSlice, multi.packets.size() - at);
+    sharded.feed(0,
+                 std::span<const net::Packet>(multi.packets.data() + at, n));
+  }
+  sharded.flush(0);
+  sharded.wait_idle();
+  sharded.stop();
+
+  EXPECT_EQ(sharded.unknown_path_packets(), mono.unknown_path_packets());
+  EXPECT_EQ(sharded.ops().hash_computations, mono.ops().hash_computations);
+  const auto sharded_drain = sharded.drain(/*flush_open=*/true);
+  const auto mono_drain = mono.drain_all(/*flush_open=*/true);
+  ASSERT_EQ(sharded_drain.size(), mono_drain.size());
+  for (std::size_t i = 0; i < sharded_drain.size(); ++i) {
+    EXPECT_EQ(sharded_drain[i].path, i);
+    EXPECT_EQ(sharded_drain[i].drain, mono_drain[i]) << "drain entry " << i;
+  }
+}
+
+TEST(ShardedPlacement, FirstTouchDrainWithoutTraffic) {
+  // Shards that never saw a packet still owe their (empty) per-path
+  // drains — the merged stream's path set must not depend on which
+  // shards got traffic.
+  const auto multi = placement_workload();
+  collector::ShardedCollector sharded(sharded_config(4), multi.paths);
+
+  const auto drains = sharded.drain(true);
+  ASSERT_EQ(drains.size(), multi.paths.size());
+  for (std::size_t i = 0; i < drains.size(); ++i) {
+    EXPECT_EQ(drains[i].path, i);
+    EXPECT_TRUE(drains[i].drain.samples.samples.empty());
+  }
+}
+
+TEST(ShardedPlacement, FlushContract) {
+  const auto multi = placement_workload();
+  collector::ShardedCollector sharded(sharded_config(2), multi.paths);
+
+  EXPECT_THROW(sharded.flush(0), std::logic_error);  // not started
+
+  sharded.start(1);
+  sharded.feed(0, std::span<const net::Packet>(multi.packets.data(), 100));
+  sharded.flush(0);
+  sharded.wait_idle();
+  // stop() applies whatever is still queued: feed again and stop without
+  // flushing.
+  sharded.feed(0,
+               std::span<const net::Packet>(multi.packets.data() + 100, 100));
+  sharded.stop();
+
+  // All 200 packets were applied (none lost in a queue): one hash per
+  // observed packet, unknowns route but never hash.
+  EXPECT_EQ(sharded.ops().hash_computations + sharded.unknown_path_packets(),
+            200u);
+}
+
+TEST(ShardedPlacement, HandoffZeroFlushIsNoOp) {
+  const auto multi = placement_workload();
+  collector::ShardedCollector sharded(sharded_config(2), multi.paths);
+  sharded.start(1);
+  sharded.feed(0, std::span<const net::Packet>(multi.packets.data(), 64));
+  sharded.flush(0);  // feed() already enqueued everything: a no-op
+  sharded.wait_idle();
+  sharded.stop();
+  EXPECT_EQ(sharded.ops().hash_computations + sharded.unknown_path_packets(),
+            64u);
 }
 
 }  // namespace
