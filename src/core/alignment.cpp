@@ -1,8 +1,8 @@
 #include "core/alignment.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
+#include <vector>
 
 namespace vpm::core {
 namespace {
@@ -14,6 +14,27 @@ net::PacketDigest boundary_of(std::span<const AggregateReceipt> seq,
   if (!seq[i].trans.after.empty()) return seq[i].trans.after.front();
   if (i + 1 < seq.size()) return seq[i + 1].agg.first;
   return 0;
+}
+
+/// A set of packet ids as a sorted vector.  Every alignment call builds
+/// these over a tail's cutting ids or an AggTrans window: a sorted vector
+/// costs one allocation and a sort, where a hash set allocates per id.
+using IdSet = std::vector<net::PacketDigest>;
+
+bool contains(const IdSet& set, net::PacketDigest id) {
+  return std::binary_search(set.begin(), set.end(), id);
+}
+
+/// (id, position) pairs, sorted.  A lookup returns an id's first
+/// position, which keeps "first occurrence wins" when a sequence repeats
+/// a cutting id.
+using IdIndex = std::vector<std::pair<net::PacketDigest, std::size_t>>;
+constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+
+std::size_t first_position(const IdIndex& index, net::PacketDigest id) {
+  const auto it = std::lower_bound(index.begin(), index.end(),
+                                   std::pair{id, std::size_t{0}});
+  return it != index.end() && it->first == id ? it->second : kAbsent;
 }
 
 /// Each side's boundary-id membership plus the "inverted" subset: common
@@ -37,37 +58,46 @@ net::PacketDigest boundary_of(std::span<const AggregateReceipt> seq,
 /// mismatched aggregate pairs.  Coarsening one extra aggregate pair per
 /// (rare) swap region costs granularity, never correctness.
 struct BoundarySets {
-  std::unordered_set<net::PacketDigest> up_ids;
-  std::unordered_set<net::PacketDigest> down_ids;
-  std::unordered_set<net::PacketDigest> inverted;
+  IdSet up_ids;
+  IdSet down_ids;
+  IdSet inverted;
 };
+
+IdSet cut_ids(std::span<const AggregateReceipt> seq) {
+  IdSet ids;
+  ids.reserve(seq.size());
+  for (std::size_t i = 1; i < seq.size(); ++i) ids.push_back(seq[i].agg.first);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
 
 BoundarySets boundary_sets(std::span<const AggregateReceipt> up,
                            std::span<const AggregateReceipt> down) {
   BoundarySets s;
-  s.up_ids.reserve(up.size() * 2);
-  for (std::size_t i = 1; i < up.size(); ++i) s.up_ids.insert(up[i].agg.first);
-  s.down_ids.reserve(down.size() * 2);
-  for (std::size_t j = 1; j < down.size(); ++j) {
-    s.down_ids.insert(down[j].agg.first);
-  }
+  s.up_ids = cut_ids(up);
+  s.down_ids = cut_ids(down);
 
-  std::unordered_map<net::PacketDigest, net::PacketDigest> up_prev;
-  net::PacketDigest prev = 0;
+  // Up's restricted sequence, and each id's first place in it.
+  IdSet up_common;
+  IdIndex up_place;
   for (std::size_t i = 1; i < up.size(); ++i) {
     const net::PacketDigest id = up[i].agg.first;
-    if (!s.down_ids.contains(id)) continue;
-    up_prev.emplace(id, prev);
-    prev = id;
+    if (!contains(s.down_ids, id)) continue;
+    up_place.emplace_back(id, up_common.size());
+    up_common.push_back(id);
   }
-  prev = 0;
+  std::sort(up_place.begin(), up_place.end());
+  net::PacketDigest prev = 0;
   for (std::size_t j = 1; j < down.size(); ++j) {
     const net::PacketDigest id = down[j].agg.first;
-    if (!s.up_ids.contains(id)) continue;
-    const auto it = up_prev.find(id);
-    if (it == up_prev.end() || it->second != prev) s.inverted.insert(id);
+    if (!contains(s.up_ids, id)) continue;
+    const std::size_t k = first_position(up_place, id);
+    if (k == kAbsent || (k == 0 ? 0 : up_common[k - 1]) != prev) {
+      s.inverted.push_back(id);
+    }
     prev = id;
   }
+  std::sort(s.inverted.begin(), s.inverted.end());
   return s;
 }
 
@@ -83,7 +113,9 @@ namespace {
 /// forward.  `down_carry` seeds down[0]'s delta (the shift owed by a
 /// previously consumed seam boundary).
 struct PatchupDecomposed {
-  std::vector<AggregateReceipt> down;  ///< counts adjusted (carry included)
+  /// Per down receipt: its packet count after patch-up (carry included).
+  /// Boundary ids never change, so the receipts themselves are not copied.
+  std::vector<std::uint32_t> counts;
   /// Per down receipt j: migrations counted at the boundary CLOSING j,
   /// and the signed packet shift INTO j at that boundary (the matching
   /// -shift lands on j+1).  Zero for the final receipt.
@@ -92,13 +124,12 @@ struct PatchupDecomposed {
   std::size_t migrations = 0;
 };
 
-PatchupDecomposed patch_up_decomposed(
-    std::span<const AggregateReceipt> up,
-    std::span<const AggregateReceipt> down,
-    const std::unordered_set<net::PacketDigest>& inverted,
-    std::int64_t down_carry) {
+PatchupDecomposed patch_up_decomposed(std::span<const AggregateReceipt> up,
+                                      std::span<const AggregateReceipt> down,
+                                      const IdSet& inverted,
+                                      std::int64_t down_carry) {
   PatchupDecomposed result;
-  result.down.assign(down.begin(), down.end());
+  result.counts.resize(down.size());
   result.mig_at.assign(down.size(), 0);
   result.shift_at.assign(down.size(), 0);
 
@@ -107,24 +138,32 @@ PatchupDecomposed patch_up_decomposed(
   // (down[j], down[j+1]) pair no longer faces the matching upstream
   // pair, so the migration arithmetic below would shift counts between
   // the wrong neighbours.  The join coarsens across these instead.
-  std::unordered_map<net::PacketDigest, std::size_t> up_boundary;
-  up_boundary.reserve(up.size() * 2);
+  IdIndex up_boundary;
+  up_boundary.reserve(up.size());
   for (std::size_t i = 0; i < up.size(); ++i) {
     const net::PacketDigest b = boundary_of(up, i);
-    if (b != 0) up_boundary.emplace(b, i);
+    if (b != 0) up_boundary.emplace_back(b, i);
   }
+  std::sort(up_boundary.begin(), up_boundary.end());
 
-  for (std::size_t j = 0; j + 1 < result.down.size(); ++j) {
+  // Sorted copies of the matched upstream boundary's AggTrans windows,
+  // reused across boundaries.
+  IdSet up_before;
+  IdSet up_after;
+  const auto sorted_copy = [](IdSet& dst,
+                              const std::vector<net::PacketDigest>& src) {
+    dst.assign(src.begin(), src.end());
+    std::sort(dst.begin(), dst.end());
+  };
+
+  for (std::size_t j = 0; j + 1 < down.size(); ++j) {
     const net::PacketDigest b = boundary_of(down, j);
-    if (b == 0 || inverted.contains(b)) continue;
-    const auto it = up_boundary.find(b);
-    if (it == up_boundary.end()) continue;  // unmatched: join will merge
-    const AggregateReceipt& u = up[it->second];
-
-    std::unordered_set<net::PacketDigest> up_before(u.trans.before.begin(),
-                                                    u.trans.before.end());
-    std::unordered_set<net::PacketDigest> up_after(u.trans.after.begin(),
-                                                   u.trans.after.end());
+    if (b == 0 || contains(inverted, b)) continue;
+    const std::size_t i = first_position(up_boundary, b);
+    if (i == kAbsent) continue;  // unmatched: join will merge
+    const AggregateReceipt& u = up[i];
+    sorted_copy(up_before, u.trans.before);
+    sorted_copy(up_after, u.trans.after);
 
     // Section 6.3: a packet the upstream HOP saw before the cut but the
     // downstream HOP saw after it migrates into the earlier aggregate
@@ -132,14 +171,14 @@ PatchupDecomposed patch_up_decomposed(
     // membership.
     for (const net::PacketDigest id : down[j].trans.after) {
       if (id == b) continue;  // the cutting packet itself defines the cut
-      if (up_before.contains(id)) {
+      if (contains(up_before, id)) {
         ++result.shift_at[j];
         ++result.mig_at[j];
         ++result.migrations;
       }
     }
     for (const net::PacketDigest id : down[j].trans.before) {
-      if (up_after.contains(id)) {
+      if (contains(up_after, id)) {
         --result.shift_at[j];
         ++result.mig_at[j];
         ++result.migrations;
@@ -152,13 +191,13 @@ PatchupDecomposed patch_up_decomposed(
   // could drive a small aggregate's unsigned count through zero mid-pass,
   // silently dropping the rest of its migrations.  delta[j] is the shift
   // in at j's closing boundary minus the shift out at its opening one.
-  for (std::size_t j = 0; j < result.down.size(); ++j) {
+  for (std::size_t j = 0; j < down.size(); ++j) {
     const std::int64_t delta =
         result.shift_at[j] - (j == 0 ? -down_carry : result.shift_at[j - 1]);
-    const auto count = static_cast<std::int64_t>(result.down[j].packet_count);
+    const auto count = static_cast<std::int64_t>(down[j].packet_count);
     // Honest receipts never go negative (the final count is a membership
     // count); clamp defensively against inconsistent/hostile input.
-    result.down[j].packet_count =
+    result.counts[j] =
         static_cast<std::uint32_t>(std::max<std::int64_t>(0, count + delta));
   }
   return result;
@@ -169,8 +208,8 @@ PatchupDecomposed patch_up_decomposed(
 /// points.
 struct AlignDecomposed {
   AlignmentResult result;
-  std::vector<std::size_t> mig_at;
-  std::vector<std::int64_t> shift_at;
+  /// mig_at and shift_at stay empty without patch-up.
+  PatchupDecomposed patch;
 };
 
 AlignDecomposed align_decomposed(std::span<const AggregateReceipt> up,
@@ -186,27 +225,25 @@ AlignDecomposed align_decomposed(std::span<const AggregateReceipt> up,
   // side's boundary-id membership decides which side merges; the inverted
   // subset is treated as unmatchable.
   const BoundarySets sets = boundary_sets(up, down);
-  const std::unordered_set<net::PacketDigest>& up_cuts = sets.up_ids;
-  const std::unordered_set<net::PacketDigest>& down_cuts = sets.down_ids;
-  const std::unordered_set<net::PacketDigest>& inverted = sets.inverted;
+  const IdSet& up_cuts = sets.up_ids;
+  const IdSet& down_cuts = sets.down_ids;
+  const IdSet& inverted = sets.inverted;
 
-  PatchupDecomposed patched;
   if (apply_patchup) {
-    patched = patch_up_decomposed(up, down, inverted, down_carry);
-    result.migrations = patched.migrations;
-    out.mig_at = std::move(patched.mig_at);
-    out.shift_at = std::move(patched.shift_at);
+    out.patch = patch_up_decomposed(up, down, inverted, down_carry);
+    result.migrations = out.patch.migrations;
   } else {
     // Only the batch align_aggregates wrapper disables patch-up, and it
     // never carries a seam shift (the incremental entry points always
     // patch): a carry without the shift bookkeeping would break the
     // consumed-prefix invariant.
     (void)down_carry;
-    patched.down.assign(down.begin(), down.end());
-    out.mig_at.assign(down.size(), 0);
-    out.shift_at.assign(down.size(), 0);
+    out.patch.counts.reserve(down.size());
+    for (const AggregateReceipt& r : down) {
+      out.patch.counts.push_back(r.packet_count);
+    }
   }
-  const std::vector<AggregateReceipt>& d = patched.down;
+  const std::vector<std::uint32_t>& down_counts = out.patch.counts;
 
   std::size_t i = 0;
   std::size_t j = 0;
@@ -214,7 +251,7 @@ AlignDecomposed align_decomposed(std::span<const AggregateReceipt> up,
   auto start_acc = [&](std::size_t ui, std::size_t dj) {
     acc = AlignedAggregate{};
     acc.up_count = up[ui].packet_count;
-    acc.down_count = d[dj].packet_count;
+    acc.down_count = down_counts[dj];
     acc.up_receipts = 1;
     acc.down_receipts = 1;
     acc.up_opened = up[ui].opened_at;
@@ -226,19 +263,19 @@ AlignDecomposed align_decomposed(std::span<const AggregateReceipt> up,
     acc.up_closed = up[ui].closed_at;
   };
   auto absorb_down = [&](std::size_t dj) {
-    acc.down_count += d[dj].packet_count;
+    acc.down_count += down_counts[dj];
     ++acc.down_receipts;
   };
   start_acc(0, 0);
 
-  while (i + 1 < up.size() || j + 1 < d.size()) {
+  while (i + 1 < up.size() || j + 1 < down.size()) {
     const bool up_has = i + 1 < up.size();
-    const bool down_has = j + 1 < d.size();
+    const bool down_has = j + 1 < down.size();
     const net::PacketDigest up_cut = up_has ? up[i + 1].agg.first : 0;
-    const net::PacketDigest down_cut = down_has ? d[j + 1].agg.first : 0;
+    const net::PacketDigest down_cut = down_has ? down[j + 1].agg.first : 0;
 
     if (up_has && down_has && up_cut == down_cut &&
-        !inverted.contains(up_cut)) {
+        !contains(inverted, up_cut)) {
       // Matched boundary: emit the joined aggregate.
       acc.boundary_id = up_cut;
       result.aligned.push_back(acc);
@@ -248,7 +285,7 @@ AlignDecomposed align_decomposed(std::span<const AggregateReceipt> up,
       start_acc(i, j);
       continue;
     }
-    if (up_has && (!down_has || !down_cuts.contains(up_cut))) {
+    if (up_has && (!down_has || !contains(down_cuts, up_cut))) {
       // Upstream boundary invisible downstream (cut packet lost, or
       // downstream coarser): combine across it.
       ++i;
@@ -256,7 +293,7 @@ AlignDecomposed align_decomposed(std::span<const AggregateReceipt> up,
       ++result.boundaries_merged_up;
       continue;
     }
-    if (down_has && (!up_has || !up_cuts.contains(down_cut))) {
+    if (down_has && (!up_has || !contains(up_cuts, down_cut))) {
       ++j;
       absorb_down(j);
       ++result.boundaries_merged_down;
@@ -284,10 +321,14 @@ AlignDecomposed align_decomposed(std::span<const AggregateReceipt> up,
 
 PatchupResult patch_up(std::span<const AggregateReceipt> up,
                        std::span<const AggregateReceipt> down) {
-  PatchupDecomposed d = patch_up_decomposed(
+  const PatchupDecomposed d = patch_up_decomposed(
       up, down, boundary_sets(up, down).inverted, /*down_carry=*/0);
-  return PatchupResult{.down = std::move(d.down),
-                       .migrations = d.migrations};
+  PatchupResult out{.down = {down.begin(), down.end()},
+                    .migrations = d.migrations};
+  for (std::size_t j = 0; j < out.down.size(); ++j) {
+    out.down[j].packet_count = d.counts[j];
+  }
+  return out;
 }
 
 AlignmentResult align_aggregates(std::span<const AggregateReceipt> up,
@@ -326,12 +367,12 @@ TailConsumeStats consume_aligned_prefix(AggregateTail& tail,
   }
   stats.groups = consume;
   for (std::size_t j = 0; j < down_n; ++j) {
-    stats.migrations += aligned.mig_at[j];
+    stats.migrations += aligned.patch.mig_at[j];
   }
   // The seam boundary's migration shift was applied to the consumed
   // neighbour in THIS run; its mirror image lands on the next tail
   // alignment's first receipt.
-  tail.down_carry = -aligned.shift_at[down_n - 1];
+  tail.down_carry = -aligned.patch.shift_at[down_n - 1];
   tail.up.erase(tail.up.begin(),
                 tail.up.begin() + static_cast<std::ptrdiff_t>(up_n));
   tail.down.erase(tail.down.begin(),

@@ -1,13 +1,47 @@
 #include "core/incremental_verifier.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
 #include "stats/quantile.hpp"
 
 namespace vpm::core {
+namespace {
+
+/// Marks a slot for removal.  A delay is a difference of two timestamps,
+/// never NaN.
+constexpr double kRemovedSlot = std::numeric_limits<double>::quiet_NaN();
+
+/// Append a round's aggregate receipts to one side of a tail.  A receipt
+/// wakes an idle tail.
+void append_aggregates(AggregateTail& tail, bool& idle, bool is_up,
+                       std::span<const AggregateReceipt> aggregates) {
+  if (aggregates.empty()) return;
+  std::vector<AggregateReceipt>& side = is_up ? tail.up : tail.down;
+  side.insert(side.end(), aggregates.begin(), aggregates.end());
+  idle = false;
+}
+
+/// consume_aligned_prefix, skipped while the tail is idle.  The call is a
+/// pure function of the tail, so once it has consumed nothing it consumes
+/// nothing again until a receipt joins the tail.
+TailConsumeStats consume_unless_idle(AggregateTail& tail, bool& idle,
+                                     std::size_t margin_boundaries,
+                                     std::vector<AlignedAggregate>& out) {
+  if (idle) return {};
+  const TailConsumeStats stats =
+      consume_aligned_prefix(tail, margin_boundaries, out);
+  idle = stats.groups == 0;
+  return stats;
+}
+
+}  // namespace
 
 IncrementalPathVerifier::IncrementalPathVerifier(Config cfg)
     : cfg_(std::move(cfg)) {
@@ -20,6 +54,15 @@ IncrementalPathVerifier::IncrementalPathVerifier(Config cfg)
     throw std::invalid_argument(
         "IncrementalPathVerifier: retain_rounds must be >= 1");
   }
+  for (std::size_t i = 0; i < layout.hops.size(); ++i) {
+    if (position_of(layout.hops[i]) != i) {
+      throw std::invalid_argument(
+          "IncrementalPathVerifier: HOP repeated in layout: " +
+          std::to_string(layout.hops[i]));
+    }
+  }
+  hops_.resize(layout.hops.size());
+  if (!layout.hops.empty()) pairs_.reserve(layout.hops.size() - 1);
   for (std::size_t i = 0; i + 1 < layout.hops.size(); ++i) {
     Pair p;
     p.is_domain = layout.domain_of[i] == layout.domain_of[i + 1];
@@ -29,48 +72,47 @@ IncrementalPathVerifier::IncrementalPathVerifier(Config cfg)
   }
 }
 
+std::size_t IncrementalPathVerifier::position_of(net::HopId hop) const {
+  const std::vector<net::HopId>& hops = cfg_.layout.hops;
+  return static_cast<std::size_t>(std::find(hops.begin(), hops.end(), hop) -
+                                  hops.begin());
+}
+
 std::uint64_t IncrementalPathVerifier::rounds_ingested(net::HopId hop) const {
-  const auto it = rounds_.find(hop);
-  return it == rounds_.end() ? 0 : it->second;
+  const std::size_t pos = position_of(hop);
+  return pos < hops_.size() ? hops_[pos].rounds : 0;
 }
 
 std::uint64_t IncrementalPathVerifier::pair_clock(const Pair& p) const {
-  return std::max(rounds_ingested(cfg_.layout.hops[p.up_pos]),
-                  rounds_ingested(cfg_.layout.hops[p.down_pos]));
+  return std::max(hops_[p.up_pos].rounds, hops_[p.down_pos].rounds);
 }
 
 void IncrementalPathVerifier::add_round(net::HopId hop, PathDrain round) {
-  const std::vector<net::HopId>& hops = cfg_.layout.hops;
-  if (std::find(hops.begin(), hops.end(), hop) == hops.end()) {
+  const std::size_t pos = position_of(hop);
+  if (pos == hops_.size()) {
     throw std::invalid_argument(
         "IncrementalPathVerifier: HOP not in layout: " + std::to_string(hop));
   }
-  ++rounds_[hop];
-  HopInfo& info = hop_info_[hop];
-  if (!info.seen) {
-    info.seen = true;
-    info.max_diff = round.samples.path.max_diff;
-    info.sample_threshold = round.samples.sample_threshold;
+  HopState& state = hops_[pos];
+  if (state.rounds++ == 0) {
+    state.max_diff = round.samples.path.max_diff;
+    state.sample_threshold = round.samples.sample_threshold;
   }
-
-  for (Pair& p : pairs_) {
-    const bool as_up = hops[p.up_pos] == hop;
-    const bool as_down = hops[p.down_pos] == hop;
-    if (!as_up && !as_down) continue;
-    if (as_up) {
-      p.is_domain ? feed_domain(p, true, round) : feed_link(p, true, round);
-    }
-    if (as_down) {
-      p.is_domain ? feed_domain(p, false, round)
-                  : feed_link(p, false, round);
-    }
+  // The HOP is the downstream end of pair pos-1 and the upstream end of
+  // pair pos.
+  const auto feed = [&](Pair& p, bool is_up) {
+    p.is_domain ? feed_domain(p, is_up, round) : feed_link(p, is_up, round);
     settle_pair(p);
-  }
+  };
+  if (pos > 0) feed(pairs_[pos - 1], false);
+  if (pos < pairs_.size()) feed(pairs_[pos], true);
 }
 
 void IncrementalPathVerifier::feed_domain(Pair& p, bool is_up,
                                           const PathDrain& round) {
   const std::uint64_t clock = pair_clock(p);
+  DelayState& ds = p.delay;
+  const std::size_t merged = ds.sorted.size();
   if (is_up) {
     // Ingress side: remember every sampled packet's time (markers
     // included — the batch matcher indexes them too; first record wins on
@@ -79,45 +121,50 @@ void IncrementalPathVerifier::feed_domain(Pair& p, bool is_up,
     // stream-first one — matching against it here gives the same delay
     // the batch matcher computes, whichever side was fed first.
     for (const SampleRecord& s : round.samples.samples) {
-      p.delay.ingress_times.emplace(s.pkt_id,
-                                    DelayState::Entry{s.time, clock});
+      ds.ingress_times.emplace(s.pkt_id, DelayState::Entry{s.time, clock});
     }
-    // Resolve egress samples that were buffered waiting for this side.
-    std::vector<DelayState::PendingEgress>& pe = p.delay.pending_egress;
+    // Resolve egress samples that were buffered waiting for this side:
+    // each fills the slot it reserved.
+    std::vector<DelayState::PendingEgress>& pe = ds.pending_egress;
     std::size_t keep = 0;
     for (std::size_t i = 0; i < pe.size(); ++i) {
-      const auto it = p.delay.ingress_times.find(pe[i].digest);
-      if (it == p.delay.ingress_times.end()) {
+      const auto it = ds.ingress_times.find(pe[i].digest);
+      if (it == ds.ingress_times.end()) {
         pe[keep++] = pe[i];
         continue;
       }
       it->second.matched = true;
-      p.delay.delays.emplace_back(
-          pe[i].order, (pe[i].time - it->second.time).milliseconds());
+      const double ms = (pe[i].time - it->second.time).milliseconds();
+      ds.slots[pe[i].slot] = ms;
+      ds.sorted.push_back(ms);
     }
     pe.resize(keep);
-    p.loss.tail.up.insert(p.loss.tail.up.end(), round.aggregates.begin(),
-                          round.aggregates.end());
   } else {
     // Egress side: under lockstep feeding (upstream HOPs first within a
     // reporting round) the ingress record is already resident.  When the
     // HOPs' fetch loops drift apart, buffer the sample instead of losing
     // the match — the ingress round is late, not absent.
     for (const SampleRecord& s : round.samples.samples) {
-      const std::uint64_t order = p.delay.egress_seen++;
-      const auto it = p.delay.ingress_times.find(s.pkt_id);
-      if (it == p.delay.ingress_times.end()) {
-        p.delay.pending_egress.push_back(
-            DelayState::PendingEgress{s.pkt_id, s.time, order, clock});
+      const auto it = ds.ingress_times.find(s.pkt_id);
+      if (it == ds.ingress_times.end()) {
+        ds.pending_egress.push_back(DelayState::PendingEgress{
+            s.pkt_id, s.time, ds.slots.size(), clock});
+        ds.slots.push_back(0.0);
         continue;
       }
       it->second.matched = true;
-      p.delay.delays.emplace_back(
-          order, (s.time - it->second.time).milliseconds());
+      const double ms = (s.time - it->second.time).milliseconds();
+      ds.slots.push_back(ms);
+      ds.sorted.push_back(ms);
     }
-    p.loss.tail.down.insert(p.loss.tail.down.end(), round.aggregates.begin(),
-                            round.aggregates.end());
   }
+  append_aggregates(p.loss.tail, p.tail_idle, is_up, round.aggregates);
+  // Merge the round's matches into the sorted view: the few new delays
+  // sort on their own, then one merge; values below the smallest new one
+  // stay where they are.
+  const auto fresh = ds.sorted.begin() + static_cast<std::ptrdiff_t>(merged);
+  std::sort(fresh, ds.sorted.end());
+  std::inplace_merge(ds.sorted.begin(), fresh, ds.sorted.end());
 }
 
 void IncrementalPathVerifier::feed_link(Pair& p, bool is_up,
@@ -129,19 +176,15 @@ void IncrementalPathVerifier::feed_link(Pair& p, bool is_up,
       ls.pending_up.push_back(
           LinkSamplesState::Stamped{std::move(r), clock});
     });
-    p.link_aggregates.tail.up.insert(p.link_aggregates.tail.up.end(),
-                                     round.aggregates.begin(),
-                                     round.aggregates.end());
   } else {
     ls.down_splitter.feed(round.samples.samples, [&](SampleRound&& r) {
       const net::PacketDigest marker = r.marker_id;
       ls.down_by_marker.emplace(
           marker, LinkSamplesState::Stamped{std::move(r), clock});
     });
-    p.link_aggregates.tail.down.insert(p.link_aggregates.tail.down.end(),
-                                       round.aggregates.begin(),
-                                       round.aggregates.end());
   }
+  append_aggregates(p.link_aggregates.tail, p.tail_idle, is_up,
+                    round.aggregates);
 }
 
 void IncrementalPathVerifier::settle_pair(Pair& p) {
@@ -152,8 +195,9 @@ void IncrementalPathVerifier::settle_pair(Pair& p) {
 
   if (p.is_domain) {
     // Finalize aligned aggregates past the stability margin.
-    const TailConsumeStats consumed = consume_aligned_prefix(
-        p.loss.tail, cfg_.margin_boundaries, p.loss.groups);
+    const TailConsumeStats consumed =
+        consume_unless_idle(p.loss.tail, p.tail_idle,
+                            cfg_.margin_boundaries, p.loss.groups);
     p.loss.consumed_migrations += consumed.migrations;
     // Expire ingress sample entries past retention (matched entries must
     // linger the same window: a later duplicate egress sample matches
@@ -168,23 +212,35 @@ void IncrementalPathVerifier::settle_pair(Pair& p) {
       }
     }
     // Buffered egress samples age out on the same clock: an upstream
-    // round still absent past retention is a gap, not a late fetch.
+    // round still absent past retention is a gap, not a late fetch.  An
+    // expired sample's slot is marked, then removed; the slots of those
+    // still pending move down past the removed ones.
     std::vector<DelayState::PendingEgress>& pe = p.delay.pending_egress;
+    std::vector<double>& slots = p.delay.slots;
     std::size_t keep = 0;
+    std::size_t first_removed = slots.size();
     for (std::size_t i = 0; i < pe.size(); ++i) {
       if (expired(pe[i].round)) {
         ++p.delay.expired;
-      } else {
-        pe[keep++] = pe[i];
+        slots[pe[i].slot] = kRemovedSlot;
+        first_removed = std::min(first_removed, pe[i].slot);
+        continue;
       }
+      pe[i].slot -= i - keep;
+      pe[keep++] = pe[i];
     }
     pe.resize(keep);
+    slots.erase(std::remove_if(slots.begin() +
+                                   static_cast<std::ptrdiff_t>(first_removed),
+                               slots.end(),
+                               [](double ms) { return std::isnan(ms); }),
+                slots.end());
     return;
   }
 
   LinkSamplesState& ls = p.link_samples;
-  const HopInfo& up_info = hop_info_[cfg_.layout.hops[p.up_pos]];
-  const HopInfo& down_info = hop_info_[cfg_.layout.hops[p.down_pos]];
+  const HopState& up_info = hops_[p.up_pos];
+  const HopState& down_info = hops_[p.down_pos];
   // Resolve pending upstream rounds strictly FIFO — the batch check walks
   // upstream rounds in stream order, so a blocked head must stall its
   // successors to keep the accumulated output identical.
@@ -222,8 +278,8 @@ void IncrementalPathVerifier::settle_pair(Pair& p) {
   }
 
   std::vector<AlignedAggregate> fresh;
-  (void)consume_aligned_prefix(p.link_aggregates.tail,
-                               cfg_.margin_boundaries, fresh);
+  (void)consume_unless_idle(p.link_aggregates.tail, p.tail_idle,
+                            cfg_.margin_boundaries, fresh);
   p.link_aggregates.checked += fresh.size();
   for (const AlignedAggregate& g : fresh) {
     check_aligned_counts(g, p.link_aggregates.violations);
@@ -242,7 +298,8 @@ PathAnalysis IncrementalPathVerifier::analyze() const {
   for (const Pair& p : pairs_) {
     const net::HopId a = layout.hops[p.up_pos];
     const net::HopId b = layout.hops[p.down_pos];
-    const bool have_both = rounds_ingested(a) > 0 && rounds_ingested(b) > 0;
+    const bool have_both =
+        hops_[p.up_pos].rounds > 0 && hops_[p.down_pos].rounds > 0;
 
     if (p.is_domain) {
       DomainFinding f;
@@ -250,23 +307,26 @@ PathAnalysis IncrementalPathVerifier::analyze() const {
       f.ingress = a;
       f.egress = b;
       if (have_both) {
-        // Matches recorded out of feed order (a buffered egress sample
-        // resolved by a late ingress round) carry their egress stream
-        // position — sorting restores egress observation order, the
-        // order the batch matcher reports.
-        std::vector<std::pair<std::uint64_t, double>> ordered =
-            p.delay.delays;
-        std::sort(ordered.begin(), ordered.end());
-        f.delay.sample_delays_ms.reserve(ordered.size());
-        for (const auto& [order, ms] : ordered) {
-          f.delay.sample_delays_ms.push_back(ms);
+        // The delays in egress observation order (the order the batch
+        // matcher reports): every slot but those still reserved for a
+        // buffered egress sample.
+        const DelayState& ds = p.delay;
+        std::vector<double>& delays = f.delay.sample_delays_ms;
+        delays.reserve(ds.sorted.size());
+        std::size_t from = 0;
+        for (const DelayState::PendingEgress& e : ds.pending_egress) {
+          delays.insert(delays.end(), ds.slots.begin() + from,
+                        ds.slots.begin() + e.slot);
+          from = e.slot + 1;
         }
-        f.delay.common_samples = p.delay.delays.size();
+        delays.insert(delays.end(), ds.slots.begin() + from, ds.slots.end());
+        f.delay.common_samples = ds.sorted.size();
         if (f.delay.common_samples > 0) {
-          stats::QuantileEstimator estimator;
-          estimator.add_all(f.delay.sample_delays_ms);
-          f.delay.quantiles =
-              estimator.estimate_many(stats::kDelayQuantiles, 0.95);
+          f.delay.quantiles.reserve(stats::kDelayQuantiles.size());
+          for (const double q : stats::kDelayQuantiles) {
+            f.delay.quantiles.push_back(
+                stats::sorted_estimate(ds.sorted, q, 0.95));
+          }
         }
 
         const AlignmentResult tail = align_tail(p.loss.tail);
@@ -300,10 +360,8 @@ PathAnalysis IncrementalPathVerifier::analyze() const {
     f.upstream_hop = a;
     f.downstream_hop = b;
     if (have_both) {
-      const auto up_it = hop_info_.find(a);
-      const auto down_it = hop_info_.find(b);
-      const HopInfo& up_info = up_it->second;
-      const HopInfo& down_info = down_it->second;
+      const HopState& up_info = hops_[p.up_pos];
+      const HopState& down_info = hops_[p.down_pos];
 
       LinkSampleCheck samples;
       // Batch order: the Eq.-1 MaxDiff verdict first, then per-round
@@ -362,7 +420,7 @@ IncrementalPathVerifier::resident_stats() const {
     if (p.is_domain) {
       out.pending_ingress_samples += p.delay.ingress_times.size();
       out.pending_egress_samples += p.delay.pending_egress.size();
-      out.retained_delays += p.delay.delays.size();
+      out.retained_delays += p.delay.sorted.size();
       out.tail_aggregate_receipts += p.loss.tail.receipt_count();
       out.retained_aligned_groups += p.loss.groups.size();
       out.expired_unmatched += p.delay.expired;

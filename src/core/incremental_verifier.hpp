@@ -32,6 +32,14 @@
 // ids re-match one downstream round — the duplicate surfaces as
 // kMarkerMissing instead of a repeated check, still a violation either
 // way.
+//
+// Per-round cost follows the round, not the history.  add_round touches
+// only the HOP's (at most two) adjacent pairs: hashed sample matching,
+// one merge of the round's new delays into a kept-sorted copy, and a
+// re-alignment of a tail only when a receipt has joined it since the last
+// alignment consumed nothing.  analyze() sorts nothing: it copies the
+// delays and finalized groups the findings carry verbatim, reads the
+// quantiles off the sorted copy, and aligns each tail once.
 #ifndef VPM_CORE_INCREMENTAL_VERIFIER_HPP
 #define VPM_CORE_INCREMENTAL_VERIFIER_HPP
 
@@ -65,8 +73,8 @@ class IncrementalPathVerifier {
     std::size_t margin_boundaries = 2;
   };
 
-  /// Throws std::invalid_argument on a malformed layout (size mismatch)
-  /// or a zero retention window.
+  /// Throws std::invalid_argument on a malformed layout (size mismatch or
+  /// a HOP id listed twice) or a zero retention window.
   explicit IncrementalPathVerifier(Config cfg);
 
   /// Ingest one reporting round of receipts from `hop` (must appear in
@@ -118,15 +126,23 @@ class IncrementalPathVerifier {
   [[nodiscard]] ResidentStats resident_stats() const;
 
  private:
-  /// Receipt metadata captured from a HOP's first round (stable across an
-  /// honest HOP's rounds; the combined batch receipt reports the first).
-  struct HopInfo {
-    bool seen = false;
+  /// One layout position's HOP: rounds ingested, and receipt metadata
+  /// captured from its first round (stable across an honest HOP's rounds;
+  /// the combined batch receipt reports the first).
+  struct HopState {
+    std::uint64_t rounds = 0;
     net::Duration max_diff{0};
     std::uint32_t sample_threshold = 0;
   };
 
   /// Cross-HOP delay matching for a same-domain pair.
+  ///
+  /// Each delay is kept twice, 8 B a copy: `slots` in egress observation
+  /// order (the order the batch matcher reports) and `sorted` ascending
+  /// (the order statistics the quantiles read).  analyze() copies
+  /// `slots` and reads quantiles straight off `sorted`, so it neither
+  /// sorts nor grows a second copy; add_round merges the round's new
+  /// delays into `sorted` once.
   struct DelayState {
     struct Entry {
       net::Timestamp time;
@@ -138,19 +154,22 @@ class IncrementalPathVerifier {
     /// round can land polls before its upstream counterpart (backoff, gap
     /// patience); buffering this side symmetrically makes the match
     /// independent of cross-HOP feed order within the retention window.
+    /// The sample reserves its place in `slots` when it arrives, and the
+    /// match fills it; if it expires unmatched, the slot is removed.
     struct PendingEgress {
       net::PacketDigest digest = 0;
       net::Timestamp time;
-      std::uint64_t order = 0;  ///< position in the egress sample stream
+      std::size_t slot = 0;     ///< reserved index into `slots`
       std::uint64_t round = 0;  ///< pair clock when buffered
     };
     std::unordered_map<net::PacketDigest, Entry> ingress_times;
-    std::vector<PendingEgress> pending_egress;  ///< egress stream order
-    /// Matched (egress stream position, delay ms).  analyze() sorts by
-    /// position, so the reported delays read in egress observation order
-    /// no matter which side of the pair was fed first.
-    std::vector<std::pair<std::uint64_t, double>> delays;
-    std::uint64_t egress_seen = 0;  ///< egress samples processed
+    /// In egress stream order, so the reserved slots ascend.
+    std::vector<PendingEgress> pending_egress;
+    /// Delay (ms) of every matched egress sample in egress stream order,
+    /// plus one unread placeholder per pending_egress entry.
+    std::vector<double> slots;
+    /// The matched delays, ascending.
+    std::vector<double> sorted;
     std::uint64_t expired = 0;
   };
 
@@ -186,6 +205,10 @@ class IncrementalPathVerifier {
 
   struct Pair {
     bool is_domain = false;  ///< same-domain segment vs inter-domain link
+    /// The pair's tail (loss.tail or link_aggregates.tail) has received no
+    /// receipt since a consume_aligned_prefix that consumed nothing, so
+    /// the next call would consume nothing either.
+    bool tail_idle = false;
     std::size_t up_pos = 0;  ///< positions into layout.hops
     std::size_t down_pos = 0;
     DelayState delay;
@@ -194,16 +217,17 @@ class IncrementalPathVerifier {
     LinkAggregatesState link_aggregates;
   };
 
+  /// `hop`'s position in the layout, or layout.hops.size() if absent.
+  [[nodiscard]] std::size_t position_of(net::HopId hop) const;
   [[nodiscard]] std::uint64_t pair_clock(const Pair& p) const;
   void feed_domain(Pair& p, bool is_up, const PathDrain& round);
   void feed_link(Pair& p, bool is_up, const PathDrain& round);
   void settle_pair(Pair& p);
 
   Config cfg_;
-  std::vector<Pair> pairs_;
+  std::vector<Pair> pairs_;  ///< pairs_[i] joins layout positions i, i+1
   std::vector<RoundGap> gaps_;
-  std::unordered_map<net::HopId, std::uint64_t> rounds_;
-  std::unordered_map<net::HopId, HopInfo> hop_info_;
+  std::vector<HopState> hops_;  ///< indexed by layout position
 };
 
 }  // namespace vpm::core

@@ -38,21 +38,26 @@ void QuantileEstimator::ensure_sorted() const {
   sorted_valid_ = true;
 }
 
+QuantileEstimate sorted_estimate(std::span<const double> sorted, double q,
+                                 double confidence) {
+  const IndexInterval idx =
+      quantile_index_interval(sorted.size(), q, confidence);
+  return QuantileEstimate{
+      .quantile = q,
+      .value = sorted_quantile(sorted, q),
+      .lower = sorted[idx.lo],
+      .upper = sorted[idx.hi],
+      .samples = sorted.size(),
+  };
+}
+
 QuantileEstimate QuantileEstimator::estimate(double q,
                                              double confidence) const {
   if (values_.empty()) {
     throw std::logic_error("QuantileEstimator::estimate with no samples");
   }
   ensure_sorted();
-  const IndexInterval idx =
-      quantile_index_interval(sorted_.size(), q, confidence);
-  return QuantileEstimate{
-      .quantile = q,
-      .value = sorted_quantile(sorted_, q),
-      .lower = sorted_[idx.lo],
-      .upper = sorted_[idx.hi],
-      .samples = sorted_.size(),
-  };
+  return sorted_estimate(sorted_, q, confidence);
 }
 
 std::vector<QuantileEstimate> QuantileEstimator::estimate_many(

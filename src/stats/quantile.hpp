@@ -58,9 +58,18 @@ class QuantileEstimator {
 };
 
 /// Exact empirical quantile of a *sorted* array (nearest-rank definition).
-/// Throws std::logic_error on empty input, std::invalid_argument on q
-/// outside [0,1] or unsorted detection is the caller's responsibility.
+/// Throws std::logic_error on empty input and std::invalid_argument on q
+/// outside [0,1].  The order is not checked: sorting is the caller's job.
 [[nodiscard]] double sorted_quantile(std::span<const double> sorted, double q);
+
+/// The q-quantile estimate of a *sorted* sample: the nearest-rank value
+/// and its binomial confidence interval.  QuantileEstimator answers
+/// through this, and a caller that keeps its sample sorted reads it with
+/// no copy.  Throws like sorted_quantile (and std::invalid_argument on a
+/// confidence outside (0,1)).
+[[nodiscard]] QuantileEstimate sorted_estimate(std::span<const double> sorted,
+                                               double q,
+                                               double confidence = 0.95);
 
 /// Exact empirical quantile of an unsorted array (copies and sorts).
 [[nodiscard]] double quantile_of(std::span<const double> values, double q);

@@ -4,19 +4,24 @@
 // align_aggregates over arbitrary feed slicings, including patch-up
 // migrations whose shift straddles a consumed seam.  Incremental
 // verification: IncrementalPathVerifier fed rounds with realistic shipping
-// lag (downstream HOPs ship a round late) must produce analyze() findings
-// identical to PathVerifier over the concatenated receipts — violations
-// included.
+// lag (any HOP may ship late, an egress HOP even before its ingress HOP)
+// must produce analyze() findings identical to PathVerifier over the
+// concatenated receipts after every round — violations included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/alignment.hpp"
 #include "core/incremental_verifier.hpp"
 #include "core/verifier.hpp"
 #include "net/path_id.hpp"
+#include "stats/delay_accuracy.hpp"
+#include "stats/quantile.hpp"
 
 namespace vpm::core {
 namespace {
@@ -143,15 +148,16 @@ TEST(IncrementalAlignment, SeamMigrationCarriesAcrossConsumption) {
 
 // --- the round-fed verifier ----------------------------------------------
 
-/// Crafted three-HOP rounds (A,B alpha; C beta) with shipping lag: HOP 2
-/// ships each sampling round one reporting round late, HOP 3 two late.
-/// Round `bad_delay_round` adds 10 ms to HOP 3's times (link delay-bound
-/// violations); round `bad_count_round` under-counts HOP 3's aggregate
+/// Crafted three-HOP rounds (A,B alpha; C beta) with shipping lag: HOP
+/// position i ships each round `lag[i]` reporting rounds late (by default
+/// HOP 2 one round, HOP 3 two).  Round 3 adds 10 ms to HOP 3's times (link
+/// delay-bound violations); round 5 under-counts HOP 3's aggregate
 /// (count-mismatch violation).
 struct CraftedRun {
   static constexpr std::size_t kRounds = 8;
   PathLayout layout{.hops = {1, 2, 3},
                     .domain_of = {"alpha", "alpha", "beta"}};
+  std::array<std::size_t, 3> lag{0, 1, 2};
 
   [[nodiscard]] PathDrain round_data(std::size_t hop_pos,
                                      std::size_t r) const {
@@ -187,54 +193,73 @@ struct CraftedRun {
   /// The drain HOP `hop_pos` ships at reporting round `t` (lag applied),
   /// or an empty drain when it has nothing yet.
   [[nodiscard]] PathDrain shipped(std::size_t hop_pos, std::size_t t) const {
-    if (t >= hop_pos && t - hop_pos < kRounds) {
-      return round_data(hop_pos, t - hop_pos);
-    }
+    const std::size_t late = lag[hop_pos];
+    if (t >= late && t - late < kRounds) return round_data(hop_pos, t - late);
     PathDrain empty;
     empty.samples.path = test_path();
     return empty;
   }
 };
 
+// Every lag pattern must match the materialized verifier after EVERY
+// round, not only at the end.  {0,1,2} ships downstream HOPs late; {2,0,1}
+// and {1,0,0} ship the domain's egress HOP before its ingress HOP, so
+// egress samples wait in pending_egress for their late ingress twin.
 TEST(IncrementalVerifier, MatchesMaterializedVerifierWithShippingLag) {
-  const CraftedRun run;
-  IncrementalPathVerifier incremental(IncrementalPathVerifier::Config{
-      .layout = run.layout, .retain_rounds = 4, .margin_boundaries = 2});
-  PathVerifier reference;
+  const std::array<std::array<std::size_t, 3>, 3> lags = {
+      {{0, 1, 2}, {2, 0, 1}, {1, 0, 0}}};
+  for (const std::array<std::size_t, 3>& lag : lags) {
+    CraftedRun run;
+    run.lag = lag;
+    const std::string label = "lags {" + std::to_string(lag[0]) + "," +
+                              std::to_string(lag[1]) + "," +
+                              std::to_string(lag[2]) + "}";
+    IncrementalPathVerifier incremental(IncrementalPathVerifier::Config{
+        .layout = run.layout, .retain_rounds = 4, .margin_boundaries = 2});
+    PathVerifier reference;
 
-  std::size_t max_tail = 0;
-  for (std::size_t t = 0; t < CraftedRun::kRounds + 2; ++t) {
-    for (std::size_t pos = 0; pos < 3; ++pos) {
-      PathDrain d = run.shipped(pos, t);
-      reference.add_round(run.layout.hops[pos], d);
-      incremental.add_round(run.layout.hops[pos], std::move(d));
+    std::size_t max_tail = 0;
+    std::size_t max_pending_egress = 0;
+    for (std::size_t t = 0; t < CraftedRun::kRounds + 2; ++t) {
+      for (std::size_t pos = 0; pos < 3; ++pos) {
+        PathDrain d = run.shipped(pos, t);
+        reference.add_round(run.layout.hops[pos], d);
+        incremental.add_round(run.layout.hops[pos], std::move(d));
+      }
+      // analyze() is a non-destructive view, equal to the materialized
+      // analysis of everything fed so far, field for field.
+      ASSERT_EQ(incremental.analyze(), reference.analyze(run.layout))
+          << label << ", round " << t;
+      const IncrementalPathVerifier::ResidentStats stats =
+          incremental.resident_stats();
+      max_tail = std::max(max_tail, stats.tail_aggregate_receipts);
+      max_pending_egress =
+          std::max(max_pending_egress, stats.pending_egress_samples);
     }
-    // analyze() is a non-destructive view — callable every round.
-    (void)incremental.analyze();
-    max_tail = std::max(max_tail,
-                        incremental.resident_stats().tail_aggregate_receipts);
+
+    const PathAnalysis live = incremental.analyze();
+    ASSERT_EQ(live.domains.size(), 1u) << label;
+    ASSERT_EQ(live.links.size(), 1u) << label;
+
+    // The crafted defects must actually show up.
+    EXPECT_GT(live.domains[0].delay.common_samples, 0u) << label;
+    EXPECT_FALSE(live.links[0].report.samples.consistent())
+        << label << ": round 3's 10 ms shift must violate the delay bound";
+    EXPECT_FALSE(live.links[0].report.aggregates.consistent())
+        << label << ": round 5's under-count must violate count consistency";
+    EXPECT_TRUE(live.domains[0].loss.offered > 0) << label;
+
+    // An egress HOP shipping ahead of its ingress HOP buffers samples.
+    if (lag[1] < lag[0]) {
+      EXPECT_GT(max_pending_egress, 0u) << label;
+    } else {
+      EXPECT_EQ(max_pending_egress, 0u) << label;
+    }
+    // Bounded retention: the alignment tails never held everything.
+    EXPECT_LT(max_tail, 2 * 2 * CraftedRun::kRounds)
+        << label << ": tails must stay a window, not history";
+    EXPECT_EQ(incremental.resident_stats().expired_unmatched, 0u) << label;
   }
-
-  const PathAnalysis batch = reference.analyze(run.layout);
-  const PathAnalysis live = incremental.analyze();
-  ASSERT_EQ(live.domains.size(), 1u);
-  ASSERT_EQ(live.links.size(), 1u);
-
-  // The crafted defects must actually show up...
-  EXPECT_GT(live.domains[0].delay.common_samples, 0u);
-  EXPECT_FALSE(live.links[0].report.samples.consistent())
-      << "round 3's 10 ms shift must violate the delay bound";
-  EXPECT_FALSE(live.links[0].report.aggregates.consistent())
-      << "round 5's under-count must violate count consistency";
-  EXPECT_TRUE(live.domains[0].loss.offered > 0);
-
-  // ...and be identical to the materialized analysis, field for field.
-  EXPECT_EQ(live, batch);
-
-  // Bounded retention: the alignment tails never held everything.
-  EXPECT_LT(max_tail, 2 * 2 * CraftedRun::kRounds)
-      << "tails must stay a window, not history";
-  EXPECT_EQ(incremental.resident_stats().expired_unmatched, 0u);
 }
 
 TEST(IncrementalVerifier, MissingHopYieldsEmptyFindings) {
@@ -262,12 +287,92 @@ TEST(IncrementalVerifier, ValidatesConfigAndHops) {
                    .layout = ok, .retain_rounds = 0}),
                std::invalid_argument);
 
+  // A HOP listed twice would feed its receipts to two positions.
+  for (const PathLayout& repeated :
+       {PathLayout{.hops = {1, 1}, .domain_of = {"a", "a"}},
+        PathLayout{.hops = {1, 2, 3, 2}, .domain_of = {"a", "a", "b", "b"}}}) {
+    EXPECT_THROW(IncrementalPathVerifier(
+                     IncrementalPathVerifier::Config{.layout = repeated}),
+                 std::invalid_argument);
+  }
+
   IncrementalPathVerifier v(
       IncrementalPathVerifier::Config{.layout = ok});
   EXPECT_THROW(v.add_round(42, PathDrain{}), std::invalid_argument);
   EXPECT_EQ(v.rounds_ingested(1), 0u);
+  EXPECT_EQ(v.rounds_ingested(42), 0u);
   v.add_round(1, PathDrain{});
   EXPECT_EQ(v.rounds_ingested(1), 1u);
+  EXPECT_EQ(v.rounds_ingested(2), 0u);
+}
+
+/// One sample record at `ms` milliseconds.
+SampleRecord sample_at(net::PacketDigest id, std::int64_t ms) {
+  return SampleRecord{
+      .pkt_id = id,
+      .time = net::Timestamp{net::milliseconds(ms).nanoseconds()},
+      .is_marker = false};
+}
+
+PathDrain samples_drain(std::vector<SampleRecord> records) {
+  PathDrain d;
+  d.samples.path = test_path();
+  d.samples.samples = std::move(records);
+  return d;
+}
+
+// An egress sample whose ingress twin never arrives expires after
+// retain_rounds and gives back its reserved slot, while samples around it
+// keep egress order: one matched before it, two resolved late, and one
+// still buffered when it expires, whose slot must move down.
+TEST(IncrementalVerifier, ExpiredEgressSampleLeavesExactDelays) {
+  const PathLayout layout{.hops = {1, 2}, .domain_of = {"x", "x"}};
+  IncrementalPathVerifier incremental(IncrementalPathVerifier::Config{
+      .layout = layout, .retain_rounds = 2, .margin_boundaries = 2});
+  PathVerifier reference;
+  const auto feed = [&](net::HopId hop, std::vector<SampleRecord> records) {
+    PathDrain d = samples_drain(std::move(records));
+    reference.add_round(hop, d);
+    incremental.add_round(hop, std::move(d));
+  };
+  constexpr net::PacketDigest kB = 11, kA = 12, kE = 13, kC = 14, kD = 15;
+
+  // Round 1: egress ships first; B's ingress follows, A's never does.
+  feed(2, {sample_at(kB, 6), sample_at(kA, 7)});
+  feed(1, {sample_at(kB, 4)});
+  EXPECT_EQ(incremental.resident_stats().pending_egress_samples, 1u);
+  // Round 2: E waits for its ingress.
+  feed(2, {sample_at(kE, 17)});
+  feed(1, {});
+  // Round 3: E's and C's ingress arrive; A is still inside retention.
+  feed(2, {sample_at(kC, 25)});
+  feed(1, {sample_at(kE, 14), sample_at(kC, 21)});
+  EXPECT_EQ(incremental.resident_stats().expired_unmatched, 0u);
+  // Round 4: A expires while D is buffered behind it; D's ingress then
+  // fills the slot D holds after A's slot is gone.
+  feed(2, {sample_at(kD, 35)});
+  EXPECT_EQ(incremental.resident_stats().expired_unmatched, 1u);
+  EXPECT_EQ(incremental.resident_stats().pending_egress_samples, 1u);
+  feed(1, {sample_at(kD, 34)});
+
+  const PathAnalysis live = incremental.analyze();
+  ASSERT_EQ(live.domains.size(), 1u);
+  const DomainDelayReport& delay = live.domains[0].delay;
+  EXPECT_EQ(delay.sample_delays_ms, (std::vector<double>{2.0, 3.0, 4.0, 1.0}))
+      << "egress order B, E, C, D with A removed";
+  EXPECT_EQ(delay.common_samples, 4u);
+  stats::QuantileEstimator reference_quantiles;
+  reference_quantiles.add_all(std::vector<double>{1.0, 2.0, 3.0, 4.0});
+  EXPECT_EQ(delay.quantiles,
+            reference_quantiles.estimate_many(stats::kDelayQuantiles, 0.95));
+  const IncrementalPathVerifier::ResidentStats stats =
+      incremental.resident_stats();
+  EXPECT_EQ(stats.expired_unmatched, 1u);
+  EXPECT_EQ(stats.pending_egress_samples, 0u);
+  EXPECT_EQ(stats.retained_delays, 4u);
+  // The materialized verifier never expires anything, and A never
+  // matches there either.
+  EXPECT_EQ(live, reference.analyze(layout));
 }
 
 }  // namespace

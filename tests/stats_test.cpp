@@ -89,6 +89,45 @@ TEST(SortedQuantile, Validation) {
   EXPECT_EQ(sorted_quantile(one, 0.99), 3.0);
 }
 
+// The helper that reads an estimate off a kept-sorted sample must give
+// exactly what QuantileEstimator gives for the same values: ties, a single
+// sample, and every quantile of the delay grid.
+TEST(SortedEstimate, EqualsQuantileEstimatorEstimateMany) {
+  std::mt19937_64 rng(41);
+  std::uniform_int_distribution<int> tied(0, 9);  // many repeated values
+  std::normal_distribution<double> spread(5.0, 2.0);
+  for (const std::size_t n : {1, 2, 3, 7, 10, 64, 501}) {
+    for (const bool ties : {true, false}) {
+      QuantileEstimator est;
+      std::vector<double> values;
+      for (std::size_t i = 0; i < n; ++i) {
+        values.push_back(ties ? 0.5 * tied(rng) : spread(rng));
+        est.add(values.back());
+      }
+      std::sort(values.begin(), values.end());
+      for (const double confidence : {0.8, 0.95}) {
+        std::vector<QuantileEstimate> from_sorted;
+        for (const double q : kDelayQuantiles) {
+          from_sorted.push_back(sorted_estimate(values, q, confidence));
+        }
+        EXPECT_EQ(from_sorted, est.estimate_many(kDelayQuantiles, confidence))
+            << "n=" << n << " ties=" << ties;
+      }
+    }
+  }
+  const std::vector<double> one = {3.5};
+  for (const double q : kDelayQuantiles) {
+    const QuantileEstimate e = sorted_estimate(one, q);
+    EXPECT_EQ(e.value, 3.5);
+    EXPECT_EQ(e.lower, 3.5);
+    EXPECT_EQ(e.upper, 3.5);
+    EXPECT_EQ(e.samples, 1u);
+  }
+  const std::vector<double> empty;
+  EXPECT_THROW((void)sorted_estimate(empty, 0.5), std::logic_error);
+  EXPECT_THROW((void)sorted_estimate(one, 1.5), std::invalid_argument);
+}
+
 TEST(QuantileEstimator, EstimateMatchesTruthOnLargeSamples) {
   std::mt19937_64 rng(17);
   std::lognormal_distribution<double> dist(1.0, 0.5);
