@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "sim/scenario_engine.hpp"
@@ -39,15 +40,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  vpm::sim::ScenarioConfig cfg;
+  vpm::sim::ScenarioOutcome out;
   try {
-    cfg = vpm::sim::parse_scenario(text);
-  } catch (const std::exception& e) {
+    out = vpm::sim::run_scenario(vpm::sim::parse_scenario(text));
+  } catch (const std::invalid_argument& e) {
     std::cerr << "bad scenario: " << e.what() << "\n";
     return 1;
   }
-
-  const vpm::sim::ScenarioOutcome out = vpm::sim::run_scenario(cfg);
 
   std::cout << "repro: " << out.repro << "\n";
   std::cout << "packets: " << out.delivered_packets << "/"

@@ -488,10 +488,6 @@ std::size_t MonitoringCache::modeled_cache_bytes() const noexcept {
   return state_.hot_bytes();
 }
 
-std::size_t MonitoringCache::modeled_temp_buffer_bytes() const noexcept {
-  return state_.buffered_records() * kTempRecordBytes;
-}
-
 std::size_t MonitoringCache::temp_buffer_peak_records() const noexcept {
   return state_.buffer_peak_records();
 }

@@ -347,8 +347,6 @@ class MonitoringCache {
   /// hot-array bytes (paths x sizeof(core::PathHot)) — measured from the
   /// layout, not the paper's ~20 B estimate (kOpenReceiptBytes).
   [[nodiscard]] std::size_t modeled_cache_bytes() const noexcept;
-  /// Modeled temp-buffer footprint right now: buffered records x 7 B.
-  [[nodiscard]] std::size_t modeled_temp_buffer_bytes() const noexcept;
   /// High-water mark of the temp buffer across all paths (records).
   [[nodiscard]] std::size_t temp_buffer_peak_records() const noexcept;
   /// Largest undrained-sample backlog any single path has reached

@@ -223,12 +223,6 @@ struct PathStateSoA {
   [[nodiscard]] std::size_t arena_garbage_bytes() const noexcept {
     return arena_bytes() - arena_live_bytes();
   }
-  /// Records currently awaiting a marker, across all paths.
-  [[nodiscard]] std::size_t buffered_records() const noexcept {
-    std::size_t n = 0;
-    for (const PathSlot& s : slots) n += s.hot.buf_size;
-    return n;
-  }
   /// Sum of per-path temp-buffer high-water marks.
   [[nodiscard]] std::size_t buffer_peak_records() const noexcept {
     std::size_t n = 0;

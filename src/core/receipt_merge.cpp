@@ -2,7 +2,6 @@
 
 #include <limits>
 #include <stdexcept>
-#include <string>
 
 namespace vpm::core {
 
@@ -108,58 +107,6 @@ std::optional<IndexedPathDrain> StreamingDrainMerge::next() {
   std::optional<IndexedPathDrain> out = std::move(heads_[best].value);
   refill(best);
   return out;
-}
-
-namespace {
-
-/// Shared stable k-way merge: `key(record)` must be non-decreasing within
-/// each stream; ties resolve to the lower stream index.
-template <typename T, typename Key>
-std::vector<T> merge_streams(std::span<const std::vector<T>> streams,
-                             Key key, const char* what) {
-  std::size_t total = 0;
-  for (const auto& s : streams) {
-    for (std::size_t i = 1; i < s.size(); ++i) {
-      if (key(s[i]) < key(s[i - 1])) {
-        throw std::invalid_argument(std::string(what) +
-                                    ": input stream not time-ordered");
-      }
-    }
-    total += s.size();
-  }
-
-  std::vector<T> out;
-  out.reserve(total);
-  std::vector<std::size_t> cursor(streams.size(), 0);
-  while (out.size() < total) {
-    std::size_t best = std::numeric_limits<std::size_t>::max();
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      if (cursor[s] == streams[s].size()) continue;
-      if (best == std::numeric_limits<std::size_t>::max() ||
-          key(streams[s][cursor[s]]) < key(streams[best][cursor[best]])) {
-        best = s;
-      }
-    }
-    out.push_back(streams[best][cursor[best]]);
-    ++cursor[best];
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<AggregateReceipt> merge_aggregate_streams(
-    std::span<const std::vector<AggregateReceipt>> streams) {
-  return merge_streams(
-      streams, [](const AggregateReceipt& r) { return r.opened_at; },
-      "merge_aggregate_streams");
-}
-
-std::vector<SampleRecord> merge_sample_records(
-    std::span<const std::vector<SampleRecord>> streams) {
-  return merge_streams(
-      streams, [](const SampleRecord& r) { return r.time; },
-      "merge_sample_records");
 }
 
 void encode_stream(std::span<const IndexedPathDrain> stream,

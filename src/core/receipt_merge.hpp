@@ -3,16 +3,11 @@
 // A sharded collector partitions paths across workers, so receipts arrive
 // as per-shard streams.  Downstream consumers (alignment, the verifier,
 // the dissemination encoder) want ONE stream in a deterministic global
-// order, regardless of how many shards produced it.  Two orders matter:
-//
-//   * path order — each path's drain keyed by its global path index.
-//     Merging per-shard drains by index reproduces exactly what a
-//     single-threaded MonitoringCache drain over the same path table
-//     yields; this is the order the sharded-vs-single equivalence suite
-//     compares byte-for-byte.
-//   * time order — receipts from *different* monitors interleaved by
-//     observation time (stable on ties), the order a dissemination batch
-//     would ship them in.  Groundwork for the wire-format ROADMAP item.
+// order, regardless of how many shards produced it: path order, each
+// path's drain keyed by its global path index.  Merging per-shard drains
+// by index reproduces exactly what a single-threaded MonitoringCache drain
+// over the same path table yields; this is the order the sharded-vs-single
+// equivalence suite compares byte-for-byte.
 #ifndef VPM_CORE_RECEIPT_MERGE_HPP
 #define VPM_CORE_RECEIPT_MERGE_HPP
 
@@ -91,20 +86,6 @@ class StreamingDrainMerge {
   std::vector<Head> heads_;
   bool primed_ = false;
 };
-
-/// Stable k-way merge of aggregate-receipt streams by opened_at: the
-/// earliest-opened receipt wins; on ties the lower stream index goes
-/// first.  Each input stream must be non-decreasing in opened_at (the
-/// drain order a single monitor produces) — throws std::invalid_argument
-/// otherwise, because a silent misordered merge would corrupt the
-/// dissemination stream.
-[[nodiscard]] std::vector<AggregateReceipt> merge_aggregate_streams(
-    std::span<const std::vector<AggregateReceipt>> streams);
-
-/// Stable k-way merge of sample records by observation time (ties keep
-/// stream order).  Same monotonicity requirement as above.
-[[nodiscard]] std::vector<SampleRecord> merge_sample_records(
-    std::span<const std::vector<SampleRecord>> streams);
 
 /// Wire-encode a merged drain stream: per path, the sample receipt then
 /// each aggregate receipt, in stream order.  Byte-comparing two encodings

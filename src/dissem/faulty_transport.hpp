@@ -13,9 +13,9 @@
 // releases in-flight envelopes whose delay expired.  The transport keeps
 // per-producer ground truth of sequences it destroyed (dropped or
 // corrupted — a corrupt envelope is delivered but can never be accepted,
-// the store's MAC check rejects it), which is what the soak compares the
-// verifier's reported RoundGaps against: every induced loss must surface,
-// nothing else.
+// the store's MAC check rejects it), which is what the scenario engine's
+// outcome reports next to the verifier's RoundGaps: every induced loss
+// must surface, nothing else.
 #ifndef VPM_DISSEM_FAULTY_TRANSPORT_HPP
 #define VPM_DISSEM_FAULTY_TRANSPORT_HPP
 
@@ -54,6 +54,8 @@ struct FaultStats {
   std::size_t duplicated = 0;
   std::size_t reordered = 0;
   std::size_t delayed = 0;
+
+  friend bool operator==(const FaultStats&, const FaultStats&) = default;
 };
 
 class FaultyTransport {

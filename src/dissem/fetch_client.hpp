@@ -22,9 +22,10 @@
 //     (fresh FetchClient, same consumer name) and re-derives the identical
 //     stream: at-least-once fetch, exactly-once delivery.
 //
-// The scenario soak (sim/fault_scenario) drives fleets of these against
-// FaultyTransport and pins: delivered rounds byte-identical to a
-// fault-free run, reported gaps exactly the transport's induced losses.
+// The scenario engine (sim/scenario_engine) drives fleets of these against
+// FaultyTransport, and the fault soak pins: delivered rounds verify
+// identically to a fault-free replay of the same rounds, reported gaps
+// exactly the transport's induced losses.
 #ifndef VPM_DISSEM_FETCH_CLIENT_HPP
 #define VPM_DISSEM_FETCH_CLIENT_HPP
 

@@ -1,10 +1,11 @@
-// Shared plumbing for the scenario drivers (churn, fault, shard, and the
-// config-driven ScenarioEngine): deterministic per-path delay spreads,
-// PathId table construction, drain concatenation, gap deduplication, and
-// fetch-client stat accumulation.  Every helper here was extracted
-// verbatim from `sim/churn_scenario` / `sim/fault_scenario`, whose soak
-// suites pin the refactor byte-for-byte — change semantics here and the
-// pins fail, by design.
+// Shared plumbing for the scenario drivers — the config-driven
+// ScenarioEngine (`sim/scenario_engine`) and the three drivers whose soaks
+// compare against a second deployment the engine does not run
+// (`sim/churn_scenario`, `sim/shard_scenario`, `sim/federation_scenario`):
+// deterministic per-path delay spreads, PathId table construction, drain
+// concatenation, gap deduplication, and fetch-client stat accumulation.
+// The soak suites pin these helpers byte-for-byte — change semantics here
+// and the pins fail, by design.
 #ifndef VPM_SIM_SCENARIO_COMMON_HPP
 #define VPM_SIM_SCENARIO_COMMON_HPP
 
@@ -48,8 +49,8 @@ void append_drain(core::PathDrain& acc, char& have, const core::PathDrain& d);
 void add_stats(dissem::FetchClient::Stats& acc,
                const dissem::FetchClient::Stats& s);
 
-/// The three-HOP segment layout the churn and fault soaks run on
-/// (A,B in domain "alpha"; C in domain "beta").
+/// The three-HOP segment layout the churn soak runs on (A,B in domain
+/// "alpha"; C in domain "beta").
 [[nodiscard]] core::PathLayout three_hop_layout();
 
 /// Per-path, per-hop observation delay: base per hop plus a small

@@ -1,16 +1,25 @@
 #include "sim/scenario_config.hpp"
 
-#include <iomanip>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
 namespace vpm::sim {
 namespace {
 
+/// The %.15g spelling when it parses back to `v` bit for bit (every
+/// literal value keeps the spelling it was written in), else the fewest
+/// extra digits that do — the repro line must re-run the identical config.
 std::string fmt_double(double v) {
-  std::ostringstream os;
-  os << std::setprecision(15) << v;
-  return os.str();
+  char buf[32];
+  for (int precision = 15;; ++precision) {
+    char* end = std::to_chars(buf, buf + sizeof buf, v,
+                              std::chars_format::general, precision)
+                    .ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v || precision == 17) return std::string(buf, end);
+  }
 }
 
 std::string join_domains(const std::vector<std::string>& domains) {

@@ -72,6 +72,19 @@ void validate(const ScenarioConfig& cfg) {
     throw std::invalid_argument(
         "scenario: gap patience below the fault plan's max delay");
   }
+  const ScenarioConfig def;
+  if (cfg.fed_domains != def.fed_domains ||
+      cfg.fed_store_shards != def.fed_store_shards ||
+      cfg.fed_segment_backend != def.fed_segment_backend ||
+      cfg.fed_segment_bytes != def.fed_segment_bytes ||
+      cfg.fed_crash_every != def.fed_crash_every ||
+      cfg.fed_torn_tail != def.fed_torn_tail ||
+      cfg.fed_join_round != def.fed_join_round ||
+      cfg.fed_lag_every != def.fed_lag_every) {
+    throw std::invalid_argument(
+        "scenario: fed_* keys configure run_federation_scenario, not "
+        "run_scenario");
+  }
   for (std::size_t i = 0; i < cfg.adversaries.size(); ++i) {
     (void)transit_index(cfg, cfg.adversaries[i].domain, "adversary domain");
     for (std::size_t j = i + 1; j < cfg.adversaries.size(); ++j) {
@@ -382,6 +395,12 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
                             });
   }
 
+  // archive[pos][s - 1]: HOP pos's envelope s as sealed, before the
+  // transport can fault it — the perfect wire the delivered-round
+  // reference replays.  sealed[pos][r]: the last sequence of publish r
+  // (every round, route-flap drain and the closing drain).
+  std::vector<std::vector<dissem::Envelope>> archive(n_hops);
+  std::vector<std::vector<std::uint64_t>> sealed(n_hops);
   bool faults_on = true;  // the closing drain ships on a clean wire
   std::vector<std::optional<dissem::WireExporter>> exporters(n_hops);
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
@@ -389,7 +408,9 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
         dissem::WireExporter::Config{.producer = out.layout.hops[pos],
                                      .key = kKey,
                                      .max_chunk_bytes = cfg.max_chunk_bytes},
-        [&transports, &store, &faults_on, pos](dissem::Envelope&& e) {
+        [&transports, &store, &archive, &faults_on,
+         pos](dissem::Envelope&& e) {
+          archive[pos].push_back(e);
           if (faults_on) {
             transports[pos]->send(std::move(e));
           } else {
@@ -510,6 +531,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
       core::emit_stream(*exporters[pos], std::move(streams[pos]));
       exporters[pos]->end_round();
       exporters[pos]->flush();
+      sealed[pos].push_back(exporters[pos]->next_sequence() - 1);
       transports[pos]->tick();
     }
   };
@@ -594,6 +616,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
     for (std::size_t pos = 0; pos < n_hops; ++pos) {
       core::emit_stream(*exporters[pos], std::move(streams[pos]));
       exporters[pos]->finish();
+      sealed[pos].push_back(exporters[pos]->next_sequence() - 1);
     }
   }
   const std::size_t settle = cfg.gap_patience_polls + 16;
@@ -623,18 +646,59 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
     }
   }
 
+  // --- the delivered-round reference --------------------------------------
+  // A round is delivered iff no deduplicated gap intersects its sealed
+  // sequence range.  Fresh verifiers replay exactly those rounds off the
+  // archive, so they hold what a perfect wire yields over the rounds the
+  // fleet received.
+  std::vector<core::IncrementalPathVerifier> reference;
+  reference.reserve(cfg.paths);
+  for (std::size_t p = 0; p < cfg.paths; ++p) reference.emplace_back(vcfg);
+  for (std::size_t pos = 0; pos < n_hops; ++pos) {
+    const net::HopId hop = out.layout.hops[pos];
+    core::DrainRoundSink sink([&reference, hop](std::size_t path,
+                                                const net::PathId&,
+                                                core::PathDrain&& drain) {
+      reference[path].add_round(hop, std::move(drain));
+    });
+    dissem::WireImporter::Session session(*importers[pos], sink);
+    std::uint64_t first = 1;
+    for (const std::uint64_t last : sealed[pos]) {
+      const bool delivered = std::none_of(
+          out.gaps[pos].begin(), out.gaps[pos].end(),
+          [&](const core::RoundGap& g) {
+            return g.first_sequence <= last && g.last_sequence >= first;
+          });
+      for (std::uint64_t s = first; delivered && s <= last; ++s) {
+        session.feed(archive[pos][s - 1].payload);
+      }
+      first = last + 1;
+    }
+    session.finish();
+  }
+
   // --- analyses and end state ---------------------------------------------
   out.analysis.reserve(cfg.paths);
+  out.delivered_reference.reserve(cfg.paths);
   for (std::size_t p = 0; p < cfg.paths; ++p) {
     out.analysis.push_back(verifiers[p].analyze());
-    out.expired_unmatched += verifiers[p].resident_stats().expired_unmatched;
+    out.delivered_reference.push_back(reference[p].analyze());
+    out.expired_unmatched += verifiers[p].resident_stats().expired_unmatched +
+                             reference[p].resident_stats().expired_unmatched;
   }
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
     out.consumer_lag_end.push_back(
         store.consumer_lag("fleet", out.layout.hops[pos]));
-    const dissem::FaultStats ts = transports[pos]->stats();
-    out.envelopes_destroyed += ts.dropped + ts.corrupted;
-    out.envelopes_duplicated += ts.duplicated;
+    out.lost_sequences.push_back(
+        transports[pos]->lost_sequences(out.layout.hops[pos]));
+    const dissem::FaultStats& ts = transports[pos]->stats();
+    out.wire.offered += ts.offered;
+    out.wire.delivered += ts.delivered;
+    out.wire.dropped += ts.dropped;
+    out.wire.corrupted += ts.corrupted;
+    out.wire.duplicated += ts.duplicated;
+    out.wire.reordered += ts.reordered;
+    out.wire.delayed += ts.delayed;
   }
   out.store_envelopes_end = store.stored_envelopes();
   out.store_rejected = store.rejected_count();

@@ -14,6 +14,14 @@
 //   4. polls a per-HOP FetchClient fleet that feeds per-path
 //      IncrementalPathVerifiers (gap reports and all).
 //
+// After the run, the delivered-round oracle replays every round the fleet
+// received in full (no deduplicated gap intersects its sealed sequence
+// range) from a pre-fault archive of the sealed envelopes into fresh
+// reference verifiers: ScenarioOutcome::delivered_reference is what a
+// perfect wire yields over exactly those rounds, so the guarantee "lost
+// rounds surface as gaps, delivered rounds verify as if nothing was lost"
+// is an output of every scenario.
+//
 // Route flaps rebuild every HOP's path table mid-run under the PR-5
 // lifecycle machinery (open receipts drain first, so nothing is
 // orphaned); FetchClient crash-restarts rebuild consumers from their
@@ -47,6 +55,7 @@
 #include <vector>
 
 #include "core/verifier.hpp"
+#include "dissem/faulty_transport.hpp"
 #include "sim/scenario_config.hpp"
 
 namespace vpm::sim {
@@ -77,8 +86,16 @@ struct ScenarioOutcome {
 
   /// Per path: the verifier's findings, fed off the wire.
   std::vector<core::PathAnalysis> analysis;
+  /// Per path: reference findings over the delivered rounds only, replayed
+  /// from the pre-fault archive.  Never has gaps; domains and links equal
+  /// `analysis[p]`'s on any wire, and the whole analysis is equal when the
+  /// wire lost nothing.
+  std::vector<core::PathAnalysis> delivered_reference;
   /// Per hop: deduplicated dissemination gaps the fleet reported.
   std::vector<std::vector<core::RoundGap>> gaps;
+  /// Per hop: sequences the transport destroyed (dropped or corrupted),
+  /// ascending — the ground truth `gaps` must anchor at and cover.
+  std::vector<std::vector<std::uint64_t>> lost_sequences;
   /// truth[path][t]: ground truth through transit_domains[t].
   std::vector<std::vector<DomainTruth>> truth;
   /// Per [hop][path]: packets the HOP observed vs packets its receipts
@@ -93,9 +110,9 @@ struct ScenarioOutcome {
   std::size_t store_rejected = 0;
   std::size_t store_gc_erased = 0;
   std::size_t client_rebuilds = 0;
-  std::uint64_t envelopes_destroyed = 0;  ///< transport drops + corruptions
-  std::uint64_t envelopes_duplicated = 0;
-  std::uint64_t expired_unmatched = 0;  ///< verifier retention casualties
+  dissem::FaultStats wire;  ///< transport fault counts, summed over hops
+  /// Retention casualties in the fleet-fed and reference verifiers.
+  std::uint64_t expired_unmatched = 0;
   std::uint64_t ack_rejections = 0;
   std::uint64_t gaps_reported = 0;   ///< raw, before deduplication
   std::uint64_t groups_delivered = 0;
@@ -123,8 +140,9 @@ struct ScenarioOutcome {
 /// std::invalid_argument on malformed configs: fewer than three domains,
 /// unknown loss/jitter/adversary domain names, an adversary domain that is
 /// not a transit domain, two adversary entries for one domain, a route
-/// flap withdrawing every path, a link_down index out of range, or fault
-/// delays the gap patience cannot cover.
+/// flap withdrawing every path, a link_down index out of range, fault
+/// delays the gap patience cannot cover, or any fed_* key (those configure
+/// run_federation_scenario).
 [[nodiscard]] ScenarioOutcome run_scenario(const ScenarioConfig& cfg);
 
 }  // namespace vpm::sim

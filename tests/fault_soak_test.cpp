@@ -1,180 +1,120 @@
-// The fault-soak acceptance matrix (ISSUE 6): the three-hop dissemination
-// pipeline driven through FaultyTransport and a crash-restarted
-// FetchClient fleet, 10 seeds × both digest modes × four fault plans —
-// asserting that fully delivered rounds yield findings IDENTICAL to a
-// fault-free run over the same rounds, that every induced loss surfaces
-// as an explicitly reported RoundGap anchored at a destroyed sequence,
-// that no cursor sticks, and that the store's GC floor advances to the
-// head.  Excluded from the default ctest sweep (like ChurnSoak); CI runs
-// it as a dedicated ASan+UBSan step, and the concurrent-fetch probe runs
-// under TSan.
+// The fault-soak acceptance matrix: the S -> X -> D scenario pipeline
+// (sim/scenario_engine) driven through FaultyTransport and a
+// crash-restarted FetchClient fleet, 10 seeds x both digest modes x four
+// fault plans — asserting that fully delivered rounds yield findings
+// IDENTICAL to the outcome's delivered-round reference (a fault-free
+// replay of the same rounds), that every induced loss surfaces as an
+// explicitly reported RoundGap anchored at a destroyed sequence, that no
+// cursor sticks, and that the store's GC floor advances to the head.  CI
+// also runs it as a dedicated ASan+UBSan step, and the concurrent-fetch
+// probe runs under TSan.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dissem/envelope.hpp"
 #include "dissem/receipt_store.hpp"
-#include "sim/fault_scenario.hpp"
+#include "scenario_grid.hpp"
 
 namespace vpm {
 namespace {
 
 enum class PlanKind { kDropOnly, kDupReorder, kCrashResume, kKitchenSink };
 
-sim::FaultScenarioConfig soak_config(std::uint64_t seed,
-                                     net::DigestMode mode, PlanKind kind) {
-  sim::FaultScenarioConfig cfg;
-  cfg.seed = seed;
-  cfg.fault_seed = seed * 7919 + 17;
-  cfg.digest_mode = mode;
+const char* plan_keys(PlanKind kind) {
   switch (kind) {
     case PlanKind::kDropOnly:
-      cfg.plan.drop_rate = 0.06;
-      break;
+      return "fault_drop=0.06";
     case PlanKind::kDupReorder:
-      cfg.plan.duplicate_rate = 0.15;
-      cfg.plan.reorder_rate = 0.15;
-      cfg.plan.delay_rate = 0.10;
-      break;
+      return "fault_duplicate=0.15 fault_reorder=0.15 fault_delay=0.1";
     case PlanKind::kCrashResume:
       // Lossless wire, crashing fleet: the pure crash-resume exercise —
       // divergence here is a cursor/replay bug, nothing else.
-      cfg.plan.duplicate_rate = 0.10;
-      cfg.plan.reorder_rate = 0.10;
-      cfg.plan.delay_rate = 0.10;
-      cfg.crash_every_rounds = 5;
-      break;
+      return "fault_duplicate=0.1 fault_reorder=0.1 fault_delay=0.1 "
+             "crash_every=5";
     case PlanKind::kKitchenSink:
-      cfg.plan.drop_rate = 0.04;
-      cfg.plan.corrupt_rate = 0.03;
-      cfg.plan.duplicate_rate = 0.10;
-      cfg.plan.reorder_rate = 0.10;
-      cfg.plan.delay_rate = 0.10;
-      cfg.crash_every_rounds = 7;
-      break;
+      return "fault_drop=0.04 fault_corrupt=0.03 fault_duplicate=0.1 "
+             "fault_reorder=0.1 fault_delay=0.1 crash_every=7";
   }
-  return cfg;
+  return "";
+}
+
+/// Lighter traffic than the grid: the interesting work is on the wire, and
+/// small chunks mean several envelopes per round — more fault surface.
+sim::ScenarioConfig soak_config(std::uint64_t seed, net::DigestMode mode,
+                                PlanKind kind) {
+  return sim::parse_scenario(
+      "name=fault-soak paths=6 zipf=1.1 pps=15000 rounds=30 chunk_bytes=2048 "
+      "seed=" + std::to_string(seed) +
+      " fault_seed=" + std::to_string(seed * 7919 + 17) +
+      (mode == net::DigestMode::kSingle ? " digest=single " : " ") +
+      plan_keys(kind));
 }
 
 /// Invariants every run must satisfy, faults or not: cursors caught up,
-/// store drained by GC, every ack accepted, nothing expired out of the
-/// verifiers' retention window.
-void assert_no_stuck_state(const sim::FaultScenarioResult& r,
+/// store drained by GC, every ack accepted, nothing expired out of either
+/// verifier set's retention window.
+void assert_no_stuck_state(const sim::ScenarioOutcome& r,
                            const std::string& what) {
   ASSERT_GT(r.total_packets, 0u) << what;
-  std::uint64_t delivered_groups = 0;
   for (std::size_t h = 0; h < r.consumer_lag_end.size(); ++h) {
     EXPECT_EQ(r.consumer_lag_end[h], 0u)
         << what << ": hop " << h << ": consumer cursor stuck behind head";
-    EXPECT_EQ(r.client_stats[h].ack_rejections, 0u)
-        << what << ": hop " << h << ": a boundary ack was rejected";
-    delivered_groups += r.client_stats[h].groups_delivered;
   }
-  EXPECT_GT(delivered_groups, 0u) << what;
+  EXPECT_EQ(r.ack_rejections, 0u) << what << ": a boundary ack was rejected";
+  EXPECT_GT(r.groups_delivered, 0u) << what;
   EXPECT_EQ(r.store_envelopes_end, 0u)
       << what << ": acked envelopes must be garbage-collected";
-  EXPECT_GT(r.gc_erased, 0u) << what << ": the GC floor never advanced";
-  EXPECT_EQ(r.fault_expired_unmatched, 0u) << what;
-  EXPECT_EQ(r.ref_expired_unmatched, 0u) << what;
+  EXPECT_GT(r.store_gc_erased, 0u) << what << ": the GC floor never advanced";
+  EXPECT_EQ(r.expired_unmatched, 0u) << what;
 }
 
-/// The gap-exactness half: reported gaps anchor at destroyed sequences
-/// and cover every destroyed sequence — reordering/delay/duplication
-/// alone never degrade into a gap.
-void assert_gaps_exact(const sim::FaultScenarioResult& r,
-                       const std::string& what) {
-  for (std::size_t h = 0; h < r.gaps.size(); ++h) {
-    const std::set<std::uint64_t> lost(r.lost_sequences[h].begin(),
-                                       r.lost_sequences[h].end());
-    for (const core::RoundGap& g : r.gaps[h]) {
-      EXPECT_LE(g.first_sequence, g.last_sequence) << what;
-      EXPECT_TRUE(lost.contains(g.first_sequence))
-          << what << ": hop " << h << ": gap [" << g.first_sequence << ", "
-          << g.last_sequence
-          << "] is not anchored at a destroyed sequence (phantom gap)";
-    }
-    for (const std::uint64_t seq : lost) {
-      const bool covered = std::any_of(
-          r.gaps[h].begin(), r.gaps[h].end(), [&](const core::RoundGap& g) {
-            return g.first_sequence <= seq && seq <= g.last_sequence;
-          });
-      EXPECT_TRUE(covered) << what << ": hop " << h << ": destroyed seq "
-                           << seq << " was never reported as a gap";
-    }
-    if (lost.empty()) {
-      EXPECT_TRUE(r.gaps[h].empty())
-          << what << ": hop " << h << ": gap reported on a lossless wire";
-    } else {
-      EXPECT_FALSE(r.gaps[h].empty()) << what << ": hop " << h;
-    }
-  }
-}
-
-/// The findings half.  Lossless runs must match the reference EXACTLY
-/// (operator==, gaps empty both sides); lossy runs must match on every
-/// finding while the gap vectors carry the difference.
-void assert_findings(const sim::FaultScenarioResult& r, bool lossless,
-                     const std::string& what) {
-  for (std::size_t p = 0; p < r.fault_analysis.size(); ++p) {
-    const core::PathAnalysis& fa = r.fault_analysis[p];
-    const core::PathAnalysis& ra = r.ref_analysis[p];
-    EXPECT_TRUE(ra.complete()) << what << ": reference grew gaps";
-    if (lossless) {
-      ASSERT_EQ(fa, ra) << what << ": path " << p
-                        << ": findings diverged on a lossless wire";
-      EXPECT_TRUE(fa.complete()) << what << ": path " << p;
-      // The equality is non-trivial: delays matched, traffic accounted.
-      ASSERT_EQ(fa.domains.size(), 1u) << what;
-      ASSERT_EQ(fa.links.size(), 1u) << what;
-      EXPECT_GT(fa.domains[0].delay.common_samples, 0u) << what;
-      EXPECT_GT(fa.domains[0].loss.offered, 0u) << what;
-    } else {
-      ASSERT_EQ(fa.domains, ra.domains)
-          << what << ": path " << p
-          << ": delivered rounds must verify identically to the "
-             "fault-free reference over the same rounds";
-      ASSERT_EQ(fa.links, ra.links) << what << ": path " << p;
-    }
+/// Lossless runs match the reference EXACTLY (operator==, gaps empty both
+/// sides), and the equality is non-trivial: delays matched, traffic
+/// accounted.
+void assert_lossless_exact(const sim::ScenarioOutcome& r,
+                           const std::string& what) {
+  for (std::size_t p = 0; p < r.analysis.size(); ++p) {
+    const core::PathAnalysis& a = r.analysis[p];
+    ASSERT_EQ(a, r.delivered_reference[p])
+        << what << ": path " << p << ": findings diverged on a lossless wire";
+    ASSERT_EQ(a.domains.size(), r.transit_domains.size()) << what;
+    ASSERT_EQ(a.links.size(), r.transit_domains.size() + 1) << what;
+    EXPECT_GT(a.domains[0].delay.common_samples, 0u) << what;
+    EXPECT_GT(a.domains[0].loss.offered, 0u) << what;
   }
 }
 
 void run_one(std::uint64_t seed, net::DigestMode mode, PlanKind kind) {
-  const sim::FaultScenarioConfig cfg = soak_config(seed, mode, kind);
-  const sim::FaultScenarioResult r = sim::run_fault_scenario(cfg);
-  const std::string what = "seed " + std::to_string(seed) +
-                           (mode == net::DigestMode::kSingle ? " single"
-                                                             : " indep");
+  const sim::ScenarioConfig cfg = soak_config(seed, mode, kind);
+  const sim::ScenarioOutcome r = sim::run_scenario(cfg);
+  const std::string what = "repro: " + r.repro;
   assert_no_stuck_state(r, what);
-  assert_gaps_exact(r, what);
-  assert_findings(r, cfg.plan.lossless(), what);
+  // Gaps are exactly the induced losses, and delivered rounds verify as
+  // the fault-free reference does: domains and links on any wire, the
+  // whole analysis on a lossless one.
+  EXPECT_TRUE(test::gaps_match_losses(r));
+  EXPECT_TRUE(test::delivered_rounds_verify(r));
+  if (cfg.faults.lossless()) assert_lossless_exact(r, what);
 
-  std::size_t destroyed = 0;
-  std::size_t duplicated = 0;
-  std::size_t reordered_or_delayed = 0;
-  for (const dissem::FaultStats& t : r.transport) {
-    destroyed += t.dropped + t.corrupted;
-    duplicated += t.duplicated;
-    reordered_or_delayed += t.reordered + t.delayed;
-  }
+  const std::size_t destroyed = r.wire.dropped + r.wire.corrupted;
   switch (kind) {
     case PlanKind::kDropOnly:
       EXPECT_GT(destroyed, 0u) << what << ": plan induced no loss";
       break;
     case PlanKind::kDupReorder:
-      EXPECT_EQ(destroyed, 0u);
-      EXPECT_GT(duplicated, 0u) << what;
-      EXPECT_GT(reordered_or_delayed, 0u) << what;
+      EXPECT_EQ(destroyed, 0u) << what;
+      EXPECT_GT(r.wire.duplicated, 0u) << what;
+      EXPECT_GT(r.wire.reordered + r.wire.delayed, 0u) << what;
       EXPECT_GT(r.store_rejected, 0u)
           << what << ": duplicate copies must be rejected, not re-applied";
       break;
     case PlanKind::kCrashResume:
-      EXPECT_EQ(destroyed, 0u);
+      EXPECT_EQ(destroyed, 0u) << what;
       EXPECT_GT(r.client_rebuilds, 0u) << what;
       break;
     case PlanKind::kKitchenSink:

@@ -1,14 +1,14 @@
-// Receipt drain ordering and stream merging (groundwork for the
-// wire-format ROADMAP item: dissemination batches require time-ordered
-// per-path streams, and the batch encoder rejects unordered input).
+// Receipt drain ordering and the per-shard drain merge.  The wire codec
+// rejects receipts with backward time steps, and periodic reporting
+// rounds must concatenate into the one-shot stream.
 //
 // Pinned properties:
 //   * periodic control-plane drains concatenate into exactly the stream a
 //     single end-of-run drain yields (draining early never reorders,
 //     drops, or duplicates receipts);
 //   * drained receipts are monotonically time-ordered per path;
-//   * interleaved drains from two caches merge stably by open time
-//     (ties keep stream order), and the merge rejects unordered input.
+//   * per-shard drain streams merge into global path-index order, and the
+//     merge rejects duplicate or out-of-order path indices.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -98,97 +98,7 @@ TEST(ReceiptDrainOrder, DrainedReceiptsAreMonotonePerPath) {
   expect_monotone(all);
 }
 
-TEST(ReceiptDrainOrder, InterleavedDrainsFromTwoCachesMergeStably) {
-  // Two caches over different paths, drained at interleaved (co-prime)
-  // periods.  The merged aggregate stream must be time-ordered, contain
-  // every receipt exactly once, and match the merge of the same caches'
-  // one-shot drains (early draining must not perturb the merged stream).
-  auto tcfg_a = test::small_trace_config(5);
-  const auto trace_a = trace::generate_trace(tcfg_a);
-  auto tcfg_b = test::small_trace_config(6);
-  tcfg_b.prefixes = net::PrefixPair{net::Prefix::parse("99.1.0.0/16"),
-                                    net::Prefix::parse("99.2.0.0/16")};
-  const auto trace_b = trace::generate_trace(tcfg_b);
-
-  const std::vector<net::PrefixPair> paths_a = {tcfg_a.prefixes};
-  const std::vector<net::PrefixPair> paths_b = {tcfg_b.prefixes};
-
-  collector::MonitoringCache a(cache_config(), paths_a);
-  collector::MonitoringCache b(cache_config(), paths_b);
-  const PathDrain drain_a = periodic_drain(a, trace_a, 7);
-  const PathDrain drain_b = periodic_drain(b, trace_b, 11);
-
-  const std::vector<std::vector<AggregateReceipt>> streams = {
-      drain_a.aggregates, drain_b.aggregates};
-  const std::vector<AggregateReceipt> merged =
-      merge_aggregate_streams(streams);
-  ASSERT_EQ(merged.size(), drain_a.aggregates.size() +
-                               drain_b.aggregates.size());
-  for (std::size_t i = 1; i < merged.size(); ++i) {
-    EXPECT_GE(merged[i].opened_at, merged[i - 1].opened_at);
-  }
-
-  // Same merge from one-shot drains: identical stream.
-  collector::MonitoringCache a2(cache_config(), paths_a);
-  a2.observe_batch(trace_a);
-  collector::MonitoringCache b2(cache_config(), paths_b);
-  b2.observe_batch(trace_b);
-  const std::vector<std::vector<AggregateReceipt>> oneshot = {
-      a2.drain_path(0, true).aggregates, b2.drain_path(0, true).aggregates};
-  EXPECT_EQ(merged, merge_aggregate_streams(oneshot));
-}
-
 // ------------------------------------------------------------ merge rules
-
-AggregateReceipt agg_at(std::int64_t opened_ms, std::uint32_t count) {
-  AggregateReceipt r;
-  r.agg = AggId{.first = count, .last = count + 1};
-  r.packet_count = count;
-  r.opened_at = net::Timestamp{} + net::milliseconds(opened_ms);
-  r.closed_at = r.opened_at + net::milliseconds(1);
-  return r;
-}
-
-TEST(ReceiptMerge, TiesKeepStreamOrder) {
-  const std::vector<std::vector<AggregateReceipt>> streams = {
-      {agg_at(1, 10), agg_at(5, 11)},
-      {agg_at(1, 20), agg_at(5, 21)},
-  };
-  const auto merged = merge_aggregate_streams(streams);
-  ASSERT_EQ(merged.size(), 4u);
-  EXPECT_EQ(merged[0].packet_count, 10u);  // stream 0 wins the tie at t=1
-  EXPECT_EQ(merged[1].packet_count, 20u);
-  EXPECT_EQ(merged[2].packet_count, 11u);  // and the tie at t=5
-  EXPECT_EQ(merged[3].packet_count, 21u);
-}
-
-TEST(ReceiptMerge, RejectsUnorderedInputStreams) {
-  const std::vector<std::vector<AggregateReceipt>> bad = {
-      {agg_at(5, 1), agg_at(1, 2)},
-  };
-  EXPECT_THROW((void)merge_aggregate_streams(bad), std::invalid_argument);
-
-  const std::vector<std::vector<SampleRecord>> bad_samples = {
-      {SampleRecord{.pkt_id = 1,
-                    .time = net::Timestamp{} + net::milliseconds(9)},
-       SampleRecord{.pkt_id = 2, .time = net::Timestamp{}}},
-  };
-  EXPECT_THROW((void)merge_sample_records(bad_samples),
-               std::invalid_argument);
-}
-
-TEST(ReceiptMerge, SampleRecordsMergeByTime) {
-  const std::vector<std::vector<SampleRecord>> streams = {
-      {SampleRecord{.pkt_id = 1, .time = net::Timestamp{1000}},
-       SampleRecord{.pkt_id = 3, .time = net::Timestamp{3000}}},
-      {SampleRecord{.pkt_id = 2, .time = net::Timestamp{2000}}},
-  };
-  const auto merged = merge_sample_records(streams);
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged[0].pkt_id, 1u);
-  EXPECT_EQ(merged[1].pkt_id, 2u);
-  EXPECT_EQ(merged[2].pkt_id, 3u);
-}
 
 TEST(ReceiptMerge, PathDrainMergeRejectsDuplicatesAndDisorder) {
   auto drain_for = [](std::size_t path) {

@@ -2,6 +2,8 @@
 // determinism contract, and the checked-in scenario data files.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -74,6 +76,47 @@ TEST(ScenarioConfig, FederationKeysRoundTripExactly) {
   EXPECT_EQ(back.to_string(), cfg.to_string());
 }
 
+// Values set in code need not have a short decimal spelling; the repro
+// line must still re-run the identical config.
+TEST(ScenarioConfig, ComputedDoublesRoundTripBitForBit) {
+  ScenarioConfig cfg;
+  cfg.packets_per_second = 1e5 / 7;
+  cfg.zipf_s = 1.0 / 3;
+  cfg.marker_rate = 1.0 / 3 / 64;
+  cfg.tuning.sample_rate = 0.1 + 0.2;
+  cfg.tuning.cut_rate = 2e-3 / 3;
+  cfg.loss_rate = 0.1 * 3;
+  cfg.loss_burst = 4.0 / 3;
+  cfg.congestion_bps = 40e6 / 3;
+  cfg.faults.drop_rate = 0.1 * 3;
+  cfg.faults.corrupt_rate = 0.07 / 3;
+  cfg.faults.duplicate_rate = 0.1 / 3;
+  cfg.faults.reorder_rate = 0.2 / 3;
+  cfg.faults.delay_rate = 0.7 * 0.1;
+  const ScenarioConfig back = parse_scenario(cfg.to_string());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(back.packets_per_second), bits(cfg.packets_per_second));
+  EXPECT_EQ(bits(back.zipf_s), bits(cfg.zipf_s));
+  EXPECT_EQ(bits(back.marker_rate), bits(cfg.marker_rate));
+  EXPECT_EQ(bits(back.tuning.sample_rate), bits(cfg.tuning.sample_rate));
+  EXPECT_EQ(bits(back.tuning.cut_rate), bits(cfg.tuning.cut_rate));
+  EXPECT_EQ(bits(back.loss_rate), bits(cfg.loss_rate));
+  EXPECT_EQ(bits(back.loss_burst), bits(cfg.loss_burst));
+  EXPECT_EQ(bits(back.congestion_bps), bits(cfg.congestion_bps));
+  EXPECT_EQ(bits(back.faults.drop_rate), bits(cfg.faults.drop_rate));
+  EXPECT_EQ(bits(back.faults.corrupt_rate), bits(cfg.faults.corrupt_rate));
+  EXPECT_EQ(bits(back.faults.duplicate_rate),
+            bits(cfg.faults.duplicate_rate));
+  EXPECT_EQ(bits(back.faults.reorder_rate), bits(cfg.faults.reorder_rate));
+  EXPECT_EQ(bits(back.faults.delay_rate), bits(cfg.faults.delay_rate));
+  // Literal values keep their familiar spelling.
+  EXPECT_EQ(parse_scenario("congestion_bps=30000000 loss_rate=0.03 "
+                           "cut_rate=0.0001 pps=100000")
+                .to_string(),
+            "name=scenario seed=1 pps=100000 cut_rate=0.0001 "
+            "loss_rate=0.03 congestion_bps=30000000");
+}
+
 TEST(ScenarioConfig, CommentsAndNewlinesAreOneGrammar) {
   const ScenarioConfig cfg = parse_scenario(
       "# a scenario file\n"
@@ -130,6 +173,19 @@ TEST(ScenarioEngine, ValidatesConfigs) {
   EXPECT_THROW((void)run_scenario(cfg_of(
                    "fault_delay=0.1 fault_max_delay_ticks=5 gap_patience=2")),
                std::invalid_argument);
+  // fed_* keys belong to run_federation_scenario; the chain engine must
+  // not silently run a different deployment than the line asked for.
+  try {
+    (void)run_scenario(
+        cfg_of("fed_domains=5 fed_backend=segment fed_crash_every=2"));
+    ADD_FAILURE() << "fed_* keys were ignored";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("run_federation_scenario"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)run_scenario(cfg_of("fed_lag_every=2")),
+               std::invalid_argument);
 }
 
 // The determinism contract: identical config => bit-identical outcome,
@@ -177,22 +233,42 @@ TEST(ScenarioEngine, CollusionCongestionFile) {
 }
 
 TEST(ScenarioEngine, FaultyWireChurnFile) {
-  const ScenarioOutcome out = run_scenario(
-      parse_scenario(load_scenario_file("faulty_wire_churn.conf")));
-  SCOPED_TRACE("repro: " + out.repro);
-  // Graceful degradation: the wire destroyed envelopes and the damage is
-  // RECORDED as gaps, not silently absorbed into findings.
-  EXPECT_GT(out.envelopes_destroyed, 0u);
-  std::size_t gap_count = 0;
-  for (const auto& per_hop : out.gaps) gap_count += per_hop.size();
-  EXPECT_GT(gap_count, 0u);
-  EXPECT_GT(out.client_rebuilds, 0u);
-  // Crash-restarts never double-deliver (acks are atomic with delivery)
-  // and never leave the fleet stuck.
-  EXPECT_EQ(out.ack_rejections, 0u);
-  for (const std::size_t lag : out.consumer_lag_end) EXPECT_EQ(lag, 0u);
-  EXPECT_EQ(out.store_envelopes_end, 0u);
-  EXPECT_GT(out.store_gc_erased, 0u);
+  const std::string file = load_scenario_file("faulty_wire_churn.conf");
+  // The file as checked in and nine more traffic and fault schedules, each
+  // also with one-round TTL eviction: the withdrawn path then idles out
+  // in the round its traffic stops, before the flap rebuild.
+  for (std::uint64_t reseed = 0; reseed < 10; ++reseed) {
+    for (const bool evict : {false, true}) {
+      std::string extra = evict ? "\nttl_rounds=1" : "";
+      if (reseed != 0) {
+        extra += "\nseed=" + std::to_string(reseed) +
+                 " fault_seed=" + std::to_string(reseed);
+      }
+      const ScenarioOutcome out = run_scenario(parse_scenario(file + extra));
+      SCOPED_TRACE("repro: " + out.repro);
+      if (evict) {
+        EXPECT_GT(out.evicted_paths, 0u);
+      }
+      // Graceful degradation: the wire destroyed envelopes and the damage is
+      // RECORDED as gaps, not silently absorbed into findings.
+      EXPECT_GT(out.wire.dropped + out.wire.corrupted, 0u);
+      std::size_t gap_count = 0;
+      for (const auto& per_hop : out.gaps) gap_count += per_hop.size();
+      EXPECT_GT(gap_count, 0u);
+      EXPECT_GT(out.client_rebuilds, 0u);
+      // Crash-restarts never double-deliver (acks are atomic with delivery)
+      // and never leave the fleet stuck.
+      EXPECT_EQ(out.ack_rejections, 0u);
+      for (const std::size_t lag : out.consumer_lag_end) EXPECT_EQ(lag, 0u);
+      EXPECT_EQ(out.store_envelopes_end, 0u);
+      EXPECT_GT(out.store_gc_erased, 0u);
+      // The delivered-round oracle holds across the route flap's rebuild
+      // drains and the lifecycle passes: gaps are exactly the destroyed
+      // sequences, and every delivered round verifies as over a perfect wire.
+      EXPECT_TRUE(test::gaps_match_losses(out));
+      EXPECT_TRUE(test::delivered_rounds_verify(out));
+    }
+  }
 }
 
 }  // namespace

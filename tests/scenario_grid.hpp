@@ -1,6 +1,7 @@
 // Cell builders and assertion helpers for the scenario detection-envelope
 // grid: scenario classes x loss models x digest modes, each cell one
-// run_scenario call.
+// run_scenario call.  The fault soak shares the gap-exactness and
+// delivered-round checks.
 //
 // Every assertion helper returns a testing::AssertionResult whose failure
 // message embeds the cell's one-line repro string
@@ -12,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/scenario_engine.hpp"
 
@@ -199,6 +203,72 @@ inline testing::AssertionResult blame_displaced(
          << liar << " shows " << liar_est << " (want ~0), " << cover
          << " shows " << displaced << " (want ~" << hidden
          << "); repro: " << out.repro;
+}
+
+/// Gap exactness: every reported gap is anchored at a sequence the
+/// transport destroyed, and every destroyed sequence lies inside a gap —
+/// reordering, delay and duplication alone never degrade into a gap.
+inline testing::AssertionResult gaps_match_losses(
+    const sim::ScenarioOutcome& out) {
+  if (out.gaps.size() != out.lost_sequences.size()) {
+    return testing::AssertionFailure()
+           << "gaps and lost_sequences disagree on the hop count; repro: "
+           << out.repro;
+  }
+  for (std::size_t h = 0; h < out.gaps.size(); ++h) {
+    const std::vector<std::uint64_t>& lost = out.lost_sequences[h];
+    for (const core::RoundGap& g : out.gaps[h]) {
+      if (g.first_sequence > g.last_sequence ||
+          !std::binary_search(lost.begin(), lost.end(), g.first_sequence)) {
+        return testing::AssertionFailure()
+               << "hop " << h + 1 << ": gap [" << g.first_sequence << ","
+               << g.last_sequence
+               << "] is not anchored at a destroyed sequence; repro: "
+               << out.repro;
+      }
+    }
+    for (const std::uint64_t seq : lost) {
+      const bool covered = std::any_of(
+          out.gaps[h].begin(), out.gaps[h].end(),
+          [seq](const core::RoundGap& g) {
+            return g.first_sequence <= seq && seq <= g.last_sequence;
+          });
+      if (!covered) {
+        return testing::AssertionFailure()
+               << "hop " << h + 1 << ": destroyed seq " << seq
+               << " was never reported as a gap; repro: " << out.repro;
+      }
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+/// The delivered-round oracle: the reference has no gaps, and every
+/// path's domain and link findings equal it — delivered rounds verify as
+/// if the wire had lost nothing.
+inline testing::AssertionResult delivered_rounds_verify(
+    const sim::ScenarioOutcome& out) {
+  if (out.analysis.size() != out.delivered_reference.size()) {
+    return testing::AssertionFailure()
+           << "no reference per path; repro: " << out.repro;
+  }
+  for (std::size_t p = 0; p < out.analysis.size(); ++p) {
+    const core::PathAnalysis& ref = out.delivered_reference[p];
+    if (!ref.complete()) {
+      return testing::AssertionFailure()
+             << "path " << p << ": the reference has gaps; repro: "
+             << out.repro;
+    }
+    if (out.analysis[p].domains != ref.domains ||
+        out.analysis[p].links != ref.links) {
+      return testing::AssertionFailure()
+             << "path " << p
+             << ": delivered rounds verify differently from the fault-free "
+                "reference over the same rounds; repro: "
+             << out.repro;
+    }
+  }
+  return testing::AssertionSuccess();
 }
 
 // ----------------------------------------------------------- cell checks
