@@ -119,6 +119,7 @@ int main() {
   std::printf("%12s %18s %15s %12s %15s\n", "jitter[us]", "no-patchup[%]",
               "patchup[%]", "migrations", "DA++unusable[%]");
   vpm::bench::rule(78);
+  bool shape_ok = true;
   for (const std::int64_t jitter_us : {0ll, 100ll, 200ll, 400ll, 800ll}) {
     const Row r = run_row(net::microseconds(jitter_us), 7000);
     std::printf("%12lld %18.1f %15.1f %12zu %15.1f\n",
@@ -126,10 +127,20 @@ int main() {
                 r.phantom_loss_no_patchup * 100.0,
                 r.phantom_loss_patchup * 100.0, r.migrations,
                 r.lda_unusable_frac * 100.0);
+    if (r.phantom_loss_patchup != 0.0 ||
+        (jitter_us > 0 && r.migrations == 0)) {
+      shape_ok = false;
+    }
   }
   std::printf(
       "\nShape checks: without patch-up, phantom loss grows with jitter;\n"
       "with AggTrans it stays at zero (§6.3).  DA++ (no window at all)\n"
       "loses usable aggregates the same way (§3.3).\n");
-  return 0;
+  // The §6.3 claim this binary guards: patch-up leaves no phantom loss at
+  // any jitter, and reordering makes it migrate packets.
+  std::printf("Patch-up shape check: %s\n",
+              shape_ok ? "ok"
+                       : "FAILED (phantom loss with patch-up, or no "
+                         "migrations under jitter)");
+  return shape_ok ? 0 : 1;
 }

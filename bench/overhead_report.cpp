@@ -227,8 +227,8 @@ void lifecycle_section() {
               static_cast<double>(final_round.store_payload_bytes) / 1e3,
               static_cast<double>(final_round.ref_store_payload_bytes) /
                   1e3);
-  std::printf("  verifier tails:    %zu raw receipts + %zu pending entries"
-              " (O(retained window))\n",
+  std::printf("  verifier tails:    %zu aggregate receipts + %zu pending"
+              " entries (O(retained window))\n",
               final_round.verifier_tail_receipts,
               final_round.verifier_pending);
   std::printf("  lifecycle totals:  %zu evictions, %zu compactions,"

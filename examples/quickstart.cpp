@@ -46,7 +46,7 @@ int main() {
   tuning.sample_rate = 0.02;               // 2% delay samples
   tuning.cut_rate = 1.0 / 25'000.0;        // one aggregate per ~0.5 s
 
-  auto make_monitor = [&](net::HopId self, net::HopId prev, net::HopId next) {
+  auto make_monitor = [&](net::HopId prev, net::HopId next) {
     return core::HopMonitor(core::HopMonitorConfig{
         .protocol = protocol,
         .tuning = tuning,
@@ -57,8 +57,8 @@ int main() {
                             .max_diff = net::milliseconds(5)},
     });
   };
-  core::HopMonitor ingress = make_monitor(2, 1, 3);
-  core::HopMonitor egress = make_monitor(3, 2, 4);
+  core::HopMonitor ingress = make_monitor(1, 3);  // HOP 2
+  core::HopMonitor egress = make_monitor(2, 4);   // HOP 3
   for (const sim::Obs& o : run.hop_observations[1]) {
     ingress.observe(trace[o.pkt], o.when);
   }

@@ -1,28 +1,44 @@
 #include "core/alignment.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 #include <vector>
 
 namespace vpm::core {
 namespace {
 
-/// The cutting-packet id of the boundary that closed receipt `i` (the next
+using Entries = std::span<const PreparedAggregate>;
+
+/// The cutting-packet id of the boundary that closed entry `i` (the next
 /// aggregate's first packet), or 0 if unknown/final.
-net::PacketDigest boundary_of(std::span<const AggregateReceipt> seq,
-                              std::size_t i) {
-  if (!seq[i].trans.after.empty()) return seq[i].trans.after.front();
-  if (i + 1 < seq.size()) return seq[i + 1].agg.first;
+net::PacketDigest boundary_of(Entries seq, std::size_t i) {
+  if (!seq[i].after.empty()) return seq[i].closing_id;
+  if (i + 1 < seq.size()) return seq[i + 1].cut_id;
   return 0;
 }
 
 /// A set of packet ids as a sorted vector.  Every alignment call builds
-/// these over a tail's cutting ids or an AggTrans window: a sorted vector
-/// costs one allocation and a sort, where a hash set allocates per id.
+/// these over a tail's cutting ids: a sorted vector costs one allocation
+/// and a sort, where a hash set allocates per id.
 using IdSet = std::vector<net::PacketDigest>;
 
 bool contains(const IdSet& set, net::PacketDigest id) {
   return std::binary_search(set.begin(), set.end(), id);
+}
+
+/// How many ids of `probe`, counted with multiplicity, occur in `set`;
+/// both ascending.  One linear merge.
+std::size_t count_members(std::span<const net::PacketDigest> probe,
+                          std::span<const net::PacketDigest> set) {
+  std::size_t n = 0;
+  std::size_t s = 0;
+  for (const net::PacketDigest id : probe) {
+    while (s < set.size() && set[s] < id) ++s;
+    if (s == set.size()) break;
+    n += set[s] == id ? 1 : 0;
+  }
+  return n;
 }
 
 /// (id, position) pairs, sorted.  A lookup returns an id's first
@@ -63,16 +79,15 @@ struct BoundarySets {
   IdSet inverted;
 };
 
-IdSet cut_ids(std::span<const AggregateReceipt> seq) {
+IdSet cut_ids(Entries seq) {
   IdSet ids;
   ids.reserve(seq.size());
-  for (std::size_t i = 1; i < seq.size(); ++i) ids.push_back(seq[i].agg.first);
+  for (std::size_t i = 1; i < seq.size(); ++i) ids.push_back(seq[i].cut_id);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
-BoundarySets boundary_sets(std::span<const AggregateReceipt> up,
-                           std::span<const AggregateReceipt> down) {
+BoundarySets boundary_sets(Entries up, Entries down) {
   BoundarySets s;
   s.up_ids = cut_ids(up);
   s.down_ids = cut_ids(down);
@@ -81,7 +96,7 @@ BoundarySets boundary_sets(std::span<const AggregateReceipt> up,
   IdSet up_common;
   IdIndex up_place;
   for (std::size_t i = 1; i < up.size(); ++i) {
-    const net::PacketDigest id = up[i].agg.first;
+    const net::PacketDigest id = up[i].cut_id;
     if (!contains(s.down_ids, id)) continue;
     up_place.emplace_back(id, up_common.size());
     up_common.push_back(id);
@@ -89,7 +104,7 @@ BoundarySets boundary_sets(std::span<const AggregateReceipt> up,
   std::sort(up_place.begin(), up_place.end());
   net::PacketDigest prev = 0;
   for (std::size_t j = 1; j < down.size(); ++j) {
-    const net::PacketDigest id = down[j].agg.first;
+    const net::PacketDigest id = down[j].cut_id;
     if (!contains(s.up_ids, id)) continue;
     const std::size_t k = first_position(up_place, id);
     if (k == kAbsent || (k == 0 ? 0 : up_common[k - 1]) != prev) {
@@ -101,10 +116,6 @@ BoundarySets boundary_sets(std::span<const AggregateReceipt> up,
   return s;
 }
 
-}  // namespace
-
-namespace {
-
 /// patch_up with the inverted-boundary set precomputed (align_aggregates
 /// shares one computation between patch-up and the join; patching only
 /// rewrites packet counts, never boundary ids, so the set is valid for
@@ -113,10 +124,10 @@ namespace {
 /// forward.  `down_carry` seeds down[0]'s delta (the shift owed by a
 /// previously consumed seam boundary).
 struct PatchupDecomposed {
-  /// Per down receipt: its packet count after patch-up (carry included).
-  /// Boundary ids never change, so the receipts themselves are not copied.
+  /// Per down entry: its packet count after patch-up (carry included).
+  /// Boundary ids never change, so the entries themselves are not copied.
   std::vector<std::uint32_t> counts;
-  /// Per down receipt j: migrations counted at the boundary CLOSING j,
+  /// Per down entry j: migrations counted at the boundary CLOSING j,
   /// and the signed packet shift INTO j at that boundary (the matching
   /// -shift lands on j+1).  Zero for the final receipt.
   std::vector<std::size_t> mig_at;
@@ -124,8 +135,7 @@ struct PatchupDecomposed {
   std::size_t migrations = 0;
 };
 
-PatchupDecomposed patch_up_decomposed(std::span<const AggregateReceipt> up,
-                                      std::span<const AggregateReceipt> down,
+PatchupDecomposed patch_up_decomposed(Entries up, Entries down,
                                       const IdSet& inverted,
                                       std::int64_t down_carry) {
   PatchupDecomposed result;
@@ -146,44 +156,28 @@ PatchupDecomposed patch_up_decomposed(std::span<const AggregateReceipt> up,
   }
   std::sort(up_boundary.begin(), up_boundary.end());
 
-  // Sorted copies of the matched upstream boundary's AggTrans windows,
-  // reused across boundaries.
-  IdSet up_before;
-  IdSet up_after;
-  const auto sorted_copy = [](IdSet& dst,
-                              const std::vector<net::PacketDigest>& src) {
-    dst.assign(src.begin(), src.end());
-    std::sort(dst.begin(), dst.end());
-  };
-
   for (std::size_t j = 0; j + 1 < down.size(); ++j) {
     const net::PacketDigest b = boundary_of(down, j);
     if (b == 0 || contains(inverted, b)) continue;
     const std::size_t i = first_position(up_boundary, b);
     if (i == kAbsent) continue;  // unmatched: join will merge
-    const AggregateReceipt& u = up[i];
-    sorted_copy(up_before, u.trans.before);
-    sorted_copy(up_after, u.trans.after);
+    const PreparedAggregate& u = up[i];
+    const std::vector<net::PacketDigest>& after = down[j].after;
 
     // Section 6.3: a packet the upstream HOP saw before the cut but the
     // downstream HOP saw after it migrates into the earlier aggregate
     // (and vice versa), so both HOPs' receipts describe the same
-    // membership.
-    for (const net::PacketDigest id : down[j].trans.after) {
-      if (id == b) continue;  // the cutting packet itself defines the cut
-      if (contains(up_before, id)) {
-        ++result.shift_at[j];
-        ++result.mig_at[j];
-        ++result.migrations;
-      }
-    }
-    for (const net::PacketDigest id : down[j].trans.before) {
-      if (contains(up_after, id)) {
-        --result.shift_at[j];
-        ++result.mig_at[j];
-        ++result.migrations;
-      }
-    }
+    // membership.  The cutting packet itself defines the cut: none of its
+    // copies in `after` migrates.
+    const auto [cut_lo, cut_hi] =
+        std::equal_range(after.begin(), after.end(), b);
+    const std::size_t in = count_members({after.begin(), cut_lo}, u.before) +
+                           count_members({cut_hi, after.end()}, u.before);
+    const std::size_t out = count_members(down[j].before, u.after);
+    result.shift_at[j] =
+        static_cast<std::int64_t>(in) - static_cast<std::int64_t>(out);
+    result.mig_at[j] = in + out;
+    result.migrations += in + out;
   }
   // Migrations accumulate as signed deltas and apply once at the end: a
   // packet reordered across several nearby boundaries migrates at each of
@@ -212,8 +206,7 @@ struct AlignDecomposed {
   PatchupDecomposed patch;
 };
 
-AlignDecomposed align_decomposed(std::span<const AggregateReceipt> up,
-                                 std::span<const AggregateReceipt> down,
+AlignDecomposed align_decomposed(Entries up, Entries down,
                                  bool apply_patchup,
                                  std::int64_t down_carry) {
   AlignDecomposed out;
@@ -239,8 +232,8 @@ AlignDecomposed align_decomposed(std::span<const AggregateReceipt> up,
     // consumed-prefix invariant.
     (void)down_carry;
     out.patch.counts.reserve(down.size());
-    for (const AggregateReceipt& r : down) {
-      out.patch.counts.push_back(r.packet_count);
+    for (const PreparedAggregate& e : down) {
+      out.patch.counts.push_back(e.packet_count);
     }
   }
   const std::vector<std::uint32_t>& down_counts = out.patch.counts;
@@ -271,8 +264,8 @@ AlignDecomposed align_decomposed(std::span<const AggregateReceipt> up,
   while (i + 1 < up.size() || j + 1 < down.size()) {
     const bool up_has = i + 1 < up.size();
     const bool down_has = j + 1 < down.size();
-    const net::PacketDigest up_cut = up_has ? up[i + 1].agg.first : 0;
-    const net::PacketDigest down_cut = down_has ? down[j + 1].agg.first : 0;
+    const net::PacketDigest up_cut = up_has ? up[i + 1].cut_id : 0;
+    const net::PacketDigest down_cut = down_has ? down[j + 1].cut_id : 0;
 
     if (up_has && down_has && up_cut == down_cut &&
         !contains(inverted, up_cut)) {
@@ -319,14 +312,39 @@ AlignDecomposed align_decomposed(std::span<const AggregateReceipt> up,
 
 }  // namespace
 
+std::vector<PreparedAggregate> prepare_aggregates(
+    std::vector<AggregateReceipt> receipts) {
+  std::vector<PreparedAggregate> out;
+  out.reserve(receipts.size());
+  for (AggregateReceipt& r : receipts) {
+    std::vector<net::PacketDigest>& after = r.trans.after;
+    // Members initialize in order: closing_id reads `after` before it moves.
+    PreparedAggregate& e = out.emplace_back(
+        PreparedAggregate{.cut_id = r.agg.first,
+                          .closing_id = after.empty() ? 0 : after.front(),
+                          .packet_count = r.packet_count,
+                          .opened_at = r.opened_at,
+                          .closed_at = r.closed_at,
+                          .before = std::move(r.trans.before),
+                          .after = std::move(after)});
+    std::sort(e.before.begin(), e.before.end());
+    std::sort(e.after.begin(), e.after.end());
+  }
+  return out;
+}
+
 PatchupResult patch_up(std::span<const AggregateReceipt> up,
                        std::span<const AggregateReceipt> down) {
-  const PatchupDecomposed d = patch_up_decomposed(
-      up, down, boundary_sets(up, down).inverted, /*down_carry=*/0);
+  const std::vector<PreparedAggregate> u =
+      prepare_aggregates({up.begin(), up.end()});
+  const std::vector<PreparedAggregate> d =
+      prepare_aggregates({down.begin(), down.end()});
+  const PatchupDecomposed p = patch_up_decomposed(
+      u, d, boundary_sets(u, d).inverted, /*down_carry=*/0);
   PatchupResult out{.down = {down.begin(), down.end()},
-                    .migrations = d.migrations};
+                    .migrations = p.migrations};
   for (std::size_t j = 0; j < out.down.size(); ++j) {
-    out.down[j].packet_count = d.counts[j];
+    out.down[j].packet_count = p.counts[j];
   }
   return out;
 }
@@ -334,7 +352,20 @@ PatchupResult patch_up(std::span<const AggregateReceipt> up,
 AlignmentResult align_aggregates(std::span<const AggregateReceipt> up,
                                  std::span<const AggregateReceipt> down,
                                  bool apply_patchup) {
-  return align_decomposed(up, down, apply_patchup, /*down_carry=*/0).result;
+  return align_decomposed(prepare_aggregates({up.begin(), up.end()}),
+                          prepare_aggregates({down.begin(), down.end()}),
+                          apply_patchup, /*down_carry=*/0)
+      .result;
+}
+
+void AggregateTail::append_up(std::vector<PreparedAggregate> entries) {
+  up.insert(up.end(), std::make_move_iterator(entries.begin()),
+            std::make_move_iterator(entries.end()));
+}
+
+void AggregateTail::append_down(std::vector<PreparedAggregate> entries) {
+  down.insert(down.end(), std::make_move_iterator(entries.begin()),
+              std::make_move_iterator(entries.end()));
 }
 
 AlignmentResult align_tail(const AggregateTail& tail) {

@@ -12,6 +12,15 @@
 // across matched boundaries using the AggTrans windows, exactly as the
 // Section 6.3 example migrates p4 between HOP 4's aggregates.
 //
+// The kernel reads PreparedAggregates, not receipts: each AggTrans window
+// is sorted once, when its receipt is prepared, and the migrations at a
+// matched boundary are counted by one linear merge of the downstream
+// receipt's windows against the upstream receipt's.  One kernel call over
+// u upstream and d downstream entries sorts their u + d cutting ids and,
+// at each matched boundary, merges the four windows there; it copies and
+// sorts no window.  The batch entry points prepare their receipts once
+// per call; a tail's entries are prepared once, when they join it.
+//
 // Boundary-order inversions: when two cutting points land within the
 // reorder window of each other, they can swap across a link.  The §6.3
 // pairwise migration assumes each boundary separates the same two
@@ -67,9 +76,32 @@ struct AlignmentResult {
   std::size_t migrations = 0;
 };
 
+/// What the alignment kernel reads of one aggregate receipt.  The path,
+/// the AggId's last packet and the windows' order (beyond `after`'s first
+/// id) play no part in alignment, so none is kept.
+struct PreparedAggregate {
+  net::PacketDigest cut_id = 0;  ///< agg.first: the cut that opened it
+  /// The first id of the receipt's AggTrans `after` window: the cutting
+  /// packet of the boundary that closed it, as the receipt reports it.
+  /// Meaningful only while `after` is non-empty.
+  net::PacketDigest closing_id = 0;
+  std::uint32_t packet_count = 0;
+  net::Timestamp opened_at;
+  net::Timestamp closed_at;
+  /// The AggTrans windows, ascending, duplicates kept.
+  std::vector<net::PacketDigest> before;
+  std::vector<net::PacketDigest> after;
+};
+
+/// Prepare receipts for alignment, in order: each AggTrans window moves
+/// out of its receipt and is sorted in place.
+[[nodiscard]] std::vector<PreparedAggregate> prepare_aggregates(
+    std::vector<AggregateReceipt> receipts);
+
 /// Join two aggregate-receipt sequences (observation order).  If
 /// `apply_patchup`, AggTrans windows repair reorder-shifted counts first.
 /// Either sequence may be empty (result has no aligned aggregates).
+/// Prepares both sequences, then runs the kernel the tails use.
 [[nodiscard]] AlignmentResult align_aggregates(
     std::span<const AggregateReceipt> up,
     std::span<const AggregateReceipt> down, bool apply_patchup = true);
@@ -87,25 +119,31 @@ struct PatchupResult {
 // --- Incremental alignment (round-fed verifier support) -------------------
 //
 // A verifier ingesting reporting rounds for months cannot hold both HOPs'
-// full aggregate sequences.  It holds an AggregateTail instead: the raw
-// receipts not yet absorbed into finalized aligned output.  After each
-// round, consume_aligned_prefix() aligns the tails and consumes every
-// aligned group up to a stability margin of matched boundaries — the
-// alignment decisions in that prefix are final because align_aggregates'
-// scan is forward and its merge/inversion tests only consult boundary ids
-// in the consumed neighbourhood (receipts an honest peer ships within a
-// round or two; the margin absorbs the in-flight lag).  Consumed receipts
-// leave the tail, so resident state is O(retained window), not O(history),
-// and the concatenation  consumed groups ++ align_tail(tail).aligned  is
-// the alignment of the full sequences.
+// full aggregate sequences.  It holds an AggregateTail instead: the
+// prepared entries of the receipts not yet absorbed into finalized
+// aligned output.  After each round, consume_aligned_prefix() aligns the
+// tails and consumes every aligned group up to a stability margin of
+// matched boundaries — the alignment decisions in that prefix are final
+// because align_aggregates' scan is forward and its merge/inversion tests
+// only consult boundary ids in the consumed neighbourhood (receipts an
+// honest peer ships within a round or two; the margin absorbs the
+// in-flight lag).  Consumed entries leave the tail, so resident state is
+// O(retained window), not O(history), and the concatenation  consumed
+// groups ++ align_tail(tail).aligned  is the alignment of the full
+// sequences.  A receipt's windows are sorted once, when it joins a tail;
+// every later alignment of that tail merges them as they are.
 
 struct AggregateTail {
-  std::vector<AggregateReceipt> up;
-  std::vector<AggregateReceipt> down;
+  std::vector<PreparedAggregate> up;
+  std::vector<PreparedAggregate> down;
   /// Patch-up packets owed to down.front() by the migration at the last
   /// consumed seam boundary (its matching shift was already applied to
   /// the consumed neighbour).  Applied before every tail alignment.
   std::int64_t down_carry = 0;
+
+  /// Append prepared receipts, in observation order, to one side.
+  void append_up(std::vector<PreparedAggregate> entries);
+  void append_down(std::vector<PreparedAggregate> entries);
 
   [[nodiscard]] std::size_t receipt_count() const noexcept {
     return up.size() + down.size();
@@ -120,7 +158,7 @@ struct TailConsumeStats {
 /// Align `tail` and consume the stable prefix: every aligned group except
 /// the final (unbounded) one and the last `margin_boundaries`
 /// matched-boundary groups.  Consumed groups append to `out`; consumed
-/// receipts leave the tail and the seam migration shift rolls into
+/// entries leave the tail and the seam migration shift rolls into
 /// `tail.down_carry`.  No-op while either side is empty or the matched
 /// count is within the margin.
 TailConsumeStats consume_aligned_prefix(AggregateTail& tail,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -17,16 +16,6 @@ namespace {
 /// Marks a slot for removal.  A delay is a difference of two timestamps,
 /// never NaN.
 constexpr double kRemovedSlot = std::numeric_limits<double>::quiet_NaN();
-
-/// Append a round's aggregate receipts to one side of a tail.  A receipt
-/// wakes an idle tail.
-void append_aggregates(AggregateTail& tail, bool& idle, bool is_up,
-                       std::span<const AggregateReceipt> aggregates) {
-  if (aggregates.empty()) return;
-  std::vector<AggregateReceipt>& side = is_up ? tail.up : tail.down;
-  side.insert(side.end(), aggregates.begin(), aggregates.end());
-  idle = false;
-}
 
 /// consume_aligned_prefix, skipped while the tail is idle.  The call is a
 /// pure function of the tail, so once it has consumed nothing it consumes
@@ -99,17 +88,31 @@ void IncrementalPathVerifier::add_round(net::HopId hop, PathDrain round) {
     state.sample_threshold = round.samples.sample_threshold;
   }
   // The HOP is the downstream end of pair pos-1 and the upstream end of
-  // pair pos.
-  const auto feed = [&](Pair& p, bool is_up) {
-    p.is_domain ? feed_domain(p, is_up, round) : feed_link(p, is_up, round);
+  // pair pos.  Its aggregates are prepared once for both: pair pos takes
+  // the entries, pair pos-1 a copy.  A receipt wakes an idle tail.
+  const auto feed = [&](Pair& p, bool is_up,
+                        std::vector<PreparedAggregate> entries) {
+    p.is_domain ? feed_domain(p, is_up, round.samples)
+                : feed_link(p, is_up, round.samples);
+    if (!entries.empty()) {
+      is_up ? p.tail.append_up(std::move(entries))
+            : p.tail.append_down(std::move(entries));
+      p.tail_idle = false;
+    }
     settle_pair(p);
   };
-  if (pos > 0) feed(pairs_[pos - 1], false);
-  if (pos < pairs_.size()) feed(pairs_[pos], true);
+  std::vector<PreparedAggregate> entries =
+      prepare_aggregates(std::move(round.aggregates));
+  if (pos > 0 && pos < pairs_.size()) {
+    feed(pairs_[pos - 1], false, entries);
+  } else if (pos > 0) {
+    feed(pairs_[pos - 1], false, std::move(entries));
+  }
+  if (pos < pairs_.size()) feed(pairs_[pos], true, std::move(entries));
 }
 
 void IncrementalPathVerifier::feed_domain(Pair& p, bool is_up,
-                                          const PathDrain& round) {
+                                          const SampleReceipt& samples) {
   const std::uint64_t clock = pair_clock(p);
   DelayState& ds = p.delay;
   const std::size_t merged = ds.sorted.size();
@@ -120,7 +123,7 @@ void IncrementalPathVerifier::feed_domain(Pair& p, bool is_up,
     // arrive in stream order, so the first resident record is always the
     // stream-first one — matching against it here gives the same delay
     // the batch matcher computes, whichever side was fed first.
-    for (const SampleRecord& s : round.samples.samples) {
+    for (const SampleRecord& s : samples.samples) {
       ds.ingress_times.emplace(s.pkt_id, DelayState::Entry{s.time, clock});
     }
     // Resolve egress samples that were buffered waiting for this side:
@@ -144,7 +147,7 @@ void IncrementalPathVerifier::feed_domain(Pair& p, bool is_up,
     // reporting round) the ingress record is already resident.  When the
     // HOPs' fetch loops drift apart, buffer the sample instead of losing
     // the match — the ingress round is late, not absent.
-    for (const SampleRecord& s : round.samples.samples) {
+    for (const SampleRecord& s : samples.samples) {
       const auto it = ds.ingress_times.find(s.pkt_id);
       if (it == ds.ingress_times.end()) {
         ds.pending_egress.push_back(DelayState::PendingEgress{
@@ -158,7 +161,6 @@ void IncrementalPathVerifier::feed_domain(Pair& p, bool is_up,
       ds.sorted.push_back(ms);
     }
   }
-  append_aggregates(p.loss.tail, p.tail_idle, is_up, round.aggregates);
   // Merge the round's matches into the sorted view: the few new delays
   // sort on their own, then one merge; values below the smallest new one
   // stay where they are.
@@ -168,23 +170,21 @@ void IncrementalPathVerifier::feed_domain(Pair& p, bool is_up,
 }
 
 void IncrementalPathVerifier::feed_link(Pair& p, bool is_up,
-                                        const PathDrain& round) {
+                                        const SampleReceipt& samples) {
   const std::uint64_t clock = pair_clock(p);
   LinkSamplesState& ls = p.link_samples;
   if (is_up) {
-    ls.up_splitter.feed(round.samples.samples, [&](SampleRound&& r) {
+    ls.up_splitter.feed(samples.samples, [&](SampleRound&& r) {
       ls.pending_up.push_back(
           LinkSamplesState::Stamped{std::move(r), clock});
     });
   } else {
-    ls.down_splitter.feed(round.samples.samples, [&](SampleRound&& r) {
+    ls.down_splitter.feed(samples.samples, [&](SampleRound&& r) {
       const net::PacketDigest marker = r.marker_id;
       ls.down_by_marker.emplace(
           marker, LinkSamplesState::Stamped{std::move(r), clock});
     });
   }
-  append_aggregates(p.link_aggregates.tail, p.tail_idle, is_up,
-                    round.aggregates);
 }
 
 void IncrementalPathVerifier::settle_pair(Pair& p) {
@@ -196,8 +196,8 @@ void IncrementalPathVerifier::settle_pair(Pair& p) {
   if (p.is_domain) {
     // Finalize aligned aggregates past the stability margin.
     const TailConsumeStats consumed =
-        consume_unless_idle(p.loss.tail, p.tail_idle,
-                            cfg_.margin_boundaries, p.loss.groups);
+        consume_unless_idle(p.tail, p.tail_idle, cfg_.margin_boundaries,
+                            p.loss.groups);
     p.loss.consumed_migrations += consumed.migrations;
     // Expire ingress sample entries past retention (matched entries must
     // linger the same window: a later duplicate egress sample matches
@@ -278,8 +278,8 @@ void IncrementalPathVerifier::settle_pair(Pair& p) {
   }
 
   std::vector<AlignedAggregate> fresh;
-  (void)consume_unless_idle(p.link_aggregates.tail, p.tail_idle,
-                            cfg_.margin_boundaries, fresh);
+  (void)consume_unless_idle(p.tail, p.tail_idle, cfg_.margin_boundaries,
+                            fresh);
   p.link_aggregates.checked += fresh.size();
   for (const AlignedAggregate& g : fresh) {
     check_aligned_counts(g, p.link_aggregates.violations);
@@ -329,7 +329,7 @@ PathAnalysis IncrementalPathVerifier::analyze() const {
           }
         }
 
-        const AlignmentResult tail = align_tail(p.loss.tail);
+        const AlignmentResult tail = align_tail(p.tail);
         f.loss.details.reserve(p.loss.groups.size() + tail.aligned.size());
         f.loss.details = p.loss.groups;
         f.loss.details.insert(f.loss.details.end(), tail.aligned.begin(),
@@ -399,7 +399,7 @@ PathAnalysis IncrementalPathVerifier::analyze() const {
       f.report.samples = std::move(samples);
 
       LinkAggregateCheck aggregates;
-      const AlignmentResult tail = align_tail(p.link_aggregates.tail);
+      const AlignmentResult tail = align_tail(p.tail);
       aggregates.aggregates_checked =
           p.link_aggregates.checked + tail.aligned.size();
       aggregates.violations = p.link_aggregates.violations;
@@ -421,13 +421,13 @@ IncrementalPathVerifier::resident_stats() const {
       out.pending_ingress_samples += p.delay.ingress_times.size();
       out.pending_egress_samples += p.delay.pending_egress.size();
       out.retained_delays += p.delay.sorted.size();
-      out.tail_aggregate_receipts += p.loss.tail.receipt_count();
+      out.tail_aggregate_receipts += p.tail.receipt_count();
       out.retained_aligned_groups += p.loss.groups.size();
       out.expired_unmatched += p.delay.expired;
     } else {
       out.pending_sample_rounds += p.link_samples.pending_up.size() +
                                    p.link_samples.down_by_marker.size();
-      out.tail_aggregate_receipts += p.link_aggregates.tail.receipt_count();
+      out.tail_aggregate_receipts += p.tail.receipt_count();
       out.expired_unmatched += p.link_samples.expired;
     }
   }

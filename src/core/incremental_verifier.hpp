@@ -18,8 +18,9 @@
 //     a marker that never appears downstream);
 //   * aggregate alignment keeps an AggregateTail per pair and consumes
 //     the stable aligned prefix after every round
-//     (core::consume_aligned_prefix), so raw aggregate receipts live only
-//     until a margin of matched boundaries passes them.
+//     (core::consume_aligned_prefix), so an aggregate receipt — held as
+//     its prepared entry: cut, count, times and sorted AggTrans windows —
+//     lives only until a margin of matched boundaries passes it.
 //
 // analyze() then assembles the same PathAnalysis the materialized verifier
 // computes over the full history — byte-identical findings whenever every
@@ -35,11 +36,16 @@
 //
 // Per-round cost follows the round, not the history.  add_round touches
 // only the HOP's (at most two) adjacent pairs: hashed sample matching,
-// one merge of the round's new delays into a kept-sorted copy, and a
-// re-alignment of a tail only when a receipt has joined it since the last
-// alignment consumed nothing.  analyze() sorts nothing: it copies the
-// delays and finalized groups the findings carry verbatim, reads the
-// quantiles off the sorted copy, and aligns each tail once.
+// one merge of the round's new delays into a kept-sorted copy, one sort
+// of each new aggregate's AggTrans windows (prepared once for both pairs,
+// in place in the by-value drain), and a re-alignment of a tail only when
+// a receipt has joined it since the last alignment consumed nothing.  A
+// re-alignment sorts the tail's cutting ids and merges, at each matched
+// boundary, windows that were sorted when they joined — a boundary is
+// re-aligned every round until the margin passes it, so its windows must
+// not be re-sorted each time.  analyze() sorts no delay and no window: it
+// copies the delays and finalized groups the findings carry verbatim,
+// reads the quantiles off the sorted copy, and aligns each tail once.
 #ifndef VPM_CORE_INCREMENTAL_VERIFIER_HPP
 #define VPM_CORE_INCREMENTAL_VERIFIER_HPP
 
@@ -175,7 +181,6 @@ class IncrementalPathVerifier {
 
   /// Aggregate alignment for a same-domain pair (loss report).
   struct LossState {
-    AggregateTail tail;
     std::vector<AlignedAggregate> groups;  ///< consumed (finalized) prefix
     std::size_t consumed_migrations = 0;
   };
@@ -198,16 +203,18 @@ class IncrementalPathVerifier {
 
   /// Aggregate count-consistency for an inter-domain link.
   struct LinkAggregatesState {
-    AggregateTail tail;
     std::size_t checked = 0;  ///< consumed groups
     std::vector<Inconsistency> violations;
   };
 
   struct Pair {
     bool is_domain = false;  ///< same-domain segment vs inter-domain link
-    /// The pair's tail (loss.tail or link_aggregates.tail) has received no
-    /// receipt since a consume_aligned_prefix that consumed nothing, so
-    /// the next call would consume nothing either.
+    /// The aggregates both HOPs reported that alignment has not yet
+    /// finalized: the loss report's for a domain, the count check's for a
+    /// link.
+    AggregateTail tail;
+    /// `tail` has received no receipt since a consume_aligned_prefix that
+    /// consumed nothing, so the next call would consume nothing either.
     bool tail_idle = false;
     std::size_t up_pos = 0;  ///< positions into layout.hops
     std::size_t down_pos = 0;
@@ -220,8 +227,8 @@ class IncrementalPathVerifier {
   /// `hop`'s position in the layout, or layout.hops.size() if absent.
   [[nodiscard]] std::size_t position_of(net::HopId hop) const;
   [[nodiscard]] std::uint64_t pair_clock(const Pair& p) const;
-  void feed_domain(Pair& p, bool is_up, const PathDrain& round);
-  void feed_link(Pair& p, bool is_up, const PathDrain& round);
+  void feed_domain(Pair& p, bool is_up, const SampleReceipt& samples);
+  void feed_link(Pair& p, bool is_up, const SampleReceipt& samples);
   void settle_pair(Pair& p);
 
   Config cfg_;

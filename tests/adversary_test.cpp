@@ -53,7 +53,7 @@ FigOneRun honest_run(double x_loss_rate, std::uint64_t seed) {
   const core::HopTuning tuning{.sample_rate = 0.05, .cut_rate = 1e-3};
   for (std::size_t pos = 0; pos < out.run.hop_observations.size(); ++pos) {
     auto monitor = test::make_monitor(
-        protocol, tuning, static_cast<net::HopId>(pos + 1),
+        protocol, tuning,
         pos == 0 ? net::kNoHop : static_cast<net::HopId>(pos),
         pos + 1 == out.run.hop_observations.size()
             ? net::kNoHop

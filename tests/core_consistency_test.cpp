@@ -49,8 +49,8 @@ LinkFixture make_link(double sample_rate, loss::LossModel* link_loss,
   tuning.sample_rate = sample_rate;
   tuning.cut_rate = 1e-3;
 
-  auto up = make_monitor(protocol, tuning, 5, net::kNoHop, 6, max_diff);
-  auto down = make_monitor(protocol, tuning, 6, 5, net::kNoHop, max_diff);
+  auto up = make_monitor(protocol, tuning, net::kNoHop, 6, max_diff);
+  auto down = make_monitor(protocol, tuning, 5, net::kNoHop, max_diff);
   feed(up, f.trace, run.hop_observations[0]);
   feed(down, f.trace, run.hop_observations[1]);
   f.up_samples = up.collect_samples();
@@ -179,8 +179,8 @@ TEST(LinkSamples, DownstreamLowerRateIsNotAViolation) {
   const core::ProtocolParams protocol = test_protocol();
   core::HopTuning up_tuning{.sample_rate = 0.05, .cut_rate = 1e-3};
   core::HopTuning down_tuning{.sample_rate = 0.01, .cut_rate = 1e-3};
-  auto up = make_monitor(protocol, up_tuning, 5, net::kNoHop, 6);
-  auto down = make_monitor(protocol, down_tuning, 6, 5, net::kNoHop);
+  auto up = make_monitor(protocol, up_tuning, net::kNoHop, 6);
+  auto down = make_monitor(protocol, down_tuning, 5, net::kNoHop);
   feed(up, trace, run.hop_observations[0]);
   feed(down, trace, run.hop_observations[1]);
 

@@ -61,7 +61,7 @@ TEST(Partition, Validation) {
   EXPECT_THROW(Partition(4, {0, 2, 1}), std::invalid_argument);  // unsorted
   EXPECT_THROW(Partition(4, {0, 2, 2}), std::invalid_argument);  // dup
   EXPECT_THROW(Partition(4, {0, 4}), std::invalid_argument);     // beyond n
-  EXPECT_THROW(A1.coarser_or_equal(Partition::trivial(5)),
+  EXPECT_THROW((void)A1.coarser_or_equal(Partition::trivial(5)),
                std::invalid_argument);
   const Partition mixed[] = {A1, Partition::trivial(5)};
   EXPECT_THROW((void)Partition::join(mixed), std::invalid_argument);

@@ -141,9 +141,9 @@ TEST(PathVerifier, PartialDeploymentYieldsEmptyFindings) {
   PathVerifier v;
   const auto protocol = test_protocol();
   for (const std::size_t pos : {3u, 4u}) {
-    auto monitor = test::make_monitor(
-        protocol, tunings[0], static_cast<net::HopId>(pos + 1),
-        static_cast<net::HopId>(pos), static_cast<net::HopId>(pos + 2));
+    auto monitor = test::make_monitor(protocol, tunings[0],
+                                      static_cast<net::HopId>(pos),
+                                      static_cast<net::HopId>(pos + 2));
     test::feed(monitor, s.trace, s.run.hop_observations[pos]);
     HopReceipts r;
     r.hop = static_cast<net::HopId>(pos + 1);

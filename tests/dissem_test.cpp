@@ -190,7 +190,7 @@ TEST(ReceiptStore, EndToEndReceiptBatchDelivery) {
 
   const auto protocol = test::test_protocol();
   auto monitor = test::make_monitor(
-      protocol, core::HopTuning{.sample_rate = 0.02, .cut_rate = 1e-3}, 1,
+      protocol, core::HopTuning{.sample_rate = 0.02, .cut_rate = 1e-3},
       net::kNoHop, 2);
   test::feed(monitor, trace, run.hop_observations[0]);
   const core::SampleReceipt samples = monitor.collect_samples();

@@ -76,11 +76,11 @@ inline void feed(core::HopMonitor& monitor, std::span<const net::Packet> trace,
   }
 }
 
-/// Build a monitor for hop position `pos` with the given tuning.
+/// Build a monitor for the HOP between `prev` and `next` with the given
+/// tuning.
 inline core::HopMonitor make_monitor(const core::ProtocolParams& protocol,
                                      const core::HopTuning& tuning,
-                                     net::HopId self, net::HopId prev,
-                                     net::HopId next,
+                                     net::HopId prev, net::HopId next,
                                      net::Duration max_diff =
                                          net::milliseconds(5)) {
   core::HopMonitorConfig cfg;
@@ -112,9 +112,9 @@ inline core::PathVerifier monitor_path(
     const net::HopId next = pos + 1 == hops
                                 ? net::kNoHop
                                 : static_cast<net::HopId>(pos + 2);
-    core::HopMonitor monitor = make_monitor(
-        protocol, tuning_per_hop[pos % tuning_per_hop.size()], self, prev,
-        next, max_diff);
+    core::HopMonitor monitor =
+        make_monitor(protocol, tuning_per_hop[pos % tuning_per_hop.size()],
+                     prev, next, max_diff);
     feed(monitor, trace, run.hop_observations[pos]);
     core::HopReceipts receipts;
     receipts.hop = self;

@@ -6,7 +6,9 @@
 // verification: IncrementalPathVerifier fed rounds with realistic shipping
 // lag (any HOP may ship late, an egress HOP even before its ingress HOP)
 // must produce analyze() findings identical to PathVerifier over the
-// concatenated receipts after every round — violations included.
+// concatenated receipts after every round — violations included, and
+// with AggTrans windows whose §6.3 migrations need a middle HOP's
+// windows in both of its pairs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,11 +87,12 @@ TEST(IncrementalAlignment, ConsumedPrefixPlusTailEqualsBatch) {
     std::uniform_int_distribution<std::size_t> chunk(1, 5);
     while (ui < up.size() || di < down.size()) {
       const std::size_t un = std::min(chunk(rng), up.size() - ui);
-      tail.up.insert(tail.up.end(), up.begin() + ui, up.begin() + ui + un);
+      tail.append_up(
+          prepare_aggregates({up.begin() + ui, up.begin() + ui + un}));
       ui += un;
       const std::size_t dn = std::min(chunk(rng), down.size() - di);
-      tail.down.insert(tail.down.end(), down.begin() + di,
-                       down.begin() + di + dn);
+      tail.append_down(
+          prepare_aggregates({down.begin() + di, down.begin() + di + dn}));
       di += dn;
       consumed_migrations +=
           consume_aligned_prefix(tail, 2, consumed).migrations;
@@ -131,8 +134,8 @@ TEST(IncrementalAlignment, SeamMigrationCarriesAcrossConsumption) {
 
   // Margin 0 forces consumption right through the migrated boundary.
   AggregateTail tail;
-  tail.up = up;
-  tail.down = down;
+  tail.append_up(prepare_aggregates(up));
+  tail.append_down(prepare_aggregates(down));
   std::vector<AlignedAggregate> consumed;
   const TailConsumeStats stats = consume_aligned_prefix(tail, 0, consumed);
   ASSERT_EQ(stats.groups, 2u);
@@ -153,11 +156,34 @@ TEST(IncrementalAlignment, SeamMigrationCarriesAcrossConsumption) {
 /// HOP 2 one round, HOP 3 two).  Round 3 adds 10 ms to HOP 3's times (link
 /// delay-bound violations); round 5 under-counts HOP 3's aggregate
 /// (count-mismatch violation).
+///
+/// With `windows`, every aggregate also carries an AggTrans window and the
+/// HOPs disagree on which side of each cut a few packets fall: HOP 2 counts
+/// packet A(r,0) before cut r where HOP 1 counts it after, and HOP 3
+/// counts it after again, plus A(r,1) before the cut in odd rounds.  Every
+/// boundary then needs §6.3 migrations in both pairs, in both directions
+/// at HOP 2/3, so HOP 2's windows must reach both of its pairs intact.
 struct CraftedRun {
   static constexpr std::size_t kRounds = 8;
   PathLayout layout{.hops = {1, 2, 3},
                     .domain_of = {"alpha", "alpha", "beta"}};
   std::array<std::size_t, 3> lag{0, 1, 2};
+  bool windows = false;
+
+  /// The packets near cut r: B(r,k) before it, A(r,k) after it.
+  static net::PacketDigest before_id(std::size_t r, std::size_t k) {
+    return static_cast<net::PacketDigest>(600'000 + 10 * r + k);
+  }
+  static net::PacketDigest after_id(std::size_t r, std::size_t k) {
+    return static_cast<net::PacketDigest>(700'000 + 10 * r + k);
+  }
+  /// Whether HOP position `hop_pos` counts A(r,k) before cut r.  The last
+  /// round's aggregate is the run's open one: no cut closes it.
+  static bool counted_before(std::size_t hop_pos, std::size_t r,
+                             std::size_t k) {
+    return r + 1 < kRounds && ((hop_pos == 1 && k == 0) ||
+                               (hop_pos == 2 && k == 1 && r % 2 == 1));
+  }
 
   [[nodiscard]] PathDrain round_data(std::size_t hop_pos,
                                      std::size_t r) const {
@@ -184,9 +210,25 @@ struct CraftedRun {
 
     std::uint32_t count = 1000;
     if (hop_pos == 2 && r == 5) count = 997;  // link count mismatch
-    d.aggregates.push_back(
+    AggregateReceipt a =
         agg(static_cast<net::PacketDigest>(5000 + r), count,
-            static_cast<std::int64_t>(r), static_cast<std::int64_t>(r)));
+            static_cast<std::int64_t>(r), static_cast<std::int64_t>(r));
+    if (windows && r + 1 < kRounds) {
+      a.trans.after.push_back(static_cast<net::PacketDigest>(5000 + r + 1));
+      for (std::size_t k = 0; k < 4; ++k) {
+        a.trans.before.push_back(before_id(r, k));
+      }
+      for (std::size_t k = 0; k < 3; ++k) {
+        (counted_before(hop_pos, r, k) ? a.trans.before : a.trans.after)
+            .push_back(after_id(r, k));
+      }
+    }
+    // A packet counted before cut r moves from aggregate r+1 into r.
+    for (std::size_t k = 0; windows && k < 3; ++k) {
+      if (counted_before(hop_pos, r, k)) ++a.packet_count;
+      if (r > 0 && counted_before(hop_pos, r - 1, k)) --a.packet_count;
+    }
+    d.aggregates.push_back(std::move(a));
     return d;
   }
 
@@ -208,57 +250,68 @@ struct CraftedRun {
 TEST(IncrementalVerifier, MatchesMaterializedVerifierWithShippingLag) {
   const std::array<std::array<std::size_t, 3>, 3> lags = {
       {{0, 1, 2}, {2, 0, 1}, {1, 0, 0}}};
-  for (const std::array<std::size_t, 3>& lag : lags) {
-    CraftedRun run;
-    run.lag = lag;
-    const std::string label = "lags {" + std::to_string(lag[0]) + "," +
-                              std::to_string(lag[1]) + "," +
-                              std::to_string(lag[2]) + "}";
-    IncrementalPathVerifier incremental(IncrementalPathVerifier::Config{
-        .layout = run.layout, .retain_rounds = 4, .margin_boundaries = 2});
-    PathVerifier reference;
+  for (const bool windows : {false, true}) {
+    for (const std::array<std::size_t, 3>& lag : lags) {
+      CraftedRun run;
+      run.lag = lag;
+      run.windows = windows;
+      const std::string label = std::string(windows ? "windowed, " : "") +
+                                "lags {" + std::to_string(lag[0]) + "," +
+                                std::to_string(lag[1]) + "," +
+                                std::to_string(lag[2]) + "}";
+      IncrementalPathVerifier incremental(IncrementalPathVerifier::Config{
+          .layout = run.layout, .retain_rounds = 4, .margin_boundaries = 2});
+      PathVerifier reference;
 
-    std::size_t max_tail = 0;
-    std::size_t max_pending_egress = 0;
-    for (std::size_t t = 0; t < CraftedRun::kRounds + 2; ++t) {
-      for (std::size_t pos = 0; pos < 3; ++pos) {
-        PathDrain d = run.shipped(pos, t);
-        reference.add_round(run.layout.hops[pos], d);
-        incremental.add_round(run.layout.hops[pos], std::move(d));
+      std::size_t max_tail = 0;
+      std::size_t max_pending_egress = 0;
+      for (std::size_t t = 0; t < CraftedRun::kRounds + 2; ++t) {
+        for (std::size_t pos = 0; pos < 3; ++pos) {
+          PathDrain d = run.shipped(pos, t);
+          reference.add_round(run.layout.hops[pos], d);
+          incremental.add_round(run.layout.hops[pos], std::move(d));
+        }
+        // analyze() is a non-destructive view, equal to the materialized
+        // analysis of everything fed so far, field for field.
+        ASSERT_EQ(incremental.analyze(), reference.analyze(run.layout))
+            << label << ", round " << t;
+        const IncrementalPathVerifier::ResidentStats stats =
+            incremental.resident_stats();
+        max_tail = std::max(max_tail, stats.tail_aggregate_receipts);
+        max_pending_egress =
+            std::max(max_pending_egress, stats.pending_egress_samples);
       }
-      // analyze() is a non-destructive view, equal to the materialized
-      // analysis of everything fed so far, field for field.
-      ASSERT_EQ(incremental.analyze(), reference.analyze(run.layout))
-          << label << ", round " << t;
-      const IncrementalPathVerifier::ResidentStats stats =
-          incremental.resident_stats();
-      max_tail = std::max(max_tail, stats.tail_aggregate_receipts);
-      max_pending_egress =
-          std::max(max_pending_egress, stats.pending_egress_samples);
+
+      const PathAnalysis live = incremental.analyze();
+      ASSERT_EQ(live.domains.size(), 1u) << label;
+      ASSERT_EQ(live.links.size(), 1u) << label;
+
+      // The crafted defects must actually show up.
+      EXPECT_GT(live.domains[0].delay.common_samples, 0u) << label;
+      EXPECT_FALSE(live.links[0].report.samples.consistent())
+          << label << ": round 3's 10 ms shift must violate the delay bound";
+      EXPECT_FALSE(live.links[0].report.aggregates.consistent())
+          << label << ": round 5's under-count must violate count consistency";
+      EXPECT_TRUE(live.domains[0].loss.offered > 0) << label;
+      // Patched, the windowed counts agree everywhere but round 5.
+      EXPECT_EQ(live.domains[0].loss.offered, live.domains[0].loss.delivered)
+          << label;
+      EXPECT_EQ(live.links[0].report.aggregates.violations.size(), 1u) << label;
+      EXPECT_EQ(live.domains[0].loss.patchup_migrations,
+                windows ? CraftedRun::kRounds - 1 : 0u)
+          << label;
+
+      // An egress HOP shipping ahead of its ingress HOP buffers samples.
+      if (lag[1] < lag[0]) {
+        EXPECT_GT(max_pending_egress, 0u) << label;
+      } else {
+        EXPECT_EQ(max_pending_egress, 0u) << label;
+      }
+      // Bounded retention: the alignment tails never held everything.
+      EXPECT_LT(max_tail, 2 * 2 * CraftedRun::kRounds)
+          << label << ": tails must stay a window, not history";
+      EXPECT_EQ(incremental.resident_stats().expired_unmatched, 0u) << label;
     }
-
-    const PathAnalysis live = incremental.analyze();
-    ASSERT_EQ(live.domains.size(), 1u) << label;
-    ASSERT_EQ(live.links.size(), 1u) << label;
-
-    // The crafted defects must actually show up.
-    EXPECT_GT(live.domains[0].delay.common_samples, 0u) << label;
-    EXPECT_FALSE(live.links[0].report.samples.consistent())
-        << label << ": round 3's 10 ms shift must violate the delay bound";
-    EXPECT_FALSE(live.links[0].report.aggregates.consistent())
-        << label << ": round 5's under-count must violate count consistency";
-    EXPECT_TRUE(live.domains[0].loss.offered > 0) << label;
-
-    // An egress HOP shipping ahead of its ingress HOP buffers samples.
-    if (lag[1] < lag[0]) {
-      EXPECT_GT(max_pending_egress, 0u) << label;
-    } else {
-      EXPECT_EQ(max_pending_egress, 0u) << label;
-    }
-    // Bounded retention: the alignment tails never held everything.
-    EXPECT_LT(max_tail, 2 * 2 * CraftedRun::kRounds)
-        << label << ": tails must stay a window, not history";
-    EXPECT_EQ(incremental.resident_stats().expired_unmatched, 0u) << label;
   }
 }
 

@@ -159,8 +159,7 @@ TEST(IntegrationWire, ReceiptsSurviveSerializationEndToEnd) {
   for (std::size_t pos = 0; pos < run.hop_observations.size(); ++pos) {
     const auto hop_id = static_cast<net::HopId>(pos + 1);
     auto monitor = test::make_monitor(
-        protocol, tunings[0], hop_id,
-        pos == 0 ? net::kNoHop : hop_id - 1,
+        protocol, tunings[0], pos == 0 ? net::kNoHop : hop_id - 1,
         pos + 1 == run.hop_observations.size() ? net::kNoHop : hop_id + 1);
     test::feed(monitor, trace, run.hop_observations[pos]);
     const core::SampleReceipt samples = monitor.collect_samples();
@@ -214,7 +213,6 @@ TEST(IntegrationPartialDeployment, LoneDeployerStillProducesVerifiableData) {
   core::PathVerifier v;
   for (const std::size_t pos : {1u, 2u}) {  // only X's two HOPs
     auto monitor = test::make_monitor(protocol, tuning,
-                                      static_cast<net::HopId>(pos + 1),
                                       static_cast<net::HopId>(pos),
                                       static_cast<net::HopId>(pos + 2));
     test::feed(monitor, trace, run.hop_observations[pos]);

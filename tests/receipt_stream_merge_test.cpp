@@ -41,7 +41,7 @@ std::vector<std::vector<IndexedPathDrain>> fake_shards(std::size_t n,
 }
 
 TEST(StreamingDrainMerge, MatchesMaterializedMerge) {
-  for (const auto [paths, shards] :
+  for (const auto& [paths, shards] :
        {std::pair<std::size_t, std::size_t>{0, 1},
         std::pair<std::size_t, std::size_t>{1, 4},
         std::pair<std::size_t, std::size_t>{17, 3},
