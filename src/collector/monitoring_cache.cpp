@@ -386,28 +386,22 @@ void MonitoringCache::drain_all(core::ReceiptSink& sink, bool flush_open) {
   }
 }
 
-std::vector<core::PathDrain> MonitoringCache::drain_all(bool flush_open) {
+std::vector<core::IndexedPathDrain> MonitoringCache::drain_all(
+    bool flush_open) {
   core::VectorSink sink;
   drain_all(sink, flush_open);
-  std::vector<core::IndexedPathDrain> stream = std::move(sink).take();
-  std::vector<core::PathDrain> out;
-  out.reserve(stream.size());
-  for (core::IndexedPathDrain& d : stream) {
-    out.push_back(std::move(d.drain));
-  }
-  return out;
+  return std::move(sink).take();
 }
 
-MonitoringCache::EvictResult MonitoringCache::evict_path_if_idle(
-    std::size_t path, net::Timestamp now, core::ReceiptSink& sink) {
-  EvictResult r;
-  if (!lifecycle_.evict_idle) return r;
-  if (!state_.path_has_state(path)) return r;
+std::optional<core::PathDrain> MonitoringCache::evict_path_if_idle(
+    std::size_t path, net::Timestamp now, LifecycleReport& report) {
+  if (!lifecycle_.evict_idle) return std::nullopt;
+  if (!state_.path_has_state(path)) return std::nullopt;
   // last_at_ns is written by every observed packet (the fused kernel runs
   // the aggregator for each packet), so it is the path's last-activity
   // time; path_has_state guards the never-observed zero.
   const net::Timestamp last{state_.slots[path].hot.last_at_ns};
-  if (now - last < lifecycle_.idle_ttl) return r;
+  if (now - last < lifecycle_.idle_ttl) return std::nullopt;
 
   // Drain through the normal receipt path first — nothing decided is
   // lost.  A path with no receipts to disclose ships nothing: an empty
@@ -415,14 +409,15 @@ MonitoringCache::EvictResult MonitoringCache::evict_path_if_idle(
   // that path (the importer's repeated-key rule) and age round-fed
   // verifier state early.
   core::PathDrain drain = drain_path(path, /*flush_open=*/true);
-  if (!drain.samples.samples.empty() || !drain.aggregates.empty()) {
-    core::emit_drain(sink, path, std::move(drain));
-  }
-  r.dropped_buffered = core::path_evict(state_, path);
-  r.evicted = true;
+  const std::size_t dropped = core::path_evict(state_, path);
+  ++report.evicted_paths;
+  report.dropped_buffered_records += dropped;
   ++lifecycle_totals_.evicted_paths;
-  lifecycle_totals_.dropped_buffered_records += r.dropped_buffered;
-  return r;
+  lifecycle_totals_.dropped_buffered_records += dropped;
+  if (drain.samples.samples.empty() && drain.aggregates.empty()) {
+    return std::nullopt;
+  }
+  return drain;
 }
 
 MonitoringCache::DecayResult MonitoringCache::run_decay_pass() {
@@ -458,20 +453,7 @@ std::size_t MonitoringCache::compact_arenas() {
   return reclaimed;
 }
 
-LifecycleReport MonitoringCache::run_lifecycle(net::Timestamp now,
-                                               core::ReceiptSink& sink) {
-  LifecycleReport report;
-  if (lifecycle_.evict_idle) {
-    for (std::size_t p = 0; p < state_.path_count(); ++p) {
-      const EvictResult r = evict_path_if_idle(p, now, sink);
-      if (r.evicted) {
-        ++report.evicted_paths;
-        report.dropped_buffered_records += r.dropped_buffered;
-      }
-    }
-  }
-  // Decay before the compaction check: the halves it releases count as
-  // garbage and can push this very pass over the watermark.
+void MonitoringCache::decay_and_compact(LifecycleReport& report) {
   const DecayResult d = run_decay_pass();
   report.decayed_slices += d.halved_slices;
   report.decayed_arena_bytes += d.released_bytes;
@@ -481,6 +463,20 @@ LifecycleReport MonitoringCache::run_lifecycle(net::Timestamp now,
     report.reclaimed_arena_bytes += compact_arenas();
     ++report.compactions;
   }
+}
+
+LifecycleReport MonitoringCache::run_lifecycle(net::Timestamp now,
+                                               core::ReceiptSink& sink) {
+  LifecycleReport report;
+  if (lifecycle_.evict_idle) {
+    for (std::size_t p = 0; p < state_.path_count(); ++p) {
+      if (std::optional<core::PathDrain> d =
+              evict_path_if_idle(p, now, report)) {
+        core::emit_drain(sink, p, std::move(*d));
+      }
+    }
+  }
+  decay_and_compact(report);
   return report;
 }
 

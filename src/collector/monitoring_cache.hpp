@@ -33,6 +33,7 @@
 #define VPM_COLLECTOR_MONITORING_CACHE_HPP
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -276,39 +277,45 @@ class MonitoringCache {
   [[nodiscard]] core::PathDrain drain_path(std::size_t path,
                                            bool flush_open = false);
   /// Drain every path in index order (the canonical global receipt-stream
-  /// order the sharded collector's merge step reproduces), streaming each
-  /// path into `sink` as it drains — constant memory in the path count.
-  /// This is the primary drain API; the vector overload below is a
-  /// VectorSink adapter over it.
+  /// order; a sharded collector emits the same order by walking its path
+  /// table), streaming each path into `sink` as it drains — constant
+  /// memory in the path count.  This is the primary drain API; the vector
+  /// overload below is a VectorSink adapter over it.
   void drain_all(core::ReceiptSink& sink, bool flush_open = false);
-  /// Materialized drain (legacy form): collects the sink stream.
-  [[nodiscard]] std::vector<core::PathDrain> drain_all(
+  /// Materialized drain: collects the sink stream.
+  [[nodiscard]] std::vector<core::IndexedPathDrain> drain_all(
       bool flush_open = false);
 
   // --- epoch lifecycle (control plane, alongside drains) ------------------
 
   /// One lifecycle pass at local time `now`: evict paths idle beyond the
   /// configured TTL (each drains begin_path/samples/aggregates(flush)/
-  /// end_path into `sink` first, in ascending path order), then compact
-  /// the arenas if garbage crossed the watermark.  A cache whose lifecycle
-  /// config disables eviction still compacts.
+  /// end_path into `sink` first, in ascending path order), then
+  /// decay_and_compact().  A cache whose lifecycle config disables
+  /// eviction still decays and compacts.
   LifecycleReport run_lifecycle(net::Timestamp now, core::ReceiptSink& sink);
 
   /// Evict `path` now if it holds state and has been idle at least
-  /// `idle_ttl` (no-op unless `evict_idle`).  Exposed so a sharded
-  /// collector can interleave per-shard evictions in global path order.
-  /// Returns {evicted, dropped-buffered-record count}.
-  struct EvictResult {
-    bool evicted = false;
-    std::size_t dropped_buffered = 0;
-  };
-  EvictResult evict_path_if_idle(std::size_t path, net::Timestamp now,
-                                 core::ReceiptSink& sink);
+  /// `idle_ttl` (no-op unless `evict_idle`), counting the eviction and its
+  /// dropped temp-buffer records in `report`.  Returns the path's final
+  /// flushed drain for the caller to emit under its own path index, or
+  /// std::nullopt when nothing was evicted or the evicted path has nothing
+  /// to disclose.  Exposed so a sharded collector can interleave per-shard
+  /// evictions in global path order.
+  std::optional<core::PathDrain> evict_path_if_idle(std::size_t path,
+                                                    net::Timestamp now,
+                                                    LifecycleReport& report);
+
+  /// The per-cache tail of every lifecycle pass: run_decay_pass(), then
+  /// compact_arenas() if compaction_due(), adding both to `report`.
+  /// Decay runs first so the halves it releases count as garbage for the
+  /// same pass's compaction check.
+  void decay_and_compact(LifecycleReport& report);
 
   /// One live-capacity decay observation for every path
-  /// (core::path_decay with the configured streak).  run_lifecycle calls
-  /// this between eviction and the compaction check; exposed so a sharded
-  /// collector can run per-shard passes.  No-op when the decay knob is 0.
+  /// (core::path_decay with the configured streak).  decay_and_compact()
+  /// calls this before the compaction check.  No-op when the decay knob
+  /// is 0.
   struct DecayResult {
     std::size_t halved_slices = 0;
     std::size_t released_bytes = 0;

@@ -30,8 +30,8 @@ ShardedCollector::ShardedCollector(Config cfg,
   src_mask_ = paths.front().source.mask();
   dst_mask_ = paths.front().destination.mask();
 
-  // Partition paths by key hash.  Per-shard subsets keep the global
-  // relative order, so shard-local drains are ascending in global index.
+  // Partition paths by key hash.  path_location_ maps each global index
+  // to its (shard, local) slot: the table drain() and run_lifecycle() walk.
   shards_.resize(cfg.shard_count);
   std::vector<std::vector<net::PrefixPair>> shard_paths(cfg.shard_count);
   path_location_.resize(paths.size());
@@ -246,9 +246,16 @@ void ShardedCollector::stop() {
 // --- control plane --------------------------------------------------------
 
 void ShardedCollector::drain(core::ReceiptSink& sink, bool flush_open) {
-  core::StreamingDrainMerge merge = drain_stream(flush_open);
-  while (std::optional<core::IndexedPathDrain> d = merge.next()) {
-    core::emit_drain(sink, d->path, std::move(d->drain));
+  if (running_) {
+    throw std::logic_error("ShardedCollector: drain while workers run");
+  }
+  // Walk the path table in ascending GLOBAL order: each path drains from
+  // its owning shard's cache, one path resident at a time.
+  for (std::size_t g = 0; g < path_location_.size(); ++g) {
+    const PathLocation loc = path_location_[g];
+    core::emit_drain(sink, g,
+                     shards_[loc.shard].cache->drain_path(loc.local,
+                                                          flush_open));
   }
 }
 
@@ -257,56 +264,6 @@ std::vector<core::IndexedPathDrain> ShardedCollector::drain(bool flush_open) {
   drain(sink, flush_open);
   return std::move(sink).take();
 }
-
-core::StreamingDrainMerge ShardedCollector::drain_stream(bool flush_open) {
-  if (running_) {
-    throw std::logic_error("ShardedCollector: drain_stream while workers run");
-  }
-  std::vector<core::DrainSource> sources;
-  sources.reserve(shards_.size());
-  for (Shard& shard : shards_) {
-    if (!shard.cache) continue;  // unknown-only shard: nothing to stream
-    // Each source walks its shard's paths in (ascending) local order,
-    // draining ONE path per pull and tagging it with the global index.
-    sources.push_back([&shard, flush_open, local = std::size_t{0}]() mutable
-                      -> std::optional<core::IndexedPathDrain> {
-      if (local == shard.global_index.size()) return std::nullopt;
-      const std::size_t i = local++;
-      return core::IndexedPathDrain{
-          .path = shard.global_index[i],
-          .drain = shard.cache->drain_path(i, flush_open)};
-    });
-  }
-  return core::StreamingDrainMerge(std::move(sources));
-}
-
-namespace {
-
-/// Forwards a shard-local eviction drain, rewriting begin_path's
-/// shard-local index to the shard's global index.
-class GlobalIndexSink final : public core::ReceiptSink {
- public:
-  GlobalIndexSink(core::ReceiptSink& inner,
-                  const std::vector<std::size_t>& global_index)
-      : inner_(inner), global_index_(global_index) {}
-
-  void begin_path(std::size_t path_index, const net::PathId& id) override {
-    inner_.begin_path(global_index_[path_index], id);
-  }
-  void on_samples(core::SampleReceipt samples) override {
-    inner_.on_samples(std::move(samples));
-  }
-  void on_aggregate(core::AggregateReceipt aggregate) override {
-    inner_.on_aggregate(std::move(aggregate));
-  }
-  void end_path() override { inner_.end_path(); }
-
- private:
-  core::ReceiptSink& inner_;
-  const std::vector<std::size_t>& global_index_;
-};
-
-}  // namespace
 
 LifecycleReport ShardedCollector::run_lifecycle(net::Timestamp now,
                                                 core::ReceiptSink& sink) {
@@ -319,28 +276,14 @@ LifecycleReport ShardedCollector::run_lifecycle(net::Timestamp now,
   // contract), interleaving across shards.
   for (std::size_t g = 0; g < path_location_.size(); ++g) {
     const PathLocation loc = path_location_[g];
-    Shard& shard = shards_[loc.shard];
-    GlobalIndexSink remap(sink, shard.global_index);
-    const MonitoringCache::EvictResult r =
-        shard.cache->evict_path_if_idle(loc.local, now, remap);
-    if (r.evicted) {
-      ++report.evicted_paths;
-      report.dropped_buffered_records += r.dropped_buffered;
+    if (std::optional<core::PathDrain> d =
+            shards_[loc.shard].cache->evict_path_if_idle(loc.local, now,
+                                                         report)) {
+      core::emit_drain(sink, g, std::move(*d));
     }
   }
   for (Shard& shard : shards_) {
-    if (!shard.cache) continue;
-    const MonitoringCache::DecayResult d = shard.cache->run_decay_pass();
-    report.decayed_slices += d.halved_slices;
-    report.decayed_arena_bytes += d.released_bytes;
-    report.decayed_emitted_vectors += d.halved_emitted;
-    report.decayed_emitted_bytes += d.released_emitted_bytes;
-  }
-  for (Shard& shard : shards_) {
-    if (shard.cache && shard.cache->compaction_due()) {
-      report.reclaimed_arena_bytes += shard.cache->compact_arenas();
-      ++report.compactions;
-    }
+    if (shard.cache) shard.cache->decay_and_compact(report);
   }
   return report;
 }

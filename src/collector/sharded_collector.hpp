@@ -7,8 +7,9 @@
 //
 //   ingest (producers) --route by key--> SPSC queues --> shard workers
 //       each worker owns ONE MonitoringCache over its subset of paths
-//   control plane: per-shard drains merged into one stream ordered by
-//       global path index (exactly the single-threaded drain order).
+//   control plane: a walk over the global path table; each path drains
+//       (or evicts) from its owning shard's cache under its global index,
+//       so the stream is exactly the single-threaded drain order.
 //
 // Invariants the equivalence suite pins down:
 //   * every path key maps to exactly one shard (pure function of the key
@@ -16,9 +17,9 @@
 //   * a path's packets traverse one FIFO queue, so each per-path monitor
 //     sees the same observation sequence the single-threaded cache would,
 //     and per-path receipts are byte-identical;
-//   * the merged drain is ascending by global path index, so the full
-//     receipt stream is byte-identical to a single MonitoringCache drain
-//     over the same path table, for any shard count and batch slicing.
+//   * the drain is ascending by global path index, so the full receipt
+//     stream is byte-identical to a single MonitoringCache drain over the
+//     same path table, for any shard count and batch slicing.
 //
 // Threading model.  Two ingest modes share the routing logic:
 //   * synchronous — observe()/observe_batch() route and dispatch on the
@@ -27,7 +28,7 @@
 //   * threaded — start(P) spawns one worker per shard and one bounded
 //     SPSC queue per (producer, shard) pair; up to P producer threads
 //     call feed(p, ...) concurrently (each with its own producer index).
-//     Determinism of the merged output additionally requires that each
+//     Determinism of the drained output additionally requires that each
 //     path's traffic arrives through one producer, since batches from
 //     different producers interleave at the shard arbitrarily.
 // Control-plane calls (drain, stats) require the workers to be stopped.
@@ -43,7 +44,6 @@
 
 #include "collector/monitoring_cache.hpp"
 #include "collector/spsc_queue.hpp"
-#include "core/receipt_merge.hpp"
 #include "net/packet.hpp"
 #include "net/prefix.hpp"
 
@@ -158,36 +158,24 @@ class ShardedCollector {
 
   // --- control plane (workers must be stopped) ---------------------------
 
-  /// Drain every shard and merge into one stream ascending by global path
-  /// index — byte-identical to MonitoringCache::drain_all over the same
-  /// path table — streaming each merged path drain into `sink` as the
-  /// k-way merge (StreamingDrainMerge, one in-flight drain per shard)
-  /// produces it, so the whole 100k-path drain never materializes.  This
-  /// is the primary drain API; the vector overload is a VectorSink
+  /// Drain every path in ascending global path index — byte-identical to
+  /// MonitoringCache::drain_all over the same path table — by walking the
+  /// path table and streaming each path's drain from its owning shard's
+  /// cache into `sink`, so the whole 100k-path drain never materializes.
+  /// This is the primary drain API; the vector overload is a VectorSink
   /// adapter over it.  Throws std::logic_error if workers are running.
   void drain(core::ReceiptSink& sink, bool flush_open = false);
-  /// Materialized drain (legacy form): collects the sink stream.
+  /// Materialized drain: collects the sink stream.
   [[nodiscard]] std::vector<core::IndexedPathDrain> drain(
       bool flush_open = false);
 
-  /// Streaming variant of drain(): returns a lazy merge whose sources pull
-  /// ONE path drain per shard at a time (constant memory in the path
-  /// count), yielding the exact stream drain() materializes — so the
-  /// processor module can ship dissemination batches while later paths
-  /// are still draining.  Constructing the merge consumes nothing (an
-  /// abandoned merge loses no receipts); each next() drains shard state
-  /// lazily and destructively, so the collector must stay alive and
-  /// stopped until the merge is dropped or exhausted.  Throws
-  /// std::logic_error if workers are running.
-  [[nodiscard]] core::StreamingDrainMerge drain_stream(
-      bool flush_open = false);
-
-  /// One epoch-lifecycle pass across every shard, in ascending GLOBAL
-  /// path order: each shard cache's idle paths are evicted (their drains
-  /// stream into `sink` with the global path index, same begin/.../end
-  /// contract as drain()), then each shard compacts if its garbage
-  /// crossed the watermark.  Throws std::logic_error if workers are
-  /// running.
+  /// One epoch-lifecycle pass: the same path-table walk as drain(), each
+  /// idle path evicted from its owning shard's cache and its final drain
+  /// streamed into `sink` under its global index (same begin/.../end
+  /// contract as drain()), then each shard cache's decay_and_compact().
+  /// Evictions, dropped records and decay counts equal a single
+  /// MonitoringCache's over the same paths; compactions count once per
+  /// shard cache.  Throws std::logic_error if workers are running.
   LifecycleReport run_lifecycle(net::Timestamp now, core::ReceiptSink& sink);
 
   /// Summed arena accounting across shard caches (workers must be

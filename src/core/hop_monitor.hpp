@@ -117,8 +117,7 @@ class HopMonitor {
   }
 
   /// Control-plane drain hook: samples plus closed aggregates in one unit
-  /// (what the processor module ships per reporting period; the sharded
-  /// collector's merge step consumes these).
+  /// (what the processor module ships per reporting period).
   [[nodiscard]] PathDrain drain(bool flush_open = false) {
     return PathDrain{.samples = collect_samples(),
                      .aggregates = collect_aggregates(flush_open)};

@@ -22,6 +22,7 @@
 #ifndef VPM_CORE_RECEIPT_HPP
 #define VPM_CORE_RECEIPT_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -93,13 +94,23 @@ struct AggregateReceipt {
 
 /// Everything one path's monitor discloses in one control-plane drain: the
 /// sample receipt plus the closed aggregates.  This is the unit the
-/// processor module ships per reporting period, and the unit the sharded
-/// collector's merge step reorders into a global stream.
+/// processor module ships per reporting period.
 struct PathDrain {
   SampleReceipt samples;
   std::vector<AggregateReceipt> aggregates;
 
   friend bool operator==(const PathDrain&, const PathDrain&) = default;
+};
+
+/// One path's drain tagged with its global path index (the index a
+/// single-cache collector over the same path table would use; a sharded
+/// collector's shard-local indices never leak).
+struct IndexedPathDrain {
+  std::size_t path = 0;
+  PathDrain drain;
+
+  friend bool operator==(const IndexedPathDrain&,
+                         const IndexedPathDrain&) = default;
 };
 
 // --- Receipt combination (Section 4, "Receipt Combination") -------------

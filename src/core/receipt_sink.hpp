@@ -4,11 +4,13 @@
 // The paper's processor module ships receipts to other domains as
 // authenticated wire batches (§2.3, §7.1); materializing a 100k-path drain
 // as std::vector<PathDrain> first would cost hundreds of MB the hardware
-// does not have.  A ReceiptSink is the push-based counterpart of
-// core::StreamingDrainMerge: every drain producer (MonitoringCache,
-// ShardedCollector, pipeline elements) streams receipts into a sink one
-// path at a time, so a consumer that encodes-and-forgets (the wire
-// exporter) runs in constant memory regardless of path count.
+// does not have.  A ReceiptSink is the one egress seam: every drain
+// producer (MonitoringCache, ShardedCollector, pipeline elements) streams
+// receipts into a sink one path at a time, so a consumer that
+// encodes-and-forgets (the wire exporter) runs in constant memory
+// regardless of path count.  A sharded collector emits its paths by
+// walking its global path table, so the stream order never depends on the
+// shard count.
 //
 // Contract, per drained path, in ascending global-path-index order:
 //
@@ -19,9 +21,9 @@
 //
 // The receipts arrive by value: the producer has already detached them
 // from its internal state (drains are destructive), so the sink may move
-// them without copying.  The legacy vector-returning drains are thin
-// adapters over VectorSink — byte-identical streams, pinned by the
-// existing equivalence suites.
+// them without copying.  The vector-returning drains of both collectors
+// are thin adapters over VectorSink and return the same
+// std::vector<IndexedPathDrain>.
 #ifndef VPM_CORE_RECEIPT_SINK_HPP
 #define VPM_CORE_RECEIPT_SINK_HPP
 
@@ -30,7 +32,6 @@
 #include <vector>
 
 #include "core/receipt.hpp"
-#include "core/receipt_merge.hpp"
 #include "net/path_id.hpp"
 
 namespace vpm::core {
@@ -53,17 +54,18 @@ class ReceiptSink {
   virtual void end_path() = 0;
 };
 
-/// Replay one materialized path drain into a sink (the adapter between
-/// the legacy vector world and the streaming world; also how tests replay
-/// recorded drains through production sinks).
+/// Emit one path drain into a sink under `path_index`, following the
+/// contract above.  Both collectors emit every drained or evicted path
+/// through this; tests use it to replay recorded drains through
+/// production sinks.
 void emit_drain(ReceiptSink& sink, std::size_t path_index, PathDrain drain);
 
-/// Replay a merged drain stream into a sink.
+/// Replay a materialized drain stream into a sink.
 void emit_stream(ReceiptSink& sink, std::vector<IndexedPathDrain> stream);
 
-/// Collects a sink-based drain into the materialized legacy form.  The
-/// vector drains are implemented as exactly this adapter, so the legacy
-/// equivalence suites pin the sink refactor for free.
+/// Collects a sink stream into a std::vector<IndexedPathDrain>.  Both
+/// collectors' vector drains are this adapter over their sink drains, so
+/// the equivalence suites that compare vectors also pin the sink drains.
 class VectorSink final : public ReceiptSink {
  public:
   void begin_path(std::size_t path_index, const net::PathId& id) override;

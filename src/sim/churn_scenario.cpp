@@ -217,12 +217,12 @@ ChurnScenarioResult run_churn_scenario(const ChurnScenarioConfig& cfg) {
       exporters[h]->flush();
       sealed_by_round[h].push_back(exporters[h]->next_sequence() - 1);
 
-      std::vector<core::PathDrain> drains =
-          ref[h]->drain_all(/*flush_open=*/false);
-      for (std::size_t p = 0; p < drains.size(); ++p) {
-        append_drain(result.ref_concat[h][p], ref_have[h][p], drains[p]);
-        ref_verifiers[p].add_round(result.layout.hops[h],
-                                   std::move(drains[p]));
+      for (core::IndexedPathDrain& d :
+           ref[h]->drain_all(/*flush_open=*/false)) {
+        append_drain(result.ref_concat[h][d.path], ref_have[h][d.path],
+                     d.drain);
+        ref_verifiers[d.path].add_round(result.layout.hops[h],
+                                        std::move(d.drain));
       }
     }
 
@@ -261,12 +261,11 @@ ChurnScenarioResult run_churn_scenario(const ChurnScenarioConfig& cfg) {
     churn[h]->drain(*exporters[h], /*flush_open=*/true);
     exporters[h]->finish();
 
-    std::vector<core::PathDrain> drains =
-        ref[h]->drain_all(/*flush_open=*/true);
-    for (std::size_t p = 0; p < drains.size(); ++p) {
-      append_drain(result.ref_concat[h][p], ref_have[h][p], drains[p]);
-      ref_verifiers[p].add_round(result.layout.hops[h],
-                                 std::move(drains[p]));
+    for (core::IndexedPathDrain& d : ref[h]->drain_all(/*flush_open=*/true)) {
+      append_drain(result.ref_concat[h][d.path], ref_have[h][d.path],
+                   d.drain);
+      ref_verifiers[d.path].add_round(result.layout.hops[h],
+                                      std::move(d.drain));
     }
   }
   consume_round();

@@ -58,6 +58,14 @@ void validate(const ScenarioConfig& cfg) {
   if (cfg.round_length <= net::Duration{0}) {
     throw std::invalid_argument("scenario: non-positive round length");
   }
+  // A negative delay would have a HOP see a packet before its upstream
+  // sent it; a negative jitter or max_diff silently means something else.
+  if (cfg.domain_delay < net::Duration{0} ||
+      cfg.link_delay < net::Duration{0} || cfg.jitter < net::Duration{0} ||
+      cfg.max_diff < net::Duration{0}) {
+    throw std::invalid_argument(
+        "scenario: negative domain_delay, link_delay, jitter or max_diff");
+  }
   if (cfg.route_flap.duration_rounds != 0 &&
       cfg.route_flap.paths >= cfg.paths) {
     throw std::invalid_argument(

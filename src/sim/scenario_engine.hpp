@@ -138,10 +138,11 @@ struct ScenarioOutcome {
 
 /// Run one scenario.  Deterministic per config.  Throws
 /// std::invalid_argument on malformed configs: fewer than three domains,
-/// unknown loss/jitter/adversary domain names, an adversary domain that is
-/// not a transit domain, two adversary entries for one domain, a route
-/// flap withdrawing every path, a link_down index out of range, fault
-/// delays the gap patience cannot cover, or any fed_* key (those configure
+/// a negative domain_delay, link_delay, jitter or max_diff, unknown
+/// loss/jitter/adversary domain names, an adversary domain that is not a
+/// transit domain, two adversary entries for one domain, a route flap
+/// withdrawing every path, a link_down index out of range, fault delays
+/// the gap patience cannot cover, or any fed_* key (those configure
 /// run_federation_scenario).
 [[nodiscard]] ScenarioOutcome run_scenario(const ScenarioConfig& cfg);
 

@@ -16,22 +16,16 @@ namespace vpm::sim {
 std::vector<std::byte> encode_drain_stream(
     const std::vector<core::IndexedPathDrain>& stream) {
   net::ByteWriter w;
-  core::encode_stream(stream, w);
+  for (const core::IndexedPathDrain& d : stream) {
+    core::encode(d.drain.samples, w);
+    for (const core::AggregateReceipt& r : d.drain.aggregates) {
+      core::encode(r, w);
+    }
+  }
   return std::move(w).take();
 }
 
 namespace {
-
-std::vector<core::IndexedPathDrain> index_drains(
-    std::vector<core::PathDrain> drains) {
-  std::vector<core::IndexedPathDrain> out;
-  out.reserve(drains.size());
-  for (std::size_t i = 0; i < drains.size(); ++i) {
-    out.push_back(
-        core::IndexedPathDrain{.path = i, .drain = std::move(drains[i])});
-  }
-  return out;
-}
 
 /// Replay `packets` as observe_batch slices with RNG-drawn boundaries.
 template <typename Feed>
@@ -68,7 +62,7 @@ ShardScenarioResult run_shard_scenario(const ShardScenarioConfig& cfg) {
   // --- reference: one cache, one thread, whole trace in one batch.
   collector::MonitoringCache single(ccfg, multi.paths);
   single.observe_batch(multi.packets);
-  r.single = index_drains(single.drain_all(/*flush_open=*/true));
+  r.single = single.drain_all(/*flush_open=*/true);
   r.single_ops = single.ops();
   r.single_unknown = single.unknown_path_packets();
 

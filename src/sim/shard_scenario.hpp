@@ -22,7 +22,7 @@
 
 #include "collector/monitoring_cache.hpp"
 #include "core/config.hpp"
-#include "core/receipt_merge.hpp"
+#include "core/receipt.hpp"
 #include "net/digest.hpp"
 #include "net/time.hpp"
 
@@ -57,7 +57,7 @@ struct ShardScenarioConfig {
 struct ShardScenarioResult {
   /// Reference: the single-threaded cache's drain, ascending path index.
   std::vector<core::IndexedPathDrain> single;
-  /// The sharded collector's merged drain, same order contract.
+  /// The sharded collector's drain, same order contract.
   std::vector<core::IndexedPathDrain> sharded;
   /// Wire encodings of the two streams (the equivalence identity).
   std::vector<std::byte> single_bytes;
@@ -80,7 +80,9 @@ struct ShardScenarioResult {
 [[nodiscard]] ShardScenarioResult run_shard_scenario(
     const ShardScenarioConfig& cfg);
 
-/// Wire-encode a merged drain stream (helper shared by tests).
+/// Wire-encode a drain stream: per path, the sample receipt then each
+/// aggregate receipt, in stream order.  Byte-comparing two encodings is
+/// the equivalence suites' identity check.
 [[nodiscard]] std::vector<std::byte> encode_drain_stream(
     const std::vector<core::IndexedPathDrain>& stream);
 

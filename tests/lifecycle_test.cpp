@@ -185,7 +185,9 @@ TEST(Lifecycle, TtlEvictionDrainsReceiptsThenReclaims) {
   EXPECT_GT(cache.state().arena_bytes(), 0u);
   const auto drains = cache.drain_all(/*flush_open=*/true);
   std::size_t records = 0;
-  for (const core::PathDrain& d : drains) records += d.samples.samples.size();
+  for (const core::IndexedPathDrain& d : drains) {
+    records += d.drain.samples.samples.size();
+  }
   EXPECT_GT(records, 0u) << "revived paths must produce receipts again";
 }
 
@@ -232,14 +234,14 @@ TEST(Lifecycle, EvictionPreservesConcatenatedReceiptStreams) {
   }
   for (const core::IndexedPathDrain& d : evicted.stream()) {
     core::PathDrain combined = d.drain;
-    const core::PathDrain& later = lifecycle_final[d.path];
+    const core::PathDrain& later = lifecycle_final[d.path].drain;
     combined.samples.samples.insert(combined.samples.samples.end(),
                                     later.samples.samples.begin(),
                                     later.samples.samples.end());
     combined.aggregates.insert(combined.aggregates.end(),
                                later.aggregates.begin(),
                                later.aggregates.end());
-    EXPECT_EQ(combined, plain_final[d.path])
+    EXPECT_EQ(combined, plain_final[d.path].drain)
         << "evicted path " << d.path << " must conserve its receipts";
   }
 }
@@ -360,6 +362,11 @@ TEST(ShardedLifecycle, DecayMatchesSingleCache) {
   EXPECT_EQ(sharded.arena_live_bytes(), single.arena_live_bytes());
 }
 
+// The sharded lifecycle pass walks the global path table, so for any
+// shard count its eviction stream and report equal the single cache's —
+// including 16 shards over 8 paths, which leaves shards without a cache.
+// Pass 1 skips live paths (a keepalive keeps paths 0..3 under the TTL);
+// pass 2 evicts everything left.
 TEST(ShardedLifecycle, MatchesSingleCacheLifecycle) {
   const Workload w = make_workload(6);
   auto cfg = cache_config();
@@ -367,40 +374,83 @@ TEST(ShardedLifecycle, MatchesSingleCacheLifecycle) {
       .evict_idle = true,
       .idle_ttl = net::milliseconds(300),
       .compact_garbage_fraction = 0.0,
+      .decay_low_occupancy_drains = 1,
   };
+  const auto keepalive = w.phase(net::milliseconds(500), 4);
+  ASSERT_FALSE(keepalive.empty());
 
-  collector::MonitoringCache single(cfg, w.multi.paths);
-  collector::ShardedCollector::Config scfg;
-  scfg.cache = cfg;
-  scfg.shard_count = 4;
-  collector::ShardedCollector sharded(scfg, w.multi.paths);
+  for (const std::size_t shards : {1u, 3u, 8u, 16u}) {
+    SCOPED_TRACE(::testing::Message() << shards << " shards");
+    collector::MonitoringCache single(cfg, w.multi.paths);
+    collector::ShardedCollector::Config scfg;
+    scfg.cache = cfg;
+    scfg.shard_count = shards;
+    collector::ShardedCollector sharded(scfg, w.multi.paths);
+    // Shard caches holding arena bytes: with a zero watermark each one
+    // compacts in the next pass (it then holds relocation, decay or
+    // eviction garbage), as the single cache does.
+    const auto holding_arenas = [&] {
+      std::size_t n = 0;
+      for (std::size_t s = 0; s < shards; ++s) {
+        const collector::MonitoringCache* c = sharded.shard_cache(s);
+        if (c != nullptr && c->state().arena_bytes() > 0) ++n;
+      }
+      return n;
+    };
 
-  single.observe_batch(w.multi.packets);
-  sharded.observe_batch(w.multi.packets);
+    single.observe_batch(w.multi.packets);
+    sharded.observe_batch(w.multi.packets);
 
-  // Drain the periodic round first (both), then run the lifecycle pass.
-  core::VectorSink single_drain;
-  single.drain_all(single_drain, /*flush_open=*/false);
-  core::VectorSink sharded_drain;
-  sharded.drain(sharded_drain, /*flush_open=*/false);
-  ASSERT_EQ(sharded_drain.stream(), single_drain.stream());
+    // Drain the periodic round first (both), then run the lifecycle passes.
+    core::VectorSink single_drain;
+    single.drain_all(single_drain, /*flush_open=*/false);
+    core::VectorSink sharded_drain;
+    sharded.drain(sharded_drain, /*flush_open=*/false);
+    ASSERT_EQ(sharded_drain.stream(), single_drain.stream());
 
-  const net::Timestamp now{net::seconds(2).nanoseconds()};
-  core::VectorSink single_evicted;
-  const collector::LifecycleReport single_report =
-      single.run_lifecycle(now, single_evicted);
-  core::VectorSink sharded_evicted;
-  const collector::LifecycleReport sharded_report =
-      sharded.run_lifecycle(now, sharded_evicted);
+    single.observe_batch(keepalive);
+    sharded.observe_batch(keepalive);
 
-  EXPECT_EQ(sharded_report.evicted_paths, single_report.evicted_paths);
-  EXPECT_EQ(sharded_report.dropped_buffered_records,
-            single_report.dropped_buffered_records);
-  EXPECT_EQ(sharded_evicted.stream(), single_evicted.stream())
-      << "sharded eviction drains must match the single cache's, in "
-         "ascending global order";
-  EXPECT_EQ(sharded.arena_bytes(), 0u);
-  EXPECT_EQ(sharded.arena_garbage_bytes(), 0u);
+    const net::Timestamp passes[] = {
+        net::Timestamp{net::milliseconds(700).nanoseconds()},
+        net::Timestamp{net::seconds(2).nanoseconds()}};
+    for (std::size_t pass = 0; pass < 2; ++pass) {
+      SCOPED_TRACE(::testing::Message() << "pass " << pass);
+      const std::size_t compacting = holding_arenas();
+      ASSERT_GT(compacting, 0u);
+      core::VectorSink single_evicted;
+      const collector::LifecycleReport single_report =
+          single.run_lifecycle(passes[pass], single_evicted);
+      core::VectorSink sharded_evicted;
+      const collector::LifecycleReport sharded_report =
+          sharded.run_lifecycle(passes[pass], sharded_evicted);
+
+      EXPECT_EQ(single_report.evicted_paths, 4u);
+      EXPECT_EQ(sharded_evicted.stream(), single_evicted.stream())
+          << "sharded eviction drains must match the single cache's, in "
+             "ascending global order";
+      EXPECT_EQ(sharded_report.evicted_paths, single_report.evicted_paths);
+      EXPECT_EQ(sharded_report.dropped_buffered_records,
+                single_report.dropped_buffered_records);
+      EXPECT_EQ(sharded_report.decayed_slices, single_report.decayed_slices);
+      EXPECT_EQ(sharded_report.decayed_arena_bytes,
+                single_report.decayed_arena_bytes);
+      EXPECT_EQ(sharded_report.decayed_emitted_vectors,
+                single_report.decayed_emitted_vectors);
+      EXPECT_EQ(sharded_report.decayed_emitted_bytes,
+                single_report.decayed_emitted_bytes);
+      // Garbage is a per-path sum, so both reclaim the same bytes; the
+      // single cache compacts once, the sharded collector once per shard
+      // cache that held arenas (the same count at one shard).
+      EXPECT_EQ(sharded_report.reclaimed_arena_bytes,
+                single_report.reclaimed_arena_bytes);
+      EXPECT_EQ(single_report.compactions, 1u);
+      EXPECT_EQ(sharded_report.compactions, compacting);
+      EXPECT_EQ(sharded.arena_live_bytes(), single.arena_live_bytes());
+    }
+    EXPECT_EQ(sharded.arena_bytes(), 0u);
+    EXPECT_EQ(sharded.arena_garbage_bytes(), 0u);
+  }
 }
 
 }  // namespace

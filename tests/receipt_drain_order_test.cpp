@@ -1,20 +1,19 @@
-// Receipt drain ordering and the per-shard drain merge.  The wire codec
-// rejects receipts with backward time steps, and periodic reporting
-// rounds must concatenate into the one-shot stream.
+// Receipt drain ordering within one path.  The wire codec rejects
+// receipts with backward time steps, and periodic reporting rounds must
+// concatenate into the one-shot stream.
 //
 // Pinned properties:
 //   * periodic control-plane drains concatenate into exactly the stream a
 //     single end-of-run drain yields (draining early never reorders,
 //     drops, or duplicates receipts);
-//   * drained receipts are monotonically time-ordered per path;
-//   * per-shard drain streams merge into global path-index order, and the
-//     merge rejects duplicate or out-of-order path indices.
+//   * drained receipts are monotonically time-ordered per path.
+// The order ACROSS paths (ascending global path index, whatever the shard
+// count) is pinned by ShardedEquivalence.* and ShardedLifecycle.*.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "collector/monitoring_cache.hpp"
-#include "core/receipt_merge.hpp"
 #include "helpers.hpp"
 #include "trace/synthetic_trace.hpp"
 
@@ -96,34 +95,6 @@ TEST(ReceiptDrainOrder, DrainedReceiptsAreMonotonePerPath) {
   const PathDrain all = periodic_drain(cache, trace, 7);
   ASSERT_GT(all.aggregates.size(), 5u);
   expect_monotone(all);
-}
-
-// ------------------------------------------------------------ merge rules
-
-TEST(ReceiptMerge, PathDrainMergeRejectsDuplicatesAndDisorder) {
-  auto drain_for = [](std::size_t path) {
-    return IndexedPathDrain{.path = path, .drain = {}};
-  };
-  // Duplicate path index across shards.
-  std::vector<std::vector<IndexedPathDrain>> dup;
-  dup.push_back({drain_for(0), drain_for(2)});
-  dup.push_back({drain_for(2)});
-  EXPECT_THROW((void)merge_path_drains(std::move(dup)),
-               std::invalid_argument);
-  // Out-of-order shard stream.
-  std::vector<std::vector<IndexedPathDrain>> unordered;
-  unordered.push_back({drain_for(3), drain_for(1)});
-  EXPECT_THROW((void)merge_path_drains(std::move(unordered)),
-               std::invalid_argument);
-  // Well-formed: global ascending order restored from shard streams.
-  std::vector<std::vector<IndexedPathDrain>> ok;
-  ok.push_back({drain_for(1), drain_for(4)});
-  ok.push_back({drain_for(0), drain_for(2), drain_for(3)});
-  const auto merged = merge_path_drains(std::move(ok));
-  ASSERT_EQ(merged.size(), 5u);
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i].path, i);
-  }
 }
 
 }  // namespace

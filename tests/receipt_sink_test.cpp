@@ -103,13 +103,13 @@ TEST(ReceiptSink, CacheSinkDrainMatchesVectorDrain) {
 
   core::VectorSink sink;
   a.drain_all(sink, /*flush_open=*/true);
-  const std::vector<core::PathDrain> legacy =
+  const std::vector<core::IndexedPathDrain> legacy =
       b.drain_all(/*flush_open=*/true);
 
   ASSERT_EQ(sink.stream().size(), legacy.size());
   for (std::size_t p = 0; p < legacy.size(); ++p) {
     EXPECT_EQ(sink.stream()[p].path, p);
-    EXPECT_EQ(sink.stream()[p].drain, legacy[p]) << "path " << p;
+    EXPECT_EQ(sink.stream()[p], legacy[p]) << "path " << p;
   }
 }
 
@@ -165,7 +165,7 @@ TEST(ReceiptSink, PipelineReportStreamsEveryCollectorElement) {
   pipeline.report(sink, /*flush_open=*/true);
   const auto expected = twin.drain_all(/*flush_open=*/true);
   ASSERT_EQ(sink.stream().size(), expected.size());
-  EXPECT_EQ(sink.stream()[0].drain, expected[0]);
+  EXPECT_EQ(sink.stream()[0], expected[0]);
 
   // Non-collector elements contribute nothing; a second report after the
   // drain yields the path again, now empty of receipts.

@@ -163,6 +163,17 @@ TEST(ScenarioEngine, ValidatesConfigs) {
       (void)run_scenario(parse_scenario(
           "domains=S,X,D adversary.X=hide_loss adversary.X=cover")),
       std::invalid_argument);
+  // Physical quantities may not be negative: a HOP would see a packet
+  // before its upstream sent it, jitter would silently vanish, and a
+  // negative max_diff would implicate every honest link.
+  EXPECT_THROW((void)run_scenario(cfg_of("link_delay_us=-1000000")),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(cfg_of("domain_delay_us=-2000000")),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(cfg_of("jitter_domain=X jitter_us=-100")),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(cfg_of("max_diff_us=-5")),
+               std::invalid_argument);
   // A route flap may not withdraw every path.
   EXPECT_THROW((void)run_scenario(cfg_of("paths=2 route_flap=2:1:1")),
                std::invalid_argument);

@@ -4,7 +4,7 @@
 // receipt byte.  Bias resistance (§5.1) and the subset properties (§5.2,
 // §6.2) are statements about WHICH packets get sampled/cut and what the
 // receipts disclose, so the identity we pin is: the sharded collector's
-// merged drain, wire-encoded, equals the single-threaded MonitoringCache's
+// drain, wire-encoded, equals the single-threaded MonitoringCache's
 // drain over the same trace, byte for byte.
 //
 // Coverage axes (the acceptance grid): ≥10 seeds, each with a different
@@ -239,13 +239,13 @@ TEST(ShardedPlacement, AllKnobsOnReceiptsUnchangedThreaded) {
   ASSERT_EQ(sharded_drain.size(), mono_drain.size());
   for (std::size_t i = 0; i < sharded_drain.size(); ++i) {
     EXPECT_EQ(sharded_drain[i].path, i);
-    EXPECT_EQ(sharded_drain[i].drain, mono_drain[i]) << "drain entry " << i;
+    EXPECT_EQ(sharded_drain[i], mono_drain[i]) << "drain entry " << i;
   }
 }
 
 TEST(ShardedPlacement, FirstTouchDrainWithoutTraffic) {
   // Shards that never saw a packet still owe their (empty) per-path
-  // drains — the merged stream's path set must not depend on which
+  // drains — the drained stream's path set must not depend on which
   // shards got traffic.
   const auto multi = placement_workload();
   collector::ShardedCollector sharded(sharded_config(4), multi.paths);

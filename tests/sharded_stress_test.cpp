@@ -3,7 +3,7 @@
 // the SPSC queues, asserting
 //   * no receipt loss or duplication (drained aggregate counts reproduce
 //     the per-path ground truth exactly),
-//   * deterministic merged output across repeated runs,
+//   * deterministic drained output across repeated runs,
 //   * correctness under backpressure (tiny queue bounds force producers
 //     to spin on full rings while workers drain them).
 #include <gtest/gtest.h>
@@ -48,7 +48,7 @@ TEST(ShardedStress, DeterministicAndLosslessAcrossTenRuns) {
   EXPECT_TRUE(first.byte_identical);
 
   // ...and byte-identical across reruns: queue interleavings and thread
-  // scheduling must never leak into the merged stream.
+  // scheduling must never leak into the drained stream.
   for (int run = 1; run < 10; ++run) {
     const ShardScenarioResult again = run_shard_scenario(stress_config());
     ASSERT_EQ(again.sharded_bytes, first.sharded_bytes) << "run " << run;

@@ -29,7 +29,6 @@
 #include "collector/sharded_collector.hpp"
 #include "core/config.hpp"
 #include "core/path_state.hpp"
-#include "core/receipt_merge.hpp"
 #include "sim/shard_scenario.hpp"
 #include "trace/synthetic_trace.hpp"
 
@@ -419,13 +418,7 @@ TEST_P(SoaGoldenEquivalence, ReceiptStreamsMatchPreRefactorReference) {
         multi.packets, drain_at, seed,
         [&](std::span<const Packet> slice) { cache.observe_batch(slice); },
         [&](bool flush) {
-          std::vector<IndexedPathDrain> stream;
-          auto drains = cache.drain_all(flush);
-          for (std::size_t p = 0; p < drains.size(); ++p) {
-            stream.push_back(IndexedPathDrain{
-                .path = p, .drain = std::move(drains[p])});
-          }
-          return sim::encode_drain_stream(stream);
+          return sim::encode_drain_stream(cache.drain_all(flush));
         });
     EXPECT_EQ(cache_bytes, ref_bytes) << "cache, seed " << seed;
     // The single-hash budget survives the refactor.
