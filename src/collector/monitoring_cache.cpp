@@ -382,7 +382,7 @@ core::PathDrain MonitoringCache::drain_path(std::size_t path,
 
 void MonitoringCache::drain_all(core::ReceiptSink& sink, bool flush_open) {
   for (std::size_t p = 0; p < state_.path_count(); ++p) {
-    core::emit_drain(sink, p, drain_path(p, flush_open));
+    sink.on_drain(p, drain_path(p, flush_open));
   }
 }
 
@@ -472,7 +472,7 @@ LifecycleReport MonitoringCache::run_lifecycle(net::Timestamp now,
     for (std::size_t p = 0; p < state_.path_count(); ++p) {
       if (std::optional<core::PathDrain> d =
               evict_path_if_idle(p, now, report)) {
-        core::emit_drain(sink, p, std::move(*d));
+        sink.on_drain(p, std::move(*d));
       }
     }
   }

@@ -289,8 +289,8 @@ class MonitoringCache {
   // --- epoch lifecycle (control plane, alongside drains) ------------------
 
   /// One lifecycle pass at local time `now`: evict paths idle beyond the
-  /// configured TTL (each drains begin_path/samples/aggregates(flush)/
-  /// end_path into `sink` first, in ascending path order), then
+  /// configured TTL (each hands its final drain, open aggregate flushed,
+  /// to `sink` first, in ascending path order), then
   /// decay_and_compact().  A cache whose lifecycle config disables
   /// eviction still decays and compacts.
   LifecycleReport run_lifecycle(net::Timestamp now, core::ReceiptSink& sink);

@@ -253,9 +253,8 @@ void ShardedCollector::drain(core::ReceiptSink& sink, bool flush_open) {
   // its owning shard's cache, one path resident at a time.
   for (std::size_t g = 0; g < path_location_.size(); ++g) {
     const PathLocation loc = path_location_[g];
-    core::emit_drain(sink, g,
-                     shards_[loc.shard].cache->drain_path(loc.local,
-                                                          flush_open));
+    sink.on_drain(g, shards_[loc.shard].cache->drain_path(loc.local,
+                                                           flush_open));
   }
 }
 
@@ -279,7 +278,7 @@ LifecycleReport ShardedCollector::run_lifecycle(net::Timestamp now,
     if (std::optional<core::PathDrain> d =
             shards_[loc.shard].cache->evict_path_if_idle(loc.local, now,
                                                          report)) {
-      core::emit_drain(sink, g, std::move(*d));
+      sink.on_drain(g, std::move(*d));
     }
   }
   for (Shard& shard : shards_) {

@@ -16,10 +16,10 @@
 //     and the shard count — stable across table rebuilds and resizes);
 //   * a path's packets traverse one FIFO queue, so each per-path monitor
 //     sees the same observation sequence the single-threaded cache would,
-//     and per-path receipts are byte-identical;
+//     and per-path receipts are equal;
 //   * the drain is ascending by global path index, so the full receipt
-//     stream is byte-identical to a single MonitoringCache drain over the
-//     same path table, for any shard count and batch slicing.
+//     stream equals a single MonitoringCache drain over the same path
+//     table, receipt for receipt, for any shard count and batch slicing.
 //
 // Threading model.  Two ingest modes share the routing logic:
 //   * synchronous — observe()/observe_batch() route and dispatch on the
@@ -158,10 +158,11 @@ class ShardedCollector {
 
   // --- control plane (workers must be stopped) ---------------------------
 
-  /// Drain every path in ascending global path index — byte-identical to
-  /// MonitoringCache::drain_all over the same path table — by walking the
-  /// path table and streaming each path's drain from its owning shard's
-  /// cache into `sink`, so the whole 100k-path drain never materializes.
+  /// Drain every path in ascending global path index — equal, receipt for
+  /// receipt, to MonitoringCache::drain_all over the same path table — by
+  /// walking the path table and handing each path's drain from its owning
+  /// shard's cache to `sink`, so the whole 100k-path drain never
+  /// materializes.
   /// This is the primary drain API; the vector overload is a VectorSink
   /// adapter over it.  Throws std::logic_error if workers are running.
   void drain(core::ReceiptSink& sink, bool flush_open = false);
@@ -171,8 +172,8 @@ class ShardedCollector {
 
   /// One epoch-lifecycle pass: the same path-table walk as drain(), each
   /// idle path evicted from its owning shard's cache and its final drain
-  /// streamed into `sink` under its global index (same begin/.../end
-  /// contract as drain()), then each shard cache's decay_and_compact().
+  /// handed to `sink` under its global index (one on_drain per path, as
+  /// in drain()), then each shard cache's decay_and_compact().
   /// Evictions, dropped records and decay counts equal a single
   /// MonitoringCache's over the same paths; compactions count once per
   /// shard cache.  Throws std::logic_error if workers are running.

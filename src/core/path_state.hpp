@@ -28,8 +28,8 @@
 // per-packet steps: DelaySampler and Aggregator wrap a 1-path block of
 // this storage, HopMonitor wraps a fused 1-path block, and
 // MonitoringCache runs the same kernels over an N-path block.  Receipt
-// streams are byte-identical to the pre-SoA per-object implementation
-// (pinned by tests/soa_equivalence_test.cpp).
+// streams equal the pre-SoA per-object implementation's, receipt for
+// receipt (pinned by tests/soa_equivalence_test.cpp).
 #ifndef VPM_CORE_PATH_STATE_HPP
 #define VPM_CORE_PATH_STATE_HPP
 

@@ -6,13 +6,6 @@
 namespace vpm::core {
 namespace {
 
-constexpr std::uint8_t kSampleTag = 0x01;
-constexpr std::uint8_t kAggregateTag = 0x02;
-
-/// Sample record times are carried as microsecond offsets from the receipt
-/// epoch; bit 31 flags a marker.
-constexpr std::uint32_t kMarkerBit = 0x80000000u;
-
 void require_same_path(const net::PathId& a, const net::PathId& b,
                        const char* what) {
   if (!(a == b)) {
@@ -75,110 +68,6 @@ AggregateReceipt combine_aggregates(
   }
   out.packet_count = static_cast<std::uint32_t>(count);
   return out;
-}
-
-void encode(const SampleReceipt& r, net::ByteWriter& out) {
-  out.u8(kSampleTag);
-  out.u64(r.path.path_key());
-  out.u32(r.sample_threshold);
-  out.u32(r.marker_threshold);
-  const net::Timestamp epoch =
-      r.samples.empty() ? net::Timestamp{} : r.samples.front().time;
-  out.i64(epoch.nanoseconds());
-  out.u32(static_cast<std::uint32_t>(r.samples.size()));
-  for (const SampleRecord& s : r.samples) {
-    out.u32(s.pkt_id);
-    const std::int64_t off_us = (s.time - epoch).nanoseconds() / 1000;
-    if (off_us < 0 || off_us >= static_cast<std::int64_t>(kMarkerBit)) {
-      throw std::invalid_argument(
-          "sample time offset outside the receipt's 35-minute span; flush "
-          "receipts more often");
-    }
-    std::uint32_t field = static_cast<std::uint32_t>(off_us);
-    if (s.is_marker) field |= kMarkerBit;
-    out.u32(field);
-  }
-}
-
-SampleReceipt decode_sample_receipt(net::ByteReader& in,
-                                    const net::PathId& path) {
-  if (in.u8() != kSampleTag) {
-    throw net::WireError("expected sample receipt tag");
-  }
-  const std::uint64_t key = in.u64();
-  if (key != path.path_key()) {
-    throw net::WireError("sample receipt path key mismatch");
-  }
-  SampleReceipt r;
-  r.path = path;
-  r.sample_threshold = in.u32();
-  r.marker_threshold = in.u32();
-  const net::Timestamp epoch{in.i64()};
-  const std::uint32_t count = in.u32();
-  // Each record is 8 bytes; reject absurd counts before allocating.
-  in.expect_at_least(static_cast<std::size_t>(count) * 8);
-  r.samples.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    SampleRecord s;
-    s.pkt_id = in.u32();
-    const std::uint32_t field = in.u32();
-    s.is_marker = (field & kMarkerBit) != 0;
-    s.time = epoch + net::microseconds(field & ~kMarkerBit);
-    r.samples.push_back(s);
-  }
-  return r;
-}
-
-void encode(const AggregateReceipt& r, net::ByteWriter& out) {
-  out.u8(kAggregateTag);
-  out.u64(r.path.path_key());
-  out.u32(r.agg.first);
-  out.u32(r.agg.last);
-  out.u32(r.packet_count);
-  out.i64(r.opened_at.nanoseconds());
-  out.i64(r.closed_at.nanoseconds());
-  out.u16(static_cast<std::uint16_t>(r.trans.before.size()));
-  out.u16(static_cast<std::uint16_t>(r.trans.after.size()));
-  for (const net::PacketDigest id : r.trans.before) out.u32(id);
-  for (const net::PacketDigest id : r.trans.after) out.u32(id);
-}
-
-AggregateReceipt decode_aggregate_receipt(net::ByteReader& in,
-                                          const net::PathId& path) {
-  if (in.u8() != kAggregateTag) {
-    throw net::WireError("expected aggregate receipt tag");
-  }
-  const std::uint64_t key = in.u64();
-  if (key != path.path_key()) {
-    throw net::WireError("aggregate receipt path key mismatch");
-  }
-  AggregateReceipt r;
-  r.path = path;
-  r.agg.first = in.u32();
-  r.agg.last = in.u32();
-  r.packet_count = in.u32();
-  r.opened_at = net::Timestamp{in.i64()};
-  r.closed_at = net::Timestamp{in.i64()};
-  const std::uint16_t n_before = in.u16();
-  const std::uint16_t n_after = in.u16();
-  in.expect_at_least((static_cast<std::size_t>(n_before) + n_after) * 4);
-  r.trans.before.reserve(n_before);
-  for (std::uint16_t i = 0; i < n_before; ++i) r.trans.before.push_back(in.u32());
-  r.trans.after.reserve(n_after);
-  for (std::uint16_t i = 0; i < n_after; ++i) r.trans.after.push_back(in.u32());
-  return r;
-}
-
-std::size_t wire_size(const SampleReceipt& r) {
-  net::ByteWriter w;
-  encode(r, w);
-  return w.size();
-}
-
-std::size_t wire_size(const AggregateReceipt& r) {
-  net::ByteWriter w;
-  encode(r, w);
-  return w.size();
 }
 
 }  // namespace vpm::core

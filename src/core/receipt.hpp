@@ -19,6 +19,10 @@
 //   * AggregateReceipt.opened_at/closed_at — receipt epoch timestamps, so
 //     loss granularity is reportable in seconds (Fig. 3's y-axis) without
 //     out-of-band knowledge of path rates.
+//
+// Receipts have one wire format, core/receipt_batch's per-path batches
+// (§7.1).  It references a path by its PathId::path_key() and carries
+// times to the microsecond, so receipts compare with `==`, not by bytes.
 #ifndef VPM_CORE_RECEIPT_HPP
 #define VPM_CORE_RECEIPT_HPP
 
@@ -30,7 +34,6 @@
 #include "net/digest.hpp"
 #include "net/path_id.hpp"
 #include "net/time.hpp"
-#include "net/wire.hpp"
 
 namespace vpm::core {
 
@@ -127,26 +130,6 @@ struct IndexedPathDrain {
 /// boundary).  Throws std::invalid_argument on empty input or mixed paths.
 [[nodiscard]] AggregateReceipt combine_aggregates(
     std::span<const AggregateReceipt> receipts);
-
-// --- Wire format ----------------------------------------------------------
-
-/// Serialize receipts referencing the path by its compact 64-bit key (a
-/// real deployment announces the PathId table separately; re-sending ~25
-/// bytes of path context in every receipt would triple receipt size).
-void encode(const SampleReceipt& r, net::ByteWriter& out);
-void encode(const AggregateReceipt& r, net::ByteWriter& out);
-
-/// Decode; `path` must be supplied from the path table matching the wire
-/// path key.  Throws net::WireError on malformed input (wrong tag,
-/// truncation, path-key mismatch).
-[[nodiscard]] SampleReceipt decode_sample_receipt(net::ByteReader& in,
-                                                  const net::PathId& path);
-[[nodiscard]] AggregateReceipt decode_aggregate_receipt(
-    net::ByteReader& in, const net::PathId& path);
-
-/// Wire sizes, for the overhead accounting (§7.1).
-[[nodiscard]] std::size_t wire_size(const SampleReceipt& r);
-[[nodiscard]] std::size_t wire_size(const AggregateReceipt& r);
 
 }  // namespace vpm::core
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/receipt.hpp"
+#include "net/wire.hpp"
 
 namespace vpm::core {
 

@@ -5,50 +5,10 @@
 
 namespace vpm::core {
 
-void emit_drain(ReceiptSink& sink, std::size_t path_index, PathDrain drain) {
-  // The sample receipt carries the PathId; hand it to begin_path before
-  // moving the receipt out.
-  sink.begin_path(path_index, drain.samples.path);
-  sink.on_samples(std::move(drain.samples));
-  for (AggregateReceipt& r : drain.aggregates) {
-    sink.on_aggregate(std::move(r));
-  }
-  sink.end_path();
-}
-
 void emit_stream(ReceiptSink& sink, std::vector<IndexedPathDrain> stream) {
   for (IndexedPathDrain& d : stream) {
-    emit_drain(sink, d.path, std::move(d.drain));
+    sink.on_drain(d.path, std::move(d.drain));
   }
-}
-
-void VectorSink::begin_path(std::size_t path_index, const net::PathId&) {
-  if (open_) {
-    throw std::logic_error("VectorSink: begin_path without end_path");
-  }
-  open_ = true;
-  stream_.push_back(IndexedPathDrain{.path = path_index, .drain = {}});
-}
-
-void VectorSink::on_samples(SampleReceipt samples) {
-  if (!open_) {
-    throw std::logic_error("VectorSink: on_samples outside a path");
-  }
-  stream_.back().drain.samples = std::move(samples);
-}
-
-void VectorSink::on_aggregate(AggregateReceipt aggregate) {
-  if (!open_) {
-    throw std::logic_error("VectorSink: on_aggregate outside a path");
-  }
-  stream_.back().drain.aggregates.push_back(std::move(aggregate));
-}
-
-void VectorSink::end_path() {
-  if (!open_) {
-    throw std::logic_error("VectorSink: end_path without begin_path");
-  }
-  open_ = false;
 }
 
 DrainRoundSink::DrainRoundSink(Consumer consumer)
@@ -56,39 +16,6 @@ DrainRoundSink::DrainRoundSink(Consumer consumer)
   if (!consumer_) {
     throw std::invalid_argument("DrainRoundSink: null consumer");
   }
-}
-
-void DrainRoundSink::begin_path(std::size_t path_index,
-                                const net::PathId& id) {
-  if (open_) {
-    throw std::logic_error("DrainRoundSink: begin_path without end_path");
-  }
-  open_ = true;
-  index_ = path_index;
-  id_ = id;
-  current_ = PathDrain{};
-}
-
-void DrainRoundSink::on_samples(SampleReceipt samples) {
-  if (!open_) {
-    throw std::logic_error("DrainRoundSink: on_samples outside a path");
-  }
-  current_.samples = std::move(samples);
-}
-
-void DrainRoundSink::on_aggregate(AggregateReceipt aggregate) {
-  if (!open_) {
-    throw std::logic_error("DrainRoundSink: on_aggregate outside a path");
-  }
-  current_.aggregates.push_back(std::move(aggregate));
-}
-
-void DrainRoundSink::end_path() {
-  if (!open_) {
-    throw std::logic_error("DrainRoundSink: end_path without begin_path");
-  }
-  open_ = false;
-  consumer_(index_, id_, std::move(current_));
 }
 
 }  // namespace vpm::core

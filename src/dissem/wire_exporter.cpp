@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/receipt_batch.hpp"
@@ -34,24 +35,46 @@ WireExporter::WireExporter(Config cfg, EnvelopeConsumer consumer)
   }
 }
 
-void WireExporter::begin_path(std::size_t, const net::PathId&) {
+void WireExporter::require_usable(const char* call) const {
   if (finished_) {
-    throw std::logic_error("WireExporter: drain after finish()");
+    throw std::logic_error(std::string("WireExporter: ") + call +
+                           " after finish()");
   }
   if (in_path_) {
-    throw std::logic_error("WireExporter: begin_path without end_path");
+    throw std::logic_error(std::string("WireExporter: ") + call +
+                           " during a drain or after a rejected drain");
   }
-  in_path_ = true;
-  ++stats_.paths;
 }
 
-void WireExporter::on_samples(core::SampleReceipt samples) {
-  if (!in_path_) {
-    throw std::logic_error("WireExporter: on_samples outside a path");
+void WireExporter::on_drain(std::size_t, core::PathDrain drain) {
+  require_usable("on_drain()");
+  // Cleared only once the whole path is buffered: if the codec throws,
+  // the flag stays set and keeps the half-encoded path from being sealed.
+  in_path_ = true;
+  ++stats_.paths;
+  export_samples(drain.samples);
+
+  // Aggregate runs are spans of the drain's own vector, split wherever
+  // the next receipt would not fit the run's epoch range.
+  const std::span<const core::AggregateReceipt> aggs(drain.aggregates);
+  stats_.aggregate_receipts += aggs.size();
+  std::size_t begin = 0;
+  for (std::size_t i = 1; i < aggs.size(); ++i) {
+    const net::Timestamp epoch = aggs[begin].opened_at;
+    if (!fits_epoch(aggs[i].opened_at, epoch) ||
+        !fits_epoch(aggs[i].closed_at, epoch)) {
+      append_aggregate_batch(aggs.subspan(begin, i - begin));
+      ++stats_.epoch_splits;
+      begin = i;
+    }
   }
+  if (!aggs.empty()) append_aggregate_batch(aggs.subspan(begin));
+  in_path_ = false;
+}
+
+void WireExporter::export_samples(const core::SampleReceipt& samples) {
   stats_.sample_records += samples.samples.size();
   const std::uint64_t key = samples.path.path_key();
-
   // Split at sampling-round boundaries so every sub-batch both ends with
   // its marker (the positional marker encoding) and spans at most one
   // epoch range.  `begin` is the first record of the current sub-batch,
@@ -106,47 +129,16 @@ void WireExporter::on_samples(core::SampleReceipt samples) {
   ++stats_.sample_batches;
 }
 
-void WireExporter::on_aggregate(core::AggregateReceipt aggregate) {
-  if (!in_path_) {
-    throw std::logic_error("WireExporter: on_aggregate outside a path");
-  }
-  ++stats_.aggregate_receipts;
-  if (!pending_aggregates_.empty()) {
-    const net::Timestamp epoch = pending_aggregates_.front().opened_at;
-    if (!fits_epoch(aggregate.opened_at, epoch) ||
-        !fits_epoch(aggregate.closed_at, epoch)) {
-      flush_pending_aggregates();
-      ++stats_.epoch_splits;
-    }
-  }
-  pending_aggregates_.push_back(std::move(aggregate));
-}
-
-void WireExporter::end_path() {
-  if (!in_path_) {
-    throw std::logic_error("WireExporter: end_path without begin_path");
-  }
-  flush_pending_aggregates();
-  in_path_ = false;
-}
-
-void WireExporter::flush_pending_aggregates() {
-  if (pending_aggregates_.empty()) return;
+void WireExporter::append_aggregate_batch(
+    std::span<const core::AggregateReceipt> run) {
   net::ByteWriter batch;
-  core::encode_aggregate_batch(pending_aggregates_, batch);
-  append_section(kAggregateSectionKind,
-                 pending_aggregates_.front().path.path_key(), batch);
+  core::encode_aggregate_batch(run, batch);
+  append_section(kAggregateSectionKind, run.front().path.path_key(), batch);
   ++stats_.aggregate_batches;
-  pending_aggregates_.clear();
 }
 
 void WireExporter::end_round() {
-  if (finished_) {
-    throw std::logic_error("WireExporter: end_round() after finish()");
-  }
-  if (in_path_) {
-    throw std::logic_error("WireExporter: end_round() inside a path");
-  }
+  require_usable("end_round()");
   if (at_round_boundary_) return;
   append_section(kRoundMarkKind, 0, net::ByteWriter{});
   at_round_boundary_ = true;
@@ -191,20 +183,13 @@ void WireExporter::seal_chunk() {
 }
 
 void WireExporter::flush() {
-  if (finished_) {
-    throw std::logic_error("WireExporter: flush() after finish()");
-  }
-  if (in_path_) {
-    throw std::logic_error("WireExporter: flush() inside a path");
-  }
+  require_usable("flush()");
   seal_chunk();
 }
 
 void WireExporter::finish() {
   if (finished_) return;
-  if (in_path_) {
-    throw std::logic_error("WireExporter: finish() inside a path");
-  }
+  require_usable("finish()");
   // Close the stream's last round, so a successor exporter continuing
   // this envelope sequence (first_sequence = next_sequence()) starts a
   // recognisable new round whatever paths it ships.

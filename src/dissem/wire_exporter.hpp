@@ -4,9 +4,9 @@
 // arithmetic).
 //
 // Streaming posture: the exporter buffers at most ONE chunk (max_chunk_bytes
-// of encoded sections) plus one path's pending aggregate batch, so a
-// 100k-path drain exports in memory bounded by the chunk size — constant in
-// the path count.  Chunks roll on two triggers:
+// of encoded sections) plus the batch being encoded, so a 100k-path drain
+// exports in memory bounded by the chunk size — constant in the path
+// count.  Chunks roll on two triggers:
 //
 //   * size — appending a section that would push the chunk payload past
 //     max_chunk_bytes seals the current chunk first (a single section
@@ -43,7 +43,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <span>
 
 #include "core/receipt_sink.hpp"
 #include "dissem/envelope.hpp"
@@ -91,12 +91,14 @@ class WireExporter final : public core::ReceiptSink {
   /// std::invalid_argument on a null consumer or zero chunk size.
   WireExporter(Config cfg, EnvelopeConsumer consumer);
 
-  // ReceiptSink: feed with MonitoringCache::drain_all(sink) /
-  // ShardedCollector::drain(sink) / Pipeline::report(sink).
-  void begin_path(std::size_t path_index, const net::PathId& id) override;
-  void on_samples(core::SampleReceipt samples) override;
-  void on_aggregate(core::AggregateReceipt aggregate) override;
-  void end_path() override;
+  /// ReceiptSink: feed with MonitoringCache::drain_all(sink) /
+  /// ShardedCollector::drain(sink) / Pipeline::report(sink).  Encodes the
+  /// path's sections into the open chunk.  A drain the batch codec
+  /// rejects throws std::invalid_argument with part of the path already
+  /// buffered; the exporter then refuses every further call (on_drain,
+  /// end_round, flush, finish) with std::logic_error, so the partial path
+  /// is never sealed.  Throws std::logic_error after finish().
+  void on_drain(std::size_t path_index, core::PathDrain drain) override;
 
   /// Delimit a reporting round: appends a round-mark section after the
   /// current drain's sections.  Call between consecutive drains streamed
@@ -113,7 +115,7 @@ class WireExporter final : public core::ReceiptSink {
   /// drain so the round ships as soon as it closes instead of waiting for
   /// the size cap — the store's cursor consumers then see whole rounds
   /// per fetch.  No-op when nothing is buffered; throws std::logic_error
-  /// inside a path or after finish().
+  /// after a rejected drain or after finish().
   void flush();
 
   /// Seal and emit the final partial chunk (after a closing round mark).
@@ -150,7 +152,11 @@ class WireExporter final : public core::ReceiptSink {
   void append_section(std::uint8_t kind, std::uint64_t path_key,
                       const net::ByteWriter& batch);
   void seal_chunk();
-  void flush_pending_aggregates();
+  void export_samples(const core::SampleReceipt& samples);
+  void append_aggregate_batch(std::span<const core::AggregateReceipt> run);
+  /// Throws std::logic_error naming `call` after finish(), during a drain
+  /// (a re-entrant envelope consumer) or after a rejected drain.
+  void require_usable(const char* call) const;
 
   Config cfg_;
   EnvelopeConsumer consumer_;
@@ -159,8 +165,8 @@ class WireExporter final : public core::ReceiptSink {
   net::ByteWriter sections_;  ///< current chunk's encoded sections
   std::uint32_t section_count_ = 0;
 
-  /// Aggregates of the current path awaiting their epoch-bounded batch.
-  std::vector<core::AggregateReceipt> pending_aggregates_;
+  /// Set while on_drain encodes a path; left set when the codec rejects
+  /// the drain, which leaves the exporter unusable.
   bool in_path_ = false;
   bool finished_ = false;
   /// True while the last emitted section is a round mark (or nothing was

@@ -26,19 +26,11 @@ WireImporter::Session::Session(const WireImporter& importer,
       sink_(&sink),
       seen_(importer.paths_.size(), false) {}
 
-void WireImporter::Session::emit_samples() {
-  if (cur_.samples_emitted) return;
-  sink_->begin_path(cur_.index, importer_->paths_[cur_.index]);
-  sink_->on_samples(std::move(cur_.samples));
-  cur_.samples_emitted = true;
-}
-
 void WireImporter::Session::close_path() {
   if (!cur_.active) return;
-  // A path that shipped only sample sections still yields its full
-  // begin/samples/end triple.
-  emit_samples();
-  sink_->end_path();
+  // The one place a path leaves the session: whole, once all its
+  // sections decoded.
+  sink_->on_drain(cur_.index, std::move(cur_.drain));
   cur_ = Assembly{};
 }
 
@@ -106,8 +98,9 @@ void WireImporter::Session::feed(std::span<const std::byte> payload) {
   prescan(payload);
   // Fatal tier: the payload is complete, so any decode error below is a
   // content error retrying cannot fix.  Poison-until-proven-good: a
-  // WireError can fire mid-chunk with the assembly half mutated and
-  // sections already emitted; a caller that catches it must resync().
+  // WireError can fire mid-chunk with the assembly half mutated and the
+  // chunk's earlier paths already emitted; a caller that catches it must
+  // resync().
   poisoned_ = true;
   try {
     decode_chunk(payload);
@@ -156,7 +149,7 @@ void WireImporter::Session::decode_chunk(std::span<const std::byte> payload) {
     // producer's next round (single-path periodic reporting without an
     // explicit round mark).
     if (!cur_.active || key != cur_.key ||
-        (kind == kSampleSectionKind && cur_.samples_emitted)) {
+        (kind == kSampleSectionKind && cur_.in_aggregates)) {
       close_path();
       const auto it = importer_->index_of_.find(key);
       if (it == importer_->index_of_.end()) {
@@ -182,18 +175,15 @@ void WireImporter::Session::decode_chunk(std::span<const std::byte> payload) {
     const net::PathId& id = importer_->paths_[cur_.index];
 
     const std::size_t before = in.remaining();
+    core::PathDrain& drain = cur_.drain;
     if (kind == kSampleSectionKind) {
-      if (cur_.samples_emitted) {
-        throw net::WireError(
-            "sample batch after the path's aggregate sections");
-      }
       core::SampleReceipt part = core::decode_sample_batch(in, id);
       if (!cur_.have_samples) {
-        cur_.samples = std::move(part);
+        drain.samples = std::move(part);
         cur_.have_samples = true;
       } else {
-        if (part.sample_threshold != cur_.samples.sample_threshold ||
-            part.marker_threshold != cur_.samples.marker_threshold) {
+        if (part.sample_threshold != drain.samples.sample_threshold ||
+            part.marker_threshold != drain.samples.marker_threshold) {
           throw net::WireError(
               "split sample batches disagree on thresholds");
         }
@@ -201,32 +191,31 @@ void WireImporter::Session::decode_chunk(std::span<const std::byte> payload) {
         // between split batches must stay monotone too, or the
         // reassembled stream smuggles in exactly the inversion the
         // per-batch check rejects.
-        if (!part.samples.empty() && !cur_.samples.samples.empty() &&
-            part.samples.front().time < cur_.samples.samples.back().time) {
+        if (!part.samples.empty() && !drain.samples.samples.empty() &&
+            part.samples.front().time < drain.samples.samples.back().time) {
           throw net::WireError("split sample batches not in time order");
         }
-        cur_.samples.samples.insert(
-            cur_.samples.samples.end(),
+        drain.samples.samples.insert(
+            drain.samples.samples.end(),
             std::make_move_iterator(part.samples.begin()),
             std::make_move_iterator(part.samples.end()));
       }
     } else {
-      emit_samples();
+      cur_.in_aggregates = true;
       std::vector<core::AggregateReceipt> batch =
           core::decode_aggregate_batch(in, id);
-      if (!batch.empty()) {
-        // Same seam rule across split aggregate batches: open times
-        // must not step backwards between sections.
-        if (cur_.have_aggregates &&
-            batch.front().opened_at < cur_.last_agg_open) {
-          throw net::WireError(
-              "split aggregate batches not in open order");
-        }
-        cur_.have_aggregates = true;
-        cur_.last_agg_open = batch.back().opened_at;
-        for (core::AggregateReceipt& r : batch) {
-          sink_->on_aggregate(std::move(r));
-        }
+      // Same seam rule across split aggregate batches: open times must
+      // not step backwards between sections.
+      if (!batch.empty() && !drain.aggregates.empty() &&
+          batch.front().opened_at < drain.aggregates.back().opened_at) {
+        throw net::WireError("split aggregate batches not in open order");
+      }
+      if (drain.aggregates.empty()) {
+        drain.aggregates = std::move(batch);
+      } else {
+        drain.aggregates.insert(drain.aggregates.end(),
+                                std::make_move_iterator(batch.begin()),
+                                std::make_move_iterator(batch.end()));
       }
     }
     if (before - in.remaining() != length) {

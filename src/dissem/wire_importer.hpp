@@ -14,7 +14,8 @@
 // violation — unknown chunk/section tags, truncation, section length
 // mismatches, unknown or revisited path keys, aggregate sections before a
 // path's sample batch, split batches that disagree on thresholds — raises
-// net::WireError and never corrupts the sink stream.
+// net::WireError and never corrupts the sink stream: a sink only ever
+// receives whole paths, each in one on_drain call.
 #ifndef VPM_DISSEM_WIRE_IMPORTER_HPP
 #define VPM_DISSEM_WIRE_IMPORTER_HPP
 
@@ -40,14 +41,14 @@ class WireImporter {
   explicit WireImporter(std::vector<net::PathId> paths);
 
   /// Decode every accepted chunk from `producer` in sequence order,
-  /// streaming the recovered per-path drains into `sink` (same
-  /// begin/samples/aggregates/end contract as the collector drains) —
-  /// constant memory in the number of paths and chunks.  A producer that
-  /// reports periodically ships several drains through one envelope
-  /// sequence; each round's paths are emitted as their own
-  /// begin/.../end_path groups, in shipped order (a fresh sample section
-  /// for an already-imported path starts the next round).  Throws
-  /// net::WireError on malformed input.
+  /// handing each recovered path drain to `sink` (one on_drain per path,
+  /// as the collector drains do) — constant memory in the number of
+  /// paths and chunks.  A producer that reports periodically ships
+  /// several drains through one envelope sequence; each round's paths are
+  /// emitted as their own drains, in shipped order (a fresh sample
+  /// section for an already-imported path starts the next round).  Throws
+  /// net::WireError on malformed input; the sink then holds exactly the
+  /// paths completed before the error.
   void import_into(const ReceiptStore& store, DomainId producer,
                    core::ReceiptSink& sink) const;
 
@@ -98,9 +99,10 @@ class WireImporter {
     /// state is touched* — the session stays usable and the same feed
     /// retried with the full payload decodes normally.  A structurally
     /// complete payload that fails decode throws a FATAL WireError and
-    /// POISONS the session: the assembly may be half mutated and sections
-    /// already emitted, so feed()/finish() then throw std::logic_error
-    /// until resync() abandons the damaged round.
+    /// POISONS the session: the open path's assembly may be half mutated
+    /// (it never reaches the sink; paths the payload completed before the
+    /// error already did, whole), so feed()/finish() then throw
+    /// std::logic_error until resync() abandons the damaged round.
     void feed(std::span<const std::byte> payload);
 
     /// Close the path left open by a stream that did not end at a round
@@ -140,22 +142,20 @@ class WireImporter {
 
    private:
     /// Per-stream assembly: a path's sections are contiguous (possibly
-    /// straddling chunk boundaries), sample batches first; sample parts
-    /// accumulate until the first aggregate section (or the end of the
-    /// path) so the sink sees exactly one on_samples per path.
+    /// straddling chunk boundaries), sample batches first; the whole path
+    /// accumulates here and reaches the sink once, from close_path().
     struct Assembly {
       bool active = false;
       std::size_t index = 0;
       std::uint64_t key = 0;
-      core::SampleReceipt samples;
+      core::PathDrain drain;
       bool have_samples = false;   ///< at least one sample section decoded
-      bool samples_emitted = false;  ///< begin_path/on_samples already sent
-      bool have_aggregates = false;
-      net::Timestamp last_agg_open;  ///< valid once have_aggregates
+      /// An aggregate section (even an empty one) decoded: a further
+      /// sample section for this path starts the producer's next round.
+      bool in_aggregates = false;
     };
 
     void close_path();
-    void emit_samples();
     void decode_chunk(std::span<const std::byte> payload);
     void note_skipped(std::uint64_t key);
     /// Framing-only completeness scan; throws TRANSIENT WireError on

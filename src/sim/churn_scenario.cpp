@@ -172,8 +172,7 @@ ChurnScenarioResult run_churn_scenario(const ChurnScenarioConfig& cfg) {
     importers[h].emplace(path_table(hop_cfg[h], multi.paths));
     const net::HopId hop = result.layout.hops[h];
     round_sinks[h].emplace([&result, &churn_have, &churn_verifiers, h, hop](
-                               std::size_t index, const net::PathId&,
-                               core::PathDrain&& drain) {
+                               std::size_t index, core::PathDrain&& drain) {
       append_drain(result.churn_concat[h][index], churn_have[h][index],
                    drain);
       churn_verifiers[index].add_round(hop, std::move(drain));

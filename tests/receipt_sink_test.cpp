@@ -1,11 +1,10 @@
-// The streaming receipt-egress API: ReceiptSink contract, the VectorSink
-// adapter the legacy vector drains are built on, and the sink-based drain
-// entry points at every layer (MonitoringCache, ShardedCollector,
-// Pipeline::report) — pinned byte-identical to the legacy vector drains.
+// The streaming receipt-egress API: the VectorSink adapter the vector
+// drains are built on, emit_stream, and the sink-based drain entry points
+// at every layer (MonitoringCache, ShardedCollector, Pipeline::report) —
+// pinned equal to the vector drains.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "collector/pipeline.hpp"
@@ -34,54 +33,43 @@ core::SampleReceipt sample_receipt_with(net::PathId path, std::size_t n) {
 TEST(ReceiptSink, VectorSinkCollectsStreamInOrder) {
   core::VectorSink sink;
   const net::PathId id{};
-  sink.begin_path(3, id);
-  sink.on_samples(sample_receipt_with(id, 2));
+  core::PathDrain first;
+  first.samples = sample_receipt_with(id, 2);
   core::AggregateReceipt agg;
   agg.path = id;
   agg.packet_count = 11;
-  sink.on_aggregate(agg);
-  sink.on_aggregate(agg);
-  sink.end_path();
-  sink.begin_path(5, id);
-  sink.on_samples(sample_receipt_with(id, 0));
-  sink.end_path();
+  first.aggregates = {agg, agg};
+  sink.on_drain(3, first);
+  core::PathDrain second;
+  second.samples = sample_receipt_with(id, 0);
+  sink.on_drain(5, second);
 
   const auto& stream = sink.stream();
   ASSERT_EQ(stream.size(), 2u);
   EXPECT_EQ(stream[0].path, 3u);
-  EXPECT_EQ(stream[0].drain.samples.samples.size(), 2u);
-  EXPECT_EQ(stream[0].drain.aggregates.size(), 2u);
+  EXPECT_EQ(stream[0].drain, first);
   EXPECT_EQ(stream[1].path, 5u);
-  EXPECT_TRUE(stream[1].drain.aggregates.empty());
+  EXPECT_EQ(stream[1].drain, second);
 }
 
-TEST(ReceiptSink, VectorSinkRejectsContractViolations) {
-  core::VectorSink sink;
-  const net::PathId id{};
-  EXPECT_THROW(sink.on_samples(core::SampleReceipt{}), std::logic_error);
-  EXPECT_THROW(sink.on_aggregate(core::AggregateReceipt{}), std::logic_error);
-  EXPECT_THROW(sink.end_path(), std::logic_error);
-  sink.begin_path(0, id);
-  EXPECT_THROW(sink.begin_path(1, id), std::logic_error);
-}
-
-TEST(ReceiptSink, EmitDrainReplaysMaterializedDrains) {
+TEST(ReceiptSink, EmitStreamReplaysMaterializedDrains) {
   const net::PathId id{};
   core::PathDrain drain;
   drain.samples = sample_receipt_with(id, 3);
   drain.aggregates.resize(2);
   drain.aggregates[0].path = id;
   drain.aggregates[1].path = id;
+  const std::vector<core::IndexedPathDrain> stream = {
+      {.path = 42, .drain = drain}, {.path = 43, .drain = {}}};
 
   core::VectorSink sink;
-  core::emit_drain(sink, 42, drain);
-  ASSERT_EQ(sink.stream().size(), 1u);
-  EXPECT_EQ(sink.stream()[0].path, 42u);
-  EXPECT_EQ(sink.stream()[0].drain, drain);
+  core::emit_stream(sink, stream);
+  EXPECT_EQ(sink.stream(), stream);
+  EXPECT_EQ(std::move(sink).take(), stream);
 }
 
 // The sink-based drain is the primary API and the vector drain a
-// VectorSink adapter over it; this pins the two byte-identical on a real
+// VectorSink adapter over it; this pins the two equal on a real
 // workload, for both the single cache and the sharded collector.
 TEST(ReceiptSink, CacheSinkDrainMatchesVectorDrain) {
   trace::MultiPathConfig mcfg;

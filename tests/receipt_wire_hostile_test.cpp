@@ -271,7 +271,7 @@ class ChunkHostile : public ::testing::Test {
     core::PathDrain drain;
     drain.samples = valid_samples();
     drain.aggregates = valid_aggregates();
-    core::emit_drain(exporter, 0, drain);
+    exporter.on_drain(0, drain);
     exporter.finish();
     return payload;
   }
@@ -452,6 +452,63 @@ TEST_F(ChunkHostile, SeamTimeInversionAcrossSplitBatchesThrows) {
   }
 }
 
+// A fatal decode error part-way through a chunk must leave the sink with
+// only the paths completed before it, each whole: a half-decoded path
+// (its samples without its aggregates) never reaches the sink.
+TEST_F(ChunkHostile, FatalErrorLeavesSinkWithWholePathsOnly) {
+  std::vector<net::PathId> table = {test_path(), test_path(), test_path()};
+  table[1].prefixes.source = net::Prefix(net::Ipv4Address(0x0B000000), 16);
+  table[2].prefixes.source = net::Prefix(net::Ipv4Address(0x0C000000), 16);
+  std::vector<core::PathDrain> drains(table.size());
+  for (std::size_t p = 0; p < table.size(); ++p) {
+    drains[p].samples = valid_samples();
+    drains[p].samples.path = table[p];
+    drains[p].aggregates = valid_aggregates();
+    for (core::AggregateReceipt& a : drains[p].aggregates) a.path = table[p];
+  }
+
+  std::vector<std::byte> payload;
+  dissem::WireExporter exporter(
+      dissem::WireExporter::Config{.producer = 1, .key = 2},
+      [&payload](dissem::Envelope&& e) { payload = std::move(e.payload); });
+  for (std::size_t p = 0; p < drains.size(); ++p) {
+    exporter.on_drain(p, drains[p]);
+  }
+  exporter.finish();
+
+  // Walk the section framing to path 1's aggregate section and flip its
+  // batch tag; the framing stays intact, so the error is fatal, not a
+  // truncation.
+  net::ByteReader in(payload);
+  ASSERT_EQ(in.u8(), dissem::kChunkTag);
+  const std::uint32_t sections = in.u32();
+  std::size_t tag_at = 0;
+  for (std::uint32_t s = 0; s < sections && tag_at == 0; ++s) {
+    const std::uint8_t kind = in.u8();
+    const std::uint64_t key = in.u64();
+    const std::uint32_t length = in.u32();
+    if (kind == dissem::kAggregateSectionKind &&
+        key == table[1].path_key()) {
+      tag_at = payload.size() - in.remaining();
+    }
+    in.skip(length);
+  }
+  ASSERT_NE(tag_at, 0u);
+  payload[tag_at] ^= std::byte{0xFF};
+
+  dissem::ReceiptStore store;
+  store.register_producer(1, 2);
+  ASSERT_EQ(store.ingest(dissem::seal(1, 1, payload, 2)),
+            dissem::IngestResult::kAccepted);
+  const dissem::WireImporter importer(table);
+  core::VectorSink sink;
+  EXPECT_THROW(importer.import_into(store, 1, sink), net::WireError);
+  const std::vector<core::IndexedPathDrain> got = std::move(sink).take();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].path, 0u);
+  EXPECT_EQ(got[0].drain, drains[0]);
+}
+
 // --- duplicated / reordered envelope sequences ---------------------------
 //
 // The transport between producer and store is attacker-adjacent too: a
@@ -481,8 +538,8 @@ class EnvelopeSequenceHostile : public ::testing::Test {
       core::PathDrain b = a;
       b.samples.path = path_b;
       for (auto& agg : b.aggregates) agg.path = path_b;
-      core::emit_drain(exporter, 0, a);
-      core::emit_drain(exporter, 1, b);
+      exporter.on_drain(0, a);
+      exporter.on_drain(1, b);
       exporter.end_round();
       exporter.flush();
     }

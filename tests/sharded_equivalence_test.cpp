@@ -1,11 +1,11 @@
 // Sharded-vs-single-threaded equivalence: the tentpole proof obligation.
 //
 // Sharding is a pure scaling transform — it must not change a single
-// receipt byte.  Bias resistance (§5.1) and the subset properties (§5.2,
-// §6.2) are statements about WHICH packets get sampled/cut and what the
+// receipt.  Bias resistance (§5.1) and the subset properties (§5.2, §6.2)
+// are statements about WHICH packets get sampled/cut and what the
 // receipts disclose, so the identity we pin is: the sharded collector's
-// drain, wire-encoded, equals the single-threaded MonitoringCache's
-// drain over the same trace, byte for byte.
+// drain equals the single-threaded MonitoringCache's drain over the same
+// trace, receipt for receipt (`==`).
 //
 // Coverage axes (the acceptance grid): ≥10 seeds, each with a different
 // topology (path count 1..256, varying popularity skew), shard counts
@@ -54,8 +54,8 @@ TEST_P(ShardedEquivalence, MergedStreamByteIdenticalAcrossSeedsAndShards) {
       const ShardScenarioResult r = run_shard_scenario(cfg);
 
       ASSERT_GT(r.total_packets, 10'000u) << "degenerate trace";
-      ASSERT_FALSE(r.single_bytes.empty());
-      EXPECT_TRUE(r.byte_identical)
+      ASSERT_FALSE(r.single.empty());
+      EXPECT_TRUE(r.sharded == r.single)
           << "seed " << seed << ", " << shards << " shards";
       // The cost model must shard losslessly too: same packets, same
       // hashes, same marker sweeps — just spread over workers.
@@ -79,7 +79,7 @@ TEST_P(ShardedEquivalence, ThreadedIngestMatchesReference) {
     cfg.shard_count = shards;
     cfg.producer_count = producers;
     const ShardScenarioResult r = run_shard_scenario(cfg);
-    EXPECT_TRUE(r.byte_identical)
+    EXPECT_TRUE(r.sharded == r.single)
         << producers << " producers, " << shards << " shards";
   }
 }

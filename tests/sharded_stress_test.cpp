@@ -44,14 +44,14 @@ TEST(ShardedStress, DeterministicAndLosslessAcrossTenRuns) {
     EXPECT_EQ(counted, first.path_packets[d.path]) << "path " << d.path;
   }
 
-  // Byte-identical to the single-threaded reference...
-  EXPECT_TRUE(first.byte_identical);
+  // Equal to the single-threaded reference...
+  EXPECT_TRUE(first.sharded == first.single);
 
-  // ...and byte-identical across reruns: queue interleavings and thread
-  // scheduling must never leak into the drained stream.
+  // ...and across reruns: queue interleavings and thread scheduling must
+  // never leak into the drained stream.
   for (int run = 1; run < 10; ++run) {
     const ShardScenarioResult again = run_shard_scenario(stress_config());
-    ASSERT_EQ(again.sharded_bytes, first.sharded_bytes) << "run " << run;
+    ASSERT_TRUE(again.sharded == first.sharded) << "run " << run;
   }
 }
 
@@ -60,7 +60,7 @@ TEST(ShardedStress, BackpressureWithTinyQueues) {
   cfg.queue_capacity = 2;  // producers must block on full rings
   cfg.max_batch = 64;      // many small batches -> many queue round-trips
   const ShardScenarioResult r = run_shard_scenario(cfg);
-  EXPECT_TRUE(r.byte_identical);
+  EXPECT_TRUE(r.sharded == r.single);
 }
 
 TEST(ShardedStress, MoreProducersThanShards) {
@@ -68,7 +68,7 @@ TEST(ShardedStress, MoreProducersThanShards) {
   cfg.producer_count = 6;
   cfg.shard_count = 2;
   const ShardScenarioResult r = run_shard_scenario(cfg);
-  EXPECT_TRUE(r.byte_identical);
+  EXPECT_TRUE(r.sharded == r.single);
 }
 
 // ------------------------------------------------------------------------

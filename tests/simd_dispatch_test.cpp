@@ -1,5 +1,5 @@
-// SIMD dispatch-shim equivalence: the scalar and AVX2 tiers must be
-// byte-identical at every observable layer.
+// SIMD dispatch-shim equivalence: the scalar and AVX2 tiers must agree
+// at every observable layer.
 //
 // The dispatch contract (net/simd_dispatch.hpp) is that one binary serves
 // every host — cpuid picks the tier, VPM_SIMD or force_tier() overrides it
@@ -10,8 +10,8 @@
 //     identity and idx forms, both digest modes;
 //   * the classifier's hash_slots_batch / classify_batch phase A kernel;
 //   * whole MonitoringCache receipt streams on a ~200k-packet multi-path
-//     trace (paths straddle the internal chunk boundaries), wire-encoded
-//     and compared byte for byte in both digest modes.
+//     trace (paths straddle the internal chunk boundaries), compared
+//     receipt for receipt (`==`) in both digest modes.
 //
 // On hosts without AVX2 (or builds without the -mavx2 TU) force_tier
 // clamps to scalar, so every comparison degenerates to scalar-vs-scalar:
@@ -35,7 +35,6 @@
 #include "net/sample_batch.hpp"
 #include "net/simd_dispatch.hpp"
 #include "net/window_batch.hpp"
-#include "net/wire.hpp"
 #include "trace/synthetic_trace.hpp"
 
 namespace vpm {
@@ -59,19 +58,6 @@ struct TierGuard {
 
 bool cross_tier_host() {
   return simd::detected_tier() == simd::Tier::kAvx2;
-}
-
-std::vector<std::byte> encode_samples(const core::SampleReceipt& r) {
-  net::ByteWriter w;
-  encode(r, w);
-  return std::move(w).take();
-}
-
-std::vector<std::byte> encode_aggregates(
-    const std::vector<core::AggregateReceipt>& rs) {
-  net::ByteWriter w;
-  for (const core::AggregateReceipt& r : rs) encode(r, w);
-  return std::move(w).take();
 }
 
 core::ProtocolParams protocol_for(DigestMode mode) {
@@ -433,11 +419,10 @@ TEST_P(CacheTierEquivalence, ReceiptsByteIdenticalAcrossTiers) {
   for (std::size_t path = 0; path < multi.paths.size(); ++path) {
     const core::SampleReceipt s = scalar_cache.collect_samples(path);
     any_samples = any_samples || !s.samples.empty();
-    ASSERT_EQ(encode_samples(s),
-              encode_samples(simd_cache.collect_samples(path)))
+    ASSERT_EQ(s, simd_cache.collect_samples(path))
         << "path " << path;
-    ASSERT_EQ(encode_aggregates(scalar_cache.collect_aggregates(path, true)),
-              encode_aggregates(simd_cache.collect_aggregates(path, true)))
+    ASSERT_EQ(scalar_cache.collect_aggregates(path, true),
+              simd_cache.collect_aggregates(path, true))
         << "path " << path;
   }
   EXPECT_TRUE(any_samples);
@@ -456,9 +441,9 @@ INSTANTIATE_TEST_SUITE_P(Modes, CacheTierEquivalence,
 // Time-keyed marker bound x vectorized sweep: with marker_max_age set well
 // below the trace span, most sweeps are forced (age-triggered) rather than
 // digest-triggered, and the swept slices stop at the bound instead of the
-// ~1/marker_rate expectation.  Receipts must stay byte-identical across
-// tiers on that path too, and the per-tier sweep-kernel counters must
-// attribute the work to the tier that ran it.
+// ~1/marker_rate expectation.  Receipts must stay equal across tiers on
+// that path too, and the per-tier sweep-kernel counters must attribute
+// the work to the tier that ran it.
 
 class ForcedMarkerTierEquivalence
     : public ::testing::TestWithParam<DigestMode> {};
@@ -522,11 +507,10 @@ TEST_P(ForcedMarkerTierEquivalence, ReceiptsByteIdenticalAcrossTiers) {
   for (std::size_t path = 0; path < multi.paths.size(); ++path) {
     const core::SampleReceipt s = scalar_cache.collect_samples(path);
     any_samples = any_samples || !s.samples.empty();
-    ASSERT_EQ(encode_samples(s),
-              encode_samples(simd_cache.collect_samples(path)))
+    ASSERT_EQ(s, simd_cache.collect_samples(path))
         << "path " << path;
-    ASSERT_EQ(encode_aggregates(scalar_cache.collect_aggregates(path, true)),
-              encode_aggregates(simd_cache.collect_aggregates(path, true)))
+    ASSERT_EQ(scalar_cache.collect_aggregates(path, true),
+              simd_cache.collect_aggregates(path, true))
         << "path " << path;
   }
   EXPECT_TRUE(any_samples);

@@ -3,13 +3,13 @@
 //
 // Flattening 100k heap-allocated per-path monitors into contiguous
 // PathSlot records is a pure layout transform — it must not change a
-// single receipt byte.  The reference implementations below replicate the
+// single receipt.  The reference implementations below replicate the
 // PRE-SoA per-path objects verbatim (one DelaySampler + one Aggregator
 // per path, each with grow-as-needed vector buffer / power-of-two ring /
 // stable_partition pending list, behind a vector of unique_ptrs — the
 // pointer-chasing layout the refactor removed), and the suite pins the
-// identity: wire-encoded receipt streams from the SoA MonitoringCache and
-// the ShardedCollector equal the reference's, byte for byte, across
+// identity: receipt streams from the SoA MonitoringCache and the
+// ShardedCollector equal the reference's, receipt for receipt, across
 // 10 seeds x both digest modes x shard counts {1, 4} x randomized
 // observe_batch() slice boundaries, including a mid-stream drain.
 //
@@ -23,13 +23,13 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "collector/monitoring_cache.hpp"
 #include "collector/sharded_collector.hpp"
 #include "core/config.hpp"
 #include "core/path_state.hpp"
-#include "sim/shard_scenario.hpp"
 #include "trace/synthetic_trace.hpp"
 
 namespace vpm::collector {
@@ -358,13 +358,14 @@ trace::MultiPathTrace trace_for(std::uint64_t seed) {
 /// boundaries, draining mid-stream at `drain_at` (a packet index every
 /// collector under test sees at exactly the same position).
 template <typename ObserveBatch, typename Drain>
-std::vector<std::byte> run_sliced(std::span<const Packet> packets,
-                                  std::size_t drain_at, std::uint64_t seed,
-                                  ObserveBatch&& observe_batch,
-                                  Drain&& drain) {
+std::vector<IndexedPathDrain> run_sliced(std::span<const Packet> packets,
+                                         std::size_t drain_at,
+                                         std::uint64_t seed,
+                                         ObserveBatch&& observe_batch,
+                                         Drain&& drain) {
   std::mt19937_64 rng(seed * 977 + 11);
   std::uniform_int_distribution<std::size_t> batch_len(1, 2048);
-  std::vector<std::byte> bytes;
+  std::vector<IndexedPathDrain> stream;
   auto run_range = [&](std::size_t begin, std::size_t end) {
     std::size_t i = begin;
     while (i < end) {
@@ -374,14 +375,10 @@ std::vector<std::byte> run_sliced(std::span<const Packet> packets,
     }
   };
   run_range(0, drain_at);
-  {
-    auto mid = drain(false);
-    bytes.insert(bytes.end(), mid.begin(), mid.end());
-  }
+  stream = drain(false);
   run_range(drain_at, packets.size());
-  auto fin = drain(true);
-  bytes.insert(bytes.end(), fin.begin(), fin.end());
-  return bytes;
+  for (IndexedPathDrain& d : drain(true)) stream.push_back(std::move(d));
+  return stream;
 }
 
 class SoaGoldenEquivalence
@@ -395,32 +392,25 @@ TEST_P(SoaGoldenEquivalence, ReceiptStreamsMatchPreRefactorReference) {
 
     // Reference: packet-at-a-time pre-SoA monitors.
     RefCache ref(ccfg, multi.paths);
-    std::vector<std::byte> ref_bytes;
     for (std::size_t i = 0; i < drain_at; ++i) {
       ref.observe(multi.packets[i], multi.packets[i].origin_time);
     }
-    {
-      auto mid = sim::encode_drain_stream(ref.drain_all(false));
-      ref_bytes.insert(ref_bytes.end(), mid.begin(), mid.end());
-    }
+    std::vector<IndexedPathDrain> ref_stream = ref.drain_all(false);
     for (std::size_t i = drain_at; i < multi.packets.size(); ++i) {
       ref.observe(multi.packets[i], multi.packets[i].origin_time);
     }
-    {
-      auto fin = sim::encode_drain_stream(ref.drain_all(true));
-      ref_bytes.insert(ref_bytes.end(), fin.begin(), fin.end());
+    for (IndexedPathDrain& d : ref.drain_all(true)) {
+      ref_stream.push_back(std::move(d));
     }
-    ASSERT_FALSE(ref_bytes.empty());
+    ASSERT_FALSE(ref_stream.empty());
 
     // SoA cache, randomized batch slicing.
     MonitoringCache cache(ccfg, multi.paths);
-    const std::vector<std::byte> cache_bytes = run_sliced(
+    const std::vector<IndexedPathDrain> cache_stream = run_sliced(
         multi.packets, drain_at, seed,
         [&](std::span<const Packet> slice) { cache.observe_batch(slice); },
-        [&](bool flush) {
-          return sim::encode_drain_stream(cache.drain_all(flush));
-        });
-    EXPECT_EQ(cache_bytes, ref_bytes) << "cache, seed " << seed;
+        [&](bool flush) { return cache.drain_all(flush); });
+    EXPECT_TRUE(cache_stream == ref_stream) << "cache, seed " << seed;
     // The single-hash budget survives the refactor.
     EXPECT_EQ(cache.ops().hash_computations,
               multi.packets.size() - cache.unknown_path_packets())
@@ -433,15 +423,13 @@ TEST_P(SoaGoldenEquivalence, ReceiptStreamsMatchPreRefactorReference) {
       scfg.cache = ccfg;
       scfg.shard_count = shards;
       ShardedCollector sharded(scfg, multi.paths);
-      const std::vector<std::byte> sharded_bytes = run_sliced(
+      const std::vector<IndexedPathDrain> sharded_stream = run_sliced(
           multi.packets, drain_at, seed + shards,
           [&](std::span<const Packet> slice) {
             sharded.observe_batch(slice);
           },
-          [&](bool flush) {
-            return sim::encode_drain_stream(sharded.drain(flush));
-          });
-      EXPECT_EQ(sharded_bytes, ref_bytes)
+          [&](bool flush) { return sharded.drain(flush); });
+      EXPECT_TRUE(sharded_stream == ref_stream)
           << "sharded x" << shards << ", seed " << seed;
     }
   }
@@ -513,12 +501,9 @@ TEST(SoaEdgeCases, SinglePathMatchesReference) {
     ref.observe(p, p.origin_time);
     cache.observe(p, p.origin_time);
   }
-  auto ref_stream = ref.drain_all(true);
-  std::vector<IndexedPathDrain> soa_stream;
-  soa_stream.push_back(
-      IndexedPathDrain{.path = 0, .drain = cache.drain_path(0, true)});
-  EXPECT_EQ(sim::encode_drain_stream(soa_stream),
-            sim::encode_drain_stream(ref_stream));
+  const auto ref_stream = ref.drain_all(true);
+  ASSERT_EQ(ref_stream.size(), 1u);
+  EXPECT_EQ(cache.drain_path(0, true), ref_stream[0].drain);
 
   // A 1-path cache that saw no traffic drains cleanly too.
   MonitoringCache idle(ccfg, paths);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -219,7 +220,7 @@ TEST(WireRoundTrip, EpochRollOverLongDrains) {
   dissem::WireExporter exporter(
       dissem::WireExporter::Config{.producer = kProducer, .key = kKey},
       [&store](dissem::Envelope&& e) { store.ingest(std::move(e)); });
-  core::emit_drain(exporter, 0, drain);
+  exporter.on_drain(0, drain);
   exporter.finish();
   EXPECT_GT(exporter.stats().epoch_splits, 0u);
   EXPECT_GT(exporter.stats().sample_batches, 1u);
@@ -230,6 +231,35 @@ TEST(WireRoundTrip, EpochRollOverLongDrains) {
   ASSERT_EQ(recovered.size(), 1u);
   EXPECT_EQ(recovered[0].path, 0u);
   EXPECT_EQ(recovered[0].drain, drain);
+}
+
+// A drain the batch codec rejects leaves part of its path buffered; the
+// exporter must then refuse every further call rather than seal it.
+TEST(WireRoundTrip, RejectedDrainLeavesExporterRefusingEveryCall) {
+  net::PathId id{};
+  id.prefixes = trace::default_prefix_pair();
+  core::PathDrain drain;
+  drain.samples.path = id;
+  drain.samples.samples.push_back(core::SampleRecord{
+      .pkt_id = 1, .time = net::Timestamp{}, .is_marker = true});
+  core::AggregateReceipt agg;
+  agg.path = id;
+  agg.packet_count = 3;
+  agg.opened_at = net::Timestamp{};
+  agg.closed_at = agg.opened_at + net::seconds(20);  // past the 16.7 s span
+  drain.aggregates.push_back(agg);
+
+  std::size_t sealed = 0;
+  dissem::WireExporter exporter(
+      dissem::WireExporter::Config{.producer = kProducer, .key = kKey},
+      [&sealed](dissem::Envelope&&) { ++sealed; });
+  EXPECT_THROW(exporter.on_drain(0, drain), std::invalid_argument);
+  EXPECT_THROW(exporter.flush(), std::logic_error);
+  EXPECT_THROW(exporter.end_round(), std::logic_error);
+  EXPECT_THROW(exporter.finish(), std::logic_error);
+  drain.aggregates.clear();
+  EXPECT_THROW(exporter.on_drain(1, drain), std::logic_error);
+  EXPECT_EQ(sealed, 0u);
 }
 
 // Periodic reporting: several drains shipped through one envelope
@@ -318,8 +348,8 @@ TEST(WireRoundTrip, SinglePathPeriodicRoundsImportSeparately) {
   dissem::WireExporter exporter(
       dissem::WireExporter::Config{.producer = kProducer, .key = kKey},
       [&store](dissem::Envelope&& e) { store.ingest(std::move(e)); });
-  core::emit_drain(exporter, 0, d1);  // no end_round(): fallback path
-  core::emit_drain(exporter, 0, d2);
+  exporter.on_drain(0, d1);  // no end_round(): fallback path
+  exporter.on_drain(0, d2);
   exporter.finish();
 
   const dissem::WireImporter importer({id});
@@ -351,9 +381,9 @@ TEST(WireRoundTrip, SampleOnlyRoundsNeedExplicitRoundMarks) {
     dissem::WireExporter exporter(
         dissem::WireExporter::Config{.producer = kProducer, .key = kKey},
         [&store](dissem::Envelope&& e) { store.ingest(std::move(e)); });
-    core::emit_drain(exporter, 0, d1);
+    exporter.on_drain(0, d1);
     exporter.end_round();
-    core::emit_drain(exporter, 0, d2);
+    exporter.on_drain(0, d2);
     exporter.finish();
     const auto recovered = importer.import(store, kProducer);
     ASSERT_EQ(recovered.size(), 2u);
@@ -366,8 +396,8 @@ TEST(WireRoundTrip, SampleOnlyRoundsNeedExplicitRoundMarks) {
     dissem::WireExporter exporter(
         dissem::WireExporter::Config{.producer = kProducer, .key = kKey},
         [&store](dissem::Envelope&& e) { store.ingest(std::move(e)); });
-    core::emit_drain(exporter, 0, d1);  // no mark: indistinguishable from
-    core::emit_drain(exporter, 0, d2);  // an epoch split, merges
+    exporter.on_drain(0, d1);  // no mark: indistinguishable from
+    exporter.on_drain(0, d2);  // an epoch split, merges
     exporter.finish();
     const auto recovered = importer.import(store, kProducer);
     ASSERT_EQ(recovered.size(), 1u);
@@ -392,14 +422,14 @@ TEST(WireRoundTrip, PerPeriodExportersChainThroughSequenceNumbers) {
   dissem::WireExporter first(
       dissem::WireExporter::Config{.producer = kProducer, .key = kKey},
       ship);
-  core::emit_drain(first, 0, d1);
+  first.on_drain(0, d1);
   first.finish();
   dissem::WireExporter second(
       dissem::WireExporter::Config{.producer = kProducer,
                                    .key = kKey,
                                    .first_sequence = first.next_sequence()},
       ship);
-  core::emit_drain(second, 0, d2);
+  second.on_drain(0, d2);
   second.finish();
   ASSERT_EQ(store.rejected_count(), 0u);
 
@@ -426,7 +456,7 @@ TEST(WireRoundTrip, ImportHopRebuildsHopReceipts) {
   dissem::WireExporter exporter(
       dissem::WireExporter::Config{.producer = kProducer, .key = kKey},
       [&store](dissem::Envelope&& e) { store.ingest(std::move(e)); });
-  core::emit_drain(exporter, 0, drain);
+  exporter.on_drain(0, drain);
   exporter.finish();
 
   const dissem::WireImporter importer({id});
