@@ -5,12 +5,18 @@
 //   example_scenario_run @tests/scenarios/hide_loss.conf
 //
 // The argument is either a one-line key=value config (the format every
-// failing grid cell prints) or @<file> to load a scenario data file.
+// failing grid cell prints) or @<file> to load a scenario data file.  A
+// `store=segment` config runs in a fresh vpm-scenario-<pid> directory
+// under the system temp root, removed afterwards.
+#include <unistd.h>
+
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "sim/scenario_engine.hpp"
 
@@ -25,6 +31,19 @@ std::string load_arg(const std::string& arg) {
   std::ostringstream text;
   text << in.rdbuf();
   return std::move(text).str();
+}
+
+vpm::sim::ScenarioOutcome run(const vpm::sim::ScenarioConfig& cfg) {
+  if (!cfg.segment_store) return vpm::sim::run_scenario(cfg);
+  struct RemoveOnExit {
+    std::filesystem::path dir;
+    ~RemoveOnExit() {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  } scratch{std::filesystem::temp_directory_path() /
+            ("vpm-scenario-" + std::to_string(::getpid()))};
+  return vpm::sim::run_scenario(cfg, scratch.dir);
 }
 
 }  // namespace
@@ -42,7 +61,7 @@ int main(int argc, char** argv) {
 
   vpm::sim::ScenarioOutcome out;
   try {
-    out = vpm::sim::run_scenario(vpm::sim::parse_scenario(text));
+    out = run(vpm::sim::parse_scenario(text));
   } catch (const std::invalid_argument& e) {
     std::cerr << "bad scenario: " << e.what() << "\n";
     return 1;

@@ -17,8 +17,9 @@
 // thread.  Many producers ingesting while many consumers fetch is safe
 // and contention is real only when they collide on a shard
 // (federated_store_test runs the matrix under TSan).  Single-threaded
-// drivers (the federation simulation) may instead take shard_for() and
-// talk to the underlying ReceiptStore directly, bypassing the locks.
+// drivers (the scenario engine's FetchClient fleet) may instead take
+// shard_for() and talk to the underlying ReceiptStore directly,
+// bypassing the locks.
 //
 // Restart: construct over the same directory with the SAME shard count —
 // the split is by hash, so re-sharding an existing directory would strand

@@ -33,9 +33,8 @@
 // resume acking (authentication material never lives beside the data it
 // authenticates).  Consumers come in two gating flavours:
 // register_consumer() gates collection of EVERY producer (the historical
-// rule), subscribe() gates only the named producer — the federation fleet
-// uses subscriptions so one domain's slow reader does not pin every other
-// domain's segments on disk.
+// rule), subscribe() gates only the named producer, so one domain's slow
+// reader need not pin every other domain's segments on disk.
 #ifndef VPM_DISSEM_RECEIPT_STORE_HPP
 #define VPM_DISSEM_RECEIPT_STORE_HPP
 

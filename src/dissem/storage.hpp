@@ -80,6 +80,7 @@ struct StorageStats {
   std::size_t segments_live = 0;      ///< segment files currently on disk
   std::size_t segments_unlinked = 0;  ///< segment files GC'd (lifetime)
   std::size_t bytes_on_disk = 0;      ///< segment + cursor-log file bytes
+  friend bool operator==(const StorageStats&, const StorageStats&) = default;
 };
 
 class EnvelopeStorage {

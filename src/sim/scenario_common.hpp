@@ -1,7 +1,7 @@
 // Shared plumbing for the scenario drivers — the config-driven
-// ScenarioEngine (`sim/scenario_engine`) and the three drivers whose soaks
+// ScenarioEngine (`sim/scenario_engine`) and the two drivers whose soaks
 // compare against a second deployment the engine does not run
-// (`sim/churn_scenario`, `sim/shard_scenario`, `sim/federation_scenario`):
+// (`sim/churn_scenario`, `sim/shard_scenario`):
 // deterministic per-path delay spreads, PathId table construction, drain
 // concatenation, gap deduplication, and fetch-client stat accumulation.
 // The soak suites pin these helpers byte-for-byte — change semantics here

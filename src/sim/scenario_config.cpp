@@ -1,8 +1,10 @@
 #include "sim/scenario_config.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace vpm::sim {
 namespace {
@@ -68,35 +70,37 @@ const char* adversary_name(AdversaryKind k) {
   return "honest";
 }
 
-[[noreturn]] void bad_token(const std::string& token, const char* why) {
-  throw std::invalid_argument("scenario config: " + std::string(why) + ": '" +
-                              token + "'");
+[[noreturn]] void bad_token(const std::string& token, const std::string& why) {
+  throw std::invalid_argument("scenario config: " + why + ": '" + token +
+                              "'");
+}
+
+/// The whole value as one T.  std::from_chars takes no leading space and
+/// no sign on an unsigned T, so `paths=-1` is malformed, not 2^64 - 1.
+template <typename T>
+T parse_number(const std::string& token, const std::string& value,
+               const std::string& what) {
+  T v{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec == std::errc::result_out_of_range) {
+    bad_token(token, what + " out of range");
+  }
+  if (ec != std::errc{}) bad_token(token, "malformed " + what);
+  if (ptr != end) bad_token(token, "trailing junk in " + what);
+  return v;
 }
 
 double parse_double(const std::string& token, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) bad_token(token, "trailing junk in number");
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad_token(token, "malformed number");
-  } catch (const std::out_of_range&) {
-    bad_token(token, "number out of range");
-  }
+  const double v = parse_number<double>(token, value, "number");
+  // nan and inf parse, but no knob means anything by them (a NaN rate
+  // would never end the traffic generator's arrival loop).
+  if (!std::isfinite(v)) bad_token(token, "non-finite number");
+  return v;
 }
 
 std::uint64_t parse_u64(const std::string& token, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(value, &used);
-    if (used != value.size()) bad_token(token, "trailing junk in integer");
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad_token(token, "malformed integer");
-  } catch (const std::out_of_range&) {
-    bad_token(token, "integer out of range");
-  }
+  return parse_number<std::uint64_t>(token, value, "integer");
 }
 
 net::Duration parse_us(const std::string& token, const std::string& value) {
@@ -223,26 +227,11 @@ std::string ScenarioConfig::to_string() const {
   if (gap_patience_polls != def.gap_patience_polls) {
     put("gap_patience", std::to_string(gap_patience_polls));
   }
-  if (fed_domains != def.fed_domains) {
-    put("fed_domains", std::to_string(fed_domains));
+  if (store_shards != def.store_shards) {
+    put("store_shards", std::to_string(store_shards));
   }
-  if (fed_store_shards != def.fed_store_shards) {
-    put("fed_shards", std::to_string(fed_store_shards));
-  }
-  if (fed_segment_backend) put("fed_backend", "segment");
-  if (fed_segment_bytes != def.fed_segment_bytes) {
-    put("fed_segment_bytes", std::to_string(fed_segment_bytes));
-  }
-  if (fed_crash_every != def.fed_crash_every) {
-    put("fed_crash_every", std::to_string(fed_crash_every));
-  }
-  if (fed_torn_tail) put("fed_torn_tail", "1");
-  if (fed_join_round != def.fed_join_round) {
-    put("fed_join_round", std::to_string(fed_join_round));
-  }
-  if (fed_lag_every != def.fed_lag_every) {
-    put("fed_lag_every", std::to_string(fed_lag_every));
-  }
+  if (segment_store) put("store", "segment");
+  if (torn_tail) put("torn_tail", "1");
   return out;
 }
 
@@ -386,28 +375,18 @@ ScenarioConfig parse_scenario(std::string_view text) {
       cfg.crash_every_rounds = static_cast<std::size_t>(parse_u64(token, value));
     } else if (key == "gap_patience") {
       cfg.gap_patience_polls = parse_u64(token, value);
-    } else if (key == "fed_domains") {
-      cfg.fed_domains = static_cast<std::size_t>(parse_u64(token, value));
-    } else if (key == "fed_shards") {
-      cfg.fed_store_shards = static_cast<std::size_t>(parse_u64(token, value));
-    } else if (key == "fed_backend") {
+    } else if (key == "store_shards") {
+      cfg.store_shards = static_cast<std::size_t>(parse_u64(token, value));
+    } else if (key == "store") {
       if (value == "memory") {
-        cfg.fed_segment_backend = false;
+        cfg.segment_store = false;
       } else if (value == "segment") {
-        cfg.fed_segment_backend = true;
+        cfg.segment_store = true;
       } else {
-        bad_token(token, "unknown federation backend");
+        bad_token(token, "unknown store");
       }
-    } else if (key == "fed_segment_bytes") {
-      cfg.fed_segment_bytes = static_cast<std::size_t>(parse_u64(token, value));
-    } else if (key == "fed_crash_every") {
-      cfg.fed_crash_every = static_cast<std::size_t>(parse_u64(token, value));
-    } else if (key == "fed_torn_tail") {
-      cfg.fed_torn_tail = parse_u64(token, value) != 0;
-    } else if (key == "fed_join_round") {
-      cfg.fed_join_round = static_cast<std::size_t>(parse_u64(token, value));
-    } else if (key == "fed_lag_every") {
-      cfg.fed_lag_every = static_cast<std::size_t>(parse_u64(token, value));
+    } else if (key == "torn_tail") {
+      cfg.torn_tail = parse_u64(token, value) != 0;
     } else {
       bad_token(token, "unknown key");
     }

@@ -1,7 +1,8 @@
 // Declarative scenario description for the config-driven engine
 // (sim/scenario_engine): one struct composing the traffic mix, the loss
-// model, topology events, dissemination faults, and the adversary
-// strategy matrix — everything the §6 evaluation grid varies.
+// model, topology events, dissemination faults, the receipt store, and
+// the adversary strategy matrix — everything the §6 evaluation grid
+// varies.
 //
 // A scenario is expressible as a one-line `key=value` string (or a text
 // file of them under tests/scenarios/), so a failing grid cell prints a
@@ -132,34 +133,22 @@ struct ScenarioConfig {
   std::size_t max_chunk_bytes = 4 * 1024;
   dissem::FaultPlan faults;  ///< all-zero = perfect wire
   std::uint64_t fault_seed = 1;
-  std::size_t crash_every_rounds = 0;  ///< FetchClient crash-restart cadence
+  /// Fleet crash-restart cadence: every Nth round the FetchClients die
+  /// and rebuild from their acked cursors, and a segment store dies and
+  /// reopens with them (0 = never).
+  std::size_t crash_every_rounds = 0;
   std::uint64_t gap_patience_polls = 3;
 
-  // Federation (sim/federation_scenario): a ring of fed_domains domains,
-  // each simultaneously producer and consumer against a shared
-  // FederatedStore.  fed_domains == 0 leaves the classic chain engine in
-  // charge; >= 3 enables the fleet (each flow spans 3 consecutive
-  // domains).
-  std::size_t fed_domains = 0;
-  std::size_t fed_store_shards = 1;
-  /// false: volatile memory backend.  true: disk segment backend — the
-  /// run directory is chosen by the driver (a path is runtime state, not
+  // The receipt store (dissem::FederatedStore).
+  std::size_t store_shards = 1;  ///< producer shards
+  /// false: volatile memory store.  true: disk segment store under the
+  /// directory passed to run_scenario (a path is runtime state, not
   /// scenario identity, so it never appears in the repro line).
-  bool fed_segment_backend = false;
-  std::size_t fed_segment_bytes = 16 * 1024;  ///< segment roll threshold
-  /// Kill the STORE process (and the fleet's sessions with it) every Nth
-  /// round and reopen from disk segments (0 = never; segment backend
-  /// only).
-  std::size_t fed_crash_every = 0;
-  /// Tear a few bytes off the last segment file at each crash (a torn
-  /// tail write the recovery scan must truncate).
-  bool fed_torn_tail = false;
-  /// Round at which the LAST domain's verifier clients join (0 = from the
-  /// start); late joiners start at the GC floor.
-  std::size_t fed_join_round = 0;
-  /// One domain's clients poll only every Nth round (0 = every round) —
-  /// the lagging-consumer case that stretches retention.
-  std::size_t fed_lag_every = 0;
+  bool segment_store = false;
+  /// Tear a few bytes off the last segment file at each store crash (a
+  /// torn tail write the recovery scan must truncate).  Needs
+  /// segment_store and crash_every_rounds.
+  bool torn_tail = false;
 
   /// The one-line repro string: `key=value` pairs, space separated, only
   /// keys differing from the defaults (name and seed always included).
@@ -168,9 +157,10 @@ struct ScenarioConfig {
 
 /// Parse the `key=value` text format: tokens separated by any whitespace
 /// (so one line and a multi-line file are the same grammar), `#` starts a
-/// comment to end of line.  Unknown keys, malformed values, and malformed
-/// compound values (domains=, adversary.*=, link_down=, route_flap=)
-/// throw std::invalid_argument naming the offending token.
+/// comment to end of line.  Unknown keys, malformed values (a signed
+/// integer, a non-finite number), and malformed compound values
+/// (domains=, adversary.*=, link_down=, route_flap=) throw
+/// std::invalid_argument naming the offending token.
 [[nodiscard]] ScenarioConfig parse_scenario(std::string_view text);
 
 }  // namespace vpm::sim

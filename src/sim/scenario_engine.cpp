@@ -1,6 +1,7 @@
 #include "sim/scenario_engine.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -12,8 +13,10 @@
 #include "core/incremental_verifier.hpp"
 #include "core/receipt_sink.hpp"
 #include "dissem/faulty_transport.hpp"
+#include "dissem/federated_store.hpp"
 #include "dissem/fetch_client.hpp"
 #include "dissem/receipt_store.hpp"
+#include "dissem/segment_store.hpp"
 #include "dissem/wire_exporter.hpp"
 #include "dissem/wire_importer.hpp"
 #include "loss/bernoulli.hpp"
@@ -28,6 +31,37 @@ namespace {
 
 constexpr dissem::DomainKey kKey = 0x5CE7A110;
 
+/// Segment store shape: small segments, so GC unlinks files within a short
+/// run, and a short cursor-log snapshot cadence, so runs compact the log.
+constexpr std::size_t kSegmentBytes = 1024;
+constexpr std::size_t kCursorSnapshotEvery = 512;
+
+/// Cut `1 + rnd % 40`-ish bytes off the lexicographically last segment
+/// file under `root` — a torn tail write for recovery to truncate.  The
+/// run is deterministic up to the crash, so its directory listing and the
+/// choice of file are too.  Returns false when no segment file has bytes
+/// to spare past its header.
+bool tear_segment_tail(const std::filesystem::path& root, std::uint64_t rnd) {
+  std::filesystem::path victim;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file() || entry.path().extension() != ".seg") {
+      continue;
+    }
+    if (victim.empty() ||
+        entry.path().generic_string() > victim.generic_string()) {
+      victim = entry.path();
+    }
+  }
+  if (victim.empty()) return false;
+  const std::uintmax_t size = std::filesystem::file_size(victim);
+  if (size <= dissem::kSegmentHeaderBytes + 8) return false;
+  const std::uintmax_t spare = size - dissem::kSegmentHeaderBytes;
+  const std::uintmax_t cut = 1 + rnd % std::min<std::uintmax_t>(spare, 40);
+  std::filesystem::resize_file(victim, size - cut);
+  return true;
+}
+
 /// Transit-domain index of `name` in the chain (throws unless it names a
 /// domain with both an ingress and an egress HOP).
 std::size_t transit_index(const ScenarioConfig& cfg, const std::string& name,
@@ -39,7 +73,8 @@ std::size_t transit_index(const ScenarioConfig& cfg, const std::string& name,
                               "' is not a transit domain");
 }
 
-void validate(const ScenarioConfig& cfg) {
+void validate(const ScenarioConfig& cfg,
+              const std::filesystem::path& directory) {
   if (cfg.domains.size() < 3) {
     throw std::invalid_argument(
         "scenario: need at least three domains (one transit)");
@@ -80,18 +115,19 @@ void validate(const ScenarioConfig& cfg) {
     throw std::invalid_argument(
         "scenario: gap patience below the fault plan's max delay");
   }
-  const ScenarioConfig def;
-  if (cfg.fed_domains != def.fed_domains ||
-      cfg.fed_store_shards != def.fed_store_shards ||
-      cfg.fed_segment_backend != def.fed_segment_backend ||
-      cfg.fed_segment_bytes != def.fed_segment_bytes ||
-      cfg.fed_crash_every != def.fed_crash_every ||
-      cfg.fed_torn_tail != def.fed_torn_tail ||
-      cfg.fed_join_round != def.fed_join_round ||
-      cfg.fed_lag_every != def.fed_lag_every) {
+  if (cfg.store_shards == 0) {
+    throw std::invalid_argument("scenario: store_shards must be >= 1");
+  }
+  if (cfg.segment_store &&
+      (directory.empty() || (std::filesystem::exists(directory) &&
+                             !std::filesystem::is_empty(directory)))) {
+    // A store reopened over an old run's files would replay that run.
     throw std::invalid_argument(
-        "scenario: fed_* keys configure run_federation_scenario, not "
-        "run_scenario");
+        "scenario: a segment store needs an empty directory");
+  }
+  if (cfg.torn_tail && (!cfg.segment_store || cfg.crash_every_rounds == 0)) {
+    throw std::invalid_argument(
+        "scenario: torn_tail needs a segment store and crash_every");
   }
   for (std::size_t i = 0; i < cfg.adversaries.size(); ++i) {
     (void)transit_index(cfg, cfg.adversaries[i].domain, "adversary domain");
@@ -172,8 +208,9 @@ double ScenarioOutcome::true_loss(const std::string& domain) const {
                                   static_cast<double>(offered);
 }
 
-ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
-  validate(cfg);
+ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
+                             const std::filesystem::path& directory) {
+  validate(cfg, directory);
 
   const std::size_t n_domains = cfg.domains.size();
   const std::size_t n_hops = 2 * (n_domains - 1);
@@ -389,26 +426,49 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
   build_collectors(multi.paths);
 
   // --- the wire: exporters -> faulty transports -> store ------------------
-  dissem::ReceiptStore store;
-  for (std::size_t pos = 0; pos < n_hops; ++pos) {
-    store.register_producer(out.layout.hops[pos], kKey);
-  }
-  store.register_consumer("fleet");
+  // Keys are not durable: every store incarnation registers them afresh.
+  const auto open_store = [&] {
+    auto fresh = std::make_unique<dissem::FederatedStore>(
+        dissem::FederatedStoreConfig{
+            .shards = cfg.store_shards,
+            .directory = cfg.segment_store ? directory
+                                           : std::filesystem::path{},
+            .max_segment_bytes = kSegmentBytes,
+            .cursor_snapshot_every = kCursorSnapshotEvery,
+        });
+    for (std::size_t pos = 0; pos < n_hops; ++pos) {
+      fresh->register_producer(out.layout.hops[pos], kKey);
+    }
+    fresh->register_consumer("fleet");
+    return fresh;
+  };
+  std::unique_ptr<dissem::FederatedStore> store = open_store();
+
+  // archive[pos][s - 1]: HOP pos's envelope s as sealed, before the
+  // transport can fault it — the perfect wire the delivered-round
+  // reference replays.  accepted[pos][s - 1]: the store accepted it; the
+  // store rejects a corrupted copy at the MAC check, so what it accepted
+  // is the sealed envelope.  sealed[pos][r]: the last sequence of publish
+  // r (every round, route-flap drain and the closing drain).
+  std::vector<std::vector<dissem::Envelope>> archive(n_hops);
+  std::vector<std::vector<char>> accepted(n_hops);
+  std::vector<std::vector<std::uint64_t>> sealed(n_hops);
+  const auto ingest = [&store, &accepted](std::size_t pos,
+                                          dissem::Envelope&& e) {
+    const std::uint64_t sequence = e.sequence;
+    if (store->ingest(std::move(e)) == dissem::IngestResult::kAccepted) {
+      accepted[pos][sequence - 1] = 1;
+    }
+  };
 
   std::vector<std::optional<dissem::FaultyTransport>> transports(n_hops);
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
     transports[pos].emplace(cfg.faults, cfg.fault_seed + pos,
-                            [&store](dissem::Envelope&& e) {
-                              (void)store.ingest(std::move(e));
+                            [&ingest, pos](dissem::Envelope&& e) {
+                              ingest(pos, std::move(e));
                             });
   }
 
-  // archive[pos][s - 1]: HOP pos's envelope s as sealed, before the
-  // transport can fault it — the perfect wire the delivered-round
-  // reference replays.  sealed[pos][r]: the last sequence of publish r
-  // (every round, route-flap drain and the closing drain).
-  std::vector<std::vector<dissem::Envelope>> archive(n_hops);
-  std::vector<std::vector<std::uint64_t>> sealed(n_hops);
   bool faults_on = true;  // the closing drain ships on a clean wire
   std::vector<std::optional<dissem::WireExporter>> exporters(n_hops);
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
@@ -416,13 +476,14 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
         dissem::WireExporter::Config{.producer = out.layout.hops[pos],
                                      .key = kKey,
                                      .max_chunk_bytes = cfg.max_chunk_bytes},
-        [&transports, &store, &archive, &faults_on,
+        [&transports, &ingest, &archive, &accepted, &faults_on,
          pos](dissem::Envelope&& e) {
           archive[pos].push_back(e);
+          accepted[pos].push_back(0);
           if (faults_on) {
             transports[pos]->send(std::move(e));
           } else {
-            (void)store.ingest(std::move(e));
+            ingest(pos, std::move(e));
           }
         });
   }
@@ -454,7 +515,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
     ccfg.gap_patience_polls = cfg.gap_patience_polls;
     ccfg.seed = cfg.seed ^ (0xC11E57ull + pos);
     clients[pos] = std::make_unique<dissem::FetchClient>(
-        *importers[pos], store, ccfg,
+        *importers[pos], store->shard_for(ccfg.producer), ccfg,
         [&verifiers, &out, pos](std::vector<core::IndexedPathDrain>&& groups) {
           for (core::IndexedPathDrain& g : groups) {
             for (const core::AggregateReceipt& a : g.drain.aggregates) {
@@ -473,6 +534,48 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
     clients[pos].reset();
   };
   for (std::size_t pos = 0; pos < n_hops; ++pos) build_client(pos);
+
+  // --- the crash -----------------------------------------------------------
+  // After round r is published and before it is polled (no cursor moves in
+  // between), the fleet dies and rebuilds from its acked cursors.  A
+  // segment store dies with it: destroyed, its last segment optionally
+  // torn, reopened from disk and sent every envelope the old store had
+  // accepted.  Torn-away envelopes re-accept, collected ones fall at or
+  // below the recovered floor and retained ones dedupe, so the reopened
+  // store serves what the memory store would.
+  std::size_t rejected_before = 0;  // rejections of dead incarnations
+  dissem::StorageStats storage_before;
+  const auto crash = [&](std::size_t r) {
+    for (std::size_t pos = 0; pos < n_hops; ++pos) retire_client(pos);
+    if (cfg.segment_store) {
+      const dissem::StorageStats s = store->storage_stats();
+      storage_before.erased += s.erased;
+      storage_before.segments_unlinked += s.segments_unlinked;
+      rejected_before += store->rejected_count();
+      store.reset();
+      if (cfg.torn_tail &&
+          tear_segment_tail(directory,
+                            scenario::mix(cfg.seed ^ (0x7EA5ull * r)))) {
+        ++out.torn_tails;
+      }
+      store = open_store();
+      for (std::size_t pos = 0; pos < n_hops; ++pos) {
+        for (std::size_t i = 0; i < archive[pos].size(); ++i) {
+          if (!accepted[pos][i]) continue;
+          if (store->ingest(archive[pos][i]) ==
+              dissem::IngestResult::kAccepted) {
+            ++out.reingest_accepted;
+          } else {
+            ++out.reingest_rejected;
+          }
+        }
+      }
+    }
+    for (std::size_t pos = 0; pos < n_hops; ++pos) {
+      build_client(pos);
+      ++out.client_rebuilds;
+    }
+  };
 
   // --- adversary transform plumbing ---------------------------------------
   // adv_at[pos]: what the owning domain does to the drains this HOP
@@ -557,14 +660,6 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
 
   // --- the rounds ---------------------------------------------------------
   for (std::size_t r = 0; r < cfg.rounds; ++r) {
-    if (cfg.crash_every_rounds != 0 && r != 0 &&
-        r % cfg.crash_every_rounds == 0) {
-      for (std::size_t pos = 0; pos < n_hops; ++pos) {
-        retire_client(pos);
-        build_client(pos);
-        ++out.client_rebuilds;
-      }
-    }
     if (cfg.route_flap.duration_rounds != 0) {
       // Withdraw one round AFTER the traffic stops: observations are
       // bucketed by local time, so packets in flight across the withdraw
@@ -604,7 +699,13 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
       streams[pos] = std::move(sink).take();
     }
     publish(std::move(streams));
+    if (cfg.crash_every_rounds != 0 && r != 0 &&
+        r % cfg.crash_every_rounds == 0) {
+      crash(r);
+    }
     for (std::size_t pos = 0; pos < n_hops; ++pos) clients[pos]->poll();
+    out.segments_live_peak = std::max(out.segments_live_peak,
+                                      store->storage_stats().segments_live);
   }
 
   // --- the clean closing drain --------------------------------------------
@@ -695,7 +796,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
   }
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
     out.consumer_lag_end.push_back(
-        store.consumer_lag("fleet", out.layout.hops[pos]));
+        store->consumer_lag("fleet", out.layout.hops[pos]));
     out.lost_sequences.push_back(
         transports[pos]->lost_sequences(out.layout.hops[pos]));
     const dissem::FaultStats& ts = transports[pos]->stats();
@@ -707,9 +808,13 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg) {
     out.wire.reordered += ts.reordered;
     out.wire.delayed += ts.delayed;
   }
-  out.store_envelopes_end = store.stored_envelopes();
-  out.store_rejected = store.rejected_count();
-  out.store_gc_erased = store.gc_erased_count();
+  out.storage_end = store->storage_stats();
+  out.storage_end.erased += storage_before.erased;
+  out.storage_end.segments_unlinked += storage_before.segments_unlinked;
+  out.segments_live_peak =
+      std::max(out.segments_live_peak, out.storage_end.segments_live);
+  out.store_rejected =
+      rejected_before + store->rejected_count() - out.reingest_rejected;
   out.ack_rejections = fleet_stats.ack_rejections;
   out.gaps_reported = fleet_stats.gaps_reported;
   out.groups_delivered = fleet_stats.groups_delivered;

@@ -10,7 +10,8 @@
 //   3. drains the round, applies the configured adversary transforms
 //      (adversary/strategies — the drains a lying domain PUBLISHES differ
 //      from what it observed), and ships the published drains through
-//      WireExporter -> FaultyTransport -> ReceiptStore,
+//      WireExporter -> FaultyTransport -> dissem::FederatedStore (memory or
+//      disk segments, `store_shards` producer shards),
 //   4. polls a per-HOP FetchClient fleet that feeds per-path
 //      IncrementalPathVerifiers (gap reports and all).
 //
@@ -24,12 +25,18 @@
 //
 // Route flaps rebuild every HOP's path table mid-run under the PR-5
 // lifecycle machinery (open receipts drain first, so nothing is
-// orphaned); FetchClient crash-restarts rebuild consumers from their
-// acked cursors mid-stream.  The outcome carries the verifier's findings
-// NEXT TO the simulator's ground truth, so the scenario-grid suite can
-// assert the §6 detection envelope per scenario class: honest runs stay
-// clean, every lying domain's link is implicated, loss estimates track
-// true loss.
+// orphaned).  Every crash_every round, after the round is published and
+// before it is polled, the FetchClient fleet crashes and rebuilds from
+// its acked cursors.  A segment store crashes with it: destroyed,
+// optionally torn at its last segment's tail, reopened from disk, and
+// re-sent every envelope it had accepted.  A crashed segment run's
+// outcome then equals the memory run's outside the store's own
+// accounting (store_crash_soak_test pins it).
+//
+// The outcome carries the verifier's findings NEXT TO the simulator's
+// ground truth, so the scenario-grid suite can assert the §6 detection
+// envelope per scenario class: honest runs stay clean, every lying
+// domain's link is implicated, loss estimates track true loss.
 //
 // Determinism: identical config (including seed) => identical
 // ScenarioOutcome, bit for bit — outcomes compare with == and every grid
@@ -50,12 +57,14 @@
 #define VPM_SIM_SCENARIO_ENGINE_HPP
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/verifier.hpp"
 #include "dissem/faulty_transport.hpp"
+#include "dissem/storage.hpp"
 #include "sim/scenario_config.hpp"
 
 namespace vpm::sim {
@@ -106,10 +115,20 @@ struct ScenarioOutcome {
 
   // End state: nothing stuck, nothing silently lost.
   std::vector<std::size_t> consumer_lag_end;  ///< per hop
-  std::size_t store_envelopes_end = 0;
+  /// The store's retention at the end; `erased` and `segments_unlinked`
+  /// sum every store incarnation.
+  dissem::StorageStats storage_end;
+  /// Wire arrivals the store refused, summed over store incarnations
+  /// (re-sends after a store crash count in reingest_rejected).
   std::size_t store_rejected = 0;
-  std::size_t store_gc_erased = 0;
   std::size_t client_rebuilds = 0;
+  // Segment store crashes: tails torn, re-sent envelopes the reopened
+  // store accepted (what a tear destroyed) and rejected, and the most
+  // segment files live at any round's end.
+  std::size_t torn_tails = 0;
+  std::size_t reingest_accepted = 0;
+  std::size_t reingest_rejected = 0;
+  std::size_t segments_live_peak = 0;
   dissem::FaultStats wire;  ///< transport fault counts, summed over hops
   /// Retention casualties in the fleet-fed and reference verifiers.
   std::uint64_t expired_unmatched = 0;
@@ -136,15 +155,18 @@ struct ScenarioOutcome {
   [[nodiscard]] double true_loss(const std::string& domain) const;
 };
 
-/// Run one scenario.  Deterministic per config.  Throws
-/// std::invalid_argument on malformed configs: fewer than three domains,
-/// a negative domain_delay, link_delay, jitter or max_diff, unknown
-/// loss/jitter/adversary domain names, an adversary domain that is not a
-/// transit domain, two adversary entries for one domain, a route flap
-/// withdrawing every path, a link_down index out of range, fault delays
-/// the gap patience cannot cover, or any fed_* key (those configure
-/// run_federation_scenario).
-[[nodiscard]] ScenarioOutcome run_scenario(const ScenarioConfig& cfg);
+/// Run one scenario.  `directory` roots a segment store (ignored for a
+/// memory store); it must be empty or absent, and the caller removes it.
+/// Deterministic per config.  Throws std::invalid_argument on malformed
+/// configs: fewer than three domains, a negative domain_delay,
+/// link_delay, jitter or max_diff, unknown loss/jitter/adversary domain
+/// names, an adversary domain that is not a transit domain, two adversary
+/// entries for one domain, a route flap withdrawing every path, a
+/// link_down index out of range, fault delays the gap patience cannot
+/// cover, store_shards == 0, a segment store without an empty directory,
+/// or torn_tail without a segment store and crash_every.
+[[nodiscard]] ScenarioOutcome run_scenario(
+    const ScenarioConfig& cfg, const std::filesystem::path& directory = {});
 
 }  // namespace vpm::sim
 

@@ -1,5 +1,6 @@
 #include "trace/synthetic_trace.hpp"
 
+#include <cmath>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -142,8 +143,11 @@ MultiPathTrace generate_multi_path(const MultiPathConfig& cfg) {
   if (cfg.path_count == 0) {
     throw std::invalid_argument("path_count must be positive");
   }
-  if (cfg.total_packets_per_second <= 0.0) {
-    throw std::invalid_argument("total rate must be positive");
+  // NaN passes a `<= 0` test, and a NaN or infinite rate makes every
+  // inter-arrival gap NaN or 0: the arrival loop would never end.
+  if (!std::isfinite(cfg.total_packets_per_second) ||
+      cfg.total_packets_per_second <= 0.0) {
+    throw std::invalid_argument("total rate must be finite and positive");
   }
   std::mt19937_64 rng(cfg.seed);
 

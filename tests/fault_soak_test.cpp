@@ -67,9 +67,9 @@ void assert_no_stuck_state(const sim::ScenarioOutcome& r,
   }
   EXPECT_EQ(r.ack_rejections, 0u) << what << ": a boundary ack was rejected";
   EXPECT_GT(r.groups_delivered, 0u) << what;
-  EXPECT_EQ(r.store_envelopes_end, 0u)
+  EXPECT_EQ(r.storage_end.envelopes, 0u)
       << what << ": acked envelopes must be garbage-collected";
-  EXPECT_GT(r.store_gc_erased, 0u) << what << ": the GC floor never advanced";
+  EXPECT_GT(r.storage_end.erased, 0u) << what << ": the GC floor never advanced";
   EXPECT_EQ(r.expired_unmatched, 0u) << what;
 }
 

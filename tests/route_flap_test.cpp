@@ -39,9 +39,9 @@ TEST(RouteFlap, RebuildOrphansNothing) {
     // is stuck in the store, and the GC floor advanced behind the acks.
     EXPECT_EQ(out.ack_rejections, 0u);
     for (const std::size_t lag : out.consumer_lag_end) EXPECT_EQ(lag, 0u);
-    EXPECT_EQ(out.store_envelopes_end, 0u);
+    EXPECT_EQ(out.storage_end.envelopes, 0u);
     EXPECT_EQ(out.store_rejected, 0u);
-    EXPECT_GT(out.store_gc_erased, 0u);
+    EXPECT_GT(out.storage_end.erased, 0u);
 
     // The withdrawn paths' traffic stopped (fewer packets than the
     // always-up run) but every injected packet is accounted for.

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "helpers.hpp"
 #include "scenario_grid.hpp"
 #include "sim/scenario_engine.hpp"
 
@@ -58,22 +59,22 @@ TEST(ScenarioConfig, EventfulConfigRoundTripsExactly) {
   EXPECT_EQ(back.to_string(), cfg.to_string());
 }
 
-TEST(ScenarioConfig, FederationKeysRoundTripExactly) {
-  const char* text =
-      "name=fleet seed=4 paths=2 rounds=12 fed_domains=5 fed_shards=4 "
-      "fed_backend=segment fed_segment_bytes=2048 fed_crash_every=4 "
-      "fed_torn_tail=1 fed_join_round=2 fed_lag_every=3";
-  const ScenarioConfig cfg = parse_scenario(text);
-  EXPECT_EQ(cfg.fed_domains, 5u);
-  EXPECT_EQ(cfg.fed_store_shards, 4u);
-  EXPECT_TRUE(cfg.fed_segment_backend);
-  EXPECT_EQ(cfg.fed_segment_bytes, 2048u);
-  EXPECT_EQ(cfg.fed_crash_every, 4u);
-  EXPECT_TRUE(cfg.fed_torn_tail);
-  EXPECT_EQ(cfg.fed_join_round, 2u);
-  EXPECT_EQ(cfg.fed_lag_every, 3u);
+TEST(ScenarioConfig, StoreKeysRoundTripExactly) {
+  const ScenarioConfig cfg = parse_scenario(
+      "name=disk seed=4 store=segment store_shards=4 crash_every=3 "
+      "torn_tail=1");
+  EXPECT_TRUE(cfg.segment_store);
+  EXPECT_EQ(cfg.store_shards, 4u);
+  EXPECT_TRUE(cfg.torn_tail);
   const ScenarioConfig back = parse_scenario(cfg.to_string());
   EXPECT_EQ(back.to_string(), cfg.to_string());
+  EXPECT_TRUE(back.segment_store);
+  EXPECT_EQ(back.store_shards, 4u);
+  EXPECT_TRUE(back.torn_tail);
+  // The memory store is the default and stays off the repro line.
+  EXPECT_FALSE(parse_scenario("store=memory").segment_store);
+  EXPECT_EQ(parse_scenario("store=memory").to_string(), "name=scenario seed=1");
+  EXPECT_THROW((void)parse_scenario("store=tape"), std::invalid_argument);
 }
 
 // Values set in code need not have a short decimal spelling; the repro
@@ -142,6 +143,12 @@ TEST(ScenarioConfig, RejectsMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW((void)parse_scenario("link_down=1:2"), std::invalid_argument);
   EXPECT_THROW((void)parse_scenario("domains=S,,D"), std::invalid_argument);
+  // No sign on an integer: -1 must not wrap to 2^64 - 1.
+  EXPECT_THROW((void)parse_scenario("paths=-1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_scenario("round_us=-5"), std::invalid_argument);
+  // No non-finite number: a NaN or infinite rate never ends the traffic.
+  EXPECT_THROW((void)parse_scenario("pps=nan"), std::invalid_argument);
+  EXPECT_THROW((void)parse_scenario("pps=inf"), std::invalid_argument);
 }
 
 TEST(ScenarioEngine, ValidatesConfigs) {
@@ -165,15 +172,21 @@ TEST(ScenarioEngine, ValidatesConfigs) {
       std::invalid_argument);
   // Physical quantities may not be negative: a HOP would see a packet
   // before its upstream sent it, jitter would silently vanish, and a
-  // negative max_diff would implicate every honest link.
-  EXPECT_THROW((void)run_scenario(cfg_of("link_delay_us=-1000000")),
-               std::invalid_argument);
-  EXPECT_THROW((void)run_scenario(cfg_of("domain_delay_us=-2000000")),
-               std::invalid_argument);
-  EXPECT_THROW((void)run_scenario(cfg_of("jitter_domain=X jitter_us=-100")),
-               std::invalid_argument);
-  EXPECT_THROW((void)run_scenario(cfg_of("max_diff_us=-5")),
-               std::invalid_argument);
+  // negative max_diff would implicate every honest link.  The parser
+  // takes no sign, so only a config built in code reaches this check.
+  const auto negative = [](auto set) {
+    ScenarioConfig cfg;
+    set(cfg);
+    EXPECT_THROW((void)run_scenario(cfg), std::invalid_argument)
+        << cfg.to_string();
+  };
+  negative([](ScenarioConfig& c) { c.link_delay = net::seconds(-1); });
+  negative([](ScenarioConfig& c) { c.domain_delay = net::seconds(-2); });
+  negative([](ScenarioConfig& c) {
+    c.jitter_domain = "X";
+    c.jitter = net::microseconds(-100);
+  });
+  negative([](ScenarioConfig& c) { c.max_diff = net::microseconds(-5); });
   // A route flap may not withdraw every path.
   EXPECT_THROW((void)run_scenario(cfg_of("paths=2 route_flap=2:1:1")),
                std::invalid_argument);
@@ -184,18 +197,26 @@ TEST(ScenarioEngine, ValidatesConfigs) {
   EXPECT_THROW((void)run_scenario(cfg_of(
                    "fault_delay=0.1 fault_max_delay_ticks=5 gap_patience=2")),
                std::invalid_argument);
-  // fed_* keys belong to run_federation_scenario; the chain engine must
-  // not silently run a different deployment than the line asked for.
-  try {
-    (void)run_scenario(
-        cfg_of("fed_domains=5 fed_backend=segment fed_crash_every=2"));
-    ADD_FAILURE() << "fed_* keys were ignored";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("run_federation_scenario"),
-              std::string::npos)
-        << e.what();
+  // The store: at least one shard, a segment store needs an empty
+  // directory, and a torn tail needs a segment store that crashes.
+  EXPECT_THROW((void)run_scenario(cfg_of("store_shards=0")),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(cfg_of("store=segment crash_every=2")),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(cfg_of("torn_tail=1 crash_every=2")),
+               std::invalid_argument);
+  {
+    test::TempDir tmp("validate");
+    EXPECT_THROW(
+        (void)run_scenario(cfg_of("store=segment torn_tail=1"), tmp.path()),
+        std::invalid_argument);
+    std::ofstream(tmp.path() / "left-over") << "x";
+    EXPECT_THROW((void)run_scenario(cfg_of("store=segment"), tmp.path()),
+                 std::invalid_argument);
   }
-  EXPECT_THROW((void)run_scenario(cfg_of("fed_lag_every=2")),
+  // A key no knob answers to fails instead of running a different
+  // deployment than the line asked for.
+  EXPECT_THROW((void)run_scenario(cfg_of("fed_domains=5")),
                std::invalid_argument);
 }
 
@@ -271,8 +292,8 @@ TEST(ScenarioEngine, FaultyWireChurnFile) {
       // and never leave the fleet stuck.
       EXPECT_EQ(out.ack_rejections, 0u);
       for (const std::size_t lag : out.consumer_lag_end) EXPECT_EQ(lag, 0u);
-      EXPECT_EQ(out.store_envelopes_end, 0u);
-      EXPECT_GT(out.store_gc_erased, 0u);
+      EXPECT_EQ(out.storage_end.envelopes, 0u);
+      EXPECT_GT(out.storage_end.erased, 0u);
       // The delivered-round oracle holds across the route flap's rebuild
       // drains and the lifecycle passes: gaps are exactly the destroyed
       // sequences, and every delivered round verifies as over a perfect wire.

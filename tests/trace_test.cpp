@@ -2,6 +2,7 @@
 // size mix, flow structure, Zipf popularity, digest entropy.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <unordered_set>
 
@@ -232,6 +233,12 @@ TEST(MultiPathTrace, Validation) {
   EXPECT_THROW(generate_multi_path(cfg), std::invalid_argument);
   cfg.path_count = 1;
   cfg.total_packets_per_second = -1;
+  EXPECT_THROW(generate_multi_path(cfg), std::invalid_argument);
+  // NaN passes a `<= 0` guard, and a NaN or infinite rate draws NaN or
+  // zero inter-arrival gaps: the arrival loop would never end.
+  cfg.total_packets_per_second = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(generate_multi_path(cfg), std::invalid_argument);
+  cfg.total_packets_per_second = std::numeric_limits<double>::infinity();
   EXPECT_THROW(generate_multi_path(cfg), std::invalid_argument);
 }
 
