@@ -376,16 +376,23 @@ AlignmentResult align_tail(const AggregateTail& tail) {
 
 TailConsumeStats consume_aligned_prefix(AggregateTail& tail,
                                         std::size_t margin_boundaries,
-                                        std::vector<AlignedAggregate>& out) {
+                                        std::vector<AlignedAggregate>& out,
+                                        AlignmentResult& unconsumed) {
   TailConsumeStats stats;
-  if (tail.up.empty() || tail.down.empty()) return stats;
+  if (tail.up.empty() || tail.down.empty()) {
+    unconsumed = AlignmentResult{};
+    return stats;
+  }
 
   AlignDecomposed aligned = align_decomposed(
       tail.up, tail.down, /*apply_patchup=*/true, tail.down_carry);
   // Every group but the final (unbounded) one is closed by a matched
   // boundary — the join emits groups only there.
   const std::size_t matched = aligned.result.aligned.size() - 1;
-  if (matched <= margin_boundaries) return stats;
+  if (matched <= margin_boundaries) {
+    unconsumed = std::move(aligned.result);
+    return stats;
+  }
   const std::size_t consume = matched - margin_boundaries;
 
   std::size_t up_n = 0;

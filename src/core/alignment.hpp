@@ -74,6 +74,8 @@ struct AlignmentResult {
   std::size_t boundaries_matched = 0;
   /// Packets migrated across boundaries by patch-up.
   std::size_t migrations = 0;
+  friend bool operator==(const AlignmentResult&,
+                         const AlignmentResult&) = default;
 };
 
 /// What the alignment kernel reads of one aggregate receipt.  The path,
@@ -131,7 +133,10 @@ struct PatchupResult {
 // O(retained window), not O(history), and the concatenation  consumed
 // groups ++ align_tail(tail).aligned  is the alignment of the full
 // sequences.  A receipt's windows are sorted once, when it joins a tail;
-// every later alignment of that tail merges them as they are.
+// every later alignment of that tail merges them as they are.  A call
+// that consumes nothing hands out the alignment it ran, so a caller that
+// consumes until that happens holds the tail's alignment without running
+// align_tail.
 
 struct AggregateTail {
   std::vector<PreparedAggregate> up;
@@ -160,14 +165,18 @@ struct TailConsumeStats {
 /// matched-boundary groups.  Consumed groups append to `out`; consumed
 /// entries leave the tail and the seam migration shift rolls into
 /// `tail.down_carry`.  No-op while either side is empty or the matched
-/// count is within the margin.
+/// count is within the margin; such a call moves the alignment it ran,
+/// equal to align_tail(tail), into `unconsumed`.  A call that consumes
+/// leaves `unconsumed` as it was.
 TailConsumeStats consume_aligned_prefix(AggregateTail& tail,
                                         std::size_t margin_boundaries,
-                                        std::vector<AlignedAggregate>& out);
+                                        std::vector<AlignedAggregate>& out,
+                                        AlignmentResult& unconsumed);
 
-/// Align the tail to completion WITHOUT consuming — the analyze-time view.
-/// `.migrations` counts only migrations at tail boundaries (add the
-/// consumed stats for the full-history figure).
+/// Align the tail to completion WITHOUT consuming — the reference for the
+/// alignment consume_aligned_prefix hands out.  `.migrations` counts only
+/// migrations at tail boundaries (add the consumed stats for the
+/// full-history figure).
 [[nodiscard]] AlignmentResult align_tail(const AggregateTail& tail);
 
 }  // namespace vpm::core

@@ -1,5 +1,6 @@
 #include "core/consistency.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "net/digest.hpp"
@@ -26,17 +27,41 @@ std::string to_string(InconsistencyKind k) {
   return "unknown";
 }
 
+namespace {
+
+using RoundRecords = std::vector<std::pair<net::PacketDigest, net::Timestamp>>;
+
+/// Advances `it` to the first record of `records` (ascending ids) whose id
+/// is not below `id`; true if that record is `id`'s.
+bool seek(RoundRecords::const_iterator& it, const RoundRecords& records,
+          net::PacketDigest id) {
+  while (it != records.end() && it->first < id) ++it;
+  return it != records.end() && it->first == id;
+}
+
+}  // namespace
+
 void SampleRoundSplitter::feed(std::span<const SampleRecord> records,
                                FunctionRef<void(SampleRound&&)> on_round) {
+  const auto by_id = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  const auto same_id = [](const auto& a, const auto& b) {
+    return a.first == b.first;
+  };
   for (const SampleRecord& s : records) {
-    if (s.is_marker) {
-      current_.marker_id = s.pkt_id;
-      current_.marker_time = s.time;
-      on_round(std::move(current_));
-      current_ = SampleRound{};
-    } else {
-      current_.records.emplace(s.pkt_id, s.time);
+    if (!s.is_marker) {
+      current_.records.emplace_back(s.pkt_id, s.time);
+      continue;
     }
+    current_.marker_id = s.pkt_id;
+    current_.marker_time = s.time;
+    // Stable, so `unique` keeps each id's stream-first record.
+    RoundRecords& recs = current_.records;
+    std::stable_sort(recs.begin(), recs.end(), by_id);
+    recs.erase(std::unique(recs.begin(), recs.end(), same_id), recs.end());
+    on_round(std::move(current_));
+    current_ = SampleRound{};
   }
 }
 
@@ -61,9 +86,9 @@ void check_sample_round_pair(const SampleRound& ur, const SampleRound& dr,
 
   check_pair(ur.marker_id, ur.marker_time, dr.marker_time);
 
+  auto dit = dr.records.begin();
   for (const auto& [id, t_up] : ur.records) {
-    const auto dit = dr.records.find(id);
-    if (dit != dr.records.end()) {
+    if (seek(dit, dr.records, id)) {
       check_pair(id, t_up, dit->second);
       continue;
     }
@@ -75,8 +100,9 @@ void check_sample_round_pair(const SampleRound& ur, const SampleRound& dr,
           InconsistencyKind::kMissingDownstream, id, 0.0});
     }
   }
+  auto uit = ur.records.begin();
   for (const auto& [id, t_down] : dr.records) {
-    if (ur.records.contains(id)) continue;
+    if (seek(uit, ur.records, id)) continue;
     if (net::DigestEngine::sample_value(id, dr.marker_id) >
         up_sample_threshold) {
       // The upstream HOP should have sampled this packet yet claims it

@@ -22,7 +22,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/alignment.hpp"
@@ -61,7 +61,8 @@ struct LinkSampleCheck {
     return violations.empty();
   }
   /// Cross-link residence times (ms) of commonly sampled packets — used
-  /// to monitor the link itself.
+  /// to monitor the link itself.  Per matched sampling round: the
+  /// marker's, then the round's other packets in ascending id order.
   std::vector<double> link_delays_ms;
 
   friend bool operator==(const LinkSampleCheck&,
@@ -102,8 +103,10 @@ struct LinkAggregateCheck {
 struct SampleRound {
   net::PacketDigest marker_id = 0;
   net::Timestamp marker_time;
-  /// Non-marker records of the round, keyed by packet id.
-  std::unordered_map<net::PacketDigest, net::Timestamp> records;
+  /// Non-marker records of the round as (packet id, time), one per id in
+  /// ascending id order; a repeated id keeps its first record in stream
+  /// order.
+  std::vector<std::pair<net::PacketDigest, net::Timestamp>> records;
 };
 
 /// Splits a sample stream into rounds across multiple feeds: records
@@ -115,13 +118,10 @@ struct SampleRound {
 class SampleRoundSplitter {
  public:
   /// Feed the next slice of the stream; completed rounds are handed to
-  /// `on_round` in stream order.
+  /// `on_round` in stream order, their records sorted once, when the
+  /// marker closes the round.
   void feed(std::span<const SampleRecord> records,
             FunctionRef<void(SampleRound&&)> on_round);
-
-  [[nodiscard]] const SampleRound& pending() const noexcept {
-    return current_;
-  }
 
  private:
   SampleRound current_;
@@ -131,7 +131,11 @@ class SampleRoundSplitter {
 /// check_link_samples.  `max_diff` is the upstream HOP's disclosed bound
 /// (Eq. 1 made them agree); the sigmas are the two HOPs' disclosed sample
 /// thresholds for the omission checks (§5.2/§5.3).  Accumulates matches,
-/// link delays and violations into `out` (rounds_matched included).
+/// link delays and violations into `out` (rounds_matched included): the
+/// marker's delay first, then the up round's records in ascending id
+/// order (delay, Eq.-2 and kMissingDownstream output), then the down
+/// round's in ascending id order (kMissingUpstream).  Each round is walked
+/// once, as a merge against the other.
 void check_sample_round_pair(const SampleRound& up, const SampleRound& down,
                              net::Duration max_diff,
                              std::uint32_t up_sample_threshold,

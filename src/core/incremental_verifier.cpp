@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "stats/quantile.hpp"
@@ -17,17 +17,46 @@ namespace {
 /// never NaN.
 constexpr double kRemovedSlot = std::numeric_limits<double>::quiet_NaN();
 
-/// consume_aligned_prefix, skipped while the tail is idle.  The call is a
-/// pure function of the tail, so once it has consumed nothing it consumes
-/// nothing again until a receipt joins the tail.
-TailConsumeStats consume_unless_idle(AggregateTail& tail, bool& idle,
-                                     std::size_t margin_boundaries,
-                                     std::vector<AlignedAggregate>& out) {
-  if (idle) return {};
-  const TailConsumeStats stats =
-      consume_aligned_prefix(tail, margin_boundaries, out);
-  idle = stats.groups == 0;
-  return stats;
+/// Sort keys of the flat indexes: ingress entries by packet digest,
+/// downstream sampling rounds by marker id.
+constexpr auto kDigest = [](const auto& entry) { return entry.digest; };
+constexpr auto kMarker = [](const auto& stamped) {
+  return stamped.round.marker_id;
+};
+
+/// The entry of the `key`-sorted `index` whose key is `k`, or index.end().
+template <typename Index, typename Key>
+auto find_key(Index& index, net::PacketDigest k, Key key) {
+  const auto it = std::lower_bound(
+      index.begin(), index.end(), k,
+      [&](const auto& e, net::PacketDigest v) { return key(e) < v; });
+  return it != index.end() && key(*it) == k ? it : index.end();
+}
+
+/// Merges the entries appended past `resident` into the `key`-sorted
+/// index: each key's first appended entry joins unless the key is already
+/// resident, and the rest are dropped.
+template <typename Entry, typename Key>
+void merge_round(std::vector<Entry>& index, std::size_t resident, Key key) {
+  const auto by_key = [&](const Entry& a, const Entry& b) {
+    return key(a) < key(b);
+  };
+  const auto split = static_cast<std::ptrdiff_t>(resident);
+  auto fresh = index.begin() + split;
+  // Stable, so a key's first entry in stream order leads its run.
+  std::stable_sort(fresh, index.end(), by_key);
+  auto old = index.begin();
+  auto keep = fresh;
+  for (auto it = fresh; it != index.end(); ++it) {
+    if (keep != fresh && key(*std::prev(keep)) == key(*it)) continue;
+    while (old != fresh && key(*old) < key(*it)) ++old;
+    if (old != fresh && key(*old) == key(*it)) continue;
+    if (keep != it) *keep = std::move(*it);
+    ++keep;
+  }
+  index.erase(keep, index.end());
+  std::inplace_merge(index.begin(), index.begin() + split, index.end(),
+                     by_key);
 }
 
 }  // namespace
@@ -89,17 +118,17 @@ void IncrementalPathVerifier::add_round(net::HopId hop, PathDrain round) {
   }
   // The HOP is the downstream end of pair pos-1 and the upstream end of
   // pair pos.  Its aggregates are prepared once for both: pair pos takes
-  // the entries, pair pos-1 a copy.  A receipt wakes an idle tail.
+  // the entries, pair pos-1 a copy.
   const auto feed = [&](Pair& p, bool is_up,
                         std::vector<PreparedAggregate> entries) {
     p.is_domain ? feed_domain(p, is_up, round.samples)
                 : feed_link(p, is_up, round.samples);
-    if (!entries.empty()) {
+    const bool tail_grew = !entries.empty();
+    if (tail_grew) {
       is_up ? p.tail.append_up(std::move(entries))
             : p.tail.append_down(std::move(entries));
-      p.tail_idle = false;
     }
-    settle_pair(p);
+    settle_pair(p, tail_grew);
   };
   std::vector<PreparedAggregate> entries =
       prepare_aggregates(std::move(round.aggregates));
@@ -123,21 +152,24 @@ void IncrementalPathVerifier::feed_domain(Pair& p, bool is_up,
     // arrive in stream order, so the first resident record is always the
     // stream-first one — matching against it here gives the same delay
     // the batch matcher computes, whichever side was fed first.
+    const std::size_t resident = ds.ingress_times.size();
     for (const SampleRecord& s : samples.samples) {
-      ds.ingress_times.emplace(s.pkt_id, DelayState::Entry{s.time, clock});
+      ds.ingress_times.push_back(DelayState::Entry{
+          .digest = s.pkt_id, .time = s.time, .round = clock});
     }
+    merge_round(ds.ingress_times, resident, kDigest);
     // Resolve egress samples that were buffered waiting for this side:
     // each fills the slot it reserved.
     std::vector<DelayState::PendingEgress>& pe = ds.pending_egress;
     std::size_t keep = 0;
     for (std::size_t i = 0; i < pe.size(); ++i) {
-      const auto it = ds.ingress_times.find(pe[i].digest);
-      if (it == ds.ingress_times.end()) {
+      const auto in = find_key(ds.ingress_times, pe[i].digest, kDigest);
+      if (in == ds.ingress_times.end()) {
         pe[keep++] = pe[i];
         continue;
       }
-      it->second.matched = true;
-      const double ms = (pe[i].time - it->second.time).milliseconds();
+      in->matched = true;
+      const double ms = (pe[i].time - in->time).milliseconds();
       ds.slots[pe[i].slot] = ms;
       ds.sorted.push_back(ms);
     }
@@ -148,15 +180,15 @@ void IncrementalPathVerifier::feed_domain(Pair& p, bool is_up,
     // HOPs' fetch loops drift apart, buffer the sample instead of losing
     // the match — the ingress round is late, not absent.
     for (const SampleRecord& s : samples.samples) {
-      const auto it = ds.ingress_times.find(s.pkt_id);
-      if (it == ds.ingress_times.end()) {
+      const auto in = find_key(ds.ingress_times, s.pkt_id, kDigest);
+      if (in == ds.ingress_times.end()) {
         ds.pending_egress.push_back(DelayState::PendingEgress{
             s.pkt_id, s.time, ds.slots.size(), clock});
         ds.slots.push_back(0.0);
         continue;
       }
-      it->second.matched = true;
-      const double ms = (s.time - it->second.time).milliseconds();
+      in->matched = true;
+      const double ms = (s.time - in->time).milliseconds();
       ds.slots.push_back(ms);
       ds.sorted.push_back(ms);
     }
@@ -179,15 +211,15 @@ void IncrementalPathVerifier::feed_link(Pair& p, bool is_up,
           LinkSamplesState::Stamped{std::move(r), clock});
     });
   } else {
+    const std::size_t resident = ls.down_rounds.size();
     ls.down_splitter.feed(samples.samples, [&](SampleRound&& r) {
-      const net::PacketDigest marker = r.marker_id;
-      ls.down_by_marker.emplace(
-          marker, LinkSamplesState::Stamped{std::move(r), clock});
+      ls.down_rounds.push_back(LinkSamplesState::Stamped{std::move(r), clock});
     });
+    merge_round(ls.down_rounds, resident, kMarker);
   }
 }
 
-void IncrementalPathVerifier::settle_pair(Pair& p) {
+void IncrementalPathVerifier::settle_pair(Pair& p, bool tail_grew) {
   const std::uint64_t clock = pair_clock(p);
   const auto expired = [&](std::uint64_t seen) {
     return clock > seen && clock - seen > cfg_.retain_rounds;
@@ -195,22 +227,15 @@ void IncrementalPathVerifier::settle_pair(Pair& p) {
 
   if (p.is_domain) {
     // Finalize aligned aggregates past the stability margin.
-    const TailConsumeStats consumed =
-        consume_unless_idle(p.tail, p.tail_idle, cfg_.margin_boundaries,
-                            p.loss.groups);
-    p.loss.consumed_migrations += consumed.migrations;
+    if (tail_grew) p.loss.consumed_migrations += settle_tail(p, p.loss.groups);
     // Expire ingress sample entries past retention (matched entries must
     // linger the same window: a later duplicate egress sample matches
     // again in the batch semantics).
-    auto& map = p.delay.ingress_times;
-    for (auto it = map.begin(); it != map.end();) {
-      if (expired(it->second.round)) {
-        if (!it->second.matched) ++p.delay.expired;
-        it = map.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(p.delay.ingress_times, [&](const DelayState::Entry& e) {
+      if (!expired(e.round)) return false;
+      if (!e.matched) ++p.delay.expired;
+      return true;
+    });
     // Buffered egress samples age out on the same clock: an upstream
     // round still absent past retention is a gap, not a late fetch.  An
     // expired sample's slot is marked, then removed; the slots of those
@@ -244,46 +269,59 @@ void IncrementalPathVerifier::settle_pair(Pair& p) {
   // Resolve pending upstream rounds strictly FIFO — the batch check walks
   // upstream rounds in stream order, so a blocked head must stall its
   // successors to keep the accumulated output identical.
-  while (!ls.pending_up.empty()) {
-    LinkSamplesState::Stamped& head = ls.pending_up.front();
-    const auto match = ls.down_by_marker.find(head.round.marker_id);
-    if (match != ls.down_by_marker.end()) {
-      check_sample_round_pair(head.round, match->second.round,
-                              up_info.max_diff, up_info.sample_threshold,
+  auto head = ls.pending_up.begin();
+  for (; head != ls.pending_up.end(); ++head) {
+    const auto match =
+        find_key(ls.down_rounds, head->round.marker_id, kMarker);
+    if (match != ls.down_rounds.end() && !match->claimed) {
+      check_sample_round_pair(head->round, match->round, up_info.max_diff,
+                              up_info.sample_threshold,
                               down_info.sample_threshold, ls.accumulated);
-      ls.down_by_marker.erase(match);
-      ls.pending_up.pop_front();
+      match->claimed = true;
       continue;
     }
-    if (!expired(head.seen)) break;
+    if (!expired(head->seen)) break;
     // §5.3: a marker the upstream HOP delivered that the downstream HOP
     // has not reported within the retention window is a link loss or a
     // lie — the same verdict the batch check reaches over full streams.
     // Still counted as a retention expiry: a LATER-than-window downstream
     // round would have matched in the batch check.
     ls.accumulated.violations.push_back(Inconsistency{
-        InconsistencyKind::kMarkerMissing, head.round.marker_id, 0.0});
+        InconsistencyKind::kMarkerMissing, head->round.marker_id, 0.0});
     ++ls.expired;
-    ls.pending_up.pop_front();
   }
-  // Downstream rounds nobody claimed: the batch check silently ignores
-  // them; drop past retention to bound the map.
-  for (auto it = ls.down_by_marker.begin(); it != ls.down_by_marker.end();) {
-    if (expired(it->second.seen)) {
-      it = ls.down_by_marker.erase(it);
-      ++ls.expired;
-    } else {
-      ++it;
-    }
-  }
+  ls.pending_up.erase(ls.pending_up.begin(), head);
+  // Claimed downstream rounds leave in the same pass as those nobody
+  // claimed past retention (the batch check silently ignores those).
+  std::erase_if(ls.down_rounds, [&](const LinkSamplesState::Stamped& r) {
+    if (r.claimed) return true;
+    if (!expired(r.seen)) return false;
+    ++ls.expired;
+    return true;
+  });
 
+  if (!tail_grew) return;
   std::vector<AlignedAggregate> fresh;
-  (void)consume_unless_idle(p.tail, p.tail_idle, cfg_.margin_boundaries,
-                            fresh);
+  (void)settle_tail(p, fresh);
   p.link_aggregates.checked += fresh.size();
   for (const AlignedAggregate& g : fresh) {
     check_aligned_counts(g, p.link_aggregates.violations);
   }
+}
+
+std::size_t IncrementalPathVerifier::settle_tail(
+    Pair& p, std::vector<AlignedAggregate>& out) {
+  // A pass that consumes changes the tail, so the next may consume more
+  // (it can only consume earlier than a later round's pass would).  The
+  // pass that consumes nothing aligned the tail as it stands.
+  std::size_t migrations = 0;
+  for (;;) {
+    const TailConsumeStats stats = consume_aligned_prefix(
+        p.tail, cfg_.margin_boundaries, out, p.tail_alignment);
+    if (stats.groups == 0) break;
+    migrations += stats.migrations;
+  }
+  return migrations;
 }
 
 void IncrementalPathVerifier::report_gap(RoundGap gap) {
@@ -329,7 +367,7 @@ PathAnalysis IncrementalPathVerifier::analyze() const {
           }
         }
 
-        const AlignmentResult tail = align_tail(p.tail);
+        const AlignmentResult& tail = p.tail_alignment;
         f.loss.details.reserve(p.loss.groups.size() + tail.aligned.size());
         f.loss.details = p.loss.groups;
         f.loss.details.insert(f.loss.details.end(), tail.aligned.begin(),
@@ -379,27 +417,31 @@ PathAnalysis IncrementalPathVerifier::analyze() const {
       samples.violations.insert(samples.violations.end(),
                                 ls.accumulated.violations.begin(),
                                 ls.accumulated.violations.end());
-      // Match-once semantics without copying the pending rounds: a
-      // consumed-marker set stands in for the settle-time erase.
-      std::unordered_set<net::PacketDigest> consumed;
+      // Match-once semantics without copying the pending rounds: flags
+      // by down_rounds position, sized at the first claim, stand in for
+      // the settle-time claim.
+      std::vector<bool> claimed;
       for (const LinkSamplesState::Stamped& pending : ls.pending_up) {
-        const auto match = ls.down_by_marker.find(pending.round.marker_id);
-        if (match == ls.down_by_marker.end() ||
-            consumed.contains(pending.round.marker_id)) {
-          samples.violations.push_back(Inconsistency{
-              InconsistencyKind::kMarkerMissing, pending.round.marker_id,
-              0.0});
+        const net::PacketDigest marker = pending.round.marker_id;
+        const auto match = find_key(ls.down_rounds, marker, kMarker);
+        const auto at =
+            static_cast<std::size_t>(match - ls.down_rounds.begin());
+        if (match == ls.down_rounds.end() ||
+            (at < claimed.size() && claimed[at])) {
+          samples.violations.push_back(
+              Inconsistency{InconsistencyKind::kMarkerMissing, marker, 0.0});
           continue;
         }
-        check_sample_round_pair(pending.round, match->second.round,
-                                up_info.max_diff, up_info.sample_threshold,
+        check_sample_round_pair(pending.round, match->round, up_info.max_diff,
+                                up_info.sample_threshold,
                                 down_info.sample_threshold, samples);
-        consumed.insert(pending.round.marker_id);
+        claimed.resize(ls.down_rounds.size());
+        claimed[at] = true;
       }
       f.report.samples = std::move(samples);
 
       LinkAggregateCheck aggregates;
-      const AlignmentResult tail = align_tail(p.tail);
+      const AlignmentResult& tail = p.tail_alignment;
       aggregates.aggregates_checked =
           p.link_aggregates.checked + tail.aligned.size();
       aggregates.violations = p.link_aggregates.violations;
@@ -426,7 +468,7 @@ IncrementalPathVerifier::resident_stats() const {
       out.expired_unmatched += p.delay.expired;
     } else {
       out.pending_sample_rounds += p.link_samples.pending_up.size() +
-                                   p.link_samples.down_by_marker.size();
+                                   p.link_samples.down_rounds.size();
       out.tail_aggregate_receipts += p.tail.receipt_count();
       out.expired_unmatched += p.link_samples.expired;
     }

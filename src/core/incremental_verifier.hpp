@@ -34,24 +34,28 @@
 // kMarkerMissing instead of a repeated check, still a violation either
 // way.
 //
-// Per-round cost follows the round, not the history.  add_round touches
-// only the HOP's (at most two) adjacent pairs: hashed sample matching,
-// one merge of the round's new delays into a kept-sorted copy, one sort
-// of each new aggregate's AggTrans windows (prepared once for both pairs,
-// in place in the by-value drain), and a re-alignment of a tail only when
-// a receipt has joined it since the last alignment consumed nothing.  A
-// re-alignment sorts the tail's cutting ids and merges, at each matched
-// boundary, windows that were sorted when they joined — a boundary is
-// re-aligned every round until the margin passes it, so its windows must
-// not be re-sorted each time.  analyze() sorts no delay and no window: it
-// copies the delays and finalized groups the findings carry verbatim,
-// reads the quantiles off the sorted copy, and aligns each tail once.
+// Per-round cost follows the round, not the history, and the round path
+// holds its state in flat vectors: nothing on it allocates per element.
+// add_round touches only the HOP's (at most two) adjacent pairs: the
+// round's ingress samples are sorted once and merged into a digest-sorted
+// index that egress samples binary-search; sampling rounds are sorted by
+// packet id when their marker closes them, so a matched pair of rounds is
+// checked by two linear merges; the round's new delays are merged once
+// into a kept-sorted copy; each new aggregate's AggTrans windows are
+// sorted once (prepared once for both pairs, in place in the by-value
+// drain); and a tail is re-aligned only when a receipt has joined it.  A
+// re-alignment consumes the tail's stable prefix until a pass consumes
+// nothing and keeps that pass's alignment.  It sorts the tail's cutting
+// ids and merges, at each matched boundary, windows that were sorted when
+// they joined — a boundary is re-aligned every round until the margin
+// passes it, so its windows must not be re-sorted each time.  analyze()
+// sorts no delay and no window and aligns nothing: it copies the delays,
+// finalized groups and kept tail alignments the findings carry verbatim
+// and reads the quantiles off the sorted copy.
 #ifndef VPM_CORE_INCREMENTAL_VERIFIER_HPP
 #define VPM_CORE_INCREMENTAL_VERIFIER_HPP
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "core/alignment.hpp"
@@ -143,6 +147,10 @@ class IncrementalPathVerifier {
 
   /// Cross-HOP delay matching for a same-domain pair.
   ///
+  /// The ingress index is a digest-sorted vector: a round's ingress
+  /// records are sorted once and merged in, egress samples binary-search
+  /// it, and expiry is one pass over it.
+  ///
   /// Each delay is kept twice, 8 B a copy: `slots` in egress observation
   /// order (the order the batch matcher reports) and `sorted` ascending
   /// (the order statistics the quantiles read).  analyze() copies
@@ -151,9 +159,10 @@ class IncrementalPathVerifier {
   /// delays into `sorted` once.
   struct DelayState {
     struct Entry {
+      net::PacketDigest digest = 0;
       net::Timestamp time;
-      std::uint64_t round;   ///< pair clock when inserted
-      bool matched = false;  ///< some egress sample paired with it
+      std::uint64_t round = 0;  ///< pair clock when inserted
+      bool matched = false;     ///< some egress sample paired with it
     };
     /// An egress sample whose ingress twin has not been fed yet.  Each
     /// HOP's stream arrives through its own fetch loop, so a downstream
@@ -168,7 +177,11 @@ class IncrementalPathVerifier {
       std::size_t slot = 0;     ///< reserved index into `slots`
       std::uint64_t round = 0;  ///< pair clock when buffered
     };
-    std::unordered_map<net::PacketDigest, Entry> ingress_times;
+    /// The ingress samples inside retention, one entry per digest,
+    /// ascending by digest.  A digest keeps its first record (an earlier
+    /// round's, or the first in its round's stream) until it expires, as
+    /// the batch matcher's `emplace` keeps it.
+    std::vector<Entry> ingress_times;
     /// In egress stream order, so the reserved slots ascend.
     std::vector<PendingEgress> pending_egress;
     /// Delay (ms) of every matched egress sample in egress stream order,
@@ -185,16 +198,29 @@ class IncrementalPathVerifier {
     std::size_t consumed_migrations = 0;
   };
 
-  /// Sampling-round pairing for an inter-domain link.
+  /// Sampling-round pairing for an inter-domain link.  Both round queues
+  /// are vectors, a few rounds long for honest HOPs but as long as a HOP
+  /// makes them inside the retention window: a settle erases the resolved
+  /// front of `pending_up` once, each head finds its downstream round by
+  /// binary search, and one pass over `down_rounds` drops the claimed and
+  /// the expired rounds.
   struct LinkSamplesState {
     struct Stamped {
       SampleRound round;
-      std::uint64_t seen;  ///< pair clock when completed
+      std::uint64_t seen;    ///< pair clock when completed
+      bool claimed = false;  ///< downstream round matched by this settle
     };
     SampleRoundSplitter up_splitter;
     SampleRoundSplitter down_splitter;
-    std::deque<Stamped> pending_up;  ///< FIFO, preserves batch check order
-    std::unordered_map<net::PacketDigest, Stamped> down_by_marker;
+    /// Upstream rounds in stream order, resolved FIFO from the front
+    /// (the batch check's order).
+    std::vector<Stamped> pending_up;
+    /// Unclaimed downstream rounds (a claimed one leaves in its settle's
+    /// expiry pass) ascending by marker id, one per id: a feed's rounds
+    /// are sorted and merged in, and a round repeating a resident marker,
+    /// or one earlier in its feed, is dropped, as the batch check's index
+    /// keeps the first.
+    std::vector<Stamped> down_rounds;
     /// Finalized rounds' matches/delays/violations (everything but the
     /// analyze-time Eq.-1 MaxDiff check and still-pending rounds).
     LinkSampleCheck accumulated;
@@ -213,9 +239,11 @@ class IncrementalPathVerifier {
     /// finalized: the loss report's for a domain, the count check's for a
     /// link.
     AggregateTail tail;
-    /// `tail` has received no receipt since a consume_aligned_prefix that
-    /// consumed nothing, so the next call would consume nothing either.
-    bool tail_idle = false;
+    /// The alignment of `tail` as the last consume_aligned_prefix pass,
+    /// which consumed nothing, ran it; analyze() reads it.  add_round
+    /// re-aligns a tail whenever a receipt joins it, so it is current
+    /// whenever add_round returns.
+    AlignmentResult tail_alignment;
     std::size_t up_pos = 0;  ///< positions into layout.hops
     std::size_t down_pos = 0;
     DelayState delay;
@@ -229,7 +257,13 @@ class IncrementalPathVerifier {
   [[nodiscard]] std::uint64_t pair_clock(const Pair& p) const;
   void feed_domain(Pair& p, bool is_up, const SampleReceipt& samples);
   void feed_link(Pair& p, bool is_up, const SampleReceipt& samples);
-  void settle_pair(Pair& p);
+  /// Resolves and expires the pair's pending state; re-aligns its tail
+  /// only if `tail_grew` (a receipt joined it in this feed).
+  void settle_pair(Pair& p, bool tail_grew);
+  /// Consume the tail's stable prefix into `out` until a pass consumes
+  /// nothing, and keep that pass's alignment.  Returns the patch-up
+  /// migrations attributed to the consumed groups.
+  std::size_t settle_tail(Pair& p, std::vector<AlignedAggregate>& out);
 
   Config cfg_;
   std::vector<Pair> pairs_;  ///< pairs_[i] joins layout positions i, i+1

@@ -58,16 +58,30 @@ void WireImporter::Session::resync() {
 }
 
 std::vector<std::uint64_t> WireImporter::Session::take_skipped_keys() {
+  compact_skipped();
   std::vector<std::uint64_t> out;
   out.swap(skipped_keys_);
+  skipped_compacted_ = 0;
   return out;
 }
 
 void WireImporter::Session::note_skipped(std::uint64_t key) {
-  if (std::find(skipped_keys_.begin(), skipped_keys_.end(), key) ==
-      skipped_keys_.end()) {
-    skipped_keys_.push_back(key);
-  }
+  // Appending keeps a skip walk linear in its sections.  Compacting
+  // whenever the list has doubled keeps it O(distinct keys) when a stream
+  // repeats one key, at amortised O(log n) per note.
+  skipped_keys_.push_back(key);
+  if (skipped_keys_.size() > 2 * skipped_compacted_) compact_skipped();
+}
+
+void WireImporter::Session::compact_skipped() {
+  // The prefix up to the last compaction is already sorted and unique.
+  const auto fresh = skipped_keys_.begin() +
+                     static_cast<std::ptrdiff_t>(skipped_compacted_);
+  std::sort(fresh, skipped_keys_.end());
+  std::inplace_merge(skipped_keys_.begin(), fresh, skipped_keys_.end());
+  skipped_keys_.erase(std::unique(skipped_keys_.begin(), skipped_keys_.end()),
+                      skipped_keys_.end());
+  skipped_compacted_ = skipped_keys_.size();
 }
 
 void WireImporter::Session::prescan(std::span<const std::byte> payload) {

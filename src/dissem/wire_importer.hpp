@@ -136,8 +136,8 @@ class WireImporter {
     }
 
     /// Wire path keys of sections discarded by resync skipping (deduped,
-    /// first-skip order), including a half-assembled path abandoned by
-    /// resync() itself.  Draining resets the list.
+    /// ascending), including a half-assembled path abandoned by resync()
+    /// itself.  Draining resets the list.
     [[nodiscard]] std::vector<std::uint64_t> take_skipped_keys();
 
    private:
@@ -158,6 +158,9 @@ class WireImporter {
     void close_path();
     void decode_chunk(std::span<const std::byte> payload);
     void note_skipped(std::uint64_t key);
+    /// Sorts and dedupes skipped_keys_, merging what was noted since the
+    /// last compaction into the sorted prefix.
+    void compact_skipped();
     /// Framing-only completeness scan; throws TRANSIENT WireError on
     /// truncation, touches no session state.
     static void prescan(std::span<const std::byte> payload);
@@ -166,7 +169,9 @@ class WireImporter {
     core::ReceiptSink* sink_;
     Assembly cur_;
     std::vector<bool> seen_;  ///< paths already imported this round
-    std::vector<std::uint64_t> skipped_keys_;  ///< deduped, resync order
+    /// Keys in skip order, sorted and deduped up to the last compaction.
+    std::vector<std::uint64_t> skipped_keys_;
+    std::size_t skipped_compacted_ = 0;  ///< size after the last compaction
     bool finished_ = false;
     bool poisoned_ = false;  ///< a fatal feed() threw mid-chunk
     bool skipping_ = false;  ///< resync() active: discard to next mark

@@ -252,8 +252,12 @@ void digest_case(const Case& c, Draw& draw, Digest& d) {
   d.add(align_tail(tail));
 
   std::vector<AlignedAggregate> consumed;
+  AlignmentResult unconsumed;
   const TailConsumeStats stats =
-      consume_aligned_prefix(tail, draw.below(3), consumed);
+      consume_aligned_prefix(tail, draw.below(3), consumed, unconsumed);
+  if (stats.groups == 0) {
+    EXPECT_EQ(unconsumed, align_tail(tail));
+  }
   d.add(stats.groups);
   d.add(stats.migrations);
   d.add(consumed.size());

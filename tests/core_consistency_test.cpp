@@ -3,11 +3,15 @@
 // exposure (§5.3), and aggregate count checks across a link.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/consistency.hpp"
 #include "core/config.hpp"
 #include "core/hop_monitor.hpp"
+#include "core/incremental_verifier.hpp"
+#include "core/verifier.hpp"
 #include "helpers.hpp"
 #include "loss/bernoulli.hpp"
 #include "sim/path_run.hpp"
@@ -188,6 +192,59 @@ TEST(LinkSamples, DownstreamLowerRateIsNotAViolation) {
       check_link_samples(up.collect_samples(), down.collect_samples());
   EXPECT_TRUE(check.consistent());
   EXPECT_GT(check.common_samples, 0u);
+}
+
+// A hand-built round pair whose records are out of id order and repeat
+// an id upstream: the check walks each round in ascending id order and
+// checks the repeated id against its first record, and the round-fed
+// verifier reports exactly what the batch check does.
+TEST(LinkSamples, RoundRecordsCheckInAscendingIdOrder) {
+  const auto at = [](double ms) {
+    return net::Timestamp{static_cast<std::int64_t>(ms * 1e6)};
+  };
+  constexpr net::PacketDigest kMarker = 99;
+  SampleReceipt up;
+  up.path.max_diff = net::milliseconds(5);
+  up.samples = {{30, at(0), false}, {10, at(1), false}, {20, at(2), false},
+                {10, at(3), false}, {50, at(4), false}, {kMarker, at(5), true}};
+  SampleReceipt down;
+  down.path.max_diff = net::milliseconds(5);
+  down.samples = {{20, at(2.5), false}, {40, at(3.5), false},
+                  {10, at(7), false},   {30, at(8), false},
+                  {kMarker, at(9), true}};
+  // Zero sigmas: each side should have sampled every packet the other did.
+  ASSERT_GT(net::DigestEngine::sample_value(50, kMarker), 0u);
+  ASSERT_GT(net::DigestEngine::sample_value(40, kMarker), 0u);
+
+  const LinkSampleCheck check = check_link_samples(up, down);
+  EXPECT_EQ(check.rounds_matched, 1u);
+  EXPECT_EQ(check.common_samples, 4u);
+  // The marker, then ids 10, 20, 30.  Id 10 pairs with its first upstream
+  // record (1 ms), not its repeat (3 ms, which would be 4 ms and in
+  // bound).
+  EXPECT_EQ(check.link_delays_ms, (std::vector<double>{4.0, 6.0, 0.5, 8.0}));
+  EXPECT_EQ(check.violations,
+            (std::vector<Inconsistency>{
+                {InconsistencyKind::kDelayBound, 10, 1.0},
+                {InconsistencyKind::kDelayBound, 30, 3.0},
+                {InconsistencyKind::kMissingDownstream, 50, 0.0},
+                {InconsistencyKind::kMissingUpstream, 40, 0.0}}));
+
+  const PathLayout layout{.hops = {1, 2}, .domain_of = {"a", "b"}};
+  IncrementalPathVerifier incremental(
+      IncrementalPathVerifier::Config{.layout = layout});
+  PathVerifier reference;
+  for (const auto& [hop, samples] : {std::pair{net::HopId{1}, up},
+                                     std::pair{net::HopId{2}, down}}) {
+    PathDrain d;
+    d.samples = samples;
+    reference.add_round(hop, d);
+    incremental.add_round(hop, std::move(d));
+  }
+  const PathAnalysis live = incremental.analyze();
+  ASSERT_EQ(live.links.size(), 1u);
+  EXPECT_EQ(live.links[0].report.samples, check);
+  EXPECT_EQ(live.links[0], reference.analyze(layout).links.at(0));
 }
 
 TEST(LinkAggregates, HonestLinkCountsMatch) {

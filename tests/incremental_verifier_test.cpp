@@ -16,9 +16,11 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/alignment.hpp"
+#include "core/consistency.hpp"
 #include "core/incremental_verifier.hpp"
 #include "core/verifier.hpp"
 #include "net/path_id.hpp"
@@ -81,6 +83,7 @@ TEST(IncrementalAlignment, ConsumedPrefixPlusTailEqualsBatch) {
 
     AggregateTail tail;
     std::vector<AlignedAggregate> consumed;
+    AlignmentResult unconsumed;
     std::size_t consumed_migrations = 0;
     std::size_t ui = 0;
     std::size_t di = 0;
@@ -94,8 +97,14 @@ TEST(IncrementalAlignment, ConsumedPrefixPlusTailEqualsBatch) {
       tail.append_down(
           prepare_aggregates({down.begin() + di, down.begin() + di + dn}));
       di += dn;
-      consumed_migrations +=
-          consume_aligned_prefix(tail, 2, consumed).migrations;
+      const TailConsumeStats stats =
+          consume_aligned_prefix(tail, 2, consumed, unconsumed);
+      consumed_migrations += stats.migrations;
+      if (stats.groups == 0) {
+        ASSERT_EQ(unconsumed, align_tail(tail))
+            << "trial " << trial << ": a call that consumes nothing hands "
+            << "out the tail's alignment";
+      }
     }
     const AlignmentResult rest = align_tail(tail);
     std::vector<AlignedAggregate> all = consumed;
@@ -137,16 +146,58 @@ TEST(IncrementalAlignment, SeamMigrationCarriesAcrossConsumption) {
   tail.append_up(prepare_aggregates(up));
   tail.append_down(prepare_aggregates(down));
   std::vector<AlignedAggregate> consumed;
-  const TailConsumeStats stats = consume_aligned_prefix(tail, 0, consumed);
+  AlignmentResult unconsumed;
+  const TailConsumeStats stats =
+      consume_aligned_prefix(tail, 0, consumed, unconsumed);
   ASSERT_EQ(stats.groups, 2u);
   EXPECT_EQ(stats.migrations, 1u);
   EXPECT_EQ(tail.down_carry, 1) << "the +1 into down[2] rides the carry";
+  EXPECT_EQ(unconsumed, AlignmentResult{})
+      << "a call that consumes leaves `unconsumed` as it was";
 
   const AlignmentResult rest = align_tail(tail);
+  EXPECT_EQ(consume_aligned_prefix(tail, 0, consumed, unconsumed).groups, 0u);
+  EXPECT_EQ(unconsumed, rest) << "the carry applies to the handed-out tail";
   std::vector<AlignedAggregate> all = consumed;
   all.insert(all.end(), rest.aligned.begin(), rest.aligned.end());
   EXPECT_EQ(all, batch.aligned);
   EXPECT_EQ(stats.migrations + rest.migrations, batch.migrations);
+}
+
+// A cutting id that repeats inside a tail is an inverted boundary until
+// its first occurrence is consumed; the next pass then matches it and
+// consumes again.  So a caller consumes until a pass consumes nothing,
+// and that pass's alignment is the tail's — what the verifier keeps for
+// analyze().
+TEST(IncrementalAlignment, ConsumingUntilIdleHandsOutTheTailAlignment) {
+  const std::vector<AggregateReceipt> receipts = {
+      agg(1000, 10, 0, 9), agg(2000, 10, 10, 19), agg(3000, 10, 20, 29),
+      agg(2000, 10, 30, 39)};
+  AggregateTail tail;
+  tail.append_up(prepare_aggregates(receipts));
+  tail.append_down(prepare_aggregates(receipts));
+  std::vector<AlignedAggregate> consumed;
+  AlignmentResult unconsumed;
+  EXPECT_EQ(consume_aligned_prefix(tail, 0, consumed, unconsumed).groups, 1u);
+  EXPECT_EQ(consume_aligned_prefix(tail, 0, consumed, unconsumed).groups, 1u);
+  EXPECT_EQ(consume_aligned_prefix(tail, 0, consumed, unconsumed).groups, 0u);
+  EXPECT_EQ(unconsumed, align_tail(tail));
+  std::vector<AlignedAggregate> all = consumed;
+  all.insert(all.end(), unconsumed.aligned.begin(), unconsumed.aligned.end());
+  ASSERT_EQ(all.size(), 3u);
+
+  // One settle runs the same passes: both HOPs' single round leaves the
+  // verifier holding exactly those groups.
+  const PathLayout layout{.hops = {1, 2}, .domain_of = {"x", "x"}};
+  IncrementalPathVerifier verifier(IncrementalPathVerifier::Config{
+      .layout = layout, .retain_rounds = 4, .margin_boundaries = 0});
+  for (const net::HopId hop : {1, 2}) {
+    PathDrain d;
+    d.samples.path = test_path();
+    d.aggregates = receipts;
+    verifier.add_round(hop, std::move(d));
+  }
+  EXPECT_EQ(verifier.analyze().domains.at(0).loss.details, all);
 }
 
 // --- the round-fed verifier ----------------------------------------------
@@ -247,70 +298,79 @@ struct CraftedRun {
 // round, not only at the end.  {0,1,2} ships downstream HOPs late; {2,0,1}
 // and {1,0,0} ship the domain's egress HOP before its ingress HOP, so
 // egress samples wait in pending_egress for their late ingress twin.
+// Margins 0 and 1 consume closer to the tail's end, so analyze() reads
+// the kept alignment of a shorter tail.
 TEST(IncrementalVerifier, MatchesMaterializedVerifierWithShippingLag) {
   const std::array<std::array<std::size_t, 3>, 3> lags = {
       {{0, 1, 2}, {2, 0, 1}, {1, 0, 0}}};
-  for (const bool windows : {false, true}) {
-    for (const std::array<std::size_t, 3>& lag : lags) {
-      CraftedRun run;
-      run.lag = lag;
-      run.windows = windows;
-      const std::string label = std::string(windows ? "windowed, " : "") +
-                                "lags {" + std::to_string(lag[0]) + "," +
-                                std::to_string(lag[1]) + "," +
-                                std::to_string(lag[2]) + "}";
-      IncrementalPathVerifier incremental(IncrementalPathVerifier::Config{
-          .layout = run.layout, .retain_rounds = 4, .margin_boundaries = 2});
-      PathVerifier reference;
+  for (const std::size_t margin : {0u, 1u, 2u}) {
+    for (const bool windows : {false, true}) {
+      for (const std::array<std::size_t, 3>& lag : lags) {
+        CraftedRun run;
+        run.lag = lag;
+        run.windows = windows;
+        const std::string label = "margin " + std::to_string(margin) + ", " +
+                                  std::string(windows ? "windowed, " : "") +
+                                  "lags {" + std::to_string(lag[0]) + "," +
+                                  std::to_string(lag[1]) + "," +
+                                  std::to_string(lag[2]) + "}";
+        IncrementalPathVerifier incremental(IncrementalPathVerifier::Config{
+            .layout = run.layout,
+            .retain_rounds = 4,
+            .margin_boundaries = margin});
+        PathVerifier reference;
 
-      std::size_t max_tail = 0;
-      std::size_t max_pending_egress = 0;
-      for (std::size_t t = 0; t < CraftedRun::kRounds + 2; ++t) {
-        for (std::size_t pos = 0; pos < 3; ++pos) {
-          PathDrain d = run.shipped(pos, t);
-          reference.add_round(run.layout.hops[pos], d);
-          incremental.add_round(run.layout.hops[pos], std::move(d));
+        std::size_t max_tail = 0;
+        std::size_t max_pending_egress = 0;
+        for (std::size_t t = 0; t < CraftedRun::kRounds + 2; ++t) {
+          for (std::size_t pos = 0; pos < 3; ++pos) {
+            PathDrain d = run.shipped(pos, t);
+            reference.add_round(run.layout.hops[pos], d);
+            incremental.add_round(run.layout.hops[pos], std::move(d));
+          }
+          // analyze() is a non-destructive view, equal to the materialized
+          // analysis of everything fed so far, field for field.
+          ASSERT_EQ(incremental.analyze(), reference.analyze(run.layout))
+              << label << ", round " << t;
+          const IncrementalPathVerifier::ResidentStats stats =
+              incremental.resident_stats();
+          max_tail = std::max(max_tail, stats.tail_aggregate_receipts);
+          max_pending_egress =
+              std::max(max_pending_egress, stats.pending_egress_samples);
         }
-        // analyze() is a non-destructive view, equal to the materialized
-        // analysis of everything fed so far, field for field.
-        ASSERT_EQ(incremental.analyze(), reference.analyze(run.layout))
-            << label << ", round " << t;
-        const IncrementalPathVerifier::ResidentStats stats =
-            incremental.resident_stats();
-        max_tail = std::max(max_tail, stats.tail_aggregate_receipts);
-        max_pending_egress =
-            std::max(max_pending_egress, stats.pending_egress_samples);
+
+        const PathAnalysis live = incremental.analyze();
+        ASSERT_EQ(live.domains.size(), 1u) << label;
+        ASSERT_EQ(live.links.size(), 1u) << label;
+
+        // The crafted defects must actually show up.
+        EXPECT_GT(live.domains[0].delay.common_samples, 0u) << label;
+        EXPECT_FALSE(live.links[0].report.samples.consistent())
+            << label << ": round 3's 10 ms shift must violate the delay bound";
+        EXPECT_FALSE(live.links[0].report.aggregates.consistent())
+            << label
+            << ": round 5's under-count must violate count consistency";
+        EXPECT_TRUE(live.domains[0].loss.offered > 0) << label;
+        // Patched, the windowed counts agree everywhere but round 5.
+        EXPECT_EQ(live.domains[0].loss.offered, live.domains[0].loss.delivered)
+            << label;
+        EXPECT_EQ(live.links[0].report.aggregates.violations.size(), 1u)
+            << label;
+        EXPECT_EQ(live.domains[0].loss.patchup_migrations,
+                  windows ? CraftedRun::kRounds - 1 : 0u)
+            << label;
+
+        // An egress HOP shipping ahead of its ingress HOP buffers samples.
+        if (lag[1] < lag[0]) {
+          EXPECT_GT(max_pending_egress, 0u) << label;
+        } else {
+          EXPECT_EQ(max_pending_egress, 0u) << label;
+        }
+        // Bounded retention: the alignment tails never held everything.
+        EXPECT_LT(max_tail, 2 * 2 * CraftedRun::kRounds)
+            << label << ": tails must stay a window, not history";
+        EXPECT_EQ(incremental.resident_stats().expired_unmatched, 0u) << label;
       }
-
-      const PathAnalysis live = incremental.analyze();
-      ASSERT_EQ(live.domains.size(), 1u) << label;
-      ASSERT_EQ(live.links.size(), 1u) << label;
-
-      // The crafted defects must actually show up.
-      EXPECT_GT(live.domains[0].delay.common_samples, 0u) << label;
-      EXPECT_FALSE(live.links[0].report.samples.consistent())
-          << label << ": round 3's 10 ms shift must violate the delay bound";
-      EXPECT_FALSE(live.links[0].report.aggregates.consistent())
-          << label << ": round 5's under-count must violate count consistency";
-      EXPECT_TRUE(live.domains[0].loss.offered > 0) << label;
-      // Patched, the windowed counts agree everywhere but round 5.
-      EXPECT_EQ(live.domains[0].loss.offered, live.domains[0].loss.delivered)
-          << label;
-      EXPECT_EQ(live.links[0].report.aggregates.violations.size(), 1u) << label;
-      EXPECT_EQ(live.domains[0].loss.patchup_migrations,
-                windows ? CraftedRun::kRounds - 1 : 0u)
-          << label;
-
-      // An egress HOP shipping ahead of its ingress HOP buffers samples.
-      if (lag[1] < lag[0]) {
-        EXPECT_GT(max_pending_egress, 0u) << label;
-      } else {
-        EXPECT_EQ(max_pending_egress, 0u) << label;
-      }
-      // Bounded retention: the alignment tails never held everything.
-      EXPECT_LT(max_tail, 2 * 2 * CraftedRun::kRounds)
-          << label << ": tails must stay a window, not history";
-      EXPECT_EQ(incremental.resident_stats().expired_unmatched, 0u) << label;
     }
   }
 }
@@ -365,6 +425,13 @@ SampleRecord sample_at(net::PacketDigest id, std::int64_t ms) {
       .pkt_id = id,
       .time = net::Timestamp{net::milliseconds(ms).nanoseconds()},
       .is_marker = false};
+}
+
+/// A marker record at `ms` milliseconds.
+SampleRecord marker_at(net::PacketDigest id, std::int64_t ms) {
+  SampleRecord r = sample_at(id, ms);
+  r.is_marker = true;
+  return r;
 }
 
 PathDrain samples_drain(std::vector<SampleRecord> records) {
@@ -426,6 +493,157 @@ TEST(IncrementalVerifier, ExpiredEgressSampleLeavesExactDelays) {
   // The materialized verifier never expires anything, and A never
   // matches there either.
   EXPECT_EQ(live, reference.analyze(layout));
+}
+
+// An ingress digest seen twice keeps its first record — whether the
+// repeat comes later in the same round or in a later round — until that
+// record expires; then the digest is accepted afresh.  Only entries no
+// egress sample matched count as expired_unmatched.
+TEST(IncrementalVerifier, RepeatedIngressDigestKeepsFirstRecordUntilExpiry) {
+  const PathLayout layout{.hops = {1, 2}, .domain_of = {"x", "x"}};
+  IncrementalPathVerifier incremental(IncrementalPathVerifier::Config{
+      .layout = layout, .retain_rounds = 2, .margin_boundaries = 2});
+  PathVerifier reference;
+  const auto feed = [&](net::HopId hop, std::vector<SampleRecord> records) {
+    PathDrain d = samples_drain(std::move(records));
+    reference.add_round(hop, d);
+    incremental.add_round(hop, std::move(d));
+  };
+  const auto delays = [&] {
+    return incremental.analyze().domains.at(0).delay.sample_delays_ms;
+  };
+  constexpr net::PacketDigest kD = 21, kU = 22;
+
+  // Rounds 1-2 (pair clock 1-2): D three times, U never matched.
+  feed(1, {sample_at(kD, 10), sample_at(kU, 11), sample_at(kD, 12)});
+  feed(2, {});
+  feed(1, {sample_at(kD, 20)});
+  feed(2, {sample_at(kD, 25)});
+  EXPECT_EQ(delays(), std::vector<double>{15.0}) << "D's first record";
+  EXPECT_EQ(incremental.analyze(), reference.analyze(layout));
+  EXPECT_EQ(incremental.resident_stats().pending_ingress_samples, 2u);
+
+  // Clock 4 expires clock 1's entries: matched D and unmatched U.
+  for (int round = 3; round <= 4; ++round) {
+    feed(1, {});
+    feed(2, {});
+  }
+  IncrementalPathVerifier::ResidentStats stats = incremental.resident_stats();
+  EXPECT_EQ(stats.pending_ingress_samples, 0u);
+  EXPECT_EQ(stats.expired_unmatched, 1u) << "U only: D was matched";
+
+  // D again: accepted afresh, so its egress twin matches the new record
+  // (the materialized verifier, which expires nothing, would still match
+  // the first one).
+  feed(1, {sample_at(kD, 50)});
+  feed(2, {sample_at(kD, 52)});
+  EXPECT_EQ(delays(), (std::vector<double>{15.0, 2.0}));
+  stats = incremental.resident_stats();
+  EXPECT_EQ(stats.pending_ingress_samples, 1u);
+  EXPECT_EQ(stats.expired_unmatched, 1u);
+}
+
+// A lying downstream HOP can close ~100k empty sampling rounds in one feed
+// (an empty marker round is 9 wire bytes).  The link finding still equals
+// the batch check's after every round: the first of two downstream rounds
+// with one marker wins, whether the repeat comes later in its feed or in a
+// later feed; an upstream round whose marker never shows blocks the rounds
+// behind it until it expires, and they then match.  The rounds sit sorted
+// by marker id and are found by binary search: a linear search per round
+// would make this one feed quadratic.
+TEST(IncrementalVerifier, ManyDownstreamMarkerRoundsMatchTheBatchCheck) {
+  constexpr net::PacketDigest kRounds = 100'000;
+  constexpr net::PacketDigest kFirst = 1000;  // downstream markers' base
+  const PathLayout layout{.hops = {1, 2}, .domain_of = {"a", "b"}};
+  IncrementalPathVerifier incremental(IncrementalPathVerifier::Config{
+      .layout = layout, .retain_rounds = 2, .margin_boundaries = 2});
+  SampleReceipt up_stream;
+  SampleReceipt down_stream;
+  up_stream.path = down_stream.path = test_path();
+  const auto feed = [&](std::vector<SampleRecord> up,
+                        std::vector<SampleRecord> down) {
+    up_stream.samples.insert(up_stream.samples.end(), up.begin(), up.end());
+    down_stream.samples.insert(down_stream.samples.end(), down.begin(),
+                               down.end());
+    incremental.add_round(1, samples_drain(std::move(up)));
+    incremental.add_round(2, samples_drain(std::move(down)));
+  };
+
+  // Round 1: marker 7 never shows downstream; the three behind it do, and
+  // a 20 ms repeat of one of them (a delay-bound violation if it were
+  // used) closes the downstream feed.
+  std::vector<SampleRecord> down;
+  for (net::PacketDigest i = 0; i < kRounds; ++i) {
+    down.push_back(marker_at(kFirst + kRounds - 1 - i, 1));
+  }
+  down.push_back(marker_at(kFirst + kRounds / 2, 20));
+  feed({marker_at(7, 0), marker_at(kFirst + 10, 0),
+        marker_at(kFirst + kRounds / 2, 0), marker_at(kFirst + kRounds - 1, 0)},
+       std::move(down));
+  EXPECT_EQ(incremental.analyze().links.at(0).report.samples,
+            check_link_samples(up_stream, down_stream));
+  EXPECT_EQ(incremental.resident_stats().pending_sample_rounds, 4 + kRounds);
+
+  // Round 2 repeats a resident marker; round 4 expires marker 7, matches
+  // the three behind it and drops the unclaimed rounds.
+  feed({}, {marker_at(kFirst + kRounds - 1, 30)});
+  for (int round = 3; round <= 4; ++round) {
+    EXPECT_EQ(incremental.analyze().links.at(0).report.samples,
+              check_link_samples(up_stream, down_stream))
+        << "round " << round - 1;
+    feed({}, {});
+  }
+  const LinkSampleCheck live = incremental.analyze().links.at(0).report.samples;
+  EXPECT_EQ(live, check_link_samples(up_stream, down_stream));
+  EXPECT_EQ(live.rounds_matched, 3u);
+  EXPECT_EQ(live.link_delays_ms, (std::vector<double>{1.0, 1.0, 1.0}));
+  EXPECT_EQ(live.violations,
+            (std::vector<Inconsistency>{
+                {InconsistencyKind::kMarkerMissing, 7, 0.0}}));
+  const IncrementalPathVerifier::ResidentStats stats =
+      incremental.resident_stats();
+  EXPECT_EQ(stats.pending_sample_rounds, 0u);
+  EXPECT_EQ(stats.expired_unmatched, 1 + (kRounds - 3))
+      << "marker 7 and every unclaimed downstream round";
+}
+
+// A tampered upstream stream that repeats a marker id matches the
+// downstream round once, and the repeat surfaces as kMarkerMissing (the
+// batch check would check the pair twice) — both while the rounds wait
+// behind a blocked head, where analyze() resolves them, and once they
+// settle.
+TEST(IncrementalVerifier, RepeatedUpstreamMarkerMatchesOnce) {
+  const PathLayout layout{.hops = {1, 2}, .domain_of = {"a", "b"}};
+  IncrementalPathVerifier incremental(IncrementalPathVerifier::Config{
+      .layout = layout, .retain_rounds = 2, .margin_boundaries = 2});
+  constexpr net::PacketDigest kLost = 7, kM = 8;
+  PathDrain up = samples_drain(
+      {marker_at(kLost, 0), marker_at(kM, 0), marker_at(kM, 1)});
+  PathDrain down = samples_drain({marker_at(kM, 2)});
+  EXPECT_EQ(check_link_samples(up.samples, down.samples).rounds_matched, 2u);
+
+  LinkSampleCheck once;
+  once.rounds_matched = 1;
+  once.common_samples = 1;
+  once.link_delays_ms = {2.0};
+  once.violations = {{InconsistencyKind::kMarkerMissing, kLost, 0.0},
+                     {InconsistencyKind::kMarkerMissing, kM, 0.0}};
+  incremental.add_round(1, std::move(up));
+  incremental.add_round(2, std::move(down));
+  EXPECT_EQ(incremental.resident_stats().pending_sample_rounds, 4u)
+      << "kLost blocks both rounds behind it";
+  EXPECT_EQ(incremental.analyze().links.at(0).report.samples, once);
+
+  // Clock 4 expires kLost; the first kM round matches, the repeat expires.
+  for (int round = 2; round <= 4; ++round) {
+    incremental.add_round(1, samples_drain({}));
+    incremental.add_round(2, samples_drain({}));
+  }
+  EXPECT_EQ(incremental.analyze().links.at(0).report.samples, once);
+  const IncrementalPathVerifier::ResidentStats stats =
+      incremental.resident_stats();
+  EXPECT_EQ(stats.pending_sample_rounds, 0u);
+  EXPECT_EQ(stats.expired_unmatched, 2u) << "kLost and the repeated kM";
 }
 
 }  // namespace

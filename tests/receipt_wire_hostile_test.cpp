@@ -7,7 +7,9 @@
 // over-reads or corrupts state (the ASan+UBSan CI job runs this suite).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -507,6 +509,48 @@ TEST_F(ChunkHostile, FatalErrorLeavesSinkWithWholePathsOnly) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].path, 0u);
   EXPECT_EQ(got[0].drain, drains[0]);
+}
+
+// A resync walk discards sections without decoding them, but names each
+// skipped path key once, ascending — whether the stream repeats a key
+// many times or names a key the path table does not hold.
+TEST(WireImporterSession, SkipWalkReportsEachKeyOnceAscending) {
+  std::vector<net::PathId> table = {test_path(), test_path()};
+  table[1].prefixes.source = net::Prefix(net::Ipv4Address(0x0B000000), 16);
+  const std::uint64_t a = table[0].path_key();
+  const std::uint64_t b = table[1].path_key();
+  const std::uint64_t stranger = a ^ b ^ 0x5A5A;
+  ASSERT_NE(stranger, a);
+  ASSERT_NE(stranger, b);
+
+  // 64 sections, mostly `b`, then the round mark that ends the walk.
+  std::vector<std::uint64_t> keys(64, b);
+  keys[3] = a;
+  keys[40] = stranger;
+  keys[41] = a;
+  net::ByteWriter payload;
+  payload.u8(dissem::kChunkTag);
+  payload.u32(static_cast<std::uint32_t>(keys.size() + 1));
+  for (const std::uint64_t key : keys) {
+    payload.u8(dissem::kSampleSectionKind);
+    payload.u64(key);
+    payload.u32(0);
+  }
+  payload.u8(dissem::kRoundMarkKind);
+  payload.u64(0);
+  payload.u32(0);
+
+  const dissem::WireImporter importer(table);
+  core::VectorSink sink;
+  dissem::WireImporter::Session session(importer, sink);
+  session.resync();
+  session.feed(payload.view());
+  EXPECT_TRUE(session.at_round_boundary());
+  std::vector<std::uint64_t> want = {a, b, stranger};
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(session.take_skipped_keys(), want);
+  EXPECT_TRUE(session.take_skipped_keys().empty()) << "taking resets";
+  EXPECT_TRUE(std::move(sink).take().empty());
 }
 
 // --- duplicated / reordered envelope sequences ---------------------------
