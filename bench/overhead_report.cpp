@@ -21,7 +21,7 @@
 #include "core/receipt_sink.hpp"
 #include "dissem/wire_exporter.hpp"
 #include "experiment.hpp"
-#include "sim/churn_scenario.hpp"
+#include "sim/scenario_engine.hpp"
 #include "trace/synthetic_trace.hpp"
 
 namespace {
@@ -210,33 +210,29 @@ void lifecycle_section() {
                         static_cast<double>(cache.arena_garbage_bytes()) /
                         static_cast<double>(cache.state().arena_bytes()));
 
-  // The end-to-end bounded-memory claim: a 52-round churn scenario
-  // (collector lifecycle + store cursors/GC + incremental verifier)
-  // against its grow-only reference.
-  sim::ChurnScenarioConfig scfg;
-  scfg.shard_count = 4;
-  const sim::ChurnScenarioResult churn = sim::run_churn_scenario(scfg);
-  const sim::ChurnRoundMetrics& final_round = churn.per_round.back();
-  std::printf("Churn soak (52 rounds, 33%% of live paths churning):\n");
-  std::printf("  collector arenas:  %6.1f KB churn-run plateau vs %6.1f KB"
-              " grow-only reference\n",
-              static_cast<double>(final_round.churn_arena_bytes) / 1e3,
-              static_cast<double>(final_round.ref_arena_bytes) / 1e3);
-  std::printf("  receipt store:     %6.1f KB retained (slowest-consumer"
-              " lag) vs %6.1f KB shipped\n",
-              static_cast<double>(final_round.store_payload_bytes) / 1e3,
-              static_cast<double>(final_round.ref_store_payload_bytes) /
-                  1e3);
-  std::printf("  verifier tails:    %zu aggregate receipts + %zu pending"
-              " entries (O(retained window))\n",
-              final_round.verifier_tail_receipts,
-              final_round.verifier_pending);
+  // The end-to-end bounded-memory claim: the churn soak's default cell
+  // (tests/scenarios/churn.conf) through run_scenario, with TTL eviction
+  // and as the grow-only fleet (ttl_rounds=0).
+  sim::ScenarioConfig scfg = sim::parse_scenario(
+      "name=churn seed=1 paths=36 rounds=52 round_us=40000 pps=50000 "
+      "zipf=0.6 marker_rate=0.01 shards=4 churn=12:6:6 ttl_rounds=3");
+  const sim::ScenarioOutcome churn = sim::run_scenario(scfg);
+  scfg.ttl_rounds = 0;
+  const sim::ScenarioOutcome grow = sim::run_scenario(scfg);
+  const std::size_t mid = scfg.rounds / 2 - 1;
+  std::printf("Churn soak (52 rounds, 33%% of live paths churning, 4 HOPs):\n");
+  std::printf("  collector arenas, round %zu -> %zu:\n", mid + 1, scfg.rounds);
+  std::printf("    TTL eviction:  %6.1f KB -> %6.1f KB\n",
+              static_cast<double>(churn.arenas[mid].bytes) / 1e3,
+              static_cast<double>(churn.arenas.back().bytes) / 1e3);
+  std::printf("    grow-only:     %6.1f KB -> %6.1f KB\n",
+              static_cast<double>(grow.arenas[mid].bytes) / 1e3,
+              static_cast<double>(grow.arenas.back().bytes) / 1e3);
   std::printf("  lifecycle totals:  %zu evictions, %zu compactions,"
               " %.1f KB reclaimed\n\n",
-              churn.lifecycle_totals.evicted_paths,
-              churn.lifecycle_totals.compactions,
-              static_cast<double>(
-                  churn.lifecycle_totals.reclaimed_arena_bytes) / 1e3);
+              churn.lifecycle.evicted_paths, churn.lifecycle.compactions,
+              static_cast<double>(churn.lifecycle.reclaimed_arena_bytes) /
+                  1e3);
 
   dissemination_block();
 }

@@ -85,8 +85,8 @@ int main(int argc, char** argv) {
   if (gap_count != 0) {
     std::cout << gap_count << " dissemination gap(s) reported\n";
   }
-  if (out.evicted_paths != 0) {
-    std::cout << out.evicted_paths << " lifecycle eviction(s)\n";
+  if (out.lifecycle.evicted_paths != 0) {
+    std::cout << out.lifecycle.evicted_paths << " lifecycle eviction(s)\n";
   }
   return 0;
 }

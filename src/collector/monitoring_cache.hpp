@@ -236,6 +236,8 @@ struct LifecycleReport {
     decayed_emitted_bytes += o.decayed_emitted_bytes;
     return *this;
   }
+  friend bool operator==(const LifecycleReport&,
+                         const LifecycleReport&) = default;
 };
 
 /// One HOP's full collector: classifier + per-path monitors + accounting.

@@ -25,7 +25,9 @@
 // analyze() then assembles the same PathAnalysis the materialized verifier
 // computes over the full history — byte-identical findings whenever every
 // receipt's counterpart arrives within the retention window (honest
-// reporting; the churn-soak suite pins equality over 50+ rounds), while
+// reporting; every scenario-grid cell, the fault soak's lossless cells and
+// the churn soak's 52-round cells compare each path against run_scenario's
+// materialized delivered-round reference), while
 // resident state stays O(retained window + analysis product), not
 // O(history).  One documented divergence on TAMPERED streams: sampling
 // rounds pair match-ONCE here (a matched downstream round is retired for

@@ -227,8 +227,8 @@ class ReceiptStore {
   [[nodiscard]] std::size_t stored_envelopes() const {
     return storage_->stats().envelopes;
   }
-  /// Payload bytes currently retained — the resident-memory figure the
-  /// churn-soak plateau assertion reads.
+  /// Payload bytes currently retained — the resident-memory figure
+  /// e2ebench reports as `dissem.store_resident_mb`.
   [[nodiscard]] std::size_t stored_payload_bytes() const {
     return storage_->stats().payload_bytes;
   }

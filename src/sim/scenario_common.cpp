@@ -32,19 +32,6 @@ std::vector<net::PathId> path_table(
   return out;
 }
 
-void append_drain(core::PathDrain& acc, char& have, const core::PathDrain& d) {
-  if (!have) {
-    acc = d;
-    have = 1;
-    return;
-  }
-  acc.samples.samples.insert(acc.samples.samples.end(),
-                             d.samples.samples.begin(),
-                             d.samples.samples.end());
-  acc.aggregates.insert(acc.aggregates.end(), d.aggregates.begin(),
-                        d.aggregates.end());
-}
-
 std::vector<core::RoundGap> dedupe_gaps(std::vector<core::RoundGap> raw) {
   std::map<std::uint64_t, core::RoundGap> by_first;
   for (core::RoundGap& g : raw) {
@@ -82,20 +69,6 @@ void add_stats(dissem::FetchClient::Stats& acc,
   acc.gap_wait_polls += s.gap_wait_polls;
 }
 
-core::PathLayout three_hop_layout() {
-  return core::PathLayout{.hops = {1, 2, 3},
-                          .domain_of = {"alpha", "alpha", "beta"}};
-}
-
-net::Duration spread_hop_delay(std::uint64_t seed, std::size_t path,
-                               std::size_t hop, net::Duration hop_delay,
-                               std::size_t delay_spread_us) {
-  const auto spread = static_cast<std::int64_t>(
-      mix(seed ^ (path * 2654435761u)) % (delay_spread_us + 1));
-  return (hop_delay + net::microseconds(spread)) *
-         static_cast<std::int64_t>(hop);
-}
-
 trace::MultiPathConfig multi_path_config(std::size_t path_count, double zipf_s,
                                          double total_packets_per_second,
                                          net::Duration duration,
@@ -107,16 +80,6 @@ trace::MultiPathConfig multi_path_config(std::size_t path_count, double zipf_s,
   mcfg.duration = duration;
   mcfg.seed = seed;
   return mcfg;
-}
-
-trace::MultiPathConfig multi_path_config(std::size_t path_count, double zipf_s,
-                                         double total_packets_per_second,
-                                         net::Duration round_length,
-                                         std::size_t rounds,
-                                         std::uint64_t seed) {
-  return multi_path_config(path_count, zipf_s, total_packets_per_second,
-                           round_length * static_cast<std::int64_t>(rounds),
-                           seed);
 }
 
 net::Timestamp quantize_us(net::Timestamp t) {

@@ -107,7 +107,7 @@ net::Duration parse_us(const std::string& token, const std::string& value) {
   return net::microseconds(static_cast<std::int64_t>(parse_u64(token, value)));
 }
 
-/// Parse "a:b:c" into three integers (link_down / route_flap events).
+/// Parse "a:b:c" into three integers (link_down, route_flap, churn).
 void parse_triple(const std::string& token, const std::string& value,
                   std::size_t& a, std::size_t& b, std::size_t& c) {
   const std::vector<std::string> parts = split(value, ':');
@@ -195,6 +195,11 @@ std::string ScenarioConfig::to_string() const {
     put("route_flap", std::to_string(route_flap.paths) + ':' +
                           std::to_string(route_flap.round) + ':' +
                           std::to_string(route_flap.duration_rounds));
+  }
+  if (churn.live != 0) {
+    put("churn", std::to_string(churn.stable) + ':' +
+                     std::to_string(churn.live) + ':' +
+                     std::to_string(churn.lifetime_rounds));
   }
   if (ttl_rounds != def.ttl_rounds) {
     put("ttl_rounds", std::to_string(ttl_rounds));
@@ -352,6 +357,9 @@ ScenarioConfig parse_scenario(std::string_view text) {
     } else if (key == "route_flap") {
       parse_triple(token, value, cfg.route_flap.paths, cfg.route_flap.round,
                    cfg.route_flap.duration_rounds);
+    } else if (key == "churn") {
+      parse_triple(token, value, cfg.churn.stable, cfg.churn.live,
+                   cfg.churn.lifetime_rounds);
     } else if (key == "ttl_rounds") {
       cfg.ttl_rounds = static_cast<std::size_t>(parse_u64(token, value));
     } else if (key == "chunk_bytes") {

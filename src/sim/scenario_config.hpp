@@ -1,8 +1,9 @@
 // Declarative scenario description for the config-driven engine
-// (sim/scenario_engine): one struct composing the traffic mix, the loss
-// model, topology events, dissemination faults, the receipt store, and
-// the adversary strategy matrix — everything the §6 evaluation grid
-// varies.
+// (sim/scenario_engine): one struct composing the traffic mix and its
+// live-path churn, the loss model, topology events, the collector
+// lifecycle, dissemination faults, the receipt store, and the adversary
+// strategy matrix — everything the §6 evaluation grid and the §7.1
+// long-run soak vary.
 //
 // A scenario is expressible as a one-line `key=value` string (or a text
 // file of them under tests/scenarios/), so a failing grid cell prints a
@@ -76,6 +77,19 @@ struct RouteFlapEvent {
   friend bool operator==(const RouteFlapEvent&, const RouteFlapEvent&) = default;
 };
 
+/// A churning live-path population: paths [0, stable) send every round,
+/// while `live` slots each host one path of the pool [stable, paths) for
+/// `lifetime_rounds` rounds, staggered across slots, then rotate to the
+/// next pool member — paths arrive, live, go quiet and, once the pool
+/// wraps, revive long after an idle TTL would have evicted them.  Every
+/// other path is silent that round.  live == 0 disables.
+struct ChurnSchedule {
+  std::size_t stable = 0;
+  std::size_t live = 0;
+  std::size_t lifetime_rounds = 0;
+  friend bool operator==(const ChurnSchedule&, const ChurnSchedule&) = default;
+};
+
 struct ScenarioConfig {
   std::string name = "scenario";
   std::uint64_t seed = 1;
@@ -124,9 +138,11 @@ struct ScenarioConfig {
   // Topology events.
   LinkDownEvent link_down;
   RouteFlapEvent route_flap;
-  /// Lifecycle: evict a path idle for this many rounds (0 = lifecycle
-  /// machinery off).  Route flaps run the PR-5 eviction/compaction pass
-  /// either way; this knob adds TTL eviction between flaps.
+  ChurnSchedule churn;
+  /// Lifecycle: evict a path idle for this many rounds and compact the
+  /// arenas at every round's lifecycle pass (0 = lifecycle machinery off,
+  /// a grow-only fleet).  Route flaps rebuild the path tables either way;
+  /// this knob adds TTL eviction between flaps.
   std::size_t ttl_rounds = 0;
 
   // Dissemination.
@@ -159,7 +175,7 @@ struct ScenarioConfig {
 /// (so one line and a multi-line file are the same grammar), `#` starts a
 /// comment to end of line.  Unknown keys, malformed values (a signed
 /// integer, a non-finite number), and malformed compound values
-/// (domains=, adversary.*=, link_down=, route_flap=) throw
+/// (domains=, adversary.*=, link_down=, route_flap=, churn=) throw
 /// std::invalid_argument naming the offending token.
 [[nodiscard]] ScenarioConfig parse_scenario(std::string_view text);
 

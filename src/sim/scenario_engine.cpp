@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -62,15 +63,16 @@ bool tear_segment_tail(const std::filesystem::path& root, std::uint64_t rnd) {
   return true;
 }
 
-/// Transit-domain index of `name` in the chain (throws unless it names a
-/// domain with both an ingress and an egress HOP).
-std::size_t transit_index(const ScenarioConfig& cfg, const std::string& name,
-                          const char* what) {
-  for (std::size_t d = 1; d + 1 < cfg.domains.size(); ++d) {
-    if (cfg.domains[d] == name) return d;
+/// Position of `name` among the transit domains (throws unless it names
+/// a domain with both an ingress and an egress HOP).
+std::size_t transit_index(std::span<const std::string> transit,
+                          const std::string& name, const char* what) {
+  const auto it = std::find(transit.begin(), transit.end(), name);
+  if (it == transit.end()) {
+    throw std::invalid_argument(std::string("scenario: ") + what + " '" +
+                                name + "' is not a transit domain");
   }
-  throw std::invalid_argument(std::string("scenario: ") + what + " '" + name +
-                              "' is not a transit domain");
+  return static_cast<std::size_t>(it - transit.begin());
 }
 
 void validate(const ScenarioConfig& cfg,
@@ -110,6 +112,29 @@ void validate(const ScenarioConfig& cfg,
       cfg.link_down.link + 1 >= cfg.domains.size()) {
     throw std::invalid_argument("scenario: link_down index out of range");
   }
+  // An event that starts after the last round never fires.
+  if ((cfg.link_down.duration_rounds != 0 &&
+       cfg.link_down.round >= cfg.rounds) ||
+      (cfg.route_flap.duration_rounds != 0 &&
+       cfg.route_flap.round >= cfg.rounds)) {
+    throw std::invalid_argument(
+        "scenario: link_down or route_flap starts after the last round");
+  }
+  if (cfg.churn.live != 0 && (cfg.churn.stable >= cfg.paths ||
+                              cfg.churn.lifetime_rounds == 0)) {
+    throw std::invalid_argument(
+        "scenario: churn needs stable < paths and a nonzero lifetime");
+  }
+  // Written so that NaN fails too: a rate above 1 or below 0 would fault
+  // every envelope or none, whatever the line says.
+  for (const double rate :
+       {cfg.faults.drop_rate, cfg.faults.corrupt_rate,
+        cfg.faults.duplicate_rate, cfg.faults.reorder_rate,
+        cfg.faults.delay_rate}) {
+    if (!(rate >= 0.0 && rate <= 1.0)) {
+      throw std::invalid_argument("scenario: fault rate outside [0, 1]");
+    }
+  }
   if (cfg.faults.delay_rate > 0.0 &&
       cfg.gap_patience_polls < cfg.faults.max_delay_ticks) {
     throw std::invalid_argument(
@@ -129,8 +154,11 @@ void validate(const ScenarioConfig& cfg,
     throw std::invalid_argument(
         "scenario: torn_tail needs a segment store and crash_every");
   }
+  const std::span<const std::string> transit(cfg.domains.data() + 1,
+                                             cfg.domains.size() - 2);
   for (std::size_t i = 0; i < cfg.adversaries.size(); ++i) {
-    (void)transit_index(cfg, cfg.adversaries[i].domain, "adversary domain");
+    (void)transit_index(transit, cfg.adversaries[i].domain,
+                        "adversary domain");
     for (std::size_t j = i + 1; j < cfg.adversaries.size(); ++j) {
       if (cfg.adversaries[i].domain == cfg.adversaries[j].domain) {
         throw std::invalid_argument("scenario: duplicate adversary for '" +
@@ -139,10 +167,10 @@ void validate(const ScenarioConfig& cfg,
     }
   }
   if (!cfg.loss_domain.empty()) {
-    (void)transit_index(cfg, cfg.loss_domain, "loss domain");
+    (void)transit_index(transit, cfg.loss_domain, "loss domain");
   }
   if (!cfg.jitter_domain.empty()) {
-    (void)transit_index(cfg, cfg.jitter_domain, "jitter domain");
+    (void)transit_index(transit, cfg.jitter_domain, "jitter domain");
   }
 }
 
@@ -177,6 +205,7 @@ ScenarioOutcome::implicated_links() const {
 }
 
 double ScenarioOutcome::estimated_loss(const std::string& domain) const {
+  (void)transit_index(transit_domains, domain, "loss query domain");
   std::uint64_t offered = 0;
   std::uint64_t delivered = 0;
   for (const core::PathAnalysis& a : analysis) {
@@ -192,11 +221,8 @@ double ScenarioOutcome::estimated_loss(const std::string& domain) const {
 }
 
 double ScenarioOutcome::true_loss(const std::string& domain) const {
-  std::size_t t = transit_domains.size();
-  for (std::size_t i = 0; i < transit_domains.size(); ++i) {
-    if (transit_domains[i] == domain) t = i;
-  }
-  if (t == transit_domains.size()) return 0.0;
+  const std::size_t t =
+      transit_index(transit_domains, domain, "loss query domain");
   std::uint64_t offered = 0;
   std::uint64_t delivered = 0;
   for (const std::vector<DomainTruth>& per_path : truth) {
@@ -226,28 +252,46 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
   }
   out.transit_domains.assign(cfg.domains.begin() + 1, cfg.domains.end() - 1);
 
+  // Domain indices in the chain: transit position + 1.
   const std::size_t loss_d =
       cfg.loss == LossKind::kNone
           ? 0
-          : (cfg.loss_domain.empty()
-                 ? 1
-                 : transit_index(cfg, cfg.loss_domain, "loss domain"));
+          : 1 + (cfg.loss_domain.empty()
+                     ? 0
+                     : transit_index(out.transit_domains, cfg.loss_domain,
+                                     "loss domain"));
   const std::size_t jitter_d =
       cfg.jitter_domain.empty()
           ? 0
-          : transit_index(cfg, cfg.jitter_domain, "jitter domain");
+          : 1 + transit_index(out.transit_domains, cfg.jitter_domain,
+                              "jitter domain");
 
-  // --- traffic, filtered by the route-flap window -------------------------
+  // --- traffic, filtered by the route-flap window and the churn schedule --
   const trace::MultiPathTrace multi = trace::generate_multi_path(
-      scenario::multi_path_config(cfg.paths, cfg.zipf_s,
-                                  cfg.packets_per_second, cfg.round_length,
-                                  cfg.rounds, cfg.seed));
+      scenario::multi_path_config(
+          cfg.paths, cfg.zipf_s, cfg.packets_per_second,
+          cfg.round_length * static_cast<std::int64_t>(cfg.rounds),
+          cfg.seed));
   const std::size_t flap_first =
       cfg.route_flap.duration_rounds == 0 ? cfg.paths
                                           : cfg.paths - cfg.route_flap.paths;
   const std::size_t flap_start = cfg.route_flap.round;
   const std::size_t flap_end =
       cfg.route_flap.round + cfg.route_flap.duration_rounds;
+  // Slot s hosts pool member stable + (gen * live + s) % pool for
+  // generation gen, its phase staggered so slots rotate on different
+  // rounds.
+  const ChurnSchedule& churn = cfg.churn;
+  const auto churned_out = [&](std::size_t path, std::size_t r) {
+    if (churn.live == 0 || path < churn.stable) return false;
+    const std::size_t pool = cfg.paths - churn.stable;
+    for (std::size_t s = 0; s < churn.live; ++s) {
+      const std::size_t phase = s * churn.lifetime_rounds / churn.live;
+      const std::size_t gen = (r + phase) / churn.lifetime_rounds;
+      if (churn.stable + (gen * churn.live + s) % pool == path) return false;
+    }
+    return true;
+  };
 
   std::vector<net::Packet> fg_packets;   // merged, arrival order
   std::vector<std::size_t> fg_path;      // path of fg_packets[i]
@@ -259,6 +303,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
         scenario::round_of(p.origin_time, round_ns, cfg.rounds);
     const std::size_t path = multi.path_of[i];
     if (path >= flap_first && r >= flap_start && r < flap_end) continue;
+    if (churned_out(path, r)) continue;
     fg_packets.push_back(p);
     fg_path.push_back(path);
   }
@@ -489,6 +534,11 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
   }
 
   // --- verifiers and the consumer fleet -----------------------------------
+  // Retention outlasts the run.  A round the fleet receives late, after
+  // waiting out a gap in front of it, can arrive more rounds behind its
+  // neighbours' counterparts than the library default of 4 keeps; the
+  // fleet would then expire state the delivered-round reference matches
+  // (the fault soaks' dropping cells do exactly that at 4).
   const core::IncrementalPathVerifier::Config vcfg{
       .layout = out.layout,
       .retain_rounds = cfg.rounds + 16,
@@ -584,7 +634,8 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
   // PUBLISHED egress (one hop position earlier either way).
   std::vector<AdversaryKind> adv_at(n_hops, AdversaryKind::kHonest);
   for (const ScenarioAdversary& a : cfg.adversaries) {
-    const std::size_t d = transit_index(cfg, a.domain, "adversary domain");
+    const std::size_t d =
+        1 + transit_index(out.transit_domains, a.domain, "adversary domain");
     const std::size_t pos = a.kind == AdversaryKind::kCoverUpstream
                                 ? PathEnvironment::ingress_hop(d)
                                 : PathEnvironment::egress_hop(d);
@@ -676,6 +727,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
     }
 
     std::vector<Stream> streams(n_hops);
+    RoundArenas arenas;
     for (std::size_t pos = 0; pos < n_hops; ++pos) {
       const std::vector<MergedObs>& bucket = obs_by_round[pos][r];
       std::vector<net::Packet> packets;
@@ -692,12 +744,13 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
       collectors[pos]->drain(sink, /*flush_open=*/false);
       if (cfg.ttl_rounds != 0) {
         const net::Timestamp now{static_cast<std::int64_t>(r + 1) * round_ns};
-        const collector::LifecycleReport report =
-            collectors[pos]->run_lifecycle(now, sink);
-        out.evicted_paths += report.evicted_paths;
+        out.lifecycle += collectors[pos]->run_lifecycle(now, sink);
       }
+      arenas.bytes += collectors[pos]->arena_bytes();
+      arenas.live_bytes += collectors[pos]->arena_live_bytes();
       streams[pos] = std::move(sink).take();
     }
+    out.arenas.push_back(arenas);
     publish(std::move(streams));
     if (cfg.crash_every_rounds != 0 && r != 0 &&
         r % cfg.crash_every_rounds == 0) {
@@ -757,12 +810,10 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
 
   // --- the delivered-round reference --------------------------------------
   // A round is delivered iff no deduplicated gap intersects its sealed
-  // sequence range.  Fresh verifiers replay exactly those rounds off the
-  // archive, so they hold what a perfect wire yields over the rounds the
-  // fleet received.
-  std::vector<core::IncrementalPathVerifier> reference;
-  reference.reserve(cfg.paths);
-  for (std::size_t p = 0; p < cfg.paths; ++p) reference.emplace_back(vcfg);
+  // sequence range.  Materialized verifiers replay exactly those rounds
+  // off the archive, so they hold what a perfect wire yields over the
+  // rounds the fleet received, with nothing retired.
+  std::vector<core::PathVerifier> reference(cfg.paths);
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
     const net::HopId hop = out.layout.hops[pos];
     core::DrainRoundSink sink([&reference, hop](std::size_t path,
@@ -790,9 +841,8 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
   out.delivered_reference.reserve(cfg.paths);
   for (std::size_t p = 0; p < cfg.paths; ++p) {
     out.analysis.push_back(verifiers[p].analyze());
-    out.delivered_reference.push_back(reference[p].analyze());
-    out.expired_unmatched += verifiers[p].resident_stats().expired_unmatched +
-                             reference[p].resident_stats().expired_unmatched;
+    out.delivered_reference.push_back(reference[p].analyze(out.layout));
+    out.expired_unmatched += verifiers[p].resident_stats().expired_unmatched;
   }
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
     out.consumer_lag_end.push_back(

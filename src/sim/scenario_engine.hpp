@@ -3,11 +3,14 @@
 //
 // For every reporting round the engine
 //
-//   1. propagates the round's traffic through the configured domain chain
-//      (sim/path_run: per-domain delay/jitter, the configured loss model,
-//      timed link failures),
+//   1. propagates the round's traffic — minus the paths the route-flap
+//      window withdraws and the churn schedule holds silent — through the
+//      configured domain chain (sim/path_run: per-domain delay/jitter, the
+//      configured loss model, timed link failures),
 //   2. feeds each HOP's observations to its sharded collector,
-//   3. drains the round, applies the configured adversary transforms
+//   3. drains the round, runs the collector lifecycle pass when
+//      `ttl_rounds` is set (TTL eviction, whose drains ship with the round,
+//      then arena compaction), applies the configured adversary transforms
 //      (adversary/strategies — the drains a lying domain PUBLISHES differ
 //      from what it observed), and ships the published drains through
 //      WireExporter -> FaultyTransport -> dissem::FederatedStore (memory or
@@ -17,11 +20,21 @@
 //
 // After the run, the delivered-round oracle replays every round the fleet
 // received in full (no deduplicated gap intersects its sealed sequence
-// range) from a pre-fault archive of the sealed envelopes into fresh
-// reference verifiers: ScenarioOutcome::delivered_reference is what a
-// perfect wire yields over exactly those rounds, so the guarantee "lost
-// rounds surface as gaps, delivered rounds verify as if nothing was lost"
-// is an output of every scenario.
+// range) from a pre-fault archive of the sealed envelopes, hop by hop,
+// into one materialized core::PathVerifier per path, which keeps every
+// receipt: ScenarioOutcome::delivered_reference is what a perfect wire
+// yields over exactly those rounds, so the guarantee "lost rounds surface
+// as gaps, delivered rounds verify as if nothing was lost" is an output of
+// every scenario — and, on a perfect wire, the round-fed verifier's whole
+// analysis must equal the materialized one's.
+//
+// A churn schedule plus `ttl_rounds` is the §7.1 long-run soak: paths
+// arrive, idle out and are evicted, arenas compact, the store's cursor GC
+// drains, and the same config with `ttl_rounds=0` is the grow-only fleet
+// it is compared against (churn_soak_test).  ScenarioOutcome::arenas and
+// `lifecycle.compactions` / `lifecycle.reclaimed_arena_bytes` depend on
+// `shards`, because each shard cache compacts its own arena; evictions
+// and findings do not.
 //
 // Route flaps rebuild every HOP's path table mid-run under the PR-5
 // lifecycle machinery (open receipts drain first, so nothing is
@@ -62,6 +75,7 @@
 #include <utility>
 #include <vector>
 
+#include "collector/monitoring_cache.hpp"
 #include "core/verifier.hpp"
 #include "dissem/faulty_transport.hpp"
 #include "dissem/storage.hpp"
@@ -83,6 +97,15 @@ struct DomainTruth {
   friend bool operator==(const DomainTruth&, const DomainTruth&) = default;
 };
 
+/// The collectors' summed arena accounting after one round's lifecycle
+/// pass: resident bytes, of which `live_bytes` are live slices and the
+/// rest relocation and eviction garbage.
+struct RoundArenas {
+  std::size_t bytes = 0;
+  std::size_t live_bytes = 0;
+  friend bool operator==(const RoundArenas&, const RoundArenas&) = default;
+};
+
 struct ScenarioOutcome {
   core::PathLayout layout;
   std::vector<std::string> transit_domains;  ///< domains[1..N-2], in order
@@ -90,15 +113,15 @@ struct ScenarioOutcome {
   /// appends it so a failing cell reproduces with a single command.
   std::string repro;
 
-  std::uint64_t total_packets = 0;      ///< packets injected (post-flap)
+  std::uint64_t total_packets = 0;  ///< packets injected (post-flap/churn)
   std::uint64_t delivered_packets = 0;  ///< packets reaching the last HOP
 
   /// Per path: the verifier's findings, fed off the wire.
   std::vector<core::PathAnalysis> analysis;
-  /// Per path: reference findings over the delivered rounds only, replayed
-  /// from the pre-fault archive.  Never has gaps; domains and links equal
-  /// `analysis[p]`'s on any wire, and the whole analysis is equal when the
-  /// wire lost nothing.
+  /// Per path: the materialized PathVerifier's findings over the delivered
+  /// rounds only, replayed from the pre-fault archive.  Never has gaps;
+  /// domains and links equal `analysis[p]`'s on any wire, and the whole
+  /// analysis is equal when the wire lost nothing.
   std::vector<core::PathAnalysis> delivered_reference;
   /// Per hop: deduplicated dissemination gaps the fleet reported.
   std::vector<std::vector<core::RoundGap>> gaps;
@@ -130,12 +153,17 @@ struct ScenarioOutcome {
   std::size_t reingest_rejected = 0;
   std::size_t segments_live_peak = 0;
   dissem::FaultStats wire;  ///< transport fault counts, summed over hops
-  /// Retention casualties in the fleet-fed and reference verifiers.
+  /// Retention casualties in the fleet-fed verifiers.
   std::uint64_t expired_unmatched = 0;
   std::uint64_t ack_rejections = 0;
   std::uint64_t gaps_reported = 0;   ///< raw, before deduplication
   std::uint64_t groups_delivered = 0;
-  std::size_t evicted_paths = 0;     ///< lifecycle evictions, all hops
+  /// Every lifecycle pass summed over HOPs and rounds (all zero when
+  /// ttl_rounds == 0).
+  collector::LifecycleReport lifecycle;
+  /// Per round: the arenas after that round's lifecycle pass, summed over
+  /// HOPs.
+  std::vector<RoundArenas> arenas;
 
   friend bool operator==(const ScenarioOutcome&,
                          const ScenarioOutcome&) = default;
@@ -150,8 +178,10 @@ struct ScenarioOutcome {
   implicated_links() const;
 
   /// Receipt-derived loss rate through `domain`, aggregated over paths.
+  /// Throws std::invalid_argument unless `domain` is a transit domain.
   [[nodiscard]] double estimated_loss(const std::string& domain) const;
   /// Ground-truth loss rate through `domain`, aggregated over paths.
+  /// Throws std::invalid_argument unless `domain` is a transit domain.
   [[nodiscard]] double true_loss(const std::string& domain) const;
 };
 
@@ -162,9 +192,11 @@ struct ScenarioOutcome {
 /// link_delay, jitter or max_diff, unknown loss/jitter/adversary domain
 /// names, an adversary domain that is not a transit domain, two adversary
 /// entries for one domain, a route flap withdrawing every path, a
-/// link_down index out of range, fault delays the gap patience cannot
-/// cover, store_shards == 0, a segment store without an empty directory,
-/// or torn_tail without a segment store and crash_every.
+/// link_down index out of range, a link_down or route flap starting after
+/// the last round, a churn schedule with no pool (stable >= paths)
+/// or a zero lifetime, a fault rate outside [0, 1], fault delays the gap
+/// patience cannot cover, store_shards == 0, a segment store without an
+/// empty directory, or torn_tail without a segment store and crash_every.
 [[nodiscard]] ScenarioOutcome run_scenario(
     const ScenarioConfig& cfg, const std::filesystem::path& directory = {});
 

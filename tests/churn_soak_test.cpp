@@ -1,163 +1,136 @@
-// The churn-soak acceptance matrix (ISSUE 5): ≥50 reporting rounds with
-// ≥30% path turnover through the full epoch lifecycle — TTL eviction +
-// arena compaction at the collectors, cursor-GC'd dissemination, and the
-// round-fed incremental verifier — while continuously-live paths' receipts
-// and PathAnalysis findings stay IDENTICAL to the non-evicting,
-// non-GC'd, materialized reference, and resident bytes plateau.
+// The churn soak (§7.1 keeps collector state per ACTIVE path): 52
+// reporting rounds in which a third of the live path set churns, through
+// the whole epoch lifecycle on run_scenario — TTL eviction and arena
+// compaction at the collectors, cursor GC in the store, the round-fed
+// incremental verifier.  Every cell runs twice, as configured and with
+// ttl_rounds=0 (the grow-only fleet), and asserts:
+//
+//   * every path's findings, churned paths included, equal the
+//     materialized PathVerifier's over the same rounds, and the stable
+//     paths' findings equal the grow-only run's — evicting and compacting
+//     other paths is invisible to them;
+//   * receipts conserve every observed packet and nothing expires;
+//   * evictions keep pace with the rotation, compaction reclaims bytes,
+//     garbage never exceeds the watermark, the arenas plateau and end
+//     well below the grow-only fleet's, and the store drains.
+//
+// Store retention behind a lagging consumer is pinned by StoreCursor, and
+// receipt-stream equality across eviction by Lifecycle and WireRoundTrip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
 
-#include "sim/churn_scenario.hpp"
+#include "helpers.hpp"
+#include "scenario_grid.hpp"
+#include "sim/scenario_engine.hpp"
 
 namespace vpm {
 namespace {
 
-sim::ChurnScenarioConfig matrix_config(std::uint64_t seed,
-                                       net::DigestMode mode,
-                                       std::size_t shards) {
-  sim::ChurnScenarioConfig cfg;
-  cfg.seed = seed;
-  cfg.digest_mode = mode;
-  cfg.shard_count = shards;
-  cfg.total_packets_per_second = 25'000.0;
-  // Defaults already satisfy the acceptance shape: 52 rounds, 36-path
-  // table, 12 stable + 6 churning live (33% of the live set churns).
-  return cfg;
+/// run_scenario's compaction watermark (garbage fraction of resident
+/// arena bytes that triggers a compaction).
+constexpr double kGarbageWatermark = 0.25;
+constexpr std::size_t kHops = 4;  // S -> X -> D
+
+/// tests/scenarios/churn.conf with `overrides` applied on top.
+sim::ScenarioConfig churn_cell(const std::string& overrides) {
+  return sim::parse_scenario(test::load_scenario_file("churn.conf") + "\n" +
+                             overrides);
 }
 
-/// The equality half of the acceptance criterion.
-void assert_live_paths_identical(const sim::ChurnScenarioResult& r,
-                                 const char* what) {
-  ASSERT_GE(r.per_round.size(), 50u);
-  ASSERT_GT(r.total_packets, 0u);
-  for (std::size_t h = 0; h < r.churn_concat.size(); ++h) {
-    for (std::size_t p = 0; p < r.stable_paths; ++p) {
-      ASSERT_EQ(r.churn_concat[h][p], r.ref_concat[h][p])
-          << what << ": hop " << h << " path " << p
-          << ": recovered wire stream diverged from the reference drain";
-    }
-  }
-  for (std::size_t p = 0; p < r.stable_paths; ++p) {
-    ASSERT_EQ(r.churn_analysis[p], r.ref_analysis[p])
-        << what << ": path " << p
-        << ": incremental findings diverged from the materialized verifier";
-    // The findings are non-trivial: delay samples matched and traffic
-    // accounted.
-    ASSERT_EQ(r.churn_analysis[p].domains.size(), 1u);
-    ASSERT_EQ(r.churn_analysis[p].links.size(), 1u);
-    EXPECT_GT(r.churn_analysis[p].domains[0].delay.common_samples, 0u)
-        << what << ": path " << p;
-    EXPECT_GT(r.churn_analysis[p].domains[0].loss.offered, 0u);
-  }
-  EXPECT_EQ(r.verifier_expired_unmatched, 0u)
-      << "in-window reporting must never expire unmatched state";
-  EXPECT_GT(r.lifecycle_totals.evicted_paths, 0u)
-      << "the churn schedule must actually exercise eviction";
-}
-
-std::size_t max_over(const std::vector<sim::ChurnRoundMetrics>& rounds,
-                     std::size_t begin, std::size_t end,
-                     std::size_t (*get)(const sim::ChurnRoundMetrics&)) {
+std::size_t max_bytes(const std::vector<sim::RoundArenas>& arenas,
+                      std::size_t begin, std::size_t end) {
   std::size_t m = 0;
-  for (std::size_t i = begin; i < end; ++i) m = std::max(m, get(rounds[i]));
+  for (std::size_t r = begin; r < end; ++r) m = std::max(m, arenas[r].bytes);
   return m;
 }
 
-/// The plateau half.  Resident arena bytes are "bounded by live work":
-/// (1) garbage never exceeds the compaction watermark at any sampled
-/// round (the exact post-lifecycle invariant), (2) the total plateaus up
-/// to the slow burst-peak ratcheting of LIVE slice capacities (a stable
-/// path's buffer/ring doubles on a rare deep burst — real live memory the
-/// reference pays too), and (3) the grow-only reference pulls away.
-/// Store bytes and the verifier working set plateau tightly.
-void assert_plateau(const sim::ChurnScenarioResult& r,
-                    double garbage_watermark) {
-  const auto& rounds = r.per_round;
-  const std::size_t n = rounds.size();
-  const std::size_t third = n / 3;
+void check_churn_cell(const sim::ScenarioConfig& cfg) {
+  sim::ScenarioConfig grow_cfg = cfg;
+  grow_cfg.ttl_rounds = 0;
+  const sim::ScenarioOutcome out = sim::run_scenario(cfg);
+  const sim::ScenarioOutcome grow = sim::run_scenario(grow_cfg);
+  SCOPED_TRACE("repro: " + out.repro);
+  ASSERT_GE(cfg.rounds, 50u);
+  ASSERT_EQ(out.arenas.size(), cfg.rounds);
+  ASSERT_EQ(out.layout.hops.size(), kHops);
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& m = rounds[i];
-    const double garbage = static_cast<double>(m.churn_arena_bytes -
-                                               m.churn_arena_live_bytes);
-    EXPECT_LE(garbage, garbage_watermark *
-                               static_cast<double>(m.churn_arena_bytes) +
-                           64.0)
-        << "round " << i
-        << ": post-lifecycle garbage must sit at or below the watermark";
+  // Findings.
+  ASSERT_TRUE(test::matches_materialized(out));
+  for (std::size_t p = 0; p < cfg.churn.stable; ++p) {
+    ASSERT_TRUE(out.analysis[p] == grow.analysis[p])
+        << "path " << p
+        << ": evicting other paths changed a stable path's findings";
+    // The findings are non-trivial: delay samples matched and traffic
+    // accounted.
+    ASSERT_EQ(out.analysis[p].domains.size(), 1u);
+    EXPECT_GT(out.analysis[p].domains[0].delay.common_samples, 0u)
+        << "path " << p;
+    EXPECT_GT(out.analysis[p].domains[0].loss.offered, 0u) << "path " << p;
   }
+  EXPECT_TRUE(test::conserves_receipts(out));
+  EXPECT_EQ(out.expired_unmatched, 0u)
+      << "in-window reporting must never expire unmatched state";
 
-  const auto plateau = [&](std::size_t (*get)(const sim::ChurnRoundMetrics&),
-                           std::size_t slack_percent, const char* what) {
-    const std::size_t mid = max_over(rounds, third, 2 * third, get);
-    const std::size_t last = max_over(rounds, 2 * third, n, get);
-    EXPECT_LE(last, mid + mid * slack_percent / 100 + 4096)
-        << what << " must plateau (middle-third max " << mid
-        << ", last-third max " << last << ")";
-  };
-  plateau([](const sim::ChurnRoundMetrics& m) { return m.churn_arena_bytes; },
-          50, "resident arena bytes");
-  plateau(
-      [](const sim::ChurnRoundMetrics& m) { return m.store_payload_bytes; },
-      10, "retained store bytes");
-  plateau([](const sim::ChurnRoundMetrics& m) {
-            return m.verifier_tail_receipts + m.verifier_pending;
-          },
-          10, "verifier working set");
+  // The lifecycle: every slot rotation evicts the retired path at each
+  // HOP, and eviction garbage crosses the compaction watermark.
+  const std::size_t rotations =
+      cfg.churn.live * (cfg.rounds / cfg.churn.lifetime_rounds - 2);
+  EXPECT_GE(out.lifecycle.evicted_paths, kHops * rotations);
+  EXPECT_GT(out.lifecycle.compactions, 0u);
+  EXPECT_GT(out.lifecycle.reclaimed_arena_bytes, 0u);
+  EXPECT_TRUE(grow.lifecycle == collector::LifecycleReport{})
+      << "the grow-only run must evict, compact and decay nothing";
 
-  // The reference run, by construction, keeps history: dead paths' arena
-  // slices and every envelope ever shipped.
-  const auto& last = rounds.back();
-  EXPECT_LT(static_cast<double>(last.churn_arena_bytes),
-            0.6 * static_cast<double>(last.ref_arena_bytes))
-      << "evicting + compacting must clearly beat the grow-only reference";
-  EXPECT_LT(last.store_payload_bytes, last.ref_store_payload_bytes / 4)
-      << "cursor GC must retain a small fraction of the full stream";
-  EXPECT_GT(r.store_gc_erased, 0u);
+  // The plateau.  Garbage sits at or below the watermark after every
+  // round's lifecycle pass.  The total plateaus up to the slow ratchet of
+  // live slice capacities (a stable path's buffer or ring doubles on a
+  // rare deep burst, live memory the grow-only fleet pays too), and the
+  // grow-only fleet, which keeps dead paths' slices, pulls away.
+  for (std::size_t r = 0; r < out.arenas.size(); ++r) {
+    const sim::RoundArenas& a = out.arenas[r];
+    EXPECT_LE(static_cast<double>(a.bytes - a.live_bytes),
+              kGarbageWatermark * static_cast<double>(a.bytes) + 64.0)
+        << "round " << r << ": garbage above the compaction watermark";
+  }
+  const std::size_t third = cfg.rounds / 3;
+  const std::size_t mid = max_bytes(out.arenas, third, 2 * third);
+  const std::size_t last = max_bytes(out.arenas, 2 * third, cfg.rounds);
+  EXPECT_LE(last, mid + mid / 2 + 4096)
+      << "arenas must plateau (middle-third max " << mid
+      << ", last-third max " << last << ")";
+  EXPECT_LT(static_cast<double>(out.arenas.back().bytes),
+            0.6 * static_cast<double>(grow.arenas.back().bytes))
+      << "evicting and compacting must clearly beat the grow-only fleet";
 
-  // Eviction keeps firing as churned paths expire (not just once).
-  EXPECT_GT(rounds.back().evicted_cumulative,
-            rounds[n / 2].evicted_cumulative);
+  // The store's cursor GC drains behind the fleet.
+  EXPECT_EQ(out.storage_end.envelopes, 0u);
+  EXPECT_GT(out.storage_end.erased, 0u);
 }
 
 TEST(ChurnSoak, PlateauAndLifecycleUnderDefaultLoad) {
-  sim::ChurnScenarioConfig cfg;  // 50 kpps, 52 rounds
-  cfg.seed = 1;
-  cfg.shard_count = 4;
-  const sim::ChurnScenarioResult r = sim::run_churn_scenario(cfg);
-  assert_live_paths_identical(r, "default");
-  assert_plateau(r, cfg.compact_garbage_fraction);
-  EXPECT_GT(r.lifecycle_totals.compactions, 0u)
-      << "eviction garbage must cross the compaction watermark";
-  EXPECT_GT(r.lifecycle_totals.reclaimed_arena_bytes, 0u);
+  check_churn_cell(churn_cell(""));
 }
 
-// The acceptance matrix: 10 seeds × both digest modes × sharded {1,4}.
-// Split across cases so ctest can parallelize.
-void run_matrix(net::DigestMode mode, std::size_t shards) {
+// The matrix: 10 seeds x both digest modes x shards {1, 4} at half load,
+// split across cases so ctest can parallelize.
+void run_matrix(const char* digest, std::size_t shards) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const sim::ChurnScenarioResult r =
-        sim::run_churn_scenario(matrix_config(seed, mode, shards));
-    assert_live_paths_identical(
-        r, (std::string("seed ") + std::to_string(seed)).c_str());
-    assert_plateau(r, matrix_config(seed, mode, shards)
-                          .compact_garbage_fraction);
+    check_churn_cell(churn_cell("pps=25000 seed=" + std::to_string(seed) +
+                                " digest=" + digest +
+                                " shards=" + std::to_string(shards)));
   }
 }
 
-TEST(ChurnSoakMatrix, SingleDigestOneShard) {
-  run_matrix(net::DigestMode::kSingle, 1);
-}
-TEST(ChurnSoakMatrix, SingleDigestFourShards) {
-  run_matrix(net::DigestMode::kSingle, 4);
-}
+TEST(ChurnSoakMatrix, SingleDigestOneShard) { run_matrix("single", 1); }
+TEST(ChurnSoakMatrix, SingleDigestFourShards) { run_matrix("single", 4); }
 TEST(ChurnSoakMatrix, IndependentDigestOneShard) {
-  run_matrix(net::DigestMode::kIndependent, 1);
+  run_matrix("independent", 1);
 }
 TEST(ChurnSoakMatrix, IndependentDigestFourShards) {
-  run_matrix(net::DigestMode::kIndependent, 4);
+  run_matrix("independent", 4);
 }
 
 }  // namespace

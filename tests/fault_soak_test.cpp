@@ -56,8 +56,8 @@ sim::ScenarioConfig soak_config(std::uint64_t seed, net::DigestMode mode,
 }
 
 /// Invariants every run must satisfy, faults or not: cursors caught up,
-/// store drained by GC, every ack accepted, nothing expired out of either
-/// verifier set's retention window.
+/// store drained by GC, every ack accepted, nothing expired out of the
+/// fleet verifiers' retention window.
 void assert_no_stuck_state(const sim::ScenarioOutcome& r,
                            const std::string& what) {
   ASSERT_GT(r.total_packets, 0u) << what;

@@ -7,7 +7,10 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <span>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -47,6 +50,16 @@ class TempDir {
  private:
   std::filesystem::path path_;
 };
+
+/// The text of a checked-in scenario file under tests/scenarios/.
+inline std::string load_scenario_file(const std::string& name) {
+  const std::string path = std::string(VPM_SCENARIO_DIR) + "/" + name;
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return std::move(text).str();
+}
 
 /// A small, fast default trace (override fields as needed).
 inline trace::TraceConfig small_trace_config(std::uint64_t seed = 42) {

@@ -67,7 +67,7 @@ TEST(RouteFlap, LifecycleEvictionKeepsConservation) {
   EXPECT_TRUE(test::conserves_receipts(out));
   EXPECT_TRUE(test::is_clean(out));
   // The withdrawn paths actually went idle long enough to be evicted.
-  EXPECT_GT(out.evicted_paths, 0u);
+  EXPECT_GT(out.lifecycle.evicted_paths, 0u);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -20,15 +20,7 @@ using sim::parse_scenario;
 using sim::run_scenario;
 using sim::ScenarioConfig;
 using sim::ScenarioOutcome;
-
-std::string load_scenario_file(const std::string& name) {
-  const std::string path = std::string(VPM_SCENARIO_DIR) + "/" + name;
-  std::ifstream in(path);
-  EXPECT_TRUE(in.is_open()) << path;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return std::move(text).str();
-}
+using test::load_scenario_file;
 
 TEST(ScenarioConfig, DefaultsRoundTripToBareNameAndSeed) {
   const ScenarioConfig cfg;
@@ -45,7 +37,8 @@ TEST(ScenarioConfig, EventfulConfigRoundTripsExactly) {
       "domain_delay_us=700 link_delay_us=80 jitter_domain=C jitter_us=900 "
       "loss=ge loss_domain=B loss_rate=0.05 loss_burst=6 "
       "adversary.B=hide_loss adversary.C=cover shave_us=9000 "
-      "fake_delay_us=700 link_down=2:3:1 route_flap=1:4:2 ttl_rounds=3 "
+      "fake_delay_us=700 link_down=2:3:1 route_flap=1:4:2 churn=2:1:3 "
+      "ttl_rounds=3 "
       "chunk_bytes=2048 fault_drop=0.01 fault_corrupt=0.02 "
       "fault_duplicate=0.03 fault_reorder=0.04 fault_delay=0.05 "
       "fault_max_delay_ticks=3 fault_seed=17 crash_every=3 gap_patience=5";
@@ -54,6 +47,8 @@ TEST(ScenarioConfig, EventfulConfigRoundTripsExactly) {
   EXPECT_EQ(cfg.adversaries.size(), 2u);
   EXPECT_EQ(cfg.round_length, net::microseconds(40'000));
   EXPECT_EQ(cfg.faults.max_delay_ticks, 3u);
+  EXPECT_EQ(cfg.churn,
+            (sim::ChurnSchedule{.stable = 2, .live = 1, .lifetime_rounds = 3}));
   // to_string -> parse -> to_string is a fixed point.
   const ScenarioConfig back = parse_scenario(cfg.to_string());
   EXPECT_EQ(back.to_string(), cfg.to_string());
@@ -142,6 +137,7 @@ TEST(ScenarioConfig, RejectsMalformedInput) {
   EXPECT_THROW((void)parse_scenario("adversary.X=perjury"),
                std::invalid_argument);
   EXPECT_THROW((void)parse_scenario("link_down=1:2"), std::invalid_argument);
+  EXPECT_THROW((void)parse_scenario("churn=1:2"), std::invalid_argument);
   EXPECT_THROW((void)parse_scenario("domains=S,,D"), std::invalid_argument);
   // No sign on an integer: -1 must not wrap to 2^64 - 1.
   EXPECT_THROW((void)parse_scenario("paths=-1"), std::invalid_argument);
@@ -174,25 +170,49 @@ TEST(ScenarioEngine, ValidatesConfigs) {
   // before its upstream sent it, jitter would silently vanish, and a
   // negative max_diff would implicate every honest link.  The parser
   // takes no sign, so only a config built in code reaches this check.
-  const auto negative = [](auto set) {
+  const auto rejected = [](auto set) {
     ScenarioConfig cfg;
     set(cfg);
     EXPECT_THROW((void)run_scenario(cfg), std::invalid_argument)
         << cfg.to_string();
   };
-  negative([](ScenarioConfig& c) { c.link_delay = net::seconds(-1); });
-  negative([](ScenarioConfig& c) { c.domain_delay = net::seconds(-2); });
-  negative([](ScenarioConfig& c) {
+  rejected([](ScenarioConfig& c) { c.link_delay = net::seconds(-1); });
+  rejected([](ScenarioConfig& c) { c.domain_delay = net::seconds(-2); });
+  rejected([](ScenarioConfig& c) {
     c.jitter_domain = "X";
     c.jitter = net::microseconds(-100);
   });
-  negative([](ScenarioConfig& c) { c.max_diff = net::microseconds(-5); });
+  rejected([](ScenarioConfig& c) { c.max_diff = net::microseconds(-5); });
   // A route flap may not withdraw every path.
   EXPECT_THROW((void)run_scenario(cfg_of("paths=2 route_flap=2:1:1")),
                std::invalid_argument);
   // link_down index must name a real link.
   EXPECT_THROW((void)run_scenario(cfg_of("link_down=2:1:1")),
                std::invalid_argument);
+  // An event that starts after the last round would never fire.
+  EXPECT_THROW((void)run_scenario(cfg_of("link_down=0:100:2")),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(cfg_of("route_flap=1:50:3")),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(cfg_of("rounds=4 link_down=0:4:1")),
+               std::invalid_argument);
+  // A churn schedule needs a pool to rotate through and a lifetime.
+  EXPECT_THROW((void)run_scenario(cfg_of("paths=4 churn=4:1:2")),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(cfg_of("paths=4 churn=1:2:0")),
+               std::invalid_argument);
+  // Fault rates are probabilities: outside [0, 1] a plan faults every
+  // envelope or none, whatever it says.  The parser takes no NaN, so only
+  // a config built in code reaches that case.
+  for (const char* bad : {"fault_drop=-0.5", "fault_reorder=-1",
+                          "fault_drop=2", "fault_corrupt=7",
+                          "fault_duplicate=1.5", "fault_delay=-0.1"}) {
+    EXPECT_THROW((void)run_scenario(cfg_of(bad)), std::invalid_argument)
+        << bad;
+  }
+  rejected([](ScenarioConfig& c) {
+    c.faults.drop_rate = std::numeric_limits<double>::quiet_NaN();
+  });
   // Fault delays the gap patience cannot cover would deadlock waits.
   EXPECT_THROW((void)run_scenario(cfg_of(
                    "fault_delay=0.1 fault_max_delay_ticks=5 gap_patience=2")),
@@ -240,6 +260,13 @@ TEST(ScenarioEngine, HonestBaselineFile) {
   EXPECT_TRUE(test::is_clean(out));
   EXPECT_TRUE(test::conserves_receipts(out));
   EXPECT_TRUE(test::loss_tracks_truth(out, "X", 1e-9));
+  // A loss query names a transit domain: an endpoint or a typo is an
+  // error, not zero loss.
+  for (const char* name : {"S", "Y"}) {
+    EXPECT_THROW((void)out.true_loss(name), std::invalid_argument) << name;
+    EXPECT_THROW((void)out.estimated_loss(name), std::invalid_argument)
+        << name;
+  }
 }
 
 // The lie files also run with time-keyed markers, which fire at different
@@ -279,7 +306,7 @@ TEST(ScenarioEngine, FaultyWireChurnFile) {
       const ScenarioOutcome out = run_scenario(parse_scenario(file + extra));
       SCOPED_TRACE("repro: " + out.repro);
       if (evict) {
-        EXPECT_GT(out.evicted_paths, 0u);
+        EXPECT_GT(out.lifecycle.evicted_paths, 0u);
       }
       // Graceful degradation: the wire destroyed envelopes and the damage is
       // RECORDED as gaps, not silently absorbed into findings.

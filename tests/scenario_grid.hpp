@@ -1,7 +1,7 @@
 // Cell builders and assertion helpers for the scenario detection-envelope
 // grid: scenario classes x loss models x digest modes, each cell one
 // run_scenario call.  The fault soak shares the gap-exactness and
-// delivered-round checks.
+// delivered-round checks, the churn soak the materialized-reference one.
 //
 // Every assertion helper returns a testing::AssertionResult whose failure
 // message embeds the cell's one-line repro string
@@ -271,6 +271,27 @@ inline testing::AssertionResult delivered_rounds_verify(
   return testing::AssertionSuccess();
 }
 
+/// Round-fed equals materialized: every path's whole analysis, gaps
+/// included, equals the materialized reference's.  Holds on a perfect
+/// wire, where the reference replays every round the fleet verified.
+inline testing::AssertionResult matches_materialized(
+    const sim::ScenarioOutcome& out) {
+  if (out.analysis.size() != out.delivered_reference.size()) {
+    return testing::AssertionFailure()
+           << "no reference per path; repro: " << out.repro;
+  }
+  for (std::size_t p = 0; p < out.analysis.size(); ++p) {
+    if (!(out.analysis[p] == out.delivered_reference[p])) {
+      return testing::AssertionFailure()
+             << "path " << p
+             << ": round-fed findings differ from the materialized "
+                "verifier's; repro: "
+             << out.repro;
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
 // ----------------------------------------------------------- cell checks
 
 enum class GridClass {
@@ -321,6 +342,8 @@ inline void check_cell(GridClass cls, sim::LossKind loss,
   // Every cell's loss process must actually bite, or the adversary
   // classes assert detection of a lie never told.
   EXPECT_GT(out.true_loss("X"), 0.0) << "vacuous cell; repro: " << out.repro;
+  // Every cell runs a perfect wire.
+  EXPECT_TRUE(matches_materialized(out));
 
   switch (cls) {
     case GridClass::kHonest:
