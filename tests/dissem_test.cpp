@@ -43,6 +43,50 @@ TEST(Envelope, HeaderTamperDetected) {
   EXPECT_FALSE(verify(e, 42));
 }
 
+// The MAC binds the 12-byte header (producer, sequence) and the payload.
+// Round trips cannot catch a seal and verify that change together, so
+// these values are pinned.  Lengths 0 and 12 end the hashed input on
+// lookup3's last-block edge; 65 536 is the default chunk cap.
+TEST(Envelope, MacsArePinned) {
+  const auto payload_of = [](std::size_t n) {
+    std::vector<std::byte> out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<std::byte>((i * 37 + 11) & 0xFFu);
+    }
+    return out;
+  };
+  struct Pin {
+    std::size_t length;
+    DomainKey key;
+    std::uint64_t mac;
+  };
+  const Pin pins[] = {
+      {0, 0xFEEDFACEull, 0x3cbb8e6c8b7d2c0bull},
+      {1, 0xFEEDFACEull, 0xff15e51c0db41469ull},
+      {11, 0xFEEDFACEull, 0x14dea2d90def2863ull},
+      {12, 0xFEEDFACEull, 0x16b84097bfc7c59bull},
+      {13, 0xFEEDFACEull, 0x18cc9e308e80e147ull},
+      {24, 0xFEEDFACEull, 0x9fee4fbd5552a896ull},
+      {65536, 0xFEEDFACEull, 0x8e99573e9aeab9c2ull},
+      {0, 0x0123456789ABCDEFull, 0xab23f7500e0d7ed3ull},
+      {1, 0x0123456789ABCDEFull, 0x610010743b39fb63ull},
+      {11, 0x0123456789ABCDEFull, 0xe1c511ffc84be351ull},
+      {12, 0x0123456789ABCDEFull, 0xbddb6d275e5445bdull},
+      {13, 0x0123456789ABCDEFull, 0x293bb2e7d9e304c5ull},
+      {24, 0x0123456789ABCDEFull, 0x85d876c8299f5ba6ull},
+      {65536, 0x0123456789ABCDEFull, 0xb433367a16e648d2ull},
+  };
+  for (const Pin& pin : pins) {
+    const Envelope e =
+        seal(0x01020304u, 0x1122334455667788ull, payload_of(pin.length),
+             pin.key);
+    EXPECT_EQ(e.mac, pin.mac) << std::hex << "length " << std::dec
+                              << pin.length << " key 0x" << std::hex
+                              << pin.key << ": got 0x" << e.mac;
+    EXPECT_TRUE(verify(e, pin.key));
+  }
+}
+
 TEST(Envelope, WireRoundTrip) {
   const Envelope e = seal(1234, 56789, bytes_of("hello receipts"), 77);
   net::ByteWriter w;

@@ -299,6 +299,34 @@ TEST(Wire, U24MasksHighBits) {
   EXPECT_EQ(r.u24(), 0x123456u);
 }
 
+// Round trips cannot catch a writer and reader that change together, so
+// the exact little-endian bytes of every width are pinned here.
+TEST(Wire, WriterBytesArePinned) {
+  ByteWriter w;
+  w.u8(0xAB);
+  w.u16(0xBEEF);
+  w.u24(0xFF123456);  // the high byte is masked off
+  w.u32(0xDEADBEEF);
+  w.u64(0x0123456789ABCDEFull);
+  w.i64(-42);
+  const std::array<std::byte, 2> raw{std::byte{0x5A}, std::byte{0xA5}};
+  w.bytes(raw);
+  const std::vector<std::uint8_t> expected = {
+      0xAB,                                            // u8
+      0xEF, 0xBE,                                      // u16
+      0x56, 0x34, 0x12,                                // u24
+      0xEF, 0xBE, 0xAD, 0xDE,                          // u32
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+      0xD6, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // i64 -42
+      0x5A, 0xA5};                                     // bytes
+  std::vector<std::uint8_t> got;
+  for (const std::byte b : w.view()) {
+    got.push_back(std::to_integer<std::uint8_t>(b));
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(w.size(), expected.size());
+}
+
 TEST(Wire, TruncatedReadThrows) {
   ByteWriter w;
   w.u16(7);

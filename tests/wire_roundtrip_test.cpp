@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -438,6 +439,128 @@ TEST(WireRoundTrip, PerPeriodExportersChainThroughSequenceNumbers) {
   ASSERT_EQ(recovered.size(), 2u);
   EXPECT_EQ(recovered[0].drain, d1);
   EXPECT_EQ(recovered[1].drain, d2);
+}
+
+/// One hand-built path drain: `rounds` sampling rounds of `followers`
+/// followers each, `gap_us` apart, and `aggregates` aggregates
+/// `agg_gap_us` apart with AggTrans windows of varying size.
+core::PathDrain pinned_drain(const net::PathId& id, std::uint32_t salt,
+                             std::int64_t base_us, std::size_t rounds,
+                             std::size_t followers, std::int64_t gap_us,
+                             std::size_t aggregates, std::int64_t agg_gap_us) {
+  const auto id_of = [salt](std::size_t n) {
+    return static_cast<net::PacketDigest>((salt * 7919u + n) * 2654435761u);
+  };
+  core::PathDrain d;
+  d.samples.path = id;
+  d.samples.sample_threshold = 1000 + salt;
+  d.samples.marker_threshold = 2000 + salt;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t i = 0; i <= followers; ++i) {
+      d.samples.samples.push_back(core::SampleRecord{
+          .pkt_id = id_of(r * 100 + i),
+          .time = net::Timestamp{} +
+                  net::microseconds(base_us + static_cast<std::int64_t>(r) *
+                                                  gap_us +
+                                    static_cast<std::int64_t>(i) * 7),
+          .is_marker = i == followers});
+    }
+  }
+  for (std::size_t k = 0; k < aggregates; ++k) {
+    core::AggregateReceipt a;
+    a.path = id;
+    a.agg = core::AggId{.first = id_of(10'000 + k), .last = id_of(20'000 + k)};
+    a.packet_count = 10 + static_cast<std::uint32_t>(k);
+    a.opened_at = net::Timestamp{} +
+                  net::microseconds(base_us +
+                                    static_cast<std::int64_t>(k) * agg_gap_us);
+    a.closed_at = a.opened_at + net::microseconds(900);
+    for (std::size_t j = 0; j < k % 3; ++j) {
+      a.trans.before.push_back(id_of(30'000 + 10 * k + j));
+    }
+    for (std::size_t j = 0; j < k % 2; ++j) {
+      a.trans.after.push_back(id_of(40'000 + 10 * k + j));
+    }
+    d.aggregates.push_back(a);
+  }
+  return d;
+}
+
+// Round trips cannot catch an exporter and importer that change together,
+// so one fixed stream's envelopes are pinned: sequence, payload size and
+// MAC of each, a 64-bit FNV-1a over all payloads, and the exporter's
+// stats.  Two rounds of three paths under a 256 B cap: path 1's first
+// round spans two batch epochs in both its samples and its aggregates,
+// path 2's first sample section alone exceeds the cap, path 1 idles in
+// the second round, and each round ends with a mark.
+TEST(WireRoundTrip, StreamBytesArePinned) {
+  std::vector<net::PathId> table(3);
+  for (std::size_t p = 0; p < table.size(); ++p) {
+    table[p].prefixes = trace::default_prefix_pair();
+    table[p].prefixes.source = net::Prefix(
+        net::Ipv4Address(0x0A000000u + (static_cast<std::uint32_t>(p) << 16)),
+        16);
+    table[p].previous_hop = 4;
+    table[p].next_hop = 6;
+  }
+  const std::vector<std::vector<core::PathDrain>> rounds = {
+      {pinned_drain(table[0], 1, 100, 2, 1, 1000, 2, 2000),
+       pinned_drain(table[1], 2, 200, 3, 0, 9'000'000, 3, 9'000'000),
+       pinned_drain(table[2], 3, 300, 40, 0, 500, 1, 0)},
+      {pinned_drain(table[0], 4, 20'000'000, 1, 2, 0, 0, 0),
+       pinned_drain(table[1], 5, 20'000'000, 0, 0, 0, 0, 0),
+       pinned_drain(table[2], 6, 20'000'100, 2, 0, 300, 1, 0)}};
+
+  dissem::ReceiptStore store;
+  store.register_producer(kProducer, kKey);
+  std::vector<dissem::Envelope> envelopes;
+  dissem::WireExporter exporter(
+      dissem::WireExporter::Config{
+          .producer = kProducer, .key = kKey, .max_chunk_bytes = 256},
+      [&](dissem::Envelope&& e) {
+        envelopes.push_back(e);
+        store.ingest(std::move(e));
+      });
+  std::vector<core::IndexedPathDrain> expected;
+  for (const std::vector<core::PathDrain>& round : rounds) {
+    for (std::size_t p = 0; p < round.size(); ++p) {
+      exporter.on_drain(p, round[p]);
+      expected.push_back(core::IndexedPathDrain{.path = p, .drain = round[p]});
+    }
+    exporter.end_round();
+  }
+  exporter.end_round();  // idempotent at a boundary
+  exporter.finish();
+
+  std::ostringstream got;
+  std::uint64_t fnv = 0xcbf29ce484222325ull;
+  for (const dissem::Envelope& e : envelopes) {
+    got << e.sequence << ' ' << e.payload.size() << ' ' << std::hex << e.mac
+        << std::dec << '\n';
+    for (const std::byte b : e.payload) {
+      fnv = (fnv ^ std::to_integer<std::uint64_t>(b)) * 0x100000001b3ull;
+    }
+  }
+  EXPECT_EQ(got.str(),
+            "1 225 ea9c0852ef1a341c\n"
+            "2 206 c5e00c591a2e094f\n"
+            "3 407 8d7faffb19a87654\n"
+            "4 241 ff1cb7ca0fb332a7\n"
+            "5 74 2d2c76b56077c57\n");
+  EXPECT_EQ(fnv, 0x6bee8d599d2e66b3ull) << std::hex << fnv;
+
+  const dissem::WireExporter::Stats& s = exporter.stats();
+  std::ostringstream stats;
+  stats << s.paths << ' ' << s.sample_records << ' ' << s.aggregate_receipts
+        << ' ' << s.sample_batches << ' ' << s.aggregate_batches << ' '
+        << s.epoch_splits << ' ' << s.chunks << ' ' << s.payload_bytes << ' '
+        << s.envelope_bytes << ' ' << s.oversized_sections << ' '
+        << s.peak_buffer_bytes;
+  EXPECT_EQ(stats.str(), "6 52 7 7 5 2 5 1153 1278 1 407");
+
+  ASSERT_EQ(store.rejected_count(), 0u);
+  const dissem::WireImporter importer(table);
+  EXPECT_EQ(importer.import(store, kProducer), expected);
 }
 
 // import_hop rebuilds a single-path producer's receipts for the verifier.
