@@ -251,7 +251,7 @@ void receipt_size_section() {
   const core::HopReceipts hop =
       bench::collect_hop(s, 1, 2, 1, 3, protocol, tuning);
 
-  const std::size_t sample_bytes = core::sample_batch_size(hop.samples);
+  const std::size_t sample_bytes = core::sample_batch_size(hop.samples.samples);
   std::size_t trans_ids = 0;
   for (const auto& a : hop.aggregates) {
     trans_ids += a.trans.before.size() + a.trans.after.size();

@@ -76,7 +76,7 @@ int main() {
       r.hop = hop;
       r.samples = monitor.collect_samples();
       r.aggregates = monitor.collect_aggregates(true);
-      receipt_bytes += core::sample_batch_size(r.samples);
+      receipt_bytes += core::sample_batch_size(r.samples.samples);
       receipt_bytes += core::aggregate_batch_size(r.aggregates);
       verifier.add_hop(std::move(r));
     }

@@ -1,6 +1,8 @@
 #include "core/receipt_batch.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace vpm::core {
 namespace {
@@ -8,6 +10,12 @@ namespace {
 constexpr std::uint8_t kSampleBatchTag = 0x11;
 constexpr std::uint8_t kAggregateBatchTag = 0x12;
 constexpr std::int64_t kMaxOffsetUs = 0xFFFFFF;  // 3-byte time span
+/// tag + path key + both thresholds + epoch + round count.
+constexpr std::size_t kSampleHeaderBytes = 1 + 8 + 4 + 4 + 8 + 4;
+/// tag + path key + epoch + receipt count.
+constexpr std::size_t kAggregateHeaderBytes = 1 + 8 + 8 + 4;
+constexpr std::size_t kRoundHeaderBytes = 2;  ///< u16 follower count
+constexpr std::size_t kTransIdBytes = 4;
 
 std::uint32_t offset_us(net::Timestamp t, net::Timestamp epoch,
                         const char* what) {
@@ -20,56 +28,90 @@ std::uint32_t offset_us(net::Timestamp t, net::Timestamp epoch,
   return static_cast<std::uint32_t>(us);
 }
 
-}  // namespace
+net::Timestamp epoch_of(std::span<const SampleRecord> samples) {
+  return samples.empty() ? net::Timestamp{} : samples.front().time;
+}
 
-void encode_sample_batch(const SampleReceipt& r, net::ByteWriter& out) {
-  out.u8(kSampleBatchTag);
-  out.u64(r.path.path_key());
-  out.u32(r.sample_threshold);
-  out.u32(r.marker_threshold);
-  const net::Timestamp epoch =
-      r.samples.empty() ? net::Timestamp{} : r.samples.front().time;
-  out.i64(epoch.nanoseconds());
-
-  // Split into rounds, each ending with its marker.
-  std::vector<std::pair<std::size_t, std::size_t>> rounds;  // [begin, end)
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i < r.samples.size(); ++i) {
-    if (r.samples[i].is_marker) {
-      rounds.emplace_back(begin, i + 1);
-      begin = i + 1;
+/// Checks `samples` as the records of one batch and returns its sampling
+/// round count: every time fits the epoch range, every round fits its u16
+/// follower count, and the last record is a marker.
+std::size_t checked_rounds(std::span<const SampleRecord> samples) {
+  const net::Timestamp epoch = epoch_of(samples);
+  std::size_t rounds = 0;
+  std::size_t round_begin = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    (void)offset_us(samples[i].time, epoch, "sample time");
+    if (!samples[i].is_marker) continue;
+    if (i - round_begin > 0xFFFF) {
+      throw std::invalid_argument("sampling round too large for batch");
     }
+    ++rounds;
+    round_begin = i + 1;
   }
-  if (begin != r.samples.size()) {
+  if (round_begin != samples.size()) {
     throw std::invalid_argument(
         "sample batch must end with a marker round (Algorithm 1 only emits "
         "samples when a marker arrives)");
   }
-  out.u32(static_cast<std::uint32_t>(rounds.size()));
-  for (const auto& [lo, hi] : rounds) {
-    const std::size_t followers = hi - lo - 1;
-    if (followers > 0xFFFF) {
-      throw std::invalid_argument("sampling round too large for batch");
+  return rounds;
+}
+
+/// Checks `rs` as one aggregate batch and returns its encoded size.
+std::size_t checked_aggregate_size(std::span<const AggregateReceipt> rs) {
+  if (rs.empty()) {
+    throw std::invalid_argument("empty aggregate batch");
+  }
+  const net::Timestamp epoch = rs.front().opened_at;
+  std::size_t bytes = kAggregateHeaderBytes;
+  for (const AggregateReceipt& r : rs) {
+    if (!(r.path == rs.front().path)) {
+      throw std::invalid_argument("aggregate batch mixes paths");
     }
-    out.u16(static_cast<std::uint16_t>(followers));
-    for (std::size_t i = lo; i < hi; ++i) {
-      const SampleRecord& s = r.samples[i];
-      if (s.is_marker != (i == hi - 1)) {
-        throw std::invalid_argument(
-            "marker must be exactly the last record of its round");
-      }
-      out.u32(s.pkt_id);
-      out.u24(offset_us(s.time, epoch, "sample time"));
+    if (r.trans.before.size() > 0xFFFF || r.trans.after.size() > 0xFFFF) {
+      throw std::invalid_argument("AggTrans window too large for batch");
     }
+    (void)offset_us(r.opened_at, epoch, "aggregate open time");
+    (void)offset_us(r.closed_at, epoch, "aggregate close time");
+    bytes += kAggregateRecordBytes +
+             kTransIdBytes * (r.trans.before.size() + r.trans.after.size());
+  }
+  return bytes;
+}
+
+}  // namespace
+
+void encode_sample_batch(const SampleReceipt& r,
+                         std::span<const SampleRecord> samples,
+                         std::uint64_t path_key, net::ByteWriter& out) {
+  // One pass checks and counts the rounds, so a rejected batch writes
+  // nothing; the second writes each round after its follower count.
+  const std::size_t rounds = checked_rounds(samples);
+  const net::Timestamp epoch = epoch_of(samples);
+  out.u8(kSampleBatchTag);
+  out.u64(path_key);
+  out.u32(r.sample_threshold);
+  out.u32(r.marker_threshold);
+  out.i64(epoch.nanoseconds());
+  out.u32(static_cast<std::uint32_t>(rounds));
+  std::size_t round_begin = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (!samples[i].is_marker) continue;
+    out.u16(static_cast<std::uint16_t>(i - round_begin));
+    for (std::size_t j = round_begin; j <= i; ++j) {
+      out.u32(samples[j].pkt_id);
+      out.u24(offset_us(samples[j].time, epoch, "sample time"));
+    }
+    round_begin = i + 1;
   }
 }
 
 SampleReceipt decode_sample_batch(net::ByteReader& in,
-                                  const net::PathId& path) {
+                                  const net::PathId& path,
+                                  std::uint64_t path_key) {
   if (in.u8() != kSampleBatchTag) {
     throw net::WireError("expected sample batch tag");
   }
-  if (in.u64() != path.path_key()) {
+  if (in.u64() != path_key) {
     throw net::WireError("sample batch path key mismatch");
   }
   SampleReceipt r;
@@ -78,9 +120,16 @@ SampleReceipt decode_sample_batch(net::ByteReader& in,
   r.marker_threshold = in.u32();
   const net::Timestamp epoch{in.i64()};
   const std::uint32_t round_count = in.u32();
+  // Every round is a u16 count and its 7-byte records, so the records fit
+  // in what the input has left: reserve that, never what a hostile count
+  // claims.
+  const std::size_t framing = std::min<std::size_t>(
+      in.remaining(), kRoundHeaderBytes * std::size_t{round_count});
+  r.samples.reserve((in.remaining() - framing) / kSampleRecordBytes);
   for (std::uint32_t round = 0; round < round_count; ++round) {
     const std::uint16_t followers = in.u16();
-    in.expect_at_least((static_cast<std::size_t>(followers) + 1) * 7);
+    in.expect_at_least((static_cast<std::size_t>(followers) + 1) *
+                       kSampleRecordBytes);
     for (std::uint32_t i = 0; i <= followers; ++i) {
       SampleRecord s;
       s.pkt_id = in.u32();
@@ -99,22 +148,14 @@ SampleReceipt decode_sample_batch(net::ByteReader& in,
 }
 
 void encode_aggregate_batch(std::span<const AggregateReceipt> rs,
-                            net::ByteWriter& out) {
-  if (rs.empty()) {
-    throw std::invalid_argument("empty aggregate batch");
-  }
-  out.u8(kAggregateBatchTag);
-  out.u64(rs.front().path.path_key());
+                            std::uint64_t path_key, net::ByteWriter& out) {
+  (void)checked_aggregate_size(rs);
   const net::Timestamp epoch = rs.front().opened_at;
+  out.u8(kAggregateBatchTag);
+  out.u64(path_key);
   out.i64(epoch.nanoseconds());
   out.u32(static_cast<std::uint32_t>(rs.size()));
   for (const AggregateReceipt& r : rs) {
-    if (!(r.path == rs.front().path)) {
-      throw std::invalid_argument("aggregate batch mixes paths");
-    }
-    if (r.trans.before.size() > 0xFFFF || r.trans.after.size() > 0xFFFF) {
-      throw std::invalid_argument("AggTrans window too large for batch");
-    }
     out.u32(r.agg.first);
     out.u32(r.agg.last);
     out.u32(r.packet_count);
@@ -128,16 +169,19 @@ void encode_aggregate_batch(std::span<const AggregateReceipt> rs,
 }
 
 std::vector<AggregateReceipt> decode_aggregate_batch(net::ByteReader& in,
-                                                     const net::PathId& path) {
+                                                     const net::PathId& path,
+                                                     std::uint64_t path_key) {
   if (in.u8() != kAggregateBatchTag) {
     throw net::WireError("expected aggregate batch tag");
   }
-  if (in.u64() != path.path_key()) {
+  if (in.u64() != path_key) {
     throw net::WireError("aggregate batch path key mismatch");
   }
   const net::Timestamp epoch{in.i64()};
   const std::uint32_t count = in.u32();
   std::vector<AggregateReceipt> out;
+  out.reserve(std::min<std::size_t>(count,
+                                    in.remaining() / kAggregateRecordBytes));
   for (std::uint32_t i = 0; i < count; ++i) {
     AggregateReceipt r;
     r.path = path;
@@ -171,16 +215,13 @@ std::vector<AggregateReceipt> decode_aggregate_batch(net::ByteReader& in,
   return out;
 }
 
-std::size_t sample_batch_size(const SampleReceipt& r) {
-  net::ByteWriter w;
-  encode_sample_batch(r, w);
-  return w.size();
+std::size_t sample_batch_size(std::span<const SampleRecord> samples) {
+  return kSampleHeaderBytes + kRoundHeaderBytes * checked_rounds(samples) +
+         kSampleRecordBytes * samples.size();
 }
 
 std::size_t aggregate_batch_size(std::span<const AggregateReceipt> rs) {
-  net::ByteWriter w;
-  encode_aggregate_batch(rs, w);
-  return w.size();
+  return checked_aggregate_size(rs);
 }
 
 }  // namespace vpm::core

@@ -15,6 +15,7 @@
 #ifndef VPM_CORE_RECEIPT_BATCH_HPP
 #define VPM_CORE_RECEIPT_BATCH_HPP
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -23,24 +24,38 @@
 
 namespace vpm::core {
 
-/// Encode one HOP's sample receipt as a batch.  Throws
-/// std::invalid_argument if the samples span more than the 3-byte epoch
-/// range, are not in time order, or a round has a non-trailing marker.
-void encode_sample_batch(const SampleReceipt& r, net::ByteWriter& out);
+/// Encode `samples` — whole sampling rounds of the sample receipt `r`,
+/// usually all of r.samples — as one batch, straight onto the end of
+/// `out`.  `path_key` must be r.path.path_key(); a caller encoding several
+/// batches of one path computes it once.  Throws std::invalid_argument,
+/// before writing anything, if the records span more than the 3-byte
+/// epoch range, are not in time order, or end in a round without its
+/// marker.
+void encode_sample_batch(const SampleReceipt& r,
+                         std::span<const SampleRecord> samples,
+                         std::uint64_t path_key, net::ByteWriter& out);
 
-/// Encode consecutive aggregate receipts from one HOP as a batch.  All
-/// receipts must share the sample receipt's path.  Throws
-/// std::invalid_argument on mixed paths or an over-long time span.
+/// Encode consecutive aggregate receipts of one path as a batch, straight
+/// onto the end of `out`.  `path_key` must be the receipts' path key.
+/// Throws std::invalid_argument, before writing anything, on an empty
+/// run, mixed paths or an over-long time span.
 void encode_aggregate_batch(std::span<const AggregateReceipt> rs,
-                            net::ByteWriter& out);
+                            std::uint64_t path_key, net::ByteWriter& out);
 
+/// Decode one batch of the path `path`, whose key the caller has already
+/// resolved to `path_key`.  Throws net::WireError on malformed input;
+/// reserves no more records than the reader's remaining bytes can hold.
 [[nodiscard]] SampleReceipt decode_sample_batch(net::ByteReader& in,
-                                                const net::PathId& path);
+                                                const net::PathId& path,
+                                                std::uint64_t path_key);
 [[nodiscard]] std::vector<AggregateReceipt> decode_aggregate_batch(
-    net::ByteReader& in, const net::PathId& path);
+    net::ByteReader& in, const net::PathId& path, std::uint64_t path_key);
 
-/// Batch wire sizes, for the §7.1 bandwidth accounting.
-[[nodiscard]] std::size_t sample_batch_size(const SampleReceipt& r);
+/// The exact number of bytes the encoders write, computed before
+/// encoding; each throws std::invalid_argument where its encoder would.
+/// Also the §7.1 bandwidth accounting.
+[[nodiscard]] std::size_t sample_batch_size(
+    std::span<const SampleRecord> samples);
 [[nodiscard]] std::size_t aggregate_batch_size(
     std::span<const AggregateReceipt> rs);
 

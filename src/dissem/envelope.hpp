@@ -8,10 +8,13 @@
 // This module is that layer, laptop-scale: receipts travel inside
 // envelopes carrying the producing domain's id, a monotonically increasing
 // sequence number (replay protection), and a keyed authenticator over the
-// payload.  The MAC is a seeded double Bob-hash — a stand-in with the
-// right *interface* (shared-key authenticity + integrity), standing in for
-// TLS exactly as DESIGN.md §2 documents; it is NOT cryptographically
-// strong and must not be used outside this reproduction.
+// header and payload.  The MAC is a seeded double Bob-hash — a stand-in
+// with the right *interface* (shared-key authenticity + integrity),
+// standing in for TLS exactly as DESIGN.md §2 documents; it is NOT
+// cryptographically strong and must not be used outside this
+// reproduction.  seal() and verify() hash the 12-byte header and then the
+// payload in place, both seeds in one pass: no copy of the payload, and
+// the same values as hashing the concatenated bytes.
 #ifndef VPM_DISSEM_ENVELOPE_HPP
 #define VPM_DISSEM_ENVELOPE_HPP
 
@@ -26,10 +29,6 @@ namespace vpm::dissem {
 using DomainKey = std::uint64_t;
 using DomainId = std::uint32_t;
 
-/// Keyed authenticator over a byte payload (64-bit tag).
-[[nodiscard]] std::uint64_t authenticate(DomainKey key,
-                                         std::span<const std::byte> payload);
-
 struct Envelope {
   DomainId producer = 0;
   std::uint64_t sequence = 0;  ///< strictly increasing per producer
@@ -39,7 +38,8 @@ struct Envelope {
   friend bool operator==(const Envelope&, const Envelope&) = default;
 };
 
-/// Build a sealed envelope (computes the MAC).
+/// Build a sealed envelope (computes the 64-bit MAC over producer,
+/// sequence and payload).
 [[nodiscard]] Envelope seal(DomainId producer, std::uint64_t sequence,
                             std::vector<std::byte> payload, DomainKey key);
 

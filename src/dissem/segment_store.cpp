@@ -109,12 +109,14 @@ void write_segment_header(DomainId producer, net::ByteWriter& out) {
 }
 
 void append_segment_record(const Envelope& envelope, net::ByteWriter& out) {
-  net::ByteWriter body;
-  encode(envelope, body);
-  const auto view = body.view();
-  out.u32(static_cast<std::uint32_t>(view.size()));
-  out.bytes(view);
-  out.u32(crc32(view));
+  // The envelope encodes straight into the record; its length field is
+  // patched in once the encoding's size is known.
+  const std::size_t start = out.size();
+  out.u32(0);
+  encode(envelope, out);
+  const std::span<const std::byte> body = out.view().subspan(start + 4);
+  out.patch_u32(start, static_cast<std::uint32_t>(body.size()));
+  out.u32(crc32(body));
 }
 
 SegmentScan scan_segment(std::span<const std::byte> data, bool recover) {

@@ -18,6 +18,9 @@ bool fits_epoch(net::Timestamp t, net::Timestamp epoch) noexcept {
   return ns >= 0 && ns <= kMaxEpochSpanNs;
 }
 
+/// Where the chunk header's section count sits: after the u8 tag.
+constexpr std::size_t kChunkCountOffset = 1;
+
 }  // namespace
 
 WireExporter::WireExporter(Config cfg, EnvelopeConsumer consumer)
@@ -52,39 +55,42 @@ void WireExporter::on_drain(std::size_t, core::PathDrain drain) {
   // the flag stays set and keeps the half-encoded path from being sealed.
   in_path_ = true;
   ++stats_.paths;
-  export_samples(drain.samples);
+  const std::uint64_t key = drain.samples.path.path_key();
+  export_samples(drain.samples, key);
 
   // Aggregate runs are spans of the drain's own vector, split wherever
-  // the next receipt would not fit the run's epoch range.
+  // the next receipt would not fit the run's epoch range.  They name the
+  // samples' path, whose key is reused; a drain whose aggregates name
+  // another path ships them under that path's key.
   const std::span<const core::AggregateReceipt> aggs(drain.aggregates);
   stats_.aggregate_receipts += aggs.size();
-  std::size_t begin = 0;
-  for (std::size_t i = 1; i < aggs.size(); ++i) {
-    const net::Timestamp epoch = aggs[begin].opened_at;
-    if (!fits_epoch(aggs[i].opened_at, epoch) ||
-        !fits_epoch(aggs[i].closed_at, epoch)) {
-      append_aggregate_batch(aggs.subspan(begin, i - begin));
-      ++stats_.epoch_splits;
-      begin = i;
+  if (!aggs.empty()) {
+    const std::uint64_t agg_key = aggs.front().path == drain.samples.path
+                                      ? key
+                                      : aggs.front().path.path_key();
+    std::size_t begin = 0;
+    for (std::size_t i = 1; i < aggs.size(); ++i) {
+      const net::Timestamp epoch = aggs[begin].opened_at;
+      if (!fits_epoch(aggs[i].opened_at, epoch) ||
+          !fits_epoch(aggs[i].closed_at, epoch)) {
+        write_aggregate_batch(aggs.subspan(begin, i - begin), agg_key);
+        ++stats_.epoch_splits;
+        begin = i;
+      }
     }
+    write_aggregate_batch(aggs.subspan(begin), agg_key);
   }
-  if (!aggs.empty()) append_aggregate_batch(aggs.subspan(begin));
   in_path_ = false;
 }
 
-void WireExporter::export_samples(const core::SampleReceipt& samples) {
+void WireExporter::export_samples(const core::SampleReceipt& samples,
+                                  std::uint64_t key) {
   stats_.sample_records += samples.samples.size();
-  const std::uint64_t key = samples.path.path_key();
   // Split at sampling-round boundaries so every sub-batch both ends with
   // its marker (the positional marker encoding) and spans at most one
   // epoch range.  `begin` is the first record of the current sub-batch,
   // `round_start` the first record of the current (possibly open) round.
-  const std::vector<core::SampleRecord>& recs = samples.samples;
-  core::SampleReceipt part;
-  part.path = samples.path;
-  part.sample_threshold = samples.sample_threshold;
-  part.marker_threshold = samples.marker_threshold;
-
+  const std::span<const core::SampleRecord> recs(samples.samples);
   std::size_t begin = 0;
   std::size_t round_start = 0;
   for (std::size_t i = 0; i < recs.size(); ++i) {
@@ -94,13 +100,8 @@ void WireExporter::export_samples(const core::SampleReceipt& samples) {
             "WireExporter: one sampling round spans more than the batch "
             "epoch range; drain more often");
       }
-      part.samples.assign(recs.begin() + static_cast<std::ptrdiff_t>(begin),
-                          recs.begin() +
-                              static_cast<std::ptrdiff_t>(round_start));
-      net::ByteWriter batch;
-      core::encode_sample_batch(part, batch);
-      append_section(kSampleSectionKind, key, batch);
-      ++stats_.sample_batches;
+      write_sample_batch(samples, recs.subspan(begin, round_start - begin),
+                         key);
       ++stats_.epoch_splits;
       begin = round_start;
       if (!fits_epoch(recs[i].time, recs[begin].time)) {
@@ -113,71 +114,80 @@ void WireExporter::export_samples(const core::SampleReceipt& samples) {
   }
   // The trailing sub-batch — always emitted, even when the whole receipt
   // is empty (an idle path still discloses its thresholds, and the
-  // importer reconstructs the exact drain).  encode_sample_batch rejects
-  // a trailing partial round, exactly as it would for a direct encode.
-  // No split (the common reporting cadence): encode the receipt as-is
-  // instead of copying every record into the scratch sub-receipt.
-  net::ByteWriter batch;
-  if (begin == 0) {
-    core::encode_sample_batch(samples, batch);
-  } else {
-    part.samples.assign(recs.begin() + static_cast<std::ptrdiff_t>(begin),
-                        recs.end());
-    core::encode_sample_batch(part, batch);
-  }
-  append_section(kSampleSectionKind, key, batch);
+  // importer reconstructs the exact drain).  The codec rejects a trailing
+  // partial round, exactly as it would for a direct encode.
+  write_sample_batch(samples, recs.subspan(begin), key);
+}
+
+void WireExporter::write_sample_batch(
+    const core::SampleReceipt& samples,
+    std::span<const core::SampleRecord> records, std::uint64_t key) {
+  net::ByteWriter& out = open_section(kSampleSectionKind, key,
+                                      core::sample_batch_size(records));
+  core::encode_sample_batch(samples, records, key, out);
+  close_section(kSampleSectionKind);
   ++stats_.sample_batches;
 }
 
-void WireExporter::append_aggregate_batch(
-    std::span<const core::AggregateReceipt> run) {
-  net::ByteWriter batch;
-  core::encode_aggregate_batch(run, batch);
-  append_section(kAggregateSectionKind, run.front().path.path_key(), batch);
+void WireExporter::write_aggregate_batch(
+    std::span<const core::AggregateReceipt> run, std::uint64_t key) {
+  net::ByteWriter& out = open_section(kAggregateSectionKind, key,
+                                      core::aggregate_batch_size(run));
+  core::encode_aggregate_batch(run, key, out);
+  close_section(kAggregateSectionKind);
   ++stats_.aggregate_batches;
 }
 
 void WireExporter::end_round() {
   require_usable("end_round()");
   if (at_round_boundary_) return;
-  append_section(kRoundMarkKind, 0, net::ByteWriter{});
+  (void)open_section(kRoundMarkKind, 0, 0);
+  close_section(kRoundMarkKind);
   at_round_boundary_ = true;
 }
 
-void WireExporter::append_section(std::uint8_t kind, std::uint64_t path_key,
-                                  const net::ByteWriter& batch) {
-  const std::size_t section_bytes = kSectionHeaderBytes + batch.size();
+net::ByteWriter& WireExporter::open_section(std::uint8_t kind,
+                                            std::uint64_t path_key,
+                                            std::size_t batch_bytes) {
+  const std::size_t section_bytes = kSectionHeaderBytes + batch_bytes;
   if (section_count_ > 0 &&
-      kChunkHeaderBytes + sections_.size() + section_bytes >
-          cfg_.max_chunk_bytes) {
+      chunk_.size() + section_bytes > cfg_.max_chunk_bytes) {
     seal_chunk();
   }
   if (kChunkHeaderBytes + section_bytes > cfg_.max_chunk_bytes) {
     ++stats_.oversized_sections;
   }
-  sections_.u8(kind);
-  sections_.u64(path_key);
-  sections_.u32(static_cast<std::uint32_t>(batch.size()));
-  sections_.bytes(batch.view());
+  if (chunk_.size() == 0) {
+    chunk_.u8(kChunkTag);
+    chunk_.u32(0);  // section count, patched when the chunk seals
+  }
+  chunk_.u8(kind);
+  chunk_.u64(path_key);
+  chunk_.u32(static_cast<std::uint32_t>(batch_bytes));
+  section_end_ = chunk_.size() + batch_bytes;
+  return chunk_;
+}
+
+void WireExporter::close_section(std::uint8_t kind) {
+  if (chunk_.size() != section_end_) {
+    throw std::logic_error(
+        "WireExporter: a batch encoded to other than its computed size");
+  }
   ++section_count_;
   if (kind != kRoundMarkKind) at_round_boundary_ = false;
-  stats_.peak_buffer_bytes = std::max(stats_.peak_buffer_bytes,
-                                      kChunkHeaderBytes + sections_.size());
+  stats_.peak_buffer_bytes =
+      std::max(stats_.peak_buffer_bytes, chunk_.size());
 }
 
 void WireExporter::seal_chunk() {
   if (section_count_ == 0) return;
-  net::ByteWriter payload;
-  payload.u8(kChunkTag);
-  payload.u32(section_count_);
-  payload.bytes(sections_.view());
-  const std::size_t payload_size = payload.size();
-  Envelope env = seal(cfg_.producer, sequence_++, std::move(payload).take(),
-                      cfg_.key);
+  chunk_.patch_u32(kChunkCountOffset, section_count_);
+  const std::size_t payload_size = chunk_.size();
+  Envelope env =
+      seal(cfg_.producer, sequence_++, std::move(chunk_).take(), cfg_.key);
   ++stats_.chunks;
   stats_.payload_bytes += payload_size;
   stats_.envelope_bytes += payload_size + kEnvelopeOverheadBytes;
-  sections_ = net::ByteWriter{};
   section_count_ = 0;
   consumer_(std::move(env));
 }

@@ -3,12 +3,15 @@
 // sequenced, authenticated envelopes (§2.3 dissemination, §7.1 bandwidth
 // arithmetic).
 //
-// Streaming posture: the exporter buffers at most ONE chunk (max_chunk_bytes
-// of encoded sections) plus the batch being encoded, so a 100k-path drain
-// exports in memory bounded by the chunk size — constant in the path
-// count.  Chunks roll on two triggers:
+// Streaming posture: the exporter buffers ONE chunk and nothing else, so a
+// 100k-path drain exports in memory bounded by the chunk size — constant
+// in the path count.  Each section is encoded straight into the open
+// chunk: the codec computes a batch's size before writing it, so the size
+// trigger fires before any byte is written.  Sealing back-patches the
+// chunk header's section count and moves the buffer into the envelope,
+// whose MAC is computed in place.  Chunks roll on two triggers:
 //
-//   * size — appending a section that would push the chunk payload past
+//   * size — a section that would push the chunk payload past
 //     max_chunk_bytes seals the current chunk first (a single section
 //     larger than the cap still ships, as an oversized chunk, and is
 //     counted in stats().oversized_sections);
@@ -18,10 +21,10 @@
 //     whenever the next record would not fit its batch's epoch range, so
 //     arbitrarily long drains encode without widening the paper's record
 //     format.  (A single round or aggregate spanning more than the epoch
-//     range cannot be represented at all; encode_sample_batch /
-//     encode_aggregate_batch throw std::invalid_argument, which the
-//     exporter propagates — the processor must drain at least once per
-//     epoch range, the paper's 1 s reporting period being far inside it.)
+//     range cannot be represented at all; the batch codec throws
+//     std::invalid_argument before writing the batch, which the exporter
+//     propagates — the processor must drain at least once per epoch
+//     range, the paper's 1 s reporting period being far inside it.)
 //
 // Chunk payload layout (one Envelope payload per chunk):
 //
@@ -149,11 +152,21 @@ class WireExporter final : public core::ReceiptSink {
   }
 
  private:
-  void append_section(std::uint8_t kind, std::uint64_t path_key,
-                      const net::ByteWriter& batch);
+  /// Seals first when the section would overflow the chunk, writes the
+  /// chunk header (if the chunk is new) and the section header, and
+  /// returns the chunk for the `batch_bytes` of batch encoding.
+  net::ByteWriter& open_section(std::uint8_t kind, std::uint64_t path_key,
+                                std::size_t batch_bytes);
+  /// Counts the section once its batch is written; throws
+  /// std::logic_error if the batch's size differs from what was opened.
+  void close_section(std::uint8_t kind);
   void seal_chunk();
-  void export_samples(const core::SampleReceipt& samples);
-  void append_aggregate_batch(std::span<const core::AggregateReceipt> run);
+  void export_samples(const core::SampleReceipt& samples, std::uint64_t key);
+  void write_sample_batch(const core::SampleReceipt& samples,
+                          std::span<const core::SampleRecord> records,
+                          std::uint64_t key);
+  void write_aggregate_batch(std::span<const core::AggregateReceipt> run,
+                             std::uint64_t key);
   /// Throws std::logic_error naming `call` after finish(), during a drain
   /// (a re-entrant envelope consumer) or after a rejected drain.
   void require_usable(const char* call) const;
@@ -162,8 +175,10 @@ class WireExporter final : public core::ReceiptSink {
   EnvelopeConsumer consumer_;
   std::uint64_t sequence_;
 
-  net::ByteWriter sections_;  ///< current chunk's encoded sections
+  /// The open chunk: header, then its sections (empty between chunks).
+  net::ByteWriter chunk_;
   std::uint32_t section_count_ = 0;
+  std::size_t section_end_ = 0;  ///< chunk size once the open batch is in
 
   /// Set while on_drain encodes a path; left set when the codec rejects
   /// the drain, which leaves the exporter unusable.

@@ -138,7 +138,9 @@ void WireImporter::Session::decode_chunk(std::span<const std::byte> payload) {
     }
     const std::uint64_t key = in.u64();
     const std::uint32_t length = in.u32();
-    in.expect_at_least(length);
+    // The batch decodes through its own reader, so it can neither read
+    // nor reserve past its section.
+    net::ByteReader section(in.bytes(length));
 
     if (kind == kRoundMarkKind) {
       if (key != 0 || length != 0) {
@@ -154,7 +156,6 @@ void WireImporter::Session::decode_chunk(std::span<const std::byte> payload) {
       // Resync walk: sections are self-framing, so skip content without
       // decoding it — but record whose receipts are being discarded.
       note_skipped(key);
-      in.skip(length);
       continue;
     }
 
@@ -188,10 +189,9 @@ void WireImporter::Session::decode_chunk(std::span<const std::byte> payload) {
     }
     const net::PathId& id = importer_->paths_[cur_.index];
 
-    const std::size_t before = in.remaining();
     core::PathDrain& drain = cur_.drain;
     if (kind == kSampleSectionKind) {
-      core::SampleReceipt part = core::decode_sample_batch(in, id);
+      core::SampleReceipt part = core::decode_sample_batch(section, id, key);
       if (!cur_.have_samples) {
         drain.samples = std::move(part);
         cur_.have_samples = true;
@@ -217,7 +217,7 @@ void WireImporter::Session::decode_chunk(std::span<const std::byte> payload) {
     } else {
       cur_.in_aggregates = true;
       std::vector<core::AggregateReceipt> batch =
-          core::decode_aggregate_batch(in, id);
+          core::decode_aggregate_batch(section, id, key);
       // Same seam rule across split aggregate batches: open times must
       // not step backwards between sections.
       if (!batch.empty() && !drain.aggregates.empty() &&
@@ -232,7 +232,7 @@ void WireImporter::Session::decode_chunk(std::span<const std::byte> payload) {
                                 std::make_move_iterator(batch.end()));
       }
     }
-    if (before - in.remaining() != length) {
+    if (!section.done()) {
       throw net::WireError("section length does not match its batch");
     }
   }

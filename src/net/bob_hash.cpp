@@ -1,33 +1,11 @@
 #include "net/bob_hash.hpp"
 
-#include <bit>
-#include <cstring>
-
 namespace vpm::net {
 namespace {
 
 using lookup3::final_mix;
+using lookup3::load_le;
 using lookup3::mix;
-
-// Read up to 4 little-endian bytes from `p` (length `n` in [1,4]).  The
-// full-word case takes a single unaligned load on little-endian targets —
-// output-identical to the byte loop, and the dominant case on the hot
-// path (a default-spec digest issues five of these per packet).
-std::uint32_t load_le(const std::byte* p, std::size_t n) noexcept {
-  if constexpr (std::endian::native == std::endian::little) {
-    if (n == 4) {
-      std::uint32_t v;
-      std::memcpy(&v, p, 4);
-      return v;
-    }
-  }
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    v |= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(p[i]))
-         << (8u * i);
-  }
-  return v;
-}
 
 }  // namespace
 

@@ -8,11 +8,15 @@
 #ifndef VPM_NET_WIRE_HPP
 #define VPM_NET_WIRE_HPP
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace vpm::net {
@@ -46,31 +50,51 @@ class WireError : public std::runtime_error {
   Severity severity_ = Severity::kFatal;
 };
 
-/// Append-only little-endian byte sink.
+/// Append-only little-endian byte sink.  Each field grows the buffer once,
+/// so an encoder writing straight into a shared buffer (the exporter's
+/// open chunk) pays one amortised append per field, not one per byte.
 class ByteWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
-  void u16(std::uint16_t v) { put_le(v, 2); }
+  void u16(std::uint16_t v) { put_le<2>(v); }
   /// 24-bit field: the paper's 3-byte timestamps (Section 7.1).
-  void u24(std::uint32_t v) { put_le(v & 0xFFFFFFu, 3); }
-  void u32(std::uint32_t v) { put_le(v, 4); }
-  void u64(std::uint64_t v) { put_le(v, 8); }
-  void i64(std::int64_t v) { put_le(static_cast<std::uint64_t>(v), 8); }
+  void u24(std::uint32_t v) { put_le<3>(v & 0xFFFFFFu); }
+  void u32(std::uint32_t v) { put_le<4>(v); }
+  void u64(std::uint64_t v) { put_le<8>(v); }
+  void i64(std::int64_t v) { put_le<8>(static_cast<std::uint64_t>(v)); }
   void bytes(std::span<const std::byte> data) {
     buf_.insert(buf_.end(), data.begin(), data.end());
+  }
+
+  /// Overwrite the u32 written at byte `offset` (a count only known once
+  /// the fields after it are written).  Throws std::out_of_range when the
+  /// field lies outside what was written.
+  void patch_u32(std::size_t offset, std::uint32_t v) {
+    if (offset > buf_.size() || buf_.size() - offset < 4) {
+      throw std::out_of_range("ByteWriter::patch_u32 past the end");
+    }
+    for (unsigned i = 0; i < 4; ++i) {
+      buf_[offset + i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
+    }
   }
 
   [[nodiscard]] std::span<const std::byte> view() const noexcept {
     return buf_;
   }
-  [[nodiscard]] std::vector<std::byte> take() && { return std::move(buf_); }
+  /// Hands the buffer over and leaves the writer empty.
+  [[nodiscard]] std::vector<std::byte> take() && {
+    return std::exchange(buf_, {});
+  }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
  private:
-  void put_le(std::uint64_t v, unsigned nbytes) {
-    for (unsigned i = 0; i < nbytes; ++i) {
-      buf_.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
+  template <unsigned N>
+  void put_le(std::uint64_t v) {
+    std::array<std::byte, N> le{};
+    for (unsigned i = 0; i < N; ++i) {
+      le[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
     }
+    buf_.insert(buf_.end(), le.begin(), le.end());
   }
   std::vector<std::byte> buf_;
 };
@@ -82,20 +106,20 @@ class ByteReader {
       : data_(data) {}
 
   [[nodiscard]] std::uint8_t u8() {
-    return static_cast<std::uint8_t>(get_le(1));
+    return static_cast<std::uint8_t>(get_le<1>());
   }
   [[nodiscard]] std::uint16_t u16() {
-    return static_cast<std::uint16_t>(get_le(2));
+    return static_cast<std::uint16_t>(get_le<2>());
   }
   [[nodiscard]] std::uint32_t u24() {
-    return static_cast<std::uint32_t>(get_le(3));
+    return static_cast<std::uint32_t>(get_le<3>());
   }
   [[nodiscard]] std::uint32_t u32() {
-    return static_cast<std::uint32_t>(get_le(4));
+    return static_cast<std::uint32_t>(get_le<4>());
   }
-  [[nodiscard]] std::uint64_t u64() { return get_le(8); }
+  [[nodiscard]] std::uint64_t u64() { return get_le<8>(); }
   [[nodiscard]] std::int64_t i64() {
-    return static_cast<std::int64_t>(get_le(8));
+    return static_cast<std::int64_t>(get_le<8>());
   }
 
   /// Advance past `n` bytes without decoding them (bounds-checked) — for
@@ -103,6 +127,16 @@ class ByteReader {
   void skip(std::size_t n) {
     expect_at_least(n);
     pos_ += n;
+  }
+
+  /// The next `n` bytes as a view into the input (bounds-checked), for
+  /// copying a counted payload once or reading a counted section through
+  /// its own reader.
+  [[nodiscard]] std::span<const std::byte> bytes(std::size_t n) {
+    expect_at_least(n);
+    const std::span<const std::byte> out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept {
@@ -116,23 +150,30 @@ class ByteReader {
   /// can prove the full payload is present (a sealed envelope) wrap it
   /// into a fatal error at their boundary.
   void expect_at_least(std::size_t n) const {
-    if (remaining() < n) {
-      throw WireError("truncated input: need " + std::to_string(n) +
-                          " bytes, have " + std::to_string(remaining()),
-                      WireError::Severity::kTransient);
-    }
+    if (remaining() < n) truncated(n, remaining());
   }
 
  private:
-  std::uint64_t get_le(unsigned nbytes) {
-    expect_at_least(nbytes);
+  [[noreturn]] static void truncated(std::size_t need, std::size_t have) {
+    throw WireError("truncated input: need " + std::to_string(need) +
+                        " bytes, have " + std::to_string(have),
+                    WireError::Severity::kTransient);
+  }
+
+  template <unsigned N>
+  std::uint64_t get_le() {
+    expect_at_least(N);
     std::uint64_t v = 0;
-    for (unsigned i = 0; i < nbytes; ++i) {
-      v |= static_cast<std::uint64_t>(
-               std::to_integer<std::uint8_t>(data_[pos_ + i]))
-           << (8 * i);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, data_.data() + pos_, N);
+    } else {
+      for (unsigned i = 0; i < N; ++i) {
+        v |= static_cast<std::uint64_t>(
+                 std::to_integer<std::uint8_t>(data_[pos_ + i]))
+             << (8 * i);
+      }
     }
-    pos_ += nbytes;
+    pos_ += N;
     return v;
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -24,7 +25,6 @@
 #include "loss/gilbert_elliott.hpp"
 #include "sim/congestion.hpp"
 #include "sim/path_run.hpp"
-#include "sim/scenario_common.hpp"
 #include "trace/synthetic_trace.hpp"
 
 namespace vpm::sim {
@@ -36,6 +36,93 @@ constexpr dissem::DomainKey kKey = 0x5CE7A110;
 /// run, and a short cursor-log snapshot cadence, so runs compact the log.
 constexpr std::size_t kSegmentBytes = 1024;
 constexpr std::size_t kCursorSnapshotEvery = 512;
+
+/// splitmix64 finalizer — deterministic per-path and per-event seeds.
+std::uint64_t mix(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ull;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBull;
+  x ^= x >> 31;
+  return x;
+}
+
+/// The consumer-side PathId table for one HOP's receipts: same header
+/// spec, neighbor hops, and MaxDiff the producer's collector stamps.
+std::vector<net::PathId> path_table(
+    const collector::MonitoringCache::Config& cfg,
+    const std::vector<net::PrefixPair>& paths) {
+  std::vector<net::PathId> out;
+  out.reserve(paths.size());
+  for (const net::PrefixPair& pair : paths) {
+    out.push_back(net::PathId{
+        .header_spec_id = cfg.protocol.header_spec.id(),
+        .prefixes = pair,
+        .previous_hop = cfg.previous_hop,
+        .next_hop = cfg.next_hop,
+        .max_diff = cfg.max_diff,
+    });
+  }
+  return out;
+}
+
+/// Merge crash re-declarations: a client killed after reporting a gap but
+/// before acking past it re-fetches and re-declares the same gap (same
+/// first missing sequence) — keep the widest range and the union of
+/// attributed paths.
+std::vector<core::RoundGap> dedupe_gaps(std::vector<core::RoundGap> raw) {
+  std::map<std::uint64_t, core::RoundGap> by_first;
+  for (core::RoundGap& g : raw) {
+    auto [it, inserted] = by_first.try_emplace(g.first_sequence, g);
+    if (inserted) continue;
+    core::RoundGap& kept = it->second;
+    kept.last_sequence = std::max(kept.last_sequence, g.last_sequence);
+    kept.affected_paths.insert(kept.affected_paths.end(),
+                               g.affected_paths.begin(),
+                               g.affected_paths.end());
+    std::sort(kept.affected_paths.begin(), kept.affected_paths.end());
+    kept.affected_paths.erase(std::unique(kept.affected_paths.begin(),
+                                          kept.affected_paths.end()),
+                              kept.affected_paths.end());
+  }
+  std::vector<core::RoundGap> out;
+  out.reserve(by_first.size());
+  for (auto& [first, g] : by_first) out.push_back(std::move(g));
+  return out;
+}
+
+/// Sum one FetchClient incarnation's stats into an accumulator (crash
+/// rebuilds retire several incarnations per hop).
+void add_stats(dissem::FetchClient::Stats& acc,
+               const dissem::FetchClient::Stats& s) {
+  acc.polls += s.polls;
+  acc.backoff_skips += s.backoff_skips;
+  acc.envelopes_fed += s.envelopes_fed;
+  acc.refetch_skips += s.refetch_skips;
+  acc.deliveries += s.deliveries;
+  acc.groups_delivered += s.groups_delivered;
+  acc.gaps_reported += s.gaps_reported;
+  acc.transient_retries += s.transient_retries;
+  acc.fatal_errors += s.fatal_errors;
+  acc.acks += s.acks;
+  acc.ack_rejections += s.ack_rejections;
+  acc.gap_wait_polls += s.gap_wait_polls;
+}
+
+/// Quantise a timestamp to the wire's 1 µs resolution (floor), so drains
+/// round-trip `==`-equal through export/import.
+net::Timestamp quantize_us(net::Timestamp t) {
+  return net::Timestamp{t.nanoseconds() / 1000 * 1000};
+}
+
+/// The reporting round an origin time falls in, clamped to the last round
+/// (trailing packets emitted exactly at the duration boundary).
+std::size_t round_of(net::Timestamp origin, std::int64_t round_ns,
+                     std::size_t rounds) {
+  auto r = static_cast<std::size_t>(origin.nanoseconds() / round_ns);
+  if (r >= rounds) r = rounds - 1;
+  return r;
+}
 
 /// Cut `1 + rnd % 40`-ish bytes off the lexicographically last segment
 /// file under `root` — a torn tail write for recovery to truncate.  The
@@ -119,6 +206,17 @@ void validate(const ScenarioConfig& cfg,
        cfg.route_flap.round >= cfg.rounds)) {
     throw std::invalid_argument(
         "scenario: link_down or route_flap starts after the last round");
+  }
+  // A disabled event (no duration, no live slots) with other fields set
+  // would run silently and drop out of the repro line.
+  if ((cfg.link_down.duration_rounds == 0 &&
+       !(cfg.link_down == LinkDownEvent{})) ||
+      (cfg.route_flap.duration_rounds == 0 &&
+       !(cfg.route_flap == RouteFlapEvent{})) ||
+      (cfg.churn.live == 0 && !(cfg.churn == ChurnSchedule{}))) {
+    throw std::invalid_argument(
+        "scenario: a disabled link_down, route_flap or churn sets other "
+        "fields");
   }
   if (cfg.churn.live != 0 && (cfg.churn.stable >= cfg.paths ||
                               cfg.churn.lifetime_rounds == 0)) {
@@ -268,10 +366,13 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
 
   // --- traffic, filtered by the route-flap window and the churn schedule --
   const trace::MultiPathTrace multi = trace::generate_multi_path(
-      scenario::multi_path_config(
-          cfg.paths, cfg.zipf_s, cfg.packets_per_second,
-          cfg.round_length * static_cast<std::int64_t>(cfg.rounds),
-          cfg.seed));
+      trace::MultiPathConfig{
+          .path_count = cfg.paths,
+          .zipf_s = cfg.zipf_s,
+          .total_packets_per_second = cfg.packets_per_second,
+          .duration =
+              cfg.round_length * static_cast<std::int64_t>(cfg.rounds),
+          .seed = cfg.seed});
   const std::size_t flap_first =
       cfg.route_flap.duration_rounds == 0 ? cfg.paths
                                           : cfg.paths - cfg.route_flap.paths;
@@ -298,9 +399,9 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
   fg_packets.reserve(multi.packets.size());
   for (std::size_t i = 0; i < multi.packets.size(); ++i) {
     net::Packet p = multi.packets[i];
-    p.origin_time = scenario::quantize_us(p.origin_time);
+    p.origin_time = quantize_us(p.origin_time);
     const std::size_t r =
-        scenario::round_of(p.origin_time, round_ns, cfg.rounds);
+        round_of(p.origin_time, round_ns, cfg.rounds);
     const std::size_t path = multi.path_of[i];
     if (path >= flap_first && r >= flap_start && r < flap_end) continue;
     if (churned_out(path, r)) continue;
@@ -318,7 +419,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
     CongestionConfig ccfg;
     ccfg.bottleneck_bps = cfg.congestion_bps;
     ccfg.buffer_bytes = cfg.congestion_buffer;
-    ccfg.seed = scenario::mix(cfg.seed ^ 0xC0963710ull);
+    ccfg.seed = mix(cfg.seed ^ 0xC0963710ull);
     congestion = simulate_congestion(ccfg, fg_packets);
   }
 
@@ -343,7 +444,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
     }
 
     PathEnvironment env;
-    env.seed = scenario::mix(cfg.seed ^ (0x9E3779B97F4A7C15ull + p));
+    env.seed = mix(cfg.seed ^ (0x9E3779B97F4A7C15ull + p));
     env.domains.resize(n_domains);
     env.links.resize(n_domains - 1);
     std::unique_ptr<loss::LossModel> loss_model;
@@ -358,14 +459,14 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
         break;
       case LossKind::kBernoulli:
         loss_model = std::make_unique<loss::BernoulliLoss>(
-            cfg.loss_rate, scenario::mix(cfg.seed ^ (0xB10Bull + p)));
+            cfg.loss_rate, mix(cfg.seed ^ (0xB10Bull + p)));
         env.domains[loss_d].loss = loss_model.get();
         break;
       case LossKind::kGilbertElliott:
         loss_model = std::make_unique<loss::GilbertElliott>(
             loss::GilbertElliott::with_target_loss(
                 cfg.loss_rate, cfg.loss_burst,
-                scenario::mix(cfg.seed ^ (0x6EB0ull + p))));
+                mix(cfg.seed ^ (0x6EB0ull + p))));
         env.domains[loss_d].loss = loss_model.get();
         break;
       case LossKind::kCongestion:
@@ -411,7 +512,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
         // the inter-packet gap) produces receipts with backward time steps
         // that the wire codec rightly rejects.  Stragglers past the last
         // boundary fold into the final round.
-        const net::Timestamp when = scenario::quantize_us(o.when);
+        const net::Timestamp when = quantize_us(o.when);
         const std::size_t r_obs = std::min<std::size_t>(
             cfg.rounds - 1,
             static_cast<std::size_t>(when.nanoseconds() / round_ns));
@@ -550,7 +651,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
 
   std::vector<std::optional<dissem::WireImporter>> importers(n_hops);
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
-    importers[pos].emplace(scenario::path_table(hop_cfg[pos], multi.paths));
+    importers[pos].emplace(path_table(hop_cfg[pos], multi.paths));
   }
 
   std::vector<std::vector<core::RoundGap>> raw_gaps(n_hops);
@@ -580,7 +681,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
         });
   };
   const auto retire_client = [&](std::size_t pos) {
-    scenario::add_stats(fleet_stats, clients[pos]->stats());
+    add_stats(fleet_stats, clients[pos]->stats());
     clients[pos].reset();
   };
   for (std::size_t pos = 0; pos < n_hops; ++pos) build_client(pos);
@@ -605,7 +706,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
       store.reset();
       if (cfg.torn_tail &&
           tear_segment_tail(directory,
-                            scenario::mix(cfg.seed ^ (0x7EA5ull * r)))) {
+                            mix(cfg.seed ^ (0x7EA5ull * r)))) {
         ++out.torn_tails;
       }
       store = open_store();
@@ -799,7 +900,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
   }
   out.gaps.assign(n_hops, {});
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
-    out.gaps[pos] = scenario::dedupe_gaps(std::move(raw_gaps[pos]));
+    out.gaps[pos] = dedupe_gaps(std::move(raw_gaps[pos]));
     for (const core::RoundGap& g : out.gaps[pos]) {
       for (std::uint64_t key : g.affected_paths) {
         const auto it = index_of_key.find(key);

@@ -193,10 +193,12 @@ struct ScenarioOutcome {
 /// names, an adversary domain that is not a transit domain, two adversary
 /// entries for one domain, a route flap withdrawing every path, a
 /// link_down index out of range, a link_down or route flap starting after
-/// the last round, a churn schedule with no pool (stable >= paths)
-/// or a zero lifetime, a fault rate outside [0, 1], fault delays the gap
-/// patience cannot cover, store_shards == 0, a segment store without an
-/// empty directory, or torn_tail without a segment store and crash_every.
+/// the last round, a churn schedule with no pool (stable >= paths) or a
+/// zero lifetime, a disabled link_down, route flap or churn schedule
+/// (zero duration or zero live slots) with any other field set, a fault
+/// rate outside [0, 1], fault delays the gap patience cannot cover,
+/// store_shards == 0, a segment store without an empty directory, or
+/// torn_tail without a segment store and crash_every.
 [[nodiscard]] ScenarioOutcome run_scenario(
     const ScenarioConfig& cfg, const std::filesystem::path& directory = {});
 

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "collector/sharded_collector.hpp"
-#include "sim/scenario_common.hpp"
 #include "trace/synthetic_trace.hpp"
 
 namespace vpm::sim {
@@ -32,9 +31,12 @@ void replay_slices(std::span<const net::Packet> packets, std::size_t min_batch,
 
 ShardScenarioResult run_shard_scenario(const ShardScenarioConfig& cfg) {
   const trace::MultiPathTrace multi = trace::generate_multi_path(
-      scenario::multi_path_config(cfg.path_count, cfg.zipf_s,
-                                  cfg.total_packets_per_second, cfg.duration,
-                                  cfg.seed));
+      trace::MultiPathConfig{
+          .path_count = cfg.path_count,
+          .zipf_s = cfg.zipf_s,
+          .total_packets_per_second = cfg.total_packets_per_second,
+          .duration = cfg.duration,
+          .seed = cfg.seed});
 
   collector::MonitoringCache::Config ccfg;
   ccfg.protocol.digest_mode = cfg.digest_mode;

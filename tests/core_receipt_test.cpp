@@ -106,9 +106,10 @@ TEST(ReceiptCombination, AggregatesRejectEmptyAndMixedPaths) {
 TEST(ReceiptBatch, SampleBatchRoundTrips) {
   const SampleReceipt r = sample_receipt({3, 0, 7, 1});
   net::ByteWriter w;
-  encode_sample_batch(r, w);
+  encode_sample_batch(r, r.samples, r.path.path_key(), w);
   net::ByteReader reader(w.view());
-  const SampleReceipt back = decode_sample_batch(reader, r.path);
+  const SampleReceipt back =
+      decode_sample_batch(reader, r.path, r.path.path_key());
   EXPECT_EQ(back.samples, r.samples);
   EXPECT_EQ(back.sample_threshold, r.sample_threshold);
   EXPECT_TRUE(reader.done());
@@ -117,8 +118,8 @@ TEST(ReceiptBatch, SampleBatchRoundTrips) {
 TEST(ReceiptBatch, SampleMarginalCostIsSevenBytes) {
   // The paper's 7 B per record (4 B PktID + 3 B time): adding one
   // follower to a round grows the batch by exactly 7 bytes.
-  const std::size_t small = sample_batch_size(sample_receipt({3}));
-  const std::size_t bigger = sample_batch_size(sample_receipt({4}));
+  const std::size_t small = sample_batch_size(sample_receipt({3}).samples);
+  const std::size_t bigger = sample_batch_size(sample_receipt({4}).samples);
   EXPECT_EQ(bigger - small, kSampleRecordBytes);
 }
 
@@ -126,7 +127,9 @@ TEST(ReceiptBatch, SampleBatchRejectsTrailingNonMarkers) {
   SampleReceipt r = sample_receipt({2});
   r.samples.push_back(SampleRecord{999, r.samples.back().time, false});
   net::ByteWriter w;
-  EXPECT_THROW(encode_sample_batch(r, w), std::invalid_argument);
+  EXPECT_THROW(encode_sample_batch(r, r.samples, r.path.path_key(), w),
+               std::invalid_argument);
+  EXPECT_EQ(w.size(), 0u) << "a rejected batch writes nothing";
 }
 
 TEST(ReceiptBatch, AggregateBatchRoundTrips) {
@@ -137,9 +140,10 @@ TEST(ReceiptBatch, AggregateBatchRoundTrips) {
   rs[0].trans.before = {7, 8};
   rs[0].trans.after = {20, 21};
   net::ByteWriter w;
-  encode_aggregate_batch(rs, w);
+  encode_aggregate_batch(rs, rs[0].path.path_key(), w);
   net::ByteReader reader(w.view());
-  const auto back = decode_aggregate_batch(reader, rs[0].path);
+  const auto back =
+      decode_aggregate_batch(reader, rs[0].path, rs[0].path.path_key());
   ASSERT_EQ(back.size(), rs.size());
   EXPECT_EQ(back[0], rs[0]);
   EXPECT_EQ(back[1], rs[1]);
@@ -162,12 +166,13 @@ TEST(ReceiptBatch, RejectsOverlongSpan) {
   SampleReceipt r = sample_receipt({1});
   r.samples.back().time += net::seconds(20);  // beyond the 16.7 s u24 span
   net::ByteWriter w;
-  EXPECT_THROW(encode_sample_batch(r, w), std::invalid_argument);
+  EXPECT_THROW(encode_sample_batch(r, r.samples, r.path.path_key(), w),
+               std::invalid_argument);
 }
 
 TEST(ReceiptBatch, RejectsEmptyAggregateBatch) {
   net::ByteWriter w;
-  EXPECT_THROW(encode_aggregate_batch({}, w), std::invalid_argument);
+  EXPECT_THROW(encode_aggregate_batch({}, 0, w), std::invalid_argument);
 }
 
 }  // namespace

@@ -241,8 +241,9 @@ TEST(ReceiptStore, EndToEndReceiptBatchDelivery) {
   const auto aggs = monitor.collect_aggregates(true);
 
   net::ByteWriter payload;
-  core::encode_sample_batch(samples, payload);
-  core::encode_aggregate_batch(aggs, payload);
+  const std::uint64_t key = samples.path.path_key();
+  core::encode_sample_batch(samples, samples.samples, key, payload);
+  core::encode_aggregate_batch(aggs, key, payload);
 
   ReceiptStore store;
   store.register_producer(1, 0xC0FFEE);
@@ -256,8 +257,9 @@ TEST(ReceiptStore, EndToEndReceiptBatchDelivery) {
   ASSERT_EQ(payloads.size(), 1u);
   net::ByteReader reader(payloads[0]);
   const core::SampleReceipt got_samples =
-      core::decode_sample_batch(reader, samples.path);
-  const auto got_aggs = core::decode_aggregate_batch(reader, samples.path);
+      core::decode_sample_batch(reader, samples.path, key);
+  const auto got_aggs =
+      core::decode_aggregate_batch(reader, samples.path, key);
   EXPECT_TRUE(reader.done());
   // Times quantise to 1 us on the wire; everything else is exact.
   ASSERT_EQ(got_samples.samples.size(), samples.samples.size());

@@ -166,14 +166,15 @@ TEST(IntegrationWire, ReceiptsSurviveSerializationEndToEnd) {
     const auto aggs = monitor.collect_aggregates(true);
 
     net::ByteWriter wire;
-    core::encode_sample_batch(samples, wire);
-    core::encode_aggregate_batch(aggs, wire);
+    const std::uint64_t key = samples.path.path_key();
+    core::encode_sample_batch(samples, samples.samples, key, wire);
+    core::encode_aggregate_batch(aggs, key, wire);
     net::ByteReader reader(wire.view());
     core::HopReceipts receipts;
     receipts.hop = hop_id;
-    receipts.samples = core::decode_sample_batch(reader, samples.path);
+    receipts.samples = core::decode_sample_batch(reader, samples.path, key);
     receipts.aggregates =
-        core::decode_aggregate_batch(reader, samples.path);
+        core::decode_aggregate_batch(reader, samples.path, key);
     ASSERT_TRUE(reader.done());
     via_wire.add_hop(std::move(receipts));
   }

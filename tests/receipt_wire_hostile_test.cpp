@@ -34,6 +34,8 @@ net::PathId test_path() {
   return id;
 }
 
+const std::uint64_t kKey = test_path().path_key();
+
 core::SampleReceipt valid_samples(std::size_t rounds = 3,
                                   std::size_t followers = 2) {
   core::SampleReceipt r;
@@ -73,14 +75,14 @@ std::vector<core::AggregateReceipt> valid_aggregates(std::size_t n = 3) {
 
 std::vector<std::byte> encode_sample(const core::SampleReceipt& r) {
   net::ByteWriter w;
-  core::encode_sample_batch(r, w);
+  core::encode_sample_batch(r, r.samples, r.path.path_key(), w);
   return std::move(w).take();
 }
 
 std::vector<std::byte> encode_aggregates(
     std::span<const core::AggregateReceipt> rs) {
   net::ByteWriter w;
-  core::encode_aggregate_batch(rs, w);
+  core::encode_aggregate_batch(rs, rs.front().path.path_key(), w);
   return std::move(w).take();
 }
 
@@ -91,11 +93,11 @@ TEST(ReceiptWireHostile, SampleBatchTruncationAtEveryOffsetThrows) {
   const net::PathId id = test_path();
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     net::ByteReader in(std::span<const std::byte>(bytes).first(len));
-    EXPECT_THROW((void)core::decode_sample_batch(in, id), net::WireError)
+    EXPECT_THROW((void)core::decode_sample_batch(in, id, kKey), net::WireError)
         << "prefix length " << len;
   }
   net::ByteReader whole(bytes);
-  EXPECT_EQ(core::decode_sample_batch(whole, id), valid_samples());
+  EXPECT_EQ(core::decode_sample_batch(whole, id, kKey), valid_samples());
   EXPECT_TRUE(whole.done());
 }
 
@@ -105,11 +107,12 @@ TEST(ReceiptWireHostile, AggregateBatchTruncationAtEveryOffsetThrows) {
   const net::PathId id = test_path();
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     net::ByteReader in(std::span<const std::byte>(bytes).first(len));
-    EXPECT_THROW((void)core::decode_aggregate_batch(in, id), net::WireError)
+    EXPECT_THROW((void)core::decode_aggregate_batch(in, id, kKey),
+                 net::WireError)
         << "prefix length " << len;
   }
   net::ByteReader whole(bytes);
-  EXPECT_EQ(core::decode_aggregate_batch(whole, id), aggs);
+  EXPECT_EQ(core::decode_aggregate_batch(whole, id, kKey), aggs);
 }
 
 TEST(ReceiptWireHostile, EnvelopeTruncationAtEveryOffsetThrows) {
@@ -139,7 +142,7 @@ TEST(ReceiptWireHostile, SampleBatchSingleByteCorruptionNeverOverReads) {
     mutated[i] ^= std::byte{0xFF};
     net::ByteReader in(mutated);
     try {
-      (void)core::decode_sample_batch(in, id);
+      (void)core::decode_sample_batch(in, id, kKey);
     } catch (const net::WireError&) {
     }
   }
@@ -153,7 +156,7 @@ TEST(ReceiptWireHostile, AggregateBatchSingleByteCorruptionNeverOverReads) {
     mutated[i] ^= std::byte{0xFF};
     net::ByteReader in(mutated);
     try {
-      (void)core::decode_aggregate_batch(in, id);
+      (void)core::decode_aggregate_batch(in, id, kKey);
     } catch (const net::WireError&) {
     }
   }
@@ -165,14 +168,14 @@ TEST(ReceiptWireHostile, AbsurdCountsThrowInsteadOfAllocatingOrOverReading) {
     net::ByteWriter w;
     core::SampleReceipt empty;
     empty.path = test_path();
-    core::encode_sample_batch(empty, w);
+    core::encode_sample_batch(empty, empty.samples, kKey, w);
     std::vector<std::byte> bytes = std::move(w).take();
     // round count is the last u32 of the empty encoding.
     for (std::size_t i = bytes.size() - 4; i < bytes.size(); ++i) {
       bytes[i] = std::byte{0xFF};
     }
     net::ByteReader in(bytes);
-    EXPECT_THROW((void)core::decode_sample_batch(in, test_path()),
+    EXPECT_THROW((void)core::decode_sample_batch(in, test_path(), kKey),
                  net::WireError);
   }
   // Aggregate batch claiming 2^32-1 receipts likewise.
@@ -182,7 +185,7 @@ TEST(ReceiptWireHostile, AbsurdCountsThrowInsteadOfAllocatingOrOverReading) {
     // receipt count: u32 after tag(1) + key(8) + epoch(8).
     for (std::size_t i = 17; i < 21; ++i) bytes[i] = std::byte{0xFF};
     net::ByteReader in(bytes);
-    EXPECT_THROW((void)core::decode_aggregate_batch(in, test_path()),
+    EXPECT_THROW((void)core::decode_aggregate_batch(in, test_path(), kKey),
                  net::WireError);
   }
   // AggTrans id counts of 0xFFFF each with no bytes behind them.
@@ -193,7 +196,7 @@ TEST(ReceiptWireHostile, AbsurdCountsThrowInsteadOfAllocatingOrOverReading) {
     // open(3)+close(3) = 21 + 18 = offset 39.
     bytes[39] = bytes[40] = bytes[41] = bytes[42] = std::byte{0xFF};
     net::ByteReader in(bytes);
-    EXPECT_THROW((void)core::decode_aggregate_batch(in, test_path()),
+    EXPECT_THROW((void)core::decode_aggregate_batch(in, test_path(), kKey),
                  net::WireError);
   }
 }
@@ -204,12 +207,14 @@ TEST(ReceiptWireHostile, EncodeRejectsNonMonotoneTimes) {
   core::SampleReceipt r = valid_samples();
   r.samples[1].time = r.samples[0].time - net::microseconds(10);
   net::ByteWriter w;
-  EXPECT_THROW(core::encode_sample_batch(r, w), std::invalid_argument);
+  EXPECT_THROW(core::encode_sample_batch(r, r.samples, kKey, w),
+               std::invalid_argument);
 
   auto aggs = valid_aggregates();
   aggs[1].opened_at = aggs[0].opened_at - net::milliseconds(1);
   net::ByteWriter w2;
-  EXPECT_THROW(core::encode_aggregate_batch(aggs, w2), std::invalid_argument);
+  EXPECT_THROW(core::encode_aggregate_batch(aggs, kKey, w2),
+               std::invalid_argument);
 }
 
 TEST(ReceiptWireHostile, DecodeRejectsTimeInversions) {
@@ -227,7 +232,7 @@ TEST(ReceiptWireHostile, DecodeRejectsTimeInversions) {
   w.u32(2);   // marker pkt id
   w.u24(100); // marker at +100 µs — before its follower
   net::ByteReader in(w.view());
-  EXPECT_THROW((void)core::decode_sample_batch(in, test_path()),
+  EXPECT_THROW((void)core::decode_sample_batch(in, test_path(), kKey),
                net::WireError);
 
   // And an aggregate that closes before it opens.
@@ -244,7 +249,7 @@ TEST(ReceiptWireHostile, DecodeRejectsTimeInversions) {
   w2.u16(0);
   w2.u16(0);
   net::ByteReader in2(w2.view());
-  EXPECT_THROW((void)core::decode_aggregate_batch(in2, test_path()),
+  EXPECT_THROW((void)core::decode_aggregate_batch(in2, test_path(), kKey),
                net::WireError);
 }
 
@@ -253,10 +258,11 @@ TEST(ReceiptWireHostile, DecodeRejectsWrongPathKeyAndTag) {
   net::PathId other = test_path();
   other.prefixes.source = net::Prefix(net::Ipv4Address(0x0B000000), 16);
   net::ByteReader in(bytes);
-  EXPECT_THROW((void)core::decode_sample_batch(in, other), net::WireError);
+  EXPECT_THROW((void)core::decode_sample_batch(in, other, other.path_key()),
+               net::WireError);
 
   net::ByteReader in2(bytes);
-  EXPECT_THROW((void)core::decode_aggregate_batch(in2, test_path()),
+  EXPECT_THROW((void)core::decode_aggregate_batch(in2, test_path(), kKey),
                net::WireError);
 }
 
@@ -333,7 +339,7 @@ TEST_F(ChunkHostile, SectionLengthMismatchThrows) {
 TEST_F(ChunkHostile, AggregateSectionBeforeSamplesThrows) {
   // Build a chunk whose first (and only) section is an aggregate batch.
   net::ByteWriter batch;
-  core::encode_aggregate_batch(valid_aggregates(), batch);
+  core::encode_aggregate_batch(valid_aggregates(), kKey, batch);
   net::ByteWriter payload;
   payload.u8(dissem::kChunkTag);
   payload.u32(1);
@@ -354,11 +360,11 @@ TEST_F(ChunkHostile, AggregateSectionRevisitingAClosedPathThrows) {
   net::ByteWriter empty_a, empty_b, aggs_a;
   core::SampleReceipt sa;
   sa.path = test_path();
-  core::encode_sample_batch(sa, empty_a);
+  core::encode_sample_batch(sa, sa.samples, kKey, empty_a);
   core::SampleReceipt sb;
   sb.path = path_b;
-  core::encode_sample_batch(sb, empty_b);
-  core::encode_aggregate_batch(valid_aggregates(), aggs_a);
+  core::encode_sample_batch(sb, sb.samples, sb.path.path_key(), empty_b);
+  core::encode_aggregate_batch(valid_aggregates(), kKey, aggs_a);
 
   struct Section {
     std::uint8_t kind;
@@ -433,8 +439,10 @@ TEST_F(ChunkHostile, SeamTimeInversionAcrossSplitBatchesThrows) {
   // Split sample batches: [500 µs] then [100 µs].
   {
     net::ByteWriter b1, b2;
-    core::encode_sample_batch(make_samples(500), b1);
-    core::encode_sample_batch(make_samples(100), b2);
+    const core::SampleReceipt early = make_samples(500);
+    const core::SampleReceipt late = make_samples(100);
+    core::encode_sample_batch(early, early.samples, kKey, b1);
+    core::encode_sample_batch(late, late.samples, kKey, b2);
     expect_import_throws(build({{dissem::kSampleSectionKind, &b1},
                                 {dissem::kSampleSectionKind, &b2}}));
   }
@@ -443,11 +451,11 @@ TEST_F(ChunkHostile, SeamTimeInversionAcrossSplitBatchesThrows) {
     net::ByteWriter s, b1, b2;
     core::SampleReceipt empty;
     empty.path = test_path();
-    core::encode_sample_batch(empty, s);
+    core::encode_sample_batch(empty, empty.samples, kKey, s);
     const auto a1 = make_agg(300);
     const auto a2 = make_agg(100);
-    core::encode_aggregate_batch({&a1, 1}, b1);
-    core::encode_aggregate_batch({&a2, 1}, b2);
+    core::encode_aggregate_batch({&a1, 1}, kKey, b1);
+    core::encode_aggregate_batch({&a2, 1}, kKey, b2);
     expect_import_throws(build({{dissem::kSampleSectionKind, &s},
                                 {dissem::kAggregateSectionKind, &b1},
                                 {dissem::kAggregateSectionKind, &b2}}));

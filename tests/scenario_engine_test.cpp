@@ -201,6 +201,13 @@ TEST(ScenarioEngine, ValidatesConfigs) {
                std::invalid_argument);
   EXPECT_THROW((void)run_scenario(cfg_of("paths=4 churn=1:2:0")),
                std::invalid_argument);
+  // A disabled event (no live slots, no duration) with other fields set
+  // would run silently and drop out of the repro line.
+  for (const char* bad :
+       {"churn=2:0:3", "link_down=1:2:0", "route_flap=1:2:0"}) {
+    EXPECT_THROW((void)run_scenario(cfg_of(bad)), std::invalid_argument)
+        << bad;
+  }
   // Fault rates are probabilities: outside [0, 1] a plan faults every
   // envelope or none, whatever it says.  The parser takes no NaN, so only
   // a config built in code reaches that case.
