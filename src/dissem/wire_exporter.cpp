@@ -157,6 +157,16 @@ net::ByteWriter& WireExporter::open_section(std::uint8_t kind,
   if (kChunkHeaderBytes + section_bytes > cfg_.max_chunk_bytes) {
     ++stats_.oversized_sections;
   }
+  // Grow by doubling, but not past the cap: the buffer becomes the
+  // envelope's payload, so a full chunk seals with no spare capacity for
+  // a store to retain.
+  const std::size_t need = (chunk_.size() == 0 ? kChunkHeaderBytes
+                                               : chunk_.size()) +
+                           section_bytes;
+  if (need > chunk_.capacity()) {
+    chunk_.reserve(std::max(
+        need, std::min(2 * chunk_.capacity(), cfg_.max_chunk_bytes)));
+  }
   if (chunk_.size() == 0) {
     chunk_.u8(kChunkTag);
     chunk_.u32(0);  // section count, patched when the chunk seals

@@ -86,6 +86,10 @@ class ByteWriter {
     return std::exchange(buf_, {});
   }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return buf_.capacity();
+  }
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
  private:
   template <unsigned N>
