@@ -152,14 +152,14 @@ net::ByteWriter& WireExporter::open_section(std::uint8_t kind,
   const std::size_t section_bytes = kSectionHeaderBytes + batch_bytes;
   if (section_count_ > 0 &&
       chunk_.size() + section_bytes > cfg_.max_chunk_bytes) {
-    seal_chunk();
+    seal_chunk(/*trim=*/false);
   }
   if (kChunkHeaderBytes + section_bytes > cfg_.max_chunk_bytes) {
     ++stats_.oversized_sections;
   }
   // Grow by doubling, but not past the cap: the buffer becomes the
-  // envelope's payload, so a full chunk seals with no spare capacity for
-  // a store to retain.
+  // envelope's payload, so a chunk the cap seals keeps less than one
+  // section of spare capacity for a store to retain.
   const std::size_t need = (chunk_.size() == 0 ? kChunkHeaderBytes
                                                : chunk_.size()) +
                            section_bytes;
@@ -189,9 +189,10 @@ void WireExporter::close_section(std::uint8_t kind) {
       std::max(stats_.peak_buffer_bytes, chunk_.size());
 }
 
-void WireExporter::seal_chunk() {
+void WireExporter::seal_chunk(bool trim) {
   if (section_count_ == 0) return;
   chunk_.patch_u32(kChunkCountOffset, section_count_);
+  if (trim) chunk_.shrink_to_fit();
   const std::size_t payload_size = chunk_.size();
   Envelope env =
       seal(cfg_.producer, sequence_++, std::move(chunk_).take(), cfg_.key);
@@ -204,7 +205,7 @@ void WireExporter::seal_chunk() {
 
 void WireExporter::flush() {
   require_usable("flush()");
-  seal_chunk();
+  seal_chunk(/*trim=*/true);
 }
 
 void WireExporter::finish() {
@@ -214,7 +215,7 @@ void WireExporter::finish() {
   // this envelope sequence (first_sequence = next_sequence()) starts a
   // recognisable new round whatever paths it ships.
   end_round();
-  seal_chunk();
+  seal_chunk(/*trim=*/true);
   finished_ = true;
 }
 

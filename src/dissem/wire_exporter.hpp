@@ -160,7 +160,11 @@ class WireExporter final : public core::ReceiptSink {
   /// Counts the section once its batch is written; throws
   /// std::logic_error if the batch's size differs from what was opened.
   void close_section(std::uint8_t kind);
-  void seal_chunk();
+  /// Seals the open chunk into an envelope for the consumer.  A chunk
+  /// sealed short of the cap (flush, finish) can hold up to half its
+  /// buffer spare; `trim` drops it, since the buffer becomes a payload a
+  /// store may retain.
+  void seal_chunk(bool trim);
   void export_samples(const core::SampleReceipt& samples, std::uint64_t key);
   void write_sample_batch(const core::SampleReceipt& samples,
                           std::span<const core::SampleRecord> records,

@@ -90,6 +90,7 @@ class ByteWriter {
     return buf_.capacity();
   }
   void reserve(std::size_t n) { buf_.reserve(n); }
+  void shrink_to_fit() { buf_.shrink_to_fit(); }
 
  private:
   template <unsigned N>
