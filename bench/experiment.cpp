@@ -132,6 +132,11 @@ void JsonExportReporter::ReportRuns(const std::vector<Run>& reports) {
       row.has_hashes = true;
       row.hashes_per_packet = hashes->second.value;
     }
+    const auto wire = run.counters.find("wire_B_per_pkt");
+    if (wire != run.counters.end()) {
+      row.has_wire_bytes = true;
+      row.wire_bytes_per_packet = wire->second.value;
+    }
     rows_.push_back(std::move(row));
   }
   ConsoleReporter::ReportRuns(reports);
@@ -159,6 +164,10 @@ bool JsonExportReporter::write(const std::string& bench_name,
                  r.ns_per_packet, r.mpps);
     if (r.has_hashes) {
       std::fprintf(f, ", \"hashes_per_packet\": %.4f", r.hashes_per_packet);
+    }
+    if (r.has_wire_bytes) {
+      std::fprintf(f, ", \"wire_bytes_per_packet\": %.4f",
+                   r.wire_bytes_per_packet);
     }
     std::fprintf(f, "}");
   }

@@ -147,6 +147,8 @@ class JsonExportReporter : public benchmark::ConsoleReporter {
     double mpps = 0;
     double hashes_per_packet = 0;
     bool has_hashes = false;
+    double wire_bytes_per_packet = 0;
+    bool has_wire_bytes = false;
   };
   std::vector<Row> rows_;
 };

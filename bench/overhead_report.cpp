@@ -251,20 +251,31 @@ void receipt_size_section() {
   const core::HopReceipts hop =
       bench::collect_hop(s, 1, 2, 1, 3, protocol, tuning);
 
-  const std::size_t sample_bytes = core::sample_batch_size(hop.samples.samples);
+  // The HOP's receipts as one wire entry, sized by the codec: samples
+  // alone, then with the aggregates, against a round header carrying the
+  // HOP's own thresholds.
+  core::PathDrain drain{.samples = hop.samples, .aggregates = {}};
+  const core::RoundHeader header{
+      .sample_threshold = hop.samples.sample_threshold,
+      .marker_threshold = hop.samples.marker_threshold,
+      .base = hop.samples.samples.empty() ? net::Timestamp{}
+                                          : hop.samples.samples.front().time};
+  const std::size_t sample_bytes = core::size_entry(1, drain, header).bytes();
   std::size_t trans_ids = 0;
   for (const auto& a : hop.aggregates) {
     trans_ids += a.trans.before.size() + a.trans.after.size();
   }
-  const std::size_t agg_bytes = core::aggregate_batch_size(hop.aggregates);
+  drain.aggregates = hop.aggregates;
+  const std::size_t agg_bytes =
+      core::size_entry(1, drain, header).bytes() - sample_bytes;
 
   std::printf("  paper:    receipt size 22 B; temp records 7 B\n");
   std::printf("  measured: aggregate-receipt marginal %zu B (+4 B/AggTrans id);\n",
               core::kAggregateRecordBytes);
   std::printf("            sample-record marginal %zu B\n",
               core::kSampleRecordBytes);
-  std::printf("  whole-batch check over a real 5 s x 20 kpps run:\n");
-  std::printf("    samples:    %zu records -> %zu B (%.2f B/record w/ header)\n",
+  std::printf("  whole-entry check over a real 5 s x 20 kpps run:\n");
+  std::printf("    samples:    %zu records -> %zu B (%.2f B/record w/ framing)\n",
               hop.samples.samples.size(), sample_bytes,
               static_cast<double>(sample_bytes) /
                   static_cast<double>(hop.samples.samples.size()));
@@ -276,8 +287,8 @@ void receipt_egress_section() {
   std::printf("== Receipt egress (measured from the wire exporter) ==\n\n");
 
   // A real 10k-path workload drained straight through dissem::WireExporter:
-  // every byte counted below is an ACTUAL shipped byte — receipt_batch
-  // records, batch headers, chunk/section framing and envelope
+  // every byte counted below is an ACTUAL shipped byte — records, entry
+  // framing, round headers and closes, chunk headers and envelope
   // authentication included — against the modeled per-record arithmetic
   // the bandwidth section uses.
   trace::MultiPathConfig mcfg;
@@ -324,13 +335,24 @@ void receipt_egress_section() {
               " (%.1f%%) framing delta\n",
               measured, measured - modeled,
               modeled > 0 ? (measured - modeled) / modeled * 100.0 : 0.0);
+  // What the payload holds beyond the records, the round headers and
+  // closes and the chunk headers is each path's entry framing.
+  const double rounds_and_chunks = static_cast<double>(
+      st.sample_batches * core::kRoundHeaderBytes +
+      st.aggregate_batches * core::kRoundCloseBytes +
+      st.chunks * dissem::kChunkHeaderBytes);
+  const double entry_framing =
+      (static_cast<double>(st.payload_bytes) - modeled * packets -
+       rounds_and_chunks) /
+      static_cast<double>(st.paths);
   std::printf(
-      "  (The delta is batch headers amortized over few records per path\n"
-      "  at this drain cadence, plus %zu B/section + %zu B/chunk +\n"
-      "  %zu B/envelope framing.  Longer reporting periods or busier\n"
-      "  paths amortize it toward the modeled marginal.)\n\n",
-      dissem::kSectionHeaderBytes, dissem::kChunkHeaderBytes,
-      dissem::kEnvelopeOverheadBytes);
+      "  (The delta is each path's entry framing, %.2f B/path here: index\n"
+      "  step, length, run counts, epochs and follower counts; plus %zu B\n"
+      "  per round header (one per chunk a round spans), %zu B per round\n"
+      "  close, %zu B/chunk and %zu B/envelope.  Busier paths or longer\n"
+      "  reporting periods amortize it toward the modeled marginal.)\n\n",
+      entry_framing, core::kRoundHeaderBytes, core::kRoundCloseBytes,
+      dissem::kChunkHeaderBytes, dissem::kEnvelopeOverheadBytes);
 }
 
 void bandwidth_section() {

@@ -2,10 +2,12 @@
 // collector drains.
 //
 //   * BM_WireExport — replay a materialized drain stream through
-//     dissem::WireExporter (receipt_batch sections, size-capped chunks,
-//     sealed envelopes).  Reports wire bytes/s and the measured
-//     bytes-per-packet-observed — the number the §7.1 bandwidth budget is
-//     about (the overhead_report binary prints the comparison).
+//     dissem::WireExporter (path entries under HOP-round headers,
+//     size-capped chunks, sealed envelopes).  Reports wire bytes/s and the
+//     measured bytes-per-packet-observed (wire_B_per_pkt, recorded in
+//     BENCH_wire.json as wire_bytes_per_packet) — the number the §7.1
+//     bandwidth budget is about (the overhead_report binary prints the
+//     comparison).
 //   * BM_WireImport — decode the same sealed chunk stream back out of a
 //     ReceiptStore into a NullSink (parse + validate cost, no consumer
 //     work).

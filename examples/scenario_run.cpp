@@ -8,6 +8,11 @@
 // failing grid cell prints) or @<file> to load a scenario data file.  A
 // `store=segment` config runs in a fresh vpm-scenario-<pid> directory
 // under the system temp root, removed afterwards.
+//
+// Exit status: 0 on a run, 1 on a config the parser or the engine rejects
+// ("bad scenario: ..."), 2 when a valid config hits a limit of the
+// program itself ("program limit: ...", e.g. an aggregate held open past
+// the receipt wire's 16.7 s offset span).
 #include <unistd.h>
 
 #include <filesystem>
@@ -18,6 +23,7 @@
 #include <string>
 #include <system_error>
 
+#include "core/receipt_batch.hpp"
 #include "sim/scenario_engine.hpp"
 
 namespace {
@@ -62,6 +68,9 @@ int main(int argc, char** argv) {
   vpm::sim::ScenarioOutcome out;
   try {
     out = run(vpm::sim::parse_scenario(text));
+  } catch (const vpm::core::WireLimitError& e) {
+    std::cerr << "program limit: " << e.what() << "\n";
+    return 2;
   } catch (const std::invalid_argument& e) {
     std::cerr << "bad scenario: " << e.what() << "\n";
     return 1;

@@ -76,8 +76,16 @@ int main() {
       r.hop = hop;
       r.samples = monitor.collect_samples();
       r.aggregates = monitor.collect_aggregates(true);
-      receipt_bytes += core::sample_batch_size(r.samples.samples);
-      receipt_bytes += core::aggregate_batch_size(r.aggregates);
+      // The HOP's receipts as one wire entry under a round header that
+      // carries its thresholds.
+      const core::RoundHeader header{
+          .sample_threshold = r.samples.sample_threshold,
+          .marker_threshold = r.samples.marker_threshold,
+          .base = r.samples.samples.empty() ? net::Timestamp{}
+                                            : r.samples.samples.front().time};
+      receipt_bytes +=
+          core::size_entry(1, core::PathDrain{r.samples, r.aggregates}, header)
+              .bytes();
       verifier.add_hop(std::move(r));
     }
 

@@ -1,6 +1,6 @@
 // Receipt egress end-to-end: the first byte-level round trip
 //
-//   sharded collector --drain(sink)--> WireExporter (receipt_batch chunks,
+//   sharded collector --drain(sink)--> WireExporter (path-entry chunks,
 //   sealed envelopes) --> ReceiptStore (authenticity + replay checks) -->
 //   WireImporter --> PathVerifier
 //

@@ -2,14 +2,17 @@
 """Bench-regression guard: a fresh BENCH_<name>.json vs the committed baseline.
 
 Both files must carry the same "bench" name (fastpath, sharded, ...).
-Compares the ns/packet of every benchmark present in BOTH files (by exact
-name) whose name starts with --filter, and fails when a fresh number
-exceeds the baseline by more than the tolerance band.  The default
-tolerance is deliberately wide (+50%): CI runners and the dev container
-are shared hosts with double-digit-percent run-to-run noise, so the guard
-is a collapse detector (an accidental O(n) in the sweep, a dropped SIMD
-tier, a debug build), not a microregression tribunal.  Tighten it with
---tolerance or VPM_BENCH_TOLERANCE where the hardware is quiet.
+Compares --field (default ns_per_packet; lower is better) of every
+benchmark present in BOTH files (by exact name) whose name starts with
+--filter, and fails when a fresh number exceeds the baseline by more than
+the tolerance band.  The default tolerance is deliberately wide (+50%):
+CI runners and the dev container are shared hosts with double-digit-
+percent run-to-run noise, so a timing guard is a collapse detector (an
+accidental O(n) in the sweep, a dropped SIMD tier, a debug build), not a
+microregression tribunal.  Tighten it with --tolerance or
+VPM_BENCH_TOLERANCE where the hardware is quiet, or to 0 for a
+deterministic field such as wire_bytes_per_packet.  A row of the baseline
+that carries the field must carry it in the fresh file too.
 
 Exit codes: 0 ok / skipped, 1 regression, 2 bad invocation.
 """
@@ -39,6 +42,9 @@ def main() -> int:
     ap.add_argument("--filter", default="BM_CacheObservePathSweep",
                     help="benchmark-name prefix to guard (default: the "
                          "path-count sweeps, the PR-level perf headline)")
+    ap.add_argument("--field", default="ns_per_packet",
+                    help="row field to compare, lower is better (default: "
+                         "ns_per_packet)")
     ap.add_argument("--tolerance", type=float,
                     default=float(os.environ.get("VPM_BENCH_TOLERANCE", 0.5)),
                     help="allowed fractional slowdown, e.g. 0.5 = +50%% "
@@ -60,22 +66,28 @@ def main() -> int:
         print(f"error: baseline is bench {baseline['bench']!r} but fresh is "
               f"{latest['bench']!r}", file=sys.stderr)
         return 2
-    base = {r["name"]: r["ns_per_packet"] for r in baseline["results"]}
-    fresh = {r["name"]: r["ns_per_packet"] for r in latest["results"]}
+    base = {r["name"]: r[args.field] for r in baseline["results"]
+            if args.field in r}
+    fresh = {r["name"]: r.get(args.field) for r in latest["results"]}
 
     names = [n for n in base if n.startswith(args.filter) and n in fresh]
     if not names:
         print(f"skip: no common benchmarks match prefix {args.filter!r}")
         return 0
+    missing = [n for n in names if fresh[n] is None]
+    if missing:
+        print(f"error: fresh rows lack {args.field!r}: {', '.join(missing)}",
+              file=sys.stderr)
+        return 1
 
     bad = []
     width = max(map(len, names))
-    print(f"tolerance: +{args.tolerance * 100:.0f}%  "
+    print(f"{args.field}, tolerance: +{args.tolerance * 100:.0f}%  "
           f"({args.baseline} -> {args.fresh})")
     for n in names:
         ratio = fresh[n] / base[n]
         flag = "REGRESSION" if ratio > 1.0 + args.tolerance else "ok"
-        print(f"  {n:<{width}}  {base[n]:9.2f} -> {fresh[n]:9.2f} ns/pkt  "
+        print(f"  {n:<{width}}  {base[n]:9.4f} -> {fresh[n]:9.4f}  "
               f"x{ratio:5.2f}  {flag}")
         if flag != "ok":
             bad.append(n)

@@ -34,8 +34,13 @@ class Element {
 
   /// Control-plane report hook: stream whatever receipts this element has
   /// accumulated into `sink` (the processor module's periodic egress).
-  /// Default: no receipts.  Path indices restart per element, so a sink
-  /// that cares about indices should report one element at a time.
+  /// Default: no receipts.  Path indices restart per element, and the
+  /// wire exporter cares about indices: it closes a round at the first
+  /// index that does not ascend, so one exporter fed a multi-element
+  /// Pipeline::report ships each element that restarts the index space as
+  /// a round of its own, against one path table per element.  Report one
+  /// element at a time (with end_round() between) to keep them apart
+  /// whatever indices they drain.
   virtual void report(core::ReceiptSink& sink, bool flush_open = false) {
     (void)sink;
     (void)flush_open;
@@ -154,7 +159,8 @@ class Pipeline {
   }
 
   /// Stream every element's accumulated receipts into `sink`, in pipeline
-  /// order (the box's whole control-plane egress in one call).
+  /// order (the box's whole control-plane egress in one call; see
+  /// Element::report on path indices).
   void report(core::ReceiptSink& sink, bool flush_open = false) {
     for (const auto& e : elements_) e->report(sink, flush_open);
   }

@@ -111,6 +111,19 @@ void ShardedCollector::observe_batch_impl(
     throw std::logic_error(
         "ShardedCollector: synchronous observe_batch while workers run");
   }
+  if (shards_.size() == 1) {
+    // One shard owns every packet: hand it the caller's spans as they are,
+    // without copying each packet and its time into staging.
+    Shard& shard = shards_.front();
+    if (!shard.cache) {
+      shard.unknown += packets.size();
+    } else if (when.empty()) {
+      shard.cache->observe_batch(packets);
+    } else {
+      shard.cache->observe_batch(packets, when);
+    }
+    return;
+  }
   std::vector<Batch>& staging = sync_staging();
   route_into_staging(packets, when, staging);
   for (std::size_t s = 0; s < shards_.size(); ++s) {

@@ -20,9 +20,10 @@
 //     loss granularity is reportable in seconds (Fig. 3's y-axis) without
 //     out-of-band knowledge of path rates.
 //
-// Receipts have one wire format, core/receipt_batch's per-path batches
-// (§7.1).  It references a path by its PathId::path_key() and carries
-// times to the microsecond, so receipts compare with `==`, not by bytes.
+// Receipts have one wire format, core/receipt_batch's path entries under
+// HOP-round headers (§7.1).  It names a path by its index into a path
+// table both ends hold and carries times to the microsecond, so receipts
+// compare with `==`, not by bytes.
 #ifndef VPM_CORE_RECEIPT_HPP
 #define VPM_CORE_RECEIPT_HPP
 

@@ -13,7 +13,10 @@
 // shard count.
 //
 // Contract: one on_drain(index, drain) per drained path, in ascending
-// global-path-index order.  The drain holds the path's sample receipt
+// global-path-index order.  Sinks may depend on the order: the wire
+// exporter names each path by its index and closes a reporting round at
+// the first index that does not ascend.  The drain holds the path's sample
+// receipt
 // (always present, possibly with an empty record list — an idle path still
 // discloses its thresholds) and its closed aggregates in drain
 // (opened_at) order.  Drains arrive by value: the producer has already
@@ -39,7 +42,9 @@ class ReceiptSink {
 
   /// One path's whole drain.  `path_index` is the producer's global path
   /// index (collector drains emit ascending indices; a pipeline with
-  /// several collector elements restarts the index space per element).
+  /// several collector elements restarts the index space per element, so
+  /// through one wire exporter each element's restart opens a new
+  /// round).
   virtual void on_drain(std::size_t path_index, PathDrain drain) = 0;
 };
 

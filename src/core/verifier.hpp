@@ -118,7 +118,7 @@ struct LinkFinding {
 /// verifier intact (ISSUE 6's graceful-degradation contract).  Lost or
 /// corrupt envelopes do NOT silently deform findings: the consumer skips
 /// the affected reporting round(s), records the damage here, and
-/// resynchronizes at the next round mark.  Findings over fully-delivered
+/// resynchronizes at the next round close.  Findings over fully-delivered
 /// rounds stay exact; the gap is the explicit record of what is missing.
 struct RoundGap {
   enum class Cause : std::uint8_t {

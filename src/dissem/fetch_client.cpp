@@ -57,7 +57,7 @@ void FetchClient::finalize() {
   // is not late, it is gone.  Declare, resync, deliver what closes.
   run_fetch_pass(/*force_gap=*/true);
   if (gap_open_) {
-    // The stream ended while still hunting a round mark (or the gap had
+    // The stream ended while still hunting a round close (or the gap had
     // nothing behind it at all): close the gap over everything consumed.
     for (std::uint64_t key : session_->take_skipped_keys()) {
       gap_.affected_paths.push_back(key);
@@ -104,7 +104,7 @@ void FetchClient::run_fetch_pass(bool force_gap) {
           discard_partial_round();
           session_->resync();
         }
-        // Captured BEFORE the feed: the envelope whose round mark
+        // Captured BEFORE the feed: the envelope whose round close
         // completes a resync is itself consumed by the skip walk, so it
         // belongs in the gap range — checking resyncing() afterwards
         // would exclude it and let a round the walk swallowed whole pass
@@ -154,7 +154,7 @@ bool FetchClient::feed_payload(std::uint64_t sequence,
       }
       // Corrupt content behind a valid MAC: the producer round it sits in
       // is unrecoverable.  Open (or extend) a gap and resync; the second
-      // attempt re-walks this payload in skip mode to find a round mark
+      // attempt re-walks this payload in skip mode to find a round close
       // further in.
       ++stats_.fatal_errors;
       begin_gap(sequence, core::RoundGap::Cause::kCorrupt);
@@ -163,7 +163,7 @@ bool FetchClient::feed_payload(std::uint64_t sequence,
       session_->resync();
     }
   }
-  // The skip walk itself threw: the payload's section framing is beyond
+  // The skip walk itself threw: the payload's item framing is beyond
   // saving.  Swallow it whole into the gap and stay resyncing.
   session_->resync();
   return true;
@@ -213,7 +213,7 @@ void FetchClient::deliver_and_ack() {
     ++stats_.deliveries;
     on_rounds_(std::move(groups));
   }
-  // Ack even a delivery-empty boundary (a bare round mark, or a round
+  // Ack even a delivery-empty boundary (a bare round close, or a round
   // fully swallowed by a gap): the cursor must advance past consumed
   // sequences or they are re-fetched forever — the "stuck cursor" the
   // soak asserts against.

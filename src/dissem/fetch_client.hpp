@@ -11,7 +11,7 @@
 //   * feeds the Session only CONTIGUOUS sequences; a missing sequence gets
 //     `gap_patience_polls` polls to fill in (the store files reordered and
 //     delayed arrivals into place), and only then becomes a typed
-//     core::RoundGap — resynchronized at the next round mark, reported to
+//     core::RoundGap — resynchronized at the next round close, reported to
 //     the gap handler, never silently dropped;
 //   * payloads that fail decode FATALLY (corrupt content behind a valid
 //     MAC) open a kCorrupt gap and resync the same way; TRANSIENT errors

@@ -1,53 +1,47 @@
 // The processor module's receipt egress: a core::ReceiptSink that encodes
-// every drained path as receipt_batch wire batches and seals them into
-// sequenced, authenticated envelopes (§2.3 dissemination, §7.1 bandwidth
-// arithmetic).
+// every drained path as an entry of core/receipt_batch's HOP-round layout
+// and seals the entries into sequenced, authenticated envelopes (§2.3
+// dissemination, §7.1 bandwidth arithmetic).
+//
+// Rounds: the paths one drain streams, in ascending index order, form one
+// reporting round.  end_round() closes it, and so does a path index that
+// does not ascend (the next drain restarting at a lower index, or a
+// pipeline's next collector element).  Each close carries the digest of
+// the (index, path identity) pairs the round shipped, which the importer
+// checks against its own path table.
 //
 // Streaming posture: the exporter buffers ONE chunk and nothing else, so a
 // 100k-path drain exports in memory bounded by the chunk size — constant
-// in the path count.  Each section is encoded straight into the open
-// chunk: the codec computes a batch's size before writing it, so the size
-// trigger fires before any byte is written.  Sealing back-patches the
-// chunk header's section count and moves the buffer into the envelope,
-// whose MAC is computed in place.  Chunks roll on two triggers:
-//
-//   * size — a section that would push the chunk payload past
-//     max_chunk_bytes seals the current chunk first (a single section
-//     larger than the cap still ships, as an oversized chunk, and is
-//     counted in stats().oversized_sections);
-//   * epoch — receipt_batch times are 3-byte microsecond offsets from a
-//     per-batch epoch (~16.7 s of span).  Sample receipts are split at
-//     sampling-round boundaries and aggregate runs at receipt boundaries
-//     whenever the next record would not fit its batch's epoch range, so
-//     arbitrarily long drains encode without widening the paper's record
-//     format.  (A single round or aggregate spanning more than the epoch
-//     range cannot be represented at all; the batch codec throws
-//     std::invalid_argument before writing the batch, which the exporter
-//     propagates — the processor must drain at least once per epoch
-//     range, the paper's 1 s reporting period being far inside it.)
+// in the path count.  Each entry is sized before it is written and then
+// encoded straight into the open chunk; sealing back-patches the chunk's
+// item count and moves the buffer into the envelope, whose MAC is
+// computed in place.  An entry never straddles two chunks: one that would
+// push the chunk past max_chunk_bytes seals the chunk first, and an entry
+// larger than the cap ships alone, as an oversized chunk (counted in
+// stats().oversized_sections).  A round that spans chunks opens a segment
+// in each, whose header repeats the round's thresholds, so every chunk
+// decodes on its own.
 //
 // Chunk payload layout (one Envelope payload per chunk):
 //
-//   u8  0x31 chunk tag
-//   u32 section count
-//   per section:
-//     u8  kind            0x32 sample batch | 0x33 aggregate batch
-//     u64 path key        (the batch's path, repeated so the importer can
-//                          resolve the PathId table entry BEFORE decoding)
-//     u32 batch length    (bytes of the receipt_batch encoding following)
-//     <receipt_batch encoding, exactly batch-length bytes>
+//   u8  0x35 chunk tag
+//   u32 item count (entries and round closes)
+//   core/receipt_batch segments holding exactly that many items
 //
-// Every path contributes its sample batch section(s) first (always at
-// least one, even when empty — an idle path's thresholds still ship),
-// then its aggregate batch section(s); a path's sections are contiguous
-// in the stream but may straddle a chunk boundary.
+// Receipt times are 3-byte microsecond offsets from a run epoch (~16.7 s
+// of span); the codec starts a new run where the next sampling round or
+// aggregate would not fit, so arbitrarily long drains encode.  A single
+// round or aggregate spanning more than the epoch range cannot be
+// represented at all: the codec throws core::WireLimitError before
+// writing the entry — the processor must drain at least once per epoch
+// range, the paper's 1 s reporting period being far inside it.
 #ifndef VPM_DISSEM_WIRE_EXPORTER_HPP
 #define VPM_DISSEM_WIRE_EXPORTER_HPP
 
 #include <cstdint>
 #include <functional>
-#include <span>
 
+#include "core/receipt_batch.hpp"
 #include "core/receipt_sink.hpp"
 #include "dissem/envelope.hpp"
 #include "net/wire.hpp"
@@ -56,19 +50,9 @@ namespace vpm::dissem {
 
 /// Wire framing constants shared with WireImporter (and the hostile-input
 /// suite).
-inline constexpr std::uint8_t kChunkTag = 0x31;
-inline constexpr std::uint8_t kSampleSectionKind = 0x32;
-inline constexpr std::uint8_t kAggregateSectionKind = 0x33;
-/// Round delimiter: an empty section (key 0, length 0) marking the end of
-/// one reporting round, so the importer can recognise the next drain's
-/// paths as a NEW round even when the first path key repeats immediately
-/// (single-path producers; sample-only rounds, which are otherwise
-/// indistinguishable from an epoch split of one round).
-inline constexpr std::uint8_t kRoundMarkKind = 0x34;
-/// Chunk header (tag + section count) and per-section header
-/// (kind + path key + batch length) bytes.
+inline constexpr std::uint8_t kChunkTag = 0x35;
+/// Chunk header bytes: tag + item count.
 inline constexpr std::size_t kChunkHeaderBytes = 1 + 4;
-inline constexpr std::size_t kSectionHeaderBytes = 1 + 8 + 4;
 /// Envelope framing around a chunk payload (tag + producer + sequence +
 /// length + MAC), for the B/packet accounting.
 inline constexpr std::size_t kEnvelopeOverheadBytes = 1 + 4 + 8 + 4 + 8;
@@ -78,7 +62,7 @@ class WireExporter final : public core::ReceiptSink {
   struct Config {
     DomainId producer = 0;
     DomainKey key = 0;
-    /// Target chunk payload bound (header + sections).  Bounds the
+    /// Target chunk payload bound (headers + items).  Bounds the
     /// exporter's resident buffer; also the dissemination unit a consumer
     /// fetches.
     std::size_t max_chunk_bytes = 64 * 1024;
@@ -95,22 +79,21 @@ class WireExporter final : public core::ReceiptSink {
   WireExporter(Config cfg, EnvelopeConsumer consumer);
 
   /// ReceiptSink: feed with MonitoringCache::drain_all(sink) /
-  /// ShardedCollector::drain(sink) / Pipeline::report(sink).  Encodes the
-  /// path's sections into the open chunk.  A drain the batch codec
-  /// rejects throws std::invalid_argument with part of the path already
-  /// buffered; the exporter then refuses every further call (on_drain,
-  /// end_round, flush, finish) with std::logic_error, so the partial path
-  /// is never sealed.  Throws std::logic_error after finish().
+  /// ShardedCollector::drain(sink) / Pipeline::report(sink).  Writes the
+  /// path's entry into the open chunk, first closing the round when
+  /// `path_index` does not exceed the round's last.  A drain the codec
+  /// rejects throws std::invalid_argument (core::WireLimitError for a
+  /// receipt the layout cannot represent) before its entry is written; the
+  /// exporter then refuses every further call (on_drain, end_round, flush,
+  /// finish) with std::logic_error.  Throws std::logic_error after
+  /// finish().
   void on_drain(std::size_t path_index, core::PathDrain drain) override;
 
-  /// Delimit a reporting round: appends a round-mark section after the
-  /// current drain's sections.  Call between consecutive drains streamed
-  /// through one exporter.  Idempotent until more receipts arrive; a
-  /// no-op before anything was exported.  Without a mark the importer
-  /// still detects a new round when a path key repeats at a sample
-  /// section (any multi-path drain, or a single-path round that shipped
-  /// aggregates) — the mark is REQUIRED only for single-path sample-only
-  /// rounds, which are otherwise indistinguishable from an epoch split.
+  /// Close the reporting round: appends a round close carrying the
+  /// round's digest.  Idempotent until more receipts arrive; a no-op
+  /// before anything was exported.  Without it, the next drain's first
+  /// index closes the round if it does not ascend; a consumer holding
+  /// rounds until they close (FetchClient) needs the close to deliver.
   void end_round();
 
   /// Seal and emit the current partial chunk NOW, without ending the
@@ -121,25 +104,31 @@ class WireExporter final : public core::ReceiptSink {
   /// after a rejected drain or after finish().
   void flush();
 
-  /// Seal and emit the final partial chunk (after a closing round mark).
-  /// Call once after the last drain; idempotent.  (Not run from the
-  /// destructor: sealing invokes the consumer, which must not happen
-  /// implicitly during unwinding.)  Periodic reporting: either stream
-  /// several consecutive drains through one exporter with end_round()
-  /// between them and finish() once, or use one exporter per period with
-  /// first_sequence = the previous exporter's next_sequence().
+  /// Close the round and seal the final partial chunk.  Call once after
+  /// the last drain; idempotent.  (Not run from the destructor: sealing
+  /// invokes the consumer, which must not happen implicitly during
+  /// unwinding.)  Periodic reporting: either stream several consecutive
+  /// drains through one exporter with end_round() between them and
+  /// finish() once, or use one exporter per period with first_sequence =
+  /// the previous exporter's next_sequence().
   void finish();
 
   struct Stats {
-    std::uint64_t paths = 0;
+    std::uint64_t paths = 0;  ///< entries written
     std::uint64_t sample_records = 0;
     std::uint64_t aggregate_receipts = 0;
-    std::uint64_t sample_batches = 0;     ///< sample sections written
-    std::uint64_t aggregate_batches = 0;  ///< aggregate sections written
-    std::uint64_t epoch_splits = 0;  ///< extra batches forced by epoch span
-    std::uint64_t chunks = 0;        ///< envelopes sealed
+    /// Round headers written: one per reporting round per chunk the round
+    /// spans.  (Named for the per-path sample batches they replaced.)
+    std::uint64_t sample_batches = 0;
+    /// Round closes written, each carrying its round's digest.
+    std::uint64_t aggregate_batches = 0;
+    /// Sample or aggregate runs past an entry's first of each kind,
+    /// forced by the 16.7 s epoch span.
+    std::uint64_t epoch_splits = 0;
+    std::uint64_t chunks = 0;          ///< envelopes sealed
     std::uint64_t payload_bytes = 0;   ///< chunk payload bytes shipped
     std::uint64_t envelope_bytes = 0;  ///< payloads + envelope framing
+    /// Entries larger than the chunk cap, each shipped alone.
     std::uint64_t oversized_sections = 0;
     /// High-water mark of the exporter's resident chunk buffer — the
     /// constant-memory claim, measured.
@@ -152,25 +141,21 @@ class WireExporter final : public core::ReceiptSink {
   }
 
  private:
-  /// Seals first when the section would overflow the chunk, writes the
-  /// chunk header (if the chunk is new) and the section header, and
-  /// returns the chunk for the `batch_bytes` of batch encoding.
-  net::ByteWriter& open_section(std::uint8_t kind, std::uint64_t path_key,
-                                std::size_t batch_bytes);
-  /// Counts the section once its batch is written; throws
-  /// std::logic_error if the batch's size differs from what was opened.
-  void close_section(std::uint8_t kind);
+  /// Makes room in the open chunk for an item of `item_bytes` that needs a
+  /// segment header when none is open: seals the chunk first when the
+  /// item would push it past the cap, then writes the chunk header and
+  /// the segment header (based at `base`) the item lands behind.  Returns
+  /// false, writing nothing, when it sealed: the item must be re-sized
+  /// against the fresh segment.
+  bool make_room(std::size_t item_bytes, net::Timestamp base);
+  /// Records a written item in the chunk's count and the buffer peak.
+  void wrote_item();
+  void close_round();
   /// Seals the open chunk into an envelope for the consumer.  A chunk
   /// sealed short of the cap (flush, finish) can hold up to half its
   /// buffer spare; `trim` drops it, since the buffer becomes a payload a
   /// store may retain.
   void seal_chunk(bool trim);
-  void export_samples(const core::SampleReceipt& samples, std::uint64_t key);
-  void write_sample_batch(const core::SampleReceipt& samples,
-                          std::span<const core::SampleRecord> records,
-                          std::uint64_t key);
-  void write_aggregate_batch(std::span<const core::AggregateReceipt> run,
-                             std::uint64_t key);
   /// Throws std::logic_error naming `call` after finish(), during a drain
   /// (a re-entrant envelope consumer) or after a rejected drain.
   void require_usable(const char* call) const;
@@ -179,18 +164,22 @@ class WireExporter final : public core::ReceiptSink {
   EnvelopeConsumer consumer_;
   std::uint64_t sequence_;
 
-  /// The open chunk: header, then its sections (empty between chunks).
+  /// The open chunk: header, then its items (empty between chunks).
   net::ByteWriter chunk_;
-  std::uint32_t section_count_ = 0;
-  std::size_t section_end_ = 0;  ///< chunk size once the open batch is in
+  std::uint32_t item_count_ = 0;
+
+  /// The open round: its thresholds and the open segment's base time.
+  core::RoundHeader header_;
+  bool round_open_ = false;    ///< entries written since the last close
+  bool segment_open_ = false;  ///< the open chunk holds the round's header
+  std::size_t round_next_ = 0;    ///< lowest index that continues the round
+  std::size_t segment_next_ = 0;  ///< last index in the segment + 1, or 0
+  std::uint64_t digest_ = core::kRoundDigestSeed;
 
   /// Set while on_drain encodes a path; left set when the codec rejects
   /// the drain, which leaves the exporter unusable.
   bool in_path_ = false;
   bool finished_ = false;
-  /// True while the last emitted section is a round mark (or nothing was
-  /// emitted yet): end_round() is then a no-op.
-  bool at_round_boundary_ = true;
 
   Stats stats_;
 };

@@ -3,7 +3,7 @@
 // per-path receipt drains the producer's collector emitted — the byte-level
 // inverse of WireExporter, closing the loop
 //
-//   collector drain -> wire batches -> sealed envelopes -> store ->
+//   collector drain -> wire entries -> sealed envelopes -> store ->
 //   recovered drains -> PathVerifier.
 //
 // Recovery is exact up to the wire format's 1 µs time quantisation: a
@@ -11,9 +11,9 @@
 // `==`-equal (the round-trip equivalence suite pins this).
 //
 // Input is hostile (receipts cross trust boundaries, §4): every structural
-// violation — unknown chunk/section tags, truncation, section length
-// mismatches, unknown or revisited path keys, aggregate sections before a
-// path's sample batch, split batches that disagree on thresholds — raises
+// violation — an unknown chunk tag, truncation, an entry length that does
+// not match its body, a path index past the table or not ascending within
+// a round, a round digest the table does not reproduce — raises
 // net::WireError and never corrupts the sink stream: a sink only ever
 // receives whole paths, each in one on_drain call.
 #ifndef VPM_DISSEM_WIRE_IMPORTER_HPP
@@ -21,9 +21,9 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "core/receipt_batch.hpp"
 #include "core/receipt_sink.hpp"
 #include "core/verifier.hpp"
 #include "dissem/receipt_store.hpp"
@@ -33,11 +33,12 @@ namespace vpm::dissem {
 
 class WireImporter {
  public:
-  /// `paths` is the consumer's PathId table in global path index order
-  /// (announced out of band, exactly like the encode/decode contract of
-  /// core/receipt_batch).  Wire path keys resolve against it; recovered
-  /// drains are tagged with the matching index.  Throws
-  /// std::invalid_argument on duplicate path keys.
+  /// `paths` is the consumer's PathId table in the producer's global path
+  /// index order (announced out of band).  Wire entries name paths by
+  /// index into it; each round's close carries a digest of the indices
+  /// and full PathIds the producer shipped, so a table that differs — for
+  /// another HOP, or permuted — fails at the first round close with a
+  /// fatal net::WireError.
   explicit WireImporter(std::vector<net::PathId> paths);
 
   /// Decode every accepted chunk from `producer` in sequence order,
@@ -45,10 +46,11 @@ class WireImporter {
   /// as the collector drains do) — constant memory in the number of
   /// paths and chunks.  A producer that reports periodically ships
   /// several drains through one envelope sequence; each round's paths are
-  /// emitted as their own drains, in shipped order (a fresh sample
-  /// section for an already-imported path starts the next round).  Throws
+  /// emitted as their own drains, in shipped order.  Throws
   /// net::WireError on malformed input; the sink then holds exactly the
-  /// paths completed before the error.
+  /// paths decoded before the error — including, when the error is a
+  /// round digest mismatch, that round's paths (FetchClient delivers only
+  /// closed rounds, so it never hands those on).
   void import_into(const ReceiptStore& store, DomainId producer,
                    core::ReceiptSink& sink) const;
 
@@ -83,80 +85,66 @@ class WireImporter {
   ///     session.feed(payload); last = seq; });
   ///   store.ack(me, producer, last);
   ///
-  /// A path whose sections straddle a chunk (and therefore fetch)
-  /// boundary reassembles exactly as in the one-shot import, because the
-  /// assembly state persists between feeds.  Call finish() at true
-  /// end-of-stream to close a trailing path (a stream whose producer
-  /// ends every round with end_round() is already closed).  The parent
-  /// importer and sink must outlive the session.
+  /// A round that spans chunks (and therefore fetches) decodes exactly as
+  /// in the one-shot import, because the round state (its last index and
+  /// running digest) persists between feeds.  Call finish() at true
+  /// end-of-stream.  The parent importer and sink must outlive the
+  /// session.
   class Session {
    public:
     Session(const WireImporter& importer, core::ReceiptSink& sink);
 
-    /// Decode one accepted chunk payload.  Error handling is two-tier
-    /// (ISSUE 6): a payload whose section framing does not byte-complete
-    /// (a truncated fetch) throws a TRANSIENT net::WireError *before any
-    /// state is touched* — the session stays usable and the same feed
-    /// retried with the full payload decodes normally.  A structurally
-    /// complete payload that fails decode throws a FATAL WireError and
-    /// POISONS the session: the open path's assembly may be half mutated
-    /// (it never reaches the sink; paths the payload completed before the
-    /// error already did, whole), so feed()/finish() then throw
-    /// std::logic_error until resync() abandons the damaged round.
+    /// Decode one accepted chunk payload.  Error handling is two-tier: a
+    /// payload whose item framing does not byte-complete (a truncated
+    /// fetch) throws a TRANSIENT net::WireError *before any state is
+    /// touched* — the session stays usable and the same feed retried with
+    /// the full payload decodes normally.  A structurally complete payload
+    /// that fails decode throws a FATAL WireError and POISONS the session:
+    /// the failing entry never reaches the sink (entries the payload
+    /// decoded before the error already did, whole), and feed()/finish()
+    /// then throw std::logic_error until resync() abandons the damaged
+    /// round.
     void feed(std::span<const std::byte> payload);
 
-    /// Close the path left open by a stream that did not end at a round
-    /// boundary.  Idempotent; feed() after finish() throws, and finish()
-    /// on a poisoned session throws rather than emit the half-decoded
-    /// assembly.
+    /// End the stream.  Idempotent; feed() after finish() throws, and so
+    /// does finish() on a poisoned session.
     void finish();
 
-    /// Gap recovery: discard the in-progress assembly (and clear poison)
-    /// and skip every subsequent section until the next explicit round
-    /// mark, where normal decoding resumes.  Call after a FATAL feed()
-    /// (corrupt content) or after envelopes were lost upstream and the
-    /// next available payload may start mid-round.  Path keys whose
-    /// sections are discarded accumulate for take_skipped_keys(), so the
-    /// caller can attribute the gap.  Throws after finish().
+    /// Gap recovery: abandon the open round (and clear poison) and skip
+    /// every subsequent entry until the next round close, where normal
+    /// decoding resumes.  Call after a FATAL feed() (corrupt content) or
+    /// after envelopes were lost upstream and the next available payload
+    /// may start mid-round.  Path keys whose entries are discarded
+    /// accumulate for take_skipped_keys(), so the caller can attribute the
+    /// gap.  Throws after finish().
     void resync();
 
-    /// True while resync() is still hunting for the next round mark.
+    /// True while resync() is still hunting for the next round close.
     [[nodiscard]] bool resyncing() const noexcept { return skipping_; }
 
     /// True after a fatal decode error, until resync().
     [[nodiscard]] bool poisoned() const noexcept { return poisoned_; }
 
     /// True when the stream sits exactly on a reporting-round boundary:
-    /// nothing half assembled, not poisoned, not resyncing.  After a
-    /// feed() this holds iff the payload ended with a round mark — the
-    /// safe point for a consumer to deliver buffered rounds and ack
-    /// (crash-resume alignment).
+    /// no round open, not poisoned, not resyncing.  After a feed() this
+    /// holds iff the payload ended with a round close — the safe point for
+    /// a consumer to deliver buffered rounds and ack (crash-resume
+    /// alignment).
     [[nodiscard]] bool at_round_boundary() const noexcept {
-      return !cur_.active && !poisoned_ && !skipping_;
+      return !in_round_ && !poisoned_ && !skipping_;
     }
 
-    /// Wire path keys of sections discarded by resync skipping (deduped,
-    /// ascending), including a half-assembled path abandoned by resync()
-    /// itself.  Draining resets the list.
+    /// Wire path keys of entries discarded by resync skipping (deduped,
+    /// ascending), including the entry whose decode poisoned the session.
+    /// Draining resets the list.
     [[nodiscard]] std::vector<std::uint64_t> take_skipped_keys();
 
    private:
-    /// Per-stream assembly: a path's sections are contiguous (possibly
-    /// straddling chunk boundaries), sample batches first; the whole path
-    /// accumulates here and reaches the sink once, from close_path().
-    struct Assembly {
-      bool active = false;
-      std::size_t index = 0;
-      std::uint64_t key = 0;
-      core::PathDrain drain;
-      bool have_samples = false;   ///< at least one sample section decoded
-      /// An aggregate section (even an empty one) decoded: a further
-      /// sample section for this path starts the producer's next round.
-      bool in_aggregates = false;
-    };
-
-    void close_path();
     void decode_chunk(std::span<const std::byte> payload);
+    /// The index `step` names after the segment's previous entry; throws
+    /// WireError past the table.
+    std::size_t index_of(std::uint64_t step) const;
+    void end_round();
     void note_skipped(std::uint64_t key);
     /// Sorts and dedupes skipped_keys_, merging what was noted since the
     /// last compaction into the sorted prefix.
@@ -167,19 +155,25 @@ class WireImporter {
 
     const WireImporter* importer_;
     core::ReceiptSink* sink_;
-    Assembly cur_;
-    std::vector<bool> seen_;  ///< paths already imported this round
+    core::RoundHeader header_;  ///< the open segment's
+    std::size_t segment_next_ = 0;  ///< last index in the segment + 1, or 0
+    bool in_round_ = false;         ///< entries decoded since the last close
+    std::size_t round_next_ = 0;    ///< lowest index that continues the round
+    std::uint64_t digest_ = core::kRoundDigestSeed;
+    static constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
+    /// The entry being decoded, named by resync() if its decode failed.
+    std::size_t decoding_ = kNoEntry;
     /// Keys in skip order, sorted and deduped up to the last compaction.
     std::vector<std::uint64_t> skipped_keys_;
     std::size_t skipped_compacted_ = 0;  ///< size after the last compaction
     bool finished_ = false;
     bool poisoned_ = false;  ///< a fatal feed() threw mid-chunk
-    bool skipping_ = false;  ///< resync() active: discard to next mark
+    bool skipping_ = false;  ///< resync() active: discard to next close
   };
 
  private:
   std::vector<net::PathId> paths_;
-  std::unordered_map<std::uint64_t, std::size_t> index_of_;
+  std::vector<std::uint64_t> identities_;  ///< of paths_[i], for digests
 };
 
 }  // namespace vpm::dissem

@@ -1,5 +1,5 @@
 // Bounds-checked binary serialization primitives for the receipt wire
-// format (little-endian, fixed-width fields).
+// format: little-endian fixed-width fields and LEB128 varints.
 //
 // Receipts cross trust boundaries — a verifier parses receipts produced by
 // *other domains* (Section 4), so the reader must treat input as hostile:
@@ -20,6 +20,28 @@
 #include <vector>
 
 namespace vpm::net {
+
+/// A varint carries 7 bits per byte, so 64 bits need at most 10 bytes.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Bytes ByteWriter::varint writes for `v`.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+/// Zigzag mapping of a signed value onto an unsigned one, so small
+/// magnitudes of either sign encode as short varints (0, -1, 1, -2, ... ->
+/// 0, 1, 2, 3, ...).
+[[nodiscard]] constexpr std::uint64_t zigzag(std::int64_t v) noexcept {
+  return (static_cast<std::uint64_t>(v) << 1) ^
+         static_cast<std::uint64_t>(v >> 63);
+}
+[[nodiscard]] constexpr std::int64_t unzigzag(std::uint64_t v) noexcept {
+  return static_cast<std::int64_t>(v >> 1) ^
+         -static_cast<std::int64_t>(v & 1);
+}
 
 /// Raised on truncated or malformed wire input.
 ///
@@ -62,6 +84,18 @@ class ByteWriter {
   void u32(std::uint32_t v) { put_le<4>(v); }
   void u64(std::uint64_t v) { put_le<8>(v); }
   void i64(std::int64_t v) { put_le<8>(static_cast<std::uint64_t>(v)); }
+  /// Unsigned LEB128: seven bits per byte, lowest group first, the high
+  /// bit set on every byte but the last.
+  void varint(std::uint64_t v) {
+    std::array<std::byte, kMaxVarintBytes> b{};
+    std::size_t n = 0;
+    for (; v >= 0x80; v >>= 7) {
+      b[n++] = static_cast<std::byte>((v & 0x7Fu) | 0x80u);
+    }
+    b[n++] = static_cast<std::byte>(v);
+    buf_.insert(buf_.end(), b.begin(),
+                b.begin() + static_cast<std::ptrdiff_t>(n));
+  }
   void bytes(std::span<const std::byte> data) {
     buf_.insert(buf_.end(), data.begin(), data.end());
   }
@@ -125,6 +159,23 @@ class ByteReader {
   [[nodiscard]] std::uint64_t u64() { return get_le<8>(); }
   [[nodiscard]] std::int64_t i64() {
     return static_cast<std::int64_t>(get_le<8>());
+  }
+  /// Unsigned LEB128 (see ByteWriter::varint).  Input that ends inside the
+  /// varint is a TRANSIENT truncation; a varint longer than 10 bytes, or
+  /// whose tenth byte carries bits past the 64th, is FATAL.
+  [[nodiscard]] std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
+      expect_at_least(1);
+      const auto b = std::to_integer<std::uint8_t>(data_[pos_++]);
+      if (i == kMaxVarintBytes - 1) {
+        if ((b & 0x80u) != 0) throw WireError("varint longer than 10 bytes");
+        if (b > 1) throw WireError("varint wider than 64 bits");
+      }
+      v |= static_cast<std::uint64_t>(b & 0x7Fu) << (7 * i);
+      if ((b & 0x80u) == 0) break;
+    }
+    return v;
   }
 
   /// Advance past `n` bytes without decoding them (bounds-checked) — for

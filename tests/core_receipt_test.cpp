@@ -1,8 +1,8 @@
-// Tests for receipts: combination operators (Section 4) and the batched
-// dissemination format whose marginal sizes drive the §7.1 bandwidth
-// accounting.
+// Tests for receipts: combination operators (Section 4) and the wire
+// entries whose marginal sizes drive the §7.1 bandwidth accounting.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/receipt.hpp"
@@ -101,35 +101,68 @@ TEST(ReceiptCombination, AggregatesRejectEmptyAndMixedPaths) {
   EXPECT_THROW((void)combine_aggregates(mixed), std::invalid_argument);
 }
 
-// ------------------------------------------------------------ Batch format
+// ------------------------------------------------------------ Wire entries
+
+RoundHeader header_for(const SampleReceipt& r) {
+  return RoundHeader{.sample_threshold = r.sample_threshold,
+                     .marker_threshold = r.marker_threshold,
+                     .base = net::Timestamp{1'000'000}};
+}
+
+PathDrain drain_of(SampleReceipt samples,
+                   std::vector<AggregateReceipt> aggregates = {}) {
+  return PathDrain{.samples = std::move(samples),
+                   .aggregates = std::move(aggregates)};
+}
+
+std::size_t entry_bytes(const PathDrain& d) {
+  return size_entry(1, d, header_for(d.samples)).bytes();
+}
+
+/// Encodes `d` as a segment's first entry and decodes it back.
+PathDrain round_trip(const PathDrain& d, const RoundHeader& h) {
+  const SizedEntry e = size_entry(1, d, h);
+  net::ByteWriter w;
+  encode_entry(e, d, h, w);
+  EXPECT_EQ(w.size(), e.bytes());
+  net::ByteReader reader(w.view());
+  const Item item = read_item(reader);
+  EXPECT_TRUE(reader.done());
+  EXPECT_FALSE(item.close);
+  EXPECT_EQ(item.step, 1u);
+  return decode_entry(item, d.samples.path, h);
+}
 
 TEST(ReceiptBatch, SampleBatchRoundTrips) {
-  const SampleReceipt r = sample_receipt({3, 0, 7, 1});
-  net::ByteWriter w;
-  encode_sample_batch(r, r.samples, r.path.path_key(), w);
-  net::ByteReader reader(w.view());
-  const SampleReceipt back =
-      decode_sample_batch(reader, r.path, r.path.path_key());
-  EXPECT_EQ(back.samples, r.samples);
-  EXPECT_EQ(back.sample_threshold, r.sample_threshold);
-  EXPECT_TRUE(reader.done());
+  const PathDrain d = drain_of(sample_receipt({3, 0, 7, 1}));
+  EXPECT_EQ(round_trip(d, header_for(d.samples)), d);
+  // A path whose thresholds differ from the round header's carries its
+  // own, and only that path pays for them.
+  RoundHeader other = header_for(d.samples);
+  other.sample_threshold += 1;
+  EXPECT_EQ(round_trip(d, other), d);
+  EXPECT_EQ(size_entry(1, d, other).bytes(), entry_bytes(d) + 8);
 }
 
 TEST(ReceiptBatch, SampleMarginalCostIsSevenBytes) {
   // The paper's 7 B per record (4 B PktID + 3 B time): adding one
-  // follower to a round grows the batch by exactly 7 bytes.
-  const std::size_t small = sample_batch_size(sample_receipt({3}).samples);
-  const std::size_t bigger = sample_batch_size(sample_receipt({4}).samples);
+  // follower to a round grows the entry by exactly 7 bytes.
+  const std::size_t small = entry_bytes(drain_of(sample_receipt({3})));
+  const std::size_t bigger = entry_bytes(drain_of(sample_receipt({4})));
   EXPECT_EQ(bigger - small, kSampleRecordBytes);
 }
 
 TEST(ReceiptBatch, SampleBatchRejectsTrailingNonMarkers) {
   SampleReceipt r = sample_receipt({2});
   r.samples.push_back(SampleRecord{999, r.samples.back().time, false});
-  net::ByteWriter w;
-  EXPECT_THROW(encode_sample_batch(r, r.samples, r.path.path_key(), w),
-               std::invalid_argument);
-  EXPECT_EQ(w.size(), 0u) << "a rejected batch writes nothing";
+  const PathDrain d = drain_of(r);
+  try {
+    (void)size_entry(1, d, header_for(r));
+    ADD_FAILURE() << "a trailing round without its marker must throw";
+  } catch (const WireLimitError&) {
+    ADD_FAILURE() << "a malformed receipt is not a program limit";
+  } catch (const std::invalid_argument&) {
+  }
 }
 
 TEST(ReceiptBatch, AggregateBatchRoundTrips) {
@@ -139,18 +172,16 @@ TEST(ReceiptBatch, AggregateBatchRoundTrips) {
   };
   rs[0].trans.before = {7, 8};
   rs[0].trans.after = {20, 21};
-  net::ByteWriter w;
-  encode_aggregate_batch(rs, rs[0].path.path_key(), w);
-  net::ByteReader reader(w.view());
-  const auto back =
-      decode_aggregate_batch(reader, rs[0].path, rs[0].path.path_key());
-  ASSERT_EQ(back.size(), rs.size());
-  EXPECT_EQ(back[0], rs[0]);
-  EXPECT_EQ(back[1], rs[1]);
+  SampleReceipt idle = sample_receipt({});
+  const PathDrain d = drain_of(idle, rs);
+  EXPECT_EQ(round_trip(d, header_for(idle)), d);
+  const PathDrain with_samples = drain_of(sample_receipt({2, 1}), rs);
+  EXPECT_EQ(round_trip(with_samples, header_for(with_samples.samples)),
+            with_samples);
 }
 
 TEST(ReceiptBatch, AggregateMarginalCostIs22Bytes) {
-  // The paper quotes 22-byte receipts; our batch format lands on exactly
+  // The paper quotes 22-byte receipts; the entry layout lands on exactly
   // that marginal size for a basic (no-AggTrans) aggregate receipt.
   std::vector<AggregateReceipt> two = {
       agg_receipt(11, 19, 1000, 0, 900),
@@ -158,21 +189,52 @@ TEST(ReceiptBatch, AggregateMarginalCostIs22Bytes) {
   };
   std::vector<AggregateReceipt> three = two;
   three.push_back(agg_receipt(30, 39, 500, 1901, 2500));
-  EXPECT_EQ(aggregate_batch_size(three) - aggregate_batch_size(two),
+  const SampleReceipt samples = sample_receipt({1});
+  EXPECT_EQ(entry_bytes(drain_of(samples, three)) -
+                entry_bytes(drain_of(samples, two)),
             kAggregateRecordBytes);
 }
 
 TEST(ReceiptBatch, RejectsOverlongSpan) {
+  // One sampling round longer than the 16.7 s offset span cannot be
+  // split: a program limit, not a malformed receipt.
   SampleReceipt r = sample_receipt({1});
-  r.samples.back().time += net::seconds(20);  // beyond the 16.7 s u24 span
-  net::ByteWriter w;
-  EXPECT_THROW(encode_sample_batch(r, r.samples, r.path.path_key(), w),
-               std::invalid_argument);
+  r.samples.back().time += net::seconds(20);
+  EXPECT_THROW((void)size_entry(1, drain_of(r), header_for(r)),
+               WireLimitError);
+  // An aggregate open for longer likewise.
+  const std::vector<AggregateReceipt> long_agg = {
+      agg_receipt(1, 2, 10, 0, 20'000'000)};
+  EXPECT_THROW((void)size_entry(1, drain_of(sample_receipt({}), long_agg),
+                                header_for(r)),
+               WireLimitError);
+  // Rounds 5 s apart span it together, and split into runs instead.
+  SampleReceipt spread = sample_receipt({1, 1, 1, 1, 1});
+  for (std::size_t i = 0; i < spread.samples.size(); ++i) {
+    const auto round = static_cast<std::int64_t>(i / 2);
+    spread.samples[i].time += net::seconds(5 * round);
+  }
+  const SizedEntry e = size_entry(1, drain_of(spread), header_for(spread));
+  EXPECT_EQ(e.epoch_splits, 1u);
+  EXPECT_EQ(round_trip(drain_of(spread), header_for(spread)), drain_of(spread));
 }
 
 TEST(ReceiptBatch, RejectsEmptyAggregateBatch) {
+  // A run of zero aggregates that claims another run follows: no encoder
+  // writes it, so the decoder rejects it.
+  const SampleReceipt idle = sample_receipt({});
+  net::ByteWriter body;
+  body.varint(0);  // no sample runs
+  body.varint(1);  // an empty aggregate run, "more" set
+  body.varint(0);
   net::ByteWriter w;
-  EXPECT_THROW(encode_aggregate_batch({}, 0, w), std::invalid_argument);
+  w.varint(1 << 1);
+  w.varint(body.size());
+  w.bytes(body.view());
+  net::ByteReader reader(w.view());
+  const Item item = read_item(reader);
+  EXPECT_THROW((void)decode_entry(item, idle.path, header_for(idle)),
+               net::WireError);
 }
 
 }  // namespace

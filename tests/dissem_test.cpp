@@ -241,9 +241,12 @@ TEST(ReceiptStore, EndToEndReceiptBatchDelivery) {
   const auto aggs = monitor.collect_aggregates(true);
 
   net::ByteWriter payload;
-  const std::uint64_t key = samples.path.path_key();
-  core::encode_sample_batch(samples, samples.samples, key, payload);
-  core::encode_aggregate_batch(aggs, key, payload);
+  const core::PathDrain drain{.samples = samples, .aggregates = aggs};
+  const core::RoundHeader header{.sample_threshold = samples.sample_threshold,
+                                 .marker_threshold = samples.marker_threshold,
+                                 .base = net::Timestamp{}};
+  core::encode_entry(core::size_entry(1, drain, header), drain, header,
+                     payload);
 
   ReceiptStore store;
   store.register_producer(1, 0xC0FFEE);
@@ -256,11 +259,11 @@ TEST(ReceiptStore, EndToEndReceiptBatchDelivery) {
   const auto payloads = store.payloads_from(1);
   ASSERT_EQ(payloads.size(), 1u);
   net::ByteReader reader(payloads[0]);
-  const core::SampleReceipt got_samples =
-      core::decode_sample_batch(reader, samples.path, key);
-  const auto got_aggs =
-      core::decode_aggregate_batch(reader, samples.path, key);
+  const core::PathDrain got =
+      core::decode_entry(core::read_item(reader), samples.path, header);
   EXPECT_TRUE(reader.done());
+  const core::SampleReceipt& got_samples = got.samples;
+  const auto& got_aggs = got.aggregates;
   // Times quantise to 1 us on the wire; everything else is exact.
   ASSERT_EQ(got_samples.samples.size(), samples.samples.size());
   for (std::size_t i = 0; i < samples.samples.size(); ++i) {

@@ -2,11 +2,10 @@
 // names when a reporting round cannot be delivered.  run_scenario routes
 // report_gap by RoundGap::affected_paths, so the exact set matters.
 //
-// The producer here exports with a one-byte chunk cap, so every section
-// ships in its own envelope and every path with aggregates straddles two
-// envelopes.  Each round is: path p's sample section, then its aggregate
-// section, for p = 0..3, then the round mark — 9 envelopes.  Round r
-// (0-based) therefore occupies sequences 9r + 1 .. 9r + 9.
+// The producer here exports with a one-byte chunk cap, so every item
+// ships in its own envelope.  Each round is: path p's entry for
+// p = 0..3, then the round close — 5 envelopes.  Round r (0-based)
+// therefore occupies sequences 5r + 1 .. 5r + 5.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +29,7 @@ constexpr dissem::DomainId kProducer = 4;
 constexpr dissem::DomainKey kKey = 0xABCD;
 constexpr std::size_t kPaths = 4;
 constexpr std::size_t kRounds = 3;
-constexpr std::uint64_t kEnvelopesPerRound = 2 * kPaths + 1;
+constexpr std::uint64_t kEnvelopesPerRound = kPaths + 1;
 
 std::vector<net::PathId> path_table() {
   std::vector<net::PathId> out;
@@ -74,7 +73,7 @@ core::PathDrain drain_for(const net::PathId& id, std::size_t round) {
   return d;
 }
 
-/// The producer's whole stream, one envelope per section.
+/// The producer's whole stream, one envelope per item.
 std::vector<dissem::Envelope> export_rounds(
     const std::vector<net::PathId>& table) {
   std::vector<dissem::Envelope> out;
@@ -155,23 +154,22 @@ TEST(FetchClientGap, LostEnvelopesNameThePathsDecodedAroundThem) {
   const std::vector<dissem::Envelope> envelopes = export_rounds(table);
   ASSERT_EQ(envelopes.size(), kRounds * kEnvelopesPerRound);
 
-  // Round 1 spans sequences 10..18.  Lose path 1's aggregate section (13)
-  // and both of path 2's sections (14, 15): path 1 is half decoded when
-  // the gap opens, path 2 vanishes whole with the lost envelopes.
-  const Consumed run = consume(table, envelopes, {13, 14, 15});
+  // Round 1 spans sequences 6..10.  Lose path 1's and path 2's entries
+  // (7, 8): both vanish whole with the lost envelopes.
+  const Consumed run = consume(table, envelopes, {7, 8});
 
   ASSERT_EQ(run.gaps.size(), 1u);
   const core::RoundGap& gap = run.gaps[0];
   EXPECT_EQ(gap.cause, core::RoundGap::Cause::kLost);
-  EXPECT_EQ(gap.first_sequence, 13u);
-  // The resync walk consumes path 3's sections and the round mark.
-  EXPECT_EQ(gap.last_sequence, 18u);
+  EXPECT_EQ(gap.first_sequence, 7u);
+  // The resync walk consumes path 3's entry and the round close.
+  EXPECT_EQ(gap.last_sequence, 10u);
   EXPECT_EQ(gap.producer, "X");
   EXPECT_EQ(gap.hop, 2u);
-  // Path 0 was decoded whole but its round never closed; path 1 was half
-  // decoded; path 3 was skipped by the resync walk.  Nothing arrived for
-  // path 2, so nothing names it.
-  EXPECT_EQ(gap.affected_paths, sorted_keys(table, {0, 1, 3}));
+  // Path 0 was decoded whole but its round never closed; path 3 was
+  // skipped by the resync walk.  Nothing arrived for paths 1 and 2, so
+  // nothing names them.
+  EXPECT_EQ(gap.affected_paths, sorted_keys(table, {0, 3}));
 
   EXPECT_EQ(run.delivered, rounds_zero_and_two(table));
 }
@@ -181,28 +179,26 @@ TEST(FetchClientGap, CorruptAggregateSectionNamesItsHalfDecodedPath) {
   std::vector<dissem::Envelope> envelopes = export_rounds(table);
   ASSERT_EQ(envelopes.size(), kRounds * kEnvelopesPerRound);
 
-  // Sequence 13 carries path 1's aggregate section; path 1's sample
-  // section (12) decodes first.  Flip the aggregate batch tag, the first
-  // byte after the chunk header (5 B) and the section header (13 B), and
-  // re-seal: the MAC and framing stay valid, so the decode error is fatal.
-  dissem::Envelope& victim = envelopes[12];
-  ASSERT_EQ(victim.sequence, 13u);
-  ASSERT_EQ(victim.payload[dissem::kChunkHeaderBytes],
-            std::byte{dissem::kAggregateSectionKind});
+  // Sequence 7 carries path 1's entry, which ends with its last
+  // aggregate's AggTrans "after" count (u16, high byte last).  Flip that
+  // byte and re-seal: the MAC and the item framing stay valid, so the
+  // decode error (a window past the entry's bytes) is fatal, and it fires
+  // half-way through the path's receipts.
+  dissem::Envelope& victim = envelopes[6];
+  ASSERT_EQ(victim.sequence, 7u);
   std::vector<std::byte> payload = victim.payload;
-  payload[dissem::kChunkHeaderBytes + dissem::kSectionHeaderBytes] ^=
-      std::byte{0xFF};
-  victim = dissem::seal(kProducer, 13, std::move(payload), kKey);
+  payload.back() ^= std::byte{0xFF};
+  victim = dissem::seal(kProducer, 7, std::move(payload), kKey);
 
   const Consumed run = consume(table, envelopes, {});
 
   ASSERT_EQ(run.gaps.size(), 1u);
   const core::RoundGap& gap = run.gaps[0];
   EXPECT_EQ(gap.cause, core::RoundGap::Cause::kCorrupt);
-  EXPECT_EQ(gap.first_sequence, 13u);
-  EXPECT_EQ(gap.last_sequence, 18u);
-  // Path 0 decoded whole in the cut round, path 1 half (its corrupt
-  // section is re-walked in skip mode), paths 2 and 3 skipped by resync.
+  EXPECT_EQ(gap.first_sequence, 7u);
+  EXPECT_EQ(gap.last_sequence, 10u);
+  // Path 0 decoded whole in the cut round, path 1 failed mid-entry,
+  // paths 2 and 3 skipped by resync.
   EXPECT_EQ(gap.affected_paths, sorted_keys(table, {0, 1, 2, 3}));
 
   EXPECT_EQ(run.delivered, rounds_zero_and_two(table));

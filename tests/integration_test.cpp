@@ -166,16 +166,21 @@ TEST(IntegrationWire, ReceiptsSurviveSerializationEndToEnd) {
     const auto aggs = monitor.collect_aggregates(true);
 
     net::ByteWriter wire;
-    const std::uint64_t key = samples.path.path_key();
-    core::encode_sample_batch(samples, samples.samples, key, wire);
-    core::encode_aggregate_batch(aggs, key, wire);
+    const core::PathDrain drain{.samples = samples, .aggregates = aggs};
+    const core::RoundHeader header{
+        .sample_threshold = samples.sample_threshold,
+        .marker_threshold = samples.marker_threshold,
+        .base = net::Timestamp{}};
+    core::encode_entry(core::size_entry(1, drain, header), drain, header,
+                       wire);
     net::ByteReader reader(wire.view());
+    core::PathDrain back =
+        core::decode_entry(core::read_item(reader), samples.path, header);
+    ASSERT_TRUE(reader.done());
     core::HopReceipts receipts;
     receipts.hop = hop_id;
-    receipts.samples = core::decode_sample_batch(reader, samples.path, key);
-    receipts.aggregates =
-        core::decode_aggregate_batch(reader, samples.path, key);
-    ASSERT_TRUE(reader.done());
+    receipts.samples = std::move(back.samples);
+    receipts.aggregates = std::move(back.aggregates);
     via_wire.add_hop(std::move(receipts));
   }
 

@@ -4,8 +4,10 @@
 
 #include <array>
 #include <cstddef>
+#include <limits>
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "net/bob_hash.hpp"
@@ -325,6 +327,74 @@ TEST(Wire, WriterBytesArePinned) {
   }
   EXPECT_EQ(got, expected);
   EXPECT_EQ(w.size(), expected.size());
+
+  // LEB128 varints at every width edge, and zigzag's sign edges.
+  const std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>>
+      varints = {
+          {0, {0x00}},
+          {127, {0x7F}},
+          {128, {0x80, 0x01}},
+          {16383, {0xFF, 0x7F}},
+          {16384, {0x80, 0x80, 0x01}},
+          {0xFFFFFFFFull, {0xFF, 0xFF, 0xFF, 0xFF, 0x0F}},
+          {~0ull,
+           {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}},
+      };
+  for (const auto& [value, bytes] : varints) {
+    ByteWriter v;
+    v.varint(value);
+    std::vector<std::uint8_t> out;
+    for (const std::byte b : v.view()) {
+      out.push_back(std::to_integer<std::uint8_t>(b));
+    }
+    EXPECT_EQ(out, bytes) << value;
+    EXPECT_EQ(varint_size(value), bytes.size()) << value;
+    ByteReader r(v.view());
+    EXPECT_EQ(r.varint(), value);
+    EXPECT_TRUE(r.done());
+  }
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<std::pair<std::int64_t, std::uint64_t>> zigzags = {
+      {0, 0}, {-1, 1}, {1, 2}, {-2, 3}, {kMax, ~1ull}, {kMin, ~0ull}};
+  for (const auto& [value, mapped] : zigzags) {
+    EXPECT_EQ(zigzag(value), mapped) << value;
+    EXPECT_EQ(unzigzag(mapped), value) << value;
+  }
+}
+
+TEST(Wire, HostileVarintsThrow) {
+  const auto read = [](std::vector<std::uint8_t> raw) {
+    std::vector<std::byte> bytes;
+    for (const std::uint8_t b : raw) bytes.push_back(std::byte{b});
+    ByteReader r(bytes);
+    (void)r.varint();
+  };
+  // Eleven bytes: ten continuation bytes before the last.
+  try {
+    read({0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00});
+    ADD_FAILURE() << "an 11-byte varint decoded";
+  } catch (const WireError& e) {
+    EXPECT_FALSE(e.transient());
+  }
+  // Ten bytes whose last carries bits past the 64th.
+  try {
+    read({0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02});
+    ADD_FAILURE() << "a 65-bit varint decoded";
+  } catch (const WireError& e) {
+    EXPECT_FALSE(e.transient());
+  }
+  // Input that ends inside the varint is a truncation, not corruption.
+  for (const std::vector<std::uint8_t>& cut :
+       {std::vector<std::uint8_t>{}, std::vector<std::uint8_t>{0x80},
+        std::vector<std::uint8_t>{0xFF, 0xFF, 0xFF}}) {
+    try {
+      read(cut);
+      ADD_FAILURE() << "an unterminated varint decoded";
+    } catch (const WireError& e) {
+      EXPECT_TRUE(e.transient());
+    }
+  }
 }
 
 TEST(Wire, TruncatedReadThrows) {

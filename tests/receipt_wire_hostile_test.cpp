@@ -1,10 +1,11 @@
 // Hostile-input hardening for the receipt wire formats: receipts cross
 // trust boundaries (§4), so every decoder must treat its input as
 // attacker-controlled.  This suite truncates valid encodings at EVERY byte
-// offset, corrupts counts and times, and walks the exporter's chunk
-// framing with the same malice — proving each malformed input raises
-// net::WireError (or std::invalid_argument at encode time) and never
-// over-reads or corrupts state (the ASan+UBSan CI job runs this suite).
+// offset, flips every byte, corrupts counts, times and indices, and feeds
+// consumers path tables that are not the producer's — proving each
+// malformed input raises net::WireError (or std::invalid_argument at
+// encode time) and never over-reads or corrupts state (the ASan+UBSan CI
+// job runs this suite).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/receipt_batch.hpp"
@@ -26,20 +28,26 @@
 namespace vpm {
 namespace {
 
-net::PathId test_path() {
+net::PathId test_path(std::uint32_t source = 0x0A000000u) {
   net::PathId id{};
   id.prefixes = trace::default_prefix_pair();
+  id.prefixes.source = net::Prefix(net::Ipv4Address(source), 16);
   id.previous_hop = 1;
   id.next_hop = 3;
   return id;
 }
 
-const std::uint64_t kKey = test_path().path_key();
+/// Three distinct paths, the table both ends of most streams here hold.
+std::vector<net::PathId> test_table() {
+  return {test_path(0x0A000000u), test_path(0x0B000000u),
+          test_path(0x0C000000u)};
+}
 
-core::SampleReceipt valid_samples(std::size_t rounds = 3,
+core::SampleReceipt valid_samples(const net::PathId& path = test_path(),
+                                  std::size_t rounds = 3,
                                   std::size_t followers = 2) {
   core::SampleReceipt r;
-  r.path = test_path();
+  r.path = path;
   r.sample_threshold = 1000;
   r.marker_threshold = 2000;
   net::Timestamp t{};
@@ -54,13 +62,14 @@ core::SampleReceipt valid_samples(std::size_t rounds = 3,
   return r;
 }
 
-std::vector<core::AggregateReceipt> valid_aggregates(std::size_t n = 3) {
+std::vector<core::AggregateReceipt> valid_aggregates(
+    const net::PathId& path = test_path(), std::size_t n = 3) {
   std::vector<core::AggregateReceipt> out;
   net::Timestamp t{};
   std::uint32_t pkt = 100;
   for (std::size_t i = 0; i < n; ++i) {
     core::AggregateReceipt r;
-    r.path = test_path();
+    r.path = path;
     r.agg = core::AggId{.first = pkt++, .last = pkt++};
     r.packet_count = 10 + static_cast<std::uint32_t>(i);
     r.opened_at = t;
@@ -73,46 +82,70 @@ std::vector<core::AggregateReceipt> valid_aggregates(std::size_t n = 3) {
   return out;
 }
 
-std::vector<std::byte> encode_sample(const core::SampleReceipt& r) {
+core::PathDrain valid_drain(const net::PathId& path = test_path()) {
+  return core::PathDrain{.samples = valid_samples(path),
+                         .aggregates = valid_aggregates(path)};
+}
+
+const core::RoundHeader kHeader{.sample_threshold = 1000,
+                                .marker_threshold = 2000,
+                                .base = net::Timestamp{}};
+
+/// `d` as a segment's first entry under kHeader.
+std::vector<std::byte> encode_entry(const core::PathDrain& d) {
   net::ByteWriter w;
-  core::encode_sample_batch(r, r.samples, r.path.path_key(), w);
+  core::encode_entry(core::size_entry(1, d, kHeader), d, kHeader, w);
   return std::move(w).take();
 }
 
-std::vector<std::byte> encode_aggregates(
-    std::span<const core::AggregateReceipt> rs) {
+/// Reads and decodes one entry from `bytes`; throws what the codec does.
+core::PathDrain decode_entry(std::span<const std::byte> bytes) {
+  net::ByteReader in(bytes);
+  const core::Item item = core::read_item(in);
+  return core::decode_entry(item, test_path(), kHeader);
+}
+
+/// An entry around a hand-built body.
+std::vector<std::byte> entry_around(const net::ByteWriter& body) {
   net::ByteWriter w;
-  core::encode_aggregate_batch(rs, rs.front().path.path_key(), w);
+  w.varint(1 << 1);
+  w.varint(body.size());
+  w.bytes(body.view());
   return std::move(w).take();
 }
 
 // --- truncation at every byte offset ------------------------------------
 
-TEST(ReceiptWireHostile, SampleBatchTruncationAtEveryOffsetThrows) {
-  const auto bytes = encode_sample(valid_samples());
-  const net::PathId id = test_path();
+void expect_every_prefix_throws(const core::PathDrain& d) {
+  const std::vector<std::byte> bytes = encode_entry(d);
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    net::ByteReader in(std::span<const std::byte>(bytes).first(len));
-    EXPECT_THROW((void)core::decode_sample_batch(in, id, kKey), net::WireError)
-        << "prefix length " << len;
-  }
-  net::ByteReader whole(bytes);
-  EXPECT_EQ(core::decode_sample_batch(whole, id, kKey), valid_samples());
-  EXPECT_TRUE(whole.done());
-}
-
-TEST(ReceiptWireHostile, AggregateBatchTruncationAtEveryOffsetThrows) {
-  const auto aggs = valid_aggregates();
-  const auto bytes = encode_aggregates(aggs);
-  const net::PathId id = test_path();
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    net::ByteReader in(std::span<const std::byte>(bytes).first(len));
-    EXPECT_THROW((void)core::decode_aggregate_batch(in, id, kKey),
+    EXPECT_THROW((void)decode_entry(std::span(bytes).first(len)),
                  net::WireError)
         << "prefix length " << len;
   }
-  net::ByteReader whole(bytes);
-  EXPECT_EQ(core::decode_aggregate_batch(whole, id, kKey), aggs);
+  // A body cut short inside a well-framed entry throws too.
+  net::ByteReader in(bytes);
+  const core::Item whole = core::read_item(in);
+  for (std::size_t len = 1; len < whole.body.size(); ++len) {
+    core::Item cut = whole;
+    cut.body = whole.body.first(len);
+    EXPECT_THROW((void)core::decode_entry(cut, test_path(), kHeader),
+                 net::WireError)
+        << "body length " << len;
+  }
+  EXPECT_EQ(decode_entry(bytes), d);
+}
+
+TEST(ReceiptWireHostile, SampleBatchTruncationAtEveryOffsetThrows) {
+  expect_every_prefix_throws(
+      core::PathDrain{.samples = valid_samples(), .aggregates = {}});
+}
+
+TEST(ReceiptWireHostile, AggregateBatchTruncationAtEveryOffsetThrows) {
+  core::SampleReceipt idle = valid_samples();
+  idle.samples.clear();
+  expect_every_prefix_throws(
+      core::PathDrain{.samples = idle, .aggregates = valid_aggregates()});
 }
 
 TEST(ReceiptWireHostile, EnvelopeTruncationAtEveryOffsetThrows) {
@@ -130,179 +163,231 @@ TEST(ReceiptWireHostile, EnvelopeTruncationAtEveryOffsetThrows) {
 
 // --- corrupted counts and fields ----------------------------------------
 
-// Flip every byte of a valid batch: the decoder must either throw
-// WireError/still parse — never crash or over-read (ASan enforces the
+// Flip every byte of a valid entry: the decoder must either throw
+// WireError or still parse — never crash or over-read (ASan enforces the
 // latter).  Parsed-but-different results are fine; authenticity is the
-// envelope MAC's job, not the batch parser's.
-TEST(ReceiptWireHostile, SampleBatchSingleByteCorruptionNeverOverReads) {
-  const auto bytes = encode_sample(valid_samples());
-  const net::PathId id = test_path();
+// envelope MAC's job, not the entry parser's.
+void flip_every_byte(const core::PathDrain& d) {
+  const std::vector<std::byte> bytes = encode_entry(d);
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     std::vector<std::byte> mutated = bytes;
     mutated[i] ^= std::byte{0xFF};
-    net::ByteReader in(mutated);
     try {
-      (void)core::decode_sample_batch(in, id, kKey);
+      (void)decode_entry(mutated);
     } catch (const net::WireError&) {
     }
   }
+}
+
+TEST(ReceiptWireHostile, SampleBatchSingleByteCorruptionNeverOverReads) {
+  flip_every_byte(
+      core::PathDrain{.samples = valid_samples(), .aggregates = {}});
 }
 
 TEST(ReceiptWireHostile, AggregateBatchSingleByteCorruptionNeverOverReads) {
-  const auto bytes = encode_aggregates(valid_aggregates());
-  const net::PathId id = test_path();
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    std::vector<std::byte> mutated = bytes;
-    mutated[i] ^= std::byte{0xFF};
-    net::ByteReader in(mutated);
-    try {
-      (void)core::decode_aggregate_batch(in, id, kKey);
-    } catch (const net::WireError&) {
-    }
-  }
+  flip_every_byte(valid_drain());
 }
 
 TEST(ReceiptWireHostile, AbsurdCountsThrowInsteadOfAllocatingOrOverReading) {
-  // Sample batch claiming 2^32-1 rounds: must hit truncation, not loop.
+  const auto expect_throws = [](const net::ByteWriter& body) {
+    EXPECT_THROW((void)decode_entry(entry_around(body)), net::WireError);
+  };
+  // A sample run claiming 2^62 rounds: must hit truncation, not loop.
   {
-    net::ByteWriter w;
-    core::SampleReceipt empty;
-    empty.path = test_path();
-    core::encode_sample_batch(empty, empty.samples, kKey, w);
-    std::vector<std::byte> bytes = std::move(w).take();
-    // round count is the last u32 of the empty encoding.
-    for (std::size_t i = bytes.size() - 4; i < bytes.size(); ++i) {
-      bytes[i] = std::byte{0xFF};
-    }
-    net::ByteReader in(bytes);
-    EXPECT_THROW((void)core::decode_sample_batch(in, test_path(), kKey),
-                 net::WireError);
+    net::ByteWriter body;
+    body.varint(std::uint64_t{1} << 63);
+    body.varint(0);  // epoch
+    body.varint(0);  // one follower count, then nothing
+    expect_throws(body);
   }
-  // Aggregate batch claiming 2^32-1 receipts likewise.
+  // A round claiming 2^64 - 1 followers behind seven bytes.
   {
-    const auto aggs = valid_aggregates(1);
-    std::vector<std::byte> bytes = encode_aggregates(aggs);
-    // receipt count: u32 after tag(1) + key(8) + epoch(8).
-    for (std::size_t i = 17; i < 21; ++i) bytes[i] = std::byte{0xFF};
-    net::ByteReader in(bytes);
-    EXPECT_THROW((void)core::decode_aggregate_batch(in, test_path(), kKey),
-                 net::WireError);
+    net::ByteWriter body;
+    body.varint(1 << 1);
+    body.varint(0);
+    body.varint(~std::uint64_t{0});
+    body.u32(1);
+    body.u24(0);
+    expect_throws(body);
+  }
+  // An aggregate run claiming 2^62 receipts.
+  {
+    net::ByteWriter body;
+    body.varint(0);
+    body.varint(std::uint64_t{1} << 63);
+    body.varint(0);
+    expect_throws(body);
   }
   // AggTrans id counts of 0xFFFF each with no bytes behind them.
   {
-    const auto aggs = valid_aggregates(1);
-    std::vector<std::byte> bytes = encode_aggregates(aggs);
-    // trans counts: two u16s after tag+key+epoch+count(4)+agg(8)+cnt(4)+
-    // open(3)+close(3) = 21 + 18 = offset 39.
-    bytes[39] = bytes[40] = bytes[41] = bytes[42] = std::byte{0xFF};
-    net::ByteReader in(bytes);
-    EXPECT_THROW((void)core::decode_aggregate_batch(in, test_path(), kKey),
-                 net::WireError);
+    net::ByteWriter body;
+    body.varint(0);
+    body.varint(1 << 1);
+    body.varint(0);
+    body.u32(1);
+    body.u32(2);
+    body.u32(3);
+    body.u24(0);
+    body.u24(1);
+    body.u16(0xFFFF);
+    body.u16(0xFFFF);
+    expect_throws(body);
+  }
+  // An entry whose length claims more than the input holds.
+  {
+    net::ByteWriter w;
+    w.varint(1 << 1);
+    w.varint(~std::uint64_t{0} >> 1);
+    w.u32(0);
+    EXPECT_THROW((void)decode_entry(w.view()), net::WireError);
+  }
+  // An epoch whose microseconds overflow a timestamp.
+  {
+    net::ByteWriter body;
+    body.varint(1 << 1);
+    body.varint(~std::uint64_t{0} - 1);
+    body.varint(0);
+    body.u32(1);
+    body.u24(0);
+    body.varint(0);
+    expect_throws(body);
   }
 }
 
 // --- non-monotone times --------------------------------------------------
 
 TEST(ReceiptWireHostile, EncodeRejectsNonMonotoneTimes) {
-  core::SampleReceipt r = valid_samples();
-  r.samples[1].time = r.samples[0].time - net::microseconds(10);
-  net::ByteWriter w;
-  EXPECT_THROW(core::encode_sample_batch(r, r.samples, kKey, w),
-               std::invalid_argument);
+  core::PathDrain d = valid_drain();
+  d.samples.samples[1].time = d.samples.samples[0].time -
+                              net::microseconds(10);
+  EXPECT_THROW((void)core::size_entry(1, d, kHeader), std::invalid_argument);
 
-  auto aggs = valid_aggregates();
-  aggs[1].opened_at = aggs[0].opened_at - net::milliseconds(1);
-  net::ByteWriter w2;
-  EXPECT_THROW(core::encode_aggregate_batch(aggs, kKey, w2),
-               std::invalid_argument);
+  d = valid_drain();
+  d.aggregates[1].opened_at =
+      d.aggregates[0].opened_at - net::milliseconds(1);
+  EXPECT_THROW((void)core::size_entry(1, d, kHeader), std::invalid_argument);
 }
 
 TEST(ReceiptWireHostile, DecodeRejectsTimeInversions) {
-  // Hand-craft a sample batch whose second record steps backwards.
-  net::ByteWriter w;
-  w.u8(0x11);
-  w.u64(test_path().path_key());
-  w.u32(1000);
-  w.u32(2000);
-  w.i64(0);   // epoch
-  w.u32(1);   // one round
-  w.u16(1);   // one follower + marker
-  w.u32(1);   // follower pkt id
-  w.u24(500); // follower at +500 µs
-  w.u32(2);   // marker pkt id
-  w.u24(100); // marker at +100 µs — before its follower
-  net::ByteReader in(w.view());
-  EXPECT_THROW((void)core::decode_sample_batch(in, test_path(), kKey),
-               net::WireError);
-
-  // And an aggregate that closes before it opens.
-  net::ByteWriter w2;
-  w2.u8(0x12);
-  w2.u64(test_path().path_key());
-  w2.i64(0);   // epoch
-  w2.u32(1);   // one receipt
-  w2.u32(1);   // agg.first
-  w2.u32(2);   // agg.last
-  w2.u32(10);  // packet count
-  w2.u24(900); // opened at +900 µs
-  w2.u24(100); // closed at +100 µs
-  w2.u16(0);
-  w2.u16(0);
-  net::ByteReader in2(w2.view());
-  EXPECT_THROW((void)core::decode_aggregate_batch(in2, test_path(), kKey),
-               net::WireError);
+  // A sampling round whose marker steps back before its follower.
+  {
+    net::ByteWriter body;
+    body.varint(1 << 1);  // one round, one run
+    body.varint(0);       // epoch = base
+    body.varint(1);       // one follower + marker
+    body.u32(1);
+    body.u24(500);  // follower at +500 µs
+    body.u32(2);
+    body.u24(100);  // marker at +100 µs — before its follower
+    body.varint(0);
+    EXPECT_THROW((void)decode_entry(entry_around(body)), net::WireError);
+  }
+  // An aggregate that closes before it opens.
+  {
+    net::ByteWriter body;
+    body.varint(0);
+    body.varint(1 << 1);
+    body.varint(0);
+    body.u32(1);
+    body.u32(2);
+    body.u32(10);
+    body.u24(900);  // opened at +900 µs
+    body.u24(100);  // closed at +100 µs
+    body.u16(0);
+    body.u16(0);
+    EXPECT_THROW((void)decode_entry(entry_around(body)), net::WireError);
+  }
 }
 
-TEST(ReceiptWireHostile, DecodeRejectsWrongPathKeyAndTag) {
-  const auto bytes = encode_sample(valid_samples());
-  net::PathId other = test_path();
-  other.prefixes.source = net::Prefix(net::Ipv4Address(0x0B000000), 16);
-  net::ByteReader in(bytes);
-  EXPECT_THROW((void)core::decode_sample_batch(in, other, other.path_key()),
-               net::WireError);
+// --- chunks and streams ---------------------------------------------------
 
-  net::ByteReader in2(bytes);
-  EXPECT_THROW((void)core::decode_aggregate_batch(in2, test_path(), kKey),
-               net::WireError);
+/// `rounds` rounds of the three test paths, path 1 idle in odd rounds,
+/// through an exporter with `cap`; returns the sealed payloads.
+std::vector<std::vector<std::byte>> export_stream(
+    const std::vector<net::PathId>& table, std::size_t rounds,
+    std::size_t cap) {
+  std::vector<std::vector<std::byte>> payloads;
+  dissem::WireExporter exporter(
+      dissem::WireExporter::Config{
+          .producer = 1, .key = 2, .max_chunk_bytes = cap},
+      [&payloads](dissem::Envelope&& e) {
+        payloads.push_back(std::move(e.payload));
+      });
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t p = 0; p < table.size(); ++p) {
+      core::PathDrain d = valid_drain(table[p]);
+      if (p == 1 && r % 2 == 1) {
+        d.samples.samples.clear();
+        d.aggregates.clear();
+      }
+      exporter.on_drain(p, std::move(d));
+    }
+    exporter.end_round();
+  }
+  exporter.finish();
+  return payloads;
 }
-
-// --- the exporter/importer chunk framing ---------------------------------
 
 class ChunkHostile : public ::testing::Test {
  protected:
-  /// One sealed chunk carrying a real one-path drain.
+  /// One sealed chunk carrying two rounds of the three test paths.
   std::vector<std::byte> valid_chunk_payload() {
-    std::vector<std::byte> payload;
-    dissem::WireExporter exporter(
-        dissem::WireExporter::Config{.producer = 1, .key = 2},
-        [&payload](dissem::Envelope&& e) { payload = std::move(e.payload); });
-    core::PathDrain drain;
-    drain.samples = valid_samples();
-    drain.aggregates = valid_aggregates();
-    exporter.on_drain(0, drain);
-    exporter.finish();
-    return payload;
+    const auto payloads = export_stream(test_table(), 2, 64 * 1024);
+    EXPECT_EQ(payloads.size(), 1u);
+    return payloads.front();
   }
 
-  void expect_import_throws(std::span<const std::byte> payload) {
+  void expect_import_throws(std::span<const std::byte> payload,
+                            std::vector<net::PathId> table = test_table()) {
     dissem::ReceiptStore store;
     store.register_producer(1, 2);
     ASSERT_EQ(store.ingest(dissem::seal(
                   1, 1, std::vector<std::byte>(payload.begin(), payload.end()),
                   2)),
               dissem::IngestResult::kAccepted);
-    const dissem::WireImporter importer({test_path()});
+    const dissem::WireImporter importer(std::move(table));
     core::NullSink sink;
     EXPECT_THROW(importer.import_into(store, 1, sink), net::WireError);
   }
+
+  /// Byte offsets of each item of a one-segment-per-round chunk.
+  static std::vector<std::size_t> item_offsets(
+      std::span<const std::byte> payload) {
+    net::ByteReader in(payload);
+    (void)in.u8();
+    const std::uint32_t items = in.u32();
+    std::vector<std::size_t> out;
+    bool need_header = true;
+    for (std::uint32_t i = 0; i < items; ++i) {
+      if (need_header) in.skip(core::kRoundHeaderBytes);
+      out.push_back(payload.size() - in.remaining());
+      need_header = core::read_item(in).close;
+    }
+    return out;
+  }
 };
 
+// Every proper prefix of a chunk is a TRANSIENT error that leaves the
+// session exactly as it was: the full payload then decodes normally.
 TEST_F(ChunkHostile, TruncationAtEveryOffsetThrows) {
   const auto payload = valid_chunk_payload();
   ASSERT_FALSE(payload.empty());
+  const dissem::WireImporter importer(test_table());
+  core::VectorSink sink;
+  dissem::WireImporter::Session session(importer, sink);
   for (std::size_t len = 0; len < payload.size(); ++len) {
-    expect_import_throws(std::span<const std::byte>(payload).first(len));
+    try {
+      session.feed(std::span(payload).first(len));
+      ADD_FAILURE() << "prefix length " << len << " decoded";
+    } catch (const net::WireError& e) {
+      EXPECT_TRUE(e.transient()) << "prefix length " << len;
+    }
+    ASSERT_TRUE(session.at_round_boundary()) << "prefix length " << len;
+    ASSERT_TRUE(sink.stream().empty()) << "prefix length " << len;
   }
+  session.feed(payload);
+  session.finish();
+  EXPECT_EQ(sink.stream().size(), 6u);
 }
 
 TEST_F(ChunkHostile, UnknownPathKeySectionKindAndChunkTagThrow) {
@@ -313,248 +398,213 @@ TEST_F(ChunkHostile, UnknownPathKeySectionKindAndChunkTagThrow) {
     p[0] = std::byte{0x7F};
     expect_import_throws(p);
   }
-  // First section kind (offset: tag 1 + count 4).
+  // A path index past the consumer's table: the same stream into a
+  // two-path table.
+  expect_import_throws(payload, {test_path(0x0A000000u),
+                                 test_path(0x0B000000u)});
+  // A zero index step: the first entry's head varint (one byte).
   {
+    const std::size_t at = item_offsets(payload).front();
     auto p = payload;
-    p[5] = std::byte{0x7F};
-    expect_import_throws(p);
-  }
-  // First section path key (offset 6..13).
-  {
-    auto p = payload;
-    p[6] ^= std::byte{0xFF};
+    p[at] = std::byte{0x00 | 0x01};
     expect_import_throws(p);
   }
 }
 
 TEST_F(ChunkHostile, SectionLengthMismatchThrows) {
   auto payload = valid_chunk_payload();
-  // Section length field sits after kind(1) + key(8) at offset 14..17;
-  // shrinking it makes the decoded batch overrun the declared length.
-  payload[14] = std::byte{static_cast<unsigned char>(
-      std::to_integer<unsigned>(payload[14]) - 1)};
+  // The first entry's length varint follows its one-byte head; shrinking
+  // it leaves a byte of the body to be read as the next item.
+  const std::size_t at = item_offsets(payload).front() + 1;
+  payload[at] = std::byte{static_cast<unsigned char>(
+      std::to_integer<unsigned>(payload[at]) - 1)};
   expect_import_throws(payload);
 }
 
-TEST_F(ChunkHostile, AggregateSectionBeforeSamplesThrows) {
-  // Build a chunk whose first (and only) section is an aggregate batch.
-  net::ByteWriter batch;
-  core::encode_aggregate_batch(valid_aggregates(), kKey, batch);
+TEST_F(ChunkHostile, RoundCloseBeforeAnyEntryThrows) {
+  // A round that closes before shipping an entry: no exporter writes one.
   net::ByteWriter payload;
   payload.u8(dissem::kChunkTag);
   payload.u32(1);
-  payload.u8(dissem::kAggregateSectionKind);
-  payload.u64(test_path().path_key());
-  payload.u32(static_cast<std::uint32_t>(batch.size()));
-  payload.bytes(batch.view());
+  core::encode_round_header(kHeader, payload);
+  core::encode_round_close(core::kRoundDigestSeed, payload);
   expect_import_throws(payload.view());
 }
 
 TEST_F(ChunkHostile, AggregateSectionRevisitingAClosedPathThrows) {
-  // Path A's sections, then path B's, then an AGGREGATE section claiming
-  // to continue A: a revisit may only open a new reporting round, and a
-  // round must start with the path's sample batch.
-  net::PathId path_b = test_path();
-  path_b.prefixes.source = net::Prefix(net::Ipv4Address(0x0B000000), 16);
-
-  net::ByteWriter empty_a, empty_b, aggs_a;
-  core::SampleReceipt sa;
-  sa.path = test_path();
-  core::encode_sample_batch(sa, sa.samples, kKey, empty_a);
-  core::SampleReceipt sb;
-  sb.path = path_b;
-  core::encode_sample_batch(sb, sb.samples, sb.path.path_key(), empty_b);
-  core::encode_aggregate_batch(valid_aggregates(), kKey, aggs_a);
-
-  struct Section {
-    std::uint8_t kind;
-    std::uint64_t key;
-    const net::ByteWriter* batch;
+  // Path 1's entry ends the first chunk of an open round; the next chunk
+  // continues the round with path 0's: a revisit inside a round, which an
+  // exporter would have shipped as a new round after a close.
+  const std::vector<net::PathId> table = test_table();
+  const auto chunk = [&](std::size_t index) {
+    const core::PathDrain d = valid_drain(table[index]);
+    net::ByteWriter w;
+    w.u8(dissem::kChunkTag);
+    w.u32(1);
+    core::encode_round_header(kHeader, w);
+    core::encode_entry(core::size_entry(index + 1, d, kHeader), d, kHeader,
+                       w);
+    return std::move(w).take();
   };
-  const Section sections[] = {
-      {dissem::kSampleSectionKind, test_path().path_key(), &empty_a},
-      {dissem::kSampleSectionKind, path_b.path_key(), &empty_b},
-      {dissem::kAggregateSectionKind, test_path().path_key(), &aggs_a}};
-  net::ByteWriter payload;
-  payload.u8(dissem::kChunkTag);
-  payload.u32(3);
-  for (const Section& s : sections) {
-    payload.u8(s.kind);
-    payload.u64(s.key);
-    payload.u32(static_cast<std::uint32_t>(s.batch->size()));
-    payload.bytes(s.batch->view());
-  }
-
-  dissem::ReceiptStore store;
-  store.register_producer(1, 2);
-  ASSERT_EQ(store.ingest(dissem::seal(
-                1, 1,
-                std::vector<std::byte>(payload.view().begin(),
-                                       payload.view().end()),
-                2)),
-            dissem::IngestResult::kAccepted);
-  const dissem::WireImporter importer({test_path(), path_b});
-  core::NullSink sink;
-  EXPECT_THROW(importer.import_into(store, 1, sink), net::WireError);
+  const dissem::WireImporter importer(table);
+  core::VectorSink sink;
+  dissem::WireImporter::Session session(importer, sink);
+  session.feed(chunk(1));
+  EXPECT_FALSE(session.at_round_boundary());
+  EXPECT_THROW(session.feed(chunk(0)), net::WireError);
+  EXPECT_TRUE(session.poisoned());
+  EXPECT_EQ(sink.stream().size(), 1u);
 }
 
 TEST_F(ChunkHostile, SeamTimeInversionAcrossSplitBatchesThrows) {
-  // Each section is internally monotone, but the seam steps backwards —
-  // the reassembled stream must be rejected just like an in-batch
-  // inversion would be.
-  const auto make_samples = [](std::int64_t first_us) {
-    core::SampleReceipt r;
-    r.path = test_path();
-    r.sample_threshold = 1000;
-    r.marker_threshold = 2000;
-    r.samples.push_back(core::SampleRecord{
-        .pkt_id = 1,
-        .time = net::Timestamp{} + net::microseconds(first_us),
-        .is_marker = true});
-    return r;
-  };
-  const auto make_agg = [](std::int64_t open_us) {
-    core::AggregateReceipt r;
-    r.path = test_path();
-    r.opened_at = net::Timestamp{} + net::microseconds(open_us);
-    r.closed_at = r.opened_at + net::microseconds(10);
-    return r;
-  };
-  const auto build = [](std::initializer_list<
-                         std::pair<std::uint8_t, const net::ByteWriter*>>
-                            sections) {
-    net::ByteWriter payload;
-    payload.u8(dissem::kChunkTag);
-    payload.u32(static_cast<std::uint32_t>(sections.size()));
-    for (const auto& [kind, batch] : sections) {
-      payload.u8(kind);
-      payload.u64(test_path().path_key());
-      payload.u32(static_cast<std::uint32_t>(batch->size()));
-      payload.bytes(batch->view());
-    }
-    return std::vector<std::byte>(payload.view().begin(),
-                                  payload.view().end());
-  };
-
-  // Split sample batches: [500 µs] then [100 µs].
+  // Each run is internally monotone, but the seam between two runs steps
+  // backwards — the reassembled stream must be rejected just like an
+  // in-run inversion would be.
   {
-    net::ByteWriter b1, b2;
-    const core::SampleReceipt early = make_samples(500);
-    const core::SampleReceipt late = make_samples(100);
-    core::encode_sample_batch(early, early.samples, kKey, b1);
-    core::encode_sample_batch(late, late.samples, kKey, b2);
-    expect_import_throws(build({{dissem::kSampleSectionKind, &b1},
-                                {dissem::kSampleSectionKind, &b2}}));
+    net::ByteWriter body;
+    body.varint(1 << 1 | 1);  // one round, another run follows
+    body.varint(net::zigzag(500) << 1);
+    body.varint(0);
+    body.u32(1);
+    body.u24(0);              // at +500 µs
+    body.varint(1 << 1);      // one round, last run
+    body.varint(net::zigzag(100) << 1);
+    body.varint(0);
+    body.u32(2);
+    body.u24(0);              // at +100 µs
+    body.varint(0);
+    EXPECT_THROW((void)decode_entry(entry_around(body)), net::WireError);
   }
-  // Split aggregate batches: opens at 300 µs then 100 µs.
+  // Aggregate runs opening at 300 µs, then 100 µs.
   {
-    net::ByteWriter s, b1, b2;
-    core::SampleReceipt empty;
-    empty.path = test_path();
-    core::encode_sample_batch(empty, empty.samples, kKey, s);
-    const auto a1 = make_agg(300);
-    const auto a2 = make_agg(100);
-    core::encode_aggregate_batch({&a1, 1}, kKey, b1);
-    core::encode_aggregate_batch({&a2, 1}, kKey, b2);
-    expect_import_throws(build({{dissem::kSampleSectionKind, &s},
-                                {dissem::kAggregateSectionKind, &b1},
-                                {dissem::kAggregateSectionKind, &b2}}));
+    const auto agg = [](net::ByteWriter& w) {
+      w.u32(1);
+      w.u32(2);
+      w.u32(3);
+      w.u24(0);
+      w.u24(10);
+      w.u16(0);
+      w.u16(0);
+    };
+    net::ByteWriter body;
+    body.varint(0);
+    body.varint(1 << 1 | 1);
+    body.varint(net::zigzag(300) << 1);
+    agg(body);
+    body.varint(1 << 1);
+    body.varint(net::zigzag(100) << 1);
+    agg(body);
+    EXPECT_THROW((void)decode_entry(entry_around(body)), net::WireError);
   }
 }
 
 // A fatal decode error part-way through a chunk must leave the sink with
-// only the paths completed before it, each whole: a half-decoded path
-// (its samples without its aggregates) never reaches the sink.
+// only the paths completed before it, each whole.
 TEST_F(ChunkHostile, FatalErrorLeavesSinkWithWholePathsOnly) {
-  std::vector<net::PathId> table = {test_path(), test_path(), test_path()};
-  table[1].prefixes.source = net::Prefix(net::Ipv4Address(0x0B000000), 16);
-  table[2].prefixes.source = net::Prefix(net::Ipv4Address(0x0C000000), 16);
-  std::vector<core::PathDrain> drains(table.size());
-  for (std::size_t p = 0; p < table.size(); ++p) {
-    drains[p].samples = valid_samples();
-    drains[p].samples.path = table[p];
-    drains[p].aggregates = valid_aggregates();
-    for (core::AggregateReceipt& a : drains[p].aggregates) a.path = table[p];
-  }
-
-  std::vector<std::byte> payload;
-  dissem::WireExporter exporter(
-      dissem::WireExporter::Config{.producer = 1, .key = 2},
-      [&payload](dissem::Envelope&& e) { payload = std::move(e.payload); });
-  for (std::size_t p = 0; p < drains.size(); ++p) {
-    exporter.on_drain(p, drains[p]);
-  }
-  exporter.finish();
-
-  // Walk the section framing to path 1's aggregate section and flip its
-  // batch tag; the framing stays intact, so the error is fatal, not a
+  auto payload = valid_chunk_payload();
+  // Path 1's entry (the second item) ends with its last aggregate's
+  // AggTrans window: the u16 "after" count, whose high byte sits 13 bytes
+  // before the next item (two "before" ids and one "after" id follow it).
+  // Flip that byte: the framing stays intact, so the error is fatal, not a
   // truncation.
-  net::ByteReader in(payload);
-  ASSERT_EQ(in.u8(), dissem::kChunkTag);
-  const std::uint32_t sections = in.u32();
-  std::size_t tag_at = 0;
-  for (std::uint32_t s = 0; s < sections && tag_at == 0; ++s) {
-    const std::uint8_t kind = in.u8();
-    const std::uint64_t key = in.u64();
-    const std::uint32_t length = in.u32();
-    if (kind == dissem::kAggregateSectionKind &&
-        key == table[1].path_key()) {
-      tag_at = payload.size() - in.remaining();
-    }
-    in.skip(length);
-  }
-  ASSERT_NE(tag_at, 0u);
-  payload[tag_at] ^= std::byte{0xFF};
+  const std::vector<std::size_t> items = item_offsets(payload);
+  payload[items[2] - 13] ^= std::byte{0xFF};
 
   dissem::ReceiptStore store;
   store.register_producer(1, 2);
   ASSERT_EQ(store.ingest(dissem::seal(1, 1, payload, 2)),
             dissem::IngestResult::kAccepted);
+  const std::vector<net::PathId> table = test_table();
   const dissem::WireImporter importer(table);
   core::VectorSink sink;
   EXPECT_THROW(importer.import_into(store, 1, sink), net::WireError);
   const std::vector<core::IndexedPathDrain> got = std::move(sink).take();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].path, 0u);
-  EXPECT_EQ(got[0].drain, drains[0]);
+  EXPECT_EQ(got[0].drain, valid_drain(table[0]));
 }
 
-// A resync walk discards sections without decoding them, but names each
-// skipped path key once, ascending — whether the stream repeats a key
-// many times or names a key the path table does not hold.
-TEST(WireImporterSession, SkipWalkReportsEachKeyOnceAscending) {
-  std::vector<net::PathId> table = {test_path(), test_path()};
-  table[1].prefixes.source = net::Prefix(net::Ipv4Address(0x0B000000), 16);
-  const std::uint64_t a = table[0].path_key();
-  const std::uint64_t b = table[1].path_key();
-  const std::uint64_t stranger = a ^ b ^ 0x5A5A;
-  ASSERT_NE(stranger, a);
-  ASSERT_NE(stranger, b);
-
-  // 64 sections, mostly `b`, then the round mark that ends the walk.
-  std::vector<std::uint64_t> keys(64, b);
-  keys[3] = a;
-  keys[40] = stranger;
-  keys[41] = a;
-  net::ByteWriter payload;
-  payload.u8(dissem::kChunkTag);
-  payload.u32(static_cast<std::uint32_t>(keys.size() + 1));
-  for (const std::uint64_t key : keys) {
-    payload.u8(dissem::kSampleSectionKind);
-    payload.u64(key);
-    payload.u32(0);
+// Every single-byte corruption of a whole chunk — headers, heads,
+// lengths, bodies, closes and digests — either decodes or throws
+// WireError, never over-reads (ASan) or overflows (UBSan).
+TEST_F(ChunkHostile, SingleByteCorruptionOfAChunkNeverOverReads) {
+  const auto payload = valid_chunk_payload();
+  const dissem::WireImporter importer(test_table());
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    for (const std::byte flip : {std::byte{0xFF}, std::byte{0x80}}) {
+      std::vector<std::byte> mutated = payload;
+      mutated[i] ^= flip;
+      core::NullSink sink;
+      dissem::WireImporter::Session session(importer, sink);
+      try {
+        session.feed(mutated);
+      } catch (const net::WireError&) {
+      }
+    }
   }
-  payload.u8(dissem::kRoundMarkKind);
-  payload.u64(0);
-  payload.u32(0);
+}
+
+// A consumer holding another HOP's path table, or the producer's table
+// permuted, resolves the entries' indices to the wrong paths; the round's
+// digest exposes it at the first close, as a fatal error.
+TEST_F(ChunkHostile, ForeignOrPermutedPathTableFailsAtTheRoundClose) {
+  const auto payloads = export_stream(test_table(), 2, 64 * 1024);
+  ASSERT_EQ(payloads.size(), 1u);
+  std::vector<net::PathId> permuted = test_table();
+  std::swap(permuted[0], permuted[2]);
+  std::vector<net::PathId> other_hop = test_table();
+  for (net::PathId& id : other_hop) id.previous_hop = 2;
+  for (const std::vector<net::PathId>& table : {permuted, other_hop}) {
+    const dissem::WireImporter importer(table);
+    core::VectorSink sink;
+    dissem::WireImporter::Session session(importer, sink);
+    try {
+      session.feed(payloads.front());
+      ADD_FAILURE() << "a foreign table decoded the stream";
+    } catch (const net::WireError& e) {
+      EXPECT_FALSE(e.transient());
+      EXPECT_NE(std::string(e.what()).find("digest"), std::string::npos);
+    }
+    // The error fired at the first round's close.
+    EXPECT_EQ(sink.stream().size(), test_table().size());
+  }
+}
+
+// A resync walk discards entries without decoding them, but names each
+// skipped path key once, ascending, however often the stream repeats it.
+TEST(WireImporterSession, SkipWalkReportsEachKeyOnceAscending) {
+  const std::vector<net::PathId> table = test_table();
+  // 48 entries over 32 chunks of one open round — path 2 in every chunk,
+  // path 0 in every other one — then the round close.
+  const auto chunk = [&](bool with_path_0, bool close) {
+    net::ByteWriter w;
+    w.reserve(512);
+    w.u8(dissem::kChunkTag);
+    w.u32((with_path_0 ? 2 : 1) + (close ? 1 : 0));
+    core::encode_round_header(kHeader, w);
+    std::size_t next = 0;
+    for (const std::size_t p : {std::size_t{0}, std::size_t{2}}) {
+      if (p == 0 && !with_path_0) continue;
+      const core::PathDrain d = valid_drain(table[p]);
+      core::encode_entry(core::size_entry(p + 1 - next, d, kHeader), d,
+                         kHeader, w);
+      next = p + 1;
+    }
+    if (close) core::encode_round_close(0, w);
+    return std::move(w).take();
+  };
 
   const dissem::WireImporter importer(table);
   core::VectorSink sink;
   dissem::WireImporter::Session session(importer, sink);
   session.resync();
-  session.feed(payload.view());
+  for (int c = 0; c < 32; ++c) {
+    session.feed(chunk(c % 2 == 0, c == 31));
+    EXPECT_EQ(session.resyncing(), c != 31);
+  }
   EXPECT_TRUE(session.at_round_boundary());
-  std::vector<std::uint64_t> want = {a, b, stranger};
+  std::vector<std::uint64_t> want = {table[0].path_key(),
+                                     table[2].path_key()};
   std::sort(want.begin(), want.end());
   EXPECT_EQ(session.take_skipped_keys(), want);
   EXPECT_TRUE(session.take_skipped_keys().empty()) << "taking resets";
@@ -581,17 +631,9 @@ class EnvelopeSequenceHostile : public ::testing::Test {
         [&envelopes](dissem::Envelope&& e) {
           envelopes.push_back(std::move(e));
         });
-    net::PathId path_b = test_path();
-    path_b.prefixes.source = net::Prefix(net::Ipv4Address(0x0B000000), 16);
     for (int round = 0; round < 2; ++round) {
-      core::PathDrain a;
-      a.samples = valid_samples();
-      a.aggregates = valid_aggregates();
-      core::PathDrain b = a;
-      b.samples.path = path_b;
-      for (auto& agg : b.aggregates) agg.path = path_b;
-      exporter.on_drain(0, a);
-      exporter.on_drain(1, b);
+      exporter.on_drain(0, valid_drain(test_path(0x0A000000u)));
+      exporter.on_drain(1, valid_drain(test_path(0x0B000000u)));
       exporter.end_round();
       exporter.flush();
     }
@@ -599,15 +641,10 @@ class EnvelopeSequenceHostile : public ::testing::Test {
     return envelopes;
   }
 
-  dissem::WireImporter importer_for_stream() {
-    net::PathId path_b = test_path();
-    path_b.prefixes.source = net::Prefix(net::Ipv4Address(0x0B000000), 16);
-    return dissem::WireImporter({test_path(), path_b});
-  }
-
   std::vector<core::IndexedPathDrain> import_stream(
       const dissem::ReceiptStore& store) {
-    const dissem::WireImporter importer = importer_for_stream();
+    const dissem::WireImporter importer(
+        {test_path(0x0A000000u), test_path(0x0B000000u)});
     core::VectorSink sink;
     importer.import_into(store, 1, sink);
     return std::move(sink).take();
@@ -630,6 +667,7 @@ TEST_F(EnvelopeSequenceHostile, DuplicatedEnvelopesNeverDoubleApplyARound) {
   const auto envelopes = make_stream();
   ASSERT_GT(envelopes.size(), 3u) << "stream must span several envelopes";
   const auto reference = reference_stream(envelopes);
+  ASSERT_EQ(reference.size(), 4u);
 
   dissem::ReceiptStore store;
   store.register_producer(1, 2);
@@ -709,6 +747,27 @@ TEST_F(ChunkHostile, StoreRejectsTamperedChunkBeforeItReachesTheDecoder) {
   EXPECT_EQ(store.ingest(std::move(env)),
             dissem::IngestResult::kBadAuthenticator);
   EXPECT_EQ(store.accepted_count(), 0u);
+}
+
+// A table whose path at one index has another key than the producer's
+// fails at the round close, and a chunk whose tag is not the receipt
+// chunk's fails outright.
+TEST(ReceiptWireHostile, DecodeRejectsWrongPathKeyAndTag) {
+  const auto payloads = export_stream(test_table(), 1, 64 * 1024);
+  ASSERT_EQ(payloads.size(), 1u);
+  std::vector<net::PathId> wrong = test_table();
+  wrong[1] = test_path(0x0D000000u);
+  const dissem::WireImporter importer(wrong);
+  core::NullSink sink;
+  {
+    dissem::WireImporter::Session session(importer, sink);
+    EXPECT_THROW(session.feed(payloads.front()), net::WireError);
+  }
+  std::vector<std::byte> retagged = payloads.front();
+  retagged[0] = std::byte{0x31};
+  const dissem::WireImporter right(test_table());
+  dissem::WireImporter::Session session(right, sink);
+  EXPECT_THROW(session.feed(retagged), net::WireError);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/receipt_batch.hpp"
 #include "helpers.hpp"
 #include "scenario_grid.hpp"
 #include "sim/scenario_engine.hpp"
@@ -145,6 +146,28 @@ TEST(ScenarioConfig, RejectsMalformedInput) {
   // No non-finite number: a NaN or infinite rate never ends the traffic.
   EXPECT_THROW((void)parse_scenario("pps=nan"), std::invalid_argument);
   EXPECT_THROW((void)parse_scenario("pps=inf"), std::invalid_argument);
+}
+
+// A valid config that hits a limit of the program — here an aggregate
+// held open past the receipt wire's 16.7 s offset span — throws the
+// codec's WireLimitError, which a caller can tell from a config error
+// (example_scenario_run exits 2 on one, 1 on the other).
+TEST(ScenarioEngine, ProgramLimitIsNotABadConfig) {
+  try {
+    (void)run_scenario(parse_scenario(
+        "name=slow seed=1 domains=S,X,D paths=1 pps=1000 rounds=17 "
+        "round_us=1000000 cut_rate=0.00001"));
+    ADD_FAILURE() << "an aggregate open for 17 s reached the wire";
+  } catch (const core::WireLimitError& e) {
+    EXPECT_NE(std::string(e.what()).find("16.7 s"), std::string::npos);
+  }
+  try {
+    (void)run_scenario(parse_scenario("domains=S,D"));
+    ADD_FAILURE() << "a two-domain config ran";
+  } catch (const core::WireLimitError&) {
+    ADD_FAILURE() << "a config error reported as a program limit";
+  } catch (const std::invalid_argument&) {
+  }
 }
 
 TEST(ScenarioEngine, ValidatesConfigs) {

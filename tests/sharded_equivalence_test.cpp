@@ -84,6 +84,54 @@ TEST_P(ShardedEquivalence, ThreadedIngestMatchesReference) {
   }
 }
 
+// One shard hands the caller's spans straight to its cache: through the
+// explicit-timestamp overload, with packets of paths the collector does
+// not hold, the receipts, the cost model and the unknown count must equal
+// the cache's own.
+TEST_P(ShardedEquivalence, SingleShardExplicitTimesMatchTheCache) {
+  trace::MultiPathConfig mcfg;
+  mcfg.path_count = 24;
+  mcfg.total_packets_per_second = 40'000;
+  mcfg.duration = net::milliseconds(500);
+  mcfg.seed = 91;
+  const trace::MultiPathTrace multi = trace::generate_multi_path(mcfg);
+  // The collectors hold two thirds of the paths; the rest arrive unknown.
+  const auto held_count =
+      static_cast<std::ptrdiff_t>(2 * multi.paths.size() / 3);
+  const std::vector<net::PrefixPair> held(multi.paths.begin(),
+                                          multi.paths.begin() + held_count);
+  std::vector<net::Timestamp> when;
+  when.reserve(multi.packets.size());
+  for (const net::Packet& p : multi.packets) {
+    when.push_back(p.origin_time + net::microseconds(250));
+  }
+
+  collector::ShardedCollector::Config cfg;
+  cfg.cache.protocol.digest_mode = GetParam();
+  cfg.cache.protocol.marker_rate = 1.0 / 200.0;
+  cfg.cache.tuning = core::HopTuning{.sample_rate = 0.02, .cut_rate = 1e-3};
+  cfg.shard_count = 1;
+  collector::MonitoringCache mono(cfg.cache, held);
+  mono.observe_batch(multi.packets, when);
+  collector::ShardedCollector sharded(cfg, held);
+  const std::span<const net::Packet> packets(multi.packets);
+  const std::span<const net::Timestamp> times(when);
+  for (std::size_t at = 0; at < packets.size(); at += 1000) {
+    const std::size_t n = std::min<std::size_t>(1000, packets.size() - at);
+    sharded.observe_batch(packets.subspan(at, n), times.subspan(at, n));
+  }
+
+  ASSERT_GT(mono.unknown_path_packets(), 0u);
+  EXPECT_EQ(sharded.unknown_path_packets(), mono.unknown_path_packets());
+  EXPECT_EQ(sharded.ops().memory_accesses, mono.ops().memory_accesses);
+  EXPECT_EQ(sharded.ops().hash_computations, mono.ops().hash_computations);
+  EXPECT_EQ(sharded.ops().marker_sweep_accesses,
+            mono.ops().marker_sweep_accesses);
+  const auto mono_drain = mono.drain_all(/*flush_open=*/true);
+  ASSERT_FALSE(mono_drain.empty());
+  EXPECT_TRUE(sharded.drain(/*flush_open=*/true) == mono_drain);
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, ShardedEquivalence,
                          ::testing::Values(net::DigestMode::kSingle,
                                            net::DigestMode::kIndependent));

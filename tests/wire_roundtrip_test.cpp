@@ -1,15 +1,18 @@
 // Byte-level receipt egress round trip: collector drain -> WireExporter
-// (receipt_batch sections, size-capped chunks, sealed envelopes) ->
-// ReceiptStore -> WireImporter -> recovered drains `==` the direct drain.
+// (path entries under HOP-round headers, size-capped chunks, sealed
+// envelopes) -> ReceiptStore -> WireImporter -> recovered drains `==` the
+// direct drain.
 //
 // The wire format carries times as 3-byte microsecond offsets (§7.1), so
 // the harness quantizes every observation time to 1 µs — after which the
 // round trip must be EXACT, over seeds × digest modes × shard counts,
-// chunk caps small enough to straddle paths across chunks, and workloads
-// long enough to roll batch epochs.
+// chunk caps small enough to spread a round over many chunks, workloads
+// long enough to roll run epochs, and generated multi-round streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -139,18 +142,19 @@ TEST(WireRoundTrip, RecoveredDrainsEqualDirectDrains) {
   }
 }
 
-// A chunk cap far below one drain forces many chunks and paths whose
-// sections straddle chunk boundaries; the stream must still reassemble
+// A chunk cap far below one drain forces many chunks, each opening a
+// segment of the one round it carries; the stream must still reassemble
 // exactly, with dense envelope sequences.
 TEST(WireRoundTrip, TinyChunksStraddlePathsAndStillRoundTrip) {
   const RoundTrip r =
       run_round_trip(3, net::DigestMode::kIndependent, 4, /*chunk=*/192);
   EXPECT_EQ(r.recovered, r.direct);
-  // ~2 sections per path against a cap of 1-2 sections per chunk: the
-  // stream must shatter into roughly one chunk per path, which straddles
-  // most paths' sections across chunk boundaries.
-  EXPECT_GT(r.stats.chunks, r.direct.size() / 2)
+  // A few entries per chunk: the round shatters into a chunk per two to
+  // three paths, and every chunk repeats the round's header.
+  EXPECT_GT(r.stats.chunks, r.direct.size() / 4)
       << "a 192 B cap must split the drain into many chunks";
+  EXPECT_EQ(r.stats.sample_batches, r.stats.chunks);
+  EXPECT_EQ(r.stats.aggregate_batches, 1u);
   EXPECT_EQ(r.rejected, 0u);
   EXPECT_EQ(r.accepted, r.stats.chunks);
 }
@@ -174,7 +178,7 @@ TEST(WireRoundTrip, ExporterBufferBoundedByChunkCapNotPathCount) {
   EXPECT_EQ(small.recovered, small.direct);
   EXPECT_EQ(large.recovered, large.direct);
   EXPECT_GT(large.stats.chunks, small.stats.chunks);
-  // Both peaks sit at/under the cap unless a single section overflows it
+  // Both peaks sit at/under the cap unless a single entry overflows it
   // (none does at this tuning), so 8x the paths must not move the bound.
   EXPECT_EQ(small.stats.oversized_sections, 0u);
   EXPECT_EQ(large.stats.oversized_sections, 0u);
@@ -183,7 +187,7 @@ TEST(WireRoundTrip, ExporterBufferBoundedByChunkCapNotPathCount) {
 }
 
 // Drains spanning more than one 3-byte epoch range (16.7 s of µs offsets)
-// must split batches at round/receipt boundaries and still round-trip.
+// must split into runs at round/receipt boundaries and still round-trip.
 TEST(WireRoundTrip, EpochRollOverLongDrains) {
   net::PathId id{};
   id.prefixes = trace::default_prefix_pair();
@@ -223,9 +227,11 @@ TEST(WireRoundTrip, EpochRollOverLongDrains) {
       [&store](dissem::Envelope&& e) { store.ingest(std::move(e)); });
   exporter.on_drain(0, drain);
   exporter.finish();
-  EXPECT_GT(exporter.stats().epoch_splits, 0u);
-  EXPECT_GT(exporter.stats().sample_batches, 1u);
-  EXPECT_GT(exporter.stats().aggregate_batches, 1u);
+  // Samples: rounds 0-3 in one run, 4-7 in the next.  Aggregates: those
+  // opening at 100-115 s in one run, 120 and 125 s in the next.
+  EXPECT_EQ(exporter.stats().epoch_splits, 2u);
+  EXPECT_EQ(exporter.stats().sample_batches, 1u);
+  EXPECT_EQ(exporter.stats().aggregate_batches, 1u);
 
   const dissem::WireImporter importer({id});
   const auto recovered = importer.import(store, kProducer);
@@ -234,8 +240,8 @@ TEST(WireRoundTrip, EpochRollOverLongDrains) {
   EXPECT_EQ(recovered[0].drain, drain);
 }
 
-// A drain the batch codec rejects leaves part of its path buffered; the
-// exporter must then refuse every further call rather than seal it.
+// A drain the codec rejects would leave its round without the path; the
+// exporter must then refuse every further call rather than ship it.
 TEST(WireRoundTrip, RejectedDrainLeavesExporterRefusingEveryCall) {
   net::PathId id{};
   id.prefixes = trace::default_prefix_pair();
@@ -254,7 +260,7 @@ TEST(WireRoundTrip, RejectedDrainLeavesExporterRefusingEveryCall) {
   dissem::WireExporter exporter(
       dissem::WireExporter::Config{.producer = kProducer, .key = kKey},
       [&sealed](dissem::Envelope&&) { ++sealed; });
-  EXPECT_THROW(exporter.on_drain(0, drain), std::invalid_argument);
+  EXPECT_THROW(exporter.on_drain(0, drain), core::WireLimitError);
   EXPECT_THROW(exporter.flush(), std::logic_error);
   EXPECT_THROW(exporter.end_round(), std::logic_error);
   EXPECT_THROW(exporter.finish(), std::logic_error);
@@ -333,11 +339,8 @@ core::PathDrain single_path_drain(const net::PathId& id,
   return d;
 }
 
-// A SINGLE-path producer reporting periodically: the first path key of
-// round N+1 immediately repeats round N's, so round detection cannot rely
-// on a key change.  With aggregates in the round the importer's fallback
-// (sample section after the path's aggregates = new round) applies even
-// without an explicit mark.
+// A SINGLE-path producer reporting periodically: round N+1's first index
+// repeats round N's, which closes round N even without end_round().
 TEST(WireRoundTrip, SinglePathPeriodicRoundsImportSeparately) {
   net::PathId id{};
   id.prefixes = trace::default_prefix_pair();
@@ -349,7 +352,7 @@ TEST(WireRoundTrip, SinglePathPeriodicRoundsImportSeparately) {
   dissem::WireExporter exporter(
       dissem::WireExporter::Config{.producer = kProducer, .key = kKey},
       [&store](dissem::Envelope&& e) { store.ingest(std::move(e)); });
-  exporter.on_drain(0, d1);  // no end_round(): fallback path
+  exporter.on_drain(0, d1);  // no end_round(): the repeat closes it
   exporter.on_drain(0, d2);
   exporter.finish();
 
@@ -365,10 +368,10 @@ TEST(WireRoundTrip, SinglePathPeriodicRoundsImportSeparately) {
   EXPECT_EQ(hop.aggregates.size(), 2u);
 }
 
-// Sample-only rounds carry no in-round cue at all, so the round boundary
-// must be marked explicitly (end_round(), or a per-period exporter whose
-// finish() writes the mark); unmarked they merge — the documented wire
-// ambiguity with an epoch split.
+// Sample-only rounds of one path import as separate rounds whether or not
+// the producer marks them: end_round() writes a close, and without it the
+// repeated index closes the round (an epoch split stays inside its entry,
+// so the two cannot be confused).
 TEST(WireRoundTrip, SampleOnlyRoundsNeedExplicitRoundMarks) {
   net::PathId id{};
   id.prefixes = trace::default_prefix_pair();
@@ -397,18 +400,20 @@ TEST(WireRoundTrip, SampleOnlyRoundsNeedExplicitRoundMarks) {
     dissem::WireExporter exporter(
         dissem::WireExporter::Config{.producer = kProducer, .key = kKey},
         [&store](dissem::Envelope&& e) { store.ingest(std::move(e)); });
-    exporter.on_drain(0, d1);  // no mark: indistinguishable from
-    exporter.on_drain(0, d2);  // an epoch split, merges
+    exporter.on_drain(0, d1);  // no mark: the repeated index closes
+    exporter.on_drain(0, d2);  // the first round
     exporter.finish();
+    EXPECT_EQ(exporter.stats().aggregate_batches, 2u);
     const auto recovered = importer.import(store, kProducer);
-    ASSERT_EQ(recovered.size(), 1u);
-    EXPECT_EQ(recovered[0].drain.samples.samples.size(), 2u);
+    ASSERT_EQ(recovered.size(), 2u);
+    EXPECT_EQ(recovered[0].drain, d1);
+    EXPECT_EQ(recovered[1].drain, d2);
   }
 }
 
 // A successor exporter continuing the envelope sequence starts after the
-// predecessor's closing round mark, so per-period exporters need no
-// manual end_round() calls at all.
+// round close its predecessor's finish() wrote, so per-period exporters
+// need no manual end_round() calls at all.
 TEST(WireRoundTrip, PerPeriodExportersChainThroughSequenceNumbers) {
   net::PathId id{};
   id.prefixes = trace::default_prefix_pair();
@@ -490,9 +495,10 @@ core::PathDrain pinned_drain(const net::PathId& id, std::uint32_t salt,
 // so one fixed stream's envelopes are pinned: sequence, payload size and
 // MAC of each, a 64-bit FNV-1a over all payloads, and the exporter's
 // stats.  Two rounds of three paths under a 256 B cap: path 1's first
-// round spans two batch epochs in both its samples and its aggregates,
-// path 2's first sample section alone exceeds the cap, path 1 idles in
-// the second round, and each round ends with a mark.
+// entry spans two run epochs in both its samples and its aggregates, path
+// 2's first entry alone exceeds the cap (so round 1's close opens the
+// third chunk), path 1 idles in the second round under thresholds of its
+// own, and each round ends with a close.
 TEST(WireRoundTrip, StreamBytesArePinned) {
   std::vector<net::PathId> table(3);
   for (std::size_t p = 0; p < table.size(); ++p) {
@@ -542,12 +548,10 @@ TEST(WireRoundTrip, StreamBytesArePinned) {
     }
   }
   EXPECT_EQ(got.str(),
-            "1 225 ea9c0852ef1a341c\n"
-            "2 206 c5e00c591a2e094f\n"
-            "3 407 8d7faffb19a87654\n"
-            "4 241 ff1cb7ca0fb332a7\n"
-            "5 74 2d2c76b56077c57\n");
-  EXPECT_EQ(fnv, 0x6bee8d599d2e66b3ull) << std::hex << fnv;
+            "1 242 61f81e77c420ee1c\n"
+            "2 378 43941b8be48610b\n"
+            "3 148 70e82e05df5043e8\n");
+  EXPECT_EQ(fnv, 0xef1b8b96a5eb6512ull) << std::hex << fnv;
 
   const dissem::WireExporter::Stats& s = exporter.stats();
   std::ostringstream stats;
@@ -556,11 +560,178 @@ TEST(WireRoundTrip, StreamBytesArePinned) {
         << s.epoch_splits << ' ' << s.chunks << ' ' << s.payload_bytes << ' '
         << s.envelope_bytes << ' ' << s.oversized_sections << ' '
         << s.peak_buffer_bytes;
-  EXPECT_EQ(stats.str(), "6 52 7 7 5 2 5 1153 1278 1 407");
+  EXPECT_EQ(stats.str(), "6 52 7 4 2 2 3 768 843 1 378");
 
   ASSERT_EQ(store.rejected_count(), 0u);
   const dissem::WireImporter importer(table);
   EXPECT_EQ(importer.import(store, kProducer), expected);
+}
+
+// --- generated multi-round streams -------------------------------------
+
+/// A seeded stream of reporting rounds over one path table: dense and
+/// sparse (eviction-like) rounds, idle paths, rounds of 0-300 followers,
+/// run epochs split at the 16.7 s edge, aggregates with AggTrans windows,
+/// one path whose thresholds differ from the rest, and rounds that end
+/// with end_round(), with a flush(), or with neither (the next round's
+/// repeated index closes them).
+struct GeneratedStream {
+  std::vector<net::PathId> table;
+  std::vector<std::vector<core::IndexedPathDrain>> rounds;
+  std::vector<bool> marked;
+  std::vector<bool> flushed;
+};
+
+GeneratedStream generate_stream(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto uniform = [&rng](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  const auto chance = [&rng](double p) {
+    return std::bernoulli_distribution(p)(rng);
+  };
+  constexpr std::int64_t kEdgeUs = 0xFFFFFF;  // the last offset that fits
+
+  GeneratedStream g;
+  const auto paths = static_cast<std::size_t>(uniform(1, 40));
+  for (std::size_t p = 0; p < paths; ++p) {
+    net::PathId id{};
+    id.prefixes = trace::default_prefix_pair();
+    id.prefixes.source = net::Prefix(
+        net::Ipv4Address(0x0A000000u + (static_cast<std::uint32_t>(p) << 16)),
+        16);
+    id.previous_hop = 4;
+    id.next_hop = 6;
+    id.max_diff = net::milliseconds(5);
+    g.table.push_back(id);
+  }
+  const auto overridden = static_cast<std::size_t>(uniform(0, paths - 1));
+  auto pkt = static_cast<std::uint32_t>(seed * 1'000'003u);
+  std::int64_t now_us = uniform(0, 1'000'000'000);
+
+  const auto rounds = uniform(1, 6);
+  for (std::int64_t r = 0; r < rounds; ++r) {
+    std::vector<core::IndexedPathDrain> round;
+    const double density = chance(0.5) ? 1.0 : 0.3;
+    for (std::size_t p = 0; p < paths; ++p) {
+      if (!chance(density)) continue;
+      core::PathDrain d;
+      d.samples.path = g.table[p];
+      d.samples.sample_threshold = p == overridden ? 777 : 1000;
+      d.samples.marker_threshold = 2000;
+      std::int64_t t = now_us + uniform(0, 50'000);
+      const std::int64_t first = t;
+      if (chance(0.05)) {
+        // A lone record off the microsecond grid: its run's epoch is
+        // exact to the nanosecond.
+        d.samples.samples.push_back(core::SampleRecord{
+            .pkt_id = pkt++,
+            .time = net::Timestamp{t * 1000 + uniform(1, 999)},
+            .is_marker = true});
+      } else if (!chance(0.2)) {
+        const auto sampling_rounds = uniform(0, 4);
+        for (std::int64_t k = 0; k < sampling_rounds; ++k) {
+          if (k > 0) {
+            // Mostly short gaps; sometimes a round right at, or one
+            // microsecond past, the end of the run's 16.7 s span.
+            t = chance(0.15) ? std::max(t, first + kEdgeUs + uniform(0, 1))
+                             : t + uniform(100, 50'000);
+          }
+          const auto followers =
+              chance(0.05) ? uniform(100, 300) : uniform(0, 3);
+          for (std::int64_t i = 0; i <= followers; ++i) {
+            d.samples.samples.push_back(core::SampleRecord{
+                .pkt_id = pkt++,
+                .time = net::Timestamp{} + net::microseconds(t),
+                .is_marker = i == followers});
+            t += uniform(0, 200);
+          }
+        }
+        std::int64_t open = first - uniform(0, 20'000'000);
+        const auto aggregates = uniform(0, 3);
+        for (std::int64_t k = 0; k < aggregates; ++k) {
+          core::AggregateReceipt a;
+          a.path = g.table[p];
+          a.agg = core::AggId{.first = pkt, .last = pkt + 1};
+          pkt += 2;
+          a.packet_count = static_cast<std::uint32_t>(uniform(1, 5000));
+          a.opened_at = net::Timestamp{} + net::microseconds(open);
+          a.closed_at = a.opened_at + net::microseconds(
+                                          chance(0.1) ? kEdgeUs
+                                                      : uniform(0, 100'000));
+          const auto window = [&] {
+            return chance(0.05) ? std::int64_t{300} : uniform(0, 4);
+          };
+          for (auto n = window(); n > 0; --n) a.trans.before.push_back(pkt++);
+          for (auto n = window(); n > 0; --n) a.trans.after.push_back(pkt++);
+          d.aggregates.push_back(std::move(a));
+          open += chance(0.2) ? kEdgeUs : uniform(0, 100'000);
+        }
+      }
+      round.push_back(core::IndexedPathDrain{.path = p, .drain = std::move(d)});
+    }
+    g.rounds.push_back(std::move(round));
+    g.marked.push_back(chance(0.6));
+    g.flushed.push_back(chance(0.3));
+    now_us += uniform(100'000, 20'000'000);
+  }
+  return g;
+}
+
+// Generated streams round-trip `==` at chunk caps from 64 B to 64 KiB; a
+// session fed one payload at a time recovers what the one-shot import
+// does; and an envelope exceeds its cap only to carry one oversized entry.
+TEST(WireRoundTrip, GeneratedStreamsRoundTripAtEveryChunkCap) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const GeneratedStream g = generate_stream(seed);
+    std::vector<core::IndexedPathDrain> expected;
+    for (const auto& round : g.rounds) {
+      expected.insert(expected.end(), round.begin(), round.end());
+    }
+    const dissem::WireImporter importer(g.table);
+    for (const std::size_t cap : {std::size_t{64}, std::size_t{256},
+                                  std::size_t{4096}, std::size_t{65536}}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " cap " << cap);
+      dissem::ReceiptStore store;
+      store.register_producer(kProducer, kKey);
+      std::vector<std::vector<std::byte>> payloads;
+      dissem::WireExporter exporter(
+          dissem::WireExporter::Config{
+              .producer = kProducer, .key = kKey, .max_chunk_bytes = cap},
+          [&](dissem::Envelope&& e) {
+            payloads.push_back(e.payload);
+            ASSERT_EQ(store.ingest(std::move(e)),
+                      dissem::IngestResult::kAccepted);
+          });
+      for (std::size_t r = 0; r < g.rounds.size(); ++r) {
+        for (const core::IndexedPathDrain& d : g.rounds[r]) {
+          exporter.on_drain(d.path, d.drain);
+        }
+        if (g.marked[r]) exporter.end_round();
+        if (g.flushed[r]) exporter.flush();
+      }
+      exporter.finish();
+      EXPECT_EQ(exporter.stats().paths, expected.size());
+
+      const std::vector<core::IndexedPathDrain> one_shot =
+          importer.import(store, kProducer);
+      EXPECT_EQ(one_shot, expected);
+
+      core::VectorSink sink;
+      dissem::WireImporter::Session session(importer, sink);
+      for (const std::vector<std::byte>& payload : payloads) {
+        const std::size_t before = sink.stream().size();
+        session.feed(payload);
+        if (payload.size() > cap) {
+          EXPECT_EQ(sink.stream().size() - before, 1u)
+              << "an over-cap envelope holds one oversized entry";
+        }
+      }
+      EXPECT_TRUE(session.at_round_boundary());
+      session.finish();
+      EXPECT_EQ(std::move(sink).take(), one_shot);
+    }
+  }
 }
 
 // import_hop rebuilds a single-path producer's receipts for the verifier.
