@@ -12,6 +12,7 @@
 #include "core/config.hpp"
 #include "core/sampler.hpp"
 #include "experiment.hpp"
+#include "net/bob_hash.hpp"
 #include "net/digest.hpp"
 #include "net/simd_dispatch.hpp"
 #include "trace/synthetic_trace.hpp"
@@ -194,10 +195,7 @@ struct SweepWorkload {
 };
 
 std::uint64_t splitmix64(std::uint64_t& s) {
-  std::uint64_t z = (s += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  return net::mix64(s += 0x9E3779B97F4A7C15ull);
 }
 
 const SweepWorkload& sweep_workload(std::size_t paths_n) {

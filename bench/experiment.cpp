@@ -3,6 +3,7 @@
 #include <fstream>
 #include <thread>
 
+#include "collector/monitoring_cache.hpp"
 #include "net/simd_dispatch.hpp"
 
 namespace vpm::bench {
@@ -86,31 +87,24 @@ XDomainScenario make_x_scenario(const XDomainConfig& cfg) {
   return s;
 }
 
-core::HopReceipts collect_hop(const XDomainScenario& s, std::size_t hop_pos,
-                              net::HopId hop_id, net::HopId prev,
-                              net::HopId next,
-                              const core::ProtocolParams& protocol,
-                              const core::HopTuning& tuning,
-                              net::Duration max_diff) {
-  core::HopMonitorConfig mc;
-  mc.protocol = protocol;
-  mc.tuning = tuning;
-  mc.path = net::PathId{
-      .header_spec_id = protocol.header_spec.id(),
-      .prefixes = trace::default_prefix_pair(),
-      .previous_hop = prev,
-      .next_hop = next,
-      .max_diff = max_diff,
-  };
-  core::HopMonitor monitor(mc);
-  for (const sim::Obs& o : s.run.hop_observations[hop_pos]) {
-    monitor.observe(s.trace[o.pkt], o.when);
+core::PathDrain collect_hop(std::span<const net::Packet> trace,
+                            const sim::ObsSeq& observations, net::HopId prev,
+                            net::HopId next,
+                            const core::ProtocolParams& protocol,
+                            const core::HopTuning& tuning,
+                            net::Duration max_diff) {
+  const net::PrefixPair pair = trace::default_prefix_pair();
+  collector::MonitoringCache cache(
+      collector::MonitoringCache::Config{.protocol = protocol,
+                                         .tuning = tuning,
+                                         .previous_hop = prev,
+                                         .next_hop = next,
+                                         .max_diff = max_diff},
+      std::span(&pair, 1));
+  for (const sim::Obs& o : observations) {
+    cache.observe(trace[o.pkt], o.when);
   }
-  core::HopReceipts r;
-  r.hop = hop_id;
-  r.samples = monitor.collect_samples();
-  r.aggregates = monitor.collect_aggregates(/*flush_open=*/true);
-  return r;
+  return cache.drain_path(0, /*flush_open=*/true);
 }
 
 // --- machine-readable bench output --------------------------------------

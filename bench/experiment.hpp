@@ -12,11 +12,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <system_error>
 #include <vector>
 
-#include "core/hop_monitor.hpp"
+#include "core/config.hpp"
 #include "core/verifier.hpp"
 #include "loss/gilbert_elliott.hpp"
 #include "sim/congestion.hpp"
@@ -94,9 +95,11 @@ struct XDomainConfig {
 
 [[nodiscard]] XDomainScenario make_x_scenario(const XDomainConfig& cfg);
 
-/// Run a monitor over one HOP's observations and package the receipts.
-[[nodiscard]] core::HopReceipts collect_hop(
-    const XDomainScenario& s, std::size_t hop_pos, net::HopId hop_id,
+/// Run a one-path monitoring cache (the default prefix pair every bench
+/// trace draws from) over one HOP's observations and drain its receipts,
+/// open aggregate flushed.
+[[nodiscard]] core::PathDrain collect_hop(
+    std::span<const net::Packet> trace, const sim::ObsSeq& observations,
     net::HopId prev, net::HopId next, const core::ProtocolParams& protocol,
     const core::HopTuning& tuning,
     net::Duration max_diff = net::milliseconds(5));

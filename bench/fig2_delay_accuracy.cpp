@@ -45,8 +45,10 @@ Cell run_cell(double sample_rate, double loss_rate, std::uint64_t seed) {
   tuning.cut_rate = 1e-5;
 
   core::PathVerifier verifier;
-  verifier.add_hop(bench::collect_hop(s, 1, 2, 1, 3, protocol, tuning));
-  verifier.add_hop(bench::collect_hop(s, 2, 3, 2, 4, protocol, tuning));
+  verifier.add_round(2, bench::collect_hop(s.trace, s.run.hop_observations[1],
+                                           1, 3, protocol, tuning));
+  verifier.add_round(3, bench::collect_hop(s.trace, s.run.hop_observations[2],
+                                           2, 4, protocol, tuning));
 
   const core::DomainDelayReport delay = verifier.domain_delay(2, 3);
   if (!delay.usable()) return Cell{};

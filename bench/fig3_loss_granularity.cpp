@@ -44,8 +44,10 @@ Cell run_cell(double loss_rate, std::uint64_t seed) {
   tuning.cut_rate = 1.0 / 20'000.0;  // one aggregate per second of traffic
 
   core::PathVerifier verifier;
-  verifier.add_hop(bench::collect_hop(s, 1, 2, 1, 3, protocol, tuning));
-  verifier.add_hop(bench::collect_hop(s, 2, 3, 2, 4, protocol, tuning));
+  verifier.add_round(2, bench::collect_hop(s.trace, s.run.hop_observations[1],
+                                           1, 3, protocol, tuning));
+  verifier.add_round(3, bench::collect_hop(s.trace, s.run.hop_observations[2],
+                                           2, 4, protocol, tuning));
 
   const core::DomainLossReport loss = verifier.domain_loss(2, 3);
   return Cell{.mean_granularity_s = loss.mean_granularity_s,

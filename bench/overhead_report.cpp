@@ -166,7 +166,6 @@ void lifecycle_section() {
   ccfg.protocol = bench::bench_protocol();
   ccfg.tuning = core::HopTuning{.sample_rate = 0.01, .cut_rate = 1e-5};
   ccfg.lifecycle = collector::LifecycleConfig{
-      .evict_idle = true,
       .idle_ttl = net::milliseconds(250),
       .compact_garbage_fraction = 0.25,
   };
@@ -248,8 +247,8 @@ void receipt_size_section() {
   const bench::XDomainScenario s = bench::make_x_scenario(cfg);
   const auto protocol = bench::bench_protocol();
   core::HopTuning tuning{.sample_rate = 0.01, .cut_rate = 1e-3};
-  const core::HopReceipts hop =
-      bench::collect_hop(s, 1, 2, 1, 3, protocol, tuning);
+  const core::PathDrain hop = bench::collect_hop(
+      s.trace, s.run.hop_observations[1], 1, 3, protocol, tuning);
 
   // The HOP's receipts as one wire entry, sized by the codec: samples
   // alone, then with the aggregates, against a round header carrying the

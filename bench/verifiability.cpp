@@ -74,32 +74,17 @@ Outcome run_trial(double x_rate, double neighbor_rate, double loss,
   // ingress (5) at neighbor_rate.
   const auto protocol = bench::bench_protocol();
   auto collect = [&](std::size_t pos, double rate) {
-    core::HopMonitorConfig mc;
-    mc.protocol = protocol;
-    mc.tuning = core::HopTuning{.sample_rate = rate, .cut_rate = 1e-5};
-    mc.path = net::PathId{
-        .header_spec_id = protocol.header_spec.id(),
-        .prefixes = trace::default_prefix_pair(),
-        .previous_hop = static_cast<net::HopId>(pos),
-        .next_hop = static_cast<net::HopId>(pos + 2),
-        .max_diff = net::milliseconds(5),
-    };
-    core::HopMonitor m(mc);
-    for (const sim::Obs& o : run.hop_observations[pos]) {
-      m.observe(trace[o.pkt], o.when);
-    }
-    core::HopReceipts r;
-    r.hop = static_cast<net::HopId>(pos + 1);
-    r.samples = m.collect_samples();
-    r.aggregates = m.collect_aggregates(true);
-    return r;
+    return bench::collect_hop(
+        trace, run.hop_observations[pos], static_cast<net::HopId>(pos),
+        static_cast<net::HopId>(pos + 2), protocol,
+        core::HopTuning{.sample_rate = rate, .cut_rate = 1e-5});
   };
 
   core::PathVerifier v;
-  v.add_hop(collect(2, neighbor_rate));  // hop 3: L egress
-  v.add_hop(collect(3, x_rate));         // hop 4: X ingress
-  v.add_hop(collect(4, x_rate));         // hop 5: X egress
-  v.add_hop(collect(5, neighbor_rate));  // hop 6: N ingress
+  v.add_round(3, collect(2, neighbor_rate));  // L egress
+  v.add_round(4, collect(3, x_rate));         // X ingress
+  v.add_round(5, collect(4, x_rate));         // X egress
+  v.add_round(6, collect(5, neighbor_rate));  // N ingress
 
   Outcome out;
   {

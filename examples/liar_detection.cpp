@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "adversary/strategies.hpp"
-#include "core/hop_monitor.hpp"
+#include "collector/monitoring_cache.hpp"
 #include "core/verifier.hpp"
 #include "loss/bernoulli.hpp"
 #include "sim/topology.hpp"
@@ -23,39 +23,37 @@ using namespace vpm;
 
 namespace {
 
-std::vector<core::HopReceipts> honest_receipts(
+/// Every HOP's receipts, indexed by HOP position (HOP id - 1).
+std::vector<core::PathDrain> honest_receipts(
     const std::vector<net::Packet>& trace, const sim::PathRunResult& run) {
   core::ProtocolParams protocol;
   core::HopTuning tuning{.sample_rate = 0.05, .cut_rate = 1e-4};
-  std::vector<core::HopReceipts> receipts;
+  const net::PrefixPair pair = trace::default_prefix_pair();
+  std::vector<core::PathDrain> receipts;
   for (std::size_t pos = 0; pos < run.hop_observations.size(); ++pos) {
     const auto hop = static_cast<net::HopId>(pos + 1);
-    core::HopMonitor monitor(core::HopMonitorConfig{
-        .protocol = protocol,
-        .tuning = tuning,
-        .path =
-            net::PathId{.header_spec_id = protocol.header_spec.id(),
-                        .prefixes = trace::default_prefix_pair(),
-                        .previous_hop = pos == 0 ? net::kNoHop : hop - 1,
-                        .next_hop = pos + 1 == run.hop_observations.size()
-                                        ? net::kNoHop
-                                        : hop + 1,
-                        .max_diff = net::milliseconds(5)},
-    });
+    collector::MonitoringCache monitor(
+        collector::MonitoringCache::Config{
+            .protocol = protocol,
+            .tuning = tuning,
+            .previous_hop = pos == 0 ? net::kNoHop : hop - 1,
+            .next_hop = pos + 1 == run.hop_observations.size() ? net::kNoHop
+                                                               : hop + 1,
+            .max_diff = net::milliseconds(5)},
+        std::span(&pair, 1));
     for (const sim::Obs& o : run.hop_observations[pos]) {
       monitor.observe(trace[o.pkt], o.when);
     }
-    receipts.push_back(core::HopReceipts{
-        .hop = hop,
-        .samples = monitor.collect_samples(),
-        .aggregates = monitor.collect_aggregates(true)});
+    receipts.push_back(monitor.drain_path(0, /*flush_open=*/true));
   }
   return receipts;
 }
 
-void report(const char* act, const std::vector<core::HopReceipts>& receipts) {
+void report(const char* act, const std::vector<core::PathDrain>& receipts) {
   core::PathVerifier v;
-  for (const auto& r : receipts) v.add_hop(r);
+  for (std::size_t pos = 0; pos < receipts.size(); ++pos) {
+    v.add_round(static_cast<net::HopId>(pos + 1), receipts[pos]);
+  }
   const core::PathLayout layout{
       .hops = {1, 2, 3, 4, 5, 6, 7, 8},
       .domain_of = {"S", "L", "L", "X", "X", "N", "N", "D"}};

@@ -7,7 +7,7 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "core/hop_monitor.hpp"
+#include "collector/monitoring_cache.hpp"
 #include "core/verifier.hpp"
 #include "loss/gilbert_elliott.hpp"
 #include "sim/path_run.hpp"
@@ -46,19 +46,18 @@ int main() {
   tuning.sample_rate = 0.02;               // 2% delay samples
   tuning.cut_rate = 1.0 / 25'000.0;        // one aggregate per ~0.5 s
 
+  //    Each HOP's collector is a monitoring cache over the one path.
   auto make_monitor = [&](net::HopId prev, net::HopId next) {
-    return core::HopMonitor(core::HopMonitorConfig{
-        .protocol = protocol,
-        .tuning = tuning,
-        .path = net::PathId{.header_spec_id = protocol.header_spec.id(),
-                            .prefixes = tcfg.prefixes,
-                            .previous_hop = prev,
-                            .next_hop = next,
-                            .max_diff = net::milliseconds(5)},
-    });
+    return collector::MonitoringCache(
+        collector::MonitoringCache::Config{.protocol = protocol,
+                                           .tuning = tuning,
+                                           .previous_hop = prev,
+                                           .next_hop = next,
+                                           .max_diff = net::milliseconds(5)},
+        std::span(&tcfg.prefixes, 1));
   };
-  core::HopMonitor ingress = make_monitor(1, 3);  // HOP 2
-  core::HopMonitor egress = make_monitor(2, 4);   // HOP 3
+  collector::MonitoringCache ingress = make_monitor(1, 3);  // HOP 2
+  collector::MonitoringCache egress = make_monitor(2, 4);   // HOP 3
   for (const sim::Obs& o : run.hop_observations[1]) {
     ingress.observe(trace[o.pkt], o.when);
   }
@@ -68,14 +67,8 @@ int main() {
 
   // 4. Receipts out, verdicts in.
   core::PathVerifier verifier;
-  verifier.add_hop(core::HopReceipts{
-      .hop = 2,
-      .samples = ingress.collect_samples(),
-      .aggregates = ingress.collect_aggregates(true)});
-  verifier.add_hop(core::HopReceipts{
-      .hop = 3,
-      .samples = egress.collect_samples(),
-      .aggregates = egress.collect_aggregates(true)});
+  verifier.add_round(2, ingress.drain_path(0, /*flush_open=*/true));
+  verifier.add_round(3, egress.drain_path(0, /*flush_open=*/true));
 
   const core::DomainLossReport loss = verifier.domain_loss(2, 3);
   std::printf("Loss through X (from receipts):\n");

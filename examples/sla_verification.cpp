@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/hop_monitor.hpp"
+#include "collector/monitoring_cache.hpp"
 #include "core/verifier.hpp"
 #include "loss/gilbert_elliott.hpp"
 #include "sim/congestion.hpp"
@@ -79,22 +79,17 @@ void run_scenario(const char* label, double injected_loss,
   core::PathVerifier verifier;
   for (const auto& [pos, hop] : std::vector<std::pair<std::size_t, net::HopId>>{
            {1, 2}, {2, 3}}) {
-    core::HopMonitor monitor(core::HopMonitorConfig{
-        .protocol = protocol,
-        .tuning = tuning,
-        .path = net::PathId{.header_spec_id = protocol.header_spec.id(),
-                            .prefixes = tcfg.prefixes,
-                            .previous_hop = hop - 1,
-                            .next_hop = hop + 1,
-                            .max_diff = net::milliseconds(5)},
-    });
+    collector::MonitoringCache monitor(
+        collector::MonitoringCache::Config{.protocol = protocol,
+                                           .tuning = tuning,
+                                           .previous_hop = hop - 1,
+                                           .next_hop = hop + 1,
+                                           .max_diff = net::milliseconds(5)},
+        std::span(&tcfg.prefixes, 1));
     for (const sim::Obs& o : run.hop_observations[pos]) {
       monitor.observe(trace[o.pkt], o.when);
     }
-    verifier.add_hop(core::HopReceipts{
-        .hop = hop,
-        .samples = monitor.collect_samples(),
-        .aggregates = monitor.collect_aggregates(true)});
+    verifier.add_round(hop, monitor.drain_path(0, /*flush_open=*/true));
   }
 
   const auto delay = verifier.domain_delay(2, 3);

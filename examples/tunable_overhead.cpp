@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "collector/resource_model.hpp"
-#include "core/hop_monitor.hpp"
+#include "collector/monitoring_cache.hpp"
 #include "core/receipt_batch.hpp"
 #include "core/verifier.hpp"
 #include "sim/congestion.hpp"
@@ -59,23 +59,19 @@ int main() {
     std::size_t buffer_peak = 0;
     for (const auto& [pos, hop] :
          std::vector<std::pair<std::size_t, net::HopId>>{{1, 2}, {2, 3}}) {
-      core::HopMonitor monitor(core::HopMonitorConfig{
-          .protocol = protocol,
-          .tuning = tuning,
-          .path = net::PathId{.header_spec_id = protocol.header_spec.id(),
-                              .prefixes = tcfg.prefixes,
-                              .previous_hop = hop - 1,
-                              .next_hop = hop + 1,
-                              .max_diff = net::milliseconds(5)},
-      });
+      collector::MonitoringCache monitor(
+          collector::MonitoringCache::Config{
+              .protocol = protocol,
+              .tuning = tuning,
+              .previous_hop = hop - 1,
+              .next_hop = hop + 1,
+              .max_diff = net::milliseconds(5)},
+          std::span(&tcfg.prefixes, 1));
       for (const sim::Obs& o : run.hop_observations[pos]) {
         monitor.observe(trace[o.pkt], o.when);
       }
-      buffer_peak = std::max(buffer_peak, monitor.sampler().buffer_peak());
-      core::HopReceipts r;
-      r.hop = hop;
-      r.samples = monitor.collect_samples();
-      r.aggregates = monitor.collect_aggregates(true);
+      buffer_peak = std::max(buffer_peak, monitor.temp_buffer_peak_records());
+      core::PathDrain r = monitor.drain_path(0, /*flush_open=*/true);
       // The HOP's receipts as one wire entry under a round header that
       // carries its thresholds.
       const core::RoundHeader header{
@@ -83,10 +79,8 @@ int main() {
           .marker_threshold = r.samples.marker_threshold,
           .base = r.samples.samples.empty() ? net::Timestamp{}
                                             : r.samples.samples.front().time};
-      receipt_bytes +=
-          core::size_entry(1, core::PathDrain{r.samples, r.aggregates}, header)
-              .bytes();
-      verifier.add_hop(std::move(r));
+      receipt_bytes += core::size_entry(1, r, header).bytes();
+      verifier.add_round(hop, std::move(r));
     }
 
     const auto delay = verifier.domain_delay(2, 3);

@@ -109,10 +109,7 @@ int main() {
     hop_collector.drain(drained, /*flush_open=*/true);
 
     // In-memory path: hand the receipts straight to the verifier.
-    in_memory.add_hop(core::HopReceipts{
-        .hop = hop,
-        .samples = drained.stream()[0].drain.samples,
-        .aggregates = drained.stream()[0].drain.aggregates});
+    in_memory.add_round(hop, drained.stream()[0].drain);
 
     // Wire path: HOP = producer domain; encode, seal, publish.
     const dissem::DomainId producer = hop;
@@ -133,14 +130,23 @@ int main() {
                 static_cast<unsigned long long>(st.chunks),
                 static_cast<unsigned long long>(st.envelope_bytes));
 
-    // Consumer side: recover this producer's receipts from the store.
+    // Consumer side: recover this producer's receipts from the store,
+    // handing each reporting round of the one path to the verifier.
     const dissem::WireImporter importer({net::PathId{
         .header_spec_id = protocol.header_spec.id(),
         .prefixes = tcfg.prefixes,
         .previous_hop = scfg.cache.previous_hop,
         .next_hop = scfg.cache.next_hop,
         .max_diff = scfg.cache.max_diff}});
-    from_wire.add_hop(importer.import_hop(store, producer, hop));
+    core::DrainRoundSink to_verifier(
+        [&from_wire, hop = hop](std::size_t path, core::PathDrain&& drain) {
+          if (path != 0) {
+            check(false, "wire: the stream names a path other than 0");
+            return;
+          }
+          from_wire.add_round(hop, std::move(drain));
+        });
+    importer.import_into(store, producer, to_verifier);
   }
 
   std::printf("\nStore: %zu envelopes accepted, %zu rejected\n\n",

@@ -103,10 +103,10 @@ void PathClassifier::classify_batch(const net::Packet* pkts, std::size_t n,
 namespace {
 
 void validate_lifecycle(const LifecycleConfig& cfg) {
-  if (cfg.evict_idle && cfg.idle_ttl <= net::Duration{0}) {
+  if (cfg.idle_ttl < net::Duration{0}) {
     throw std::invalid_argument(
-        "LifecycleConfig: idle_ttl must be positive when eviction is "
-        "enabled");
+        "LifecycleConfig: idle_ttl must not be negative (0 disables "
+        "eviction)");
   }
   // NaN fails both comparisons' complements, so spell the valid range out.
   if (!(cfg.compact_garbage_fraction >= 0.0 &&
@@ -395,7 +395,7 @@ std::vector<core::IndexedPathDrain> MonitoringCache::drain_all(
 
 std::optional<core::PathDrain> MonitoringCache::evict_path_if_idle(
     std::size_t path, net::Timestamp now, LifecycleReport& report) {
-  if (!lifecycle_.evict_idle) return std::nullopt;
+  if (lifecycle_.idle_ttl == net::Duration{0}) return std::nullopt;
   if (!state_.path_has_state(path)) return std::nullopt;
   // last_at_ns is written by every observed packet (the fused kernel runs
   // the aggregator for each packet), so it is the path's last-activity
@@ -468,7 +468,7 @@ void MonitoringCache::decay_and_compact(LifecycleReport& report) {
 LifecycleReport MonitoringCache::run_lifecycle(net::Timestamp now,
                                                core::ReceiptSink& sink) {
   LifecycleReport report;
-  if (lifecycle_.evict_idle) {
+  if (lifecycle_.idle_ttl != net::Duration{0}) {
     for (std::size_t p = 0; p < state_.path_count(); ++p) {
       if (std::optional<core::PathDrain> d =
               evict_path_if_idle(p, now, report)) {

@@ -192,8 +192,8 @@ struct LifecycleConfig {
   /// the lifecycle pass's `now`.  Eviction drains the path's receipts
   /// through the normal ReceiptSink path first (flush_open), then releases
   /// its arena slices and receipt capacity — monitoring restarts from
-  /// scratch if the path revives.  Must be positive when `evict_idle`.
-  bool evict_idle = false;
+  /// scratch if the path revives.  0 (the default) disables eviction;
+  /// negative is rejected.
   net::Duration idle_ttl{0};
   /// Compact the arenas at a lifecycle pass when garbage exceeds this
   /// fraction of total arena bytes.  Must lie in [0, 1] — a watermark
@@ -250,7 +250,7 @@ class MonitoringCache {
     net::HopId previous_hop = net::kNoHop;
     net::HopId next_hop = net::kNoHop;
     net::Duration max_diff = net::milliseconds(5);
-    LifecycleConfig lifecycle;
+    LifecycleConfig lifecycle{};
   };
 
   /// Creates per-path state for every path upfront (paths are learned from
@@ -298,7 +298,7 @@ class MonitoringCache {
   LifecycleReport run_lifecycle(net::Timestamp now, core::ReceiptSink& sink);
 
   /// Evict `path` now if it holds state and has been idle at least
-  /// `idle_ttl` (no-op unless `evict_idle`), counting the eviction and its
+  /// `idle_ttl` (no-op when `idle_ttl` is 0), counting the eviction and its
   /// dropped temp-buffer records in `report`.  Returns the path's final
   /// flushed drain for the caller to emit under its own path index, or
   /// std::nullopt when nothing was evicted or the evicted path has nothing

@@ -44,6 +44,7 @@
 
 #include "collector/monitoring_cache.hpp"
 #include "collector/spsc_queue.hpp"
+#include "net/bob_hash.hpp"
 #include "net/packet.hpp"
 #include "net/prefix.hpp"
 
@@ -84,14 +85,7 @@ class ShardedCollector {
   [[nodiscard]] static std::size_t shard_of_key(std::uint64_t key,
                                                 std::size_t shard_count)
       noexcept {
-    // splitmix64 finalizer: full-avalanche 64 -> 64 mix.
-    std::uint64_t x = key;
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x % shard_count);
+    return static_cast<std::size_t>(net::mix64(key) % shard_count);
   }
 
   /// Routing for one packet (masked header -> key -> shard).

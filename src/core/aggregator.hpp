@@ -16,7 +16,7 @@
 //
 // This class is a single-path facade over the SoA kernels in
 // core/path_state.hpp (the per-packet step lives there, shared with
-// DelaySampler / HopMonitor / MonitoringCache).  It does NOT copy the
+// DelaySampler / MonitoringCache).  It does NOT copy the
 // digest engine: the caller's engine must outlive the aggregator.
 #ifndef VPM_CORE_AGGREGATOR_HPP
 #define VPM_CORE_AGGREGATOR_HPP
@@ -54,7 +54,7 @@ class Aggregator {
   }
 
   /// Fast path: decisions were already computed upstream (one hash per
-  /// packet, shared with the sampler — see HopMonitor::observe).
+  /// packet, shared with the sampler — see MonitoringCache::observe).
   void observe(const net::PacketDecisions& d, net::Timestamp when) {
     ++observed_;
     path_observe_aggregator(state_, 0, d, when);

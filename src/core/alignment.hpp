@@ -108,9 +108,9 @@ struct PreparedAggregate {
     std::span<const AggregateReceipt> up,
     std::span<const AggregateReceipt> down, bool apply_patchup = true);
 
-/// Patch-up alone (exposed for tests and the reorder ablation): returns
-/// `down` with counts adjusted to match `up`'s boundary assignments, plus
-/// the number of migrations performed.
+/// Patch-up alone (exposed for tests): returns `down` with counts adjusted
+/// to match `up`'s boundary assignments, plus the number of migrations
+/// performed.
 struct PatchupResult {
   std::vector<AggregateReceipt> down;
   std::size_t migrations = 0;

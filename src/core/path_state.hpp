@@ -26,8 +26,8 @@
 //
 // The kernels below are the ONE implementation of the Algorithm 1/2
 // per-packet steps: DelaySampler and Aggregator wrap a 1-path block of
-// this storage, HopMonitor wraps a fused 1-path block, and
-// MonitoringCache runs the same kernels over an N-path block.  Receipt
+// this storage, and MonitoringCache runs the fused kernels over an N-path
+// block (a single-path HOP is a one-path cache).  Receipt
 // streams equal the pre-SoA per-object implementation's, receipt for
 // receipt (pinned by tests/soa_equivalence_test.cpp).
 #ifndef VPM_CORE_PATH_STATE_HPP
@@ -139,8 +139,8 @@ struct PathStats {
   std::uint32_t emitted_low_streak = 0;
 };
 
-/// A closed aggregate before PathId stamping (the HopMonitor /
-/// MonitoringCache drain adds that).
+/// A closed aggregate before PathId stamping (the MonitoringCache drain
+/// adds that).
 struct AggregateData {
   AggId agg;
   std::uint32_t packet_count = 0;
@@ -157,7 +157,7 @@ struct PendingAggregate {
 
 /// The structure-of-arrays block the kernels operate on.  Members are
 /// public by design: this IS the SoA view — DelaySampler, Aggregator,
-/// HopMonitor and MonitoringCache are facades over (slices of) it.
+/// and MonitoringCache are facades over (slices of) it.
 struct PathStateSoA {
   PathStateSoA(const PathParams& p, std::size_t path_count)
       : params(p),
@@ -348,8 +348,8 @@ void path_observe_aggregator(PathStateSoA& s, std::size_t path,
                              net::Timestamp when);
 
 /// The fused per-path data-plane step: sampler then aggregator (the order
-/// the pre-SoA HopMonitor::observe used).  Returns the marker-sweep
-/// record count.
+/// the pre-SoA per-path monitor used).  Returns the marker-sweep record
+/// count.
 inline std::size_t path_observe(PathStateSoA& s, std::size_t path,
                                 const net::PacketDecisions& d,
                                 net::Timestamp when) {
@@ -380,8 +380,8 @@ inline std::size_t path_observe(PathStateSoA& s, std::size_t path,
 
 // --- Receipt drains (the control-plane surface) ---------------------------
 //
-// The ONE place drained state is stamped into receipts — HopMonitor and
-// MonitoringCache both delegate here, so the receipt ordering contract
+// The ONE place drained state is stamped into receipts — MonitoringCache
+// delegates here, so the receipt ordering contract
 // (with flush_open: finalise pending, drain closed, then append the
 // flushed open aggregate) has a single implementation.
 

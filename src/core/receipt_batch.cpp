@@ -3,6 +3,8 @@
 #include <limits>
 #include <string>
 
+#include "net/bob_hash.hpp"
+
 namespace vpm::core {
 namespace {
 
@@ -27,13 +29,6 @@ bool fits(net::Timestamp t, net::Timestamp epoch) noexcept {
 
 std::uint32_t offset_us(net::Timestamp t, net::Timestamp epoch) noexcept {
   return static_cast<std::uint32_t>((t - epoch).nanoseconds() / kNsPerUs);
-}
-
-/// splitmix64's finaliser.
-std::uint64_t mix64(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
 }
 
 /// Counts what a ByteWriter would write: the sizing pass of the one body
@@ -325,14 +320,14 @@ void encode_round_close(std::uint64_t digest, net::ByteWriter& out) {
 std::uint64_t path_identity(const net::PathId& id) noexcept {
   const std::uint64_t hops =
       std::uint64_t{id.previous_hop} << 32 | id.next_hop;
-  return mix64(id.path_key() ^
-               mix64(hops ^ mix64(static_cast<std::uint64_t>(
+  return net::mix64(id.path_key() ^
+               net::mix64(hops ^ net::mix64(static_cast<std::uint64_t>(
                                 id.max_diff.nanoseconds()))));
 }
 
 std::uint64_t fold_round_digest(std::uint64_t digest, std::size_t index,
                                 std::uint64_t identity) noexcept {
-  return mix64(digest ^ (identity + 0x9E3779B97F4A7C15ull *
+  return net::mix64(digest ^ (identity + 0x9E3779B97F4A7C15ull *
                                         (std::uint64_t{index} + 1)));
 }
 

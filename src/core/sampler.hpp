@@ -17,7 +17,7 @@
 //
 // This class is a single-path facade over the SoA kernels in
 // core/path_state.hpp (the per-packet step lives there, shared with
-// Aggregator / HopMonitor / MonitoringCache).  It does NOT copy the
+// Aggregator / MonitoringCache).  It does NOT copy the
 // digest engine: the caller's engine must outlive the sampler (it is the
 // protocol-wide engine, shared by every monitor of a deployment).
 #ifndef VPM_CORE_SAMPLER_HPP
@@ -57,7 +57,7 @@ class DelaySampler {
   }
 
   /// Fast path: decisions were already computed upstream (one hash per
-  /// packet, shared with the aggregator — see HopMonitor::observe).
+  /// packet, shared with the aggregator — see MonitoringCache::observe).
   std::size_t observe(const net::PacketDecisions& d, net::Timestamp when) {
     ++observed_;
     return path_observe_sampler(state_, 0, d, when);

@@ -5,24 +5,10 @@
 
 namespace vpm::core {
 
-void PathVerifier::add_hop(HopReceipts receipts) {
-  if (receipts_.contains(receipts.hop)) {
-    throw std::invalid_argument("duplicate receipts for HOP " +
-                                std::to_string(receipts.hop));
-  }
-  receipts_.emplace(receipts.hop, std::move(receipts));
-}
-
 void PathVerifier::add_round(net::HopId hop, PathDrain round) {
-  const auto it = receipts_.find(hop);
-  if (it == receipts_.end()) {
-    receipts_.emplace(hop,
-                      HopReceipts{.hop = hop,
-                                  .samples = std::move(round.samples),
-                                  .aggregates = std::move(round.aggregates)});
-    return;
-  }
-  HopReceipts& r = it->second;
+  const auto [it, first] = receipts_.try_emplace(hop, std::move(round));
+  if (first) return;
+  PathDrain& r = it->second;
   r.samples.samples.insert(
       r.samples.samples.end(),
       std::make_move_iterator(round.samples.samples.begin()),
@@ -32,7 +18,7 @@ void PathVerifier::add_round(net::HopId hop, PathDrain round) {
                       std::make_move_iterator(round.aggregates.end()));
 }
 
-const HopReceipts& PathVerifier::hop(net::HopId id) const {
+const PathDrain& PathVerifier::hop(net::HopId id) const {
   const auto it = receipts_.find(id);
   if (it == receipts_.end()) {
     throw std::out_of_range("no receipts for HOP " + std::to_string(id));
@@ -95,8 +81,8 @@ DomainLossReport PathVerifier::domain_loss(net::HopId ingress,
 }
 
 LinkReport PathVerifier::check_link(net::HopId up, net::HopId down) const {
-  const HopReceipts& u = hop(up);
-  const HopReceipts& d = hop(down);
+  const PathDrain& u = hop(up);
+  const PathDrain& d = hop(down);
   return LinkReport{
       .samples = check_link_samples(u.samples, d.samples),
       .aggregates = check_link_aggregates(u.aggregates, d.aggregates),

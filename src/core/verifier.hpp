@@ -70,13 +70,6 @@ struct LinkReport {
   friend bool operator==(const LinkReport&, const LinkReport&) = default;
 };
 
-/// Receipts one HOP produced for one path over the measurement period.
-struct HopReceipts {
-  net::HopId hop = net::kNoHop;
-  SampleReceipt samples;
-  std::vector<AggregateReceipt> aggregates;
-};
-
 /// How the path's HOPs map to domains, for attribution (the verifier
 /// learns this from BGP/peering data; here it is supplied).
 struct PathLayout {
@@ -156,13 +149,9 @@ struct PathAnalysis {
 /// Collects receipts from every HOP of one path and answers queries.
 class PathVerifier {
  public:
-  /// Register a HOP's receipts.  Throws std::invalid_argument on duplicate
-  /// HOP ids.
-  void add_hop(HopReceipts receipts);
-
   /// Ingest one reporting round of receipts from `hop`: rounds concatenate
   /// per the collector's periodic-drain invariant, so N add_round calls
-  /// equal one add_hop of the combined receipts.  This verifier stays the
+  /// equal one add_round of the combined drain.  This verifier stays the
   /// MATERIALIZED reference (memory grows with history); the round-fed
   /// production counterpart is core::IncrementalPathVerifier.
   void add_round(net::HopId hop, PathDrain round);
@@ -192,8 +181,9 @@ class PathVerifier {
   [[nodiscard]] PathAnalysis analyze(const PathLayout& layout) const;
 
  private:
-  [[nodiscard]] const HopReceipts& hop(net::HopId id) const;
-  std::map<net::HopId, HopReceipts> receipts_;
+  [[nodiscard]] const PathDrain& hop(net::HopId id) const;
+  /// Each HOP's rounds so far, concatenated.
+  std::map<net::HopId, PathDrain> receipts_;
 };
 
 }  // namespace vpm::core

@@ -3,23 +3,17 @@
 #include <algorithm>
 #include <utility>
 
-namespace vpm::dissem {
+#include "net/bob_hash.hpp"
 
-namespace {
-/// splitmix64: tiny, well-mixed, and exactly reproducible everywhere.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-}  // namespace
+namespace vpm::dissem {
 
 FaultyTransport::FaultyTransport(FaultPlan plan, std::uint64_t seed,
                                  Deliver deliver)
     : plan_(plan), rng_state_(seed), deliver_(std::move(deliver)) {}
 
-std::uint64_t FaultyTransport::next_u64() { return splitmix64(rng_state_); }
+std::uint64_t FaultyTransport::next_u64() {
+  return net::mix64(rng_state_ += 0x9E3779B97F4A7C15ull);
+}
 
 double FaultyTransport::next_unit() {
   // 53 high bits -> [0,1): every rate comparison is exact in a double.

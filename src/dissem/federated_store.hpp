@@ -40,6 +40,7 @@
 #include "dissem/envelope.hpp"
 #include "dissem/receipt_store.hpp"
 #include "dissem/segment_store.hpp"
+#include "net/bob_hash.hpp"
 
 namespace vpm::dissem {
 
@@ -59,13 +60,7 @@ class FederatedStore {
   /// splitmix64-finalizer routing, the sharded-collector discipline.
   [[nodiscard]] static std::size_t shard_of(DomainId producer,
                                             std::size_t shard_count) noexcept {
-    std::uint64_t x = producer;
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x % shard_count);
+    return static_cast<std::size_t>(net::mix64(producer) % shard_count);
   }
 
   [[nodiscard]] std::size_t shard_count() const noexcept {

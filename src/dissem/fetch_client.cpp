@@ -4,18 +4,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "net/bob_hash.hpp"
 #include "net/wire.hpp"
 
 namespace vpm::dissem {
-
-namespace {
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-}  // namespace
 
 FetchClient::FetchClient(const WireImporter& importer, ReceiptStore& store,
                          Config cfg, RoundHandler on_rounds,
@@ -38,7 +30,9 @@ FetchClient::FetchClient(const WireImporter& importer, ReceiptStore& store,
       std::make_unique<WireImporter::Session>(*importer_, buffer_);
 }
 
-std::uint64_t FetchClient::next_u64() { return splitmix64(rng_state_); }
+std::uint64_t FetchClient::next_u64() {
+  return net::mix64(rng_state_ += 0x9E3779B97F4A7C15ull);
+}
 
 void FetchClient::poll() {
   ++stats_.polls;
@@ -56,22 +50,9 @@ void FetchClient::finalize() {
   // No more polls are coming: a sequence still inside its patience window
   // is not late, it is gone.  Declare, resync, deliver what closes.
   run_fetch_pass(/*force_gap=*/true);
-  if (gap_open_) {
-    // The stream ended while still hunting a round close (or the gap had
-    // nothing behind it at all): close the gap over everything consumed.
-    for (std::uint64_t key : session_->take_skipped_keys()) {
-      gap_.affected_paths.push_back(key);
-    }
-    std::sort(gap_.affected_paths.begin(), gap_.affected_paths.end());
-    gap_.affected_paths.erase(
-        std::unique(gap_.affected_paths.begin(), gap_.affected_paths.end()),
-        gap_.affected_paths.end());
-    ++stats_.gaps_reported;
-    on_gap_(std::move(gap_));
-    gap_ = core::RoundGap{};
-    gap_open_ = false;
-    gap_wait_ = 0;
-  }
+  // The stream ended while still hunting a round close (or the gap had
+  // nothing behind it at all): close the gap over everything consumed.
+  if (gap_open_) close_gap();
 }
 
 void FetchClient::run_fetch_pass(bool force_gap) {
@@ -120,7 +101,7 @@ void FetchClient::run_fetch_pass(bool force_gap) {
           gap_.last_sequence = seq;  // the resync walk consumed it
         }
         if (!gap_open_) gap_wait_ = 0;
-        close_gap_if_resynced();
+        if (gap_open_ && !session_->resyncing()) close_gap();
         if (session_->at_round_boundary()) deliver_and_ack();
       });
   if (saw_new || progress) {
@@ -190,8 +171,7 @@ void FetchClient::discard_partial_round() {
   }
 }
 
-void FetchClient::close_gap_if_resynced() {
-  if (!gap_open_ || session_->resyncing()) return;
+void FetchClient::close_gap() {
   for (std::uint64_t key : session_->take_skipped_keys()) {
     gap_.affected_paths.push_back(key);
   }

@@ -117,7 +117,9 @@ class FetchClient {
                     std::span<const std::byte> payload);
   void begin_gap(std::uint64_t first_missing, core::RoundGap::Cause cause);
   void discard_partial_round();
-  void close_gap_if_resynced();
+  /// Report the open gap, its affected paths sorted and deduped with the
+  /// session's skipped keys, and reset it.
+  void close_gap();
   void deliver_and_ack();
   [[nodiscard]] std::uint64_t next_u64();
 

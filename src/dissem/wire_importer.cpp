@@ -196,37 +196,4 @@ std::vector<core::IndexedPathDrain> WireImporter::import(
   return std::move(sink).take();
 }
 
-core::HopReceipts WireImporter::import_hop(const ReceiptStore& store,
-                                           DomainId producer,
-                                           net::HopId hop) const {
-  std::vector<core::IndexedPathDrain> stream = import(store, producer);
-  if (stream.empty()) {
-    throw std::invalid_argument(
-        "WireImporter::import_hop: producer shipped no receipts");
-  }
-  // Periodic reporting yields one drain per round; they concatenate to
-  // the one-shot drain (the collector's documented drain-order
-  // invariant), which is what the verifier consumes.
-  core::HopReceipts out{
-      .hop = hop,
-      .samples = std::move(stream.front().drain.samples),
-      .aggregates = std::move(stream.front().drain.aggregates)};
-  for (std::size_t i = 1; i < stream.size(); ++i) {
-    core::IndexedPathDrain& d = stream[i];
-    if (d.path != stream.front().path) {
-      throw std::invalid_argument(
-          "WireImporter::import_hop expects a single-path producer");
-    }
-    out.samples.samples.insert(
-        out.samples.samples.end(),
-        std::make_move_iterator(d.drain.samples.samples.begin()),
-        std::make_move_iterator(d.drain.samples.samples.end()));
-    out.aggregates.insert(
-        out.aggregates.end(),
-        std::make_move_iterator(d.drain.aggregates.begin()),
-        std::make_move_iterator(d.drain.aggregates.end()));
-  }
-  return out;
-}
-
 }  // namespace vpm::dissem

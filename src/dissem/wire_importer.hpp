@@ -25,7 +25,6 @@
 
 #include "core/receipt_batch.hpp"
 #include "core/receipt_sink.hpp"
-#include "core/verifier.hpp"
 #include "dissem/receipt_store.hpp"
 #include "net/path_id.hpp"
 
@@ -57,16 +56,6 @@ class WireImporter {
   /// Materialized convenience form.
   [[nodiscard]] std::vector<core::IndexedPathDrain> import(
       const ReceiptStore& store, DomainId producer) const;
-
-  /// Rebuild the HopReceipts of a single-path producer (one HOP's receipts
-  /// about one path) for PathVerifier::add_hop.  Periodic reporting
-  /// rounds concatenate, matching the collector's
-  /// periodic-drains-concatenate-to-one-shot invariant.  Throws
-  /// std::invalid_argument on an empty stream or a producer whose stream
-  /// covers more than one path.
-  [[nodiscard]] core::HopReceipts import_hop(const ReceiptStore& store,
-                                             DomainId producer,
-                                             net::HopId hop) const;
 
   [[nodiscard]] std::size_t path_count() const noexcept {
     return paths_.size();

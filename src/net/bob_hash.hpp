@@ -99,6 +99,17 @@ inline std::uint32_t load_le(const std::byte* p, std::size_t n) noexcept {
 
 }  // namespace lookup3
 
+/// splitmix64's finalizer: a full-avalanche 64 -> 64-bit mix.  It routes
+/// path keys to shards and producers to store shards, derives seeds and
+/// folds round digests; a splitmix64 generator step is
+/// mix64(state += 0x9E3779B97F4A7C15).  Inline: shard routing runs it
+/// once per packet.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
 /// Hash a byte string.  `initval` seeds the hash; different seeds give
 /// independent hash functions over the same input.
 [[nodiscard]] std::uint32_t bob_hash(std::span<const std::byte> key,

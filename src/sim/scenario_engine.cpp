@@ -23,6 +23,7 @@
 #include "dissem/wire_importer.hpp"
 #include "loss/bernoulli.hpp"
 #include "loss/gilbert_elliott.hpp"
+#include "net/bob_hash.hpp"
 #include "sim/congestion.hpp"
 #include "sim/path_run.hpp"
 #include "trace/synthetic_trace.hpp"
@@ -36,16 +37,6 @@ constexpr dissem::DomainKey kKey = 0x5CE7A110;
 /// run, and a short cursor-log snapshot cadence, so runs compact the log.
 constexpr std::size_t kSegmentBytes = 1024;
 constexpr std::size_t kCursorSnapshotEvery = 512;
-
-/// splitmix64 finalizer — deterministic per-path and per-event seeds.
-std::uint64_t mix(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
 
 /// The consumer-side PathId table for one HOP's receipts: same header
 /// spec, neighbor hops, and MaxDiff the producer's collector stamps.
@@ -419,7 +410,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
     CongestionConfig ccfg;
     ccfg.bottleneck_bps = cfg.congestion_bps;
     ccfg.buffer_bytes = cfg.congestion_buffer;
-    ccfg.seed = mix(cfg.seed ^ 0xC0963710ull);
+    ccfg.seed = net::mix64(cfg.seed ^ 0xC0963710ull);
     congestion = simulate_congestion(ccfg, fg_packets);
   }
 
@@ -444,7 +435,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
     }
 
     PathEnvironment env;
-    env.seed = mix(cfg.seed ^ (0x9E3779B97F4A7C15ull + p));
+    env.seed = net::mix64(cfg.seed ^ (0x9E3779B97F4A7C15ull + p));
     env.domains.resize(n_domains);
     env.links.resize(n_domains - 1);
     std::unique_ptr<loss::LossModel> loss_model;
@@ -459,14 +450,14 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
         break;
       case LossKind::kBernoulli:
         loss_model = std::make_unique<loss::BernoulliLoss>(
-            cfg.loss_rate, mix(cfg.seed ^ (0xB10Bull + p)));
+            cfg.loss_rate, net::mix64(cfg.seed ^ (0xB10Bull + p)));
         env.domains[loss_d].loss = loss_model.get();
         break;
       case LossKind::kGilbertElliott:
         loss_model = std::make_unique<loss::GilbertElliott>(
             loss::GilbertElliott::with_target_loss(
                 cfg.loss_rate, cfg.loss_burst,
-                mix(cfg.seed ^ (0x6EB0ull + p))));
+                net::mix64(cfg.seed ^ (0x6EB0ull + p))));
         env.domains[loss_d].loss = loss_model.get();
         break;
       case LossKind::kCongestion:
@@ -547,7 +538,6 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
     c.max_diff = cfg.max_diff;
     if (cfg.ttl_rounds != 0) {
       c.lifecycle = collector::LifecycleConfig{
-          .evict_idle = true,
           .idle_ttl = cfg.round_length *
                       static_cast<std::int64_t>(cfg.ttl_rounds),
           .compact_garbage_fraction = 0.25,
@@ -706,7 +696,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
       store.reset();
       if (cfg.torn_tail &&
           tear_segment_tail(directory,
-                            mix(cfg.seed ^ (0x7EA5ull * r)))) {
+                            net::mix64(cfg.seed ^ (0x7EA5ull * r)))) {
         ++out.torn_tails;
       }
       store = open_store();

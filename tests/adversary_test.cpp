@@ -21,7 +21,6 @@
 namespace vpm::adversary {
 namespace {
 
-using core::HopReceipts;
 using core::InconsistencyKind;
 using core::LinkReport;
 using core::PathVerifier;
@@ -33,7 +32,7 @@ using test::test_protocol;
 struct FigOneRun {
   std::vector<net::Packet> trace;
   sim::PathRunResult run;
-  std::vector<HopReceipts> receipts;  // index = hop position (hop id - 1)
+  std::vector<core::PathDrain> receipts;  // index = hop position (hop id - 1)
 };
 
 FigOneRun honest_run(double x_loss_rate, std::uint64_t seed) {
@@ -59,25 +58,23 @@ FigOneRun honest_run(double x_loss_rate, std::uint64_t seed) {
             ? net::kNoHop
             : static_cast<net::HopId>(pos + 2));
     test::feed(monitor, out.trace, out.run.hop_observations[pos]);
-    HopReceipts r;
-    r.hop = static_cast<net::HopId>(pos + 1);
-    r.samples = monitor.collect_samples();
-    r.aggregates = monitor.collect_aggregates(true);
-    out.receipts.push_back(std::move(r));
+    out.receipts.push_back(monitor.drain_path(0, /*flush_open=*/true));
   }
   return out;
 }
 
-PathVerifier verifier_with(const std::vector<HopReceipts>& receipts) {
+PathVerifier verifier_with(const std::vector<core::PathDrain>& receipts) {
   PathVerifier v;
-  for (const HopReceipts& r : receipts) v.add_hop(r);
+  for (std::size_t pos = 0; pos < receipts.size(); ++pos) {
+    v.add_round(static_cast<net::HopId>(pos + 1), receipts[pos]);
+  }
   return v;
 }
 
 TEST(Adversary, HidingLossMakesLinkInconsistent) {
   FigOneRun run = honest_run(0.10, 61);
   // X (hops 4,5) lies at its egress: claims it delivered everything.
-  std::vector<HopReceipts> published = run.receipts;
+  std::vector<core::PathDrain> published = run.receipts;
   published[4].samples = hide_loss_samples(
       run.receipts[4].samples, run.receipts[3].samples, net::milliseconds(2));
   published[4].aggregates = hide_loss_aggregates(run.receipts[4].aggregates,
@@ -114,7 +111,7 @@ TEST(Adversary, HidingLossMakesLinkInconsistent) {
 
 TEST(Adversary, UnderstatingDelayTripsMaxDiff) {
   FigOneRun run = honest_run(0.0, 67);
-  std::vector<HopReceipts> published = run.receipts;
+  std::vector<core::PathDrain> published = run.receipts;
   // X shaves 10 ms off its egress timestamps (MaxDiff is 5 ms).
   published[4].samples =
       understate_delay(run.receipts[4].samples, net::milliseconds(10));
@@ -136,7 +133,7 @@ TEST(Adversary, SmallShaveWithinMaxDiffIsUndetectableButBounded) {
   // Shaving less than MaxDiff - link_delay stays undetected — the paper's
   // implicit bound on delay lies.  Verify both sides of it.
   FigOneRun run = honest_run(0.0, 71);
-  std::vector<HopReceipts> published = run.receipts;
+  std::vector<core::PathDrain> published = run.receipts;
   published[4].samples =
       understate_delay(run.receipts[4].samples, net::milliseconds(4));
   PathVerifier v = verifier_with(published);
@@ -150,7 +147,7 @@ TEST(Adversary, SmallShaveWithinMaxDiffIsUndetectableButBounded) {
 
 TEST(Adversary, CollusionPushesInconsistencyDownstream) {
   FigOneRun run = honest_run(0.10, 73);
-  std::vector<HopReceipts> published = run.receipts;
+  std::vector<core::PathDrain> published = run.receipts;
   // X lies at its egress...
   published[4].samples = hide_loss_samples(
       run.receipts[4].samples, run.receipts[3].samples, net::milliseconds(2));

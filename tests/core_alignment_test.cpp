@@ -166,16 +166,16 @@ TEST(Alignment, EmptyInputsYieldNoAggregates) {
 
 // ------------------------------------------------ end-to-end via sim/core
 
-struct TwoHopReceipts {
+struct TwoHopAggregates {
   std::vector<AggregateReceipt> up;
   std::vector<AggregateReceipt> down;
   std::size_t trace_size = 0;
   std::uint64_t delivered = 0;
 };
 
-TwoHopReceipts run_two_hops(double cut_rate, net::Duration j,
-                            net::Duration jitter, loss::LossModel* loss,
-                            std::uint64_t seed) {
+TwoHopAggregates run_two_hops(double cut_rate, net::Duration j,
+                              net::Duration jitter, loss::LossModel* loss,
+                              std::uint64_t seed) {
   trace::TraceConfig tcfg;
   tcfg.prefixes = trace::default_prefix_pair();
   tcfg.packets_per_second = 20'000;
@@ -215,7 +215,7 @@ TwoHopReceipts run_two_hops(double cut_rate, net::Duration j,
     return receipts;
   };
 
-  TwoHopReceipts out;
+  TwoHopAggregates out;
   out.up = collect(run.hop_observations[1]);    // domain 1 ingress
   out.down = collect(run.hop_observations[2]);  // domain 1 egress
   out.trace_size = trace.size();
@@ -225,8 +225,8 @@ TwoHopReceipts run_two_hops(double cut_rate, net::Duration j,
 
 TEST(AlignmentEndToEnd, ExactLossRecoveredUnderGilbertLoss) {
   loss::BernoulliLoss loss(0.1, 99);
-  const TwoHopReceipts r = run_two_hops(1e-3, net::milliseconds(10),
-                                        net::Duration{0}, &loss, 5);
+  const TwoHopAggregates r = run_two_hops(1e-3, net::milliseconds(10),
+                                          net::Duration{0}, &loss, 5);
   const AlignmentResult aligned = align_aggregates(r.up, r.down, true);
   std::uint64_t offered = 0;
   std::uint64_t delivered = 0;
@@ -244,8 +244,8 @@ TEST(AlignmentEndToEnd, ReorderWithoutPatchupMiscounts) {
   // With jitter-induced reordering and patch-up disabled, some joined
   // aggregates show phantom loss or negative loss; patch-up repairs them.
   const net::Duration jitter = net::microseconds(400);
-  const TwoHopReceipts r = run_two_hops(2e-3, net::milliseconds(10), jitter,
-                                        nullptr, 7);
+  const TwoHopAggregates r = run_two_hops(2e-3, net::milliseconds(10),
+                                          jitter, nullptr, 7);
   const AlignmentResult raw = align_aggregates(r.up, r.down, false);
   const AlignmentResult fixed = align_aggregates(r.up, r.down, true);
 
@@ -263,8 +263,8 @@ TEST(AlignmentEndToEnd, ReorderWithoutPatchupMiscounts) {
 }
 
 TEST(AlignmentEndToEnd, CountsConservedEvenWithoutPatchup) {
-  const TwoHopReceipts r = run_two_hops(2e-3, net::milliseconds(10),
-                                        net::microseconds(400), nullptr, 11);
+  const TwoHopAggregates r = run_two_hops(2e-3, net::milliseconds(10),
+                                          net::microseconds(400), nullptr, 11);
   const AlignmentResult raw = align_aggregates(r.up, r.down, false);
   std::uint64_t up_total = 0;
   std::uint64_t down_total = 0;

@@ -9,7 +9,6 @@
 
 #include "core/consistency.hpp"
 #include "core/config.hpp"
-#include "core/hop_monitor.hpp"
 #include "core/incremental_verifier.hpp"
 #include "core/verifier.hpp"
 #include "helpers.hpp"
@@ -57,10 +56,10 @@ LinkFixture make_link(double sample_rate, loss::LossModel* link_loss,
   auto down = make_monitor(protocol, tuning, 5, net::kNoHop, max_diff);
   feed(up, f.trace, run.hop_observations[0]);
   feed(down, f.trace, run.hop_observations[1]);
-  f.up_samples = up.collect_samples();
-  f.down_samples = down.collect_samples();
-  f.up_aggs = up.collect_aggregates(true);
-  f.down_aggs = down.collect_aggregates(true);
+  f.up_samples = up.collect_samples(0);
+  f.down_samples = down.collect_samples(0);
+  f.up_aggs = up.collect_aggregates(0, true);
+  f.down_aggs = down.collect_aggregates(0, true);
   return f;
 }
 
@@ -189,7 +188,7 @@ TEST(LinkSamples, DownstreamLowerRateIsNotAViolation) {
   feed(down, trace, run.hop_observations[1]);
 
   const LinkSampleCheck check =
-      check_link_samples(up.collect_samples(), down.collect_samples());
+      check_link_samples(up.collect_samples(0), down.collect_samples(0));
   EXPECT_TRUE(check.consistent());
   EXPECT_GT(check.common_samples, 0u);
 }

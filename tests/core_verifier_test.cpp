@@ -145,11 +145,8 @@ TEST(PathVerifier, PartialDeploymentYieldsEmptyFindings) {
                                       static_cast<net::HopId>(pos),
                                       static_cast<net::HopId>(pos + 2));
     test::feed(monitor, s.trace, s.run.hop_observations[pos]);
-    HopReceipts r;
-    r.hop = static_cast<net::HopId>(pos + 1);
-    r.samples = monitor.collect_samples();
-    r.aggregates = monitor.collect_aggregates(true);
-    v.add_hop(std::move(r));
+    v.add_round(static_cast<net::HopId>(pos + 1),
+                monitor.drain_path(0, /*flush_open=*/true));
   }
   const PathAnalysis analysis = v.analyze(figure_one_layout());
   // X's own performance is still *reportable* (its pair of HOPs deployed).
@@ -165,16 +162,57 @@ TEST(PathVerifier, PartialDeploymentYieldsEmptyFindings) {
   EXPECT_TRUE(found_x);
 }
 
-TEST(PathVerifier, RejectsDuplicateAndUnknownHops) {
+TEST(PathVerifier, RejectsUnknownHops) {
   PathVerifier v;
-  HopReceipts r;
-  r.hop = 4;
-  v.add_hop(r);
-  HopReceipts dup;
-  dup.hop = 4;
-  EXPECT_THROW(v.add_hop(dup), std::invalid_argument);
+  v.add_round(4, PathDrain{});
   EXPECT_THROW((void)v.domain_delay(4, 99), std::out_of_range);
   EXPECT_THROW((void)v.domain_loss(99, 4), std::out_of_range);
+}
+
+// add_round's contract: a HOP's reporting rounds verify exactly like one
+// feed of their concatenated drain.  One-path caches drained every
+// ~250 ms of each HOP's own clock, the last drain flushed, against the
+// same run drained once per HOP.
+TEST(PathVerifier, RoundsConcatenateToOneFeed) {
+  loss::BernoulliLoss x_loss(0.1, 71);
+  Scenario s = run_figure_one(&x_loss, net::milliseconds(2),
+                              net::milliseconds(1), 71);
+  const core::HopTuning tunings[] = {
+      core::HopTuning{.sample_rate = 0.05, .cut_rate = 1e-3}};
+  const auto protocol = test_protocol();
+  const PathVerifier once = monitor_path(s.trace, s.run, protocol, tunings);
+
+  PathVerifier by_round;
+  const std::size_t hops = s.run.hop_observations.size();
+  std::size_t rounds = 0;
+  for (std::size_t pos = 0; pos < hops; ++pos) {
+    const auto hop = static_cast<net::HopId>(pos + 1);
+    auto monitor = test::make_monitor(
+        protocol, tunings[0], pos == 0 ? net::kNoHop : hop - 1,
+        pos + 1 == hops ? net::kNoHop : hop + 1);
+    const sim::ObsSeq& obs = s.run.hop_observations[pos];
+    ASSERT_FALSE(obs.empty());
+    net::Timestamp round_end = obs.front().when + net::milliseconds(250);
+    for (const sim::Obs& o : obs) {
+      if (o.when >= round_end) {
+        by_round.add_round(hop, monitor.drain_path(0));
+        round_end += net::milliseconds(250);
+        ++rounds;
+      }
+      monitor.observe(s.trace[o.pkt], o.when);
+    }
+    by_round.add_round(hop, monitor.drain_path(0, /*flush_open=*/true));
+    ++rounds;
+    EXPECT_EQ(monitor.unknown_path_packets(), 0u);
+  }
+  EXPECT_GE(rounds, 7 * hops);  // a 2 s trace: ~8 rounds per HOP
+
+  const PathAnalysis expected = once.analyze(figure_one_layout());
+  const PathAnalysis got = by_round.analyze(figure_one_layout());
+  ASSERT_EQ(expected.domains.size(), 3u);
+  EXPECT_GT(expected.domains[1].loss.offered,
+            expected.domains[1].loss.delivered);  // X's loss shows
+  EXPECT_EQ(got, expected);
 }
 
 TEST(PathVerifier, AnalyzeValidatesLayout) {

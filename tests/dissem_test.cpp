@@ -237,8 +237,8 @@ TEST(ReceiptStore, EndToEndReceiptBatchDelivery) {
       protocol, core::HopTuning{.sample_rate = 0.02, .cut_rate = 1e-3},
       net::kNoHop, 2);
   test::feed(monitor, trace, run.hop_observations[0]);
-  const core::SampleReceipt samples = monitor.collect_samples();
-  const auto aggs = monitor.collect_aggregates(true);
+  const core::SampleReceipt samples = monitor.collect_samples(0);
+  const auto aggs = monitor.collect_aggregates(0, true);
 
   net::ByteWriter payload;
   const core::PathDrain drain{.samples = samples, .aggregates = aggs};

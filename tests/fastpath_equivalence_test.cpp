@@ -30,7 +30,6 @@
 
 #include "collector/monitoring_cache.hpp"
 #include "core/config.hpp"
-#include "core/hop_monitor.hpp"
 #include "core/receipt.hpp"
 #include "helpers.hpp"
 #include "net/digest.hpp"
@@ -243,18 +242,18 @@ TEST_P(FastPathEquivalence, ReceiptStreamsAreByteIdentical) {
   const std::uint32_t sigma = sample_threshold_for(params, 0.01);
   const std::uint32_t delta = cut_threshold_for(1e-4);
 
-  // New fast path: HopMonitor drives sampler+aggregator off one decide().
-  HopMonitorConfig mc;
-  mc.protocol = params;
-  mc.tuning = HopTuning{.sample_rate = 0.01, .cut_rate = 1e-4};
-  mc.path = net::PathId{
+  // New fast path: a one-path monitoring cache drives sampler+aggregator
+  // off one decide(), stamping this PathId.
+  const net::PathId path{
       .header_spec_id = params.header_spec.id(),
       .prefixes = trace::default_prefix_pair(),
       .previous_hop = 1,
       .next_hop = 3,
       .max_diff = net::milliseconds(5),
   };
-  HopMonitor monitor(mc);
+  auto monitor = test::make_monitor(
+      params, HopTuning{.sample_rate = 0.01, .cut_rate = 1e-4},
+      path.previous_hop, path.next_hop, path.max_diff);
 
   // Pre-refactor reference, fed the same observations.
   ReferenceSampler ref_sampler(engine, mu, sigma);
@@ -267,9 +266,9 @@ TEST_P(FastPathEquivalence, ReceiptStreamsAreByteIdentical) {
   }
 
   // --- samples: equal receipts.
-  SampleReceipt fast_samples = monitor.collect_samples();
+  SampleReceipt fast_samples = monitor.collect_samples(0);
   SampleReceipt ref_samples;
-  ref_samples.path = mc.path;
+  ref_samples.path = path;
   ref_samples.sample_threshold = sigma;
   ref_samples.marker_threshold = mu;
   ref_samples.samples = ref_sampler.take_samples();
@@ -278,11 +277,11 @@ TEST_P(FastPathEquivalence, ReceiptStreamsAreByteIdentical) {
 
   // --- aggregates: equal receipts, including the flushed
   // tail (take_closed drains finalized windows first, matching
-  // HopMonitor::collect_aggregates' flush ordering).
+  // MonitoringCache::collect_aggregates' flush ordering).
   std::vector<AggregateReceipt> fast_aggs =
-      monitor.collect_aggregates(/*flush_open=*/true);
+      monitor.collect_aggregates(0, /*flush_open=*/true);
   auto stamp = [&](const AggregateData& d) {
-    return AggregateReceipt{.path = mc.path,
+    return AggregateReceipt{.path = path,
                             .agg = d.agg,
                             .packet_count = d.packet_count,
                             .trans = d.trans,

@@ -15,7 +15,7 @@
 #include <system_error>
 #include <vector>
 
-#include "core/hop_monitor.hpp"
+#include "collector/monitoring_cache.hpp"
 #include "core/verifier.hpp"
 #include "net/packet.hpp"
 #include "sim/path_run.hpp"
@@ -82,31 +82,29 @@ inline core::ProtocolParams test_protocol() {
 }
 
 /// Feed a HOP's observation sequence into a monitor.
-inline void feed(core::HopMonitor& monitor, std::span<const net::Packet> trace,
+inline void feed(collector::MonitoringCache& monitor,
+                 std::span<const net::Packet> trace,
                  const sim::ObsSeq& observations) {
   for (const sim::Obs& o : observations) {
     monitor.observe(trace[o.pkt], o.when);
   }
 }
 
-/// Build a monitor for the HOP between `prev` and `next` with the given
-/// tuning.
-inline core::HopMonitor make_monitor(const core::ProtocolParams& protocol,
-                                     const core::HopTuning& tuning,
-                                     net::HopId prev, net::HopId next,
-                                     net::Duration max_diff =
-                                         net::milliseconds(5)) {
-  core::HopMonitorConfig cfg;
-  cfg.protocol = protocol;
-  cfg.tuning = tuning;
-  cfg.path = net::PathId{
-      .header_spec_id = protocol.header_spec.id(),
-      .prefixes = trace::default_prefix_pair(),
-      .previous_hop = prev,
-      .next_hop = next,
-      .max_diff = max_diff,
-  };
-  return core::HopMonitor{cfg};
+/// Build a one-path monitoring cache, over the default prefix pair every
+/// test trace draws from, for the HOP between `prev` and `next` with the
+/// given tuning.  Its receipts are path 0's.
+inline collector::MonitoringCache make_monitor(
+    const core::ProtocolParams& protocol, const core::HopTuning& tuning,
+    net::HopId prev, net::HopId next,
+    net::Duration max_diff = net::milliseconds(5)) {
+  const net::PrefixPair pair = trace::default_prefix_pair();
+  return collector::MonitoringCache(
+      collector::MonitoringCache::Config{.protocol = protocol,
+                                         .tuning = tuning,
+                                         .previous_hop = prev,
+                                         .next_hop = next,
+                                         .max_diff = max_diff},
+      std::span(&pair, 1));
 }
 
 /// Run monitors over every HOP of a path and collect receipts into a
@@ -125,15 +123,11 @@ inline core::PathVerifier monitor_path(
     const net::HopId next = pos + 1 == hops
                                 ? net::kNoHop
                                 : static_cast<net::HopId>(pos + 2);
-    core::HopMonitor monitor =
+    collector::MonitoringCache monitor =
         make_monitor(protocol, tuning_per_hop[pos % tuning_per_hop.size()],
                      prev, next, max_diff);
     feed(monitor, trace, run.hop_observations[pos]);
-    core::HopReceipts receipts;
-    receipts.hop = self;
-    receipts.samples = monitor.collect_samples();
-    receipts.aggregates = monitor.collect_aggregates(/*flush_open=*/true);
-    verifier.add_hop(std::move(receipts));
+    verifier.add_round(self, monitor.drain_path(0, /*flush_open=*/true));
   }
   return verifier;
 }

@@ -162,8 +162,8 @@ TEST(IntegrationWire, ReceiptsSurviveSerializationEndToEnd) {
         protocol, tunings[0], pos == 0 ? net::kNoHop : hop_id - 1,
         pos + 1 == run.hop_observations.size() ? net::kNoHop : hop_id + 1);
     test::feed(monitor, trace, run.hop_observations[pos]);
-    const core::SampleReceipt samples = monitor.collect_samples();
-    const auto aggs = monitor.collect_aggregates(true);
+    const core::SampleReceipt samples = monitor.collect_samples(0);
+    const auto aggs = monitor.collect_aggregates(0, true);
 
     net::ByteWriter wire;
     const core::PathDrain drain{.samples = samples, .aggregates = aggs};
@@ -177,11 +177,7 @@ TEST(IntegrationWire, ReceiptsSurviveSerializationEndToEnd) {
     core::PathDrain back =
         core::decode_entry(core::read_item(reader), samples.path, header);
     ASSERT_TRUE(reader.done());
-    core::HopReceipts receipts;
-    receipts.hop = hop_id;
-    receipts.samples = std::move(back.samples);
-    receipts.aggregates = std::move(back.aggregates);
-    via_wire.add_hop(std::move(receipts));
+    via_wire.add_round(hop_id, std::move(back));
   }
 
   const auto direct_loss = direct.domain_loss(2, 3);
@@ -222,10 +218,8 @@ TEST(IntegrationPartialDeployment, LoneDeployerStillProducesVerifiableData) {
                                       static_cast<net::HopId>(pos),
                                       static_cast<net::HopId>(pos + 2));
     test::feed(monitor, trace, run.hop_observations[pos]);
-    v.add_hop(core::HopReceipts{
-        .hop = static_cast<net::HopId>(pos + 1),
-        .samples = monitor.collect_samples(),
-        .aggregates = monitor.collect_aggregates(true)});
+    v.add_round(static_cast<net::HopId>(pos + 1),
+                monitor.drain_path(0, /*flush_open=*/true));
   }
   const auto loss = v.domain_loss(2, 3);
   EXPECT_EQ(loss.offered, loss.delivered);

@@ -55,14 +55,8 @@ TEST(Lifecycle, ConfigValidation) {
   const Workload w = make_workload(1);
   auto cfg = cache_config();
 
-  cfg.lifecycle = collector::LifecycleConfig{.evict_idle = true,
-                                             .idle_ttl = net::Duration{0}};
-  EXPECT_THROW(collector::MonitoringCache(cfg, w.multi.paths),
-               std::invalid_argument)
-      << "zero TTL with eviction enabled must be rejected";
-
   cfg.lifecycle = collector::LifecycleConfig{
-      .evict_idle = true, .idle_ttl = net::milliseconds(-5)};
+      .idle_ttl = net::milliseconds(-5)};
   EXPECT_THROW(collector::MonitoringCache(cfg, w.multi.paths),
                std::invalid_argument)
       << "negative TTL must be rejected";
@@ -83,7 +77,7 @@ TEST(Lifecycle, ConfigValidation) {
   EXPECT_THROW(collector::MonitoringCache(cfg, w.multi.paths),
                std::invalid_argument);
 
-  // Disabled eviction with a zero TTL is the valid default.
+  // A zero TTL, eviction disabled, is the valid default.
   cfg.lifecycle = collector::LifecycleConfig{};
   EXPECT_NO_THROW(collector::MonitoringCache(cfg, w.multi.paths));
 }
@@ -133,7 +127,6 @@ TEST(Lifecycle, TtlEvictionDrainsReceiptsThenReclaims) {
   const Workload w = make_workload(4);
   auto cfg = cache_config();
   cfg.lifecycle = collector::LifecycleConfig{
-      .evict_idle = true,
       .idle_ttl = net::milliseconds(300),
       .compact_garbage_fraction = 0.0,  // compact at any garbage
   };
@@ -198,7 +191,7 @@ TEST(Lifecycle, EvictionPreservesConcatenatedReceiptStreams) {
   const Workload w = make_workload(5);
   auto cfg = cache_config();
   cfg.lifecycle = collector::LifecycleConfig{
-      .evict_idle = true, .idle_ttl = net::milliseconds(300)};
+      .idle_ttl = net::milliseconds(300)};
   collector::MonitoringCache lifecycle(cfg, w.multi.paths);
   collector::MonitoringCache plain(cache_config(), w.multi.paths);
 
@@ -254,7 +247,7 @@ TEST(Lifecycle, EmptyEvictionDrainsShipNothing) {
   const Workload w = make_workload(7);
   auto cfg = cache_config();
   cfg.lifecycle = collector::LifecycleConfig{
-      .evict_idle = true, .idle_ttl = net::milliseconds(300)};
+      .idle_ttl = net::milliseconds(300)};
   collector::MonitoringCache cache(cfg, w.multi.paths);
   cache.observe_batch(w.multi.packets);
   (void)cache.drain_all(/*flush_open=*/true);  // everything disclosed
@@ -371,7 +364,6 @@ TEST(ShardedLifecycle, MatchesSingleCacheLifecycle) {
   const Workload w = make_workload(6);
   auto cfg = cache_config();
   cfg.lifecycle = collector::LifecycleConfig{
-      .evict_idle = true,
       .idle_ttl = net::milliseconds(300),
       .compact_garbage_fraction = 0.0,
       .decay_low_occupancy_drains = 1,

@@ -361,11 +361,6 @@ TEST(WireRoundTrip, SinglePathPeriodicRoundsImportSeparately) {
   ASSERT_EQ(recovered.size(), 2u);
   EXPECT_EQ(recovered[0].drain, d1);
   EXPECT_EQ(recovered[1].drain, d2);
-
-  // import_hop concatenates the rounds for the verifier.
-  const core::HopReceipts hop = importer.import_hop(store, kProducer, 2);
-  EXPECT_EQ(hop.samples.samples.size(), 2u);
-  EXPECT_EQ(hop.aggregates.size(), 2u);
 }
 
 // Sample-only rounds of one path import as separate rounds whether or not
@@ -732,32 +727,6 @@ TEST(WireRoundTrip, GeneratedStreamsRoundTripAtEveryChunkCap) {
       EXPECT_EQ(std::move(sink).take(), one_shot);
     }
   }
-}
-
-// import_hop rebuilds a single-path producer's receipts for the verifier.
-TEST(WireRoundTrip, ImportHopRebuildsHopReceipts) {
-  net::PathId id{};
-  id.prefixes = trace::default_prefix_pair();
-  core::PathDrain drain;
-  drain.samples.path = id;
-  drain.samples.sample_threshold = 5;
-  drain.samples.marker_threshold = 7;
-  drain.samples.samples.push_back(core::SampleRecord{
-      .pkt_id = 9, .time = net::Timestamp{1000}, .is_marker = true});
-
-  dissem::ReceiptStore store;
-  store.register_producer(kProducer, kKey);
-  dissem::WireExporter exporter(
-      dissem::WireExporter::Config{.producer = kProducer, .key = kKey},
-      [&store](dissem::Envelope&& e) { store.ingest(std::move(e)); });
-  exporter.on_drain(0, drain);
-  exporter.finish();
-
-  const dissem::WireImporter importer({id});
-  const core::HopReceipts hop = importer.import_hop(store, kProducer, 4);
-  EXPECT_EQ(hop.hop, 4u);
-  EXPECT_EQ(hop.samples, drain.samples);
-  EXPECT_TRUE(hop.aggregates.empty());
 }
 
 }  // namespace
