@@ -320,15 +320,16 @@ void encode_round_close(std::uint64_t digest, net::ByteWriter& out) {
 std::uint64_t path_identity(const net::PathId& id) noexcept {
   const std::uint64_t hops =
       std::uint64_t{id.previous_hop} << 32 | id.next_hop;
-  return net::mix64(id.path_key() ^
-               net::mix64(hops ^ net::mix64(static_cast<std::uint64_t>(
-                                id.max_diff.nanoseconds()))));
+  return net::mix64(
+      id.path_key() ^
+      net::mix64(hops ^ net::mix64(static_cast<std::uint64_t>(
+                            id.max_diff.nanoseconds()))));
 }
 
 std::uint64_t fold_round_digest(std::uint64_t digest, std::size_t index,
                                 std::uint64_t identity) noexcept {
   return net::mix64(digest ^ (identity + 0x9E3779B97F4A7C15ull *
-                                        (std::uint64_t{index} + 1)));
+                                             (std::uint64_t{index} + 1)));
 }
 
 SizedEntry size_entry(std::size_t step, const PathDrain& d,
