@@ -11,7 +11,6 @@
 #include "adversary/strategies.hpp"
 #include "baseline/trajectory_sampling.hpp"
 #include "core/config.hpp"
-#include "core/sampler.hpp"
 #include "experiment.hpp"
 #include "stats/quantile.hpp"
 #include "trace/synthetic_trace.hpp"
@@ -96,11 +95,13 @@ int main() {
   // --- VPM: only markers are predictable. ---
   Row vpm_row;
   {
-    core::DelaySampler sampler(engine, protocol.marker_threshold(),
-                               core::sample_threshold_for(protocol, rate));
-    for (const auto& p : trace) sampler.observe(p, p.origin_time);
+    collector::MonitoringCache cache =
+        bench::one_path_cache(protocol, core::HopTuning{.sample_rate = rate});
+    for (const auto& p : trace) cache.observe(p, p.origin_time);
     std::unordered_set<net::PacketDigest> ids;
-    for (const auto& s : sampler.take_samples()) ids.insert(s.pkt_id);
+    for (const auto& s : cache.drain_path(0).samples.samples) {
+      ids.insert(s.pkt_id);
+    }
     auto sampled = [&](const net::Packet& p) {
       return ids.contains(engine.packet_id(p));
     };

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/sampler.hpp"
 #include "experiment.hpp"
 #include "loss/gilbert_elliott.hpp"
 #include "trace/synthetic_trace.hpp"
@@ -35,22 +34,20 @@ Row run_row(double marker_rate, std::uint64_t seed) {
 
   core::ProtocolParams protocol;
   protocol.marker_rate = marker_rate;
-  const net::DigestEngine engine = protocol.make_engine();
   // Keep 1% of non-marker sampling on top of the markers so the
   // marker share of samples is meaningful at every mu.
-  const double sample_rate = marker_rate + 0.01 * (1.0 - marker_rate);
-  const std::uint32_t sigma =
-      core::sample_threshold_for(protocol, sample_rate);
+  const core::HopTuning tuning{
+      .sample_rate = marker_rate + 0.01 * (1.0 - marker_rate)};
 
-  core::DelaySampler up(engine, protocol.marker_threshold(), sigma);
-  core::DelaySampler down = up;
+  collector::MonitoringCache up = bench::one_path_cache(protocol, tuning);
+  collector::MonitoringCache down = bench::one_path_cache(protocol, tuning);
   auto ge = loss::GilbertElliott::with_target_loss(0.25, 10.0, seed + 9);
   for (const auto& p : trace) {
     up.observe(p, p.origin_time);
     if (!ge.should_drop()) down.observe(p, p.origin_time);
   }
-  const auto up_samples = up.take_samples();
-  const auto down_samples = down.take_samples();
+  const auto up_samples = up.drain_path(0).samples.samples;
+  const auto down_samples = down.drain_path(0).samples.samples;
 
   std::set<net::PacketDigest> down_ids;
   for (const auto& s : down_samples) down_ids.insert(s.pkt_id);
@@ -61,9 +58,10 @@ Row run_row(double marker_rate, std::uint64_t seed) {
     if (s.is_marker) ++markers;
   }
 
+  const std::size_t buffer_peak = up.temp_buffer_peak_records();
   return Row{
-      .buffer_peak_ms = static_cast<double>(up.buffer_peak()) / 100.0,
-      .buffer_peak_records = up.buffer_peak(),
+      .buffer_peak_ms = static_cast<double>(buffer_peak) / 100.0,
+      .buffer_peak_records = buffer_peak,
       .marker_frac_of_samples =
           static_cast<double>(markers) / static_cast<double>(up_samples.size()),
       // Of the samples that survived the 25% loss, how many did the

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "baseline/diff_aggregator.hpp"
-#include "core/aggregator.hpp"
 #include "core/alignment.hpp"
 #include "core/verifier.hpp"
 #include "experiment.hpp"
@@ -44,27 +43,10 @@ Row run_row(net::Duration jitter, std::uint64_t seed) {
   const double cut_rate = 1e-3;
 
   auto vpm_receipts = [&](std::size_t pos) {
-    core::Aggregator agg(engine, core::cut_threshold_for(cut_rate),
-                         protocol.reorder_window_j);
-    for (const sim::Obs& o : run.hop_observations[pos]) {
-      agg.observe(trace[o.pkt], o.when);
-    }
-    auto closed = agg.take_closed();
-    if (auto last = agg.flush_open(); last.has_value()) {
-      auto tail = agg.take_closed();
-      closed.insert(closed.end(), tail.begin(), tail.end());
-      closed.push_back(*last);
-    }
-    std::vector<core::AggregateReceipt> rs;
-    for (const auto& d : closed) {
-      rs.push_back(core::AggregateReceipt{.path = {},
-                                          .agg = d.agg,
-                                          .packet_count = d.packet_count,
-                                          .trans = d.trans,
-                                          .opened_at = d.opened_at,
-                                          .closed_at = d.closed_at});
-    }
-    return rs;
+    return bench::collect_hop(trace, run.hop_observations[pos], net::kNoHop,
+                              net::kNoHop, protocol,
+                              core::HopTuning{.cut_rate = cut_rate})
+        .aggregates;
   };
   const auto up = vpm_receipts(1);
   const auto down = vpm_receipts(2);

@@ -7,9 +7,7 @@
 #include <set>
 #include <vector>
 
-#include "core/aggregator.hpp"
 #include "core/config.hpp"
-#include "core/sampler.hpp"
 #include "experiment.hpp"
 #include "trace/synthetic_trace.hpp"
 
@@ -26,27 +24,35 @@ std::vector<net::Packet> make_trace(std::uint64_t seed) {
   return trace::generate_trace(tcfg);
 }
 
+/// A one-path cache tuned to `tuning` over the whole trace, drained with
+/// its open aggregate flushed.
+core::PathDrain run_hop(const std::vector<net::Packet>& trace,
+                        const core::ProtocolParams& protocol,
+                        const core::HopTuning& tuning) {
+  collector::MonitoringCache cache = bench::one_path_cache(protocol, tuning);
+  for (const auto& p : trace) cache.observe(p, p.origin_time);
+  return cache.drain_path(0, /*flush_open=*/true);
+}
+
 std::set<net::PacketDigest> sample_ids(const std::vector<net::Packet>& trace,
                                        const core::ProtocolParams& protocol,
                                        double rate) {
-  const net::DigestEngine engine = protocol.make_engine();
-  core::DelaySampler s(engine, protocol.marker_threshold(),
-                       core::sample_threshold_for(protocol, rate));
-  for (const auto& p : trace) s.observe(p, p.origin_time);
   std::set<net::PacketDigest> ids;
-  for (const auto& r : s.take_samples()) ids.insert(r.pkt_id);
+  for (const auto& r :
+       run_hop(trace, protocol, core::HopTuning{.sample_rate = rate})
+           .samples.samples) {
+    ids.insert(r.pkt_id);
+  }
   return ids;
 }
 
 std::set<net::PacketDigest> cut_ids(const std::vector<net::Packet>& trace,
-                                    const core::ProtocolParams& protocol,
+                                    core::ProtocolParams protocol,
                                     double cut_rate) {
-  const net::DigestEngine engine = protocol.make_engine();
-  core::Aggregator a(engine, core::cut_threshold_for(cut_rate),
-                     net::Duration{0});
-  for (const auto& p : trace) a.observe(p, p.origin_time);
-  auto closed = a.take_closed();
-  if (auto last = a.flush_open(); last.has_value()) closed.push_back(*last);
+  protocol.reorder_window_j = net::Duration{0};  // the §6.2 basic partition
+  const auto closed =
+      run_hop(trace, protocol, core::HopTuning{.cut_rate = cut_rate})
+          .aggregates;
   std::set<net::PacketDigest> ids;
   for (std::size_t i = 1; i < closed.size(); ++i) {
     ids.insert(closed[i].agg.first);

@@ -8,9 +8,8 @@
 #include <vector>
 
 #include "collector/monitoring_cache.hpp"
-#include "core/aggregator.hpp"
 #include "core/config.hpp"
-#include "core/sampler.hpp"
+#include "core/path_state.hpp"
 #include "experiment.hpp"
 #include "net/bob_hash.hpp"
 #include "net/digest.hpp"
@@ -66,39 +65,49 @@ void BM_Decide(benchmark::State& state) {
 }
 BENCHMARK(BM_Decide);
 
+// The Algorithm 1 kernel alone on a one-path SoA block: one digest pass
+// plus the sampler step per packet.
 void BM_SamplerObserve(benchmark::State& state) {
   const auto& trace = shared_trace();
   const auto params = protocol();
   const net::DigestEngine engine = params.make_engine();
-  core::DelaySampler sampler(
-      engine, params.marker_threshold(),
-      core::sample_threshold_for(params, 0.01));
+  core::PathStateSoA path(
+      core::PathParams{
+          .marker_threshold = params.marker_threshold(),
+          .sample_threshold = core::sample_threshold_for(params, 0.01)},
+      1);
   std::size_t i = 0;
   for (auto _ : state) {
-    sampler.observe(trace[i], trace[i].origin_time);
+    core::path_observe_sampler(path, 0, engine.decide(trace[i]),
+                               trace[i].origin_time);
     if (++i == trace.size()) i = 0;  // avoid a division per packet
-    if (i == 0) (void)sampler.take_samples();  // drain, stay bounded
+    if (i == 0) (void)core::path_drain(path, 0, {}, false);  // stay bounded
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SamplerObserve);
 
+// The Algorithm 2 kernel alone on a one-path SoA block: one digest pass
+// plus the partition + AggTrans step per packet.
 void BM_AggregatorObserve(benchmark::State& state) {
   const auto& trace = shared_trace();
   const auto params = protocol();
   const net::DigestEngine engine = params.make_engine();
-  core::Aggregator agg(engine, core::cut_threshold_for(1e-5),
-                       params.reorder_window_j);
+  core::PathStateSoA path(
+      core::PathParams{.cut_threshold = core::cut_threshold_for(1e-5),
+                       .j_window = params.reorder_window_j},
+      1);
   // Keep observation time monotone across trace replays: a backwards time
   // jump would freeze the J-window drain and grow the recent buffer to the
   // whole trace, measuring an artifact instead of the steady state.
   net::Duration offset{0};
   std::size_t i = 0;
   for (auto _ : state) {
-    agg.observe(trace[i], trace[i].origin_time + offset);
+    core::path_observe_aggregator(path, 0, engine.decide(trace[i]),
+                                  trace[i].origin_time + offset);
     if (++i == trace.size()) i = 0;  // avoid a division per packet
     if (i == 0) {
-      (void)agg.take_closed();
+      (void)core::path_drain(path, 0, {}, false);
       offset += net::seconds(2);
     }
   }
@@ -128,8 +137,7 @@ void BM_FullCollectorObserve(benchmark::State& state) {
     if (i == 0) {
       state.PauseTiming();
       for (std::size_t p = 0; p < multi.paths.size(); ++p) {
-        (void)cache.collect_samples(p);
-        (void)cache.collect_aggregates(p);
+        (void)cache.drain_path(p);
       }
       offset += net::seconds(1);
       state.ResumeTiming();
@@ -172,8 +180,7 @@ void BM_CacheObserveBatch(benchmark::State& state) {
 
     state.PauseTiming();
     for (std::size_t p = 0; p < multi.paths.size(); ++p) {
-      (void)cache.collect_samples(p);
-      (void)cache.collect_aggregates(p);
+      (void)cache.drain_path(p);
     }
     state.ResumeTiming();
   }
@@ -262,8 +269,7 @@ void sweep_body(benchmark::State& state,
       when[k] = w.packets[k].origin_time + offset;
     }
     for (std::size_t p = 0; p < w.paths.size(); ++p) {
-      (void)cache.collect_samples(p);
-      (void)cache.collect_aggregates(p);
+      (void)cache.drain_path(p);
     }
     state.ResumeTiming();
   }

@@ -3,7 +3,6 @@
 #include <fstream>
 #include <thread>
 
-#include "collector/monitoring_cache.hpp"
 #include "net/simd_dispatch.hpp"
 
 namespace vpm::bench {
@@ -87,20 +86,28 @@ XDomainScenario make_x_scenario(const XDomainConfig& cfg) {
   return s;
 }
 
-core::PathDrain collect_hop(std::span<const net::Packet> trace,
-                            const sim::ObsSeq& observations, net::HopId prev,
-                            net::HopId next,
-                            const core::ProtocolParams& protocol,
-                            const core::HopTuning& tuning,
-                            net::Duration max_diff) {
+collector::MonitoringCache one_path_cache(const core::ProtocolParams& protocol,
+                                          const core::HopTuning& tuning,
+                                          net::HopId prev, net::HopId next,
+                                          net::Duration max_diff) {
   const net::PrefixPair pair = trace::default_prefix_pair();
-  collector::MonitoringCache cache(
+  return collector::MonitoringCache(
       collector::MonitoringCache::Config{.protocol = protocol,
                                          .tuning = tuning,
                                          .previous_hop = prev,
                                          .next_hop = next,
                                          .max_diff = max_diff},
       std::span(&pair, 1));
+}
+
+core::PathDrain collect_hop(std::span<const net::Packet> trace,
+                            const sim::ObsSeq& observations, net::HopId prev,
+                            net::HopId next,
+                            const core::ProtocolParams& protocol,
+                            const core::HopTuning& tuning,
+                            net::Duration max_diff) {
+  collector::MonitoringCache cache =
+      one_path_cache(protocol, tuning, prev, next, max_diff);
   for (const sim::Obs& o : observations) {
     cache.observe(trace[o.pkt], o.when);
   }

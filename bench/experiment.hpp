@@ -17,6 +17,7 @@
 #include <system_error>
 #include <vector>
 
+#include "collector/monitoring_cache.hpp"
 #include "core/config.hpp"
 #include "core/verifier.hpp"
 #include "loss/gilbert_elliott.hpp"
@@ -95,9 +96,15 @@ struct XDomainConfig {
 
 [[nodiscard]] XDomainScenario make_x_scenario(const XDomainConfig& cfg);
 
-/// Run a one-path monitoring cache (the default prefix pair every bench
-/// trace draws from) over one HOP's observations and drain its receipts,
-/// open aggregate flushed.
+/// A one-path monitoring cache over the default prefix pair every bench
+/// trace draws from, for the HOP between `prev` and `next`.
+[[nodiscard]] collector::MonitoringCache one_path_cache(
+    const core::ProtocolParams& protocol, const core::HopTuning& tuning,
+    net::HopId prev = net::kNoHop, net::HopId next = net::kNoHop,
+    net::Duration max_diff = net::milliseconds(5));
+
+/// Run a one_path_cache over one HOP's observations and drain its
+/// receipts, open aggregate flushed.
 [[nodiscard]] core::PathDrain collect_hop(
     std::span<const net::Packet> trace, const sim::ObsSeq& observations,
     net::HopId prev, net::HopId next, const core::ProtocolParams& protocol,

@@ -66,15 +66,7 @@ const DrainFixture& shared_drain(std::size_t paths) {
   core::VectorSink sink;
   collector.drain_all(sink, /*flush_open=*/true);
   f.stream = std::move(sink).take();
-  f.table.reserve(paths);
-  for (std::size_t p = 0; p < paths; ++p) {
-    f.table.push_back(net::PathId{
-        .header_spec_id = ccfg.protocol.header_spec.id(),
-        .prefixes = multi.paths[p],
-        .previous_hop = ccfg.previous_hop,
-        .next_hop = ccfg.next_hop,
-        .max_diff = ccfg.max_diff});
-  }
+  f.table = collector::path_table(ccfg, multi.paths);
   return cache.emplace(paths, std::move(f)).first->second;
 }
 

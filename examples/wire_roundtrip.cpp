@@ -132,12 +132,8 @@ int main() {
 
     // Consumer side: recover this producer's receipts from the store,
     // handing each reporting round of the one path to the verifier.
-    const dissem::WireImporter importer({net::PathId{
-        .header_spec_id = protocol.header_spec.id(),
-        .prefixes = tcfg.prefixes,
-        .previous_hop = scfg.cache.previous_hop,
-        .next_hop = scfg.cache.next_hop,
-        .max_diff = scfg.cache.max_diff}});
+    const dissem::WireImporter importer(collector::path_table(scfg.cache,
+                                                              paths));
     core::DrainRoundSink to_verifier(
         [&from_wire, hop = hop](std::size_t path, core::PathDrain&& drain) {
           if (path != 0) {

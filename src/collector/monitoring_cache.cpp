@@ -131,16 +131,12 @@ core::PathParams params_for(const MonitoringCache::Config& cfg) {
 
 }  // namespace
 
-MonitoringCache::MonitoringCache(Config cfg,
-                                 std::span<const net::PrefixPair> paths)
-    : classifier_(paths),
-      engine_(cfg.protocol.make_engine()),
-      state_(params_for(cfg), paths.size()),
-      lifecycle_(cfg.lifecycle) {
-  validate_lifecycle(lifecycle_);
-  path_ids_.reserve(paths.size());
+std::vector<net::PathId> path_table(const MonitoringCache::Config& cfg,
+                                    std::span<const net::PrefixPair> paths) {
+  std::vector<net::PathId> out;
+  out.reserve(paths.size());
   for (const net::PrefixPair& pair : paths) {
-    path_ids_.push_back(net::PathId{
+    out.push_back(net::PathId{
         .header_spec_id = cfg.protocol.header_spec.id(),
         .prefixes = pair,
         .previous_hop = cfg.previous_hop,
@@ -148,6 +144,17 @@ MonitoringCache::MonitoringCache(Config cfg,
         .max_diff = cfg.max_diff,
     });
   }
+  return out;
+}
+
+MonitoringCache::MonitoringCache(Config cfg,
+                                 std::span<const net::PrefixPair> paths)
+    : classifier_(paths),
+      engine_(cfg.protocol.make_engine()),
+      state_(params_for(cfg), paths.size()),
+      path_ids_(path_table(cfg, paths)),
+      lifecycle_(cfg.lifecycle) {
+  validate_lifecycle(lifecycle_);
 }
 
 std::size_t MonitoringCache::observe(const net::Packet& p,
@@ -172,10 +179,9 @@ std::size_t MonitoringCache::observe(const net::Packet& p,
 }
 
 void MonitoringCache::sync_kernel_counters() noexcept {
-  // The sweep kernels count invocations on the SoA block (the one
-  // accounting point the facades share); mirror the absolute values into
-  // the DataPlaneOps snapshot.  Assignment, not +=, so per-shard ops still
-  // merge correctly by addition.
+  // The sweep kernels count invocations on the SoA block; mirror the
+  // absolute values into the DataPlaneOps snapshot.  Assignment, not +=,
+  // so per-shard ops still merge correctly by addition.
   ops_.sweep_kernel_scalar = state_.sweep_kernels.scalar;
   ops_.sweep_kernel_avx2 = state_.sweep_kernels.avx2;
 }
@@ -364,20 +370,9 @@ void MonitoringCache::observe_batch(std::span<const net::Packet> packets) {
   observe_batch_impl(packets, {});
 }
 
-core::SampleReceipt MonitoringCache::collect_samples(std::size_t path) {
-  return core::path_collect_samples(state_, path, path_ids_.at(path));
-}
-
-std::vector<core::AggregateReceipt> MonitoringCache::collect_aggregates(
-    std::size_t path, bool flush_open) {
-  return core::path_collect_aggregates(state_, path, path_ids_.at(path),
-                                       flush_open);
-}
-
 core::PathDrain MonitoringCache::drain_path(std::size_t path,
                                             bool flush_open) {
-  return core::PathDrain{.samples = collect_samples(path),
-                         .aggregates = collect_aggregates(path, flush_open)};
+  return core::path_drain(state_, path, path_ids_.at(path), flush_open);
 }
 
 void MonitoringCache::drain_all(core::ReceiptSink& sink, bool flush_open) {
@@ -405,9 +400,9 @@ std::optional<core::PathDrain> MonitoringCache::evict_path_if_idle(
 
   // Drain through the normal receipt path first — nothing decided is
   // lost.  A path with no receipts to disclose ships nothing: an empty
-  // eviction group on the wire would read as an extra reporting round for
-  // that path (the importer's repeated-key rule) and age round-fed
-  // verifier state early.
+  // drain would still ship as a 2 B path-index entry, decode to an empty
+  // drain and reach a round-fed verifier as one more round for that path,
+  // advancing its HopState::rounds and ageing retention early.
   core::PathDrain drain = drain_path(path, /*flush_open=*/true);
   const std::size_t dropped = core::path_evict(state_, path);
   ++report.evicted_paths;

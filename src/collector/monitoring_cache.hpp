@@ -271,11 +271,9 @@ class MonitoringCache {
   /// (the local clock of the first HOP in a simulated run).
   void observe_batch(std::span<const net::Packet> packets);
 
-  /// Control-plane drain for one path.
-  [[nodiscard]] core::SampleReceipt collect_samples(std::size_t path);
-  [[nodiscard]] std::vector<core::AggregateReceipt> collect_aggregates(
-      std::size_t path, bool flush_open = false);
-  /// Drain one path's samples + aggregates as a unit.
+  /// Control-plane drain for one path: its samples and closed aggregates
+  /// as a unit (core::path_drain; with `flush_open`, the open aggregate
+  /// closes last).
   [[nodiscard]] core::PathDrain drain_path(std::size_t path,
                                            bool flush_open = false);
   /// Drain every path in index order (the canonical global receipt-stream
@@ -396,6 +394,14 @@ class MonitoringCache {
   LifecycleConfig lifecycle_;
   LifecycleReport lifecycle_totals_;
 };
+
+/// The PathId table a cache built from `cfg` over `paths` stamps on its
+/// receipts, in path order: every path carries the HOP's header spec,
+/// neighbor hops and MaxDiff.  A consumer's WireImporter must hold the same
+/// table — each round close digests every field of it.
+[[nodiscard]] std::vector<net::PathId> path_table(
+    const MonitoringCache::Config& cfg,
+    std::span<const net::PrefixPair> paths);
 
 /// Bytes of open-receipt state per path in a hardware monitoring cache
 /// (PathID reference 4 B + AggID 8 B + PktCnt 4 B + open/close times 4 B):

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -81,7 +82,7 @@ void grow_buffer(PathStateSoA& s, std::size_t path) {
 
 /// Relocate a path's J-ring slice to the arena tail with doubled capacity,
 /// linearised (entries move to [0, size), head resets to 0) — the SoA
-/// version of the pre-refactor Aggregator::ring_grow.
+/// version of the pre-SoA per-path aggregator's ring growth.
 void grow_ring(PathStateSoA& s, std::size_t path) {
   PathSlot& slot = s.slots[path];
   const std::uint64_t new_cap =
@@ -345,48 +346,6 @@ void path_observe_aggregator(PathStateSoA& s, std::size_t path,
   }
 }
 
-std::vector<SampleRecord> path_take_samples(PathStateSoA& s,
-                                            std::size_t path) {
-  // Copy-and-clear rather than swap: a busy path re-fills this vector
-  // every reporting round, and the old swap-release forced it to re-grow
-  // from zero through the allocator each time (malloc + doubling copies
-  // inside the data-plane sweep).  The retained capacity is bounded by
-  // the path's actual backlog peak (stats.emitted_peak), decays when the
-  // path quiets down (path_decay) and is fully released at eviction.
-  auto& e = s.emitted[path];
-  std::vector<SampleRecord> out(e.begin(), e.end());
-  e.clear();
-  return out;
-}
-
-std::vector<AggregateData> path_take_closed(PathStateSoA& s,
-                                            std::size_t path) {
-  std::vector<AggregateData> out;
-  out.swap(s.closed[path]);
-  return out;
-}
-
-std::optional<AggregateData> path_flush_open(PathStateSoA& s,
-                                             std::size_t path) {
-  auto& pending = s.pending[path];
-  auto& closed = s.closed[path];
-  for (PendingAggregate& pend : pending) {
-    closed.push_back(std::move(pend.data));
-  }
-  pending.clear();
-  PathSlot& slot = s.slots[path];
-  slot.warm.pend_count = 0;
-
-  if (slot.hot.agg_count == 0) return std::nullopt;
-  AggregateData d;
-  d.agg = AggId{.first = slot.hot.agg_first, .last = slot.hot.agg_last};
-  d.packet_count = slot.hot.agg_count;
-  d.opened_at = net::Timestamp{slot.warm.opened_at_ns};
-  d.closed_at = net::Timestamp{slot.hot.last_at_ns};
-  slot.hot.agg_count = 0;
-  return d;
-}
-
 std::size_t path_evict(PathStateSoA& s, std::size_t path) {
   PathSlot& slot = s.slots[path];
   const std::size_t dropped = slot.hot.buf_size;
@@ -495,7 +454,7 @@ PathDecay path_decay(PathStateSoA& s, std::size_t path,
     st.ring_low_streak = 0;
   }
 
-  // Emitted-sample capacity (retained across drains by path_take_samples):
+  // Emitted-sample capacity (retained across drains by path_drain):
   // same quarter-occupancy/streak rule.  This is ordinary heap, not arena
   // space, so the halving reallocates immediately instead of leaving
   // garbage for compaction — reported in the separate emitted fields.
@@ -521,35 +480,71 @@ PathDecay path_decay(PathStateSoA& s, std::size_t path,
   return out;
 }
 
-SampleReceipt path_collect_samples(PathStateSoA& s, std::size_t path,
-                                   const net::PathId& id) {
-  SampleReceipt r;
-  r.path = id;
-  r.sample_threshold = s.params.sample_threshold;
-  r.marker_threshold = s.params.marker_threshold;
-  r.samples = path_take_samples(s, path);
-  return r;
+namespace {
+
+/// The samples emitted so far.  Copy-and-clear rather than swap: a busy
+/// path re-fills this vector every reporting round, and a swap-release
+/// would force it to re-grow from zero through the allocator each time
+/// (malloc + doubling copies inside the data-plane sweep).  The retained
+/// capacity is bounded by the path's actual backlog peak
+/// (stats.emitted_peak), decays when the path quiets down (path_decay) and
+/// is fully released at eviction.
+std::vector<SampleRecord> take_samples(PathStateSoA& s, std::size_t path) {
+  auto& e = s.emitted[path];
+  std::vector<SampleRecord> out(e.begin(), e.end());
+  e.clear();
+  return out;
 }
 
-std::vector<AggregateReceipt> path_collect_aggregates(PathStateSoA& s,
-                                                      std::size_t path,
-                                                      const net::PathId& id,
-                                                      bool flush_open) {
-  auto stamp_one = [&id](const AggregateData& d) {
-    return AggregateReceipt{.path = id,
-                            .agg = d.agg,
-                            .packet_count = d.packet_count,
-                            .trans = d.trans,
-                            .opened_at = d.opened_at,
-                            .closed_at = d.closed_at};
-  };
+/// Finalise every pending aggregate (its AggTrans window is whatever has
+/// been observed), then close and return the still-open aggregate.
+std::optional<AggregateData> flush_open_aggregate(PathStateSoA& s,
+                                                  std::size_t path) {
+  auto& pending = s.pending[path];
+  auto& closed = s.closed[path];
+  for (PendingAggregate& pend : pending) {
+    closed.push_back(std::move(pend.data));
+  }
+  pending.clear();
+  PathSlot& slot = s.slots[path];
+  slot.warm.pend_count = 0;
+
+  if (slot.hot.agg_count == 0) return std::nullopt;
+  AggregateData d;
+  d.agg = AggId{.first = slot.hot.agg_first, .last = slot.hot.agg_last};
+  d.packet_count = slot.hot.agg_count;
+  d.opened_at = net::Timestamp{slot.warm.opened_at_ns};
+  d.closed_at = net::Timestamp{slot.hot.last_at_ns};
+  slot.hot.agg_count = 0;
+  return d;
+}
+
+AggregateReceipt stamp(const net::PathId& id, const AggregateData& d) {
+  return AggregateReceipt{.path = id,
+                          .agg = d.agg,
+                          .packet_count = d.packet_count,
+                          .trans = d.trans,
+                          .opened_at = d.opened_at,
+                          .closed_at = d.closed_at};
+}
+
+}  // namespace
+
+PathDrain path_drain(PathStateSoA& s, std::size_t path, const net::PathId& id,
+                     bool flush_open) {
+  PathDrain out;
+  out.samples.path = id;
+  out.samples.sample_threshold = s.params.sample_threshold;
+  out.samples.marker_threshold = s.params.marker_threshold;
+  out.samples.samples = take_samples(s, path);
+
   std::optional<AggregateData> last;
-  if (flush_open) last = path_flush_open(s, path);
-  const std::vector<AggregateData> closed = path_take_closed(s, path);
-  std::vector<AggregateReceipt> out;
-  out.reserve(closed.size() + (last.has_value() ? 1 : 0));
-  for (const AggregateData& d : closed) out.push_back(stamp_one(d));
-  if (last.has_value()) out.push_back(stamp_one(*last));
+  if (flush_open) last = flush_open_aggregate(s, path);
+  std::vector<AggregateData> closed;
+  closed.swap(s.closed[path]);
+  out.aggregates.reserve(closed.size() + (last.has_value() ? 1 : 0));
+  for (const AggregateData& d : closed) out.aggregates.push_back(stamp(id, d));
+  if (last.has_value()) out.aggregates.push_back(stamp(id, *last));
   return out;
 }
 

@@ -25,17 +25,15 @@
 //                              markers, cuts and drains)
 //
 // The kernels below are the ONE implementation of the Algorithm 1/2
-// per-packet steps: DelaySampler and Aggregator wrap a 1-path block of
-// this storage, and MonitoringCache runs the fused kernels over an N-path
-// block (a single-path HOP is a one-path cache).  Receipt
-// streams equal the pre-SoA per-object implementation's, receipt for
-// receipt (pinned by tests/soa_equivalence_test.cpp).
+// per-packet steps: MonitoringCache runs the fused kernels over an N-path
+// block (a single-path HOP is a one-path cache).  Receipt streams equal
+// the pre-SoA per-object implementation's, receipt for receipt (pinned by
+// tests/soa_equivalence_test.cpp).
 #ifndef VPM_CORE_PATH_STATE_HPP
 #define VPM_CORE_PATH_STATE_HPP
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -108,14 +106,14 @@ struct TimedDigest {
   net::Timestamp time;
 };
 
-/// Per-path statistics (the reporting surface of the pre-SoA
-/// DelaySampler/Aggregator accessors).  Touched only at markers and cuts,
-/// never on the per-packet fast path: `observed` is derivable (every
-/// packet is either buffered or a marker, so observed == swept + markers
-/// + the current buffer size — see path_observed_packets) and
-/// `buffer_peak` records the pre-sweep size at each marker (the buffer
-/// grows monotonically between sweeps, so the lifetime high-water mark is
-/// max(buffer_peak, current buffer size) — see path_buffer_peak).
+/// Per-path statistics (the §7.1 reporting surface of one path's sampler
+/// and aggregator state).  Touched only at markers and cuts, never on the
+/// per-packet fast path: `observed` is derivable (every packet is either
+/// buffered or a marker, so observed == swept + markers + the current
+/// buffer size — see path_observed_packets) and `buffer_peak` records the
+/// pre-sweep size at each marker (the buffer grows monotonically between
+/// sweeps, so the lifetime high-water mark is max(buffer_peak, current
+/// buffer size) — see path_buffer_peak).
 struct PathStats {
   std::uint64_t markers = 0;   ///< Algorithm 1 markers seen
   std::uint64_t swept = 0;     ///< buffered records evaluated at markers
@@ -156,8 +154,8 @@ struct PendingAggregate {
 };
 
 /// The structure-of-arrays block the kernels operate on.  Members are
-/// public by design: this IS the SoA view — DelaySampler, Aggregator,
-/// and MonitoringCache are facades over (slices of) it.
+/// public by design: this IS the SoA view — MonitoringCache is a facade
+/// over it.
 struct PathStateSoA {
   PathStateSoA(const PathParams& p, std::size_t path_count)
       : params(p),
@@ -169,8 +167,8 @@ struct PathStateSoA {
 
   /// Marker-sweep kernel invocations by SIMD tier (one count per marker
   /// that swept a non-empty buffer; §7.1 observability, receipt-invisible).
-  /// Lives on the SoA block so the facades and the monitoring cache share
-  /// one accounting point with the kernels.
+  /// Lives on the SoA block so the monitoring cache shares one accounting
+  /// point with the kernels.
   struct SweepKernelCounters {
     std::uint64_t scalar = 0;
     std::uint64_t avx2 = 0;
@@ -238,7 +236,7 @@ struct PathStateSoA {
                                  slots[path].hot.buf_size);
   }
   /// Largest undrained-sample backlog any single path has reached
-  /// (records).  Drains retain emitted capacity (path_take_samples), so
+  /// (records).  Drains retain emitted capacity (path_drain), so
   /// this is the figure that proves the retained heap stays bounded by
   /// actual backlog rather than ratcheting: retained capacity per path
   /// never exceeds ~2x its peak (vector doubling) until decay or eviction
@@ -320,7 +318,7 @@ struct PathDecay {
 /// path_state_compact reclaims, so a traffic spike's capacity ratchet
 /// decays back down instead of pinning arena_live_bytes at the spike
 /// level forever.  The emitted-sample vector's retained capacity (drains
-/// keep it; see path_take_samples) decays under the same
+/// keep it; see path_drain) decays under the same
 /// quarter-occupancy/streak rule, flooring at a small initial capacity.
 /// Receipt-invisible.  `low_streak == 0` disables.
 PathDecay path_decay(PathStateSoA& s, std::size_t path,
@@ -328,10 +326,10 @@ PathDecay path_decay(PathStateSoA& s, std::size_t path,
 
 // --- Per-packet kernels ---------------------------------------------------
 //
-// These are the Algorithm 1/2 per-packet steps extracted from the pre-SoA
-// DelaySampler::observe / Aggregator::observe, operating on one path of a
-// PathStateSoA block.  Receipt-affecting behaviour is identical; only the
-// storage layout changed.
+// These are the Algorithm 1/2 per-packet steps of the pre-SoA per-path
+// sampler and aggregator objects, operating on one path of a PathStateSoA
+// block.  Receipt-affecting behaviour is identical; only the storage
+// layout changed.
 
 /// Algorithm 1 (DelaySample) per-packet step.  Returns the number of
 /// buffered records swept (0 unless the packet is a marker) — the §7.1
@@ -358,44 +356,24 @@ inline std::size_t path_observe(PathStateSoA& s, std::size_t path,
   return swept;
 }
 
-/// Drain the samples emitted so far (observation order).  Packets still in
-/// the temp buffer stay buffered — their fate is not yet decided.  The
-/// path's emitted vector keeps its capacity across the drain (a busy path
-/// re-fills it every reporting round; the old swap-release made each round
-/// re-grow the vector from zero through the allocator) — path_decay
-/// shrinks it when the path quiets down and path_evict still releases it
-/// entirely.
-[[nodiscard]] std::vector<SampleRecord> path_take_samples(PathStateSoA& s,
-                                                          std::size_t path);
-
-/// Drain aggregates whose trailing AggTrans window is complete.
-[[nodiscard]] std::vector<AggregateData> path_take_closed(PathStateSoA& s,
-                                                          std::size_t path);
-
-/// Close and return the still-open aggregate (end of a measurement run).
-/// Pending aggregates are finalised first — call path_take_closed()
-/// afterwards to drain everything.
-[[nodiscard]] std::optional<AggregateData> path_flush_open(PathStateSoA& s,
-                                                           std::size_t path);
-
-// --- Receipt drains (the control-plane surface) ---------------------------
+// --- Receipt drain (the control-plane surface) ----------------------------
 //
 // The ONE place drained state is stamped into receipts — MonitoringCache
-// delegates here, so the receipt ordering contract
-// (with flush_open: finalise pending, drain closed, then append the
-// flushed open aggregate) has a single implementation.
+// delegates here, so the receipt ordering contract (with flush_open:
+// finalise pending, drain closed, then append the flushed open aggregate)
+// has a single implementation.
 
-/// Drain path `path`'s samples into a receipt stamped with `id`.
-[[nodiscard]] SampleReceipt path_collect_samples(PathStateSoA& s,
-                                                 std::size_t path,
-                                                 const net::PathId& id);
-
-/// Drain path `path`'s closed aggregates into receipts stamped with `id`;
-/// with `flush_open`, also closes the current aggregate (last in the
-/// returned stream).
-[[nodiscard]] std::vector<AggregateReceipt> path_collect_aggregates(
-    PathStateSoA& s, std::size_t path, const net::PathId& id,
-    bool flush_open);
+/// Drain path `path` into receipts stamped with `id`: the samples emitted
+/// so far (observation order; packets still in the temp buffer stay
+/// buffered — their fate is not yet decided) and the aggregates whose
+/// trailing AggTrans window is complete.  With `flush_open`, pending
+/// aggregates are finalised and the still-open aggregate is closed, last in
+/// the aggregate stream (end of a measurement run).  The path's emitted
+/// vector keeps its capacity across the drain (a busy path re-fills it
+/// every reporting round) — path_decay shrinks it when the path quiets
+/// down and path_evict releases it entirely.
+[[nodiscard]] PathDrain path_drain(PathStateSoA& s, std::size_t path,
+                                   const net::PathId& id, bool flush_open);
 
 }  // namespace vpm::core
 

@@ -8,6 +8,15 @@
 #include "net/wire.hpp"
 
 namespace vpm::dissem {
+namespace {
+
+/// Backoff (in polls) after a poll that saw nothing new: the cap doubles
+/// from kBackoffInitialPolls up to kBackoffMaxPolls, and the actual skip is
+/// drawn uniformly from [1, cap] (seeded jitter).
+constexpr std::uint64_t kBackoffInitialPolls = 1;
+constexpr std::uint64_t kBackoffMaxPolls = 8;
+
+}  // namespace
 
 FetchClient::FetchClient(const WireImporter& importer, ReceiptStore& store,
                          Config cfg, RoundHandler on_rounds,
@@ -113,9 +122,8 @@ void FetchClient::run_fetch_pass(bool force_gap) {
   ++backoff_failures_;
   const std::uint64_t shift =
       std::min<std::uint64_t>(backoff_failures_ - 1, 20);
-  std::uint64_t cap = std::max<std::uint64_t>(cfg_.backoff_initial_polls, 1)
-                      << shift;
-  cap = std::min(cap, std::max<std::uint64_t>(cfg_.backoff_max_polls, 1));
+  const std::uint64_t cap =
+      std::min(kBackoffInitialPolls << shift, kBackoffMaxPolls);
   skip_polls_ = 1 + next_u64() % cap;
 }
 

@@ -49,11 +49,6 @@ class FetchClient {
     DomainId producer = 0;    ///< producer stream this client drains
     std::string producer_name;      ///< stamped into RoundGap.producer
     net::HopId hop = net::kNoHop;   ///< stamped into RoundGap.hop
-    /// Backoff (in polls) after a poll that saw nothing new: doubles from
-    /// `backoff_initial_polls` up to `backoff_max_polls`, with the actual
-    /// skip drawn uniformly from [1, current cap] (seeded jitter).
-    std::uint64_t backoff_initial_polls = 1;
-    std::uint64_t backoff_max_polls = 8;
     /// Polls a missing sequence may stay missing before it is declared
     /// lost.  Set strictly above the transport's worst-case reorder/delay
     /// (in polls) and reordering never degrades to loss.

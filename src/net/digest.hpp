@@ -79,7 +79,8 @@ using PacketDigest = std::uint32_t;
 /// Every digest-derived decision value for one packet, computed with a
 /// single hash pass over the packet bytes (the §7.1 "one hash function per
 /// packet" budget).  This is what the data-plane fast path threads through
-/// DelaySampler::observe / Aggregator::observe / MonitoringCache::observe.
+/// MonitoringCache::observe into both per-packet kernels
+/// (core::path_observe).
 struct PacketDecisions {
   PacketDigest id = 0;            ///< the PktID reported in receipts
   std::uint32_t marker_value = 0; ///< compared against mu (Alg. 1, line 1)

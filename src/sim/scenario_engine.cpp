@@ -38,25 +38,6 @@ constexpr dissem::DomainKey kKey = 0x5CE7A110;
 constexpr std::size_t kSegmentBytes = 1024;
 constexpr std::size_t kCursorSnapshotEvery = 512;
 
-/// The consumer-side PathId table for one HOP's receipts: same header
-/// spec, neighbor hops, and MaxDiff the producer's collector stamps.
-std::vector<net::PathId> path_table(
-    const collector::MonitoringCache::Config& cfg,
-    const std::vector<net::PrefixPair>& paths) {
-  std::vector<net::PathId> out;
-  out.reserve(paths.size());
-  for (const net::PrefixPair& pair : paths) {
-    out.push_back(net::PathId{
-        .header_spec_id = cfg.protocol.header_spec.id(),
-        .prefixes = pair,
-        .previous_hop = cfg.previous_hop,
-        .next_hop = cfg.next_hop,
-        .max_diff = cfg.max_diff,
-    });
-  }
-  return out;
-}
-
 /// Merge crash re-declarations: a client killed after reporting a gap but
 /// before acking past it re-fetches and re-declares the same gap (same
 /// first missing sequence) — keep the widest range and the union of
@@ -641,7 +622,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
 
   std::vector<std::optional<dissem::WireImporter>> importers(n_hops);
   for (std::size_t pos = 0; pos < n_hops; ++pos) {
-    importers[pos].emplace(path_table(hop_cfg[pos], multi.paths));
+    importers[pos].emplace(collector::path_table(hop_cfg[pos], multi.paths));
   }
 
   std::vector<std::vector<core::RoundGap>> raw_gaps(n_hops);

@@ -1,8 +1,8 @@
 // SketchAggregator: the aggregation component with content sketches
 // "incorporated" (§3.5).  It cuts aggregates with the exact same rule as
-// core::Aggregator (same cut digests, same thresholds => same boundaries,
-// so sketch receipts align with aggregate receipts for free) and attaches
-// a ContentSketch per aggregate.
+// the monitoring cache's Algorithm 2 kernel (same cut digests, same
+// thresholds => same boundaries, so sketch receipts align with aggregate
+// receipts for free) and attaches a ContentSketch per aggregate.
 #ifndef VPM_SKETCH_SKETCH_AGGREGATOR_HPP
 #define VPM_SKETCH_SKETCH_AGGREGATOR_HPP
 
@@ -28,9 +28,10 @@ struct SketchReceipt {
 
 class SketchAggregator {
  public:
-  /// `cut_threshold` must equal the paired core::Aggregator's so both
-  /// produce identical boundaries.  Throws std::invalid_argument if
-  /// buckets == 0 (via ContentSketch).
+  /// `cut_threshold` must equal the paired monitoring cache's
+  /// (core::cut_threshold_for of its cut_rate) so both produce identical
+  /// boundaries.  Throws std::invalid_argument if buckets == 0 (via
+  /// ContentSketch).
   SketchAggregator(const net::DigestEngine& engine,
                    std::uint32_t cut_threshold, std::size_t buckets)
       : engine_(engine), cut_threshold_(cut_threshold), buckets_(buckets) {

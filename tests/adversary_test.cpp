@@ -10,7 +10,6 @@
 #include "adversary/strategies.hpp"
 #include "baseline/trajectory_sampling.hpp"
 #include "core/consistency.hpp"
-#include "core/sampler.hpp"
 #include "core/verifier.hpp"
 #include "helpers.hpp"
 #include "loss/bernoulli.hpp"
@@ -213,11 +212,13 @@ TEST(Adversary, BiasAttackFoolsTrajectorySamplingOnly) {
   // VPM: the adversary can only predict markers; the sampled set is
   // decided by future traffic.  Approximate the sampled set by running the
   // real sampler.
-  core::DelaySampler sampler(engine, protocol.marker_threshold(),
-                             core::sample_threshold_for(protocol, 0.02));
+  auto sampler = test::make_monitor(
+      protocol, core::HopTuning{.sample_rate = 0.02}, net::kNoHop, net::kNoHop);
   std::unordered_set<net::PacketDigest> sampled_ids;
   for (const auto& p : trace) sampler.observe(p, p.origin_time);
-  for (const auto& s : sampler.take_samples()) sampled_ids.insert(s.pkt_id);
+  for (const auto& s : sampler.drain_path(0).samples.samples) {
+    sampled_ids.insert(s.pkt_id);
+  }
   const double vpm_p95 = estimated_p95(
       vpm_marker_predictor(engine, protocol.marker_threshold()),
       [&](const net::Packet& p) {

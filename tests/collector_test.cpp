@@ -79,7 +79,7 @@ TEST(MonitoringCache, TracksPerPathStateIndependently) {
 
   // Aggregate receipts per path must count exactly that path's packets.
   for (std::size_t p = 0; p < multi.paths.size(); ++p) {
-    const auto aggs = cache.collect_aggregates(p, true);
+    const auto aggs = cache.drain_path(p, true).aggregates;
     std::uint64_t counted = 0;
     for (const auto& r : aggs) counted += r.packet_count;
     EXPECT_EQ(counted, per_path[p]) << "path " << p;
@@ -204,7 +204,7 @@ TEST(Pipeline, VpmElementFeedsCache) {
   cfg.duration = net::milliseconds(200);
   const auto trace = trace::generate_trace(cfg);
   for (const auto& p : trace) pipe.process(p, p.origin_time);
-  const auto aggs = raw->cache().collect_aggregates(0, true);
+  const auto aggs = raw->cache().drain_path(0, true).aggregates;
   std::uint64_t counted = 0;
   for (const auto& r : aggs) counted += r.packet_count;
   EXPECT_EQ(counted, trace.size());

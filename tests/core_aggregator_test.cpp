@@ -7,13 +7,15 @@
 #include <set>
 #include <vector>
 
-#include "core/aggregator.hpp"
+#include "collector/monitoring_cache.hpp"
 #include "core/config.hpp"
+#include "helpers.hpp"
 #include "trace/synthetic_trace.hpp"
 
 namespace vpm::core {
 namespace {
 
+using collector::MonitoringCache;
 using net::DigestEngine;
 using net::Packet;
 
@@ -27,26 +29,33 @@ std::vector<Packet> make_trace(std::uint64_t seed = 1,
   return trace::generate_trace(cfg);
 }
 
-std::vector<AggregateData> run_all(Aggregator& a,
-                                   const std::vector<Packet>& trace) {
+/// A one-path cache cutting at `cut_rate` with reorder window `j` (0 keeps
+/// no AggTrans state); its aggregates are path 0's.
+MonitoringCache make_aggregator(double cut_rate, net::Duration j) {
+  ProtocolParams protocol;
+  protocol.reorder_window_j = j;
+  return test::make_monitor(protocol, HopTuning{.cut_rate = cut_rate},
+                            net::kNoHop, net::kNoHop);
+}
+
+std::vector<AggregateReceipt> run_all(MonitoringCache& a,
+                                      const std::vector<Packet>& trace) {
   for (const Packet& p : trace) a.observe(p, p.origin_time);
-  auto out = a.take_closed();
-  if (auto last = a.flush_open(); last.has_value()) {
-    auto tail = a.take_closed();  // pendings finalised by flush_open
-    out.insert(out.end(), tail.begin(), tail.end());
-    out.push_back(*last);
-  }
-  return out;
+  return a.drain_path(0, /*flush_open=*/true).aggregates;
+}
+
+/// J-ring high-water mark (records).
+std::size_t window_peak(const MonitoringCache& a) {
+  return a.state().slots[0].warm.window_peak;
 }
 
 TEST(Aggregator, CountsConserveTraceSize) {
-  const DigestEngine engine;
-  Aggregator a(engine, cut_threshold_for(1e-3), net::milliseconds(10));
+  MonitoringCache a = make_aggregator(1e-3, net::milliseconds(10));
   const auto trace = make_trace();
   const auto aggs = run_all(a, trace);
   const std::uint64_t total = std::accumulate(
       aggs.begin(), aggs.end(), std::uint64_t{0},
-      [](std::uint64_t acc, const AggregateData& d) {
+      [](std::uint64_t acc, const AggregateReceipt& d) {
         return acc + d.packet_count;
       });
   EXPECT_EQ(total, trace.size());
@@ -55,7 +64,7 @@ TEST(Aggregator, CountsConserveTraceSize) {
 
 TEST(Aggregator, AggIdsChainCorrectly) {
   const DigestEngine engine;
-  Aggregator a(engine, cut_threshold_for(1e-3), net::milliseconds(10));
+  MonitoringCache a = make_aggregator(1e-3, net::milliseconds(10));
   const auto trace = make_trace(3);
   const auto aggs = run_all(a, trace);
   // first id of aggregate k+1 is the cutting packet; the last id of
@@ -70,7 +79,7 @@ TEST(Aggregator, AggIdsChainCorrectly) {
 TEST(Aggregator, CutPacketsStartAggregates) {
   const DigestEngine engine;
   const std::uint32_t delta = cut_threshold_for(1e-3);
-  Aggregator a(engine, delta, net::Duration{0});
+  MonitoringCache a = make_aggregator(1e-3, net::Duration{0});
   const auto trace = make_trace(5);
   const auto aggs = run_all(a, trace);
   // Every aggregate after the first starts with a packet whose cut value
@@ -85,10 +94,8 @@ TEST(Aggregator, CutPacketsStartAggregates) {
 }
 
 TEST(Aggregator, AchievedAggregateSizeTracksCutRate) {
-  const DigestEngine engine;
   const auto trace = make_trace(7, 50'000, 2.0);
-  Aggregator a(engine, cut_threshold_for(1.0 / 5000.0),
-               net::Duration{0});
+  MonitoringCache a = make_aggregator(1.0 / 5000.0, net::Duration{0});
   const auto aggs = run_all(a, trace);
   const double mean_size = static_cast<double>(trace.size()) /
                            static_cast<double>(aggs.size());
@@ -104,18 +111,17 @@ class AggregatorSubsetProperty
 TEST_P(AggregatorSubsetProperty, CoarserCutsAreSubset) {
   const auto [seed, coarse_rate, fine_rate] = GetParam();
   ASSERT_LT(coarse_rate, fine_rate);
-  const DigestEngine engine;
   const auto trace = make_trace(seed, 40'000, 1.0);
 
-  Aggregator coarse(engine, cut_threshold_for(coarse_rate), net::Duration{0});
-  Aggregator fine(engine, cut_threshold_for(fine_rate), net::Duration{0});
+  MonitoringCache coarse = make_aggregator(coarse_rate, net::Duration{0});
+  MonitoringCache fine = make_aggregator(fine_rate, net::Duration{0});
   const auto coarse_aggs = run_all(coarse, trace);
   const auto fine_aggs = run_all(fine, trace);
   EXPECT_GE(fine_aggs.size(), coarse_aggs.size());
 
   std::set<net::PacketDigest> fine_starts;
-  for (const AggregateData& d : fine_aggs) fine_starts.insert(d.agg.first);
-  for (const AggregateData& d : coarse_aggs) {
+  for (const AggregateReceipt& d : fine_aggs) fine_starts.insert(d.agg.first);
+  for (const AggregateReceipt& d : coarse_aggs) {
     EXPECT_TRUE(fine_starts.contains(d.agg.first))
         << "coarse boundary missing at fine HOP";
   }
@@ -131,10 +137,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Aggregator, TransWindowSurroundsBoundary) {
   const DigestEngine engine;
   const net::Duration j = net::milliseconds(5);
-  Aggregator a(engine, cut_threshold_for(1e-3), j);
+  MonitoringCache a = make_aggregator(1e-3, j);
   const auto trace = make_trace(9);
   for (const Packet& p : trace) a.observe(p, p.origin_time);
-  const auto closed = a.take_closed();
+  const auto closed = a.drain_path(0).aggregates;
   ASSERT_GT(closed.size(), 2u);
 
   // Index packets by id for time lookups.
@@ -142,7 +148,7 @@ TEST(Aggregator, TransWindowSurroundsBoundary) {
   for (const Packet& p : trace) {
     when.emplace(engine.packet_id(p), p.origin_time);
   }
-  for (const AggregateData& d : closed) {
+  for (const AggregateReceipt& d : closed) {
     ASSERT_FALSE(d.trans.after.empty());
     // The first 'after' id is the cutting packet; every windowed id lies
     // within J of it.
@@ -161,9 +167,8 @@ TEST(Aggregator, TransWindowSurroundsBoundary) {
 }
 
 TEST(Aggregator, ClosedAggregatesWaitForTrailingWindow) {
-  const DigestEngine engine;
   const net::Duration j = net::milliseconds(10);
-  Aggregator a(engine, cut_threshold_for(0.01), j);
+  MonitoringCache a = make_aggregator(0.01, j);
   const auto trace = make_trace(11, 10'000, 0.5);
 
   // Every closure must happen strictly after its boundary + J: until then
@@ -171,10 +176,12 @@ TEST(Aggregator, ClosedAggregatesWaitForTrailingWindow) {
   std::vector<net::Timestamp> boundaries;
   std::size_t closed_so_far = 0;
   for (const Packet& p : trace) {
-    const std::uint64_t cuts_before = a.cuts_seen();
+    const std::uint64_t cuts_before = a.path_stats(0).cuts;
     a.observe(p, p.origin_time);
-    if (a.cuts_seen() > cuts_before) boundaries.push_back(p.origin_time);
-    for (const AggregateData& d : a.take_closed()) {
+    if (a.path_stats(0).cuts > cuts_before) {
+      boundaries.push_back(p.origin_time);
+    }
+    for (const AggregateReceipt& d : a.drain_path(0).aggregates) {
       (void)d;
       ASSERT_LT(closed_so_far, boundaries.size());
       EXPECT_GT(p.origin_time, boundaries[closed_so_far] + j);
@@ -185,32 +192,28 @@ TEST(Aggregator, ClosedAggregatesWaitForTrailingWindow) {
 }
 
 TEST(Aggregator, ZeroWindowKeepsNoTransState) {
-  const DigestEngine engine;
-  Aggregator a(engine, cut_threshold_for(1e-3), net::Duration{0});
+  MonitoringCache a = make_aggregator(1e-3, net::Duration{0});
   const auto trace = make_trace(13);
   const auto aggs = run_all(a, trace);
-  for (const AggregateData& d : aggs) {
+  for (const AggregateReceipt& d : aggs) {
     EXPECT_TRUE(d.trans.empty());
   }
-  EXPECT_EQ(a.window_buffer_peak(), 0u);
+  EXPECT_EQ(window_peak(a), 0u);
 }
 
 TEST(Aggregator, FlushOpenOnEmptyIsEmpty) {
-  const DigestEngine engine;
-  Aggregator a(engine, cut_threshold_for(1e-3), net::milliseconds(10));
-  EXPECT_FALSE(a.flush_open().has_value());
-  EXPECT_TRUE(a.take_closed().empty());
+  MonitoringCache a = make_aggregator(1e-3, net::milliseconds(10));
+  EXPECT_TRUE(a.drain_path(0, /*flush_open=*/true).aggregates.empty());
 }
 
 TEST(Aggregator, WindowPeakBoundedByRateTimesJ) {
-  const DigestEngine engine;
   const net::Duration j = net::milliseconds(10);
-  Aggregator a(engine, cut_threshold_for(1e-3), j);
+  MonitoringCache a = make_aggregator(1e-3, j);
   const auto trace = make_trace(15, 50'000, 1.0);
   for (const Packet& p : trace) a.observe(p, p.origin_time);
   // 50 kpps x 10 ms = 500 expected; MMPP bursts allow ~3x.
-  EXPECT_LT(a.window_buffer_peak(), 2500u);
-  EXPECT_GT(a.window_buffer_peak(), 100u);
+  EXPECT_LT(window_peak(a), 2500u);
+  EXPECT_GT(window_peak(a), 100u);
 }
 
 }  // namespace

@@ -6,9 +6,9 @@
 #include <numeric>
 #include <vector>
 
-#include "core/aggregator.hpp"
 #include "core/alignment.hpp"
 #include "core/config.hpp"
+#include "helpers.hpp"
 #include "loss/bernoulli.hpp"
 #include "sim/path_run.hpp"
 #include "trace/synthetic_trace.hpp"
@@ -191,28 +191,13 @@ TwoHopAggregates run_two_hops(double cut_rate, net::Duration j,
   env.domains[1].jitter = jitter;
   const sim::PathRunResult run = sim::run_path(trace, env);
 
-  const net::DigestEngine engine;
+  ProtocolParams protocol;
+  protocol.reorder_window_j = j;
   auto collect = [&](const sim::ObsSeq& obs) {
-    Aggregator agg(engine, cut_threshold_for(cut_rate), j);
-    for (const sim::Obs& o : obs) agg.observe(trace[o.pkt], o.when);
-    auto closed = agg.take_closed();
-    if (auto last = agg.flush_open(); last.has_value()) {
-      auto tail = agg.take_closed();
-      closed.insert(closed.end(), tail.begin(), tail.end());
-      closed.push_back(*last);
-    }
-    std::vector<AggregateReceipt> receipts;
-    receipts.reserve(closed.size());
-    for (const AggregateData& d : closed) {
-      AggregateReceipt r;
-      r.agg = d.agg;
-      r.packet_count = d.packet_count;
-      r.trans = d.trans;
-      r.opened_at = d.opened_at;
-      r.closed_at = d.closed_at;
-      receipts.push_back(std::move(r));
-    }
-    return receipts;
+    auto monitor = test::make_monitor(
+        protocol, HopTuning{.cut_rate = cut_rate}, net::kNoHop, net::kNoHop);
+    test::feed(monitor, trace, obs);
+    return monitor.drain_path(0, /*flush_open=*/true).aggregates;
   };
 
   TwoHopAggregates out;

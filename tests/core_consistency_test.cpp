@@ -56,10 +56,12 @@ LinkFixture make_link(double sample_rate, loss::LossModel* link_loss,
   auto down = make_monitor(protocol, tuning, 5, net::kNoHop, max_diff);
   feed(up, f.trace, run.hop_observations[0]);
   feed(down, f.trace, run.hop_observations[1]);
-  f.up_samples = up.collect_samples(0);
-  f.down_samples = down.collect_samples(0);
-  f.up_aggs = up.collect_aggregates(0, true);
-  f.down_aggs = down.collect_aggregates(0, true);
+  core::PathDrain up_drain = up.drain_path(0, true);
+  core::PathDrain down_drain = down.drain_path(0, true);
+  f.up_samples = std::move(up_drain.samples);
+  f.down_samples = std::move(down_drain.samples);
+  f.up_aggs = std::move(up_drain.aggregates);
+  f.down_aggs = std::move(down_drain.aggregates);
   return f;
 }
 
@@ -188,7 +190,8 @@ TEST(LinkSamples, DownstreamLowerRateIsNotAViolation) {
   feed(down, trace, run.hop_observations[1]);
 
   const LinkSampleCheck check =
-      check_link_samples(up.collect_samples(0), down.collect_samples(0));
+      check_link_samples(up.drain_path(0).samples,
+                         down.drain_path(0).samples);
   EXPECT_TRUE(check.consistent());
   EXPECT_GT(check.common_samples, 0u);
 }

@@ -7,13 +7,15 @@
 #include <set>
 #include <vector>
 
+#include "collector/monitoring_cache.hpp"
 #include "core/config.hpp"
-#include "core/sampler.hpp"
+#include "helpers.hpp"
 #include "trace/synthetic_trace.hpp"
 
 namespace vpm::core {
 namespace {
 
+using collector::MonitoringCache;
 using net::DigestEngine;
 using net::Packet;
 using net::Timestamp;
@@ -29,10 +31,25 @@ std::vector<Packet> make_trace(std::uint64_t seed = 1,
   return trace::generate_trace(cfg);
 }
 
-void feed_all(DelaySampler& s, const std::vector<Packet>& trace) {
+/// A one-path cache sampling at `rate`; its samples are path 0's.
+MonitoringCache make_sampler(const ProtocolParams& params, double rate) {
+  return test::make_monitor(params, HopTuning{.sample_rate = rate},
+                            net::kNoHop, net::kNoHop);
+}
+
+void feed_all(MonitoringCache& s, const std::vector<Packet>& trace) {
   for (const Packet& p : trace) {
     s.observe(p, p.origin_time);
   }
+}
+
+std::vector<SampleRecord> take_samples(MonitoringCache& s) {
+  return s.drain_path(0).samples.samples;
+}
+
+/// Packets buffered awaiting a marker.
+std::size_t buffered(const MonitoringCache& s) {
+  return s.state().slots[0].hot.buf_size;
 }
 
 std::set<net::PacketDigest> ids_of(const std::vector<SampleRecord>& rs) {
@@ -50,17 +67,16 @@ ProtocolParams protocol() {
 TEST(DelaySampler, EveryMarkerIsSampled) {
   const ProtocolParams params = protocol();
   const DigestEngine engine = params.make_engine();
-  DelaySampler s(engine, params.marker_threshold(),
-                 sample_threshold_for(params, 0.02));
+  MonitoringCache s = make_sampler(params, 0.02);
   const auto trace = make_trace();
   feed_all(s, trace);
-  const auto samples = s.take_samples();
+  const auto samples = take_samples(s);
 
   std::size_t markers = 0;
   for (const SampleRecord& r : samples) {
     if (r.is_marker) ++markers;
   }
-  EXPECT_EQ(markers, s.markers_seen());
+  EXPECT_EQ(markers, s.path_stats(0).markers);
   EXPECT_GT(markers, 50u);
   // Every marker in the trace must appear as a sampled marker record.
   std::set<net::PacketDigest> sampled_markers;
@@ -77,8 +93,7 @@ TEST(DelaySampler, EveryMarkerIsSampled) {
 TEST(DelaySampler, NothingEmittedBeforeFirstMarker) {
   const ProtocolParams params = protocol();
   const DigestEngine engine = params.make_engine();
-  DelaySampler s(engine, params.marker_threshold(),
-                 sample_threshold_for(params, 1.0));
+  MonitoringCache s = make_sampler(params, 1.0);
   const auto trace = make_trace();
   // Feed packets only until just before the first marker.
   for (const Packet& p : trace) {
@@ -87,32 +102,28 @@ TEST(DelaySampler, NothingEmittedBeforeFirstMarker) {
   }
   // Bias resistance, structurally: until a marker arrives, no packet's
   // fate is decided, even at sampling rate 1.
-  EXPECT_TRUE(s.take_samples().empty());
-  EXPECT_GT(s.buffered(), 0u);
+  EXPECT_TRUE(take_samples(s).empty());
+  EXPECT_GT(buffered(s), 0u);
 }
 
 TEST(DelaySampler, BufferClearedAtMarker) {
   const ProtocolParams params = protocol();
-  const DigestEngine engine = params.make_engine();
-  DelaySampler s(engine, params.marker_threshold(),
-                 sample_threshold_for(params, 0.05));
+  MonitoringCache s = make_sampler(params, 0.05);
   const auto trace = make_trace();
   feed_all(s, trace);
   // After the full trace, the buffer only holds packets after the last
   // marker — far fewer than one mean marker gap.
-  EXPECT_LT(s.buffered(), 3000u);
-  EXPECT_GT(s.buffer_peak(), 10u);
+  EXPECT_LT(buffered(s), 3000u);
+  EXPECT_GT(s.temp_buffer_peak_records(), 10u);
 }
 
 TEST(DelaySampler, AchievedRateTracksTarget) {
   const ProtocolParams params = protocol();
-  const DigestEngine engine = params.make_engine();
   const auto trace = make_trace(3, 50'000, 2.0);
   for (const double target : {0.01, 0.05, 0.10}) {
-    DelaySampler s(engine, params.marker_threshold(),
-                   sample_threshold_for(params, target));
+    MonitoringCache s = make_sampler(params, target);
     feed_all(s, trace);
-    const auto samples = s.take_samples();
+    const auto samples = take_samples(s);
     const double achieved = static_cast<double>(samples.size()) /
                             static_cast<double>(trace.size());
     EXPECT_NEAR(achieved, target, target * 0.25 + 0.002) << target;
@@ -121,12 +132,10 @@ TEST(DelaySampler, AchievedRateTracksTarget) {
 
 TEST(DelaySampler, MinimumRateIsMarkerOnly) {
   const ProtocolParams params = protocol();
-  const DigestEngine engine = params.make_engine();
-  DelaySampler s(engine, params.marker_threshold(),
-                 sample_threshold_for(params, params.marker_rate));
+  MonitoringCache s = make_sampler(params, params.marker_rate);
   const auto trace = make_trace();
   feed_all(s, trace);
-  for (const SampleRecord& r : s.take_samples()) {
+  for (const SampleRecord& r : take_samples(s)) {
     EXPECT_TRUE(r.is_marker);
   }
 }
@@ -149,18 +158,15 @@ TEST_P(SamplerSubsetProperty, HigherRateSamplesSuperset) {
   const auto [seed, low_rate, high_rate] = GetParam();
   ASSERT_LT(low_rate, high_rate);
   const ProtocolParams params = protocol();
-  const DigestEngine engine = params.make_engine();
   const auto trace = make_trace(seed);
 
-  DelaySampler coarse(engine, params.marker_threshold(),
-                      sample_threshold_for(params, low_rate));
-  DelaySampler fine(engine, params.marker_threshold(),
-                    sample_threshold_for(params, high_rate));
+  MonitoringCache coarse = make_sampler(params, low_rate);
+  MonitoringCache fine = make_sampler(params, high_rate);
   feed_all(coarse, trace);
   feed_all(fine, trace);
 
-  const auto coarse_ids = ids_of(coarse.take_samples());
-  const auto fine_ids = ids_of(fine.take_samples());
+  const auto coarse_ids = ids_of(take_samples(coarse));
+  const auto fine_ids = ids_of(take_samples(fine));
   EXPECT_TRUE(std::includes(fine_ids.begin(), fine_ids.end(),
                             coarse_ids.begin(), coarse_ids.end()))
       << "low-rate HOP sampled a packet the high-rate HOP missed";
@@ -179,17 +185,15 @@ TEST(DelaySampler, IdenticalConfigSamplesIdentically) {
   // Two HOPs with the same sigma and no loss sample exactly the same set —
   // the premise of the delay computation in Section 4.
   const ProtocolParams params = protocol();
-  const DigestEngine engine = params.make_engine();
   const auto trace = make_trace(7);
-  DelaySampler a(engine, params.marker_threshold(),
-                 sample_threshold_for(params, 0.01));
-  DelaySampler b = a;
+  MonitoringCache a = make_sampler(params, 0.01);
+  MonitoringCache b = make_sampler(params, 0.01);
   feed_all(a, trace);
   // b sees the same packets at shifted times (as a downstream HOP would).
   for (const Packet& p : trace) {
     b.observe(p, p.origin_time + net::milliseconds(3));
   }
-  EXPECT_EQ(ids_of(a.take_samples()), ids_of(b.take_samples()));
+  EXPECT_EQ(ids_of(take_samples(a)), ids_of(take_samples(b)));
 }
 
 TEST(DelaySampler, MarkerLossDesynchronisesOnlyOneRound) {
@@ -212,16 +216,15 @@ TEST(DelaySampler, MarkerLossDesynchronisesOnlyOneRound) {
   }
   ASSERT_NE(dropped_marker, 0u);
 
-  DelaySampler up(engine, params.marker_threshold(),
-                  sample_threshold_for(params, 0.05));
-  DelaySampler down = up;
+  MonitoringCache up = make_sampler(params, 0.05);
+  MonitoringCache down = make_sampler(params, 0.05);
   feed_all(up, trace);
   for (const Packet& p : trace) {
     if (engine.packet_id(p) == dropped_marker) continue;
     down.observe(p, p.origin_time);
   }
-  const auto up_samples = up.take_samples();
-  const auto down_ids = ids_of(down.take_samples());
+  const auto up_samples = take_samples(up);
+  const auto down_ids = ids_of(take_samples(down));
 
   // Count upstream samples missing downstream: should be a small fraction
   // (about one round's worth out of ~100 rounds).
@@ -237,12 +240,10 @@ TEST(DelaySampler, MarkerLossDesynchronisesOnlyOneRound) {
 
 TEST(DelaySampler, TakeSamplesDrains) {
   const ProtocolParams params = protocol();
-  const DigestEngine engine = params.make_engine();
-  DelaySampler s(engine, params.marker_threshold(),
-                 sample_threshold_for(params, 0.05));
+  MonitoringCache s = make_sampler(params, 0.05);
   feed_all(s, make_trace(13));
-  EXPECT_FALSE(s.take_samples().empty());
-  EXPECT_TRUE(s.take_samples().empty());
+  EXPECT_FALSE(take_samples(s).empty());
+  EXPECT_TRUE(take_samples(s).empty());
 }
 
 }  // namespace

@@ -237,11 +237,10 @@ TEST(ReceiptStore, EndToEndReceiptBatchDelivery) {
       protocol, core::HopTuning{.sample_rate = 0.02, .cut_rate = 1e-3},
       net::kNoHop, 2);
   test::feed(monitor, trace, run.hop_observations[0]);
-  const core::SampleReceipt samples = monitor.collect_samples(0);
-  const auto aggs = monitor.collect_aggregates(0, true);
+  const core::PathDrain drain = monitor.drain_path(0, true);
+  const core::SampleReceipt& samples = drain.samples;
 
   net::ByteWriter payload;
-  const core::PathDrain drain{.samples = samples, .aggregates = aggs};
   const core::RoundHeader header{.sample_threshold = samples.sample_threshold,
                                  .marker_threshold = samples.marker_threshold,
                                  .base = net::Timestamp{}};
@@ -275,7 +274,7 @@ TEST(ReceiptStore, EndToEndReceiptBatchDelivery) {
                      .nanoseconds()),
         1000);
   }
-  EXPECT_EQ(got_aggs.size(), aggs.size());
+  EXPECT_EQ(got_aggs.size(), drain.aggregates.size());
 }
 
 }  // namespace

@@ -265,8 +265,10 @@ TEST_P(FastPathEquivalence, ReceiptStreamsAreByteIdentical) {
     ref_agg.observe(p, p.origin_time);
   }
 
+  const core::PathDrain fast = monitor.drain_path(0, /*flush_open=*/true);
+
   // --- samples: equal receipts.
-  SampleReceipt fast_samples = monitor.collect_samples(0);
+  const SampleReceipt& fast_samples = fast.samples;
   SampleReceipt ref_samples;
   ref_samples.path = path;
   ref_samples.sample_threshold = sigma;
@@ -277,9 +279,8 @@ TEST_P(FastPathEquivalence, ReceiptStreamsAreByteIdentical) {
 
   // --- aggregates: equal receipts, including the flushed
   // tail (take_closed drains finalized windows first, matching
-  // MonitoringCache::collect_aggregates' flush ordering).
-  std::vector<AggregateReceipt> fast_aggs =
-      monitor.collect_aggregates(0, /*flush_open=*/true);
+  // core::path_drain's flush ordering).
+  const std::vector<AggregateReceipt>& fast_aggs = fast.aggregates;
   auto stamp = [&](const AggregateData& d) {
     return AggregateReceipt{.path = path,
                             .agg = d.agg,
@@ -345,10 +346,7 @@ TEST(MonitoringCacheBatch, MatchesScalarObserve) {
             batch.ops().marker_sweep_accesses);
 
   for (std::size_t path = 0; path < multi.paths.size(); ++path) {
-    EXPECT_EQ(scalar.collect_samples(path), batch.collect_samples(path))
-        << "path " << path;
-    EXPECT_EQ(scalar.collect_aggregates(path, true),
-              batch.collect_aggregates(path, true))
+    EXPECT_EQ(scalar.drain_path(path, true), batch.drain_path(path, true))
         << "path " << path;
   }
 }
@@ -374,7 +372,7 @@ TEST(MonitoringCacheBatch, ExplicitTimestampsOverload) {
     a.observe(trace[i], shifted[i]);
   }
   b.observe_batch(trace, shifted);
-  EXPECT_EQ(a.collect_samples(0), b.collect_samples(0));
+  EXPECT_EQ(a.drain_path(0).samples, b.drain_path(0).samples);
 
   EXPECT_THROW(b.observe_batch(trace, std::span<const Timestamp>{}),
                std::invalid_argument);

@@ -204,5 +204,38 @@ TEST(FetchClientGap, CorruptAggregateSectionNamesItsHalfDecodedPath) {
   EXPECT_EQ(run.delivered, rounds_zero_and_two(table));
 }
 
+// A producer that never ships: every fetch pass comes back empty, so the
+// client backs off — the skip cap doubles from 1 poll up to 8, and each
+// skip run is drawn from [1, cap] by the seeded jitter.  Pins the schedule.
+TEST(FetchClientBackoff, QuietProducerSkipsAreCappedAndPinned) {
+  dissem::ReceiptStore store;
+  store.register_producer(kProducer, kKey);
+  store.register_consumer("verifier");
+  const dissem::WireImporter importer(path_table());
+  dissem::FetchClient client(
+      importer, store,
+      dissem::FetchClient::Config{.consumer = "verifier",
+                                  .producer = kProducer,
+                                  .producer_name = "X",
+                                  .hop = 2,
+                                  .seed = 1},
+      [](std::vector<core::IndexedPathDrain>&&) {
+        ADD_FAILURE() << "nothing was shipped";
+      },
+      [](core::RoundGap&&) { ADD_FAILURE() << "nothing was lost"; });
+
+  std::uint64_t run = 0;
+  std::uint64_t longest = 0;
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t skips = client.stats().backoff_skips;
+    client.poll();
+    run = client.stats().backoff_skips > skips ? run + 1 : 0;
+    longest = std::max(longest, run);
+  }
+  EXPECT_EQ(client.stats().polls, 200u);
+  EXPECT_EQ(client.stats().backoff_skips, 163u);
+  EXPECT_EQ(longest, 8u);  // the cap is reached and never exceeded
+}
+
 }  // namespace
 }  // namespace vpm

@@ -162,11 +162,10 @@ TEST(IntegrationWire, ReceiptsSurviveSerializationEndToEnd) {
         protocol, tunings[0], pos == 0 ? net::kNoHop : hop_id - 1,
         pos + 1 == run.hop_observations.size() ? net::kNoHop : hop_id + 1);
     test::feed(monitor, trace, run.hop_observations[pos]);
-    const core::SampleReceipt samples = monitor.collect_samples(0);
-    const auto aggs = monitor.collect_aggregates(0, true);
+    const core::PathDrain drain = monitor.drain_path(0, true);
+    const core::SampleReceipt& samples = drain.samples;
 
     net::ByteWriter wire;
-    const core::PathDrain drain{.samples = samples, .aggregates = aggs};
     const core::RoundHeader header{
         .sample_threshold = samples.sample_threshold,
         .marker_threshold = samples.marker_threshold,

@@ -91,7 +91,7 @@ TEST(MarkerMaxAge, ForcedMarkerSweepsAndRecordsMarker) {
 
   // Natural markers are off; every emitted record below comes from the
   // time-keyed rule, so the sweep machinery demonstrably ran.
-  const core::SampleReceipt receipt = cache.collect_samples(0);
+  const core::SampleReceipt receipt = cache.drain_path(0).samples;
   std::size_t markers = 0;
   std::size_t swept = 0;
   for (const core::SampleRecord& r : receipt.samples) {
@@ -123,10 +123,7 @@ TEST(MarkerMaxAge, BatchMatchesScalarObserve) {
   EXPECT_EQ(scalar.temp_buffer_peak_records(),
             batch.temp_buffer_peak_records());
   for (std::size_t path = 0; path < multi.paths.size(); ++path) {
-    ASSERT_EQ(scalar.collect_samples(path), batch.collect_samples(path))
-        << "path " << path;
-    ASSERT_EQ(scalar.collect_aggregates(path, true),
-              batch.collect_aggregates(path, true))
+    ASSERT_EQ(scalar.drain_path(path, true), batch.drain_path(path, true))
         << "path " << path;
   }
 }

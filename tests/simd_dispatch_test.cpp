@@ -417,13 +417,9 @@ TEST_P(CacheTierEquivalence, ReceiptsByteIdenticalAcrossTiers) {
 
   bool any_samples = false;
   for (std::size_t path = 0; path < multi.paths.size(); ++path) {
-    const core::SampleReceipt s = scalar_cache.collect_samples(path);
-    any_samples = any_samples || !s.samples.empty();
-    ASSERT_EQ(s, simd_cache.collect_samples(path))
-        << "path " << path;
-    ASSERT_EQ(scalar_cache.collect_aggregates(path, true),
-              simd_cache.collect_aggregates(path, true))
-        << "path " << path;
+    const core::PathDrain d = scalar_cache.drain_path(path, true);
+    any_samples = any_samples || !d.samples.samples.empty();
+    ASSERT_EQ(d, simd_cache.drain_path(path, true)) << "path " << path;
   }
   EXPECT_TRUE(any_samples);
 
@@ -505,13 +501,9 @@ TEST_P(ForcedMarkerTierEquivalence, ReceiptsByteIdenticalAcrossTiers) {
 
   bool any_samples = false;
   for (std::size_t path = 0; path < multi.paths.size(); ++path) {
-    const core::SampleReceipt s = scalar_cache.collect_samples(path);
-    any_samples = any_samples || !s.samples.empty();
-    ASSERT_EQ(s, simd_cache.collect_samples(path))
-        << "path " << path;
-    ASSERT_EQ(scalar_cache.collect_aggregates(path, true),
-              simd_cache.collect_aggregates(path, true))
-        << "path " << path;
+    const core::PathDrain d = scalar_cache.drain_path(path, true);
+    any_samples = any_samples || !d.samples.samples.empty();
+    ASSERT_EQ(d, simd_cache.drain_path(path, true)) << "path " << path;
   }
   EXPECT_TRUE(any_samples);
 }

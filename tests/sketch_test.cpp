@@ -5,8 +5,8 @@
 #include <random>
 #include <vector>
 
-#include "core/aggregator.hpp"
 #include "core/config.hpp"
+#include "helpers.hpp"
 #include "sketch/content_sketch.hpp"
 #include "sketch/sketch_aggregator.hpp"
 #include "trace/synthetic_trace.hpp"
@@ -139,12 +139,13 @@ TEST(SketchAggregator, BoundariesMatchCoreAggregator) {
   const std::uint32_t threshold = core::cut_threshold_for(1e-3);
   const auto sketches = run_sketches(trace, engine, threshold);
 
-  core::Aggregator core_agg(engine, threshold, net::Duration{0});
-  for (const auto& p : trace) core_agg.observe(p, p.origin_time);
-  auto core_closed = core_agg.take_closed();
-  if (auto last = core_agg.flush_open(); last.has_value()) {
-    core_closed.push_back(*last);
-  }
+  core::ProtocolParams protocol;
+  protocol.reorder_window_j = net::Duration{0};
+  auto monitor = test::make_monitor(
+      protocol, core::HopTuning{.cut_rate = 1e-3}, net::kNoHop, net::kNoHop);
+  for (const auto& p : trace) monitor.observe(p, p.origin_time);
+  const auto core_closed =
+      monitor.drain_path(0, /*flush_open=*/true).aggregates;
   ASSERT_EQ(sketches.size(), core_closed.size());
   for (std::size_t i = 0; i < sketches.size(); ++i) {
     EXPECT_EQ(sketches[i].agg.first, core_closed[i].agg.first);

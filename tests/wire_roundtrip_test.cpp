@@ -39,24 +39,6 @@ std::vector<net::Packet> quantize_us(std::vector<net::Packet> packets) {
   return packets;
 }
 
-/// The consumer's PathId table: same construction as MonitoringCache's.
-std::vector<net::PathId> path_table(
-    const collector::MonitoringCache::Config& cfg,
-    const std::vector<net::PrefixPair>& paths) {
-  std::vector<net::PathId> out;
-  out.reserve(paths.size());
-  for (const net::PrefixPair& pair : paths) {
-    out.push_back(net::PathId{
-        .header_spec_id = cfg.protocol.header_spec.id(),
-        .prefixes = pair,
-        .previous_hop = cfg.previous_hop,
-        .next_hop = cfg.next_hop,
-        .max_diff = cfg.max_diff,
-    });
-  }
-  return out;
-}
-
 struct RoundTrip {
   std::vector<core::IndexedPathDrain> direct;
   std::vector<core::IndexedPathDrain> recovered;
@@ -119,7 +101,8 @@ RoundTrip run_round_trip(std::uint64_t seed, net::DigestMode mode,
   r.accepted = store.accepted_count();
   r.rejected = store.rejected_count();
 
-  const dissem::WireImporter importer(path_table(scfg.cache, multi.paths));
+  const dissem::WireImporter importer(
+      collector::path_table(scfg.cache, multi.paths));
   r.recovered = importer.import(store, kProducer);
   return r;
 }
@@ -310,7 +293,8 @@ TEST(WireRoundTrip, PeriodicDrainsImportAsRounds) {
   exporter.finish();
   ASSERT_EQ(store.rejected_count(), 0u);
 
-  const dissem::WireImporter importer(path_table(scfg.cache, multi.paths));
+  const dissem::WireImporter importer(
+      collector::path_table(scfg.cache, multi.paths));
   const auto recovered = importer.import(store, kProducer);
   ASSERT_EQ(recovered.size(), 2 * multi.paths.size());
   EXPECT_EQ(recovered, expected);
