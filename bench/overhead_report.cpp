@@ -15,7 +15,8 @@
 #include "net/sample_batch.hpp"
 #include "net/simd_dispatch.hpp"
 #include "dissem/envelope.hpp"
-#include "dissem/federated_store.hpp"
+#include "dissem/receipt_store.hpp"
+#include "dissem/segment_store.hpp"
 #include "collector/resource_model.hpp"
 #include "core/receipt_batch.hpp"
 #include "core/receipt_sink.hpp"
@@ -88,11 +89,11 @@ void memory_section() {
       "  above the J-window estimate.  See EXPERIMENTS.md (OVH-M).\n\n");
 }
 
-// Dissemination-store retention (measured): a disk-backed FederatedStore
-// under six producer streams with consumers of different speeds.  What a
-// domain keeps on disk is bounded by its SLOWEST gating consumer — the
-// floor frees whole segment files, so bytes lag the floor by at most one
-// partially-covered segment per producer.
+// Dissemination-store retention (measured): a ReceiptStore over disk
+// segments under six producer streams with consumers of different speeds.
+// What a domain keeps on disk is bounded by its SLOWEST gating consumer —
+// the floor frees whole segment files, so bytes lag the floor by at most
+// one partially-covered segment per producer.
 void dissemination_block() {
   constexpr dissem::DomainKey kKey = 0x0eecd;
   constexpr std::size_t kProducers = 6;
@@ -100,50 +101,47 @@ void dissemination_block() {
   constexpr std::size_t kPayload = 256;
 
   bench::ScratchDir scratch("overhead-dissem");
-  dissem::FederatedStoreConfig cfg;
-  cfg.shards = 4;
-  cfg.directory = scratch.path();
-  cfg.max_segment_bytes = 64 * 1024;
-  dissem::FederatedStore fed(cfg);
+  dissem::ReceiptStore store(dissem::make_segment_storage(
+      {.directory = scratch.path(), .max_segment_bytes = 64 * 1024}));
   // Three consumer speeds: "fast" drains everything, "slow" trails the
   // head by 500 sequences on every stream, and a per-stream auditor of
   // producer 3 trails by 1500 — producer 3's disk shows the price of one
   // laggard.
-  fed.register_consumer("fast");
-  fed.register_consumer("slow");
+  store.register_consumer("fast");
+  store.register_consumer("slow");
   for (std::size_t p = 1; p <= kProducers; ++p) {
-    fed.register_producer(static_cast<dissem::DomainId>(p), kKey);
+    store.register_producer(static_cast<dissem::DomainId>(p), kKey);
   }
-  fed.subscribe("auditor", 3);
+  store.subscribe("auditor", 3);
   for (std::size_t p = 1; p <= kProducers; ++p) {
     const auto producer = static_cast<dissem::DomainId>(p);
     for (std::uint64_t s = 1; s <= kSeqs; ++s) {
       std::vector<std::byte> payload(kPayload,
                                      static_cast<std::byte>(s & 0xFF));
-      (void)fed.ingest(dissem::seal(producer, s, std::move(payload), kKey));
+      (void)store.ingest(dissem::seal(producer, s, std::move(payload), kKey));
     }
-    (void)fed.ack("fast", producer, kSeqs);
-    (void)fed.ack("slow", producer, kSeqs - 500);
-    if (p == 3) (void)fed.ack("auditor", producer, kSeqs - 1500);
+    (void)store.ack("fast", producer, kSeqs);
+    (void)store.ack("slow", producer, kSeqs - 500);
+    if (p == 3) (void)store.ack("auditor", producer, kSeqs - 1500);
   }
 
-  std::printf("Dissemination store (disk segments, 4 shards, %zu-byte"
-              " payloads, %llu seq/stream):\n",
+  std::printf("Dissemination store (disk segments, %zu-byte payloads,"
+              " %llu seq/stream):\n",
               kPayload, static_cast<unsigned long long>(kSeqs));
   std::printf("  producer   floor   slowest-lag   segments live/gc'd"
               "   bytes on disk\n");
   for (std::size_t p = 1; p <= kProducers; ++p) {
     const auto producer = static_cast<dissem::DomainId>(p);
-    const dissem::StorageStats s = fed.producer_storage_stats(producer);
-    std::size_t lag = std::max(fed.consumer_lag("fast", producer),
-                               fed.consumer_lag("slow", producer));
-    if (p == 3) lag = std::max(lag, fed.consumer_lag("auditor", producer));
+    const dissem::StorageStats s = store.producer_storage_stats(producer);
+    std::size_t lag = std::max(store.consumer_lag("fast", producer),
+                               store.consumer_lag("slow", producer));
+    if (p == 3) lag = std::max(lag, store.consumer_lag("auditor", producer));
     std::printf("  %8zu %7llu %13zu %10zu / %-5zu %11.1f KB\n", p,
-                static_cast<unsigned long long>(fed.gc_floor(producer)), lag,
-                s.segments_live, s.segments_unlinked,
+                static_cast<unsigned long long>(store.gc_floor(producer)),
+                lag, s.segments_live, s.segments_unlinked,
                 static_cast<double>(s.bytes_on_disk) / 1e3);
   }
-  const dissem::StorageStats total = fed.storage_stats();
+  const dissem::StorageStats total = store.storage_stats();
   std::printf("  total: %.1f KB on disk for %zu retained envelopes"
               " (%zu collected); the slowest\n"
               "  gating consumer bounds retention — whole segment files"

@@ -8,23 +8,14 @@
 //     directory (recovery scan CRC-checks every record) and walk every
 //     retained payload, the work a store does before serving after a
 //     crash.
-//   * BM_ConcurrentFetch/{1,4,16} — consumer-side contention on one
-//     FederatedStore (4 shards, disk segments): N consumer threads each
-//     walk every producer's retained stream through the locked fetch
-//     API.  Throughput holds only while reads of different shards don't
-//     serialize; items are envelopes fetched across all consumers.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "dissem/envelope.hpp"
-#include "dissem/federated_store.hpp"
 #include "dissem/segment_store.hpp"
 #include "experiment.hpp"
 
@@ -95,70 +86,6 @@ void BM_SegmentReplay(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(visited));
 }
 BENCHMARK(BM_SegmentReplay)->Unit(benchmark::kMillisecond);
-
-// N consumers, each walking every producer's full retained stream through
-// the locked fetch API of a 4-shard disk-backed FederatedStore.
-void BM_ConcurrentFetch(benchmark::State& state) {
-  constexpr std::size_t kProducers = 8;
-  constexpr std::uint64_t kSeqs = 1024;
-  const std::size_t consumers = static_cast<std::size_t>(state.range(0));
-
-  bench::ScratchDir scratch("bench-seg-fetch");
-  dissem::FederatedStoreConfig cfg;
-  cfg.shards = 4;
-  cfg.directory = scratch.path();
-  cfg.max_segment_bytes = 64 * 1024;
-  dissem::FederatedStore fed(cfg);
-  for (std::size_t p = 1; p <= kProducers; ++p) {
-    fed.register_producer(static_cast<dissem::DomainId>(p), kKey);
-    for (std::uint64_t s = 1; s <= kSeqs; ++s) {
-      fed.ingest(make_env(static_cast<dissem::DomainId>(p), s));
-    }
-  }
-  // Registered but never acking: cursors stay at 0 (every walk reads the
-  // full stream) and nothing is garbage-collected mid-bench.
-  std::vector<std::string> names;
-  for (std::size_t c = 0; c < consumers; ++c) {
-    names.push_back("bench-c" + std::to_string(c));
-    fed.register_consumer(names.back());
-  }
-
-  for (auto _ : state) {
-    std::vector<std::thread> workers;
-    workers.reserve(consumers);
-    std::atomic<std::size_t> fetched{0};
-    for (std::size_t c = 0; c < consumers; ++c) {
-      workers.emplace_back([&fed, &names, &fetched, c] {
-        std::size_t seen = 0;
-        std::size_t bytes = 0;
-        for (std::size_t p = 1; p <= kProducers; ++p) {
-          fed.fetch_from(names[c], static_cast<dissem::DomainId>(p),
-                         [&seen, &bytes](std::uint64_t,
-                                         std::span<const std::byte> payload) {
-                           ++seen;
-                           bytes += payload.size();
-                         });
-        }
-        benchmark::DoNotOptimize(bytes);
-        fetched.fetch_add(seen, std::memory_order_relaxed);
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    if (fetched.load() != consumers * kProducers * kSeqs) {
-      state.SkipWithError("fetch lost envelopes");
-      return;
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(
-      state.iterations() * consumers * kProducers * kSeqs));
-  state.counters["consumers"] = static_cast<double>(consumers);
-}
-BENCHMARK(BM_ConcurrentFetch)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -35,6 +35,9 @@
 // register_consumer() gates collection of EVERY producer (the historical
 // rule), subscribe() gates only the named producer, so one domain's slow
 // reader need not pin every other domain's segments on disk.
+//
+// A store is not internally synchronized: use it from one thread at a
+// time.
 #ifndef VPM_DISSEM_RECEIPT_STORE_HPP
 #define VPM_DISSEM_RECEIPT_STORE_HPP
 
@@ -235,9 +238,6 @@ class ReceiptStore {
   /// Envelopes garbage-collected over the store's lifetime.
   [[nodiscard]] std::size_t gc_erased_count() const {
     return storage_->stats().erased;
-  }
-  [[nodiscard]] std::size_t consumer_count() const noexcept {
-    return cursors_.size();
   }
   /// Retention-backend accounting (segment files, disk bytes; zeros for
   /// the memory backend) — the overhead_report dissemination table.

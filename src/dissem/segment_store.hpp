@@ -114,8 +114,8 @@ struct SegmentStoreConfig {
 };
 
 /// Per-producer segment-file chains with an in-memory sequence index.
-/// Single-writer discipline: not internally synchronized (FederatedStore
-/// serializes access per shard).
+/// Not internally synchronized: its ReceiptStore uses it from one thread
+/// at a time.
 class SegmentStore {
  public:
   /// Opens (creating the directory if needed) and recovers: torn tails

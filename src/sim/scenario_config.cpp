@@ -232,9 +232,6 @@ std::string ScenarioConfig::to_string() const {
   if (gap_patience_polls != def.gap_patience_polls) {
     put("gap_patience", std::to_string(gap_patience_polls));
   }
-  if (store_shards != def.store_shards) {
-    put("store_shards", std::to_string(store_shards));
-  }
   if (segment_store) put("store", "segment");
   if (torn_tail) put("torn_tail", "1");
   return out;
@@ -383,8 +380,6 @@ ScenarioConfig parse_scenario(std::string_view text) {
       cfg.crash_every_rounds = static_cast<std::size_t>(parse_u64(token, value));
     } else if (key == "gap_patience") {
       cfg.gap_patience_polls = parse_u64(token, value);
-    } else if (key == "store_shards") {
-      cfg.store_shards = static_cast<std::size_t>(parse_u64(token, value));
     } else if (key == "store") {
       if (value == "memory") {
         cfg.segment_store = false;

@@ -151,12 +151,12 @@ struct ScenarioConfig {
   std::uint64_t fault_seed = 1;
   /// Fleet crash-restart cadence: every Nth round the FetchClients die
   /// and rebuild from their acked cursors, and a segment store dies and
-  /// reopens with them (0 = never).
+  /// reopens with them (0 = never).  A nonzero cadence must be below
+  /// `rounds`: crashes fire at rounds r != 0 with r % N == 0.
   std::size_t crash_every_rounds = 0;
   std::uint64_t gap_patience_polls = 3;
 
-  // The receipt store (dissem::FederatedStore).
-  std::size_t store_shards = 1;  ///< producer shards
+  // The receipt store (dissem::ReceiptStore).
   /// false: volatile memory store.  true: disk segment store under the
   /// directory passed to run_scenario (a path is runtime state, not
   /// scenario identity, so it never appears in the repro line).

@@ -15,7 +15,6 @@
 #include "core/incremental_verifier.hpp"
 #include "core/receipt_sink.hpp"
 #include "dissem/faulty_transport.hpp"
-#include "dissem/federated_store.hpp"
 #include "dissem/fetch_client.hpp"
 #include "dissem/receipt_store.hpp"
 #include "dissem/segment_store.hpp"
@@ -179,6 +178,12 @@ void validate(const ScenarioConfig& cfg,
     throw std::invalid_argument(
         "scenario: link_down or route_flap starts after the last round");
   }
+  // Crashes fire at rounds r != 0 with r % crash_every == 0, so a cadence
+  // of `rounds` or more never fires and a torn tail tears nothing.
+  if (cfg.crash_every_rounds >= cfg.rounds) {
+    throw std::invalid_argument(
+        "scenario: crash_every never fires before the last round");
+  }
   // A disabled event (no duration, no live slots) with other fields set
   // would run silently and drop out of the repro line.
   if ((cfg.link_down.duration_rounds == 0 &&
@@ -209,9 +214,6 @@ void validate(const ScenarioConfig& cfg,
       cfg.gap_patience_polls < cfg.faults.max_delay_ticks) {
     throw std::invalid_argument(
         "scenario: gap patience below the fault plan's max delay");
-  }
-  if (cfg.store_shards == 0) {
-    throw std::invalid_argument("scenario: store_shards must be >= 1");
   }
   if (cfg.segment_store &&
       (directory.empty() || (std::filesystem::exists(directory) &&
@@ -545,21 +547,22 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
   // --- the wire: exporters -> faulty transports -> store ------------------
   // Keys are not durable: every store incarnation registers them afresh.
   const auto open_store = [&] {
-    auto fresh = std::make_unique<dissem::FederatedStore>(
-        dissem::FederatedStoreConfig{
-            .shards = cfg.store_shards,
-            .directory = cfg.segment_store ? directory
-                                           : std::filesystem::path{},
-            .max_segment_bytes = kSegmentBytes,
-            .cursor_snapshot_every = kCursorSnapshotEvery,
-        });
+    auto fresh =
+        cfg.segment_store
+            ? std::make_unique<dissem::ReceiptStore>(
+                  dissem::make_segment_storage({
+                      .directory = directory,
+                      .max_segment_bytes = kSegmentBytes,
+                      .cursor_snapshot_every = kCursorSnapshotEvery,
+                  }))
+            : std::make_unique<dissem::ReceiptStore>();
     for (std::size_t pos = 0; pos < n_hops; ++pos) {
       fresh->register_producer(out.layout.hops[pos], kKey);
     }
     fresh->register_consumer("fleet");
     return fresh;
   };
-  std::unique_ptr<dissem::FederatedStore> store = open_store();
+  std::unique_ptr<dissem::ReceiptStore> store = open_store();
 
   // archive[pos][s - 1]: HOP pos's envelope s as sealed, before the
   // transport can fault it — the perfect wire the delivered-round
@@ -637,7 +640,7 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
     ccfg.gap_patience_polls = cfg.gap_patience_polls;
     ccfg.seed = cfg.seed ^ (0xC11E57ull + pos);
     clients[pos] = std::make_unique<dissem::FetchClient>(
-        *importers[pos], store->shard_for(ccfg.producer), ccfg,
+        *importers[pos], *store, ccfg,
         [&verifiers, &out, pos](std::vector<core::IndexedPathDrain>&& groups) {
           for (core::IndexedPathDrain& g : groups) {
             for (const core::AggregateReceipt& a : g.drain.aggregates) {

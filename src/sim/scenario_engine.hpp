@@ -13,8 +13,8 @@
 //      then arena compaction), applies the configured adversary transforms
 //      (adversary/strategies — the drains a lying domain PUBLISHES differ
 //      from what it observed), and ships the published drains through
-//      WireExporter -> FaultyTransport -> dissem::FederatedStore (memory or
-//      disk segments, `store_shards` producer shards),
+//      WireExporter -> FaultyTransport -> dissem::ReceiptStore (memory or
+//      disk segments),
 //   4. polls a per-HOP FetchClient fleet that feeds per-path
 //      IncrementalPathVerifiers (gap reports and all).
 //
@@ -193,12 +193,13 @@ struct ScenarioOutcome {
 /// names, an adversary domain that is not a transit domain, two adversary
 /// entries for one domain, a route flap withdrawing every path, a
 /// link_down index out of range, a link_down or route flap starting after
-/// the last round, a churn schedule with no pool (stable >= paths) or a
-/// zero lifetime, a disabled link_down, route flap or churn schedule
-/// (zero duration or zero live slots) with any other field set, a fault
-/// rate outside [0, 1], fault delays the gap patience cannot cover,
-/// store_shards == 0, a segment store without an empty directory, or
-/// torn_tail without a segment store and crash_every.
+/// the last round, a crash_every of `rounds` or more (no crash would
+/// fire), a churn schedule with no pool (stable >= paths) or a zero
+/// lifetime, a disabled link_down, route flap or churn schedule (zero
+/// duration or zero live slots) with any other field set, a fault rate
+/// outside [0, 1], fault delays the gap patience cannot cover, a segment
+/// store without an empty directory, or torn_tail without a segment store
+/// and crash_every.
 [[nodiscard]] ScenarioOutcome run_scenario(
     const ScenarioConfig& cfg, const std::filesystem::path& directory = {});
 

@@ -57,15 +57,12 @@ TEST(ScenarioConfig, EventfulConfigRoundTripsExactly) {
 
 TEST(ScenarioConfig, StoreKeysRoundTripExactly) {
   const ScenarioConfig cfg = parse_scenario(
-      "name=disk seed=4 store=segment store_shards=4 crash_every=3 "
-      "torn_tail=1");
+      "name=disk seed=4 store=segment crash_every=3 torn_tail=1");
   EXPECT_TRUE(cfg.segment_store);
-  EXPECT_EQ(cfg.store_shards, 4u);
   EXPECT_TRUE(cfg.torn_tail);
   const ScenarioConfig back = parse_scenario(cfg.to_string());
   EXPECT_EQ(back.to_string(), cfg.to_string());
   EXPECT_TRUE(back.segment_store);
-  EXPECT_EQ(back.store_shards, 4u);
   EXPECT_TRUE(back.torn_tail);
   // The memory store is the default and stays off the repro line.
   EXPECT_FALSE(parse_scenario("store=memory").segment_store);
@@ -219,6 +216,12 @@ TEST(ScenarioEngine, ValidatesConfigs) {
                std::invalid_argument);
   EXPECT_THROW((void)run_scenario(cfg_of("rounds=4 link_down=0:4:1")),
                std::invalid_argument);
+  // So would a crash cadence of `rounds` or more: crashes fire at rounds
+  // r != 0 with r % crash_every == 0.
+  EXPECT_THROW((void)run_scenario(cfg_of("crash_every=6")),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_scenario(cfg_of("rounds=3 crash_every=7")),
+               std::invalid_argument);
   // A churn schedule needs a pool to rotate through and a lifetime.
   EXPECT_THROW((void)run_scenario(cfg_of("paths=4 churn=4:1:2")),
                std::invalid_argument);
@@ -247,10 +250,8 @@ TEST(ScenarioEngine, ValidatesConfigs) {
   EXPECT_THROW((void)run_scenario(cfg_of(
                    "fault_delay=0.1 fault_max_delay_ticks=5 gap_patience=2")),
                std::invalid_argument);
-  // The store: at least one shard, a segment store needs an empty
-  // directory, and a torn tail needs a segment store that crashes.
-  EXPECT_THROW((void)run_scenario(cfg_of("store_shards=0")),
-               std::invalid_argument);
+  // The store: a segment store needs an empty directory, and a torn tail
+  // needs a segment store that crashes.
   EXPECT_THROW((void)run_scenario(cfg_of("store=segment crash_every=2")),
                std::invalid_argument);
   EXPECT_THROW((void)run_scenario(cfg_of("torn_tail=1 crash_every=2")),
@@ -260,6 +261,10 @@ TEST(ScenarioEngine, ValidatesConfigs) {
     EXPECT_THROW(
         (void)run_scenario(cfg_of("store=segment torn_tail=1"), tmp.path()),
         std::invalid_argument);
+    EXPECT_THROW((void)run_scenario(cfg_of("store=segment torn_tail=1 "
+                                           "crash_every=3 rounds=3"),
+                                    tmp.path()),
+                 std::invalid_argument);
     std::ofstream(tmp.path() / "left-over") << "x";
     EXPECT_THROW((void)run_scenario(cfg_of("store=segment"), tmp.path()),
                  std::invalid_argument);

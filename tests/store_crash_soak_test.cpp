@@ -6,9 +6,9 @@
 // the same ScenarioOutcome — findings, gaps, the delivered-round
 // reference, wire and fleet accounting, even the envelopes the store
 // refused off the wire — and may differ only in the store's own
-// retention accounting.  The matrix covers 10 seeds x {1,4} producer
-// shards x {clean, torn} shutdowns; a 50-round run additionally pins that
-// GC'd segments are unlinked from disk (bounded directory size).
+// retention accounting.  The matrix covers 10 seeds x {clean, torn}
+// shutdowns; a 50-round run additionally pins that GC'd segments are
+// unlinked from disk (bounded directory size).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -78,43 +78,29 @@ ScenarioOutcome run_on_disk(ScenarioConfig cfg, const ScenarioOutcome& memory,
 
 TEST(StoreCrashSoak, CrashDurabilityMatrix) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    ScenarioOutcome single;  // the one-shard memory run of this seed
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      ScenarioConfig cfg = base_config(seed);
-      cfg.store_shards = shards;
-      const ScenarioOutcome memory = sim::run_scenario(cfg);
-      const std::string base = "seed " + std::to_string(seed) + " shards " +
-                               std::to_string(shards);
-      ASSERT_GT(memory.groups_delivered, 0u) << base;
-      ASSERT_EQ(memory.client_rebuilds, 2u * memory.layout.hops.size())
-          << base;
-      if (shards == 1) {
-        single = memory;
-      } else {
-        // Sharding the store moves nothing either.
-        EXPECT_EQ(without_store_accounting(memory),
-                  without_store_accounting(single))
-            << base;
-      }
+    ScenarioConfig cfg = base_config(seed);
+    const ScenarioOutcome memory = sim::run_scenario(cfg);
+    const std::string base = "seed " + std::to_string(seed);
+    ASSERT_GT(memory.groups_delivered, 0u) << base;
+    ASSERT_EQ(memory.client_rebuilds, 2u * memory.layout.hops.size()) << base;
 
-      for (const bool torn : {false, true}) {
-        const std::string label = base + (torn ? " torn" : " clean");
-        cfg.torn_tail = torn;
-        const ScenarioOutcome out = run_on_disk(cfg, memory, label);
-        if (torn) {
-          // Both crashes tear.  The store crashes before the fleet polls
-          // the round just published, so each tear destroys at least one
-          // envelope nobody has acked, and the re-send restores it.
-          EXPECT_EQ(out.torn_tails, 2u) << label;
-          EXPECT_GE(out.reingest_accepted, out.torn_tails) << label;
-        } else {
-          // A clean shutdown loses nothing: every re-sent envelope is a
-          // duplicate or below the recovered floor.
-          EXPECT_EQ(out.torn_tails, 0u) << label;
-          EXPECT_EQ(out.reingest_accepted, 0u) << label;
-        }
-        EXPECT_GT(out.reingest_rejected, 0u) << label;
+    for (const bool torn : {false, true}) {
+      const std::string label = base + (torn ? " torn" : " clean");
+      cfg.torn_tail = torn;
+      const ScenarioOutcome out = run_on_disk(cfg, memory, label);
+      if (torn) {
+        // Both crashes tear.  The store crashes before the fleet polls the
+        // round just published, so each tear destroys at least one
+        // envelope nobody has acked, and the re-send restores it.
+        EXPECT_EQ(out.torn_tails, 2u) << label;
+        EXPECT_GE(out.reingest_accepted, out.torn_tails) << label;
+      } else {
+        // A clean shutdown loses nothing: every re-sent envelope is a
+        // duplicate or below the recovered floor.
+        EXPECT_EQ(out.torn_tails, 0u) << label;
+        EXPECT_EQ(out.reingest_accepted, 0u) << label;
       }
+      EXPECT_GT(out.reingest_rejected, 0u) << label;
     }
   }
 }
@@ -124,7 +110,6 @@ TEST(StoreCrashSoak, SegmentStoreWithoutCrashesMatchesMemory) {
   // segments, no kills.
   ScenarioConfig cfg = base_config(3);
   cfg.crash_every_rounds = 0;
-  cfg.store_shards = 4;
   const ScenarioOutcome out =
       run_on_disk(cfg, sim::run_scenario(cfg), "no-crash segment run");
   EXPECT_EQ(out.reingest_accepted + out.reingest_rejected, 0u);
@@ -138,7 +123,6 @@ TEST(StoreCrashSoak, BoundedDirectoryAcrossChurn) {
   cfg.rounds = 50;
   cfg.packets_per_second = 5000.0;
   cfg.crash_every_rounds = 10;  // crashes at 10, 20, 30, 40
-  cfg.store_shards = 4;
   cfg.torn_tail = true;
   ScenarioConfig memory_cfg = cfg;
   memory_cfg.torn_tail = false;

@@ -1,22 +1,18 @@
-// FederatedStore + SegmentStore behaviour suite (ISSUE 9): splitmix64
-// producer routing, shard isolation, disk recovery (torn tails, torn
-// creates, whole-segment GC unlink), durable cursors with log compaction,
-// and the concurrency matrix (many producers ingesting while many
-// consumers fetch/ack through the locked API) that the TSan CI job runs.
+// The receipt store on disk: a ReceiptStore over SegmentStorage gates
+// collection per consumer and recovers cursors, envelopes and heads
+// across a reopen; the SegmentStore under it recovers torn tails and torn
+// creates and unlinks whole segments at the GC floor; and the cursor log
+// compacts.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "collector/sharded_collector.hpp"
 #include "dissem/envelope.hpp"
-#include "dissem/federated_store.hpp"
 #include "dissem/receipt_store.hpp"
 #include "dissem/segment_store.hpp"
 #include "helpers.hpp"
@@ -44,168 +40,108 @@ std::size_t segment_files_on_disk(const std::filesystem::path& dir) {
   return n;
 }
 
-// --- routing --------------------------------------------------------------
-
-TEST(FederatedStore, RoutingMatchesTheShardedCollectorDiscipline) {
-  // Same finalizer, same modulus: a producer id must land on the same
-  // shard index the collector would pick for an equal 64-bit key.
-  for (const std::size_t shards : {1u, 2u, 4u, 7u, 16u}) {
-    for (std::uint32_t p = 0; p < 500; ++p) {
-      EXPECT_EQ(dissem::FederatedStore::shard_of(p, shards),
-                collector::ShardedCollector::shard_of_key(p, shards))
-          << "producer " << p << " shards " << shards;
-    }
-  }
+dissem::ReceiptStore open_disk_store(const std::filesystem::path& dir) {
+  return dissem::ReceiptStore(
+      dissem::make_segment_storage({.directory = dir}));
 }
 
-TEST(FederatedStore, RoutingSpreadsProducersAcrossShards) {
-  constexpr std::size_t kShards = 4;
-  std::vector<std::size_t> load(kShards, 0);
-  for (std::uint32_t p = 1; p <= 1000; ++p) {
-    ++load[dissem::FederatedStore::shard_of(p, kShards)];
-  }
-  for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_GT(load[s], 150u) << "shard " << s << " starved";
-    EXPECT_LT(load[s], 350u) << "shard " << s << " overloaded";
-  }
-}
+// --- consumer gating and reopen ---------------------------------------------
 
-TEST(FederatedStore, ShardForAndLockedApiAgree) {
-  dissem::FederatedStoreConfig cfg;
-  cfg.shards = 4;
-  dissem::FederatedStore fed(cfg);
-  for (dissem::DomainId p = 1; p <= 12; ++p) {
-    fed.register_producer(p, kKey);
-    ASSERT_EQ(fed.ingest(make_env(p, 1)), dissem::IngestResult::kAccepted);
-    EXPECT_EQ(fed.last_sequence(p), 1u);
-    EXPECT_EQ(fed.shard_for(p).last_sequence(p), 1u);
-    EXPECT_EQ(&fed.shard_for(p), &fed.shard(fed.shard_index(p)));
-  }
-  EXPECT_EQ(fed.stored_envelopes(), 12u);
-  EXPECT_EQ(fed.accepted_count(), 12u);
-}
+TEST(ReceiptStoreDisk, RegisterConsumerGatesEveryProducerSubscribeGatesOne) {
+  test::TempDir tmp("store-gating");
+  dissem::ReceiptStore store = open_disk_store(tmp.path());
+  const std::vector<dissem::DomainId> producers = {1, 2, 3};
+  for (const dissem::DomainId p : producers) store.register_producer(p, kKey);
 
-// --- consumer gating across shards ----------------------------------------
-
-TEST(FederatedStore, RegisterConsumerGatesEveryShardSubscribeGatesOne) {
-  dissem::FederatedStoreConfig cfg;
-  cfg.shards = 4;
-  dissem::FederatedStore fed(cfg);
-  // Pick producers on distinct shards.
-  std::vector<dissem::DomainId> producers;
-  std::set<std::size_t> used;
-  for (dissem::DomainId p = 1; producers.size() < 3; ++p) {
-    if (used.insert(fed.shard_index(p)).second) producers.push_back(p);
-  }
-  for (const dissem::DomainId p : producers) fed.register_producer(p, kKey);
-
-  fed.register_consumer("everything");
-  fed.subscribe("one", producers[0]);
+  store.register_consumer("everything");
+  store.subscribe("one", producers[0]);
   for (const dissem::DomainId p : producers) {
     for (std::uint64_t s = 1; s <= 4; ++s) {
-      ASSERT_EQ(fed.ingest(make_env(p, s)), dissem::IngestResult::kAccepted);
+      ASSERT_EQ(store.ingest(make_env(p, s)), dissem::IngestResult::kAccepted);
     }
   }
   // "everything" holds the floor on all three producers...
-  ASSERT_EQ(fed.ack("one", producers[0], 4), dissem::AckResult::kAcked);
-  EXPECT_EQ(fed.gc_floor(producers[0]), 0u);
-  EXPECT_EQ(fed.stored_envelopes(), 12u);
+  ASSERT_EQ(store.ack("one", producers[0], 4), dissem::AckResult::kAcked);
+  EXPECT_EQ(store.gc_floor(producers[0]), 0u);
+  EXPECT_EQ(store.stored_envelopes(), 12u);
   // ...and once it acks, only its own cursor gates: producer 0 (both
   // consumers at 4) collects, the others (gated only by "everything")
   // collect too.
   for (const dissem::DomainId p : producers) {
-    ASSERT_EQ(fed.ack("everything", p, 4), dissem::AckResult::kAcked);
+    ASSERT_EQ(store.ack("everything", p, 4), dissem::AckResult::kAcked);
   }
-  EXPECT_EQ(fed.gc_floor(producers[0]), 4u);
-  EXPECT_EQ(fed.stored_envelopes(), 0u);
-  // The subscriber's cursor never existed on other shards: asking for it
-  // there throws (it was only registered on producers[0]'s shard).
-  EXPECT_EQ(fed.cursor("one", producers[0]), 4u);
-  EXPECT_THROW((void)fed.cursor("one", producers[1]), std::invalid_argument);
+  EXPECT_EQ(store.gc_floor(producers[0]), 4u);
+  EXPECT_EQ(store.stored_envelopes(), 0u);
+  EXPECT_EQ(store.cursor("one", producers[0]), 4u);
 }
 
-// --- disk-backed shards ---------------------------------------------------
-
-TEST(FederatedStore, DiskReopenRecoversCursorsEnvelopesAndHeads) {
-  test::TempDir tmp("fed-reopen");
-  dissem::FederatedStoreConfig cfg;
-  cfg.shards = 4;
-  cfg.directory = tmp.path();
+TEST(ReceiptStoreDisk, ReopenRecoversCursorsEnvelopesAndHeads) {
+  test::TempDir tmp("store-reopen");
   const std::vector<dissem::DomainId> producers = {3, 7, 11, 19};
   {
-    dissem::FederatedStore fed(cfg);
-    for (const dissem::DomainId p : producers) fed.register_producer(p, kKey);
-    fed.register_consumer("c");
+    dissem::ReceiptStore store = open_disk_store(tmp.path());
+    for (const dissem::DomainId p : producers) {
+      store.register_producer(p, kKey);
+    }
+    store.register_consumer("c");
     for (const dissem::DomainId p : producers) {
       for (std::uint64_t s = 1; s <= 6; ++s) {
-        ASSERT_EQ(fed.ingest(make_env(p, s)), dissem::IngestResult::kAccepted);
+        ASSERT_EQ(store.ingest(make_env(p, s)),
+                  dissem::IngestResult::kAccepted);
       }
-      ASSERT_EQ(fed.ack("c", p, 2 + p % 3), dissem::AckResult::kAcked);
+      ASSERT_EQ(store.ack("c", p, 2 + p % 3), dissem::AckResult::kAcked);
     }
   }
-  dissem::FederatedStore fed(cfg);
-  for (const dissem::DomainId p : producers) fed.register_producer(p, kKey);
+  dissem::ReceiptStore store = open_disk_store(tmp.path());
+  for (const dissem::DomainId p : producers) store.register_producer(p, kKey);
   for (const dissem::DomainId p : producers) {
-    EXPECT_EQ(fed.last_sequence(p), 6u) << "producer " << p;
-    EXPECT_EQ(fed.cursor("c", p), 2 + p % 3) << "producer " << p;
+    EXPECT_EQ(store.last_sequence(p), 6u) << "producer " << p;
+    EXPECT_EQ(store.cursor("c", p), 2 + p % 3) << "producer " << p;
     // Unacked envelopes survive and fetch resumes mid-stream...
     std::vector<std::uint64_t> seqs;
-    fed.fetch_from("c", p,
-                   [&seqs](std::uint64_t s, std::span<const std::byte>) {
-                     seqs.push_back(s);
-                   });
+    store.fetch_from("c", p,
+                     [&seqs](std::uint64_t s, std::span<const std::byte>) {
+                       seqs.push_back(s);
+                     });
     ASSERT_FALSE(seqs.empty());
     EXPECT_EQ(seqs.front(), 2 + p % 3 + 1);
     EXPECT_EQ(seqs.back(), 6u);
     // ...replays of durable envelopes are rejected as duplicates, and
     // pre-floor replays as stale.
-    EXPECT_EQ(fed.ingest(make_env(p, 6)), dissem::IngestResult::kDuplicate);
-    EXPECT_EQ(fed.ingest(make_env(p, 7)), dissem::IngestResult::kAccepted);
+    EXPECT_EQ(store.ingest(make_env(p, 6)), dissem::IngestResult::kDuplicate);
+    EXPECT_EQ(store.ingest(make_env(p, 7)), dissem::IngestResult::kAccepted);
   }
 }
 
-TEST(FederatedStore, LateSubscriberBaselineHoldsTheFloorAcrossReopen) {
+TEST(ReceiptStoreDisk, LateSubscriberBaselineHoldsTheFloorAcrossReopen) {
   // A consumer that subscribes after GC has run starts at the floor; that
   // baseline must be durable.  Recovery recomputes floors from persisted
   // acks, so an ack-less late subscriber used to rewind the recovered
   // floor to zero — un-collecting sequences it never owned, so collected
   // envelopes could re-ingest and be re-served after a restart.
-  test::TempDir tmp("fed-baseline");
-  dissem::FederatedStoreConfig cfg;
-  cfg.shards = 2;
-  cfg.directory = tmp.path();
+  test::TempDir tmp("store-baseline");
   constexpr dissem::DomainId kP = 6;
   {
-    dissem::FederatedStore fed(cfg);
-    fed.register_producer(kP, kKey);
-    fed.subscribe("auditor", kP);
+    dissem::ReceiptStore store = open_disk_store(tmp.path());
+    store.register_producer(kP, kKey);
+    store.subscribe("auditor", kP);
     for (std::uint64_t s = 1; s <= 8; ++s) {
-      ASSERT_EQ(fed.ingest(make_env(kP, s)), dissem::IngestResult::kAccepted);
+      ASSERT_EQ(store.ingest(make_env(kP, s)),
+                dissem::IngestResult::kAccepted);
     }
-    ASSERT_EQ(fed.ack("auditor", kP, 5), dissem::AckResult::kAcked);
-    ASSERT_EQ(fed.gc_floor(kP), 5u);
-    fed.subscribe("late", kP);  // joins at the floor, never acks
-    EXPECT_EQ(fed.cursor("late", kP), 5u);
+    ASSERT_EQ(store.ack("auditor", kP, 5), dissem::AckResult::kAcked);
+    ASSERT_EQ(store.gc_floor(kP), 5u);
+    store.subscribe("late", kP);  // joins at the floor, never acks
+    EXPECT_EQ(store.cursor("late", kP), 5u);
   }
-  dissem::FederatedStore fed(cfg);
-  fed.register_producer(kP, kKey);
-  EXPECT_EQ(fed.gc_floor(kP), 5u)
+  dissem::ReceiptStore store = open_disk_store(tmp.path());
+  store.register_producer(kP, kKey);
+  EXPECT_EQ(store.gc_floor(kP), 5u)
       << "the late subscriber's baseline must gate from the floor, not 0";
-  EXPECT_EQ(fed.cursor("late", kP), 5u);
-  EXPECT_EQ(fed.ingest(make_env(kP, 3)), dissem::IngestResult::kStaleSequence)
+  EXPECT_EQ(store.cursor("late", kP), 5u);
+  EXPECT_EQ(store.ingest(make_env(kP, 3)),
+            dissem::IngestResult::kStaleSequence)
       << "a collected sequence must never re-ingest after recovery";
-}
-
-TEST(FederatedStore, ReopenWithDifferentShardCountRefuses) {
-  test::TempDir tmp("fed-reshard");
-  dissem::FederatedStoreConfig cfg;
-  cfg.shards = 4;
-  cfg.directory = tmp.path();
-  { dissem::FederatedStore fed(cfg); }
-  cfg.shards = 2;
-  EXPECT_THROW(dissem::FederatedStore{cfg}, std::runtime_error);
-  cfg.shards = 4;
-  EXPECT_NO_THROW(dissem::FederatedStore{cfg});
 }
 
 // --- SegmentStore on real files -------------------------------------------
@@ -357,82 +293,6 @@ TEST(SegmentStorageDisk, CursorLogCompactsAndRecoversTheLatestState) {
   EXPECT_EQ(store.ingest(make_env(kP, 201, 8)),
             dissem::IngestResult::kAccepted);
 }
-
-// --- concurrency (the TSan matrix) ----------------------------------------
-
-class FederatedStoreConcurrency
-    : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(FederatedStoreConcurrency, ProducersIngestWhileConsumersFetchAndAck) {
-  const std::size_t shards = GetParam();
-  test::TempDir tmp("fed-tsan");
-  dissem::FederatedStoreConfig cfg;
-  cfg.shards = shards;
-  cfg.directory = tmp.path();  // disk-backed: the file paths race too
-  cfg.max_segment_bytes = 2 * 1024;
-  dissem::FederatedStore fed(cfg);
-
-  constexpr std::size_t kProducers = 6;
-  constexpr std::uint64_t kPerProducer = 120;
-  for (dissem::DomainId p = 1; p <= kProducers; ++p) {
-    fed.register_producer(p, kKey);
-  }
-  // One all-producer consumer per worker thread: each gates GC
-  // everywhere, so concurrent acks drive concurrent erase_through against
-  // concurrent appends and walks.
-  constexpr std::size_t kConsumers = 3;
-  for (std::size_t c = 0; c < kConsumers; ++c) {
-    fed.register_consumer("c" + std::to_string(c));
-  }
-
-  std::vector<std::thread> threads;
-  threads.reserve(kProducers + kConsumers);
-  for (dissem::DomainId p = 1; p <= kProducers; ++p) {
-    threads.emplace_back([&fed, p] {
-      for (std::uint64_t s = 1; s <= kPerProducer; ++s) {
-        ASSERT_EQ(fed.ingest(make_env(p, s, 16)),
-                  dissem::IngestResult::kAccepted);
-      }
-    });
-  }
-  for (std::size_t c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&fed, c] {
-      const std::string name = "c" + std::to_string(c);
-      std::vector<std::uint64_t> cursor(kProducers + 1, 0);
-      bool all_done = false;
-      while (!all_done) {
-        all_done = true;
-        for (dissem::DomainId p = 1; p <= kProducers; ++p) {
-          std::uint64_t contiguous = cursor[p];
-          fed.fetch_from(name, p,
-                         [&contiguous](std::uint64_t s,
-                                       std::span<const std::byte> payload) {
-                           ASSERT_FALSE(payload.empty());
-                           if (s == contiguous + 1) contiguous = s;
-                         });
-          if (contiguous > cursor[p]) {
-            ASSERT_EQ(fed.ack(name, p, contiguous),
-                      dissem::AckResult::kAcked);
-            cursor[p] = contiguous;
-          }
-          if (cursor[p] < kPerProducer) all_done = false;
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  EXPECT_EQ(fed.accepted_count(), kProducers * kPerProducer);
-  // Every consumer drained everything, so every envelope was collected.
-  EXPECT_EQ(fed.stored_envelopes(), 0u);
-  EXPECT_EQ(fed.gc_erased_count(), kProducers * kPerProducer);
-  for (dissem::DomainId p = 1; p <= kProducers; ++p) {
-    EXPECT_EQ(fed.gc_floor(p), kPerProducer);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, FederatedStoreConcurrency,
-                         ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace vpm
