@@ -87,7 +87,6 @@ int main() {
     collector::ShardedCollector::Config scfg;
     scfg.cache.protocol = protocol;
     scfg.cache.tuning = tuning;
-    scfg.cache.self = hop;
     scfg.cache.previous_hop = hop - 1;
     scfg.cache.next_hop = hop + 1;
     scfg.shard_count = 2;

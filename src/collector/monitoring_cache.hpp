@@ -167,7 +167,7 @@ struct DataPlaneOps {
   std::uint64_t marker_sweep_accesses = 0;
   /// Marker-sweep kernel invocations by SIMD tier (one per marker that
   /// swept a non-empty buffer; mirrors PathStateSoA::sweep_kernels so the
-  /// §7.1 report can show which tier the protocol kernels actually ran).
+  /// §7.1 report can show which tier the marker sweep actually ran).
   std::uint64_t sweep_kernel_scalar = 0;
   std::uint64_t sweep_kernel_avx2 = 0;
 
@@ -246,6 +246,9 @@ class MonitoringCache {
   struct Config {
     core::ProtocolParams protocol;
     core::HopTuning tuning;  ///< same local tuning for every path
+    /// Read by nothing: a cache's receipts carry no HOP of their own.  It
+    /// stays only because the end-to-end benchmark's deployment sets it,
+    /// until the next change to the benchmark drops that write.
     net::HopId self = net::kNoHop;
     net::HopId previous_hop = net::kNoHop;
     net::HopId next_hop = net::kNoHop;

@@ -8,7 +8,6 @@
 
 #include "net/sample_batch.hpp"
 #include "net/simd_dispatch.hpp"
-#include "net/window_batch.hpp"
 
 namespace vpm::core {
 namespace {
@@ -25,24 +24,19 @@ constexpr std::uint32_t kRingInitialCap = 8;
 /// reporting round (a handful of samples + markers) never reallocates.
 constexpr std::size_t kEmittedDecayFloor = 16;
 
-// The batch kernels walk buffered/ring records as raw strided bytes:
-// uint32 digest in the first four bytes, int64 nanosecond timestamp at
-// byte offset 8 (qword-aligned for the AVX2 time gathers).
+// The marker-sweep kernel walks buffered records as raw strided bytes,
+// reading the uint32 digest in the first four bytes of each.
 static_assert(sizeof(TimedDigest) == 16);
-static_assert(alignof(TimedDigest) == 8);
 static_assert(std::is_trivially_copyable_v<TimedDigest>);
 static_assert(offsetof(TimedDigest, id) == 0);
-static_assert(offsetof(TimedDigest, time) == 8);
-constexpr std::size_t kTimedDigestTimeOff = 8;
 
 inline const std::byte* bytes_of(const TimedDigest* records) noexcept {
   return reinterpret_cast<const std::byte*>(records);
 }
 
-/// True when the AVX2 kernels should run: the dispatch shim's active tier
-/// (force hook -> VPM_SIMD -> cpuid) resolved to kAvx2 AND this binary
-/// actually carries the kernels.  Checked once per sweep/cut, not per
-/// record.
+/// True when the AVX2 sweep kernel should run: the dispatch shim's active
+/// tier (force hook -> VPM_SIMD -> cpuid) resolved to kAvx2 AND this binary
+/// actually carries the kernel.  Checked once per sweep, not per record.
 inline bool avx2_kernels_active() noexcept {
   return net::simd::active_tier() == net::simd::Tier::kAvx2;
 }
@@ -107,55 +101,19 @@ void grow_ring(PathStateSoA& s, std::size_t path) {
 
 /// Move pending aggregates whose AggTrans window is complete (now is J
 /// past their boundary) to the closed list, preserving relative order in
-/// both groups (the pre-refactor stable_partition semantics).
-///
-/// The keep decision (`boundary + J >= now`, computed as
-/// `boundary >= now - J` so both tiers share one predicate) runs through
-/// the branchless time-mask kernel in blocks; the partition then walks
-/// the mask bits.  Moves only ever go from i down to keep <= i, so
-/// masking a block before moving within it is safe — sources ahead of the
-/// cursor are untouched.
+/// both groups (the pre-refactor stable_partition semantics).  The keep
+/// predicate `boundary + J >= now` is written as `boundary >= now - J`.
 void finalize_due(PathStateSoA& s, std::size_t path, net::Timestamp now) {
   auto& pending = s.pending[path];
   auto& closed = s.closed[path];
-  const std::size_t n = pending.size();
-  const std::int64_t cutoff =
-      now.nanoseconds() - s.params.j_window.nanoseconds();
-  static_assert(sizeof(PendingAggregate) % 8 == 0);
-  const std::size_t stride = sizeof(PendingAggregate);
-  // offsetof on a type with vector members is conditionally supported, so
-  // derive the boundary offset from a live object instead.
-  const std::byte* base = reinterpret_cast<const std::byte*>(pending.data());
-  const std::size_t boundary_off =
-      n == 0 ? 0
-             : static_cast<std::size_t>(
-                   reinterpret_cast<const std::byte*>(&pending[0].boundary) -
-                   base);
-
-  static const net::detail::TimeGeMaskFn avx2 =
-      net::detail::time_ge_mask_avx2();
-  const bool use_avx2 =
-      avx2 != nullptr && avx2_kernels_active() && boundary_off % 8 == 0;
-
-  constexpr std::size_t kBlock = 512;  // 8 mask words on the stack
-  std::uint64_t mask[kBlock / 64];
+  const net::Timestamp cutoff = now - s.params.j_window;
   std::size_t keep = 0;
-  for (std::size_t b = 0; b < n; b += kBlock) {
-    const std::size_t bn = std::min(kBlock, n - b);
-    if (use_avx2) {
-      avx2(base + b * stride, stride, boundary_off, bn, cutoff, mask);
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    if (pending[i].boundary >= cutoff) {
+      if (keep != i) pending[keep] = std::move(pending[i]);
+      ++keep;
     } else {
-      net::detail::time_ge_mask_scalar(base + b * stride, stride,
-                                       boundary_off, bn, cutoff, mask);
-    }
-    for (std::size_t j = 0; j < bn; ++j) {
-      const std::size_t i = b + j;
-      if ((mask[j >> 6] >> (j & 63)) & 1u) {
-        if (keep != i) pending[keep] = std::move(pending[i]);
-        ++keep;
-      } else {
-        closed.push_back(std::move(pending[i].data));
-      }
+      closed.push_back(std::move(pending[i].data));
     }
   }
   pending.resize(keep);
@@ -256,33 +214,17 @@ void path_observe_aggregator(PathStateSoA& s, std::size_t path,
       pend.data.packet_count = slot.hot.agg_count;
       pend.data.opened_at = net::Timestamp{slot.warm.opened_at_ns};
       pend.data.closed_at = net::Timestamp{slot.hot.last_at_ns};
-      // The J-ring occupies at most two linear segments; run the
-      // window-collect kernel (masked 8-wide time compares +
-      // compress-store on the AVX2 tier) over each.  The keep predicate
-      // is the scalar `r.time + J >= when` rearranged to
-      // `r.time >= when - J` so both tiers compare identically.
+      // Walk the J-ring from its head (arrival order), keeping each
+      // record with `r.time + J >= when`, written as `r.time >= when - J`.
       const TimedDigest* ring = s.ring_arena.data() + slot.warm.ring_begin;
-      const std::uint32_t mask = slot.warm.ring_cap - 1;  // ring_size > 0
-      const std::uint32_t head = slot.hot.ring_head & mask;
-      const std::uint32_t first =
-          std::min(slot.hot.ring_size, slot.warm.ring_cap - head);
-      const std::int64_t cutoff =
-          when.nanoseconds() - s.params.j_window.nanoseconds();
-      static const net::detail::WindowCollectFn avx2 =
-          net::detail::window_collect_avx2();
-      const net::detail::WindowCollectFn collect =
-          (avx2 != nullptr && avx2_kernels_active())
-              ? avx2
-              : &net::detail::window_collect_scalar;
+      const std::uint32_t mask = slot.warm.ring_cap - 1;
+      const net::Timestamp cutoff = when - s.params.j_window;
       auto& before = pend.data.trans.before;
-      before.resize(slot.hot.ring_size);
-      std::size_t kept = collect(bytes_of(ring + head), sizeof(TimedDigest),
-                                 kTimedDigestTimeOff, first, cutoff,
-                                 before.data());
-      kept += collect(bytes_of(ring), sizeof(TimedDigest),
-                      kTimedDigestTimeOff, slot.hot.ring_size - first, cutoff,
-                      before.data() + kept);
-      before.resize(kept);
+      before.reserve(slot.hot.ring_size);
+      for (std::uint32_t i = 0; i < slot.hot.ring_size; ++i) {
+        const TimedDigest& r = ring[(slot.hot.ring_head + i) & mask];
+        if (r.time >= cutoff) before.push_back(r.id);
+      }
       // The trailing window is roughly symmetric to the leading one.
       pend.data.trans.after.reserve(pend.data.trans.before.size() + 1);
       s.pending[path].push_back(std::move(pend));

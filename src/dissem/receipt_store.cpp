@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace vpm::dissem {
@@ -148,7 +149,20 @@ void ReceiptStore::for_each_payload(
       });
 }
 
+namespace {
+
+void check_consumer_name(const std::string& name) {
+  if (name.size() > kMaxConsumerNameBytes) {
+    throw std::invalid_argument(
+        "ReceiptStore: consumer name of " + std::to_string(name.size()) +
+        " bytes exceeds " + std::to_string(kMaxConsumerNameBytes));
+  }
+}
+
+}  // namespace
+
 void ReceiptStore::register_consumer(const std::string& name) {
+  check_consumer_name(name);
   Consumer& slot = cursors_[name];
   slot.all_producers = true;
   storage_->persist_registration(name, true);
@@ -158,6 +172,7 @@ void ReceiptStore::register_consumer(const std::string& name) {
 }
 
 void ReceiptStore::subscribe(const std::string& name, DomainId producer) {
+  check_consumer_name(name);
   Consumer& slot = cursors_[name];
   if (slot.all_producers) return;  // already gates everything
   slot.subscribed.insert(producer);

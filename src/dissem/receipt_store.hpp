@@ -165,7 +165,9 @@ class ReceiptStore {
   /// (the historical rule).  Idempotent for the same name; upgrades a
   /// subscribe()d consumer to all-producer gating.  Its cursor for each
   /// producer starts at that producer's current GC floor (a late
-  /// registrant cannot be served what was already collected).
+  /// registrant cannot be served what was already collected).  Throws
+  /// std::invalid_argument, changing nothing, for a name longer than
+  /// kMaxConsumerNameBytes.
   void register_consumer(const std::string& name);
 
   /// Register `name` (if new) and make its acknowledgements gate garbage
@@ -173,7 +175,8 @@ class ReceiptStore {
   /// already register_consumer()'d (it already gates everything).  Any
   /// registered consumer may fetch_from/ack any producer — an
   /// unsubscribed fetch is a non-gating "tap" that cannot hold the
-  /// producer's envelopes resident.
+  /// producer's envelopes resident.  Rejects a name as register_consumer()
+  /// does.
   void subscribe(const std::string& name, DomainId producer);
 
   /// Visit `producer`'s retained payloads with sequence numbers AFTER the

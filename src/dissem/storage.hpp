@@ -34,6 +34,7 @@
 #ifndef VPM_DISSEM_STORAGE_HPP
 #define VPM_DISSEM_STORAGE_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -46,6 +47,11 @@
 #include "dissem/envelope.hpp"
 
 namespace vpm::dissem {
+
+/// Longest consumer name a store accepts (bytes).  SegmentStorage writes a
+/// name's length as a u16, so ReceiptStore rejects longer names on every
+/// backend alike.
+inline constexpr std::size_t kMaxConsumerNameBytes = 0xFFFF;
 
 /// One consumer's durable state as surfaced by recover().
 struct ConsumerRecord {

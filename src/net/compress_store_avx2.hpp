@@ -6,9 +6,8 @@
 // order, so one vpermd moves every selected lane to the register front and
 // a single unaligned store writes them.  The store always writes eight
 // lanes; callers guarantee the destination has room for a full group's
-// worth of slack (see the kernel contracts in sample_batch.hpp /
-// window_batch.hpp for why survivors-so-far <= group base makes that safe
-// without over-allocating).
+// worth of slack (see the kernel contract in sample_batch.hpp for why
+// survivors-so-far <= group base makes that safe without over-allocating).
 //
 // Include only from -mavx2 translation units (empty otherwise, like
 // lookup3_avx2.hpp).

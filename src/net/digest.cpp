@@ -118,7 +118,8 @@ std::uint32_t DigestEngine::sample_value(PacketDigest q_id,
 }
 
 std::uint32_t rate_to_threshold(double rate) {
-  if (rate < 0.0 || rate > 1.0) {
+  // Spelled as the valid range so that NaN fails it too.
+  if (!(rate >= 0.0 && rate <= 1.0)) {
     throw std::invalid_argument("rate " + std::to_string(rate) +
                                 " outside [0,1]");
   }

@@ -515,7 +515,6 @@ ScenarioOutcome run_scenario(const ScenarioConfig& cfg,
     c.protocol.marker_rate = cfg.marker_rate;
     c.protocol.marker_max_age = cfg.marker_max_age;
     c.tuning = cfg.tuning;
-    c.self = out.layout.hops[pos];
     c.previous_hop = pos == 0 ? net::kNoHop : out.layout.hops[pos - 1];
     c.next_hop = pos + 1 == n_hops ? net::kNoHop : out.layout.hops[pos + 1];
     c.max_diff = cfg.max_diff;

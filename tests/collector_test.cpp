@@ -2,6 +2,8 @@
 // monitoring cache, the §7.1 resource model, and the router pipeline.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "collector/monitoring_cache.hpp"
@@ -18,7 +20,6 @@ MonitoringCache::Config cache_config() {
   MonitoringCache::Config cfg;
   cfg.protocol = test::test_protocol();
   cfg.tuning = core::HopTuning{.sample_rate = 0.01, .cut_rate = 1e-3};
-  cfg.self = 4;
   cfg.previous_hop = 3;
   cfg.next_hop = 5;
   return cfg;
@@ -84,6 +85,22 @@ TEST(MonitoringCache, TracksPerPathStateIndependently) {
     for (const auto& r : aggs) counted += r.packet_count;
     EXPECT_EQ(counted, per_path[p]) << "path " << p;
   }
+}
+
+TEST(MonitoringCache, NanRatesAreRejected) {
+  // A NaN rate would otherwise cast to an arbitrary threshold: sample
+  // every packet, or make every packet a marker or a cut.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<net::PrefixPair> paths = {trace::default_prefix_pair()};
+  MonitoringCache::Config cfg = cache_config();
+  cfg.tuning.sample_rate = nan;
+  EXPECT_THROW(MonitoringCache(cfg, paths), std::invalid_argument);
+  cfg = cache_config();
+  cfg.protocol.marker_rate = nan;
+  EXPECT_THROW(MonitoringCache(cfg, paths), std::invalid_argument);
+  cfg = cache_config();
+  cfg.tuning.cut_rate = nan;
+  EXPECT_THROW(MonitoringCache(cfg, paths), std::invalid_argument);
 }
 
 TEST(MonitoringCache, CountsUnknownTraffic) {

@@ -42,9 +42,12 @@ TEST(RateThreshold, EdgeRates) {
   EXPECT_EQ(rate_to_threshold(tiny), 0xFFFFFFFEu);
   EXPECT_DOUBLE_EQ(threshold_to_rate(0xFFFFFFFEu), tiny);
 
-  // Out-of-range rates are rejected.
+  // Out-of-range rates are rejected, and so is NaN.
   EXPECT_THROW((void)rate_to_threshold(-0.01), std::invalid_argument);
   EXPECT_THROW((void)rate_to_threshold(1.01), std::invalid_argument);
+  EXPECT_THROW(
+      (void)rate_to_threshold(std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
 }
 
 TEST(RateThreshold, EdgeThresholdsRoundTrip) {

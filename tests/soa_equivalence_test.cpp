@@ -14,8 +14,9 @@
 // observe_batch() slice boundaries, including a mid-stream drain.
 //
 // Also covered: observe() vs observe_batch() parity above the staged
-// prefetch threshold (the >4k-path loop), 0/1-path edge cases, the
-// PathHot size/contiguity budget, and hashes/packet == 1 in both modes.
+// prefetch threshold (the >4k-path loop), 0/1-path edge cases, the order
+// in which many pending aggregates close at once, the PathHot
+// size/contiguity budget, and hashes/packet == 1 in both modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -510,6 +512,40 @@ TEST(SoaEdgeCases, SinglePathMatchesReference) {
   const PathDrain empty = idle.drain_path(0, true);
   EXPECT_TRUE(empty.samples.samples.empty());
   EXPECT_TRUE(empty.aggregates.empty());
+}
+
+TEST(SoaEdgeCases, DueAggregatesCloseInCutOrder) {
+  // A dense cut rate keeps dozens of aggregates pending through a burst;
+  // a quiet gap longer than J then makes all of them fall due at the
+  // gap's first packet, and they must close in the order they were cut.
+  const std::vector<net::PrefixPair> paths = {trace::default_prefix_pair()};
+  trace::TraceConfig tcfg;
+  tcfg.prefixes = paths[0];
+  tcfg.packets_per_second = 20'000;
+  tcfg.duration = net::milliseconds(40);
+  tcfg.burst_multiplier = 1.0;  // plain Poisson
+  tcfg.seed = 9;
+  std::vector<Packet> trace = trace::generate_trace(tcfg);
+
+  MonitoringCache::Config ccfg = cache_config(net::DigestMode::kIndependent);
+  ccfg.tuning.cut_rate = 0.2;
+  const std::size_t half = trace.size() / 2;
+  for (std::size_t i = half; i < trace.size(); ++i) {
+    trace[i].origin_time += ccfg.protocol.reorder_window_j * 5;
+  }
+
+  RefCache ref(ccfg, paths);
+  for (const Packet& p : trace) ref.observe(p, p.origin_time);
+  MonitoringCache cache(ccfg, paths);
+  const std::span<const Packet> all(trace);
+  cache.observe_batch(all.first(half));
+  ASSERT_GE(cache.state().pending[0].size(), 24u)
+      << "the gap must close dozens of aggregates at one packet";
+  cache.observe_batch(all.subspan(half));
+
+  const auto ref_stream = ref.drain_all(true);
+  ASSERT_EQ(ref_stream.size(), 1u);
+  EXPECT_EQ(cache.drain_path(0, true), ref_stream[0].drain);
 }
 
 TEST(SoaLayout, HotRecordFitsTheBudgetAndIsContiguous) {

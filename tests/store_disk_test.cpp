@@ -1,14 +1,15 @@
 // The receipt store on disk: a ReceiptStore over SegmentStorage gates
-// collection per consumer and recovers cursors, envelopes and heads
-// across a reopen; the SegmentStore under it recovers torn tails and torn
-// creates and unlinks whole segments at the GC floor; and the cursor log
-// compacts.
+// collection per consumer, rejects consumer names its cursor log cannot
+// hold, and recovers cursors, envelopes and heads across a reopen; the
+// SegmentStore under it recovers torn tails and torn creates and unlinks
+// whole segments at the GC floor; and the cursor log compacts.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,51 @@ TEST(ReceiptStoreDisk, LateSubscriberBaselineHoldsTheFloorAcrossReopen) {
   EXPECT_EQ(store.ingest(make_env(kP, 3)),
             dissem::IngestResult::kStaleSequence)
       << "a collected sequence must never re-ingest after recovery";
+}
+
+TEST(ReceiptStoreDisk, OverlongConsumerNamesAreRejectedTheLongestSurvives) {
+  // The cursor log writes a name's length as a u16.  A 65 536-byte name
+  // used to wrap it to 0, and recovery then cut the log at that record,
+  // dropping every consumer record after it.
+  test::TempDir tmp("store-names");
+  constexpr dissem::DomainId kP = 2;
+  const std::string longest(dissem::kMaxConsumerNameBytes, 'n');
+  const std::string too_long(dissem::kMaxConsumerNameBytes + 1, 'n');
+  {
+    dissem::ReceiptStore store = open_disk_store(tmp.path());
+    store.register_producer(kP, kKey);
+    store.register_consumer("a");
+    for (std::uint64_t s = 1; s <= 4; ++s) {
+      ASSERT_EQ(store.ingest(make_env(kP, s)),
+                dissem::IngestResult::kAccepted);
+    }
+    ASSERT_EQ(store.ack("a", kP, 2), dissem::AckResult::kAcked);
+    const dissem::StorageStats before = store.storage_stats();
+    EXPECT_THROW(store.register_consumer(too_long), std::invalid_argument);
+    EXPECT_THROW(store.subscribe(too_long, kP), std::invalid_argument);
+    EXPECT_EQ(store.storage_stats(), before);
+    EXPECT_EQ(store.gc_floor(kP), 2u);
+    EXPECT_EQ(store.ack(too_long, kP, 4),
+              dissem::AckResult::kUnknownConsumer);
+
+    store.register_consumer(longest);
+    store.subscribe("b", kP);
+    ASSERT_EQ(store.ack(longest, kP, 3), dissem::AckResult::kAcked);
+    ASSERT_EQ(store.ack("b", kP, 4), dissem::AckResult::kAcked);
+  }
+  dissem::ReceiptStore store = open_disk_store(tmp.path());
+  store.register_producer(kP, kKey);
+  EXPECT_EQ(store.cursor("a", kP), 2u);
+  EXPECT_EQ(store.cursor(longest, kP), 3u);
+  EXPECT_EQ(store.cursor("b", kP), 4u);
+  EXPECT_EQ(store.gc_floor(kP), 2u);
+  EXPECT_THROW((void)store.cursor(too_long, kP), std::invalid_argument);
+
+  // The memory store draws the same line.
+  dissem::ReceiptStore memory;
+  EXPECT_THROW(memory.register_consumer(too_long), std::invalid_argument);
+  EXPECT_THROW(memory.subscribe(too_long, kP), std::invalid_argument);
+  EXPECT_NO_THROW(memory.register_consumer(longest));
 }
 
 // --- SegmentStore on real files -------------------------------------------
