@@ -78,7 +78,7 @@ TEST(DigestEngine, SingleModeInvariant) {
   EXPECT_EQ(d.id, engine.packet_id(p));
 }
 
-TEST(DigestEngine, IndependentModeDecorrelatesRoles) {
+TEST(DigestEngine, IndependentModeDecorrelatesDecisions) {
   const DigestEngine engine{HeaderSpec{}, DigestMode::kIndependent};
   const PacketDecisions d = engine.decide(test_packet());
   EXPECT_NE(d.id, d.marker_value);

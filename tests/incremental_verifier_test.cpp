@@ -294,12 +294,54 @@ struct CraftedRun {
   }
 };
 
+/// One input fed to three verifiers analyzed at different cadences: after
+/// every round, after every third round, and only after the last.
+/// Findings must not depend on when analyze() runs, so any two analyzed
+/// after the same round must agree.
+struct ThreeCadences {
+  explicit ThreeCadences(const IncrementalPathVerifier::Config& cfg)
+      : every(cfg), every_third(cfg), at_end(cfg) {}
+
+  void add_round(net::HopId hop, const PathDrain& d) {
+    for (IncrementalPathVerifier* v : {&every, &every_third, &at_end}) {
+      v->add_round(hop, d);
+    }
+  }
+  void report_gap(const RoundGap& gap) {
+    for (IncrementalPathVerifier* v : {&every, &every_third, &at_end}) {
+      v->report_gap(gap);
+    }
+  }
+  /// Analyzes after 0-based reporting round `t`: the every-round verifier
+  /// always, the every-third-round one after rounds 3, 6, ...  Returns
+  /// the every-round verifier's findings.
+  PathAnalysis after_round(std::size_t t, const std::string& label) {
+    PathAnalysis live = every.analyze();
+    if ((t + 1) % 3 == 0) {
+      EXPECT_EQ(every_third.analyze(), live) << label << ", round " << t;
+    }
+    return live;
+  }
+  /// After the last round all three are analyzed and must agree.
+  PathAnalysis after_last(const std::string& label) {
+    PathAnalysis live = every.analyze();
+    EXPECT_EQ(every_third.analyze(), live) << label << ", last round";
+    EXPECT_EQ(at_end.analyze(), live) << label << ", last round";
+    return live;
+  }
+
+  IncrementalPathVerifier every;
+  IncrementalPathVerifier every_third;
+  IncrementalPathVerifier at_end;
+};
+
 // Every lag pattern must match the materialized verifier after EVERY
 // round, not only at the end.  {0,1,2} ships downstream HOPs late; {2,0,1}
 // and {1,0,0} ship the domain's egress HOP before its ingress HOP, so
 // egress samples wait in pending_egress for their late ingress twin.
 // Margins 0 and 1 consume closer to the tail's end, so analyze() reads
-// the kept alignment of a shorter tail.
+// the kept alignment of a shorter tail.  Each run also feeds verifiers
+// analyzed every third round and only at the end, which must agree.
 TEST(IncrementalVerifier, MatchesMaterializedVerifierWithShippingLag) {
   const std::array<std::array<std::size_t, 3>, 3> lags = {
       {{0, 1, 2}, {2, 0, 1}, {1, 0, 0}}};
@@ -314,23 +356,25 @@ TEST(IncrementalVerifier, MatchesMaterializedVerifierWithShippingLag) {
                                   "lags {" + std::to_string(lag[0]) + "," +
                                   std::to_string(lag[1]) + "," +
                                   std::to_string(lag[2]) + "}";
-        IncrementalPathVerifier incremental(IncrementalPathVerifier::Config{
+        ThreeCadences verifiers(IncrementalPathVerifier::Config{
             .layout = run.layout,
             .retain_rounds = 4,
             .margin_boundaries = margin});
+        IncrementalPathVerifier& incremental = verifiers.every;
         PathVerifier reference;
 
         std::size_t max_tail = 0;
         std::size_t max_pending_egress = 0;
         for (std::size_t t = 0; t < CraftedRun::kRounds + 2; ++t) {
           for (std::size_t pos = 0; pos < 3; ++pos) {
-            PathDrain d = run.shipped(pos, t);
+            const PathDrain d = run.shipped(pos, t);
             reference.add_round(run.layout.hops[pos], d);
-            incremental.add_round(run.layout.hops[pos], std::move(d));
+            verifiers.add_round(run.layout.hops[pos], d);
           }
-          // analyze() is a non-destructive view, equal to the materialized
-          // analysis of everything fed so far, field for field.
-          ASSERT_EQ(incremental.analyze(), reference.analyze(run.layout))
+          // The findings equal the materialized analysis of everything fed
+          // so far, field for field.
+          ASSERT_EQ(verifiers.after_round(t, label),
+                    reference.analyze(run.layout))
               << label << ", round " << t;
           const IncrementalPathVerifier::ResidentStats stats =
               incremental.resident_stats();
@@ -339,7 +383,7 @@ TEST(IncrementalVerifier, MatchesMaterializedVerifierWithShippingLag) {
               std::max(max_pending_egress, stats.pending_egress_samples);
         }
 
-        const PathAnalysis live = incremental.analyze();
+        const PathAnalysis live = verifiers.after_last(label);
         ASSERT_EQ(live.domains.size(), 1u) << label;
         ASSERT_EQ(live.links.size(), 1u) << label;
 
@@ -387,6 +431,82 @@ TEST(IncrementalVerifier, MissingHopYieldsEmptyFindings) {
   }
   // HOPs 2 and 3 never reported: both verifiers emit empty findings.
   EXPECT_EQ(incremental.analyze(), reference.analyze(run.layout));
+}
+
+// Two inputs whose findings settle while analyze() is not looking, each
+// fed to verifiers analyzed at three cadences.  First, HOP 3 makes no
+// add_round call for more than retain_rounds rounds: HOP 2's first
+// sampling rounds expire into kMarkerMissing while the link has one end
+// and shows an empty finding.  HOP 3 then joins with a different MaxDiff,
+// whose verdict must still lead the link's violations.  Second, a lost
+// round of HOP 1 is reported between two analyze() calls: HOP 2's
+// samples of that round keep their reserved slots until they expire,
+// while later rounds' delays settle behind them.
+TEST(IncrementalVerifier, FindingsDoNotDependOnWhenAnalyzeRuns) {
+  constexpr std::size_t kJoin = 6;  // HOP 3's first round: > retain_rounds
+  constexpr std::size_t kLost = 4;  // the reporting round HOP 1 loses
+  const RoundGap gap{.producer = "alpha",
+                     .hop = 1,
+                     .first_sequence = kLost + 1,
+                     .last_sequence = kLost + 1,
+                     .cause = RoundGap::Cause::kLost,
+                     .affected_paths = {}};
+  for (const bool windows : {false, true}) {
+    CraftedRun late;
+    late.lag = {0, 0, 0};
+    late.windows = windows;
+    const std::string prefix = windows ? "windowed, " : "";
+    std::string label = prefix + "late HOP 3";
+    ThreeCadences joining(
+        IncrementalPathVerifier::Config{.layout = late.layout});
+    for (std::size_t t = 0; t < CraftedRun::kRounds + 2; ++t) {
+      for (std::size_t pos = 0; pos < 3; ++pos) {
+        if (pos == 2 && t < kJoin) continue;
+        PathDrain d = late.shipped(pos, t);
+        if (pos == 2) d.samples.path.max_diff = net::milliseconds(6);
+        joining.add_round(late.layout.hops[pos], d);
+      }
+      const PathAnalysis live = joining.after_round(t, label);
+      if (t < kJoin) {
+        EXPECT_EQ(live.links.at(0).report, LinkReport{}) << label;
+      }
+    }
+    const std::vector<Inconsistency> violations =
+        joining.after_last(label).links.at(0).report.samples.violations;
+    ASSERT_GE(violations.size(), 3u) << label;
+    EXPECT_EQ(violations[0].kind, InconsistencyKind::kMaxDiffMismatch)
+        << label;
+    EXPECT_EQ(violations[1],
+              (Inconsistency{InconsistencyKind::kMarkerMissing, 90'000, 0.0}))
+        << label << ": round 0's marker expired before HOP 3 joined";
+    EXPECT_EQ(violations[2],
+              (Inconsistency{InconsistencyKind::kMarkerMissing, 90'001, 0.0}))
+        << label;
+
+    CraftedRun lossy;
+    lossy.windows = windows;
+    label = prefix + "lost HOP 1 round";
+    ThreeCadences gapped(
+        IncrementalPathVerifier::Config{.layout = lossy.layout});
+    // Long enough for HOP 2's samples of the lost round to expire.
+    for (std::size_t t = 0; t < CraftedRun::kRounds + 6; ++t) {
+      for (std::size_t pos = 0; pos < 3; ++pos) {
+        if (pos == 0 && t == kLost) {
+          gapped.report_gap(gap);
+          continue;
+        }
+        gapped.add_round(lossy.layout.hops[pos], lossy.shipped(pos, t));
+      }
+      const PathAnalysis live = gapped.after_round(t, label);
+      EXPECT_EQ(live.gaps, t < kLost ? std::vector<RoundGap>{}
+                                     : std::vector<RoundGap>{gap})
+          << label << ", round " << t;
+    }
+    const PathAnalysis live = gapped.after_last(label);
+    EXPECT_EQ(live.gaps, std::vector<RoundGap>{gap}) << label;
+    EXPECT_GT(gapped.every.resident_stats().expired_unmatched, 0u)
+        << label << ": the lost round's counterparts age out";
+  }
 }
 
 TEST(IncrementalVerifier, ValidatesConfigAndHops) {
