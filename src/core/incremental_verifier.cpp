@@ -59,6 +59,18 @@ void merge_round(std::vector<Entry>& index, std::size_t resident, Key key) {
                      by_key);
 }
 
+/// Replaces the open suffix that `findings` got on the last analyze()
+/// with the results settled since (`settled`, emptied), which join the
+/// kept prefix.
+template <typename T>
+void keep_settled(std::vector<T>& findings, std::size_t& kept,
+                  std::vector<T>& settled) {
+  findings.resize(kept);
+  findings.insert(findings.end(), settled.begin(), settled.end());
+  settled.clear();
+  kept = findings.size();
+}
+
 }  // namespace
 
 IncrementalPathVerifier::IncrementalPathVerifier(Config cfg)
@@ -80,13 +92,20 @@ IncrementalPathVerifier::IncrementalPathVerifier(Config cfg)
     }
   }
   hops_.resize(layout.hops.size());
-  if (!layout.hops.empty()) pairs_.reserve(layout.hops.size() - 1);
-  for (std::size_t i = 0; i + 1 < layout.hops.size(); ++i) {
-    Pair p;
-    p.is_domain = layout.domain_of[i] == layout.domain_of[i + 1];
-    p.up_pos = i;
-    p.down_pos = i + 1;
-    pairs_.push_back(std::move(p));
+  const std::size_t pairs = layout.hops.empty() ? 0 : layout.hops.size() - 1;
+  const auto same_domain = [&](std::size_t i) {
+    return layout.domain_of[i] == layout.domain_of[i + 1];
+  };
+  std::size_t domains = 0;
+  for (std::size_t i = 0; i < pairs; ++i) domains += same_domain(i) ? 1 : 0;
+  domain_pairs_.reserve(domains);
+  link_pairs_.reserve(pairs - domains);
+  for (std::size_t i = 0; i < pairs; ++i) {
+    if (same_domain(i)) {
+      domain_pairs_.emplace_back().up_pos = i;
+    } else {
+      link_pairs_.emplace_back().up_pos = i;
+    }
   }
 }
 
@@ -101,8 +120,22 @@ std::uint64_t IncrementalPathVerifier::rounds_ingested(net::HopId hop) const {
   return pos < hops_.size() ? hops_[pos].rounds : 0;
 }
 
-std::uint64_t IncrementalPathVerifier::pair_clock(const Pair& p) const {
-  return std::max(hops_[p.up_pos].rounds, hops_[p.down_pos].rounds);
+std::uint64_t IncrementalPathVerifier::pair_clock(const PairBase& p) const {
+  return std::max(hops_[p.up_pos].rounds, hops_[p.up_pos + 1].rounds);
+}
+
+bool IncrementalPathVerifier::both_reported(const PairBase& p) const {
+  return hops_[p.up_pos].rounds > 0 && hops_[p.up_pos + 1].rounds > 0;
+}
+
+template <typename F>
+void IncrementalPathVerifier::with_pair(std::size_t up_pos, F&& f) {
+  for (DomainPair& p : domain_pairs_) {
+    if (p.up_pos == up_pos) return f(p);
+  }
+  for (LinkPair& p : link_pairs_) {
+    if (p.up_pos == up_pos) return f(p);
+  }
 }
 
 void IncrementalPathVerifier::add_round(net::HopId hop, PathDrain round) {
@@ -115,14 +148,27 @@ void IncrementalPathVerifier::add_round(net::HopId hop, PathDrain round) {
   if (state.rounds++ == 0) {
     state.max_diff = round.samples.path.max_diff;
     state.sample_threshold = round.samples.sample_threshold;
+    // A link whose other HOP has reported now has both MaxDiffs: the
+    // Eq.-1 verdict is final, and it leads the link's violations, ahead
+    // of any upstream round that expired while the link had one end.
+    for (LinkPair& p : link_pairs_) {
+      if ((p.up_pos == pos || p.up_pos + 1 == pos) && both_reported(p)) {
+        const net::Duration up = hops_[p.up_pos].max_diff;
+        const net::Duration down = hops_[p.up_pos + 1].max_diff;
+        if (up == down) continue;
+        std::vector<Inconsistency>& v = p.samples.settled.violations;
+        v.insert(v.begin(),
+                 Inconsistency{InconsistencyKind::kMaxDiffMismatch, 0,
+                               (up - down).milliseconds()});
+      }
+    }
   }
   // The HOP is the downstream end of pair pos-1 and the upstream end of
   // pair pos.  Its aggregates are prepared once for both: pair pos takes
   // the entries, pair pos-1 a copy.
-  const auto feed = [&](Pair& p, bool is_up,
+  const auto feed = [&](auto& p, bool is_up,
                         std::vector<PreparedAggregate> entries) {
-    p.is_domain ? feed_domain(p, is_up, round.samples)
-                : feed_link(p, is_up, round.samples);
+    feed_samples(p, is_up, round.samples);
     const bool tail_grew = !entries.empty();
     if (tail_grew) {
       is_up ? p.tail.append_up(std::move(entries))
@@ -132,16 +178,20 @@ void IncrementalPathVerifier::add_round(net::HopId hop, PathDrain round) {
   };
   std::vector<PreparedAggregate> entries =
       prepare_aggregates(std::move(round.aggregates));
-  if (pos > 0 && pos < pairs_.size()) {
-    feed(pairs_[pos - 1], false, entries);
-  } else if (pos > 0) {
-    feed(pairs_[pos - 1], false, std::move(entries));
+  const bool upstream_end = pos + 1 < hops_.size();
+  if (pos > 0) {
+    with_pair(pos - 1, [&](auto& p) {
+      upstream_end ? feed(p, false, entries)
+                   : feed(p, false, std::move(entries));
+    });
   }
-  if (pos < pairs_.size()) feed(pairs_[pos], true, std::move(entries));
+  if (upstream_end) {
+    with_pair(pos, [&](auto& p) { feed(p, true, std::move(entries)); });
+  }
 }
 
-void IncrementalPathVerifier::feed_domain(Pair& p, bool is_up,
-                                          const SampleReceipt& samples) {
+void IncrementalPathVerifier::feed_samples(DomainPair& p, bool is_up,
+                                           const SampleReceipt& samples) {
   const std::uint64_t clock = pair_clock(p);
   DelayState& ds = p.delay;
   const std::size_t merged = ds.sorted.size();
@@ -201,10 +251,10 @@ void IncrementalPathVerifier::feed_domain(Pair& p, bool is_up,
   std::inplace_merge(ds.sorted.begin(), fresh, ds.sorted.end());
 }
 
-void IncrementalPathVerifier::feed_link(Pair& p, bool is_up,
-                                        const SampleReceipt& samples) {
+void IncrementalPathVerifier::feed_samples(LinkPair& p, bool is_up,
+                                           const SampleReceipt& samples) {
   const std::uint64_t clock = pair_clock(p);
-  LinkSamplesState& ls = p.link_samples;
+  LinkSamplesState& ls = p.samples;
   if (is_up) {
     ls.up_splitter.feed(samples.samples, [&](SampleRound&& r) {
       ls.pending_up.push_back(
@@ -219,56 +269,58 @@ void IncrementalPathVerifier::feed_link(Pair& p, bool is_up,
   }
 }
 
-void IncrementalPathVerifier::settle_pair(Pair& p, bool tail_grew) {
+void IncrementalPathVerifier::settle_pair(DomainPair& p, bool tail_grew) {
   const std::uint64_t clock = pair_clock(p);
   const auto expired = [&](std::uint64_t seen) {
     return clock > seen && clock - seen > cfg_.retain_rounds;
   };
-
-  if (p.is_domain) {
-    // Finalize aligned aggregates past the stability margin.
-    if (tail_grew) p.loss.consumed_migrations += settle_tail(p, p.loss.groups);
-    // Expire ingress sample entries past retention (matched entries must
-    // linger the same window: a later duplicate egress sample matches
-    // again in the batch semantics).
-    std::erase_if(p.delay.ingress_times, [&](const DelayState::Entry& e) {
-      if (!expired(e.round)) return false;
-      if (!e.matched) ++p.delay.expired;
-      return true;
-    });
-    // Buffered egress samples age out on the same clock: an upstream
-    // round still absent past retention is a gap, not a late fetch.  An
-    // expired sample's slot is marked, then removed; the slots of those
-    // still pending move down past the removed ones.
-    std::vector<DelayState::PendingEgress>& pe = p.delay.pending_egress;
-    std::vector<double>& slots = p.delay.slots;
-    std::size_t keep = 0;
-    std::size_t first_removed = slots.size();
-    for (std::size_t i = 0; i < pe.size(); ++i) {
-      if (expired(pe[i].round)) {
-        ++p.delay.expired;
-        slots[pe[i].slot] = kRemovedSlot;
-        first_removed = std::min(first_removed, pe[i].slot);
-        continue;
-      }
-      pe[i].slot -= i - keep;
-      pe[keep++] = pe[i];
+  // Finalize aligned aggregates past the stability margin.
+  if (tail_grew) p.loss.consumed_migrations += settle_tail(p, p.loss.groups);
+  // Expire ingress sample entries past retention (matched entries must
+  // linger the same window: a later duplicate egress sample matches
+  // again in the batch semantics).
+  std::erase_if(p.delay.ingress_times, [&](const DelayState::Entry& e) {
+    if (!expired(e.round)) return false;
+    if (!e.matched) ++p.delay.expired;
+    return true;
+  });
+  // Buffered egress samples age out on the same clock: an upstream round
+  // still absent past retention is a gap, not a late fetch.  An expired
+  // sample's slot is marked, then removed; the slots of those still
+  // pending move down past the removed ones.
+  std::vector<DelayState::PendingEgress>& pe = p.delay.pending_egress;
+  std::vector<double>& slots = p.delay.slots;
+  std::size_t keep = 0;
+  std::size_t first_removed = slots.size();
+  for (std::size_t i = 0; i < pe.size(); ++i) {
+    if (expired(pe[i].round)) {
+      ++p.delay.expired;
+      slots[pe[i].slot] = kRemovedSlot;
+      first_removed = std::min(first_removed, pe[i].slot);
+      continue;
     }
-    pe.resize(keep);
-    slots.erase(std::remove_if(slots.begin() +
-                                   static_cast<std::ptrdiff_t>(first_removed),
-                               slots.end(),
-                               [](double ms) { return std::isnan(ms); }),
-                slots.end());
-    return;
+    pe[i].slot -= i - keep;
+    pe[keep++] = pe[i];
   }
+  pe.resize(keep);
+  slots.erase(std::remove_if(slots.begin() +
+                                 static_cast<std::ptrdiff_t>(first_removed),
+                             slots.end(),
+                             [](double ms) { return std::isnan(ms); }),
+              slots.end());
+}
 
-  LinkSamplesState& ls = p.link_samples;
+void IncrementalPathVerifier::settle_pair(LinkPair& p, bool tail_grew) {
+  const std::uint64_t clock = pair_clock(p);
+  const auto expired = [&](std::uint64_t seen) {
+    return clock > seen && clock - seen > cfg_.retain_rounds;
+  };
+  LinkSamplesState& ls = p.samples;
   const HopState& up_info = hops_[p.up_pos];
-  const HopState& down_info = hops_[p.down_pos];
+  const HopState& down_info = hops_[p.up_pos + 1];
   // Resolve pending upstream rounds strictly FIFO — the batch check walks
   // upstream rounds in stream order, so a blocked head must stall its
-  // successors to keep the accumulated output identical.
+  // successors to keep the settled output identical.
   auto head = ls.pending_up.begin();
   for (; head != ls.pending_up.end(); ++head) {
     const auto match =
@@ -276,7 +328,7 @@ void IncrementalPathVerifier::settle_pair(Pair& p, bool tail_grew) {
     if (match != ls.down_rounds.end() && !match->claimed) {
       check_sample_round_pair(head->round, match->round, up_info.max_diff,
                               up_info.sample_threshold,
-                              down_info.sample_threshold, ls.accumulated);
+                              down_info.sample_threshold, ls.settled);
       match->claimed = true;
       continue;
     }
@@ -286,7 +338,7 @@ void IncrementalPathVerifier::settle_pair(Pair& p, bool tail_grew) {
     // lie — the same verdict the batch check reaches over full streams.
     // Still counted as a retention expiry: a LATER-than-window downstream
     // round would have matched in the batch check.
-    ls.accumulated.violations.push_back(Inconsistency{
+    ls.settled.violations.push_back(Inconsistency{
         InconsistencyKind::kMarkerMissing, head->round.marker_id, 0.0});
     ++ls.expired;
   }
@@ -303,14 +355,14 @@ void IncrementalPathVerifier::settle_pair(Pair& p, bool tail_grew) {
   if (!tail_grew) return;
   std::vector<AlignedAggregate> fresh;
   (void)settle_tail(p, fresh);
-  p.link_aggregates.checked += fresh.size();
+  p.aggregates.checked += fresh.size();
   for (const AlignedAggregate& g : fresh) {
-    check_aligned_counts(g, p.link_aggregates.violations);
+    check_aligned_counts(g, p.aggregates.violations);
   }
 }
 
 std::size_t IncrementalPathVerifier::settle_tail(
-    Pair& p, std::vector<AlignedAggregate>& out) {
+    PairBase& p, std::vector<AlignedAggregate>& out) {
   // A pass that consumes changes the tail, so the next may consume more
   // (it can only consume earlier than a later round's pass would).  The
   // pass that consumes nothing aligned the tail as it stands.
@@ -325,153 +377,170 @@ std::size_t IncrementalPathVerifier::settle_tail(
 }
 
 void IncrementalPathVerifier::report_gap(RoundGap gap) {
-  gaps_.push_back(std::move(gap));
+  findings_.gaps.push_back(std::move(gap));
 }
 
-PathAnalysis IncrementalPathVerifier::analyze() const {
+void IncrementalPathVerifier::LossTotals::add(const AlignedAggregate& g) {
+  offered += g.up_count;
+  delivered += g.down_count;
+  const double s = g.duration_s();
+  duration_s += s;
+  if (s > max_duration_s) max_duration_s = s;
+}
+
+const PathAnalysis& IncrementalPathVerifier::analyze() {
   const PathLayout& layout = cfg_.layout;
-  PathAnalysis analysis;
-  analysis.gaps = gaps_;
+  if (findings_.domains.empty() && findings_.links.empty()) {
+    findings_.domains.resize(domain_pairs_.size());
+    for (std::size_t i = 0; i < domain_pairs_.size(); ++i) {
+      const std::size_t pos = domain_pairs_[i].up_pos;
+      DomainFinding& f = findings_.domains[i];
+      f.domain = layout.domain_of[pos];
+      f.ingress = layout.hops[pos];
+      f.egress = layout.hops[pos + 1];
+    }
+    findings_.links.resize(link_pairs_.size());
+    for (std::size_t i = 0; i < link_pairs_.size(); ++i) {
+      const std::size_t pos = link_pairs_[i].up_pos;
+      LinkFinding& f = findings_.links[i];
+      f.upstream_domain = layout.domain_of[pos];
+      f.downstream_domain = layout.domain_of[pos + 1];
+      f.upstream_hop = layout.hops[pos];
+      f.downstream_hop = layout.hops[pos + 1];
+    }
+  }
+  for (std::size_t i = 0; i < domain_pairs_.size(); ++i) {
+    refresh(domain_pairs_[i], findings_.domains[i]);
+  }
+  for (std::size_t i = 0; i < link_pairs_.size(); ++i) {
+    refresh(link_pairs_[i], findings_.links[i]);
+  }
+  return findings_;
+}
 
-  for (const Pair& p : pairs_) {
-    const net::HopId a = layout.hops[p.up_pos];
-    const net::HopId b = layout.hops[p.down_pos];
-    const bool have_both =
-        hops_[p.up_pos].rounds > 0 && hops_[p.down_pos].rounds > 0;
+void IncrementalPathVerifier::refresh(DomainPair& p, DomainFinding& f) {
+  if (!both_reported(p)) return;
+  // Delays: the slots before the first reserved one have settled and
+  // join the kept prefix; the rest, reserved slots skipped, replace the
+  // open suffix the last call appended.
+  DelayState& ds = p.delay;
+  std::vector<double>& delays = f.delay.sample_delays_ms;
+  delays.resize(ds.kept);
+  const std::size_t settled = ds.pending_egress.empty()
+                                  ? ds.slots.size()
+                                  : ds.pending_egress.front().slot;
+  const auto settled_end =
+      ds.slots.begin() + static_cast<std::ptrdiff_t>(settled);
+  delays.insert(delays.end(), ds.slots.begin(), settled_end);
+  ds.slots.erase(ds.slots.begin(), settled_end);
+  for (DelayState::PendingEgress& e : ds.pending_egress) e.slot -= settled;
+  ds.kept = delays.size();
+  std::size_t from = 0;
+  for (const DelayState::PendingEgress& e : ds.pending_egress) {
+    delays.insert(delays.end(), ds.slots.begin() + from,
+                  ds.slots.begin() + e.slot);
+    from = e.slot + 1;
+  }
+  delays.insert(delays.end(), ds.slots.begin() + from, ds.slots.end());
+  f.delay.common_samples = ds.sorted.size();
+  f.delay.quantiles.clear();
+  if (f.delay.common_samples > 0) {
+    f.delay.quantiles.reserve(stats::kDelayQuantiles.size());
+    for (const double q : stats::kDelayQuantiles) {
+      f.delay.quantiles.push_back(stats::sorted_estimate(ds.sorted, q, 0.95));
+    }
+  }
 
-    if (p.is_domain) {
-      DomainFinding f;
-      f.domain = layout.domain_of[p.up_pos];
-      f.ingress = a;
-      f.egress = b;
-      if (have_both) {
-        // The delays in egress observation order (the order the batch
-        // matcher reports): every slot but those still reserved for a
-        // buffered egress sample.
-        const DelayState& ds = p.delay;
-        std::vector<double>& delays = f.delay.sample_delays_ms;
-        delays.reserve(ds.sorted.size());
-        std::size_t from = 0;
-        for (const DelayState::PendingEgress& e : ds.pending_egress) {
-          delays.insert(delays.end(), ds.slots.begin() + from,
-                        ds.slots.begin() + e.slot);
-          from = e.slot + 1;
-        }
-        delays.insert(delays.end(), ds.slots.begin() + from, ds.slots.end());
-        f.delay.common_samples = ds.sorted.size();
-        if (f.delay.common_samples > 0) {
-          f.delay.quantiles.reserve(stats::kDelayQuantiles.size());
-          for (const double q : stats::kDelayQuantiles) {
-            f.delay.quantiles.push_back(
-                stats::sorted_estimate(ds.sorted, q, 0.95));
-          }
-        }
+  // Loss: the groups consumed since join the kept prefix, then the
+  // tail's kept alignment replaces the open suffix.
+  LossState& loss = p.loss;
+  std::vector<AlignedAggregate>& details = f.loss.details;
+  details.resize(loss.kept);
+  for (const AlignedAggregate& g : loss.groups) {
+    details.push_back(g);
+    loss.kept_totals.add(g);
+  }
+  loss.groups.clear();
+  loss.kept = details.size();
+  const AlignmentResult& tail = p.tail_alignment;
+  LossTotals totals = loss.kept_totals;
+  for (const AlignedAggregate& g : tail.aligned) {
+    details.push_back(g);
+    totals.add(g);
+  }
+  f.loss.offered = totals.offered;
+  f.loss.delivered = totals.delivered;
+  f.loss.joined_aggregates = details.size();
+  f.loss.patchup_migrations = loss.consumed_migrations + tail.migrations;
+  f.loss.mean_granularity_s =
+      details.empty() ? 0.0
+                      : totals.duration_s / static_cast<double>(details.size());
+  f.loss.max_granularity_s = totals.max_duration_s;
+}
 
-        const AlignmentResult& tail = p.tail_alignment;
-        f.loss.details.reserve(p.loss.groups.size() + tail.aligned.size());
-        f.loss.details = p.loss.groups;
-        f.loss.details.insert(f.loss.details.end(), tail.aligned.begin(),
-                              tail.aligned.end());
-        f.loss.joined_aggregates = f.loss.details.size();
-        f.loss.patchup_migrations =
-            p.loss.consumed_migrations + tail.migrations;
-        double total_s = 0.0;
-        for (const AlignedAggregate& g : f.loss.details) {
-          f.loss.offered += g.up_count;
-          f.loss.delivered += g.down_count;
-          const double s = g.duration_s();
-          total_s += s;
-          if (s > f.loss.max_granularity_s) f.loss.max_granularity_s = s;
-        }
-        if (!f.loss.details.empty()) {
-          f.loss.mean_granularity_s =
-              total_s / static_cast<double>(f.loss.details.size());
-        }
-      }
-      analysis.domains.push_back(std::move(f));
+void IncrementalPathVerifier::refresh(LinkPair& p, LinkFinding& f) {
+  if (!both_reported(p)) return;
+  const HopState& up_info = hops_[p.up_pos];
+  const HopState& down_info = hops_[p.up_pos + 1];
+
+  // Batch order: the Eq.-1 MaxDiff verdict first, then per-round output
+  // in upstream stream order (the finalized rounds, then the still-pending
+  // ones resolved against everything seen so far).  The finalized output
+  // since the last call joins the kept prefix.
+  LinkSamplesState& ls = p.samples;
+  LinkSampleCheck& samples = f.report.samples;
+  keep_settled(samples.violations, ls.kept_violations, ls.settled.violations);
+  keep_settled(samples.link_delays_ms, ls.kept_delays,
+               ls.settled.link_delays_ms);
+  samples.rounds_matched = ls.settled.rounds_matched;
+  samples.common_samples = ls.settled.common_samples;
+  // Match-once semantics without copying the pending rounds: flags by
+  // down_rounds position, sized at the first claim, stand in for the
+  // settle-time claim.
+  std::vector<bool> claimed;
+  for (const LinkSamplesState::Stamped& pending : ls.pending_up) {
+    const net::PacketDigest marker = pending.round.marker_id;
+    const auto match = find_key(ls.down_rounds, marker, kMarker);
+    const auto at = static_cast<std::size_t>(match - ls.down_rounds.begin());
+    if (match == ls.down_rounds.end() ||
+        (at < claimed.size() && claimed[at])) {
+      samples.violations.push_back(
+          Inconsistency{InconsistencyKind::kMarkerMissing, marker, 0.0});
       continue;
     }
-
-    LinkFinding f;
-    f.upstream_domain = layout.domain_of[p.up_pos];
-    f.downstream_domain = layout.domain_of[p.down_pos];
-    f.upstream_hop = a;
-    f.downstream_hop = b;
-    if (have_both) {
-      const HopState& up_info = hops_[p.up_pos];
-      const HopState& down_info = hops_[p.down_pos];
-
-      LinkSampleCheck samples;
-      // Batch order: the Eq.-1 MaxDiff verdict first, then per-round
-      // output in upstream stream order (the finalized rounds, then the
-      // still-pending ones resolved against everything seen so far).
-      if (up_info.max_diff != down_info.max_diff) {
-        samples.violations.push_back(Inconsistency{
-            InconsistencyKind::kMaxDiffMismatch, 0,
-            (up_info.max_diff - down_info.max_diff).milliseconds()});
-      }
-      const LinkSamplesState& ls = p.link_samples;
-      samples.rounds_matched = ls.accumulated.rounds_matched;
-      samples.common_samples = ls.accumulated.common_samples;
-      samples.link_delays_ms = ls.accumulated.link_delays_ms;
-      samples.violations.insert(samples.violations.end(),
-                                ls.accumulated.violations.begin(),
-                                ls.accumulated.violations.end());
-      // Match-once semantics without copying the pending rounds: flags
-      // by down_rounds position, sized at the first claim, stand in for
-      // the settle-time claim.
-      std::vector<bool> claimed;
-      for (const LinkSamplesState::Stamped& pending : ls.pending_up) {
-        const net::PacketDigest marker = pending.round.marker_id;
-        const auto match = find_key(ls.down_rounds, marker, kMarker);
-        const auto at =
-            static_cast<std::size_t>(match - ls.down_rounds.begin());
-        if (match == ls.down_rounds.end() ||
-            (at < claimed.size() && claimed[at])) {
-          samples.violations.push_back(
-              Inconsistency{InconsistencyKind::kMarkerMissing, marker, 0.0});
-          continue;
-        }
-        check_sample_round_pair(pending.round, match->round, up_info.max_diff,
-                                up_info.sample_threshold,
-                                down_info.sample_threshold, samples);
-        claimed.resize(ls.down_rounds.size());
-        claimed[at] = true;
-      }
-      f.report.samples = std::move(samples);
-
-      LinkAggregateCheck aggregates;
-      const AlignmentResult& tail = p.tail_alignment;
-      aggregates.aggregates_checked =
-          p.link_aggregates.checked + tail.aligned.size();
-      aggregates.violations = p.link_aggregates.violations;
-      for (const AlignedAggregate& g : tail.aligned) {
-        check_aligned_counts(g, aggregates.violations);
-      }
-      f.report.aggregates = std::move(aggregates);
-    }
-    analysis.links.push_back(std::move(f));
+    check_sample_round_pair(pending.round, match->round, up_info.max_diff,
+                            up_info.sample_threshold,
+                            down_info.sample_threshold, samples);
+    claimed.resize(ls.down_rounds.size());
+    claimed[at] = true;
   }
-  return analysis;
+
+  LinkAggregatesState& la = p.aggregates;
+  LinkAggregateCheck& aggregates = f.report.aggregates;
+  keep_settled(aggregates.violations, la.kept, la.violations);
+  const AlignmentResult& tail = p.tail_alignment;
+  aggregates.aggregates_checked = la.checked + tail.aligned.size();
+  for (const AlignedAggregate& g : tail.aligned) {
+    check_aligned_counts(g, aggregates.violations);
+  }
 }
 
 IncrementalPathVerifier::ResidentStats
 IncrementalPathVerifier::resident_stats() const {
   ResidentStats out;
-  for (const Pair& p : pairs_) {
-    if (p.is_domain) {
-      out.pending_ingress_samples += p.delay.ingress_times.size();
-      out.pending_egress_samples += p.delay.pending_egress.size();
-      out.retained_delays += p.delay.sorted.size();
-      out.tail_aggregate_receipts += p.tail.receipt_count();
-      out.retained_aligned_groups += p.loss.groups.size();
-      out.expired_unmatched += p.delay.expired;
-    } else {
-      out.pending_sample_rounds += p.link_samples.pending_up.size() +
-                                   p.link_samples.down_rounds.size();
-      out.tail_aggregate_receipts += p.tail.receipt_count();
-      out.expired_unmatched += p.link_samples.expired;
-    }
+  for (const DomainPair& p : domain_pairs_) {
+    out.pending_ingress_samples += p.delay.ingress_times.size();
+    out.pending_egress_samples += p.delay.pending_egress.size();
+    out.retained_delays += p.delay.sorted.size();
+    out.tail_aggregate_receipts += p.tail.receipt_count();
+    out.retained_aligned_groups += p.loss.kept + p.loss.groups.size();
+    out.expired_unmatched += p.delay.expired;
+  }
+  for (const LinkPair& p : link_pairs_) {
+    out.pending_sample_rounds +=
+        p.samples.pending_up.size() + p.samples.down_rounds.size();
+    out.tail_aggregate_receipts += p.tail.receipt_count();
+    out.expired_unmatched += p.samples.expired;
   }
   return out;
 }

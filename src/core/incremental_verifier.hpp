@@ -22,7 +22,7 @@
 //     its prepared entry: cut, count, times and sorted AggTrans windows —
 //     lives only until a margin of matched boundaries passes it.
 //
-// analyze() then assembles the same PathAnalysis the materialized verifier
+// analyze() then returns the same PathAnalysis the materialized verifier
 // computes over the full history — byte-identical findings whenever every
 // receipt's counterpart arrives within the retention window (honest
 // reporting; every scenario-grid cell, the fault soak's lossless cells and
@@ -50,10 +50,18 @@
 // nothing and keeps that pass's alignment.  It sorts the tail's cutting
 // ids and merges, at each matched boundary, windows that were sorted when
 // they joined — a boundary is re-aligned every round until the margin
-// passes it, so its windows must not be re-sorted each time.  analyze()
-// sorts no delay and no window and aligns nothing: it copies the delays,
-// finalized groups and kept tail alignments the findings carry verbatim
-// and reads the quantiles off the sorted copy.
+// passes it, so its windows must not be re-sorted each time.
+//
+// The verifier keeps its findings.  A result add_round finalizes — a
+// matched delay, a link delay, a sample or count violation, a consumed
+// aligned group — waits in its pair's state until the next analyze(),
+// which appends it to the kept PathAnalysis once; a reported gap is
+// appended at once.  analyze() sorts no delay and no window, aligns
+// nothing and copies no history: it replaces only the open suffix it
+// appended on the previous call (delays behind a reserved egress slot,
+// the tail's kept alignment and its count checks, pending sampling rounds
+// resolved against what is resident) and re-reads the five quantiles off
+// the sorted copy, so its cost follows the round and the open state.
 #ifndef VPM_CORE_INCREMENTAL_VERIFIER_HPP
 #define VPM_CORE_INCREMENTAL_VERIFIER_HPP
 
@@ -100,21 +108,28 @@ class IncrementalPathVerifier {
   /// were lost or corrupted in transit and will never be fed.  The
   /// verifier keeps running on whatever does arrive — cross-HOP state
   /// whose counterpart fell in the gap ages out through the normal
-  /// retention path — and analyze() surfaces the gap verbatim so no
-  /// absence is silent (ISSUE 6 graceful degradation).
+  /// retention path — and the gap joins the findings' `gaps` verbatim at
+  /// once, so no absence is silent.
   void report_gap(RoundGap gap);
 
   /// Gaps reported so far, in report order.
   [[nodiscard]] const std::vector<RoundGap>& gaps() const noexcept {
-    return gaps_;
+    return findings_.gaps;
   }
 
-  /// The Fig.-1-style analysis over everything ingested so far —
-  /// non-destructive, callable every round.  HOPs with no rounds yet
-  /// yield empty findings (partial deployment, exactly like the
-  /// materialized analyze()).  Reported gaps are copied into
-  /// PathAnalysis::gaps.
-  [[nodiscard]] PathAnalysis analyze() const;
+  /// The Fig.-1-style findings over everything ingested so far, which
+  /// the verifier keeps.  analyze() brings them up to date at a cost that
+  /// follows the rounds since the last call and the open state, not the
+  /// history, so it is callable every round.  A pair whose two HOPs have
+  /// not both reported yields an empty finding (partial deployment,
+  /// exactly like the materialized analyze()) while its finalized results
+  /// wait.
+  ///
+  /// The reference lives as long as the verifier.  Its contents are
+  /// current until the next analyze() call, which updates them in place
+  /// (a reported gap joins `gaps` at once); a caller that needs a
+  /// snapshot copies it.
+  [[nodiscard]] const PathAnalysis& analyze();
 
   [[nodiscard]] std::uint64_t rounds_ingested(net::HopId hop) const;
 
@@ -153,11 +168,13 @@ class IncrementalPathVerifier {
   /// records are sorted once and merged in, egress samples binary-search
   /// it, and expiry is one pass over it.
   ///
-  /// Each delay is kept twice, 8 B a copy: `slots` in egress observation
-  /// order (the order the batch matcher reports) and `sorted` ascending
-  /// (the order statistics the quantiles read).  analyze() copies
-  /// `slots` and reads quantiles straight off `sorted`, so it neither
-  /// sorts nor grows a second copy; add_round merges the round's new
+  /// Each delay is kept twice, 8 B a copy: in the findings in egress
+  /// observation order (the order the batch matcher reports) and in
+  /// `sorted` ascending (the order statistics the quantiles read).  A
+  /// delay reaches the findings through `slots`, which holds the egress
+  /// order from where the findings' kept prefix ends: analyze() moves the
+  /// slots before the first reserved one into the kept prefix and appends
+  /// the rest as the open suffix.  add_round merges the round's new
   /// delays into `sorted` once.
   struct DelayState {
     struct Entry {
@@ -186,17 +203,34 @@ class IncrementalPathVerifier {
     std::vector<Entry> ingress_times;
     /// In egress stream order, so the reserved slots ascend.
     std::vector<PendingEgress> pending_egress;
-    /// Delay (ms) of every matched egress sample in egress stream order,
-    /// plus one unread placeholder per pending_egress entry.
+    /// Delay (ms) of every matched egress sample past the findings' kept
+    /// prefix, in egress stream order, plus one unread placeholder per
+    /// pending_egress entry.
     std::vector<double> slots;
     /// The matched delays, ascending.
     std::vector<double> sorted;
+    std::size_t kept = 0;  ///< delays in the findings' kept prefix
     std::uint64_t expired = 0;
+  };
+
+  /// Sums over joined aggregates in the findings' order.  analyze()
+  /// continues the kept groups' sums over the tail's groups, so every
+  /// double is the in-order sum over all of them, bit for bit.
+  struct LossTotals {
+    std::uint64_t offered = 0;
+    std::uint64_t delivered = 0;
+    double duration_s = 0.0;
+    double max_duration_s = 0.0;
+    void add(const AlignedAggregate& g);
   };
 
   /// Aggregate alignment for a same-domain pair (loss report).
   struct LossState {
-    std::vector<AlignedAggregate> groups;  ///< consumed (finalized) prefix
+    /// Groups consumed since the last analyze(), which appends them to
+    /// the findings' kept prefix.
+    std::vector<AlignedAggregate> groups;
+    std::size_t kept = 0;  ///< groups in the findings' kept prefix
+    LossTotals kept_totals;
     std::size_t consumed_migrations = 0;
   };
 
@@ -223,54 +257,78 @@ class IncrementalPathVerifier {
     /// or one earlier in its feed, is dropped, as the batch check's index
     /// keeps the first.
     std::vector<Stamped> down_rounds;
-    /// Finalized rounds' matches/delays/violations (everything but the
-    /// analyze-time Eq.-1 MaxDiff check and still-pending rounds).
-    LinkSampleCheck accumulated;
+    /// The finalized rounds' output: match counts over all of them, but
+    /// only the violations and link delays finalized since the last
+    /// analyze(), which appends them to the findings' kept prefix.  The
+    /// Eq.-1 MaxDiff verdict joins it, ahead of everything, when the
+    /// link's second HOP reports its first round.
+    LinkSampleCheck settled;
+    std::size_t kept_violations = 0;  ///< in the findings' kept prefix
+    std::size_t kept_delays = 0;      ///< in the findings' kept prefix
     std::uint64_t expired = 0;
   };
 
   /// Aggregate count-consistency for an inter-domain link.
   struct LinkAggregatesState {
     std::size_t checked = 0;  ///< consumed groups
+    /// Count violations of the groups consumed since the last analyze().
     std::vector<Inconsistency> violations;
+    std::size_t kept = 0;  ///< violations in the findings' kept prefix
   };
 
-  struct Pair {
-    bool is_domain = false;  ///< same-domain segment vs inter-domain link
-    /// The aggregates both HOPs reported that alignment has not yet
-    /// finalized: the loss report's for a domain, the count check's for a
-    /// link.
+  /// What both kinds of pair hold: where they sit, and the aggregates
+  /// both HOPs reported that alignment has not yet finalized — the loss
+  /// report's for a domain, the count check's for a link.
+  struct PairBase {
+    std::size_t up_pos = 0;  ///< joins layout positions up_pos, up_pos + 1
     AggregateTail tail;
     /// The alignment of `tail` as the last consume_aligned_prefix pass,
     /// which consumed nothing, ran it; analyze() reads it.  add_round
     /// re-aligns a tail whenever a receipt joins it, so it is current
     /// whenever add_round returns.
     AlignmentResult tail_alignment;
-    std::size_t up_pos = 0;  ///< positions into layout.hops
-    std::size_t down_pos = 0;
+  };
+  /// A same-domain segment: its finding is findings_.domains at the same
+  /// index.
+  struct DomainPair : PairBase {
     DelayState delay;
     LossState loss;
-    LinkSamplesState link_samples;
-    LinkAggregatesState link_aggregates;
+  };
+  /// An inter-domain link: its finding is findings_.links at the same
+  /// index.
+  struct LinkPair : PairBase {
+    LinkSamplesState samples;
+    LinkAggregatesState aggregates;
   };
 
   /// `hop`'s position in the layout, or layout.hops.size() if absent.
   [[nodiscard]] std::size_t position_of(net::HopId hop) const;
-  [[nodiscard]] std::uint64_t pair_clock(const Pair& p) const;
-  void feed_domain(Pair& p, bool is_up, const SampleReceipt& samples);
-  void feed_link(Pair& p, bool is_up, const SampleReceipt& samples);
+  [[nodiscard]] std::uint64_t pair_clock(const PairBase& p) const;
+  [[nodiscard]] bool both_reported(const PairBase& p) const;
+  /// Calls `f` with the pair joining layout positions up_pos, up_pos + 1.
+  template <typename F>
+  void with_pair(std::size_t up_pos, F&& f);
+  void feed_samples(DomainPair& p, bool is_up, const SampleReceipt& samples);
+  void feed_samples(LinkPair& p, bool is_up, const SampleReceipt& samples);
   /// Resolves and expires the pair's pending state; re-aligns its tail
   /// only if `tail_grew` (a receipt joined it in this feed).
-  void settle_pair(Pair& p, bool tail_grew);
+  void settle_pair(DomainPair& p, bool tail_grew);
+  void settle_pair(LinkPair& p, bool tail_grew);
   /// Consume the tail's stable prefix into `out` until a pass consumes
   /// nothing, and keep that pass's alignment.  Returns the patch-up
   /// migrations attributed to the consumed groups.
-  std::size_t settle_tail(Pair& p, std::vector<AlignedAggregate>& out);
+  std::size_t settle_tail(PairBase& p, std::vector<AlignedAggregate>& out);
+  /// Bring one kept finding up to date (analyze()'s per-pair step).
+  void refresh(DomainPair& p, DomainFinding& f);
+  void refresh(LinkPair& p, LinkFinding& f);
 
   Config cfg_;
-  std::vector<Pair> pairs_;  ///< pairs_[i] joins layout positions i, i+1
-  std::vector<RoundGap> gaps_;
-  std::vector<HopState> hops_;  ///< indexed by layout position
+  std::vector<DomainPair> domain_pairs_;  ///< in layout order
+  std::vector<LinkPair> link_pairs_;      ///< in layout order
+  std::vector<HopState> hops_;            ///< indexed by layout position
+  /// The kept findings.  Their `domains` and `links` are built by the
+  /// first analyze(); reported gaps append to `gaps` at once.
+  PathAnalysis findings_;
 };
 
 }  // namespace vpm::core
