@@ -117,6 +117,230 @@ TEST(IncrementalAlignment, ConsumedPrefixPlusTailEqualsBatch) {
   }
 }
 
+/// Two HOPs' aggregate receipts over one packet stream, with AggTrans
+/// windows as a busy path's J-window holds them.
+struct WindowedStreams {
+  std::vector<AggregateReceipt> up;
+  std::vector<AggregateReceipt> down;
+};
+
+/// Cuts a packet stream into receipts.  A packet cuts by its id alone, as
+/// the protocol's hash-based cut does, so both HOPs agree on which packets
+/// cut.  Each closed aggregate's windows hold up to `window` ids on each
+/// side of the boundary that closes it, reaching across neighbouring cuts,
+/// the cutting packet first in `after`.
+std::vector<AggregateReceipt> cut_stream(
+    const std::vector<net::PacketDigest>& ids, std::uint64_t cut_modulus,
+    std::size_t window) {
+  std::vector<std::size_t> starts;
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    if (k == 0 || ids[k] % cut_modulus == 0) starts.push_back(k);
+  }
+  std::vector<AggregateReceipt> out;
+  for (std::size_t a = 0; a < starts.size(); ++a) {
+    const std::size_t begin = starts[a];
+    const std::size_t end = a + 1 < starts.size() ? starts[a + 1] : ids.size();
+    AggregateReceipt r =
+        agg(ids[begin], static_cast<std::uint32_t>(end - begin),
+            static_cast<std::int64_t>(begin), static_cast<std::int64_t>(end));
+    if (end < ids.size()) {
+      const auto at = [&](std::size_t k) {
+        return ids.begin() + static_cast<std::ptrdiff_t>(k);
+      };
+      r.trans.before.assign(at(end - std::min(window, end)), at(end));
+      r.trans.after.assign(at(end), at(std::min(end + window, ids.size())));
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+/// A HOP pair on one path: loss between the HOPs, and reordering that
+/// moves a packet back up to six places, across a cut often enough that
+/// §6.3 migrates packets.  Packet ids come from a space small enough that
+/// windows repeat them.  With `repeat_cuts` the cutting ids repeat too, as
+/// 32-bit digests do over a long history, and cuts may fall next to each
+/// other.  Without it every cutting packet has an id of its own and cuts
+/// lie at least four packets apart, so reordering swaps at most two
+/// neighbouring cuts, a swap a margin of one matched boundary absorbs.
+WindowedStreams windowed_streams(std::mt19937_64& rng, bool repeat_cuts) {
+  const auto below = [&](std::uint64_t n) { return rng() % n; };
+  const std::size_t n = 300 + below(500);
+  const std::uint64_t id_space = 200 + below(800);
+  const std::uint64_t cut_modulus = 8 + below(24);
+  const std::size_t window = 4 + below(12);
+  const std::uint64_t loss_pm = below(40);
+  const std::uint64_t reorder_pm = 50 + below(250);
+
+  std::vector<net::PacketDigest> up_ids;
+  net::PacketDigest next_cut = 0;
+  std::size_t last_cut = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    net::PacketDigest id = 1 + below(id_space);
+    if (!repeat_cuts && id % cut_modulus == 0) {
+      if (k >= last_cut + 4) {
+        // Cutting ids above the id space, each used once.
+        next_cut += cut_modulus;
+        id = static_cast<net::PacketDigest>(id_space * cut_modulus + next_cut);
+        last_cut = k;
+      } else {
+        ++id;  // too close to the last cut: not a cutting packet
+      }
+    }
+    up_ids.push_back(id);
+  }
+  std::vector<net::PacketDigest> down_ids;
+  for (const net::PacketDigest id : up_ids) {
+    if (below(1000) >= loss_pm) down_ids.push_back(id);
+  }
+  for (std::size_t k = 1; k < down_ids.size(); ++k) {
+    if (below(1000) >= reorder_pm) continue;
+    const std::size_t back = 1 + below(std::min<std::size_t>(6, k));
+    for (std::size_t m = k; m > k - back; --m) {
+      std::swap(down_ids[m], down_ids[m - 1]);
+    }
+  }
+  return WindowedStreams{.up = cut_stream(up_ids, cut_modulus, window),
+                         .down = cut_stream(down_ids, cut_modulus, window)};
+}
+
+struct Settled {
+  std::vector<AlignedAggregate> aligned;  ///< consumed groups, then tail's
+  std::size_t migrations = 0;
+};
+
+/// Feeds both sides to a tail at random paces drawn from `pace_seed` (a
+/// side may skip a step) and, after every step, consumes until a pass
+/// consumes nothing, as the verifier settles a tail.  After every settle
+/// the alignment that pass handed out must equal the alignment of a tail
+/// prepared afresh from the receipts this one still holds: what a tail
+/// keeps between passes may not change what it aligns to.
+Settled feed_and_settle(const WindowedStreams& s, std::size_t margin,
+                        std::uint64_t pace_seed) {
+  std::mt19937_64 pace(pace_seed);
+  const auto slice = [](const std::vector<AggregateReceipt>& side,
+                        std::size_t from, std::size_t to) {
+    return prepare_aggregates(
+        {side.begin() + static_cast<std::ptrdiff_t>(from),
+         side.begin() + static_cast<std::ptrdiff_t>(to)});
+  };
+  AggregateTail tail;
+  Settled out;
+  AlignmentResult unconsumed;
+  std::size_t ui = 0;
+  std::size_t di = 0;
+  while (ui < s.up.size() || di < s.down.size()) {
+    const std::size_t un = std::min<std::size_t>(pace() % 5, s.up.size() - ui);
+    const std::size_t dn =
+        std::min<std::size_t>(pace() % 5, s.down.size() - di);
+    tail.append_up(slice(s.up, ui, ui + un));
+    tail.append_down(slice(s.down, di, di + dn));
+    ui += un;
+    di += dn;
+    for (;;) {
+      const TailConsumeStats stats =
+          consume_aligned_prefix(tail, margin, out.aligned, unconsumed);
+      out.migrations += stats.migrations;
+      if (stats.groups == 0) break;
+    }
+    AggregateTail fresh;
+    fresh.append_up(slice(s.up, ui - tail.up.size(), ui));
+    fresh.append_down(slice(s.down, di - tail.down.size(), di));
+    fresh.down_carry = tail.down_carry;
+    EXPECT_EQ(unconsumed, align_tail(fresh))
+        << "the settled tail aligns as a freshly prepared one, at "
+        << ui << " up and " << di << " down receipts";
+  }
+  EXPECT_LT(tail.receipt_count(), s.up.size() + s.down.size())
+      << "the tail must actually have consumed receipts";
+  out.aligned.insert(out.aligned.end(), unconsumed.aligned.begin(),
+                     unconsumed.aligned.end());
+  out.migrations += unconsumed.migrations;
+  return out;
+}
+
+// The same property over real AggTrans windows: receipts cut from a lossy,
+// reordered packet stream, so the tail re-aligns boundaries that migrate
+// packets pass after pass, at margins of one and two matched boundaries.
+// (Cutting ids are unique here: a cutting id that repeats over the history
+// is coarsened at every occurrence by the batch join, while a tail that
+// consumed the first occurrence matches the second.)
+TEST(IncrementalAlignment, WindowedStreamsConsumedPrefixPlusTailEqualsBatch) {
+  std::mt19937_64 rng(29);
+  constexpr int kTrials = 40;
+  int migrating = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const WindowedStreams s = windowed_streams(rng, /*repeat_cuts=*/false);
+    const AlignmentResult batch = align_aggregates(s.up, s.down, true);
+    migrating += batch.migrations > 0 ? 1 : 0;
+    const Settled settled =
+        feed_and_settle(s, static_cast<std::size_t>(1 + trial % 2), rng());
+    ASSERT_EQ(settled.aligned, batch.aligned) << "trial " << trial;
+    EXPECT_EQ(settled.migrations, batch.migrations) << "trial " << trial;
+  }
+  EXPECT_GT(migrating, kTrials * 3 / 4)
+      << "most trials must re-align boundaries that migrate packets";
+}
+
+// Cutting ids that repeat inside a tail: the first upstream entry at a
+// repeated boundary changes as the tail consumes, so counts a tail kept
+// against one upstream receipt must not stand for another.  After every
+// settle the tail aligns exactly as one prepared afresh (checked inside
+// feed_and_settle).
+TEST(IncrementalAlignment, RepeatedCuttingIdsSettleAsAFreshTail) {
+  std::mt19937_64 rng(37);
+  constexpr int kTrials = 60;
+  int migrating = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const WindowedStreams s = windowed_streams(rng, /*repeat_cuts=*/true);
+    const Settled settled =
+        feed_and_settle(s, static_cast<std::size_t>(trial % 3), rng());
+    migrating += settled.migrations > 0 ? 1 : 0;
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "trial " << trial;
+    }
+  }
+  EXPECT_GT(migrating, kTrials * 3 / 4);
+}
+
+// The migration counts depend on which ids a window holds, never on their
+// order: shuffling every window (the cutting packet stays first in
+// `after`, where it names the boundary) changes no result of the batch
+// entry points or of a settled tail.
+TEST(IncrementalAlignment, ShuffledWindowsChangeNoResult) {
+  std::mt19937_64 rng(31);
+  for (int trial = 0; trial < 20; ++trial) {
+    const WindowedStreams s = windowed_streams(rng, trial % 2 == 1);
+    WindowedStreams shuffled = s;
+    for (std::vector<AggregateReceipt>* side :
+         {&shuffled.up, &shuffled.down}) {
+      for (AggregateReceipt& r : *side) {
+        std::shuffle(r.trans.before.begin(), r.trans.before.end(), rng);
+        if (!r.trans.after.empty()) {
+          std::shuffle(r.trans.after.begin() + 1, r.trans.after.end(), rng);
+        }
+      }
+    }
+    ASSERT_EQ(align_aggregates(shuffled.up, shuffled.down, true),
+              align_aggregates(s.up, s.down, true))
+        << "trial " << trial;
+    const PatchupResult patched = patch_up(s.up, s.down);
+    const PatchupResult patched_shuffled = patch_up(shuffled.up, shuffled.down);
+    EXPECT_EQ(patched_shuffled.migrations, patched.migrations);
+    for (std::size_t j = 0; j < patched.down.size(); ++j) {
+      EXPECT_EQ(patched_shuffled.down[j].packet_count,
+                patched.down[j].packet_count)
+          << "trial " << trial << ", receipt " << j;
+    }
+    const std::uint64_t pace_seed = rng();
+    const Settled settled = feed_and_settle(s, 2, pace_seed);
+    const Settled settled_shuffled = feed_and_settle(shuffled, 2, pace_seed);
+    ASSERT_EQ(settled_shuffled.aligned, settled.aligned) << "trial " << trial;
+    EXPECT_EQ(settled_shuffled.migrations, settled.migrations)
+        << "trial " << trial;
+  }
+}
+
 // A patch-up migration at the consumed seam boundary: its shift into the
 // consumed group applies immediately, the mirror shift rides the carry
 // into the next tail alignment.
