@@ -144,7 +144,8 @@ void JsonExportReporter::ReportRuns(const std::vector<Run>& reports) {
 }
 
 bool JsonExportReporter::write(const std::string& bench_name,
-                               const std::string& path) const {
+                               const std::string& path,
+                               const std::string& item) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"simd_tier\": \"%s\",\n",
@@ -161,8 +162,8 @@ bool JsonExportReporter::write(const std::string& bench_name,
     const Row& r = rows_[i];
     std::fprintf(f, "%s\n    {\"name\": \"%s\", ", i == 0 ? "" : ",",
                  r.name.c_str());
-    std::fprintf(f, "\"ns_per_packet\": %.4f, \"mpps\": %.4f",
-                 r.ns_per_packet, r.mpps);
+    std::fprintf(f, "\"ns_per_%s\": %.4f", item.c_str(), r.ns_per_packet);
+    if (item == "packet") std::fprintf(f, ", \"mpps\": %.4f", r.mpps);
     if (r.has_hashes) {
       std::fprintf(f, ", \"hashes_per_packet\": %.4f", r.hashes_per_packet);
     }
@@ -180,12 +181,13 @@ bool JsonExportReporter::write(const std::string& bench_name,
 
 int run_benchmarks_with_json(int argc, char** argv,
                              const std::string& bench_name,
-                             const std::string& json_path) {
+                             const std::string& json_path,
+                             const std::string& item) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   JsonExportReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  if (!reporter.write(bench_name, json_path)) {
+  if (!reporter.write(bench_name, json_path, item)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
     return 1;
   }

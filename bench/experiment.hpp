@@ -136,19 +136,23 @@ inline void rule(int width) {
 //   }
 //
 // ns_per_packet/mpps derive from SetItemsProcessed (items == packets, the
-// convention every bench in this tree follows); hashes_per_packet is
-// emitted when the benchmark sets a "hashes/pkt" counter and omitted
-// otherwise.  Runs that processed no items (setup failures, pure-ms
-// benches without items) are skipped, never written as zeros.
+// convention every data-plane bench in this tree follows);
+// hashes_per_packet is emitted when the benchmark sets a "hashes/pkt"
+// counter and omitted otherwise.  A bench whose items are something else
+// names them: with item "receipt" a row carries ns_per_receipt and no
+// rate.  Runs that processed no items (setup failures, pure-ms benches
+// without items) are skipped, never written as zeros.
 
 /// Console output plus a JSON export of per-packet rates (see above).
 class JsonExportReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override;
 
-  /// Serialize everything reported so far to `path` (overwrites).
-  /// Returns false (and keeps the console output intact) on I/O failure.
-  bool write(const std::string& bench_name, const std::string& path) const;
+  /// Serialize everything reported so far to `path` (overwrites), with
+  /// one `item` per benchmark item.  Returns false (and keeps the console
+  /// output intact) on I/O failure.
+  bool write(const std::string& bench_name, const std::string& path,
+             const std::string& item) const;
 
  private:
   struct Row {
@@ -164,11 +168,12 @@ class JsonExportReporter : public benchmark::ConsoleReporter {
 };
 
 /// Standard bench main body: run all registered benchmarks with console
-/// output and write BENCH JSON to `json_path`.  Returns the process exit
-/// code.
+/// output and write BENCH JSON to `json_path`, one `item` per benchmark
+/// item.  Returns the process exit code.
 int run_benchmarks_with_json(int argc, char** argv,
                              const std::string& bench_name,
-                             const std::string& json_path);
+                             const std::string& json_path,
+                             const std::string& item = "packet");
 
 }  // namespace vpm::bench
 

@@ -1,6 +1,7 @@
 #include "core/alignment.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <utility>
 #include <vector>
@@ -27,18 +28,84 @@ bool contains(const IdSet& set, net::PacketDigest id) {
   return std::binary_search(set.begin(), set.end(), id);
 }
 
-/// How many ids of `probe`, counted with multiplicity, occur in `set`;
-/// both ascending.  One linear merge.
-std::size_t count_members(std::span<const net::PacketDigest> probe,
-                          std::span<const net::PacketDigest> set) {
-  std::size_t n = 0;
-  std::size_t s = 0;
-  for (const net::PacketDigest id : probe) {
-    while (s < set.size() && set[s] < id) ++s;
-    if (s == set.size()) break;
-    n += set[s] == id ? 1 : 0;
+/// Which of an upstream entry's two windows hold each id: an
+/// open-addressing table over slots one thread reuses for every boundary
+/// it counts.  A slot belongs to the current boundary only while it
+/// carries that boundary's stamp, so starting the next one clears nothing.
+class WindowIds {
+ public:
+  static constexpr std::uint32_t kBefore = 1;
+  static constexpr std::uint32_t kAfter = 2;
+
+  /// Forgets every id and makes room for `ids` more.
+  void start(std::size_t ids) {
+    const std::size_t size = std::bit_ceil(std::max<std::size_t>(16, 2 * ids));
+    if (slots_.size() < size) slots_.assign(size, Slot{});
+    mask_ = size - 1;
+    shift_ = 64 - std::countr_zero(size);
+    if (++stamp_ == 0) {  // wrapped: no slot may look current
+      for (Slot& s : slots_) s.stamp = 0;
+      stamp_ = 1;
+    }
   }
-  return n;
+  void mark(net::PacketDigest id, std::uint32_t window) {
+    std::size_t i = home(id);
+    for (; slots_[i].stamp == stamp_; i = (i + 1) & mask_) {
+      if (slots_[i].id == id) {
+        slots_[i].windows |= window;
+        return;
+      }
+    }
+    slots_[i] = Slot{.id = id, .stamp = stamp_, .windows = window};
+  }
+  /// The kBefore/kAfter bits of the windows that hold `id`.
+  [[nodiscard]] std::uint32_t windows(net::PacketDigest id) const {
+    for (std::size_t i = home(id); slots_[i].stamp == stamp_;
+         i = (i + 1) & mask_) {
+      if (slots_[i].id == id) return slots_[i].windows;
+    }
+    return 0;
+  }
+
+ private:
+  struct Slot {
+    net::PacketDigest id = 0;
+    std::uint32_t stamp = 0;
+    std::uint32_t windows = 0;
+  };
+  /// Fibonacci hashing: test and hostile ids are small and consecutive.
+  [[nodiscard]] std::size_t home(net::PacketDigest id) const {
+    return static_cast<std::size_t>(
+        (std::uint64_t{id} * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  int shift_ = 64;
+  std::uint32_t stamp_ = 0;
+};
+
+/// Section 6.3's counts at boundary `b`, which closes downstream entry `d`
+/// and upstream entry `u`: a packet the upstream HOP saw before the cut
+/// but the downstream HOP saw after it migrates into the earlier aggregate
+/// (and vice versa), so both HOPs' receipts describe the same membership.
+/// The cutting packet itself defines the cut: none of its copies in
+/// `after` migrates.  Ids count with their multiplicity in `d`'s windows.
+BoundaryCounts count_boundary(const PreparedAggregate& u,
+                              const PreparedAggregate& d,
+                              net::PacketDigest b, std::uint64_t up_entry) {
+  thread_local WindowIds ids;
+  ids.start(u.before.size() + u.after.size());
+  for (const net::PacketDigest id : u.before) ids.mark(id, WindowIds::kBefore);
+  for (const net::PacketDigest id : u.after) ids.mark(id, WindowIds::kAfter);
+  BoundaryCounts c{.up_entry = up_entry};
+  for (const net::PacketDigest id : d.after) {
+    c.in += id != b && (ids.windows(id) & WindowIds::kBefore) != 0 ? 1 : 0;
+  }
+  for (const net::PacketDigest id : d.before) {
+    c.out += (ids.windows(id) & WindowIds::kAfter) != 0 ? 1 : 0;
+  }
+  return c;
 }
 
 /// (id, position) pairs, sorted.  A lookup returns an id's first
@@ -122,7 +189,10 @@ BoundarySets boundary_sets(Entries up, Entries down) {
 /// both), decomposed per boundary so the incremental consumer can
 /// attribute migrations to a consumed prefix and carry the seam shift
 /// forward.  `down_carry` seeds down[0]'s delta (the shift owed by a
-/// previously consumed seam boundary).
+/// previously consumed seam boundary).  up[i] is upstream entry number
+/// `up_base + i`; a down entry whose counts were kept against the entry
+/// its boundary faces now reuses them, any other is counted and keeps the
+/// new counts.
 struct PatchupDecomposed {
   /// Per down entry: its packet count after patch-up (carry included).
   /// Boundary ids never change, so the entries themselves are not copied.
@@ -135,7 +205,9 @@ struct PatchupDecomposed {
   std::size_t migrations = 0;
 };
 
-PatchupDecomposed patch_up_decomposed(Entries up, Entries down,
+PatchupDecomposed patch_up_decomposed(Entries up,
+                                      std::span<PreparedAggregate> down,
+                                      std::uint64_t up_base,
                                       const IdSet& inverted,
                                       std::int64_t down_carry) {
   PatchupDecomposed result;
@@ -161,23 +233,16 @@ PatchupDecomposed patch_up_decomposed(Entries up, Entries down,
     if (b == 0 || contains(inverted, b)) continue;
     const std::size_t i = first_position(up_boundary, b);
     if (i == kAbsent) continue;  // unmatched: join will merge
-    const PreparedAggregate& u = up[i];
-    const std::vector<net::PacketDigest>& after = down[j].after;
-
-    // Section 6.3: a packet the upstream HOP saw before the cut but the
-    // downstream HOP saw after it migrates into the earlier aggregate
-    // (and vice versa), so both HOPs' receipts describe the same
-    // membership.  The cutting packet itself defines the cut: none of its
-    // copies in `after` migrates.
-    const auto [cut_lo, cut_hi] =
-        std::equal_range(after.begin(), after.end(), b);
-    const std::size_t in = count_members({after.begin(), cut_lo}, u.before) +
-                           count_members({cut_hi, after.end()}, u.before);
-    const std::size_t out = count_members(down[j].before, u.after);
+    // The counts depend only on the two entries' windows (`b` is down[j]'s
+    // closing id whenever its `after` is non-empty), so they hold while
+    // the boundary faces the same upstream entry.
+    BoundaryCounts& c = down[j].counted;
+    const std::uint64_t up_entry = up_base + i + 1;
+    if (c.up_entry != up_entry) c = count_boundary(up[i], down[j], b, up_entry);
     result.shift_at[j] =
-        static_cast<std::int64_t>(in) - static_cast<std::int64_t>(out);
-    result.mig_at[j] = in + out;
-    result.migrations += in + out;
+        static_cast<std::int64_t>(c.in) - static_cast<std::int64_t>(c.out);
+    result.mig_at[j] = std::size_t{c.in} + c.out;
+    result.migrations += result.mig_at[j];
   }
   // Migrations accumulate as signed deltas and apply once at the end: a
   // packet reordered across several nearby boundaries migrates at each of
@@ -206,8 +271,9 @@ struct AlignDecomposed {
   PatchupDecomposed patch;
 };
 
-AlignDecomposed align_decomposed(Entries up, Entries down,
-                                 bool apply_patchup,
+AlignDecomposed align_decomposed(Entries up,
+                                 std::span<PreparedAggregate> down,
+                                 std::uint64_t up_base, bool apply_patchup,
                                  std::int64_t down_carry) {
   AlignDecomposed out;
   AlignmentResult& result = out.result;
@@ -223,7 +289,7 @@ AlignDecomposed align_decomposed(Entries up, Entries down,
   const IdSet& inverted = sets.inverted;
 
   if (apply_patchup) {
-    out.patch = patch_up_decomposed(up, down, inverted, down_carry);
+    out.patch = patch_up_decomposed(up, down, up_base, inverted, down_carry);
     result.migrations = out.patch.migrations;
   } else {
     // Only the batch align_aggregates wrapper disables patch-up, and it
@@ -319,16 +385,15 @@ std::vector<PreparedAggregate> prepare_aggregates(
   for (AggregateReceipt& r : receipts) {
     std::vector<net::PacketDigest>& after = r.trans.after;
     // Members initialize in order: closing_id reads `after` before it moves.
-    PreparedAggregate& e = out.emplace_back(
+    out.push_back(
         PreparedAggregate{.cut_id = r.agg.first,
                           .closing_id = after.empty() ? 0 : after.front(),
                           .packet_count = r.packet_count,
                           .opened_at = r.opened_at,
                           .closed_at = r.closed_at,
                           .before = std::move(r.trans.before),
-                          .after = std::move(after)});
-    std::sort(e.before.begin(), e.before.end());
-    std::sort(e.after.begin(), e.after.end());
+                          .after = std::move(after),
+                          .counted = {}});
   }
   return out;
 }
@@ -337,10 +402,11 @@ PatchupResult patch_up(std::span<const AggregateReceipt> up,
                        std::span<const AggregateReceipt> down) {
   const std::vector<PreparedAggregate> u =
       prepare_aggregates({up.begin(), up.end()});
-  const std::vector<PreparedAggregate> d =
+  std::vector<PreparedAggregate> d =
       prepare_aggregates({down.begin(), down.end()});
-  const PatchupDecomposed p = patch_up_decomposed(
-      u, d, boundary_sets(u, d).inverted, /*down_carry=*/0);
+  const PatchupDecomposed p =
+      patch_up_decomposed(u, d, /*up_base=*/0, boundary_sets(u, d).inverted,
+                          /*down_carry=*/0);
   PatchupResult out{.down = {down.begin(), down.end()},
                     .migrations = p.migrations};
   for (std::size_t j = 0; j < out.down.size(); ++j) {
@@ -352,9 +418,10 @@ PatchupResult patch_up(std::span<const AggregateReceipt> up,
 AlignmentResult align_aggregates(std::span<const AggregateReceipt> up,
                                  std::span<const AggregateReceipt> down,
                                  bool apply_patchup) {
-  return align_decomposed(prepare_aggregates({up.begin(), up.end()}),
-                          prepare_aggregates({down.begin(), down.end()}),
-                          apply_patchup, /*down_carry=*/0)
+  std::vector<PreparedAggregate> d =
+      prepare_aggregates({down.begin(), down.end()});
+  return align_decomposed(prepare_aggregates({up.begin(), up.end()}), d,
+                          /*up_base=*/0, apply_patchup, /*down_carry=*/0)
       .result;
 }
 
@@ -364,13 +431,15 @@ void AggregateTail::append_up(std::vector<PreparedAggregate> entries) {
 }
 
 void AggregateTail::append_down(std::vector<PreparedAggregate> entries) {
+  // Kept counts name an upstream entry by this tail's numbering.
+  for (PreparedAggregate& e : entries) e.counted = BoundaryCounts{};
   down.insert(down.end(), std::make_move_iterator(entries.begin()),
               std::make_move_iterator(entries.end()));
 }
 
-AlignmentResult align_tail(const AggregateTail& tail) {
-  return align_decomposed(tail.up, tail.down, /*apply_patchup=*/true,
-                          tail.down_carry)
+AlignmentResult align_tail(AggregateTail& tail) {
+  return align_decomposed(tail.up, tail.down, tail.up_base,
+                          /*apply_patchup=*/true, tail.down_carry)
       .result;
 }
 
@@ -384,8 +453,9 @@ TailConsumeStats consume_aligned_prefix(AggregateTail& tail,
     return stats;
   }
 
-  AlignDecomposed aligned = align_decomposed(
-      tail.up, tail.down, /*apply_patchup=*/true, tail.down_carry);
+  AlignDecomposed aligned =
+      align_decomposed(tail.up, tail.down, tail.up_base,
+                       /*apply_patchup=*/true, tail.down_carry);
   // Every group but the final (unbounded) one is closed by a matched
   // boundary — the join emits groups only there.
   const std::size_t matched = aligned.result.aligned.size() - 1;
@@ -411,6 +481,7 @@ TailConsumeStats consume_aligned_prefix(AggregateTail& tail,
   // neighbour in THIS run; its mirror image lands on the next tail
   // alignment's first receipt.
   tail.down_carry = -aligned.patch.shift_at[down_n - 1];
+  tail.up_base += up_n;
   tail.up.erase(tail.up.begin(),
                 tail.up.begin() + static_cast<std::ptrdiff_t>(up_n));
   tail.down.erase(tail.down.begin(),

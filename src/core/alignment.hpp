@@ -12,14 +12,16 @@
 // across matched boundaries using the AggTrans windows, exactly as the
 // Section 6.3 example migrates p4 between HOP 4's aggregates.
 //
-// The kernel reads PreparedAggregates, not receipts: each AggTrans window
-// is sorted once, when its receipt is prepared, and the migrations at a
-// matched boundary are counted by one linear merge of the downstream
-// receipt's windows against the upstream receipt's.  One kernel call over
-// u upstream and d downstream entries sorts their u + d cutting ids and,
-// at each matched boundary, merges the four windows there; it copies and
-// sorts no window.  The batch entry points prepare their receipts once
-// per call; a tail's entries are prepared once, when they join it.
+// The kernel reads PreparedAggregates, not receipts: the AggTrans windows
+// stay in receipt order, and the migrations at a matched boundary are
+// counted with one hash table: the upstream receipt's windows fill it, the
+// downstream receipt's probe it.  The table is scratch memory each thread
+// reuses for every boundary it counts.  The downstream entry keeps the
+// counts, so a boundary's windows are read once per receipt pair however
+// often its tail is re-aligned.  One kernel call over u upstream and d
+// downstream entries sorts their u + d cutting ids; it copies and sorts no
+// window.  The batch entry points prepare their receipts once per call; a
+// tail's entries are prepared once, when they join it.
 //
 // Boundary-order inversions: when two cutting points land within the
 // reorder window of each other, they can swap across a link.  The §6.3
@@ -78,6 +80,20 @@ struct AlignmentResult {
                          const AlignmentResult&) = default;
 };
 
+/// The §6.3 counts at the boundary that closes a downstream entry, and
+/// the upstream entry they were counted against.
+struct BoundaryCounts {
+  /// One plus the upstream entry's number in its sequence's append order;
+  /// 0 while nothing has been counted.
+  std::uint64_t up_entry = 0;
+  /// Ids of the downstream `after`, the cutting id aside, that the
+  /// upstream `before` holds: packets that migrate into this entry.
+  std::uint32_t in = 0;
+  /// Ids of the downstream `before` that the upstream `after` holds:
+  /// packets that migrate out of it.
+  std::uint32_t out = 0;
+};
+
 /// What the alignment kernel reads of one aggregate receipt.  The path,
 /// the AggId's last packet and the windows' order (beyond `after`'s first
 /// id) play no part in alignment, so none is kept.
@@ -90,13 +106,15 @@ struct PreparedAggregate {
   std::uint32_t packet_count = 0;
   net::Timestamp opened_at;
   net::Timestamp closed_at;
-  /// The AggTrans windows, ascending, duplicates kept.
+  /// The AggTrans windows in receipt order, duplicates kept.
   std::vector<net::PacketDigest> before;
   std::vector<net::PacketDigest> after;
+  /// Kept by a downstream entry once its closing boundary is counted.
+  BoundaryCounts counted;
 };
 
 /// Prepare receipts for alignment, in order: each AggTrans window moves
-/// out of its receipt and is sorted in place.
+/// out of its receipt as it is.
 [[nodiscard]] std::vector<PreparedAggregate> prepare_aggregates(
     std::vector<AggregateReceipt> receipts);
 
@@ -132,11 +150,13 @@ struct PatchupResult {
 // in-flight lag).  Consumed entries leave the tail, so resident state is
 // O(retained window), not O(history), and the concatenation  consumed
 // groups ++ align_tail(tail).aligned  is the alignment of the full
-// sequences.  A receipt's windows are sorted once, when it joins a tail;
-// every later alignment of that tail merges them as they are.  A call
-// that consumes nothing hands out the alignment it ran, so a caller that
-// consumes until that happens holds the tail's alignment without running
-// align_tail.
+// sequences.  A downstream entry keeps the counts of its closing boundary
+// with the upstream entry's append number; every later alignment of the
+// tail reads them instead of the windows, and counts afresh only when the
+// boundary now faces another upstream entry (a repeated cutting id whose
+// first occurrence was consumed).  A call that consumes nothing hands out
+// the alignment it ran, so a caller that consumes until that happens holds
+// the tail's alignment without running align_tail.
 
 struct AggregateTail {
   std::vector<PreparedAggregate> up;
@@ -145,8 +165,13 @@ struct AggregateTail {
   /// consumed seam boundary (its matching shift was already applied to
   /// the consumed neighbour).  Applied before every tail alignment.
   std::int64_t down_carry = 0;
+  /// Upstream entries are numbered in the order they were appended, from
+  /// 0; up.front() is number up_base.  Entries leave `up` only from the
+  /// front, when consumed.
+  std::uint64_t up_base = 0;
 
-  /// Append prepared receipts, in observation order, to one side.
+  /// Append prepared receipts, in observation order, to one side.  A
+  /// downstream entry joins with no counts kept.
   void append_up(std::vector<PreparedAggregate> entries);
   void append_down(std::vector<PreparedAggregate> entries);
 
@@ -167,7 +192,8 @@ struct TailConsumeStats {
 /// `tail.down_carry`.  No-op while either side is empty or the matched
 /// count is within the margin; such a call moves the alignment it ran,
 /// equal to align_tail(tail), into `unconsumed`.  A call that consumes
-/// leaves `unconsumed` as it was.
+/// leaves `unconsumed` as it was.  Either way the boundaries it counted
+/// keep their counts.
 TailConsumeStats consume_aligned_prefix(AggregateTail& tail,
                                         std::size_t margin_boundaries,
                                         std::vector<AlignedAggregate>& out,
@@ -176,8 +202,9 @@ TailConsumeStats consume_aligned_prefix(AggregateTail& tail,
 /// Align the tail to completion WITHOUT consuming — the reference for the
 /// alignment consume_aligned_prefix hands out.  `.migrations` counts only
 /// migrations at tail boundaries (add the consumed stats for the
-/// full-history figure).
-[[nodiscard]] AlignmentResult align_tail(const AggregateTail& tail);
+/// full-history figure).  The boundaries it counts keep their counts, as
+/// consume_aligned_prefix's do; no result depends on them.
+[[nodiscard]] AlignmentResult align_tail(AggregateTail& tail);
 
 }  // namespace vpm::core
 

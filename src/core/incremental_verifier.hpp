@@ -19,8 +19,9 @@
 //   * aggregate alignment keeps an AggregateTail per pair and consumes
 //     the stable aligned prefix after every round
 //     (core::consume_aligned_prefix), so an aggregate receipt — held as
-//     its prepared entry: cut, count, times and sorted AggTrans windows —
-//     lives only until a margin of matched boundaries passes it.
+//     its prepared entry: cut, count, times, AggTrans windows and, once
+//     counted, its closing boundary's §6.3 counts — lives only until a
+//     margin of matched boundaries passes it.
 //
 // analyze() then returns the same PathAnalysis the materialized verifier
 // computes over the full history — byte-identical findings whenever every
@@ -43,14 +44,17 @@
 // index that egress samples binary-search; sampling rounds are sorted by
 // packet id when their marker closes them, so a matched pair of rounds is
 // checked by two linear merges; the round's new delays are merged once
-// into a kept-sorted copy; each new aggregate's AggTrans windows are
-// sorted once (prepared once for both pairs, in place in the by-value
-// drain); and a tail is re-aligned only when a receipt has joined it.  A
-// re-alignment consumes the tail's stable prefix until a pass consumes
-// nothing and keeps that pass's alignment.  It sorts the tail's cutting
-// ids and merges, at each matched boundary, windows that were sorted when
-// they joined — a boundary is re-aligned every round until the margin
-// passes it, so its windows must not be re-sorted each time.
+// into a kept-sorted copy; each new aggregate is prepared once for both
+// pairs, its windows moved as they are out of the by-value drain; and a
+// tail is re-aligned only when a receipt has joined it.  A round's few
+// fresh entries sort and merge into a sorted index or copy without a heap
+// buffer.  A re-alignment
+// consumes the tail's stable prefix until a pass consumes nothing and
+// keeps that pass's alignment.  It sorts the tail's cutting ids and reads,
+// at each matched boundary, the counts the downstream entry kept — a
+// boundary is re-aligned every round until the margin passes it, so its
+// windows are read once, when it is first counted against its upstream
+// receipt.
 //
 // The verifier keeps its findings.  A result add_round finalizes — a
 // matched delay, a link delay, a sample or count violation, a consumed

@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "net/sample_batch.hpp"
 #include "net/simd_dispatch.hpp"
@@ -461,11 +462,11 @@ std::optional<AggregateData> flush_open_aggregate(PathStateSoA& s,
   return d;
 }
 
-AggregateReceipt stamp(const net::PathId& id, const AggregateData& d) {
+AggregateReceipt stamp(const net::PathId& id, AggregateData&& d) {
   return AggregateReceipt{.path = id,
                           .agg = d.agg,
                           .packet_count = d.packet_count,
-                          .trans = d.trans,
+                          .trans = std::move(d.trans),
                           .opened_at = d.opened_at,
                           .closed_at = d.closed_at};
 }
@@ -485,8 +486,10 @@ PathDrain path_drain(PathStateSoA& s, std::size_t path, const net::PathId& id,
   std::vector<AggregateData> closed;
   closed.swap(s.closed[path]);
   out.aggregates.reserve(closed.size() + (last.has_value() ? 1 : 0));
-  for (const AggregateData& d : closed) out.aggregates.push_back(stamp(id, d));
-  if (last.has_value()) out.aggregates.push_back(stamp(id, *last));
+  for (AggregateData& d : closed) {
+    out.aggregates.push_back(stamp(id, std::move(d)));
+  }
+  if (last.has_value()) out.aggregates.push_back(stamp(id, std::move(*last)));
   return out;
 }
 

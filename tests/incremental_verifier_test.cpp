@@ -2,7 +2,9 @@
 //
 // Incremental alignment: consumed prefix + tail must reproduce batch
 // align_aggregates over arbitrary feed slicings, including patch-up
-// migrations whose shift straddles a consumed seam.  Incremental
+// migrations whose shift straddles a consumed seam and AggTrans windows
+// cut from a reordered stream, and a settled tail must align as one
+// prepared afresh from the receipts it holds.  Incremental
 // verification: IncrementalPathVerifier fed rounds with realistic shipping
 // lag (any HOP may ship late, an egress HOP even before its ingress HOP)
 // must produce analyze() findings identical to PathVerifier over the
