@@ -10,8 +10,11 @@
 // pointer-chasing layout the refactor removed), and the suite pins the
 // identity: receipt streams from the SoA MonitoringCache and the
 // ShardedCollector equal the reference's, receipt for receipt, across
-// 10 seeds x both digest modes x shard counts {1, 4} x randomized
-// observe_batch() slice boundaries, including a mid-stream drain.
+// 10 seeds plus one trace above the staged-prefetch threshold x both
+// digest modes x J in {0, 10 ms} x marker_max_age in {0, 50 ms} x shard
+// counts {1, 4} x randomized observe_batch() slice boundaries, with a
+// live-capacity decay pass and an arena compaction after every slice and
+// a mid-stream drain.
 //
 // Also covered: observe() vs observe_batch() parity above the staged
 // prefetch threshold (the >4k-path loop), 0/1-path edge cases, the order
@@ -55,13 +58,19 @@ using net::Timestamp;
 class RefSampler {
  public:
   RefSampler(const DigestEngine& engine, std::uint32_t marker_threshold,
-             std::uint32_t sample_threshold)
+             std::uint32_t sample_threshold, net::Duration marker_max_age)
       : engine_(engine),
         marker_threshold_(marker_threshold),
-        sample_threshold_(sample_threshold) {}
+        sample_threshold_(sample_threshold),
+        marker_max_age_(marker_max_age) {}
 
   std::size_t observe(const net::PacketDecisions& d, Timestamp when) {
-    if (d.marker_value > marker_threshold_) {
+    // The time-keyed marker rule: a packet arriving while the oldest
+    // buffered record is at least marker_max_age old acts as a marker.
+    const bool forced = marker_max_age_ > net::Duration{0} &&
+                        !buffer_.empty() &&
+                        when - buffer_.front().time >= marker_max_age_;
+    if (forced || d.marker_value > marker_threshold_) {
       const std::size_t swept = buffer_.size();
       for (const Buffered& q : buffer_) {
         if (DigestEngine::sample_value(q.id, d.id) > sample_threshold_) {
@@ -92,6 +101,7 @@ class RefSampler {
   DigestEngine engine_;  // the per-path copy the refactor removed
   std::uint32_t marker_threshold_;
   std::uint32_t sample_threshold_;
+  net::Duration marker_max_age_;
   std::vector<Buffered> buffer_;
   std::vector<SampleRecord> emitted_;
 };
@@ -238,7 +248,8 @@ struct RefPathMonitor {
   RefPathMonitor(const net::PathId& id, const DigestEngine& engine,
                  const core::PathParams& params)
       : path(id),
-        sampler(engine, params.marker_threshold, params.sample_threshold),
+        sampler(engine, params.marker_threshold, params.sample_threshold,
+                params.marker_max_age),
         aggregator(engine, params.cut_threshold, params.j_window),
         sample_threshold(params.sample_threshold),
         marker_threshold(params.marker_threshold) {}
@@ -295,6 +306,7 @@ class RefCache {
             core::sample_threshold_for(cfg.protocol, cfg.tuning.sample_rate),
         .cut_threshold = core::cut_threshold_for(cfg.tuning.cut_rate),
         .j_window = cfg.protocol.reorder_window_j,
+        .marker_max_age = cfg.protocol.marker_max_age,
     };
     monitors_.reserve(paths.size());
     for (const net::PrefixPair& pair : paths) {
@@ -357,14 +369,15 @@ trace::MultiPathTrace trace_for(std::uint64_t seed) {
 }
 
 /// Feed `packets` through observe_batch in slices with seeded random
-/// boundaries, draining mid-stream at `drain_at` (a packet index every
-/// collector under test sees at exactly the same position).
-template <typename ObserveBatch, typename Drain>
+/// boundaries, running `between` after every slice and draining
+/// mid-stream at `drain_at` (a packet index every collector under test
+/// sees at exactly the same position).
+template <typename ObserveBatch, typename Between, typename Drain>
 std::vector<IndexedPathDrain> run_sliced(std::span<const Packet> packets,
                                          std::size_t drain_at,
                                          std::uint64_t seed,
                                          ObserveBatch&& observe_batch,
-                                         Drain&& drain) {
+                                         Between&& between, Drain&& drain) {
   std::mt19937_64 rng(seed * 977 + 11);
   std::uniform_int_distribution<std::size_t> batch_len(1, 2048);
   std::vector<IndexedPathDrain> stream;
@@ -373,6 +386,7 @@ std::vector<IndexedPathDrain> run_sliced(std::span<const Packet> packets,
     while (i < end) {
       const std::size_t n = std::min(batch_len(rng), end - i);
       observe_batch(packets.subspan(i, n));
+      between();
       i += n;
     }
   };
@@ -386,53 +400,99 @@ std::vector<IndexedPathDrain> run_sliced(std::span<const Packet> packets,
 class SoaGoldenEquivalence
     : public ::testing::TestWithParam<net::DigestMode> {};
 
+/// The golden's traces: the ten path counts of trace_for, then one trace
+/// above the 4096-path staged-prefetch threshold.
+constexpr std::uint64_t kGoldenTraces = 11;
+
+trace::MultiPathTrace golden_trace(std::uint64_t seed) {
+  if (seed <= 10) return trace_for(seed);
+  trace::MultiPathConfig mcfg;
+  mcfg.path_count = 5000;  // > kStagedThreshold
+  mcfg.total_packets_per_second = 120'000;
+  mcfg.duration = net::milliseconds(300);
+  mcfg.seed = seed;
+  return trace::generate_multi_path(mcfg);
+}
+
 TEST_P(SoaGoldenEquivalence, ReceiptStreamsMatchPreRefactorReference) {
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto multi = trace_for(seed);
-    const MonitoringCache::Config ccfg = cache_config(GetParam());
+  struct Variant {
+    net::Duration j_window;
+    net::Duration marker_max_age;
+  };
+  static constexpr Variant kVariants[] = {
+      {net::Duration{0}, net::Duration{0}},
+      {net::Duration{0}, net::milliseconds(50)},
+      {net::milliseconds(10), net::Duration{0}},
+      {net::milliseconds(10), net::milliseconds(50)},
+  };
+  for (std::uint64_t seed = 1; seed <= kGoldenTraces; ++seed) {
+    const auto multi = golden_trace(seed);
     const std::size_t drain_at = multi.packets.size() / 3;
+    for (const Variant& v : kVariants) {
+      MonitoringCache::Config ccfg = cache_config(GetParam());
+      ccfg.protocol.reorder_window_j = v.j_window;
+      ccfg.protocol.marker_max_age = v.marker_max_age;
+      // Decay halves a slice after one low pass, and any garbage triggers
+      // a compaction: both must be receipt-invisible.
+      ccfg.lifecycle.decay_low_occupancy_drains = 1;
+      ccfg.lifecycle.compact_garbage_fraction = 0.0;
+      const auto where = [&] {
+        return ::testing::Message()
+               << "seed " << seed << ", J " << v.j_window.nanoseconds()
+               << " ns, marker_max_age " << v.marker_max_age.nanoseconds()
+               << " ns";
+      };
 
-    // Reference: packet-at-a-time pre-SoA monitors.
-    RefCache ref(ccfg, multi.paths);
-    for (std::size_t i = 0; i < drain_at; ++i) {
-      ref.observe(multi.packets[i], multi.packets[i].origin_time);
-    }
-    std::vector<IndexedPathDrain> ref_stream = ref.drain_all(false);
-    for (std::size_t i = drain_at; i < multi.packets.size(); ++i) {
-      ref.observe(multi.packets[i], multi.packets[i].origin_time);
-    }
-    for (IndexedPathDrain& d : ref.drain_all(true)) {
-      ref_stream.push_back(std::move(d));
-    }
-    ASSERT_FALSE(ref_stream.empty());
+      // Reference: packet-at-a-time pre-SoA monitors.
+      RefCache ref(ccfg, multi.paths);
+      for (std::size_t i = 0; i < drain_at; ++i) {
+        ref.observe(multi.packets[i], multi.packets[i].origin_time);
+      }
+      std::vector<IndexedPathDrain> ref_stream = ref.drain_all(false);
+      for (std::size_t i = drain_at; i < multi.packets.size(); ++i) {
+        ref.observe(multi.packets[i], multi.packets[i].origin_time);
+      }
+      for (IndexedPathDrain& d : ref.drain_all(true)) {
+        ref_stream.push_back(std::move(d));
+      }
+      ASSERT_FALSE(ref_stream.empty());
 
-    // SoA cache, randomized batch slicing.
-    MonitoringCache cache(ccfg, multi.paths);
-    const std::vector<IndexedPathDrain> cache_stream = run_sliced(
-        multi.packets, drain_at, seed,
-        [&](std::span<const Packet> slice) { cache.observe_batch(slice); },
-        [&](bool flush) { return cache.drain_all(flush); });
-    EXPECT_TRUE(cache_stream == ref_stream) << "cache, seed " << seed;
-    // The single-hash budget survives the refactor.
-    EXPECT_EQ(cache.ops().hash_computations,
-              multi.packets.size() - cache.unknown_path_packets())
-        << "hashes/packet != 1 at seed " << seed;
-
-    // Sharded collectors, randomized batch slicing (different slice RNG
-    // offsets per shard count come from the same seeded generator).
-    for (const std::size_t shards : {1u, 4u}) {
-      ShardedCollector::Config scfg;
-      scfg.cache = ccfg;
-      scfg.shard_count = shards;
-      ShardedCollector sharded(scfg, multi.paths);
-      const std::vector<IndexedPathDrain> sharded_stream = run_sliced(
-          multi.packets, drain_at, seed + shards,
-          [&](std::span<const Packet> slice) {
-            sharded.observe_batch(slice);
+      // SoA cache, randomized batch slicing.
+      MonitoringCache cache(ccfg, multi.paths);
+      const std::vector<IndexedPathDrain> cache_stream = run_sliced(
+          multi.packets, drain_at, seed,
+          [&](std::span<const Packet> slice) { cache.observe_batch(slice); },
+          [&] {
+            (void)cache.run_decay_pass();
+            (void)cache.compact_arenas();
           },
-          [&](bool flush) { return sharded.drain(flush); });
-      EXPECT_TRUE(sharded_stream == ref_stream)
-          << "sharded x" << shards << ", seed " << seed;
+          [&](bool flush) { return cache.drain_all(flush); });
+      EXPECT_TRUE(cache_stream == ref_stream) << "cache, " << where();
+      // The single-hash budget survives the refactor.
+      EXPECT_EQ(cache.ops().hash_computations,
+                multi.packets.size() - cache.unknown_path_packets())
+          << "hashes/packet != 1, " << where();
+
+      // Sharded collectors, randomized batch slicing (different slice RNG
+      // offsets per shard count come from the same seeded generator); a
+      // lifecycle pass without eviction decays and compacts each shard.
+      for (const std::size_t shards : {1u, 4u}) {
+        ShardedCollector::Config scfg;
+        scfg.cache = ccfg;
+        scfg.shard_count = shards;
+        ShardedCollector sharded(scfg, multi.paths);
+        core::VectorSink none;
+        const std::vector<IndexedPathDrain> sharded_stream = run_sliced(
+            multi.packets, drain_at, seed + shards,
+            [&](std::span<const Packet> slice) {
+              sharded.observe_batch(slice);
+            },
+            [&] { (void)sharded.run_lifecycle(Timestamp{}, none); },
+            [&](bool flush) { return sharded.drain(flush); });
+        EXPECT_TRUE(sharded_stream == ref_stream)
+            << "sharded x" << shards << ", " << where();
+        EXPECT_TRUE(std::move(none).take().empty());
+      }
     }
   }
 }
