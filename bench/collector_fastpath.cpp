@@ -65,55 +65,38 @@ void BM_Decide(benchmark::State& state) {
 }
 BENCHMARK(BM_Decide);
 
-// The Algorithm 1 kernel alone on a one-path SoA block: one digest pass
-// plus the sampler step per packet.
-void BM_SamplerObserve(benchmark::State& state) {
+// The fused Algorithm 1 + 2 kernel alone on a one-path SoA block: one
+// digest pass plus core::path_observe per packet.
+void BM_PathObserve(benchmark::State& state) {
   const auto& trace = shared_trace();
   const auto params = protocol();
   const net::DigestEngine engine = params.make_engine();
   core::PathStateSoA path(
       core::PathParams{
           .marker_threshold = params.marker_threshold(),
-          .sample_threshold = core::sample_threshold_for(params, 0.01)},
-      1);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    core::path_observe_sampler(path, 0, engine.decide(trace[i]),
-                               trace[i].origin_time);
-    if (++i == trace.size()) i = 0;  // avoid a division per packet
-    if (i == 0) (void)core::path_drain(path, 0, {}, false);  // stay bounded
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SamplerObserve);
-
-// The Algorithm 2 kernel alone on a one-path SoA block: one digest pass
-// plus the partition + AggTrans step per packet.
-void BM_AggregatorObserve(benchmark::State& state) {
-  const auto& trace = shared_trace();
-  const auto params = protocol();
-  const net::DigestEngine engine = params.make_engine();
-  core::PathStateSoA path(
-      core::PathParams{.cut_threshold = core::cut_threshold_for(1e-5),
-                       .j_window = params.reorder_window_j},
+          .sample_threshold = core::sample_threshold_for(params, 0.01),
+          .cut_threshold = core::cut_threshold_for(1e-5),
+          .j_window = params.reorder_window_j},
       1);
   // Keep observation time monotone across trace replays: a backwards time
-  // jump would freeze the J-window drain and grow the recent buffer to the
-  // whole trace, measuring an artifact instead of the steady state.
+  // jump would freeze the J-window slide and grow the window to the whole
+  // trace, measuring an artifact instead of the steady state.
   net::Duration offset{0};
+  std::size_t swept = 0;
   std::size_t i = 0;
   for (auto _ : state) {
-    core::path_observe_aggregator(path, 0, engine.decide(trace[i]),
-                                  trace[i].origin_time + offset);
+    swept += core::path_observe(path, 0, engine.decide(trace[i]),
+                                trace[i].origin_time + offset);
     if (++i == trace.size()) i = 0;  // avoid a division per packet
     if (i == 0) {
-      (void)core::path_drain(path, 0, {}, false);
+      (void)core::path_drain(path, 0, {}, false);  // stay bounded
       offset += net::seconds(2);
     }
   }
+  benchmark::DoNotOptimize(swept);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AggregatorObserve);
+BENCHMARK(BM_PathObserve);
 
 void BM_FullCollectorObserve(benchmark::State& state) {
   const auto paths_n = static_cast<std::size_t>(state.range(0));
@@ -165,7 +148,7 @@ void BM_CacheObserveBatch(benchmark::State& state) {
   collector::MonitoringCache cache(ccfg, multi.paths);
 
   // Reused timestamp span, shifted each replay to keep local time monotone
-  // (see BM_AggregatorObserve).
+  // (see BM_PathObserve).
   std::vector<net::Timestamp> when(multi.packets.size());
   net::Duration offset{0};
   for (auto _ : state) {
@@ -257,7 +240,7 @@ void sweep_body(benchmark::State& state,
   collector::MonitoringCache cache(ccfg, w.paths);
 
   // Shift the replayed timestamps each iteration to keep local time
-  // monotone (see BM_AggregatorObserve).
+  // monotone (see BM_PathObserve).
   std::vector<net::Timestamp> when = w.when;
   net::Duration offset{0};
   for (auto _ : state) {

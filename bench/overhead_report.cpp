@@ -395,7 +395,7 @@ void processing_section() {
 
   // Measured: drive a real cache and read its DataPlaneOps counters — the
   // single-hash fast path makes hash_computations == packets by
-  // construction (DigestEngine::decide feeds sampler and aggregator).
+  // construction (DigestEngine::decide feeds the fused kernel).
   trace::TraceConfig tcfg;
   tcfg.prefixes = trace::default_prefix_pair();
   tcfg.packets_per_second = 100'000;

@@ -68,7 +68,7 @@ void BM_ShardedObserve(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     // Keep local time monotone across replays (a backwards jump would
-    // freeze the J-window drains, see BM_AggregatorObserve).
+    // freeze the J-window drains, see BM_PathObserve).
     for (std::size_t k = 0; k < multi.packets.size(); ++k) {
       when[k] = multi.packets[k].origin_time + offset;
     }

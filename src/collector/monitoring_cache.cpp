@@ -164,7 +164,7 @@ std::size_t MonitoringCache::observe(const net::Packet& p,
     ++unknown_;
     return path;
   }
-  // One hash per packet: decide() feeds both sampler and aggregator.
+  // One hash per packet: decide() feeds the fused kernel.
   const net::PacketDecisions d = engine_.decide(p);
   const std::size_t swept = core::path_observe(state_, path, d, when);
   // §7.1 cost model: look up PathID, update PktCnt, store the
@@ -212,13 +212,16 @@ void MonitoringCache::observe_batch_impl(std::span<const net::Packet> packets,
   //      packets (the §7.1 accounting: unknown packets are never hashed),
   //      whose compute overlaps the slot prefetch latency;
   //   5. above ~4k paths, a prefetch walk over the now-warm slots for the
-  //      arena lines the kernel will touch (below, path state fits in L2
+  //      log lines the kernel will touch — the tail the record lands on,
+  //      the J window's oldest record, and the undecided records of a
+  //      sweep the packet is about to run (below, path state fits in L2
   //      and the extra prefetch pass costs more than it hides);
-  //   6. the scalar per-packet kernel pass for chunk k — a full chunk of
-  //      classifier/digest compute after its arena prefetches were issued,
-  //      so the random arena lines have had time to arrive.  (A path
-  //      repeating across adjacent chunks can make step 5's addresses
-  //      stale — that only mis-aims a prefetch, never the kernel.)
+  //   6. the per-packet kernel pass for chunk k (core::path_observe, whose
+  //      common case is inline) — a full chunk of classifier/digest
+  //      compute after its log prefetches were issued, so the random log
+  //      lines have had time to arrive.  (A path repeating across adjacent
+  //      chunks can make step 5's addresses stale — that only mis-aims a
+  //      prefetch, never the kernel.)
   constexpr std::size_t kStagedThreshold = 4096;
   constexpr std::size_t kChunk = 64;
   const bool staged = state_.path_count() > kStagedThreshold;
@@ -285,54 +288,37 @@ void MonitoringCache::observe_batch_impl(std::span<const net::Packet> packets,
     engine_.decide_batch(p, known_cur, m, dec_cur);
 
     if (staged) {
-      const core::TimedDigest* buf = state_.buf_arena.data();
-      const core::TimedDigest* ring = state_.ring_arena.data();
-      const std::int64_t max_age_ns =
-          state_.params.marker_max_age.nanoseconds();
+      const core::TimedDigest* log = state_.log_arena.data();
       const std::uint32_t marker_thr = state_.params.marker_threshold;
+      constexpr std::uint32_t kPerLine = 64 / sizeof(core::TimedDigest);
       for (std::size_t j = 0; j < m; ++j) {
         const std::size_t i = known_cur[j];
         const core::PathSlot& sl = slots[path_cur[i]];
-        if (sl.warm.buf_cap != 0) {
-          __builtin_prefetch(buf + sl.warm.buf_begin + sl.hot.buf_size, 1);
-          // Slice head: the time-keyed marker rule reads buf[0] every
-          // packet, and sweeps walk the slice from the front.
-          __builtin_prefetch(buf + sl.warm.buf_begin, 0);
-          // Sweep-imminent: this packet sweeps the whole slice when its
-          // digest already decided it is a marker (dec_cur is computed a
-          // chunk ahead of the kernel pass), or when even the NEWEST
-          // buffered record (stamped last_at_ns or later) has outlived
-          // marker_max_age — pull in the middle lines the two end
-          // prefetches above don't cover, so the 8-wide sweep kernel
-          // streams warm lines.
-          if (sl.hot.buf_size > 8) {
-            bool sweeps = dec_cur[j].marker_value > marker_thr;
-            if (!sweeps && max_age_ns > 0) {
-              const std::int64_t now_ns =
-                  (use_origin_time ? p[i].origin_time : when[base + i])
-                      .nanoseconds();
-              sweeps = now_ns - sl.hot.last_at_ns >= max_age_ns;
-            }
-            if (sweeps) {
-              constexpr std::size_t kPerLine =
-                  64 / sizeof(core::TimedDigest);
-              for (std::size_t r = kPerLine; r < sl.hot.buf_size;
-                   r += kPerLine) {
-                __builtin_prefetch(buf + sl.warm.buf_begin + r, 0);
-              }
-            }
-          }
+        if (sl.warm.log_cap == 0) continue;
+        const core::TimedDigest* slice = log + sl.warm.log_begin;
+        const std::uint32_t mask = sl.warm.log_cap - 1;
+        const std::uint32_t tail = sl.hot.log_tail;
+        __builtin_prefetch(slice + tail, 1);
+        // The J window's oldest record, which the window slide reads: a
+        // window's worth of records behind the tail.
+        if (sl.hot.window != 0) {
+          __builtin_prefetch(slice + ((tail - sl.hot.window) & mask), 0);
         }
-        if (sl.warm.ring_cap != 0) {
-          const std::uint32_t mask = sl.warm.ring_cap - 1;
-          __builtin_prefetch(
-              ring + sl.warm.ring_begin +
-                  ((sl.hot.ring_head + sl.hot.ring_size) & mask),
-              1);
-          // Ring head: the J-window eviction loop reads the oldest entry,
-          // which sits a window's worth of records behind the append line.
-          __builtin_prefetch(
-              ring + sl.warm.ring_begin + (sl.hot.ring_head & mask), 0);
+        // Sweep-imminent: this packet sweeps every undecided record when
+        // its digest already decided it is a marker (dec_cur is computed a
+        // chunk ahead of the kernel pass), or when the oldest undecided
+        // record has outlived marker_max_age — pull those lines in so the
+        // 8-wide sweep kernel streams warm lines.
+        const std::uint32_t undecided = sl.hot.undecided;
+        if (undecided == 0) continue;
+        if (dec_cur[j].marker_value > marker_thr ||
+            core::detail::forced_marker(
+                state_.params, sl,
+                use_origin_time ? p[i].origin_time : when[base + i])) {
+          const std::uint32_t first = tail - undecided;
+          for (std::uint32_t r = 0; r < undecided; r += kPerLine) {
+            __builtin_prefetch(slice + ((first + r) & mask), 0);
+          }
         }
       }
     }

@@ -18,8 +18,8 @@
 //     (power-of-two size, linear probing) — one multiply-hash plus a
 //     short contiguous probe, no std::unordered_map node chasing;
 //   * the packet is hashed exactly once (DigestEngine::decide) and the
-//     resulting PacketDecisions feed both the sampler and the aggregator
-//     kernels;
+//     resulting PacketDecisions feed the one fused Algorithm 1 + 2 kernel,
+//     which stores the packet's <digest, time> record once;
 //   * per-path state is structure-of-arrays (core/path_state.hpp): the
 //     fields every packet touches live in one contiguous 32-byte PathHot
 //     record per path — the cache holds ONE digest engine and ONE
@@ -191,7 +191,7 @@ struct LifecycleConfig {
   /// Evict paths whose last observed packet is at least `idle_ttl` before
   /// the lifecycle pass's `now`.  Eviction drains the path's receipts
   /// through the normal ReceiptSink path first (flush_open), then releases
-  /// its arena slices and receipt capacity — monitoring restarts from
+  /// its log slice and receipt capacity — monitoring restarts from
   /// scratch if the path revives.  0 (the default) disables eviction;
   /// negative is rejected.
   net::Duration idle_ttl{0};
@@ -199,10 +199,10 @@ struct LifecycleConfig {
   /// fraction of total arena bytes.  Must lie in [0, 1] — a watermark
   /// above capacity could never fire.
   double compact_garbage_fraction = 0.5;
-  /// Live-capacity decay (core::path_decay): halve a live path's
-  /// temp-buffer / J-ring slice once its occupancy has stayed below a
-  /// quarter of capacity for this many consecutive lifecycle passes,
-  /// flooring at the initial slice sizes.  The released half is arena
+  /// Live-capacity decay (core::path_decay): halve a live path's log
+  /// slice once its occupancy has stayed below a quarter of capacity for
+  /// this many consecutive lifecycle passes, flooring at the initial slice
+  /// size.  The released half is arena
   /// garbage for the same pass's compaction check — a traffic spike's
   /// capacity ratchet decays back instead of pinning the memory plateau
   /// at the spike level.  0 disables (the default).
@@ -410,7 +410,7 @@ class MonitoringCache {
 /// (PathID reference 4 B + AggID 8 B + PktCnt 4 B + open/close times 4 B):
 /// the paper rounds the same inventory to "roughly 20 bytes".  The
 /// software layout spends sizeof(core::PathHot) == 32 B (full-width
-/// timestamps and the buffer/ring cursors) — modeled_cache_bytes()
+/// timestamps and the log cursor and counts) — modeled_cache_bytes()
 /// reports that measured figure.
 inline constexpr std::size_t kOpenReceiptBytes = 20;
 /// Bytes per temp-buffer record: PktID 4 B + Time 3 B (§7.1).

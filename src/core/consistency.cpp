@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "core/small_sort.hpp"
 #include "net/digest.hpp"
 
 namespace vpm::core {
@@ -58,7 +59,7 @@ void SampleRoundSplitter::feed(std::span<const SampleRecord> records,
     current_.marker_time = s.time;
     // Stable, so `unique` keeps each id's stream-first record.
     RoundRecords& recs = current_.records;
-    std::stable_sort(recs.begin(), recs.end(), by_id);
+    stable_sort_fresh(recs.begin(), recs.end(), by_id);
     recs.erase(std::unique(recs.begin(), recs.end(), same_id), recs.end());
     on_round(std::move(current_));
     current_ = SampleRound{};

@@ -1,7 +1,6 @@
 #include "core/incremental_verifier.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <functional>
 #include <iterator>
@@ -10,6 +9,7 @@
 #include <string>
 #include <utility>
 
+#include "core/small_sort.hpp"
 #include "stats/quantile.hpp"
 
 namespace vpm::core {
@@ -33,54 +33,6 @@ auto find_key(Index& index, net::PacketDigest k, Key key) {
       index.begin(), index.end(), k,
       [&](const auto& e, net::PacketDigest v) { return key(e) < v; });
   return it != index.end() && key(*it) == k ? it : index.end();
-}
-
-/// A round's fresh entries up to this many sort and merge without the
-/// heap: libstdc++'s stable_sort and inplace_merge take a temporary buffer
-/// on every call, even for one entry.  Longer runs take those, so a feed
-/// of any length stays O(n log n).
-constexpr std::ptrdiff_t kSmallFresh = 32;
-
-/// std::stable_sort, by insertion for a short range.
-template <typename It, typename Less>
-void stable_sort_fresh(It first, It last, Less less) {
-  if (last - first > kSmallFresh) {
-    std::stable_sort(first, last, less);
-    return;
-  }
-  for (It i = first; i != last; ++i) {
-    auto v = std::move(*i);
-    It j = i;
-    for (; j != first && less(v, *std::prev(j)); --j) {
-      *j = std::move(*std::prev(j));
-    }
-    *j = std::move(v);
-  }
-}
-
-/// std::inplace_merge of sorted [first, middle) and [middle, last), from
-/// the back through a fixed buffer when the second range is short.
-template <typename It, typename Less>
-void merge_fresh(It first, It middle, It last, Less less) {
-  const std::ptrdiff_t n = last - middle;
-  if (first == middle || n == 0) return;
-  if (n > kSmallFresh) {
-    std::inplace_merge(first, middle, last, less);
-    return;
-  }
-  std::array<typename std::iterator_traits<It>::value_type, kSmallFresh> buf;
-  const auto buf_end = std::move(middle, last, buf.begin());
-  auto b = buf_end;
-  It a = middle;
-  It out = last;
-  // The larger head goes last; on a tie the fresh entry stays behind.
-  while (b != buf.begin()) {
-    if (a != first && less(*std::prev(b), *std::prev(a))) {
-      *--out = std::move(*--a);
-    } else {
-      *--out = std::move(*--b);
-    }
-  }
 }
 
 /// Merges the entries appended past `resident` into the `key`-sorted

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "net/sample_batch.hpp"
@@ -13,13 +12,11 @@
 namespace vpm::core {
 namespace {
 
-/// First temp-buffer slice allocated to a path (records).  Deliberately
-/// small: a 100k-path cache must not pre-pay per-path arena space for
-/// paths that may never see traffic; busy paths double their slice on
-/// demand (amortised O(1) per record).
-constexpr std::uint32_t kBufInitialCap = 16;
-/// First J-ring slice (records, power of two).
-constexpr std::uint32_t kRingInitialCap = 8;
+/// First log slice allocated to a path (records, power of two).
+/// Deliberately small: a 100k-path cache must not pre-pay per-path arena
+/// space for paths that may never see traffic; busy paths double their
+/// slice on demand (amortised O(1) per record).
+constexpr std::uint32_t kLogInitialCap = 16;
 /// Emitted-sample capacity floor for path_decay (records) — small enough
 /// that a quiet path pins almost nothing, large enough that a typical
 /// reporting round (a handful of samples + markers) never reallocates.
@@ -42,62 +39,50 @@ inline bool avx2_kernels_active() noexcept {
   return net::simd::active_tier() == net::simd::Tier::kAvx2;
 }
 
+using detail::log_live;
+
+/// Copies the `live` records before `slot`'s log tail, oldest first, to
+/// `out` — the log linearised.
+void copy_live(const PathStateSoA& s, const PathSlot& slot,
+               std::uint32_t live, TimedDigest* out) {
+  const TimedDigest* log = s.log_arena.data() + slot.warm.log_begin;
+  const std::uint32_t mask = slot.warm.log_cap - 1;
+  for (std::uint32_t i = 0; i < live; ++i) {
+    out[i] = log[(slot.hot.log_tail - live + i) & mask];
+  }
+}
+
 /// Slice offsets and capacities are stored as 32-bit record indices
 /// (PathWarm).  An arena past 2^32 records (~69 GB) would silently wrap
 /// an offset into another path's live slice, so growth fails loud instead
 /// — the ROADMAP compaction follow-on is the real fix for runs that get
 /// near this.  Doubling is computed in 64 bits so a 2^31-capacity slice
 /// cannot wrap new_cap to 0 and slip past the check.
-void check_arena_offset(std::size_t begin, std::uint64_t new_cap,
-                        const char* which) {
+void check_arena_offset(std::size_t begin, std::uint64_t new_cap) {
   if (begin + new_cap > 0xFFFFFFFFull) {
-    throw std::length_error(std::string("PathStateSoA: ") + which +
-                            " arena exceeds 32-bit slice addressing");
+    throw std::length_error(
+        "PathStateSoA: log arena exceeds 32-bit slice addressing");
   }
 }
 
-/// Relocate a path's temp-buffer slice to the arena tail with doubled
-/// capacity.  The old slice becomes garbage; doubling bounds total garbage
-/// below total live capacity.
-void grow_buffer(PathStateSoA& s, std::size_t path) {
+/// Relocate a full log to the arena tail with doubled capacity,
+/// linearised (its records move to the slice front).  The old slice
+/// becomes garbage; doubling bounds total garbage below total live
+/// capacity.
+void grow_log(PathStateSoA& s, std::size_t path) {
   PathSlot& slot = s.slots[path];
-  const std::uint32_t live = slot.hot.buf_size;
+  const std::uint32_t live = log_live(slot.hot);
   const std::uint64_t new_cap =
-      slot.warm.buf_cap == 0
-          ? kBufInitialCap
-          : static_cast<std::uint64_t>(slot.warm.buf_cap) * 2;
-  const std::size_t begin = s.buf_arena.size();
-  check_arena_offset(begin, new_cap, "temp-buffer");
-  s.buf_arena.resize(begin + new_cap);
-  std::copy_n(s.buf_arena.begin() + slot.warm.buf_begin, live,
-              s.buf_arena.begin() + static_cast<std::ptrdiff_t>(begin));
-  slot.warm.buf_begin = static_cast<std::uint32_t>(begin);
-  slot.warm.buf_cap = static_cast<std::uint32_t>(new_cap);
-}
-
-/// Relocate a path's J-ring slice to the arena tail with doubled capacity,
-/// linearised (entries move to [0, size), head resets to 0) — the SoA
-/// version of the pre-SoA per-path aggregator's ring growth.
-void grow_ring(PathStateSoA& s, std::size_t path) {
-  PathSlot& slot = s.slots[path];
-  const std::uint64_t new_cap =
-      slot.warm.ring_cap == 0
-          ? kRingInitialCap
-          : static_cast<std::uint64_t>(slot.warm.ring_cap) * 2;
-  const std::size_t begin = s.ring_arena.size();
-  check_arena_offset(begin, new_cap, "J-ring");
-  s.ring_arena.resize(begin + new_cap);
-  if (slot.warm.ring_cap != 0) {
-    const std::uint32_t mask = slot.warm.ring_cap - 1;
-    for (std::uint32_t i = 0; i < slot.hot.ring_size; ++i) {
-      s.ring_arena[begin + i] =
-          s.ring_arena[slot.warm.ring_begin +
-                       ((slot.hot.ring_head + i) & mask)];
-    }
-  }
-  slot.warm.ring_begin = static_cast<std::uint32_t>(begin);
-  slot.warm.ring_cap = static_cast<std::uint32_t>(new_cap);
-  slot.hot.ring_head = 0;
+      slot.warm.log_cap == 0
+          ? kLogInitialCap
+          : static_cast<std::uint64_t>(slot.warm.log_cap) * 2;
+  const std::size_t begin = s.log_arena.size();
+  check_arena_offset(begin, new_cap);
+  s.log_arena.resize(begin + new_cap);
+  copy_live(s, slot, live, s.log_arena.data() + begin);
+  slot.warm.log_begin = static_cast<std::uint32_t>(begin);
+  slot.warm.log_cap = static_cast<std::uint32_t>(new_cap);
+  slot.hot.log_tail = live;
 }
 
 /// Move pending aggregates whose AggTrans window is complete (now is J
@@ -121,127 +106,120 @@ void finalize_due(PathStateSoA& s, std::size_t path, net::Timestamp now) {
   s.slots[path].warm.pend_count = static_cast<std::uint32_t>(keep);
 }
 
-}  // namespace
-
-std::size_t path_observe_sampler(PathStateSoA& s, std::size_t path,
-                                 const net::PacketDecisions& d,
-                                 net::Timestamp when) {
+/// Algorithm 1, lines 1-6: the marker `d` decides the fate of every
+/// undecided record.  The sample_value evaluations run through the
+/// sweep-select kernel (8-wide on the AVX2 tier) in chunks over the one or
+/// two contiguous runs the records occupy in the log; survivors append as
+/// one bulk write per chunk instead of per-record push_backs.  Returns the
+/// records swept.
+std::size_t sweep_undecided(PathStateSoA& s, std::size_t path,
+                            const net::PacketDecisions& d,
+                            net::Timestamp when) {
   PathSlot& slot = s.slots[path];
-
-  // Time-keyed marker rule: when enabled, a packet arriving while the
-  // OLDEST buffered record (always buf[0] — sweeps empty the buffer, so
-  // records sit in arrival order) has aged past marker_max_age acts as a
-  // forced marker.  This bounds the per-path temp buffer by time
-  // (~rate x max_age records) instead of Algorithm 1's ~1/marker_rate
-  // expectation, which a slow path can exceed without bound.
-  const bool forced_marker =
-      s.params.marker_max_age > net::Duration{0} && slot.hot.buf_size != 0 &&
-      when - s.buf_arena[slot.warm.buf_begin].time >= s.params.marker_max_age;
-
-  if (forced_marker || d.marker_value > s.params.marker_threshold) {
-    // Algorithm 1, lines 1-6: the marker decides the fate of everything
-    // buffered since the previous marker.  The sample_value evaluations
-    // run through the sweep-select kernel (8-wide on the AVX2 tier) in
-    // chunks; survivors append as one bulk write per chunk instead of
-    // per-record push_backs.
-    PathStats& st = s.stats[path];
-    ++st.markers;
-    const std::size_t swept = slot.hot.buf_size;
-    st.swept += swept;
-    st.buffer_peak = std::max<std::uint64_t>(st.buffer_peak, swept);
-    auto& emitted = s.emitted[path];
-    if (swept != 0) {
-      static const net::detail::SweepSelectFn avx2 =
-          net::detail::sweep_select_avx2();
-      const bool use_avx2 = avx2 != nullptr && avx2_kernels_active();
-      (use_avx2 ? s.sweep_kernels.avx2 : s.sweep_kernels.scalar) += 1;
-      const TimedDigest* buf = s.buf_arena.data() + slot.warm.buf_begin;
+  PathStats& st = s.stats[path];
+  ++st.markers;
+  const std::size_t swept = slot.hot.undecided;
+  st.swept += swept;
+  st.buffer_peak = std::max<std::uint64_t>(st.buffer_peak, swept);
+  auto& emitted = s.emitted[path];
+  if (swept != 0) {
+    static const net::detail::SweepSelectFn avx2 =
+        net::detail::sweep_select_avx2();
+    const bool use_avx2 = avx2 != nullptr && avx2_kernels_active();
+    (use_avx2 ? s.sweep_kernels.avx2 : s.sweep_kernels.scalar) += 1;
+    const auto sweep_run = [&](const TimedDigest* run, std::size_t n) {
       constexpr std::size_t kSweepChunk = 512;
       std::uint32_t idx[kSweepChunk];
-      for (std::size_t chunk = 0; chunk < swept; chunk += kSweepChunk) {
-        const std::size_t cn = std::min(kSweepChunk, swept - chunk);
+      for (std::size_t chunk = 0; chunk < n; chunk += kSweepChunk) {
+        const std::size_t cn = std::min(kSweepChunk, n - chunk);
         const std::size_t m =
-            use_avx2 ? avx2(bytes_of(buf + chunk), sizeof(TimedDigest), cn,
+            use_avx2 ? avx2(bytes_of(run + chunk), sizeof(TimedDigest), cn,
                             d.id, s.params.sample_threshold, idx)
                      : net::detail::sweep_select_scalar(
-                           bytes_of(buf + chunk), sizeof(TimedDigest), cn,
+                           bytes_of(run + chunk), sizeof(TimedDigest), cn,
                            d.id, s.params.sample_threshold, idx);
         const std::size_t old = emitted.size();
         emitted.resize(old + m);
         SampleRecord* dst = emitted.data() + old;
         for (std::size_t j = 0; j < m; ++j) {
-          const TimedDigest& r = buf[chunk + idx[j]];
+          const TimedDigest& r = run[chunk + idx[j]];
           dst[j] = SampleRecord{
               .pkt_id = r.id, .time = r.time, .is_marker = false};
         }
       }
-      slot.hot.buf_size = 0;
-    }
-    emitted.push_back(
-        SampleRecord{.pkt_id = d.id, .time = when, .is_marker = true});
-    st.emitted_peak = std::max<std::uint64_t>(st.emitted_peak,
-                                              emitted.size());
-    return swept;
+    };
+    const TimedDigest* log = s.log_arena.data() + slot.warm.log_begin;
+    const std::uint32_t cap = slot.warm.log_cap;
+    const std::uint32_t first = (slot.hot.log_tail - slot.hot.undecided) &
+                                (cap - 1);
+    const std::size_t head_run = std::min<std::size_t>(swept, cap - first);
+    sweep_run(log + first, head_run);
+    sweep_run(log, swept - head_run);
+    slot.hot.undecided = 0;
   }
-
-  // Algorithm 1, line 8: remember the packet until the next marker.
-  if (slot.hot.buf_size == slot.warm.buf_cap) grow_buffer(s, path);
-  s.buf_arena[slot.warm.buf_begin + slot.hot.buf_size] =
-      TimedDigest{d.id, when};
-  ++slot.hot.buf_size;
-  return 0;
+  emitted.push_back(
+      SampleRecord{.pkt_id = d.id, .time = when, .is_marker = true});
+  st.emitted_peak = std::max<std::uint64_t>(st.emitted_peak, emitted.size());
+  return swept;
 }
 
-void path_observe_aggregator(PathStateSoA& s, std::size_t path,
-                             const net::PacketDecisions& d,
-                             net::Timestamp when) {
+/// Algorithm 2, lines 2-5, at a cut: close the open aggregate.  With J,
+/// it waits for its trailing AggTrans window; its AggTrans.before is the
+/// J window's records observed within J before the cut.
+void close_at_cut(PathStateSoA& s, std::size_t path, net::Timestamp when) {
   PathSlot& slot = s.slots[path];
-  const bool has_j = s.params.j_window > net::Duration{0};
-  const bool is_cut =
-      slot.hot.agg_count != 0 && d.cut_value > s.params.cut_threshold;
-
-  if (slot.warm.pend_count != 0) finalize_due(s, path, when);
-
-  if (is_cut) {
-    // Algorithm 2, lines 2-5: close the current receipt; p starts the next
-    // aggregate.  The closed receipt's AggTrans.before is everything
-    // observed within J before the cut.
-    ++s.stats[path].cuts;
-    if (has_j) {
-      PendingAggregate pend;
-      pend.boundary = when;
-      pend.data.agg =
-          AggId{.first = slot.hot.agg_first, .last = slot.hot.agg_last};
-      pend.data.packet_count = slot.hot.agg_count;
-      pend.data.opened_at = net::Timestamp{slot.warm.opened_at_ns};
-      pend.data.closed_at = net::Timestamp{slot.hot.last_at_ns};
-      // Walk the J-ring from its head (arrival order), keeping each
-      // record with `r.time + J >= when`, written as `r.time >= when - J`.
-      const TimedDigest* ring = s.ring_arena.data() + slot.warm.ring_begin;
-      const std::uint32_t mask = slot.warm.ring_cap - 1;
-      const net::Timestamp cutoff = when - s.params.j_window;
-      auto& before = pend.data.trans.before;
-      before.reserve(slot.hot.ring_size);
-      for (std::uint32_t i = 0; i < slot.hot.ring_size; ++i) {
-        const TimedDigest& r = ring[(slot.hot.ring_head + i) & mask];
-        if (r.time >= cutoff) before.push_back(r.id);
-      }
-      // The trailing window is roughly symmetric to the leading one.
-      pend.data.trans.after.reserve(pend.data.trans.before.size() + 1);
-      s.pending[path].push_back(std::move(pend));
-      ++slot.warm.pend_count;
-    } else {
-      // Basic §6.2 mode: no reorder window, close immediately.
-      s.closed[path].push_back(AggregateData{
-          .agg = AggId{.first = slot.hot.agg_first,
-                       .last = slot.hot.agg_last},
-          .packet_count = slot.hot.agg_count,
-          .trans = {},
-          .opened_at = net::Timestamp{slot.warm.opened_at_ns},
-          .closed_at = net::Timestamp{slot.hot.last_at_ns}});
-    }
-    slot.hot.agg_count = 0;
+  ++s.stats[path].cuts;
+  AggregateData data{
+      .agg = AggId{.first = slot.hot.agg_first, .last = slot.hot.agg_last},
+      .packet_count = slot.hot.agg_count,
+      .trans = {},
+      .opened_at = net::Timestamp{slot.warm.opened_at_ns},
+      .closed_at = net::Timestamp{slot.hot.last_at_ns}};
+  slot.hot.agg_count = 0;
+  if (s.params.j_window <= net::Duration{0}) {
+    // Basic §6.2 mode: no reorder window, close immediately.
+    s.closed[path].push_back(std::move(data));
+    return;
   }
+  // Walk the J window oldest first, keeping each record with
+  // `r.time + J >= when`, written as `r.time >= when - J`.
+  const TimedDigest* log = s.log_arena.data() + slot.warm.log_begin;
+  const std::uint32_t mask = slot.warm.log_cap - 1;
+  const net::Timestamp cutoff = when - s.params.j_window;
+  auto& before = data.trans.before;
+  before.reserve(slot.hot.window);
+  for (std::uint32_t i = slot.hot.window; i != 0; --i) {
+    const TimedDigest& r = log[(slot.hot.log_tail - i) & mask];
+    if (r.time >= cutoff) before.push_back(r.id);
+  }
+  // The trailing window is roughly symmetric to the leading one.
+  data.trans.after.reserve(before.size() + 1);
+  s.pending[path].push_back(
+      PendingAggregate{.data = std::move(data), .boundary = when});
+  ++slot.warm.pend_count;
+}
+
+}  // namespace
+
+std::size_t path_observe_rare(PathStateSoA& s, std::size_t path,
+                              const net::PacketDecisions& d,
+                              net::Timestamp when) {
+  PathSlot& slot = s.slots[path];
+  const PathParams& p = s.params;
+
+  // Time-keyed marker rule: when enabled, a packet arriving while the
+  // OLDEST undecided record has aged past marker_max_age acts as a forced
+  // marker.  This bounds the undecided records by time (~rate x max_age
+  // records) instead of Algorithm 1's ~1/marker_rate expectation, which a
+  // slow path can exceed without bound.
+  const bool marker = d.marker_value > p.marker_threshold ||
+                      detail::forced_marker(p, slot, when);
+  const std::size_t swept = marker ? sweep_undecided(s, path, d, when) : 0;
+
+  const bool is_cut =
+      slot.hot.agg_count != 0 && d.cut_value > p.cut_threshold;
+  if (slot.warm.pend_count != 0) finalize_due(s, path, when);
+  if (is_cut) close_at_cut(s, path, when);
 
   // The packet lands in every still-open AggTrans window (including, when
   // it is a cut, the window of the boundary it just created).
@@ -270,28 +248,18 @@ void path_observe_aggregator(PathStateSoA& s, std::size_t path,
     slot.hot.last_at_ns = when.nanoseconds();
   }
 
-  if (has_j) {
-    if (slot.hot.ring_size == slot.warm.ring_cap) grow_ring(s, path);
-    const std::uint32_t mask = slot.warm.ring_cap - 1;
-    TimedDigest* ring = s.ring_arena.data() + slot.warm.ring_begin;
-    ring[(slot.hot.ring_head + slot.hot.ring_size) & mask] =
-        TimedDigest{d.id, when};
-    ++slot.hot.ring_size;
-    // Evict entries older than J — a sliding window over observations.
-    while (slot.hot.ring_size != 0 &&
-           ring[slot.hot.ring_head & mask].time + s.params.j_window < when) {
-      slot.hot.ring_head = (slot.hot.ring_head + 1) & mask;
-      --slot.hot.ring_size;
-    }
-    if (slot.hot.ring_size > slot.warm.window_peak) {
-      slot.warm.window_peak = slot.hot.ring_size;
-    }
+  // The packet's one record: undecided unless it is a marker, and in the
+  // J window when there is one.  A marker without J needs no record.
+  if (!marker || p.j_window > net::Duration{0}) {
+    if (log_live(slot.hot) == slot.warm.log_cap) grow_log(s, path);
+    detail::log_push(s, slot, d.id, when, /*undecided=*/!marker);
   }
+  return swept;
 }
 
 std::size_t path_evict(PathStateSoA& s, std::size_t path) {
   PathSlot& slot = s.slots[path];
-  const std::size_t dropped = slot.hot.buf_size;
+  const std::size_t dropped = slot.hot.undecided;
   s.stats[path].dropped_buffered += dropped;
   slot.hot = PathHot{};
   // Preserve the lifetime window_peak (a §7.1 reporting figure); reset the
@@ -309,42 +277,18 @@ std::size_t path_evict(PathStateSoA& s, std::size_t path) {
 
 std::size_t path_state_compact(PathStateSoA& s) {
   const std::size_t before = s.arena_bytes();
-
-  std::size_t buf_records = 0;
-  std::size_t ring_records = 0;
-  for (const PathSlot& slot : s.slots) {
-    buf_records += slot.warm.buf_cap;
-    ring_records += slot.warm.ring_cap;
-  }
-  std::vector<TimedDigest> buf(buf_records);
-  std::vector<TimedDigest> ring(ring_records);
-
-  std::size_t buf_at = 0;
-  std::size_t ring_at = 0;
+  std::vector<TimedDigest> arena(s.arena_live_bytes() / sizeof(TimedDigest));
+  std::size_t at = 0;
   for (PathSlot& slot : s.slots) {
-    if (slot.warm.buf_cap != 0) {
-      std::copy_n(s.buf_arena.begin() + slot.warm.buf_begin,
-                  slot.hot.buf_size,
-                  buf.begin() + static_cast<std::ptrdiff_t>(buf_at));
-      slot.warm.buf_begin = static_cast<std::uint32_t>(buf_at);
-      buf_at += slot.warm.buf_cap;
-    }
-    if (slot.warm.ring_cap != 0) {
-      // Linearise: entries move to [0, ring_size), head resets — the same
-      // transformation grow_ring applies, so this is receipt-invisible.
-      const std::uint32_t mask = slot.warm.ring_cap - 1;
-      for (std::uint32_t i = 0; i < slot.hot.ring_size; ++i) {
-        ring[ring_at + i] =
-            s.ring_arena[slot.warm.ring_begin +
-                         ((slot.hot.ring_head + i) & mask)];
-      }
-      slot.warm.ring_begin = static_cast<std::uint32_t>(ring_at);
-      slot.hot.ring_head = 0;
-      ring_at += slot.warm.ring_cap;
-    }
+    if (slot.warm.log_cap == 0) continue;
+    // Linearise, as grow_log does, so this is receipt-invisible.
+    const std::uint32_t live = log_live(slot.hot);
+    copy_live(s, slot, live, arena.data() + at);
+    slot.warm.log_begin = static_cast<std::uint32_t>(at);
+    slot.hot.log_tail = live & (slot.warm.log_cap - 1);
+    at += slot.warm.log_cap;
   }
-  s.buf_arena = std::move(buf);
-  s.ring_arena = std::move(ring);
+  s.log_arena = std::move(arena);
   return before - s.arena_bytes();
 }
 
@@ -355,46 +299,27 @@ PathDecay path_decay(PathStateSoA& s, std::size_t path,
   PathSlot& slot = s.slots[path];
   PathStats& st = s.stats[path];
 
-  // Temp buffer: live records always occupy the slice front, so halving
-  // is pure bookkeeping — the tail half just stops being addressed.
-  if (slot.warm.buf_cap > kBufInitialCap &&
-      std::uint64_t{slot.hot.buf_size} * 4 < slot.warm.buf_cap) {
-    if (++st.buf_low_streak >= low_streak) {
-      const std::uint32_t released = slot.warm.buf_cap / 2;
-      slot.warm.buf_cap -= released;
-      st.buf_low_streak = 0;
+  // Log slice: occupancy below a quarter means the live records fit the
+  // front half with room to spare.  Rotate them there (the linearisation
+  // grow_log applies, so this is receipt-invisible) and stop addressing
+  // the back half.
+  const std::uint32_t live = log_live(slot.hot);
+  if (slot.warm.log_cap > kLogInitialCap &&
+      std::uint64_t{live} * 4 < slot.warm.log_cap) {
+    if (++st.log_low_streak >= low_streak) {
+      TimedDigest* log = s.log_arena.data() + slot.warm.log_begin;
+      const std::uint32_t cap = slot.warm.log_cap;
+      std::rotate(log, log + ((slot.hot.log_tail - live) & (cap - 1)),
+                  log + cap);
+      const std::uint32_t released = cap / 2;
+      slot.warm.log_cap -= released;
+      slot.hot.log_tail = live;
+      st.log_low_streak = 0;
       ++out.halved_slices;
       out.released_bytes += released * sizeof(TimedDigest);
     }
   } else {
-    st.buf_low_streak = 0;
-  }
-
-  // J-ring: occupancy below a quarter means the survivors fit the front
-  // half with room to spare.  Linearise them there through a temp copy
-  // (a wrapped ring's masked source positions can collide with already-
-  // written destinations) — the same entries-to-front transformation
-  // grow_ring applies, so this is receipt-invisible.
-  if (slot.warm.ring_cap > kRingInitialCap &&
-      std::uint64_t{slot.hot.ring_size} * 4 < slot.warm.ring_cap) {
-    if (++st.ring_low_streak >= low_streak) {
-      const std::uint32_t mask = slot.warm.ring_cap - 1;
-      std::vector<TimedDigest> live(slot.hot.ring_size);
-      for (std::uint32_t i = 0; i < slot.hot.ring_size; ++i) {
-        live[i] = s.ring_arena[slot.warm.ring_begin +
-                               ((slot.hot.ring_head + i) & mask)];
-      }
-      std::copy(live.begin(), live.end(),
-                s.ring_arena.begin() + slot.warm.ring_begin);
-      const std::uint32_t released = slot.warm.ring_cap / 2;
-      slot.warm.ring_cap -= released;
-      slot.hot.ring_head = 0;
-      st.ring_low_streak = 0;
-      ++out.halved_slices;
-      out.released_bytes += released * sizeof(TimedDigest);
-    }
-  } else {
-    st.ring_low_streak = 0;
+    st.log_low_streak = 0;
   }
 
   // Emitted-sample capacity (retained across drains by path_drain):

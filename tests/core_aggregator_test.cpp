@@ -44,7 +44,7 @@ std::vector<AggregateReceipt> run_all(MonitoringCache& a,
   return a.drain_path(0, /*flush_open=*/true).aggregates;
 }
 
-/// J-ring high-water mark (records).
+/// J-window high-water mark (records).
 std::size_t window_peak(const MonitoringCache& a) {
   return a.state().slots[0].warm.window_peak;
 }

@@ -49,7 +49,7 @@ std::vector<SampleRecord> take_samples(MonitoringCache& s) {
 
 /// Packets buffered awaiting a marker.
 std::size_t buffered(const MonitoringCache& s) {
-  return s.state().slots[0].hot.buf_size;
+  return s.state().slots[0].hot.undecided;
 }
 
 std::set<net::PacketDigest> ids_of(const std::vector<SampleRecord>& rs) {

@@ -300,16 +300,13 @@ TEST(Lifecycle, DecayHalvesLowOccupancySlicesReceiptInvisibly) {
   const std::size_t floor_live = cache.arena_live_bytes();
   EXPECT_LT(floor_live, live_before);
   for (const core::PathSlot& s : cache.state().slots) {
-    if (s.warm.buf_cap != 0) {
-      EXPECT_GE(s.warm.buf_cap, 16u);
+    if (s.warm.log_cap != 0) {
+      EXPECT_GE(s.warm.log_cap, 16u);
+      EXPECT_EQ(s.warm.log_cap & (s.warm.log_cap - 1), 0u)
+          << "log capacity must stay a power of two";
     }
-    if (s.warm.ring_cap != 0) {
-      EXPECT_GE(s.warm.ring_cap, 8u);
-      EXPECT_EQ(s.warm.ring_cap & (s.warm.ring_cap - 1), 0u)
-          << "ring capacity must stay a power of two";
-    }
-    EXPECT_LE(s.hot.buf_size, s.warm.buf_cap);
-    EXPECT_LE(s.hot.ring_size, s.warm.ring_cap);
+    EXPECT_LE(s.hot.undecided, s.warm.log_cap);
+    EXPECT_LE(s.hot.window, s.warm.log_cap);
   }
 
   // The released halves are garbage; compaction reclaims them for real.
