@@ -309,14 +309,12 @@ void MonitoringCache::observe_batch_impl(std::span<const net::Packet> packets,
         // chunk ahead of the kernel pass), or when the oldest undecided
         // record has outlived marker_max_age — pull those lines in so the
         // 8-wide sweep kernel streams warm lines.
-        const std::uint32_t undecided = sl.hot.undecided;
-        if (undecided == 0) continue;
         if (dec_cur[j].marker_value > marker_thr ||
             core::detail::forced_marker(
                 state_.params, sl,
                 use_origin_time ? p[i].origin_time : when[base + i])) {
-          const std::uint32_t first = tail - undecided;
-          for (std::uint32_t r = 0; r < undecided; r += kPerLine) {
+          const std::uint32_t first = tail - sl.hot.undecided;
+          for (std::uint32_t r = 0; r < sl.hot.undecided; r += kPerLine) {
             __builtin_prefetch(slice + ((first + r) & mask), 0);
           }
         }

@@ -54,9 +54,8 @@ void copy_live(const PathStateSoA& s, const PathSlot& slot,
 
 /// Slice offsets and capacities are stored as 32-bit record indices
 /// (PathWarm).  An arena past 2^32 records (~69 GB) would silently wrap
-/// an offset into another path's live slice, so growth fails loud instead
-/// — the ROADMAP compaction follow-on is the real fix for runs that get
-/// near this.  Doubling is computed in 64 bits so a 2^31-capacity slice
+/// an offset into another path's live slice, so growth fails loud
+/// instead.  Doubling is computed in 64 bits so a 2^31-capacity slice
 /// cannot wrap new_cap to 0 and slip past the check.
 void check_arena_offset(std::size_t begin, std::uint64_t new_cap) {
   if (begin + new_cap > 0xFFFFFFFFull) {
