@@ -328,32 +328,6 @@ void BM_Classify(benchmark::State& state) {
 }
 BENCHMARK(BM_Classify)->Arg(100)->Arg(10000);
 
-// The batch classify under the SIMD dispatch shim (8-wide multiply-hash
-// phase A + prefetched probes): compare against BM_Classify for the
-// per-packet win of batching alone, and run under VPM_SIMD=scalar for the
-// vectorization share.
-void BM_ClassifySimd(benchmark::State& state) {
-  const auto paths_n = static_cast<std::size_t>(state.range(0));
-  trace::MultiPathConfig mcfg;
-  mcfg.path_count = paths_n;
-  mcfg.total_packets_per_second = 200'000;
-  mcfg.duration = net::seconds(1);
-  mcfg.seed = 3;
-  const auto multi = trace::generate_multi_path(mcfg);
-  const collector::PathClassifier classifier(multi.paths);
-
-  std::vector<std::uint32_t> out(multi.packets.size());
-  for (auto _ : state) {
-    classifier.classify_batch(multi.packets.data(), multi.packets.size(),
-                              out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(multi.packets.size()));
-}
-BENCHMARK(BM_ClassifySimd)->Arg(100)->Arg(10000);
-
 // The batch digest under the dispatch shim (8-wide lookup3): compare
 // against BM_Decide (scalar one-at-a-time) for the SIMD win on the pure
 // hash stage.

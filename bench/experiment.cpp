@@ -174,9 +174,10 @@ bool JsonExportReporter::write(const std::string& bench_name,
     std::fprintf(f, "}");
   }
   std::fprintf(f, "\n  ]\n}\n");
+  // fclose flushes the last buffered bytes, so its error counts too (a
+  // full disk often shows only there).
   const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
+  return std::fclose(f) == 0 && ok;
 }
 
 int run_benchmarks_with_json(int argc, char** argv,

@@ -4,9 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "collector/classify_batch.hpp"
-#include "net/simd_dispatch.hpp"
-
 namespace vpm::collector {
 
 PathClassifier::PathClassifier(std::span<const net::PrefixPair> paths) {
@@ -14,8 +11,7 @@ PathClassifier::PathClassifier(std::span<const net::PrefixPair> paths) {
     throw std::invalid_argument("PathClassifier: no paths");
   }
   // Cap so bit_ceil(2 * paths) <= 2^32: slot indices then fit the uint32
-  // chunk arrays of classify_batch (equivalently shift_ >= 32, which the
-  // AVX2 phase-A kernel relies on to pack its 64-bit lanes).
+  // slot arrays of hash_slots_batch, and path indices stay below kNoPath.
   if (paths.size() > (std::size_t{1} << 31)) {
     throw std::invalid_argument("PathClassifier: too many paths");
   }
@@ -38,15 +34,10 @@ PathClassifier::PathClassifier(std::span<const net::PrefixPair> paths) {
       throw std::invalid_argument(
           "PathClassifier requires uniform prefix lengths");
     }
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(paths[i].source.network().value()) << 32) |
-        paths[i].destination.network().value();
-    std::size_t s = slot_of(key);
-    while (slots_[s].index != kEmpty) {
-      if (slots_[s].key == key) {
-        throw std::invalid_argument("duplicate prefix pair in path table");
-      }
-      s = (s + 1) & mask_;
+    const std::uint64_t key = key_of(paths[i]);
+    const std::size_t s = probe(key, slot_of(key));
+    if (slots_[s].index != kEmpty) {
+      throw std::invalid_argument("duplicate prefix pair in path table");
     }
     slots_[s] = Slot{.key = key, .index = static_cast<std::uint32_t>(i)};
   }
@@ -55,14 +46,9 @@ PathClassifier::PathClassifier(std::span<const net::PrefixPair> paths) {
 void PathClassifier::hash_slots_batch(const net::Packet* pkts, std::size_t n,
                                       std::uint64_t* keys,
                                       std::uint32_t* slots) const noexcept {
-  static const detail::HashSlotsFn avx2 = detail::hash_slots_avx2();
-  const detail::ClassifyHashParams cp{
-      .src_mask = src_mask_, .dst_mask = dst_mask_, .shift = shift_};
-  if (avx2 != nullptr && n >= 8 &&
-      net::simd::active_tier() == net::simd::Tier::kAvx2) {
-    avx2(cp, pkts, n, keys, slots);
-  } else {
-    detail::hash_slots_scalar(cp, pkts, n, keys, slots);
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i] = key_of(pkts[i].header);
+    slots[i] = static_cast<std::uint32_t>(slot_of(keys[i]));
   }
   // Kick off every probe's first line before any probe blocks on one.
   for (std::size_t i = 0; i < n; ++i) {
@@ -74,29 +60,7 @@ void PathClassifier::resolve_batch(const std::uint64_t* keys,
                                    const std::uint32_t* slots, std::size_t n,
                                    std::uint32_t* out) const noexcept {
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t key = keys[i];
-    std::size_t s = slots[i];
-    std::uint32_t r = kNoPath;
-    while (slots_[s].index != kEmpty) {
-      if (slots_[s].key == key) {
-        r = slots_[s].index;
-        break;
-      }
-      s = (s + 1) & mask_;
-    }
-    out[i] = r;
-  }
-}
-
-void PathClassifier::classify_batch(const net::Packet* pkts, std::size_t n,
-                                    std::uint32_t* out) const noexcept {
-  constexpr std::size_t kSpan = 64;
-  std::uint64_t keys[kSpan];
-  std::uint32_t first[kSpan];
-  for (std::size_t base = 0; base < n; base += kSpan) {
-    const std::size_t m = std::min(kSpan, n - base);
-    hash_slots_batch(pkts + base, m, keys, first);
-    resolve_batch(keys, first, m, out + base);
+    out[i] = slots_[probe(keys[i], slots[i])].index;
   }
 }
 
@@ -198,10 +162,10 @@ void MonitoringCache::observe_batch_impl(std::span<const net::Packet> packets,
   std::uint64_t observed = 0;
   std::uint64_t swept = 0;
 
-  // Chunked SIMD pipeline, software-pipelined two chunks deep.  While the
+  // Chunked pipeline, software-pipelined two chunks deep.  While the
   // kernel pass for chunk k runs, chunk k+1's decisions and prefetches are
   // already issued and chunk k+2's classifier probe lines are in flight:
-  //   1. hash_slots_batch for chunk k+2 — SIMD multiply-hash plus a
+  //   1. hash_slots_batch for chunk k+2 — a scalar multiply-hash plus a
   //      prefetch of every probe's first classifier line, issued a whole
   //      chunk before those probes run;
   //   2. resolve_batch for chunk k+1 against lines prefetched one chunk

@@ -88,54 +88,50 @@ class PathClassifier {
   [[nodiscard]] std::size_t classify(const net::PacketHeader& h) const
       noexcept {
     const std::uint64_t key = key_of(h);
-    std::size_t i = slot_of(key);
-    while (slots_[i].index != kEmpty) {
-      if (slots_[i].key == key) return slots_[i].index;
-      i = (i + 1) & mask_;
-    }
-    return npos;
+    const std::uint32_t index = slots_[probe(key, slot_of(key))].index;
+    return index == kNoPath ? npos : index;
   }
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  /// 32-bit "no path" sentinel for the batch form (classify_batch packs
-  /// indices into uint32 chunk arrays; valid indices are < path_count()
-  /// which the constructor caps below 2^31).
+  /// 32-bit "no path" sentinel for resolve_batch (it packs indices into
+  /// uint32 chunk arrays; valid indices are < path_count(), which the
+  /// constructor caps below 2^31).
   static constexpr std::uint32_t kNoPath = 0xFFFFFFFFu;
 
-  /// Batch classify over a chunk: out[i] = classify(pkts[i].header), or
-  /// kNoPath when unknown.  Phase A (key packing + multiply-hash to the
-  /// first slot index) runs through the SIMD dispatch shim and prefetches
-  /// every probe's first classifier line; phase B probes against the
-  /// now-overlapping loads.  Identical results to classify() per packet.
-  void classify_batch(const net::Packet* pkts, std::size_t n,
-                      std::uint32_t* out) const noexcept;
-
-  /// Phase A alone: keys[i]/slots[i] = key and first slot index of
-  /// pkts[i], each probe's first classifier line prefetched.  Callers
-  /// that software-pipeline chunks hash chunk k+1 before resolving chunk
-  /// k, giving the prefetches a whole chunk of processing to land.
+  /// classify() split in two for a chunk of packets.  The hash step:
+  /// keys[i]/slots[i] = key and first slot index of pkts[i], then each
+  /// probe's first classifier line prefetched.  Callers that
+  /// software-pipeline chunks hash chunk k+1 before resolving chunk k,
+  /// giving the prefetches a whole chunk of processing to land.
   void hash_slots_batch(const net::Packet* pkts, std::size_t n,
                         std::uint64_t* keys,
                         std::uint32_t* slots) const noexcept;
-  /// Phase B alone: out[i] = path index for keys[i] starting the probe at
-  /// slots[i] (kNoPath when unknown).  Inputs must come from
-  /// hash_slots_batch over the same packets.
+  /// The probe step: out[i] = path index for keys[i] starting the probe
+  /// at slots[i] (kNoPath when unknown), classify()'s probe.  Inputs must
+  /// come from hash_slots_batch over the same packets.
   void resolve_batch(const std::uint64_t* keys, const std::uint32_t* slots,
                      std::size_t n, std::uint32_t* out) const noexcept;
 
   [[nodiscard]] std::size_t path_count() const noexcept { return paths_; }
-  /// Allocated slots (>= 2x path_count, for the probe-length bound).
-  [[nodiscard]] std::size_t slot_count() const noexcept {
-    return slots_.size();
-  }
 
  private:
   struct Slot {
     std::uint64_t key = 0;
     std::uint32_t index = kEmpty;
   };
-  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+  /// An empty slot's index: a probe that ends on one reads kNoPath.
+  static constexpr std::uint32_t kEmpty = kNoPath;
+
+  /// The one probe loop: from slot `s`, the slot holding `key`, else the
+  /// empty slot that ends its chain (load factor <= 0.5 leaves one).
+  [[nodiscard]] std::size_t probe(std::uint64_t key, std::size_t s) const
+      noexcept {
+    while (slots_[s].index != kEmpty && slots_[s].key != key) {
+      s = (s + 1) & mask_;
+    }
+    return s;
+  }
 
   [[nodiscard]] std::size_t slot_of(std::uint64_t key) const noexcept {
     // Fibonacci hashing: the golden-ratio multiply diffuses the masked

@@ -2,7 +2,7 @@
 //
 // Algorithm 1's marker sweep evaluates SampleFcn(q, marker) = lookup3 over
 // the two digests for EVERY buffered record — the dominant per-packet cost
-// of the data plane once classify + digest are vectorized (every packet is
+// of the data plane once the digest is vectorized (every packet is
 // buffered once and swept once, so the sweep amortizes to one sample_value
 // per packet).  The two-word hashword message means no mix() round at all:
 // load the record ids, run one eight-lane final_mix against the broadcast

@@ -1,6 +1,6 @@
 // Runtime SIMD dispatch for the data-plane batch kernels.
 //
-// The hot kernels (8-wide lookup3 digests, 8-wide classifier multiply-hash)
+// The hot kernels (the 8-wide lookup3 digest, the 8-wide marker sweep)
 // exist in two implementations: portable scalar code that is ALWAYS built,
 // and AVX2 intrinsics compiled into dedicated translation units with
 // -mavx2.  One binary serves every host: the tier is picked once at

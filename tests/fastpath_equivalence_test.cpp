@@ -321,33 +321,60 @@ INSTANTIATE_TEST_SUITE_P(Modes, FastPathEquivalence,
 // ------------------------------------------------------------------------
 // Batch dispatch must match packet-at-a-time dispatch exactly.
 
+// observe_batch classifies a chunk with hash_slots_batch + resolve_batch,
+// observe with classify(); they must agree on known and unknown packets
+// alike.  Three inputs: every packet known; the same trace against a table
+// holding back every third path, so unknown packets land in every 64-packet
+// chunk; and a held-back table of 5000 paths, above the 4096 at which
+// observe_batch runs its staged loop, where probe chains are long enough
+// that a resolve_batch ignoring keys would misclassify.
 TEST(MonitoringCacheBatch, MatchesScalarObserve) {
-  trace::MultiPathConfig mcfg;
-  mcfg.path_count = 64;
-  mcfg.total_packets_per_second = 100'000;
-  mcfg.duration = net::seconds(1);
-  mcfg.seed = 9;
-  const auto multi = trace::generate_multi_path(mcfg);
+  struct Input {
+    std::size_t trace_paths;
+    bool hold_back;  ///< leave every third path out of the caches' table
+  };
+  for (const Input in :
+       {Input{64, false}, Input{64, true}, Input{7500, true}}) {
+    SCOPED_TRACE(::testing::Message() << in.trace_paths << " trace paths"
+                                      << (in.hold_back ? ", held back" : ""));
+    trace::MultiPathConfig mcfg;
+    mcfg.path_count = in.trace_paths;
+    mcfg.total_packets_per_second = 100'000;
+    mcfg.duration = net::seconds(1);
+    mcfg.seed = 9;
+    const auto multi = trace::generate_multi_path(mcfg);
+    std::vector<net::PrefixPair> table;
+    for (std::size_t i = 0; i < multi.paths.size(); ++i) {
+      if (!in.hold_back || i % 3 != 2) table.push_back(multi.paths[i]);
+    }
+    if (in.trace_paths > 64) {
+      EXPECT_GT(table.size(), 4096u);
+    }
 
-  collector::MonitoringCache::Config ccfg;
-  ccfg.protocol = test::test_protocol();
-  ccfg.tuning = HopTuning{.sample_rate = 0.01, .cut_rate = 1e-3};
+    collector::MonitoringCache::Config ccfg;
+    ccfg.protocol = test::test_protocol();
+    ccfg.tuning = HopTuning{.sample_rate = 0.01, .cut_rate = 1e-3};
 
-  collector::MonitoringCache scalar(ccfg, multi.paths);
-  collector::MonitoringCache batch(ccfg, multi.paths);
+    collector::MonitoringCache scalar(ccfg, table);
+    collector::MonitoringCache batch(ccfg, table);
 
-  for (const Packet& p : multi.packets) scalar.observe(p, p.origin_time);
-  batch.observe_batch(multi.packets);
+    for (const Packet& p : multi.packets) scalar.observe(p, p.origin_time);
+    batch.observe_batch(multi.packets);
 
-  EXPECT_EQ(scalar.unknown_path_packets(), batch.unknown_path_packets());
-  EXPECT_EQ(scalar.ops().memory_accesses, batch.ops().memory_accesses);
-  EXPECT_EQ(scalar.ops().hash_computations, batch.ops().hash_computations);
-  EXPECT_EQ(scalar.ops().marker_sweep_accesses,
-            batch.ops().marker_sweep_accesses);
+    if (in.hold_back) {
+      EXPECT_GT(batch.unknown_path_packets(), 0u);
+    }
+    EXPECT_EQ(scalar.unknown_path_packets(), batch.unknown_path_packets());
+    EXPECT_EQ(scalar.ops().memory_accesses, batch.ops().memory_accesses);
+    EXPECT_EQ(scalar.ops().hash_computations, batch.ops().hash_computations);
+    EXPECT_EQ(scalar.ops().timestamp_reads, batch.ops().timestamp_reads);
+    EXPECT_EQ(scalar.ops().marker_sweep_accesses,
+              batch.ops().marker_sweep_accesses);
 
-  for (std::size_t path = 0; path < multi.paths.size(); ++path) {
-    EXPECT_EQ(scalar.drain_path(path, true), batch.drain_path(path, true))
-        << "path " << path;
+    for (std::size_t path = 0; path < table.size(); ++path) {
+      ASSERT_EQ(scalar.drain_path(path, true), batch.drain_path(path, true))
+          << "path " << path;
+    }
   }
 }
 

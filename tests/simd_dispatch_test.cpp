@@ -8,7 +8,6 @@
 //
 //   * decide_batch across both tiers, every chunk remainder 0-7, both the
 //     identity and idx forms, both digest modes;
-//   * the classifier's hash_slots_batch / classify_batch phase A kernel;
 //   * whole MonitoringCache receipt streams on a ~200k-packet multi-path
 //     trace (paths straddle the internal chunk boundaries), compared
 //     receipt for receipt (`==`) in both digest modes.
@@ -157,51 +156,6 @@ TEST_P(DecideBatchTiers, AllRemaindersBothForms) {
 INSTANTIATE_TEST_SUITE_P(Modes, DecideBatchTiers,
                          ::testing::Values(DigestMode::kSingle,
                                            DigestMode::kIndependent));
-
-// ------------------------------------------------------------------------
-// Classifier phase A (the multiply-hash kernel behind the shim).
-
-TEST(SimdDispatch, ClassifierTiersMatch) {
-  trace::MultiPathConfig mcfg;
-  mcfg.path_count = 100;
-  mcfg.total_packets_per_second = 50'000;
-  mcfg.duration = net::seconds(1);
-  mcfg.seed = 23;
-  const auto multi = trace::generate_multi_path(mcfg);
-  const collector::PathClassifier cls(multi.paths);
-
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{5},
-                        std::size_t{8}, std::size_t{13}, std::size_t{64},
-                        multi.packets.size()}) {
-    ASSERT_LE(n, multi.packets.size());
-    std::vector<std::uint64_t> keys_a(n), keys_b(n);
-    std::vector<std::uint32_t> slots_a(n), slots_b(n);
-    std::vector<std::uint32_t> out_a(n), out_b(n);
-    {
-      TierGuard g(simd::Tier::kScalar);
-      cls.hash_slots_batch(multi.packets.data(), n, keys_a.data(),
-                           slots_a.data());
-      cls.classify_batch(multi.packets.data(), n, out_a.data());
-    }
-    {
-      TierGuard g(simd::Tier::kAvx2);
-      cls.hash_slots_batch(multi.packets.data(), n, keys_b.data(),
-                           slots_b.data());
-      cls.classify_batch(multi.packets.data(), n, out_b.data());
-    }
-    ASSERT_EQ(keys_a, keys_b) << "n=" << n;
-    ASSERT_EQ(slots_a, slots_b) << "n=" << n;
-    ASSERT_EQ(out_a, out_b) << "n=" << n;
-    // And the batch result agrees with the scalar one-at-a-time probe.
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t one = cls.classify(multi.packets[i].header);
-      const std::uint32_t want = one == collector::PathClassifier::npos
-                                     ? collector::PathClassifier::kNoPath
-                                     : static_cast<std::uint32_t>(one);
-      ASSERT_EQ(out_a[i], want) << "n=" << n << " i=" << i;
-    }
-  }
-}
 
 // ------------------------------------------------------------------------
 // Protocol kernel (marker sweep-select): scalar vs AVX2 over every
